@@ -8,7 +8,7 @@ VETTOOL := $(BIN)/adaedge-lint
 # Per-target fuzz time for the smoke pass (CI uses the same value).
 FUZZTIME ?= 20s
 
-.PHONY: all build vet lint escape-gate escape-gate-update test race fuzz-smoke obs-smoke fleet-smoke bench-json bench-compare doc-drift ci clean
+.PHONY: all build vet lint escape-gate escape-gate-update test race fuzz-smoke obs-smoke fleet-smoke bench-json bench-compare doc-drift loc ci clean
 
 all: build
 
@@ -100,6 +100,12 @@ bench-compare:
 # flag must still exist.
 doc-drift:
 	./scripts/doc_drift.sh
+
+# loc prints the non-test, non-vendor Go line count; CHANGES.md records it
+# per PR (ROADMAP item 3: the simplification round must end lower than it
+# started).
+loc:
+	@find . -name '*.go' ! -name '*_test.go' ! -path './vendor/*' ! -path '*/testdata/*' | xargs cat | wc -l
 
 ci: build vet lint escape-gate race obs-smoke fleet-smoke doc-drift
 

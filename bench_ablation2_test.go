@@ -32,7 +32,7 @@ func BenchmarkDirectVsDecompressedAggregation(b *testing.B) {
 	})
 	b.Run("decompress-sum", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			vals, err := s.Decompress(enc)
+			vals, err := compress.Decompress(s, enc)
 			if err != nil {
 				b.Fatal(err)
 			}

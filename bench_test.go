@@ -319,7 +319,7 @@ func BenchmarkAblationStepSize(b *testing.B) {
 				series, _ := stream.Next()
 				arm := pol.Select(nil)
 				codec, _ := reg.Lookup(names[arm])
-				enc, err := codec.Compress(series)
+				enc, err := compress.Compress(codec, series)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -356,7 +356,7 @@ func BenchmarkAblationRecoding(b *testing.B) {
 	})
 	b.Run("decode-reencode", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			dec, err := paa.Decompress(enc)
+			dec, err := compress.Decompress(paa, enc)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -417,19 +417,19 @@ func benchCodec(b *testing.B, c compress.Codec) {
 	b.Run("compress", func(b *testing.B) {
 		b.SetBytes(int64(8 * len(seg)))
 		for i := 0; i < b.N; i++ {
-			if _, err := c.Compress(seg); err != nil {
+			if _, err := compress.Compress(c, seg); err != nil {
 				b.Fatal(err)
 			}
 		}
 	})
-	enc, err := c.Compress(seg)
+	enc, err := compress.Compress(c, seg)
 	if err != nil {
 		b.Fatal(err)
 	}
 	b.Run("decompress", func(b *testing.B) {
 		b.SetBytes(int64(8 * len(seg)))
 		for i := 0; i < b.N; i++ {
-			if _, err := c.Decompress(enc); err != nil {
+			if _, err := compress.Decompress(c, enc); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -464,7 +464,7 @@ func benchLossy(b *testing.B, c compress.LossyCodec) {
 	b.Run("decompress", func(b *testing.B) {
 		b.SetBytes(int64(8 * len(seg)))
 		for i := 0; i < b.N; i++ {
-			if _, err := c.Decompress(enc); err != nil {
+			if _, err := compress.Decompress(c, enc); err != nil {
 				b.Fatal(err)
 			}
 		}

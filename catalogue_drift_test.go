@@ -366,7 +366,7 @@ func driveTransport(t *testing.T, upObs, colObs *obs.Observer) {
 		if !ok {
 			t.Fatalf("codec %q missing from registry", names[i%len(names)])
 		}
-		enc, err := codec.Compress(row)
+		enc, err := compress.Compress(codec, row)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -38,7 +38,7 @@ func main() {
 		series, _ := stream.Next()
 		arm := policy.Select(nil)
 		codec, _ := reg.Lookup(names[arm])
-		enc, err := codec.Compress(series)
+		enc, err := compress.Compress(codec, series)
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -60,7 +60,7 @@ func (c *CodecDB) Train(samples [][]float64) error {
 		bestIdx, bestSize := -1, math.MaxInt
 		for i, name := range c.lossless {
 			codec, _ := c.reg.Lookup(name)
-			enc, err := codec.Compress(sample)
+			enc, err := compress.Compress(codec, sample)
 			if err != nil {
 				continue
 			}
@@ -106,7 +106,7 @@ func (c *CodecDB) Select(values []float64) string {
 func (c *CodecDB) Process(values []float64, targetRatio float64) (compress.Encoded, error) {
 	name := c.Select(values)
 	codec, _ := c.reg.Lookup(name)
-	enc, err := codec.Compress(values)
+	enc, err := compress.Compress(codec, values)
 	if err != nil {
 		return compress.Encoded{}, err
 	}
@@ -130,7 +130,7 @@ func NewTVStore() *TVStore { return &TVStore{pla: compress.NewPLA()} }
 // Process compresses the segment with PLA at the target ratio.
 func (t *TVStore) Process(values []float64, targetRatio float64) (compress.Encoded, error) {
 	if targetRatio >= 1 {
-		return t.pla.Compress(values)
+		return compress.Compress(t.pla, values)
 	}
 	if t.pla.MinRatio(values) > targetRatio {
 		return compress.Encoded{}, compress.ErrRatioInfeasible

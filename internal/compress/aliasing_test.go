@@ -2,6 +2,7 @@ package compress
 
 import (
 	"bytes"
+	"math"
 	"reflect"
 	"testing"
 )
@@ -35,19 +36,19 @@ func TestScratchReuseIndependence(t *testing.T) {
 		c, _ := reg.Lookup(name)
 		t.Run(name, func(t *testing.T) {
 			// Reference round trips with fresh buffers.
-			freshA, err := c.Compress(sigA)
+			freshA, err := Compress(c, sigA)
 			if err != nil {
 				t.Fatal(err)
 			}
-			freshB, err := c.Compress(sigB)
+			freshB, err := Compress(c, sigB)
 			if err != nil {
 				t.Fatal(err)
 			}
-			wantA, err := c.Decompress(freshA)
+			wantA, err := Decompress(c, freshA)
 			if err != nil {
 				t.Fatal(err)
 			}
-			wantB, err := c.Decompress(freshB)
+			wantB, err := Decompress(c, freshB)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -55,7 +56,7 @@ func TestScratchReuseIndependence(t *testing.T) {
 			// Round trip A through scratch, then B through the SAME scratch.
 			encScratch := make([]byte, 0, 8)
 			decScratch := make([]float64, 0, 1)
-			encA, err := CompressInto(c, encScratch, sigA)
+			encA, err := c.CompressInto(encScratch, sigA)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -65,7 +66,7 @@ func TestScratchReuseIndependence(t *testing.T) {
 			aliasedA := encA.Data // aliases the scratch we are about to reuse
 			keptA := append([]byte(nil), encA.Data...)
 
-			gotA, err := DecompressInto(c, decScratch, encA)
+			gotA, err := c.DecompressInto(decScratch, encA)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -73,14 +74,28 @@ func TestScratchReuseIndependence(t *testing.T) {
 				t.Fatal("scratch decode of A differs from fresh decode")
 			}
 
-			encB, err := CompressInto(c, aliasedA[:0], sigB)
+			// A dst that arrives full of garbage, with room to spare: the
+			// decode must overwrite from index 0 and read none of it.
+			garbage := make([]float64, 2*len(sigB))
+			for i := range garbage {
+				garbage[i] = math.NaN()
+			}
+			dirtyA, err := c.DecompressInto(garbage, encA)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(dirtyA, wantA) {
+				t.Fatal("garbage in dst leaked into decode of A")
+			}
+
+			encB, err := c.CompressInto(aliasedA[:0], sigB)
 			if err != nil {
 				t.Fatal(err)
 			}
 			if !bytes.Equal(encB.Data, freshB.Data) {
 				t.Fatal("stale scratch content leaked into encoding of B")
 			}
-			gotB, err := DecompressInto(c, gotA[:0], encB)
+			gotB, err := c.DecompressInto(gotA[:0], encB)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -91,7 +106,7 @@ func TestScratchReuseIndependence(t *testing.T) {
 			// A retained-slice bug would have written B's bytes through a
 			// held reference into A's old buffer; the clone taken before
 			// reuse must still decode to A.
-			reA, err := c.Decompress(Encoded{Codec: encA.Codec, Data: keptA, N: encA.N})
+			reA, err := Decompress(c, Encoded{Codec: encA.Codec, Data: keptA, N: encA.N})
 			if err != nil {
 				t.Fatalf("cloned encoding of A no longer decodes: %v", err)
 			}
@@ -102,7 +117,7 @@ func TestScratchReuseIndependence(t *testing.T) {
 			// Compressing a third time into a fresh buffer must not touch
 			// encB's bytes through any codec-retained reference.
 			keptB := append([]byte(nil), encB.Data...)
-			if _, err := CompressInto(c, nil, sigA); err != nil {
+			if _, err := c.CompressInto(nil, sigA); err != nil {
 				t.Fatal(err)
 			}
 			if !bytes.Equal(encB.Data, keptB) {

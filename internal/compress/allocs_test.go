@@ -1,15 +1,21 @@
 package compress
 
 import (
-	"fmt"
+	"runtime/debug"
 	"testing"
 )
 
-// Steady-state allocation pins for the bit-kernel codecs. These four sit
-// under every speculative trial the online evaluator runs, so a single
-// stray allocation per Encode/Decode multiplies across arms × segments.
-// The contract: after one warm-up call has sized the caller-owned scratch,
-// CompressInto and DecompressInto allocate nothing.
+// Steady-state allocation pins for every codec type. The codecs sit under
+// every speculative trial the online evaluator runs and every collector
+// decode, so a single stray allocation per call multiplies across arms ×
+// segments. The contract: after one warm-up call has sized the
+// caller-owned dst (and the codec's pooled scratch), CompressInto and
+// DecompressInto allocate no more than the pinned count — zero for the
+// bit-kernel codecs and for every decoder that does not run a stdlib
+// flate reader. The non-zero pins are what the codec measured when it was
+// ported: Dict's value index, FFT's transform and ranking, LTTB's index
+// list, and compress/flate's per-block Huffman tables, whose count
+// follows the data (25–26 on this signal), hence a ceiling.
 
 // allocSignal is shaped to exercise every kernel path: repeats (Gorilla /
 // Chimp zero-XOR flags), smooth ramps (Sprintz residual widths), and a
@@ -27,79 +33,77 @@ func allocSignal(n int) []float64 {
 	return sig
 }
 
-func testCodecZeroAlloc(t *testing.T, c IntoCodec) {
-	t.Helper()
-	sig := allocSignal(256)
-
-	// Warm-up sizes the scratch buffers.
-	enc, err := c.CompressInto(nil, sig)
-	if err != nil {
-		t.Fatal(err)
+// raceBuild reports whether the binary was built with -race.
+func raceBuild() bool {
+	bi, ok := debug.ReadBuildInfo()
+	if !ok {
+		return false
 	}
-	encBuf := enc.Data
-	decBuf, err := c.DecompressInto(nil, enc)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	if got := testing.AllocsPerRun(200, func() {
-		e, err := c.CompressInto(encBuf[:0], sig)
-		if err != nil {
-			t.Fatal(err)
+	for _, s := range bi.Settings {
+		if s.Key == "-race" {
+			return s.Value == "true"
 		}
-		encBuf = e.Data
-		enc = e
-	}); got != 0 {
-		t.Errorf("%s: CompressInto allocates %v/op steady-state, want 0", c.Name(), got)
 	}
-
-	if got := testing.AllocsPerRun(200, func() {
-		v, err := c.DecompressInto(decBuf[:0], enc)
-		if err != nil {
-			t.Fatal(err)
-		}
-		decBuf = v
-	}); got != 0 {
-		t.Errorf("%s: DecompressInto allocates %v/op steady-state, want 0", c.Name(), got)
-	}
+	return false
 }
 
-func TestAllocsGorilla(t *testing.T) { testCodecZeroAlloc(t, NewGorilla()) }
-func TestAllocsChimp(t *testing.T)   { testCodecZeroAlloc(t, NewChimp()) }
-func TestAllocsSprintz(t *testing.T) { testCodecZeroAlloc(t, NewSprintz(4)) }
-func TestAllocsBUFF(t *testing.T)    { testCodecZeroAlloc(t, NewBUFF(4)) }
-
-// TestAllocsIntoEquivalence pins that the scratch paths produce exactly
-// the bytes and values of the allocating paths, at lengths straddling the
-// kernels' internal boundaries (Sprintz 8-blocks, partial final bytes).
-func TestAllocsIntoEquivalence(t *testing.T) {
-	codecs := []IntoCodec{NewGorilla(), NewChimp(), NewSprintz(4), NewBUFF(4), NewBUFFLossy(4)}
-	for _, c := range codecs {
-		for _, n := range []int{1, 2, 7, 8, 9, 63, 64, 65, 256} {
-			sig := allocSignal(n)
-			want, err := c.Compress(sig)
-			if err != nil {
-				t.Fatalf("%s n=%d: %v", c.Name(), n, err)
-			}
-			scratch := make([]byte, 0, 8)
-			got, err := c.CompressInto(scratch, sig)
-			if err != nil {
-				t.Fatalf("%s n=%d: CompressInto: %v", c.Name(), n, err)
-			}
-			if string(got.Data) != string(want.Data) || got.N != want.N {
-				t.Fatalf("%s n=%d: CompressInto bytes differ from Compress", c.Name(), n)
-			}
-			wantV, err := c.Decompress(want)
+func TestCodecAllocs(t *testing.T) {
+	if raceBuild() {
+		t.Skip("under the race detector sync.Pool drops a quarter of its Puts, so pooled scratch is rebuilt mid-measurement")
+	}
+	sig := allocSignal(256)
+	for _, tc := range []struct {
+		c                    Codec
+		compress, decompress float64
+	}{
+		{NewGorilla(), 0, 0},
+		{NewChimp(), 0, 0},
+		{NewSprintz(4), 0, 0},
+		{NewBUFF(4), 0, 0},
+		{NewBUFFLossy(4), 0, 0},
+		{NewElf(4), 0, 0},
+		{NewSnappy(), 0, 0},
+		{NewDict(), 15, 0},
+		{NewGzip(), 0, 32},
+		{NewZlib(6), 0, 32},
+		{NewPAA(), 0, 0},
+		{NewPLA(), 0, 0},
+		{NewFFT(), 9, 0},
+		{NewLTTB(), 1, 0},
+		{NewRRDSample(1), 0, 0},
+		{NewModelar(), 0, 0},
+		{NewSummary(), 0, 0},
+	} {
+		c := tc.c
+		t.Run(c.Name(), func(t *testing.T) {
+			// Warm-up sizes the buffers.
+			enc, err := c.CompressInto(nil, sig)
 			if err != nil {
 				t.Fatal(err)
 			}
-			gotV, err := c.DecompressInto(make([]float64, 0, 1), got)
+			encBuf := enc.Data
+			decBuf, err := c.DecompressInto(nil, enc)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if fmt.Sprint(gotV) != fmt.Sprint(wantV) {
-				t.Fatalf("%s n=%d: DecompressInto values differ from Decompress", c.Name(), n)
+			if got := testing.AllocsPerRun(200, func() {
+				e, err := c.CompressInto(encBuf, sig)
+				if err != nil {
+					t.Fatal(err)
+				}
+				encBuf, enc = e.Data, e
+			}); got > tc.compress {
+				t.Errorf("CompressInto allocates %v/op steady-state, want at most %v", got, tc.compress)
 			}
-		}
+			if got := testing.AllocsPerRun(200, func() {
+				v, err := c.DecompressInto(decBuf, enc)
+				if err != nil {
+					t.Fatal(err)
+				}
+				decBuf = v
+			}); got > tc.decompress {
+				t.Errorf("DecompressInto allocates %v/op steady-state, want at most %v", got, tc.decompress)
+			}
+		})
 	}
 }

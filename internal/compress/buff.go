@@ -15,15 +15,16 @@ import (
 // BUFF-lossy has a hard minimum achievable ratio — the behaviour behind its
 // failure below ratio ≈0.125 on CBF in the paper (Fig 7).
 //
+// Quantizing through an integer drops the sign of zero: BUFF and
+// BUFF-lossy decode -0.0 as +0.0. Lossless here means value-equal (==),
+// not bit-equal, which is also how the e2e benchmark compares decodes
+// (see TestZeroSignContract).
+//
 // Layout: uvarint n | uvarint precision | zigzag-varint minQ | 1B width |
 // 1B dropped | bit-packed deltas (width bits each).
 type buffCore struct {
 	precision int
 	scale     float64
-}
-
-func (b buffCore) encode(values []float64, dropLimit int) (Encoded, error) {
-	return b.encodeInto(nil, values, dropLimit)
 }
 
 // encodeInto appends the encoding to dst[:0]. The quantization runs twice —
@@ -69,10 +70,6 @@ func (b buffCore) encodeInto(dst []byte, values []float64, dropLimit int) (Encod
 		w.WriteBits(uint64(q-minQ)>>uint(drop), uint(storedWidth))
 	}
 	return Encoded{Data: w.Bytes(), N: len(values)}, nil
-}
-
-func (b buffCore) decode(enc Encoded) ([]float64, error) {
-	return b.decodeInto(nil, enc)
 }
 
 func (b buffCore) decodeInto(dst []float64, enc Encoded) ([]float64, error) {
@@ -156,12 +153,7 @@ func NewBUFF(precision int) *BUFF {
 // Name implements Codec.
 func (*BUFF) Name() string { return "buff" }
 
-// Compress implements Codec.
-func (b *BUFF) Compress(values []float64) (Encoded, error) {
-	return b.CompressInto(nil, values)
-}
-
-// CompressInto implements IntoCodec.
+// CompressInto implements Codec.
 func (b *BUFF) CompressInto(dst []byte, values []float64) (Encoded, error) {
 	enc, err := b.core.encodeInto(dst, values, 0)
 	if err != nil {
@@ -171,12 +163,7 @@ func (b *BUFF) CompressInto(dst []byte, values []float64) (Encoded, error) {
 	return enc, nil
 }
 
-// Decompress implements Codec.
-func (b *BUFF) Decompress(enc Encoded) ([]float64, error) {
-	return b.DecompressInto(nil, enc)
-}
-
-// DecompressInto implements IntoCodec.
+// DecompressInto implements Codec.
 func (b *BUFF) DecompressInto(dst []float64, enc Encoded) ([]float64, error) {
 	if enc.Codec != b.Name() {
 		return nil, ErrCodecMismatch
@@ -198,12 +185,7 @@ func NewBUFFLossy(precision int) *BUFFLossy {
 // Name implements Codec.
 func (*BUFFLossy) Name() string { return "bufflossy" }
 
-// Compress implements Codec (no truncation).
-func (b *BUFFLossy) Compress(values []float64) (Encoded, error) {
-	return b.CompressInto(nil, values)
-}
-
-// CompressInto implements IntoCodec (no truncation).
+// CompressInto implements Codec (no truncation).
 func (b *BUFFLossy) CompressInto(dst []byte, values []float64) (Encoded, error) {
 	enc, err := b.core.encodeInto(dst, values, 0)
 	if err != nil {
@@ -213,12 +195,7 @@ func (b *BUFFLossy) CompressInto(dst []byte, values []float64) (Encoded, error) 
 	return enc, nil
 }
 
-// Decompress implements Codec.
-func (b *BUFFLossy) Decompress(enc Encoded) ([]float64, error) {
-	return b.DecompressInto(nil, enc)
-}
-
-// DecompressInto implements IntoCodec.
+// DecompressInto implements Codec.
 func (b *BUFFLossy) DecompressInto(dst []float64, enc Encoded) ([]float64, error) {
 	if enc.Codec != b.Name() {
 		return nil, ErrCodecMismatch
@@ -238,7 +215,7 @@ func buffWidthForRatio(n int, headerBytes int, ratio float64) int {
 
 // CompressRatio implements LossyCodec.
 func (b *BUFFLossy) CompressRatio(values []float64, ratio float64) (Encoded, error) {
-	full, err := b.core.encode(values, 0)
+	full, err := b.core.encodeInto(nil, values, 0)
 	if err != nil {
 		return Encoded{}, err
 	}
@@ -254,7 +231,7 @@ func (b *BUFFLossy) CompressRatio(values []float64, ratio float64) (Encoded, err
 	if target < 1 {
 		return Encoded{}, ErrRatioInfeasible
 	}
-	enc, err := b.core.encode(values, width-target)
+	enc, err := b.core.encodeInto(nil, values, width-target)
 	if err != nil {
 		return Encoded{}, err
 	}
@@ -268,7 +245,7 @@ func (b *BUFFLossy) MinRatio(values []float64) float64 {
 	if n == 0 {
 		return 1
 	}
-	full, err := b.core.encode(values, 0)
+	full, err := b.core.encodeInto(nil, values, 0)
 	if err != nil {
 		return 1
 	}

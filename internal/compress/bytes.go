@@ -3,35 +3,55 @@ package compress
 import (
 	"encoding/binary"
 	"math"
+	"slices"
+	"sync"
 )
 
-// floatsToBytes serializes values little-endian, 8 bytes each.
-func floatsToBytes(values []float64) []byte {
-	out := make([]byte, 8*len(values))
-	for i, v := range values {
-		binary.LittleEndian.PutUint64(out[8*i:], math.Float64bits(v))
+// appendFloats serializes values little-endian, 8 bytes each.
+func appendFloats(dst []byte, values []float64) []byte {
+	dst = slices.Grow(dst, 8*len(values))
+	for _, v := range values {
+		dst = appendF64(dst, v)
 	}
-	return out
+	return dst
 }
 
-// bytesToFloats inverts floatsToBytes.
-func bytesToFloats(data []byte) ([]float64, error) {
+// decodeFloats inverts appendFloats into dst[:0].
+func decodeFloats(dst []float64, data []byte) ([]float64, error) {
 	if len(data)%8 != 0 {
 		return nil, ErrCorrupt
 	}
-	out := make([]float64, len(data)/8)
-	for i := range out {
-		out[i] = math.Float64frombits(binary.LittleEndian.Uint64(data[8*i:]))
+	out := growFloats(dst, len(data)/8)
+	for i := 0; i < len(data); i += 8 {
+		out = append(out, f64At(data[i:]))
 	}
 	return out, nil
 }
 
-// putUvarint appends v as a varint.
-func putUvarint(dst []byte, v uint64) []byte {
-	var tmp [binary.MaxVarintLen64]byte
-	n := binary.PutUvarint(tmp[:], v)
-	return append(dst, tmp[:n]...)
+// growFloats returns dst[:0], reallocated if it cannot hold n points.
+func growFloats(dst []float64, n int) []float64 {
+	if cap(dst) < n {
+		return make([]float64, 0, n)
+	}
+	return dst[:0]
 }
+
+func appendF64(dst []byte, v float64) []byte {
+	return binary.LittleEndian.AppendUint64(dst, math.Float64bits(v))
+}
+
+// f64At reads the little-endian float64 at the start of b.
+func f64At(b []byte) float64 {
+	return math.Float64frombits(binary.LittleEndian.Uint64(b))
+}
+
+// putUvarint appends v as a varint.
+func putUvarint(dst []byte, v uint64) []byte { return binary.AppendUvarint(dst, v) }
+
+// byteScratch recycles the raw IEEE-754 staging buffer of the byte
+// compressors (Gzip, Zlib, Snappy), which work on bytes, not floats. The
+// buffer never leaves the call that took it.
+var byteScratch = sync.Pool{New: func() any { return new([]byte) }}
 
 // maxDecodePoints bounds per-segment decode allocations against corrupt or
 // hostile headers. AdaEdge segments hold a few hundred points; 1<<24
@@ -48,4 +68,41 @@ func readCount(data []byte) (count uint64, consumed int, err error) {
 		return 0, 0, ErrCorrupt
 	}
 	return count, consumed, nil
+}
+
+// windowedHeader parses the layout PAA, RRD-sample, PLA and Summary share:
+// uvarint n | uvarint window | ceil(n/window) records of recBytes each.
+// It returns the record bytes, validated to hold exactly that many.
+func windowedHeader(data []byte, recBytes int) (n, window int, recs []byte, err error) {
+	count, c, err := readCount(data)
+	if err != nil {
+		return 0, 0, nil, err
+	}
+	data = data[c:]
+	win, c := binary.Uvarint(data)
+	if c <= 0 || win == 0 || win > maxDecodePoints {
+		return 0, 0, nil, ErrCorrupt
+	}
+	data = data[c:]
+	n, window = int(count), int(win)
+	if len(data)%recBytes != 0 || len(data)/recBytes != (n+window-1)/window {
+		return 0, 0, nil, ErrCorrupt
+	}
+	return n, window, data, nil
+}
+
+// countedHeader parses the layout FFT and LTTB share: uvarint n | uvarint
+// k | k records of recBytes each. It returns the bytes from the first
+// record on, validated to hold at least k of them.
+func countedHeader(data []byte, recBytes uint64) (n, k int, recs []byte, err error) {
+	count, c, err := readCount(data)
+	if err != nil {
+		return 0, 0, nil, err
+	}
+	data = data[c:]
+	kk, c := binary.Uvarint(data)
+	if c <= 0 || kk > maxDecodePoints || uint64(len(data)-c) < kk*recBytes {
+		return 0, 0, nil, ErrCorrupt
+	}
+	return int(count), int(kk), data[c:], nil
 }

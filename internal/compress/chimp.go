@@ -47,12 +47,7 @@ var chimpLeadingValue = [8]int{0, 8, 12, 16, 18, 20, 22, 24}
 
 const chimpTrailingThreshold = 6
 
-// Compress implements Codec.
-func (c *Chimp) Compress(values []float64) (Encoded, error) {
-	return c.CompressInto(nil, values)
-}
-
-// CompressInto implements IntoCodec.
+// CompressInto implements Codec.
 func (*Chimp) CompressInto(dst []byte, values []float64) (Encoded, error) {
 	if len(values) == 0 {
 		return Encoded{}, ErrEmptyInput
@@ -99,12 +94,7 @@ func (*Chimp) CompressInto(dst []byte, values []float64) (Encoded, error) {
 	return Encoded{Codec: "chimp", Data: w.Bytes(), N: len(values)}, nil
 }
 
-// Decompress implements Codec.
-func (c *Chimp) Decompress(enc Encoded) ([]float64, error) {
-	return c.DecompressInto(nil, enc)
-}
-
-// DecompressInto implements IntoCodec.
+// DecompressInto implements Codec.
 func (c *Chimp) DecompressInto(dst []float64, enc Encoded) ([]float64, error) {
 	if enc.Codec != c.Name() {
 		return nil, ErrCodecMismatch

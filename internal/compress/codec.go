@@ -5,6 +5,12 @@
 // are tunable to a target compression ratio and support recoding — applying
 // more aggressive compression to already-compressed data without a full
 // decompression round trip (paper §IV-E, "virtual decompression").
+//
+// Every codec is reached through the one Codec interface, whose two
+// methods append into caller-owned buffers (CompressInto, DecompressInto);
+// Compress and Decompress are the allocating one-liners for callers off
+// the segment-rate path. LossyCodec and Recoder add the ratio-driven
+// entry points on top.
 package compress
 
 import (
@@ -37,54 +43,42 @@ func (e Encoded) Ratio() float64 {
 	return float64(len(e.Data)) / float64(8*e.N)
 }
 
-// Codec is a lossless compression method over float64 segments.
-type Codec interface {
-	// Name returns the registry name, e.g. "gorilla" or "zlib-9".
-	Name() string
-	// Compress encodes values.
-	Compress(values []float64) (Encoded, error)
-	// Decompress restores the original values exactly (for lossless
-	// codecs) or an approximation (for lossy codecs).
-	Decompress(enc Encoded) ([]float64, error)
-}
-
-// IntoCodec is a codec whose hot paths can reuse caller-owned buffers,
-// mirroring the EstimatesInto append idiom in internal/bandit. The bit-kernel
-// codecs (Gorilla, Chimp, Sprintz, BUFF) implement it so the speculative
-// trial loop can run allocation-free in steady state.
+// Codec is one compression method over float64 segments. Both methods
+// append into a caller-owned buffer, so a caller that keeps its buffers
+// circulating (the online trial loop, the collector's decode path) runs
+// allocation-free in steady state; cold callers pass nil or use the
+// Compress / Decompress package functions.
 //
 // Buffer ownership: CompressInto appends the encoding to dst[:0] and the
 // returned Encoded.Data aliases dst's backing array (or a growth of it) —
 // the caller must not reuse dst until it is done with the Encoded.
 // DecompressInto likewise appends decoded points to dst[:0] and returns a
-// slice aliasing it. Neither retains its arguments past the call; see
-// DESIGN.md §10 for the full ownership rules.
-type IntoCodec interface {
-	Codec
+// slice aliasing it. Whatever dst held before is overwritten, never read.
+// Neither method retains its arguments past the call; see DESIGN.md §10
+// for the full ownership rules.
+type Codec interface {
+	// Name returns the registry name, e.g. "gorilla" or "zlib-9".
+	Name() string
 	// CompressInto encodes values into dst's backing array, growing it as
-	// needed. Equivalent bytes to Compress.
+	// needed. Lossy codecs encode at ratio 1.
 	CompressInto(dst []byte, values []float64) (Encoded, error)
 	// DecompressInto decodes enc into dst's backing array, growing it as
-	// needed. Equivalent values to Decompress.
+	// needed: the original values exactly for lossless codecs (up to the
+	// sign of zero for the quantising ones, see BUFF), an approximation
+	// for lossy codecs.
 	DecompressInto(dst []float64, enc Encoded) ([]float64, error)
 }
 
-// CompressInto dispatches to c's buffer-reusing path when it has one and
-// falls back to a plain Compress (which allocates fresh output) otherwise.
-func CompressInto(c Codec, dst []byte, values []float64) (Encoded, error) {
-	if ic, ok := c.(IntoCodec); ok {
-		return ic.CompressInto(dst, values)
-	}
-	return c.Compress(values)
-}
+// Compress encodes values into a fresh buffer.
+func Compress(c Codec, values []float64) (Encoded, error) { return c.CompressInto(nil, values) }
 
-// DecompressInto dispatches to c's buffer-reusing decode path when it has
-// one, falling back to a plain Decompress.
-func DecompressInto(c Codec, dst []float64, enc Encoded) ([]float64, error) {
-	if ic, ok := c.(IntoCodec); ok {
-		return ic.DecompressInto(dst, enc)
-	}
-	return c.Decompress(enc)
+// Decompress decodes enc into a fresh slice.
+func Decompress(c Codec, enc Encoded) ([]float64, error) { return c.DecompressInto(nil, enc) }
+
+// CompressInto is c.CompressInto(dst, values), the form the whole-path
+// benchmark (cmd/adaedge-e2e) calls.
+func CompressInto(c Codec, dst []byte, values []float64) (Encoded, error) {
+	return c.CompressInto(dst, values)
 }
 
 // LossyCodec is a codec tunable to a desired compression ratio. Given a
@@ -195,24 +189,19 @@ func (r *Registry) Lossy() []string {
 	return out
 }
 
-// Decompress dispatches to the codec recorded in enc. The codec runs
-// outside the registry lock.
+// Decompress is DecompressInto a fresh slice.
 func (r *Registry) Decompress(enc Encoded) ([]float64, error) {
-	c, ok := r.Lookup(enc.Codec)
-	if !ok {
-		return nil, fmt.Errorf("compress: unknown codec %q", enc.Codec)
-	}
-	return c.Decompress(enc)
+	return r.DecompressInto(nil, enc)
 }
 
-// DecompressInto dispatches to the codec recorded in enc, reusing dst's
-// backing array when the codec supports it.
+// DecompressInto dispatches to the codec recorded in enc, decoding into
+// dst's backing array. The codec runs outside the registry lock.
 func (r *Registry) DecompressInto(dst []float64, enc Encoded) ([]float64, error) {
 	c, ok := r.Lookup(enc.Codec)
 	if !ok {
 		return nil, fmt.Errorf("compress: unknown codec %q", enc.Codec)
 	}
-	return DecompressInto(c, dst, enc)
+	return c.DecompressInto(dst, enc)
 }
 
 // DefaultRegistry assembles the full candidate set evaluated in the paper:

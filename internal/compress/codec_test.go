@@ -1,8 +1,16 @@
 package compress
 
 import (
+	"bytes"
+	"compress/flate"
+	"encoding/binary"
+	"errors"
+	"hash/adler32"
+	"hash/crc32"
+	"io"
 	"math"
 	"math/rand"
+	"runtime"
 	"testing"
 	"testing/quick"
 )
@@ -85,7 +93,7 @@ func TestLosslessRoundTrip(t *testing.T) {
 	}
 	for _, c := range losslessCodecs() {
 		for name, sig := range signals {
-			enc, err := c.Compress(sig)
+			enc, err := Compress(c, sig)
 			if err != nil {
 				t.Fatalf("%s/%s: compress: %v", c.Name(), name, err)
 			}
@@ -95,7 +103,7 @@ func TestLosslessRoundTrip(t *testing.T) {
 			if enc.N != len(sig) {
 				t.Fatalf("%s/%s: N=%d want %d", c.Name(), name, enc.N, len(sig))
 			}
-			got, err := c.Decompress(enc)
+			got, err := Decompress(c, enc)
 			if err != nil {
 				t.Fatalf("%s/%s: decompress: %v", c.Name(), name, err)
 			}
@@ -114,7 +122,7 @@ func TestLosslessRoundTrip(t *testing.T) {
 func TestLosslessCompressesSmoothData(t *testing.T) {
 	sig := smoothSignal(4000, 4)
 	for _, c := range []Codec{NewSprintz(testPrecision), NewBUFF(testPrecision), NewGzip()} {
-		enc, err := c.Compress(sig)
+		enc, err := Compress(c, sig)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -137,7 +145,7 @@ func TestXORCodecsCompressPlateaus(t *testing.T) {
 		sig[i] = level
 	}
 	for _, c := range []Codec{NewGorilla(), NewChimp()} {
-		enc, err := c.Compress(sig)
+		enc, err := Compress(c, sig)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -149,7 +157,7 @@ func TestXORCodecsCompressPlateaus(t *testing.T) {
 
 func TestDictExcelsOnLowCardinality(t *testing.T) {
 	sig := lowCardinality(4000, 5)
-	enc, err := NewDict().Compress(sig)
+	enc, err := Compress(NewDict(), sig)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -160,7 +168,7 @@ func TestDictExcelsOnLowCardinality(t *testing.T) {
 
 func TestEmptyInput(t *testing.T) {
 	for _, c := range losslessCodecs() {
-		if _, err := c.Compress(nil); err != ErrEmptyInput {
+		if _, err := Compress(c, nil); err != ErrEmptyInput {
 			t.Errorf("%s: empty compress err = %v, want ErrEmptyInput", c.Name(), err)
 		}
 	}
@@ -172,11 +180,11 @@ func TestEmptyInput(t *testing.T) {
 }
 
 func TestCodecMismatch(t *testing.T) {
-	enc, err := NewGzip().Compress(smoothSignal(100, 6))
+	enc, err := Compress(NewGzip(), smoothSignal(100, 6))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := NewSnappy().Decompress(enc); err != ErrCodecMismatch {
+	if _, err := Decompress(NewSnappy(), enc); err != ErrCodecMismatch {
 		t.Fatalf("want ErrCodecMismatch, got %v", err)
 	}
 }
@@ -202,7 +210,7 @@ func TestLossyHitsTargetRatio(t *testing.T) {
 			if got := enc.Ratio(); got > r*1.15+0.01 {
 				t.Errorf("%s: target %.2f achieved %.3f (too large)", c.Name(), r, got)
 			}
-			dec, err := c.Decompress(enc)
+			dec, err := Decompress(c, enc)
 			if err != nil {
 				t.Fatalf("%s@%.2f: decompress: %v", c.Name(), r, err)
 			}
@@ -228,7 +236,7 @@ func TestLossyErrorShrinksWithRatio(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s@%.2f: %v", c.Name(), r, err)
 			}
-			dec, err := c.Decompress(enc)
+			dec, err := Decompress(c, enc)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -266,7 +274,7 @@ func TestPAAPreservesWindowMeans(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	dec, err := c.Decompress(enc)
+	dec, err := Decompress(c, enc)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -301,7 +309,7 @@ func TestRecodersShrinkInPlace(t *testing.T) {
 		if smaller.N != enc.N {
 			t.Errorf("%s: recode changed N", c.Name())
 		}
-		dec, err := c.Decompress(smaller)
+		dec, err := Decompress(c, smaller)
 		if err != nil {
 			t.Fatalf("%s: decompress recoded: %v", c.Name(), err)
 		}
@@ -347,7 +355,7 @@ func TestRegistry(t *testing.T) {
 		if !ok {
 			t.Fatalf("lookup %q failed", n)
 		}
-		enc, err := c.Compress(sig)
+		enc, err := Compress(c, sig)
 		if err != nil {
 			t.Fatalf("%s: %v", n, err)
 		}
@@ -386,11 +394,11 @@ func TestQuickLosslessRoundTrip(t *testing.T) {
 			sig[i] = float64(v%100000) / 100 // 2-decimal values within sprintz range
 		}
 		for _, c := range codecs {
-			enc, err := c.Compress(sig)
+			enc, err := Compress(c, sig)
 			if err != nil {
 				return false
 			}
-			dec, err := c.Decompress(enc)
+			dec, err := Decompress(c, enc)
 			if err != nil || len(dec) != len(sig) {
 				return false
 			}
@@ -427,7 +435,7 @@ func TestQuickLossyDecompressesToOriginalLength(t *testing.T) {
 			if err != nil {
 				return false
 			}
-			dec, err := c.Decompress(enc)
+			dec, err := Decompress(c, enc)
 			if err != nil || len(dec) != len(sig) {
 				return false
 			}
@@ -443,13 +451,13 @@ func TestQuickLossyDecompressesToOriginalLength(t *testing.T) {
 func TestCorruptDataRejected(t *testing.T) {
 	sig := smoothSignal(200, 14)
 	for _, c := range losslessCodecs() {
-		enc, err := c.Compress(sig)
+		enc, err := Compress(c, sig)
 		if err != nil {
 			t.Fatal(err)
 		}
 		// Truncate hard: every codec should fail loudly, not panic.
 		enc.Data = enc.Data[:len(enc.Data)/4]
-		if _, err := c.Decompress(enc); err == nil {
+		if _, err := Decompress(c, enc); err == nil {
 			t.Errorf("%s: decompress of truncated data succeeded", c.Name())
 		}
 	}
@@ -462,5 +470,89 @@ func TestEncodedRatio(t *testing.T) {
 	}
 	if (Encoded{}).Ratio() != 0 {
 		t.Fatal("empty Encoded should have ratio 0")
+	}
+}
+
+// TestFlateBombRejected: a hundred-odd KB of deflated zeros must not
+// inflate past the decode bound. The payloads are valid streams holding
+// maxDecodePoints points and a MiB more; before the bound existed they
+// decoded to all of them, through some 800 MiB of allocation.
+func TestFlateBombRejected(t *testing.T) {
+	if raceBuild() {
+		t.Skip("single-goroutine, and inflating 2 × 128 MiB under the race detector takes ~15 s")
+	}
+	var deflated bytes.Buffer
+	w, _ := flate.NewWriter(&deflated, flate.BestSpeed)
+	crc, adler := crc32.NewIEEE(), adler32.New()
+	sink := io.MultiWriter(w, crc, adler)
+	zeros := make([]byte, 1<<20)
+	size := 0
+	for ; size <= 8*maxDecodePoints; size += len(zeros) {
+		if _, err := sink.Write(zeros); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	le, be := binary.LittleEndian, binary.BigEndian
+	for _, tc := range []struct {
+		c               Codec
+		header, trailer []byte
+	}{
+		{NewGzip(), []byte{0x1f, 0x8b, 8, 0, 0, 0, 0, 0, 0, 0xff}, le.AppendUint32(le.AppendUint32(nil, crc.Sum32()), uint32(size))},
+		{NewZlib(6), []byte{0x78, 0x01}, be.AppendUint32(nil, adler.Sum32())},
+	} {
+		payload := append(append(tc.header, deflated.Bytes()...), tc.trailer...)
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		_, err := tc.c.DecompressInto(nil, Encoded{Codec: tc.c.Name(), Data: payload, N: size / 8})
+		runtime.ReadMemStats(&after)
+		if !errors.Is(err, ErrCorrupt) {
+			t.Errorf("%s: %d-byte payload inflating to %d points: err = %v, want ErrCorrupt", tc.c.Name(), len(payload), size/8, err)
+		}
+		if got, limit := after.TotalAlloc-before.TotalAlloc, uint64(3*8*maxDecodePoints); got > limit {
+			t.Errorf("%s: rejecting the payload allocated %d MiB, want under %d MiB", tc.c.Name(), got>>20, limit>>20)
+		}
+	}
+}
+
+// TestZeroSignContract pins what "lossless" promises about the sign of
+// zero: every lossless codec round-trips values that compare equal, the
+// byte and XOR codecs also keep the bits, the quantizing codecs (Sprintz,
+// BUFF, BUFF-lossy at ratio 1) decode every zero as +0.0, and Dict gives
+// every zero the sign of the segment's first.
+func TestZeroSignContract(t *testing.T) {
+	negZero := math.Copysign(0, -1)
+	in := []float64{1.5, negZero, 0, negZero, 2}
+	zeroSigns := map[string][]bool{ // Signbit of decoded in[1:4]; default: as encoded
+		"sprintz":   {false, false, false},
+		"buff":      {false, false, false},
+		"bufflossy": {false, false, false},
+		"dict":      {true, true, true},
+	}
+	reg := DefaultRegistry(testPrecision)
+	for _, name := range append(reg.Lossless(), "bufflossy") {
+		c, _ := reg.Lookup(name)
+		enc, err := Compress(c, in)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		out, err := Decompress(c, enc)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		want, ok := zeroSigns[name]
+		if !ok {
+			want = []bool{true, false, true}
+		}
+		for i, v := range out {
+			if v != in[i] {
+				t.Errorf("%s: value %d decodes to %v, want %v", name, i, v, in[i])
+			}
+			if i >= 1 && i <= 3 && math.Signbit(v) != want[i-1] {
+				t.Errorf("%s: zero %d decodes with Signbit %v, want %v", name, i, math.Signbit(v), want[i-1])
+			}
+		}
 	}
 }

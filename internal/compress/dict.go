@@ -1,17 +1,16 @@
 package compress
 
-import (
-	"encoding/binary"
-	"math"
-
-	"repro/internal/bitio"
-)
+import "repro/internal/bitio"
 
 // Dict is dictionary encoding for numeric data: distinct values are
 // collected into a dictionary and each point is stored as a bit-packed code
 // of ceil(log2(|dict|)) bits. It excels on low-cardinality signals and
 // degrades to worse-than-raw on high-entropy data, which is exactly the
 // behaviour the paper's selection experiments rely on.
+//
+// The dictionary is keyed by value, and -0.0 == +0.0: every zero of a
+// segment decodes with the sign of the first one (value-equal, not
+// bit-equal; see TestZeroSignContract).
 //
 // Layout: uvarint dictCount | dictCount×8B values | uvarint n | packed codes.
 type Dict struct{}
@@ -22,8 +21,8 @@ func NewDict() *Dict { return &Dict{} }
 // Name implements Codec.
 func (*Dict) Name() string { return "dict" }
 
-// Compress implements Codec.
-func (*Dict) Compress(values []float64) (Encoded, error) {
+// CompressInto implements Codec.
+func (*Dict) CompressInto(dst []byte, values []float64) (Encoded, error) {
 	if len(values) == 0 {
 		return Encoded{}, ErrEmptyInput
 	}
@@ -40,23 +39,20 @@ func (*Dict) Compress(values []float64) (Encoded, error) {
 		codes[i] = code
 	}
 	width := bitsFor(uint64(len(dict) - 1))
-	out := putUvarint(nil, uint64(len(dict)))
-	var tmp [8]byte
-	for _, v := range dict {
-		binary.LittleEndian.PutUint64(tmp[:], math.Float64bits(v))
-		out = append(out, tmp[:]...)
-	}
+	out := putUvarint(dst[:0], uint64(len(dict)))
+	out = appendFloats(out, dict)
 	out = putUvarint(out, uint64(len(values)))
-	w := bitio.NewWriter(len(values) * int(width) / 8)
+	var w bitio.Writer
+	w.ResetBuf(out)
 	for _, c := range codes {
 		w.WriteBits(uint64(c), uint(width))
 	}
-	out = append(out, w.Bytes()...)
-	return Encoded{Codec: "dict", Data: out, N: len(values)}, nil
+	return Encoded{Codec: "dict", Data: w.Bytes(), N: len(values)}, nil
 }
 
-// Decompress implements Codec.
-func (d *Dict) Decompress(enc Encoded) ([]float64, error) {
+// DecompressInto implements Codec. Codes index the dictionary where it
+// lies in enc.Data; nothing is staged.
+func (d *Dict) DecompressInto(dst []float64, enc Encoded) ([]float64, error) {
 	if enc.Codec != d.Name() {
 		return nil, ErrCodecMismatch
 	}
@@ -69,28 +65,22 @@ func (d *Dict) Decompress(enc Encoded) ([]float64, error) {
 	if uint64(len(data)) < dictCount*8 {
 		return nil, ErrCorrupt
 	}
-	dict := make([]float64, dictCount)
-	for i := range dict {
-		dict[i] = math.Float64frombits(binary.LittleEndian.Uint64(data[8*i:]))
-	}
+	dict := data[:dictCount*8]
 	data = data[dictCount*8:]
 	count, n, err := readCount(data)
 	if err != nil {
 		return nil, err
 	}
-	data = data[n:]
 	width := bitsFor(dictCount - 1)
-	r := bitio.NewReader(data)
-	out := make([]float64, count)
-	for i := range out {
+	var r bitio.Reader
+	r.Reset(data[n:])
+	out := growFloats(dst, int(count))
+	for uint64(len(out)) < count {
 		c, err := r.ReadBits(uint(width))
-		if err != nil {
+		if err != nil || c >= dictCount {
 			return nil, ErrCorrupt
 		}
-		if c >= dictCount {
-			return nil, ErrCorrupt
-		}
-		out[i] = dict[c]
+		out = append(out, f64At(dict[8*c:]))
 	}
 	return out, nil
 }

@@ -72,7 +72,7 @@ func (r *RRDSample) SumEncoded(enc Encoded) (float64, error) {
 	if enc.Codec != r.Name() {
 		return 0, ErrCodecMismatch
 	}
-	n, window, samples, err := rrdParse(enc.Data)
+	n, window, samples, err := paaParse(enc.Data) // same layout as PAA
 	if err != nil {
 		return 0, err
 	}
@@ -94,33 +94,11 @@ func (r *RRDSample) MinMaxEncoded(enc Encoded) (float64, float64, error) {
 	if enc.Codec != r.Name() {
 		return 0, 0, ErrCodecMismatch
 	}
-	_, _, samples, err := rrdParse(enc.Data)
+	_, _, samples, err := paaParse(enc.Data)
 	if err != nil {
 		return 0, 0, err
 	}
 	return minMax(samples)
-}
-
-// rrdParse mirrors paaParse for the sample layout.
-func rrdParse(data []byte) (n, window int, samples []float64, err error) {
-	count, c := binary.Uvarint(data)
-	if c <= 0 {
-		return 0, 0, nil, ErrCorrupt
-	}
-	data = data[c:]
-	win, c := binary.Uvarint(data)
-	if c <= 0 || win == 0 {
-		return 0, 0, nil, ErrCorrupt
-	}
-	data = data[c:]
-	if len(data)%8 != 0 {
-		return 0, 0, nil, ErrCorrupt
-	}
-	samples = make([]float64, len(data)/8)
-	for i := range samples {
-		samples[i] = math.Float64frombits(binary.LittleEndian.Uint64(data[8*i:]))
-	}
-	return int(count), int(win), samples, nil
 }
 
 // --- PLA --------------------------------------------------------------------

@@ -8,7 +8,7 @@ import (
 // decompSum is the reference: decompress, then aggregate.
 func decompSum(t *testing.T, c Codec, enc Encoded) float64 {
 	t.Helper()
-	vals, err := c.Decompress(enc)
+	vals, err := Decompress(c, enc)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -21,7 +21,7 @@ func decompSum(t *testing.T, c Codec, enc Encoded) float64 {
 
 func decompMinMax(t *testing.T, c Codec, enc Encoded) (float64, float64) {
 	t.Helper()
-	vals, err := c.Decompress(enc)
+	vals, err := Decompress(c, enc)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -48,7 +48,7 @@ func TestDirectSumMatchesDecompressed(t *testing.T) {
 		{NewFFT(), func() (Encoded, error) { return NewFFT().CompressRatio(sig, 0.2) }},
 		{NewLTTB(), func() (Encoded, error) { return NewLTTB().CompressRatio(sig, 0.2) }},
 		{NewRRDSample(1), func() (Encoded, error) { return NewRRDSample(1).CompressRatio(sig, 0.2) }},
-		{NewBUFF(testPrecision), func() (Encoded, error) { return NewBUFF(testPrecision).Compress(sig) }},
+		{NewBUFF(testPrecision), func() (Encoded, error) { return Compress(NewBUFF(testPrecision), sig) }},
 		{NewBUFFLossy(testPrecision), func() (Encoded, error) { return NewBUFFLossy(testPrecision).CompressRatio(sig, 0.3) }},
 	}
 	for _, c := range cases {
@@ -85,7 +85,7 @@ func TestDirectMinMaxMatchesDecompressed(t *testing.T) {
 		{NewPLA(), func() (Encoded, error) { return NewPLA().CompressRatio(sig, 0.25) }},
 		{NewLTTB(), func() (Encoded, error) { return NewLTTB().CompressRatio(sig, 0.25) }},
 		{NewRRDSample(1), func() (Encoded, error) { return NewRRDSample(1).CompressRatio(sig, 0.25) }},
-		{NewBUFF(testPrecision), func() (Encoded, error) { return NewBUFF(testPrecision).Compress(sig) }},
+		{NewBUFF(testPrecision), func() (Encoded, error) { return Compress(NewBUFF(testPrecision), sig) }},
 		{NewBUFFLossy(testPrecision), func() (Encoded, error) { return NewBUFFLossy(testPrecision).CompressRatio(sig, 0.3) }},
 	}
 	for _, c := range build {
@@ -107,7 +107,7 @@ func TestDirectMinMaxMatchesDecompressed(t *testing.T) {
 func TestDictDirectMinMax(t *testing.T) {
 	sig := lowCardinality(500, 42)
 	d := NewDict()
-	enc, err := d.Compress(sig)
+	enc, err := Compress(d, sig)
 	if err != nil {
 		t.Fatal(err)
 	}

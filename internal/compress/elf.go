@@ -81,14 +81,18 @@ func (e *Elf) restore(b uint64) float64 {
 	return math.Round(v*e.scale) / e.scale
 }
 
-// Compress implements Codec.
-func (e *Elf) Compress(values []float64) (Encoded, error) {
+// CompressInto implements Codec.
+func (e *Elf) CompressInto(dst []byte, values []float64) (Encoded, error) {
 	if len(values) == 0 {
 		return Encoded{}, ErrEmptyInput
 	}
-	out := putUvarint(nil, uint64(len(values)))
+	if cap(dst) == 0 {
+		dst = make([]byte, 0, len(values)*4)
+	}
+	out := putUvarint(dst[:0], uint64(len(values)))
 	out = putUvarint(out, uint64(e.precision))
-	w := bitio.NewWriter(len(values) * 4)
+	var w bitio.Writer
+	w.ResetBuf(out)
 	prev := e.erase(values[0])
 	w.WriteUint64(prev)
 	prevLeading, prevTrailing := -1, -1
@@ -119,11 +123,11 @@ func (e *Elf) Compress(values []float64) (Encoded, error) {
 			prevLeading, prevTrailing = leading, trailing
 		}
 	}
-	return Encoded{Codec: e.Name(), Data: append(out, w.Bytes()...), N: len(values)}, nil
+	return Encoded{Codec: e.Name(), Data: w.Bytes(), N: len(values)}, nil
 }
 
-// Decompress implements Codec.
-func (e *Elf) Decompress(enc Encoded) ([]float64, error) {
+// DecompressInto implements Codec.
+func (e *Elf) DecompressInto(dst []float64, enc Encoded) ([]float64, error) {
 	if enc.Codec != e.Name() {
 		return nil, ErrCodecMismatch
 	}
@@ -138,10 +142,11 @@ func (e *Elf) Decompress(enc Encoded) ([]float64, error) {
 		return nil, ErrCorrupt
 	}
 	data = data[n:]
-	dec := &Elf{precision: int(prec), scale: math.Pow10(int(prec))}
+	dec := Elf{precision: int(prec), scale: math.Pow10(int(prec))}
 
-	r := bitio.NewReader(data)
-	out := make([]float64, 0, count)
+	var r bitio.Reader
+	r.Reset(data)
+	out := growFloats(dst, int(count))
 	prev, err := r.ReadUint64()
 	if err != nil {
 		return nil, ErrCorrupt

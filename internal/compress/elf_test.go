@@ -14,11 +14,11 @@ func TestElfRoundTripExact(t *testing.T) {
 	}
 	c := NewElf(testPrecision)
 	for name, sig := range signals {
-		enc, err := c.Compress(sig)
+		enc, err := Compress(c, sig)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
-		dec, err := c.Decompress(enc)
+		dec, err := Decompress(c, enc)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
@@ -35,11 +35,11 @@ func TestElfBeatsGorillaOnQuantizedData(t *testing.T) {
 	// trailing-zero runs that raw Gorilla cannot see. On decimal-quantized
 	// noisy data Elf must compress strictly better.
 	sig := smoothSignal(4000, 23)
-	elf, err := NewElf(testPrecision).Compress(sig)
+	elf, err := Compress(NewElf(testPrecision), sig)
 	if err != nil {
 		t.Fatal(err)
 	}
-	gor, err := NewGorilla().Compress(sig)
+	gor, err := Compress(NewGorilla(), sig)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -77,11 +77,11 @@ func TestElfMixedPrecisionHeader(t *testing.T) {
 	// The precision travels in the header: decompressing with a codec
 	// built at a different precision still restores correctly.
 	sig := quantize(smoothSignal(100, 24))
-	enc, err := NewElf(4).Compress(sig)
+	enc, err := Compress(NewElf(4), sig)
 	if err != nil {
 		t.Fatal(err)
 	}
-	dec, err := NewElf(9).Decompress(enc) // different instance precision
+	dec, err := Decompress(NewElf(9), enc) // different instance precision
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -95,15 +95,15 @@ func TestElfMixedPrecisionHeader(t *testing.T) {
 func TestElfCorruptRejected(t *testing.T) {
 	sig := smoothSignal(200, 25)
 	c := NewElf(testPrecision)
-	enc, err := c.Compress(sig)
+	enc, err := Compress(c, sig)
 	if err != nil {
 		t.Fatal(err)
 	}
 	enc.Data = enc.Data[:4]
-	if _, err := c.Decompress(enc); err == nil {
+	if _, err := Decompress(c, enc); err == nil {
 		t.Fatal("truncated data accepted")
 	}
-	if _, err := c.Decompress(Encoded{Codec: "gzip"}); err != ErrCodecMismatch {
+	if _, err := Decompress(c, Encoded{Codec: "gzip"}); err != ErrCodecMismatch {
 		t.Fatalf("want ErrCodecMismatch, got %v", err)
 	}
 }

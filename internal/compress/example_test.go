@@ -11,7 +11,7 @@ func ExampleRegistry() {
 	reg := compress.DefaultRegistry(4)
 	codec, _ := reg.Lookup("sprintz")
 	values := []float64{1.5, 1.5, 1.75, 2.0, 2.0, 1.75}
-	enc, err := codec.Compress(values)
+	enc, err := compress.Compress(codec, values)
 	if err != nil {
 		panic(err)
 	}

@@ -5,6 +5,7 @@ import (
 	"math"
 	"math/cmplx"
 	"sort"
+	"sync"
 
 	"repro/internal/dsp"
 )
@@ -27,13 +28,17 @@ func (*FFT) Name() string { return "fft" }
 
 const fftCoefBytes = 12
 
-// Compress implements Codec at ratio 1.
-func (f *FFT) Compress(values []float64) (Encoded, error) {
-	return f.CompressRatio(values, 1.0)
+// CompressInto implements Codec at ratio 1.
+func (f *FFT) CompressInto(dst []byte, values []float64) (Encoded, error) {
+	return f.compressRatio(dst, values, 1.0)
 }
 
 // CompressRatio implements LossyCodec.
 func (f *FFT) CompressRatio(values []float64, ratio float64) (Encoded, error) {
+	return f.compressRatio(nil, values, ratio)
+}
+
+func (f *FFT) compressRatio(dst []byte, values []float64, ratio float64) (Encoded, error) {
 	if len(values) == 0 {
 		return Encoded{}, ErrEmptyInput
 	}
@@ -51,13 +56,14 @@ func (f *FFT) CompressRatio(values []float64, ratio float64) (Encoded, error) {
 		return Encoded{}, ErrRatioInfeasible
 	}
 	spec := dsp.FFTReal(values)
-	return fftEncodeTopK(spec[:half], n, k), nil
+	return fftEncodeTopK(dst, spec[:half], n, k), nil
 }
 
-// fftEncodeTopK serializes the k largest-magnitude coefficients of the
-// half-spectrum. Real-signal weighting: interior coefficients appear twice
-// in the full spectrum, so their effective energy is doubled when ranking.
-func fftEncodeTopK(half []complex128, n, k int) Encoded {
+// fftEncodeTopK serializes into dst[:0] the k largest-magnitude
+// coefficients of the half-spectrum. Real-signal weighting: interior
+// coefficients appear twice in the full spectrum, so their effective
+// energy is doubled when ranking.
+func fftEncodeTopK(dst []byte, half []complex128, n, k int) Encoded {
 	type coef struct {
 		idx int
 		mag float64
@@ -82,7 +88,7 @@ func fftEncodeTopK(half []complex128, n, k int) Encoded {
 	keep := ranked[:k]
 	sort.Slice(keep, func(a, b int) bool { return keep[a].idx < keep[b].idx })
 
-	out := putUvarint(nil, uint64(n))
+	out := putUvarint(dst[:0], uint64(n))
 	out = putUvarint(out, uint64(k))
 	var tmp [fftCoefBytes]byte
 	for _, c := range keep {
@@ -103,23 +109,36 @@ func (*FFT) MinRatio(values []float64) float64 {
 	return (8 + fftCoefBytes) / float64(8*n)
 }
 
-// Decompress implements Codec.
-func (f *FFT) Decompress(enc Encoded) ([]float64, error) {
+// fftSpectra recycles the full-spectrum workspace of DecompressInto.
+var fftSpectra = sync.Pool{New: func() any { return new([]complex128) }}
+
+// DecompressInto implements Codec.
+func (f *FFT) DecompressInto(dst []float64, enc Encoded) ([]float64, error) {
 	if enc.Codec != f.Name() {
 		return nil, ErrCodecMismatch
 	}
-	n, coefs, err := fftParse(enc.Data)
+	n, k, recs, err := countedHeader(enc.Data, fftCoefBytes)
 	if err != nil {
 		return nil, err
 	}
-	spec := make([]complex128, n)
-	for _, c := range coefs {
+	ws := fftSpectra.Get().(*[]complex128)
+	defer fftSpectra.Put(ws)
+	if cap(*ws) < n {
+		*ws = make([]complex128, n)
+	}
+	spec := (*ws)[:n]
+	clear(spec)
+	for i := 0; i < k; i++ {
+		c, err := fftCoefAt(recs, i, n)
+		if err != nil {
+			return nil, err
+		}
 		spec[c.idx] = c.val
 		if c.idx != 0 && !(n%2 == 0 && c.idx == n/2) {
 			spec[n-c.idx] = cmplx.Conj(c.val)
 		}
 	}
-	return dsp.IFFTReal(spec), nil
+	return dsp.IFFTRealInto(growFloats(dst, n), spec), nil
 }
 
 type fftCoef struct {
@@ -127,32 +146,31 @@ type fftCoef struct {
 	val complex128
 }
 
+// fftCoefAt decodes record i, rejecting a bin index outside the n-point
+// spectrum.
+func fftCoefAt(recs []byte, i, n int) (fftCoef, error) {
+	off := i * fftCoefBytes
+	idx := int(binary.LittleEndian.Uint32(recs[off:]))
+	if idx >= n {
+		return fftCoef{}, ErrCorrupt
+	}
+	re := math.Float32frombits(binary.LittleEndian.Uint32(recs[off+4:]))
+	im := math.Float32frombits(binary.LittleEndian.Uint32(recs[off+8:]))
+	return fftCoef{idx: idx, val: complex(float64(re), float64(im))}, nil
+}
+
 func fftParse(data []byte) (n int, coefs []fftCoef, err error) {
-	count, c, err := readCount(data)
+	n, k, recs, err := countedHeader(data, fftCoefBytes)
 	if err != nil {
 		return 0, nil, err
 	}
-	data = data[c:]
-	k, c := binary.Uvarint(data)
-	if c <= 0 {
-		return 0, nil, ErrCorrupt
-	}
-	data = data[c:]
-	if k > maxDecodePoints || uint64(len(data)) < k*fftCoefBytes {
-		return 0, nil, ErrCorrupt
-	}
 	coefs = make([]fftCoef, k)
 	for i := range coefs {
-		off := i * fftCoefBytes
-		idx := int(binary.LittleEndian.Uint32(data[off:]))
-		if idx >= int(count) {
-			return 0, nil, ErrCorrupt
+		if coefs[i], err = fftCoefAt(recs, i, n); err != nil {
+			return 0, nil, err
 		}
-		re := math.Float32frombits(binary.LittleEndian.Uint32(data[off+4:]))
-		im := math.Float32frombits(binary.LittleEndian.Uint32(data[off+8:]))
-		coefs[i] = fftCoef{idx: idx, val: complex(float64(re), float64(im))}
 	}
-	return int(count), coefs, nil
+	return n, coefs, nil
 }
 
 // Recode implements Recoder: drops the weakest retained coefficients
@@ -179,5 +197,5 @@ func (f *FFT) Recode(enc Encoded, ratio float64) (Encoded, error) {
 	for _, c := range coefs {
 		half[c.idx] = c.val
 	}
-	return fftEncodeTopK(half, n, k), nil
+	return fftEncodeTopK(nil, half, n, k), nil
 }

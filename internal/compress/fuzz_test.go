@@ -1,6 +1,7 @@
 package compress
 
 import (
+	"math"
 	"testing"
 )
 
@@ -14,7 +15,7 @@ import (
 func fuzzSeeds(t interface{ Helper() }, c Codec) [][]byte {
 	sig := []float64{1.5, -2.25, 3.125, 3.125, 7, -0.0625, 42, 42, 42, 0.5}
 	var seeds [][]byte
-	if enc, err := c.Compress(sig); err == nil {
+	if enc, err := Compress(c, sig); err == nil {
 		seeds = append(seeds, enc.Data)
 	}
 	// Growth-boundary lengths: segments whose encodings land on the edges
@@ -27,7 +28,7 @@ func fuzzSeeds(t interface{ Helper() }, c Codec) [][]byte {
 		for i := range edge {
 			edge[i] = float64((i*11)%19)/8 - 0.75
 		}
-		if enc, err := CompressInto(c, make([]byte, 0, 8), edge); err == nil {
+		if enc, err := c.CompressInto(make([]byte, 0, 8), edge); err == nil {
 			seeds = append(seeds, append([]byte(nil), enc.Data...))
 		}
 	}
@@ -43,11 +44,13 @@ func fuzzSeeds(t interface{ Helper() }, c Codec) [][]byte {
 	return seeds
 }
 
-// fuzzDecode runs one decode attempt, requiring graceful error handling.
+// fuzzDecode runs one decode attempt into a dirty dst with spare capacity,
+// requiring graceful error handling.
 func fuzzDecode(t *testing.T, c Codec, data []byte) {
 	t.Helper()
 	enc := Encoded{Codec: c.Name(), Data: data, N: 128}
-	vals, err := c.Decompress(enc)
+	dst := append(make([]float64, 0, 64), math.NaN(), math.Inf(-1), 7)
+	vals, err := c.DecompressInto(dst, enc)
 	if err != nil {
 		return // rejected: fine
 	}
@@ -72,6 +75,8 @@ func FuzzGorillaDecode(f *testing.F)   { fuzzCodec(f, func() Codec { return NewG
 func FuzzChimpDecode(f *testing.F)     { fuzzCodec(f, func() Codec { return NewChimp() }) }
 func FuzzSprintzDecode(f *testing.F)   { fuzzCodec(f, func() Codec { return NewSprintz(4) }) }
 func FuzzBUFFDecode(f *testing.F)      { fuzzCodec(f, func() Codec { return NewBUFF(4) }) }
+func FuzzGzipDecode(f *testing.F)      { fuzzCodec(f, func() Codec { return NewGzip() }) }
+func FuzzZlibDecode(f *testing.F)      { fuzzCodec(f, func() Codec { return NewZlib(6) }) }
 func FuzzElfDecode(f *testing.F)       { fuzzCodec(f, func() Codec { return NewElf(4) }) }
 func FuzzSnappyDecode(f *testing.F)    { fuzzCodec(f, func() Codec { return NewSnappy() }) }
 func FuzzDictDecode(f *testing.F)      { fuzzCodec(f, func() Codec { return NewDict() }) }
@@ -91,10 +96,10 @@ func TestHostileHeadersRejected(t *testing.T) {
 	reg := ExtendedRegistry(4)
 	for _, name := range reg.Names() {
 		c, _ := reg.Lookup(name)
-		if _, err := c.Decompress(Encoded{Codec: name, Data: hugeCount, N: 128}); err == nil {
+		if _, err := Decompress(c, Encoded{Codec: name, Data: hugeCount, N: 128}); err == nil {
 			t.Errorf("%s: accepted a 2^63 count header", name)
 		}
-		if _, err := c.Decompress(Encoded{Codec: name, Data: nil, N: 128}); err == nil {
+		if _, err := Decompress(c, Encoded{Codec: name, Data: nil, N: 128}); err == nil {
 			t.Errorf("%s: accepted empty data", name)
 		}
 	}

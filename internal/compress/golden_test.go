@@ -1,0 +1,94 @@
+package compress
+
+import (
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/hex"
+	"fmt"
+	"math"
+	"os"
+	"strings"
+	"testing"
+
+	"repro/internal/datasets"
+)
+
+// Golden-bytes differential test: testdata/golden_encodings.txt holds the
+// SHA-256 of every codec's encoding (and of what it decodes to) of seeded
+// CBF and plateau segments, as recorded at commit 7342617, the last one
+// where each codec still had its allocating Compress method. A port that
+// changes a single output byte or decoded bit — or turns an error into a
+// success, or the reverse — fails here. To change a format on purpose,
+// replace the lines the failure message names.
+
+var goldenLengths = []int{1, 8, 9, 64, 65, 256}
+
+// goldenSegments returns the two seeded inputs at length n: a CBF series
+// (high entropy, precision 4) and a ShiftStream plateau series (8 levels).
+func goldenSegments(n int) map[string][]float64 {
+	cbf, _ := datasets.CBF(1, datasets.CBFConfig{Length: n, Seed: 7})
+	shift := datasets.NewShiftStream(2, n, 7)
+	shift.Next() // phase 0 is CBF again; the plateau is the second series
+	plateau, _ := shift.Next()
+	return map[string][]float64{"cbf": cbf[0], "plateau": plateau}
+}
+
+// goldenDigest hashes the encoding and, decoded into a dirty dst, the bit
+// patterns of the values it decodes to.
+func goldenDigest(c Codec, enc Encoded, err error) string {
+	if err != nil {
+		return "error: " + err.Error()
+	}
+	vals, err := c.DecompressInto([]float64{math.NaN(), math.Inf(1), 7}[:2], enc)
+	if err != nil {
+		return "decode error: " + err.Error()
+	}
+	raw := make([]byte, 0, 8*len(vals))
+	for _, v := range vals {
+		raw = binary.LittleEndian.AppendUint64(raw, math.Float64bits(v))
+	}
+	encSum, decSum := sha256.Sum256(enc.Data), sha256.Sum256(raw)
+	return fmt.Sprintf("n=%d enc=%s dec=%s", enc.N, hex.EncodeToString(encSum[:]), hex.EncodeToString(decSum[:]))
+}
+
+// goldenLines computes "codec/mode/dataset/len digest" for every codec of
+// ExtendedRegistry(4) — a superset of DefaultRegistry(4) built from the
+// same constructors — through CompressInto and, for lossy codecs,
+// CompressRatio at 0.2.
+func goldenLines() []string {
+	reg := ExtendedRegistry(4)
+	var lines []string
+	for _, name := range reg.Names() {
+		c, _ := reg.Lookup(name)
+		for _, n := range goldenLengths {
+			segs := goldenSegments(n)
+			for _, ds := range []string{"cbf", "plateau"} {
+				dst := []byte{0xAA, 0xBB, 0xCC, 0xDD}[:3] // dirty and too small: must not leak, must grow
+				enc, err := CompressInto(c, dst, segs[ds])
+				lines = append(lines, fmt.Sprintf("%s/into/%s/%d %s", name, ds, n, goldenDigest(c, enc, err)))
+				if lc, ok := c.(LossyCodec); ok {
+					enc, err := lc.CompressRatio(segs[ds], 0.2)
+					lines = append(lines, fmt.Sprintf("%s/ratio0.2/%s/%d %s", name, ds, n, goldenDigest(c, enc, err)))
+				}
+			}
+		}
+	}
+	return lines
+}
+
+func TestGoldenEncodings(t *testing.T) {
+	raw, err := os.ReadFile("testdata/golden_encodings.txt")
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := strings.Split(strings.TrimRight(string(raw), "\n"), "\n")
+	got := goldenLines()
+	if len(got) != len(want) {
+		t.Fatalf("golden file has %d lines, the registry produces %d", len(want), len(got))
+	}
+	for i := range got {
+		if got[i] != want[i] {
+			t.Errorf("encoding changed:\n want %s\n got  %s", want[i], got[i])
+		}
+	}
+}

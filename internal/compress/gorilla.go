@@ -25,12 +25,7 @@ func NewGorilla() *Gorilla { return &Gorilla{} }
 // Name implements Codec.
 func (*Gorilla) Name() string { return "gorilla" }
 
-// Compress implements Codec.
-func (g *Gorilla) Compress(values []float64) (Encoded, error) {
-	return g.CompressInto(nil, values)
-}
-
-// CompressInto implements IntoCodec.
+// CompressInto implements Codec.
 func (*Gorilla) CompressInto(dst []byte, values []float64) (Encoded, error) {
 	if len(values) == 0 {
 		return Encoded{}, ErrEmptyInput
@@ -78,12 +73,7 @@ func (*Gorilla) CompressInto(dst []byte, values []float64) (Encoded, error) {
 	return Encoded{Codec: "gorilla", Data: w.Bytes(), N: len(values)}, nil
 }
 
-// Decompress implements Codec.
-func (g *Gorilla) Decompress(enc Encoded) ([]float64, error) {
-	return g.DecompressInto(nil, enc)
-}
-
-// DecompressInto implements IntoCodec.
+// DecompressInto implements Codec.
 func (g *Gorilla) DecompressInto(dst []float64, enc Encoded) ([]float64, error) {
 	if enc.Codec != g.Name() {
 		return nil, ErrCodecMismatch

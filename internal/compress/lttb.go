@@ -23,13 +23,17 @@ func (*LTTB) Name() string { return "lttb" }
 
 const lttbPointBytes = 8
 
-// Compress implements Codec at ratio 1.
-func (l *LTTB) Compress(values []float64) (Encoded, error) {
-	return l.CompressRatio(values, 1.0)
+// CompressInto implements Codec at ratio 1.
+func (l *LTTB) CompressInto(dst []byte, values []float64) (Encoded, error) {
+	return l.compressRatio(dst, values, 1.0)
 }
 
 // CompressRatio implements LossyCodec.
 func (l *LTTB) CompressRatio(values []float64, ratio float64) (Encoded, error) {
+	return l.compressRatio(nil, values, ratio)
+}
+
+func (l *LTTB) compressRatio(dst []byte, values []float64, ratio float64) (Encoded, error) {
 	if len(values) == 0 {
 		return Encoded{}, ErrEmptyInput
 	}
@@ -50,7 +54,7 @@ func (l *LTTB) CompressRatio(values []float64, ratio float64) (Encoded, error) {
 		}
 	}
 	idxs := lttbSelect(values, k)
-	return lttbEncode(values, idxs, n), nil
+	return lttbEncode(dst, values, idxs, n), nil
 }
 
 // lttbSelect returns k indices chosen by the LTTB sweep (first and last
@@ -106,8 +110,8 @@ func lttbSelect(values []float64, k int) []int {
 	return idxs
 }
 
-func lttbEncode(values []float64, idxs []int, n int) Encoded {
-	out := putUvarint(nil, uint64(n))
+func lttbEncode(dst []byte, values []float64, idxs []int, n int) Encoded {
+	out := putUvarint(dst[:0], uint64(n))
 	out = putUvarint(out, uint64(len(idxs)))
 	var tmp [lttbPointBytes]byte
 	for _, i := range idxs {
@@ -127,70 +131,68 @@ func (*LTTB) MinRatio(values []float64) float64 {
 	return (8 + 2*lttbPointBytes) / float64(8*n)
 }
 
-// Decompress implements Codec: linear interpolation between kept points.
-func (l *LTTB) Decompress(enc Encoded) ([]float64, error) {
+// DecompressInto implements Codec: linear interpolation between kept
+// points, flat before the first and after the last.
+func (l *LTTB) DecompressInto(dst []float64, enc Encoded) ([]float64, error) {
 	if enc.Codec != l.Name() {
 		return nil, ErrCodecMismatch
 	}
-	n, idxs, vals, err := lttbParse(enc.Data)
+	n, k, recs, err := countedHeader(enc.Data, lttbPointBytes)
+	if err != nil || k == 0 {
+		return nil, ErrCorrupt
+	}
+	out := growFloats(dst, n)[:n]
+	i0, v0, err := lttbPointAt(recs, 0, n, -1)
 	if err != nil {
 		return nil, err
 	}
-	out := make([]float64, n)
-	if len(idxs) == 1 {
-		for i := range out {
-			out[i] = vals[0]
-		}
-		return out, nil
+	for i := 0; i <= i0; i++ {
+		out[i] = v0
 	}
-	for seg := 0; seg < len(idxs)-1; seg++ {
-		i0, i1 := idxs[seg], idxs[seg+1]
-		v0, v1 := vals[seg], vals[seg+1]
+	for p := 1; p < k; p++ {
+		i1, v1, err := lttbPointAt(recs, p, n, i0)
+		if err != nil {
+			return nil, err
+		}
 		span := float64(i1 - i0)
 		for i := i0; i <= i1; i++ {
-			if span == 0 {
-				out[i] = v0
-				continue
-			}
 			t := float64(i-i0) / span
 			out[i] = v0 + t*(v1-v0)
 		}
+		i0, v0 = i1, v1
 	}
-	// Extend flat past the recorded endpoints, if any gap remains.
-	for i := 0; i < idxs[0]; i++ {
-		out[i] = vals[0]
-	}
-	for i := idxs[len(idxs)-1] + 1; i < n; i++ {
-		out[i] = vals[len(vals)-1]
+	for i := i0 + 1; i < n; i++ {
+		out[i] = v0
 	}
 	return out, nil
 }
 
+// lttbPointAt decodes record i, rejecting an index outside the n-point
+// series or not above prev, the previous record's index.
+func lttbPointAt(recs []byte, i, n, prev int) (idx int, val float64, err error) {
+	off := i * lttbPointBytes
+	idx = int(binary.LittleEndian.Uint32(recs[off:]))
+	if idx >= n || idx <= prev {
+		return 0, 0, ErrCorrupt
+	}
+	return idx, float64(math.Float32frombits(binary.LittleEndian.Uint32(recs[off+4:]))), nil
+}
+
 func lttbParse(data []byte) (n int, idxs []int, vals []float64, err error) {
-	count, c, err := readCount(data)
-	if err != nil {
-		return 0, nil, nil, err
-	}
-	data = data[c:]
-	k, c := binary.Uvarint(data)
-	if c <= 0 || k == 0 {
-		return 0, nil, nil, ErrCorrupt
-	}
-	data = data[c:]
-	if k > maxDecodePoints || uint64(len(data)) < k*lttbPointBytes {
+	n, k, recs, err := countedHeader(data, lttbPointBytes)
+	if err != nil || k == 0 {
 		return 0, nil, nil, ErrCorrupt
 	}
 	idxs = make([]int, k)
 	vals = make([]float64, k)
+	prev := -1
 	for i := range idxs {
-		off := i * lttbPointBytes
-		idxs[i] = int(binary.LittleEndian.Uint32(data[off:]))
-		if idxs[i] >= int(count) || (i > 0 && idxs[i] <= idxs[i-1]) {
-			return 0, nil, nil, ErrCorrupt
+		if idxs[i], vals[i], err = lttbPointAt(recs, i, n, prev); err != nil {
+			return 0, nil, nil, err
 		}
-		vals[i] = float64(math.Float32frombits(binary.LittleEndian.Uint32(data[off+4:])))
+		prev = idxs[i]
 	}
-	return int(count), idxs, vals, nil
+	return n, idxs, vals, nil
 }
 
 // Recode implements Recoder: the LTTB sweep is re-run over the already

@@ -28,19 +28,19 @@ const (
 	modelLinear = 1
 )
 
-// Compress implements Codec: error bound zero (still compresses constant
-// and perfectly linear runs).
-func (m *Modelar) Compress(values []float64) (Encoded, error) {
+// CompressInto implements Codec: error bound zero (still compresses
+// constant and perfectly linear runs).
+func (m *Modelar) CompressInto(dst []byte, values []float64) (Encoded, error) {
 	if len(values) == 0 {
 		return Encoded{}, ErrEmptyInput
 	}
-	return modelarEncode(values, 0), nil
+	return modelarEncode(dst, values, 0), nil
 }
 
 // modelarEncode greedily covers values with the model that extends
-// furthest under the error bound.
-func modelarEncode(values []float64, eps float64) Encoded {
-	out := putUvarint(nil, uint64(len(values)))
+// furthest under the error bound, appending the records to dst[:0].
+func modelarEncode(dst []byte, values []float64, eps float64) Encoded {
+	out := putUvarint(dst[:0], uint64(len(values)))
 	i := 0
 	for i < len(values) {
 		cLen, cVal := pmcMean(values[i:], eps)
@@ -102,8 +102,8 @@ func swing(values []float64, eps float64) (length int, first, last float64) {
 	return n, first, first + slope*float64(n-1)
 }
 
-// Decompress implements Codec.
-func (m *Modelar) Decompress(enc Encoded) ([]float64, error) {
+// DecompressInto implements Codec.
+func (m *Modelar) DecompressInto(dst []float64, enc Encoded) ([]float64, error) {
 	if enc.Codec != m.Name() {
 		return nil, ErrCodecMismatch
 	}
@@ -113,7 +113,7 @@ func (m *Modelar) Decompress(enc Encoded) ([]float64, error) {
 		return nil, err
 	}
 	data = data[c:]
-	out := make([]float64, 0, count)
+	out := growFloats(dst, int(count))
 	for uint64(len(out)) < count {
 		if len(data) < 1 {
 			return nil, ErrCorrupt
@@ -167,7 +167,7 @@ func (m *Modelar) CompressRatio(values []float64, ratio float64) (Encoded, error
 		return Encoded{}, ErrRatioInfeasible
 	}
 	budget := int(ratio * float64(8*len(values)))
-	enc := modelarEncode(values, 0)
+	enc := modelarEncode(nil, values, 0)
 	if enc.Size() <= budget {
 		return enc, nil
 	}
@@ -179,14 +179,14 @@ func (m *Modelar) CompressRatio(values []float64, ratio float64) (Encoded, error
 	epsLo, epsHi := 0.0, (hi-lo)/2+1e-12
 	// At the maximal eps one constant model covers everything; if even
 	// that misses the budget, the ratio is infeasible.
-	maxEnc := modelarEncode(values, epsHi)
+	maxEnc := modelarEncode(nil, values, epsHi)
 	if maxEnc.Size() > budget {
 		return Encoded{}, ErrRatioInfeasible
 	}
 	best := maxEnc
 	for iter := 0; iter < 40; iter++ {
 		mid := (epsLo + epsHi) / 2
-		cand := modelarEncode(values, mid)
+		cand := modelarEncode(nil, values, mid)
 		if cand.Size() <= budget {
 			best = cand
 			epsHi = mid
@@ -217,7 +217,7 @@ func (m *Modelar) Recode(enc Encoded, ratio float64) (Encoded, error) {
 	if enc.Size() <= budget {
 		return enc, nil
 	}
-	values, err := m.Decompress(enc) // virtual: evaluates stored models
+	values, err := m.DecompressInto(nil, enc) // virtual: evaluates stored models
 	if err != nil {
 		return Encoded{}, err
 	}

@@ -13,14 +13,14 @@ func TestModelarConstantRuns(t *testing.T) {
 		sig[i] = 5.25
 	}
 	m := NewModelar()
-	enc, err := m.Compress(sig)
+	enc, err := Compress(m, sig)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if enc.Size() > 32 {
 		t.Fatalf("constant signal used %d bytes", enc.Size())
 	}
-	dec, err := m.Decompress(enc)
+	dec, err := Decompress(m, enc)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -38,14 +38,14 @@ func TestModelarLinearRuns(t *testing.T) {
 		sig[i] = 2 + 0.5*float64(i)
 	}
 	m := NewModelar()
-	enc, err := m.Compress(sig)
+	enc, err := Compress(m, sig)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if enc.Size() > 40 {
 		t.Fatalf("ramp used %d bytes (models did not extend)", enc.Size())
 	}
-	dec, err := m.Decompress(enc)
+	dec, err := Decompress(m, enc)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -59,8 +59,8 @@ func TestModelarLinearRuns(t *testing.T) {
 func TestModelarErrorBoundRespected(t *testing.T) {
 	sig := smoothSignal(1000, 50)
 	for _, eps := range []float64{0.05, 0.2, 1.0} {
-		enc := modelarEncode(sig, eps)
-		dec, err := NewModelar().Decompress(enc)
+		enc := modelarEncode(nil, sig, eps)
+		dec, err := Decompress(NewModelar(), enc)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -89,7 +89,7 @@ func TestModelarRatioTargeting(t *testing.T) {
 		if got := enc.Ratio(); got > r+0.01 {
 			t.Fatalf("target %v achieved %v", r, got)
 		}
-		dec, err := m.Decompress(enc)
+		dec, err := Decompress(m, enc)
 		if err != nil || len(dec) != len(sig) {
 			t.Fatalf("ratio %v: decode broken (%v)", r, err)
 		}
@@ -107,7 +107,7 @@ func TestModelarTighterRatioMoreError(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		dec, err := m.Decompress(enc)
+		dec, err := Decompress(m, enc)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -162,18 +162,18 @@ func TestModelarDirectSum(t *testing.T) {
 
 func TestModelarErrors(t *testing.T) {
 	m := NewModelar()
-	if _, err := m.Compress(nil); err != ErrEmptyInput {
+	if _, err := Compress(m, nil); err != ErrEmptyInput {
 		t.Fatal(err)
 	}
 	if _, err := m.CompressRatio(nil, 0.5); err != ErrEmptyInput {
 		t.Fatal(err)
 	}
-	if _, err := m.Decompress(Encoded{Codec: "paa"}); err != ErrCodecMismatch {
+	if _, err := Decompress(m, Encoded{Codec: "paa"}); err != ErrCodecMismatch {
 		t.Fatal(err)
 	}
-	enc, _ := m.Compress([]float64{1, 2, 3})
+	enc, _ := Compress(m, []float64{1, 2, 3})
 	enc.Data = enc.Data[:2]
-	if _, err := m.Decompress(enc); err == nil {
+	if _, err := Decompress(m, enc); err == nil {
 		t.Fatal("truncated accepted")
 	}
 }
@@ -240,7 +240,7 @@ func TestSummaryDecompressLength(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	dec, err := s.Decompress(enc)
+	dec, err := Decompress(s, enc)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -20,9 +20,12 @@ func NewPAA() *PAA { return &PAA{} }
 // Name implements Codec.
 func (*PAA) Name() string { return "paa" }
 
-// Compress implements Codec: window 1 (a near-exact representation).
-func (p *PAA) Compress(values []float64) (Encoded, error) {
-	return p.CompressRatio(values, 1.0)
+// CompressInto implements Codec: window 1 (a near-exact representation).
+func (p *PAA) CompressInto(dst []byte, values []float64) (Encoded, error) {
+	if len(values) == 0 {
+		return Encoded{}, ErrEmptyInput
+	}
+	return paaEncode(dst, values, 1), nil
 }
 
 // CompressRatio implements LossyCodec.
@@ -33,7 +36,7 @@ func (p *PAA) CompressRatio(values []float64, ratio float64) (Encoded, error) {
 	if ratio <= 0 {
 		return Encoded{}, ErrRatioInfeasible
 	}
-	return paaEncode(values, paaWindowForRatio(len(values), ratio)), nil
+	return paaEncode(nil, values, paaWindowForRatio(len(values), ratio)), nil
 }
 
 // paaWindowForRatio derives the window size from the byte budget, keeping
@@ -54,8 +57,8 @@ func paaWindowForRatio(n int, ratio float64) int {
 	return (n + maxMeans - 1) / maxMeans
 }
 
-func paaEncode(values []float64, window int) Encoded {
-	out := putUvarint(nil, uint64(len(values)))
+func paaEncode(dst []byte, values []float64, window int) Encoded {
+	out := putUvarint(dst[:0], uint64(len(values)))
 	out = putUvarint(out, uint64(window))
 	for start := 0; start < len(values); start += window {
 		end := start + window
@@ -66,9 +69,7 @@ func paaEncode(values []float64, window int) Encoded {
 		for _, v := range values[start:end] {
 			sum += v
 		}
-		var tmp [8]byte
-		binary.LittleEndian.PutUint64(tmp[:], math.Float64bits(sum/float64(end-start)))
-		out = append(out, tmp[:]...)
+		out = appendF64(out, sum/float64(end-start))
 	}
 	return Encoded{Codec: "paa", Data: out, N: len(values)}
 }
@@ -82,50 +83,38 @@ func (*PAA) MinRatio(values []float64) float64 {
 	return (4 + 8) / float64(8*n) // header + one mean
 }
 
-// Decompress implements Codec: each mean is replicated across its window.
-func (p *PAA) Decompress(enc Encoded) ([]float64, error) {
+// DecompressInto implements Codec: each mean is replicated across its
+// window.
+func (p *PAA) DecompressInto(dst []float64, enc Encoded) ([]float64, error) {
 	if enc.Codec != p.Name() {
 		return nil, ErrCodecMismatch
 	}
-	n, window, means, err := paaParse(enc.Data)
+	n, window, recs, err := windowedHeader(enc.Data, 8)
 	if err != nil {
 		return nil, err
 	}
-	out := make([]float64, 0, n)
-	for _, m := range means {
+	return replicate(growFloats(dst, n), n, window, recs), nil
+}
+
+// replicate appends each float64 of recs once per point of its window, n
+// points in all (PAA means, RRD samples).
+func replicate(out []float64, n, window int, recs []byte) []float64 {
+	for ; len(recs) > 0; recs = recs[8:] {
+		v := f64At(recs)
 		for i := 0; i < window && len(out) < n; i++ {
-			out = append(out, m)
+			out = append(out, v)
 		}
 	}
-	if len(out) != n {
-		return nil, ErrCorrupt
-	}
-	return out, nil
+	return out
 }
 
 func paaParse(data []byte) (n, window int, means []float64, err error) {
-	count, c, err := readCount(data)
+	n, window, recs, err := windowedHeader(data, 8)
 	if err != nil {
 		return 0, 0, nil, err
 	}
-	data = data[c:]
-	win, c := binary.Uvarint(data)
-	if c <= 0 || win == 0 {
-		return 0, 0, nil, ErrCorrupt
-	}
-	data = data[c:]
-	if len(data)%8 != 0 {
-		return 0, 0, nil, ErrCorrupt
-	}
-	means = make([]float64, len(data)/8)
-	for i := range means {
-		means[i] = math.Float64frombits(binary.LittleEndian.Uint64(data[8*i:]))
-	}
-	expect := (int(count) + int(win) - 1) / int(win)
-	if len(means) != expect {
-		return 0, 0, nil, ErrCorrupt
-	}
-	return int(count), int(win), means, nil
+	means, _ = decodeFloats(nil, recs) // cannot fail: recs holds whole 8-byte records
+	return n, window, means, nil
 }
 
 // Recode implements Recoder: adjacent windows are merged by weighted mean,

@@ -1,10 +1,5 @@
 package compress
 
-import (
-	"encoding/binary"
-	"math"
-)
-
 // PLA implements Piecewise Linear Approximation (Shatkay & Zdonik, ICDE
 // 1996): the series is cut into fixed-length pieces and each piece stores
 // the least-squares line through its points. The piece budget is derived
@@ -22,13 +17,18 @@ func (*PLA) Name() string { return "pla" }
 
 const plaPieceBytes = 16
 
-// Compress implements Codec at ratio 1 (pieces of two points: exact lines).
-func (p *PLA) Compress(values []float64) (Encoded, error) {
-	return p.CompressRatio(values, 1.0)
+// CompressInto implements Codec at ratio 1 (pieces of two points: exact
+// lines).
+func (p *PLA) CompressInto(dst []byte, values []float64) (Encoded, error) {
+	return p.compressRatio(dst, values, 1.0)
 }
 
 // CompressRatio implements LossyCodec.
 func (p *PLA) CompressRatio(values []float64, ratio float64) (Encoded, error) {
+	return p.compressRatio(nil, values, ratio)
+}
+
+func (p *PLA) compressRatio(dst []byte, values []float64, ratio float64) (Encoded, error) {
 	if len(values) == 0 {
 		return Encoded{}, ErrEmptyInput
 	}
@@ -36,7 +36,7 @@ func (p *PLA) CompressRatio(values []float64, ratio float64) (Encoded, error) {
 		return Encoded{}, ErrRatioInfeasible
 	}
 	pieceLen := plaPieceLenForRatio(len(values), ratio)
-	out := putUvarint(nil, uint64(len(values)))
+	out := putUvarint(dst[:0], uint64(len(values)))
 	out = putUvarint(out, uint64(pieceLen))
 	for start := 0; start < len(values); start += pieceLen {
 		end := start + pieceLen
@@ -67,12 +67,6 @@ func plaPieceLenForRatio(n int, ratio float64) int {
 		pieceLen = n
 	}
 	return pieceLen
-}
-
-func appendF64(dst []byte, v float64) []byte {
-	var tmp [8]byte
-	binary.LittleEndian.PutUint64(tmp[:], math.Float64bits(v))
-	return append(dst, tmp[:]...)
 }
 
 // lsqFit returns the least-squares line y = slope*x + intercept over local
@@ -116,28 +110,21 @@ func (*PLA) MinRatio(values []float64) float64 {
 	return (4 + plaPieceBytes) / float64(8*n)
 }
 
-// Decompress implements Codec.
-func (p *PLA) Decompress(enc Encoded) ([]float64, error) {
+// DecompressInto implements Codec.
+func (p *PLA) DecompressInto(dst []float64, enc Encoded) ([]float64, error) {
 	if enc.Codec != p.Name() {
 		return nil, ErrCodecMismatch
 	}
-	n, pieceLen, pieces, err := plaParse(enc.Data)
+	n, pieceLen, recs, err := windowedHeader(enc.Data, plaPieceBytes)
 	if err != nil {
 		return nil, err
 	}
-	out := make([]float64, 0, n)
-	for pi, pc := range pieces {
-		start := pi * pieceLen
-		end := start + pieceLen
-		if end > n {
-			end = n
+	out := growFloats(dst, n)
+	for ; len(recs) > 0; recs = recs[plaPieceBytes:] {
+		slope, intercept := f64At(recs), f64At(recs[8:])
+		for t := 0; t < pieceLen && len(out) < n; t++ {
+			out = append(out, slope*float64(t)+intercept)
 		}
-		for t := 0; t < end-start; t++ {
-			out = append(out, pc.slope*float64(t)+pc.intercept)
-		}
-	}
-	if len(out) != n {
-		return nil, ErrCorrupt
 	}
 	return out, nil
 }
@@ -145,29 +132,15 @@ func (p *PLA) Decompress(enc Encoded) ([]float64, error) {
 type plaPiece struct{ slope, intercept float64 }
 
 func plaParse(data []byte) (n, pieceLen int, pieces []plaPiece, err error) {
-	count, c, err := readCount(data)
+	n, pieceLen, recs, err := windowedHeader(data, plaPieceBytes)
 	if err != nil {
 		return 0, 0, nil, err
 	}
-	data = data[c:]
-	pl, c := binary.Uvarint(data)
-	if c <= 0 || pl == 0 {
-		return 0, 0, nil, ErrCorrupt
-	}
-	data = data[c:]
-	if len(data)%plaPieceBytes != 0 {
-		return 0, 0, nil, ErrCorrupt
-	}
-	pieces = make([]plaPiece, len(data)/plaPieceBytes)
+	pieces = make([]plaPiece, len(recs)/plaPieceBytes)
 	for i := range pieces {
-		pieces[i].slope = math.Float64frombits(binary.LittleEndian.Uint64(data[plaPieceBytes*i:]))
-		pieces[i].intercept = math.Float64frombits(binary.LittleEndian.Uint64(data[plaPieceBytes*i+8:]))
+		pieces[i] = plaPiece{f64At(recs[plaPieceBytes*i:]), f64At(recs[plaPieceBytes*i+8:])}
 	}
-	expect := (int(count) + int(pl) - 1) / int(pl)
-	if len(pieces) != expect {
-		return 0, 0, nil, ErrCorrupt
-	}
-	return int(count), int(pl), pieces, nil
+	return n, pieceLen, pieces, nil
 }
 
 // Recode implements Recoder: adjacent pieces are merged analytically. The

@@ -33,7 +33,7 @@ func TestQuickBUFFLossyErrorBound(t *testing.T) {
 		_, width, drop := buffHeaderSize(enc.Data)
 		_ = width
 		bound := math.Pow(2, float64(drop)) / 2 / scale
-		dec, err := c.Decompress(enc)
+		dec, err := Decompress(c, enc)
 		if err != nil {
 			return false
 		}
@@ -71,7 +71,7 @@ func TestQuickPAASumPreservation(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		dec, err := c.Decompress(enc)
+		dec, err := Decompress(c, enc)
 		if err != nil {
 			return false
 		}
@@ -147,8 +147,8 @@ func TestQuickModelarErrorBound(t *testing.T) {
 			sig[i] = float64(v) / 32
 		}
 		eps := float64(epsSeed) / 16
-		enc := modelarEncode(sig, eps)
-		dec, err := NewModelar().Decompress(enc)
+		enc := modelarEncode(nil, sig, eps)
+		dec, err := Decompress(NewModelar(), enc)
 		if err != nil || len(dec) != len(sig) {
 			return false
 		}

@@ -36,7 +36,7 @@ func TestLosslessRatioBandsOnCBF(t *testing.T) {
 		codec, _ := reg.Lookup(name)
 		var raw, comp int64
 		for _, row := range X {
-			enc, err := codec.Compress(row)
+			enc, err := Compress(codec, row)
 			if err != nil {
 				t.Fatalf("%s: %v", name, err)
 			}
@@ -77,7 +77,7 @@ func TestLosslessRatioBandsOnPlateaus(t *testing.T) {
 		codec, _ := DefaultRegistry(4).Lookup(name)
 		var raw, comp int64
 		for start := 0; start < len(sig); start += 128 {
-			enc, err := codec.Compress(sig[start : start+128])
+			enc, err := Compress(codec, sig[start:start+128])
 			if err != nil {
 				t.Fatalf("%s: %v", name, err)
 			}

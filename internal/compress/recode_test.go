@@ -13,7 +13,7 @@ import (
 func TestPAARecodeEquivalentToDirect(t *testing.T) {
 	sig := smoothSignal(1024, 30)
 	paa := NewPAA()
-	first := paaEncode(sig, 4)
+	first := paaEncode(nil, sig, 4)
 	// Pick the ratio whose budget-derived window is exactly 16 = 4×4, so
 	// the merge is a whole multiple and must be exact.
 	ratio16 := 523.0 / 8192
@@ -24,12 +24,12 @@ func TestPAARecodeEquivalentToDirect(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	direct := paaEncode(sig, 16)
-	rv, err := paa.Decompress(recoded)
+	direct := paaEncode(nil, sig, 16)
+	rv, err := Decompress(paa, recoded)
 	if err != nil {
 		t.Fatal(err)
 	}
-	dv, err := paa.Decompress(direct)
+	dv, err := Decompress(paa, direct)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -56,7 +56,7 @@ func TestPAARecodePreservesGlobalMean(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		dec, err := paa.Decompress(enc)
+		dec, err := Decompress(paa, enc)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -125,11 +125,11 @@ func TestBUFFRecodeEquivalentToDirectTruncation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rv, err := bl.Decompress(recoded)
+	rv, err := Decompress(bl, recoded)
 	if err != nil {
 		t.Fatal(err)
 	}
-	dv, err := bl.Decompress(direct)
+	dv, err := Decompress(bl, direct)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -157,7 +157,7 @@ func TestPLARecodeMatchesVirtualLSQ(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	reconstructed, err := pla.Decompress(first)
+	reconstructed, err := Decompress(pla, first)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -205,7 +205,7 @@ func TestRepeatedRecodingConvergesToFloor(t *testing.T) {
 			enc = next
 		}
 		// Whatever the floor, the result must still decode to full length.
-		dec, err := c.Decompress(enc)
+		dec, err := Decompress(c, enc)
 		if err != nil {
 			t.Fatalf("%s: floor representation broken: %v", c.Name(), err)
 		}

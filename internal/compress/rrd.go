@@ -1,10 +1,5 @@
 package compress
 
-import (
-	"encoding/binary"
-	"math"
-)
-
 // RRDSample simulates RRDTool's storage-bounding logic (paper §III-A):
 // rather than deleting old data outright when the quota is reached, one
 // value is sampled from each fixed window and replicated across the window
@@ -29,13 +24,17 @@ func NewRRDSample(seed uint64) *RRDSample {
 // Name implements Codec.
 func (*RRDSample) Name() string { return "rrdsample" }
 
-// Compress implements Codec at ratio 1.
-func (r *RRDSample) Compress(values []float64) (Encoded, error) {
-	return r.CompressRatio(values, 1.0)
+// CompressInto implements Codec at ratio 1.
+func (r *RRDSample) CompressInto(dst []byte, values []float64) (Encoded, error) {
+	return r.compressRatio(dst, values, 1.0)
 }
 
 // CompressRatio implements LossyCodec.
 func (r *RRDSample) CompressRatio(values []float64, ratio float64) (Encoded, error) {
+	return r.compressRatio(nil, values, ratio)
+}
+
+func (r *RRDSample) compressRatio(dst []byte, values []float64, ratio float64) (Encoded, error) {
 	if len(values) == 0 {
 		return Encoded{}, ErrEmptyInput
 	}
@@ -43,7 +42,7 @@ func (r *RRDSample) CompressRatio(values []float64, ratio float64) (Encoded, err
 		return Encoded{}, ErrRatioInfeasible
 	}
 	window := paaWindowForRatio(len(values), ratio)
-	out := putUvarint(nil, uint64(len(values)))
+	out := putUvarint(dst[:0], uint64(len(values)))
 	out = putUvarint(out, uint64(window))
 	state := r.seed
 	for start := 0; start < len(values); start += window {
@@ -74,44 +73,17 @@ func (*RRDSample) MinRatio(values []float64) float64 {
 	return (4 + 8) / float64(8*n)
 }
 
-// Decompress implements Codec: each sample is replicated across its window.
-func (r *RRDSample) Decompress(enc Encoded) ([]float64, error) {
+// DecompressInto implements Codec: each sample is replicated across its
+// window.
+func (r *RRDSample) DecompressInto(dst []float64, enc Encoded) ([]float64, error) {
 	if enc.Codec != r.Name() {
 		return nil, ErrCodecMismatch
 	}
-	data := enc.Data
-	count, c := binary.Uvarint(data)
-	// Bound count before it sizes the output: with both count and window
-	// attacker-controlled, a tiny payload could otherwise pass the
-	// samples-vs-expect consistency check yet demand a count-sized
-	// allocation.
-	if c <= 0 || count == 0 || count > maxDecodePoints {
-		return nil, ErrCorrupt
+	n, window, recs, err := windowedHeader(enc.Data, 8)
+	if err != nil {
+		return nil, err
 	}
-	data = data[c:]
-	window, c := binary.Uvarint(data)
-	if c <= 0 || window == 0 || window > maxDecodePoints {
-		return nil, ErrCorrupt
-	}
-	data = data[c:]
-	if len(data)%8 != 0 {
-		return nil, ErrCorrupt
-	}
-	samples := make([]float64, len(data)/8)
-	for i := range samples {
-		samples[i] = math.Float64frombits(binary.LittleEndian.Uint64(data[8*i:]))
-	}
-	expect := (int(count) + int(window) - 1) / int(window)
-	if len(samples) != expect {
-		return nil, ErrCorrupt
-	}
-	out := make([]float64, 0, count)
-	for _, s := range samples {
-		for i := 0; i < int(window) && len(out) < int(count); i++ {
-			out = append(out, s)
-		}
-	}
-	return out, nil
+	return replicate(growFloats(dst, n), n, window, recs), nil
 }
 
 // Recode implements Recoder: samples among the retained samples, widening
@@ -120,28 +92,17 @@ func (r *RRDSample) Recode(enc Encoded, ratio float64) (Encoded, error) {
 	if enc.Codec != r.Name() {
 		return Encoded{}, ErrCodecMismatch
 	}
-	data := enc.Data
-	count, c := binary.Uvarint(data)
-	if c <= 0 || count == 0 || count > maxDecodePoints {
-		return Encoded{}, ErrCorrupt
-	}
-	data = data[c:]
-	window, c := binary.Uvarint(data)
-	if c <= 0 || window == 0 || window > maxDecodePoints {
-		return Encoded{}, ErrCorrupt
-	}
-	data = data[c:]
-	samples := make([]float64, len(data)/8)
-	for i := range samples {
-		samples[i] = math.Float64frombits(binary.LittleEndian.Uint64(data[8*i:]))
+	count, window, samples, err := paaParse(enc.Data) // same layout as PAA
+	if err != nil {
+		return Encoded{}, err
 	}
 	targetWindow := paaWindowForRatio(enc.N, ratio)
-	if targetWindow <= int(window) {
+	if targetWindow <= window {
 		return enc, nil
 	}
-	m := (targetWindow + int(window) - 1) / int(window)
-	newWindow := m * int(window)
-	out := putUvarint(nil, count)
+	m := (targetWindow + window - 1) / window
+	newWindow := m * window
+	out := putUvarint(nil, uint64(count))
 	out = putUvarint(out, uint64(newWindow))
 	state := r.seed ^ 0x9e3779b97f4a7c15
 	for start := 0; start < len(samples); start += m {

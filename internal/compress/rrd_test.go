@@ -37,7 +37,7 @@ func TestRRDMalformedHugeCount(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			enc := Encoded{Codec: r.Name(), Data: rrdHeader(tc.count, tc.window, 1), N: 4}
-			if _, err := r.Decompress(enc); !errors.Is(err, ErrCorrupt) {
+			if _, err := r.DecompressInto(nil, enc); !errors.Is(err, ErrCorrupt) {
 				t.Errorf("Decompress(count=%d, window=%d) err = %v, want ErrCorrupt", tc.count, tc.window, err)
 			}
 			if _, err := r.Recode(enc, 0.01); !errors.Is(err, ErrCorrupt) {
@@ -56,7 +56,7 @@ func TestRRDRoundTripStillWorks(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	out, err := r.Decompress(enc)
+	out, err := r.DecompressInto(nil, enc)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -34,30 +34,39 @@ func snapHash(u uint32) uint32 {
 	return (u * 0x1e35a7bd) >> (32 - snapHashBits)
 }
 
-// Compress implements Codec.
-func (*Snappy) Compress(values []float64) (Encoded, error) {
+// CompressInto implements Codec.
+func (*Snappy) CompressInto(dst []byte, values []float64) (Encoded, error) {
 	if len(values) == 0 {
 		return Encoded{}, ErrEmptyInput
 	}
-	src := floatsToBytes(values)
-	dst := snappyEncode(src)
-	return Encoded{Codec: "snappy", Data: dst, N: len(values)}, nil
+	raw := byteScratch.Get().(*[]byte)
+	*raw = appendFloats((*raw)[:0], values)
+	out := snappyEncode(dst, *raw)
+	byteScratch.Put(raw)
+	return Encoded{Codec: "snappy", Data: out, N: len(values)}, nil
 }
 
-// Decompress implements Codec.
-func (s *Snappy) Decompress(enc Encoded) ([]float64, error) {
+// DecompressInto implements Codec.
+func (s *Snappy) DecompressInto(dst []float64, enc Encoded) ([]float64, error) {
 	if enc.Codec != s.Name() {
 		return nil, ErrCodecMismatch
 	}
-	raw, err := snappyDecode(enc.Data)
+	raw := byteScratch.Get().(*[]byte)
+	defer byteScratch.Put(raw)
+	b, err := snappyDecode((*raw)[:0], enc.Data)
 	if err != nil {
 		return nil, err
 	}
-	return bytesToFloats(raw)
+	*raw = b
+	return decodeFloats(dst, b)
 }
 
-func snappyEncode(src []byte) []byte {
-	dst := putUvarint(make([]byte, 0, len(src)/2+16), uint64(len(src)))
+// snappyEncode appends the block encoding of src to dst[:0].
+func snappyEncode(dst, src []byte) []byte {
+	if cap(dst) == 0 {
+		dst = make([]byte, 0, len(src)/2+16)
+	}
+	dst = putUvarint(dst[:0], uint64(len(src)))
 	var table [snapTableSize]int32
 	for i := range table {
 		table[i] = -1
@@ -123,14 +132,17 @@ func snappyEmitCopy(dst []byte, offset, length int) []byte {
 	return append(dst, byte(length-1)<<2|snapTagCopy2, byte(offset), byte(offset>>8))
 }
 
-func snappyDecode(data []byte) ([]byte, error) {
+// snappyDecode appends the decoded block to dst, which must be empty.
+func snappyDecode(dst, data []byte) ([]byte, error) {
 	declen, n := binary.Uvarint(data)
 	// 8 bytes per point under the same allocation bound as readCount.
 	if n <= 0 || declen > 8*maxDecodePoints {
 		return nil, ErrCorrupt
 	}
 	src := data[n:]
-	dst := make([]byte, 0, declen)
+	if uint64(cap(dst)) < declen {
+		dst = make([]byte, 0, declen)
+	}
 	for len(src) > 0 {
 		tag := src[0]
 		switch tag & 0x03 {

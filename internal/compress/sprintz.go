@@ -15,6 +15,9 @@ import (
 // header. Sprintz is the strongest lossless candidate on smooth sensor
 // signals (paper Figs 12/15).
 //
+// Lossless means value-equal, not bit-equal: values pass through an
+// integer, so -0.0 decodes as +0.0 (see TestZeroSignContract).
+//
 // Layout: uvarint n | uvarint precision | zigzag-varint first value |
 // blocks: [1B width | 8×width bits residuals]...
 type Sprintz struct {
@@ -67,11 +70,6 @@ func (f *fire) update(actual int64) {
 	f.prev = actual
 }
 
-// Compress implements Codec.
-func (s *Sprintz) Compress(values []float64) (Encoded, error) {
-	return s.CompressInto(nil, values)
-}
-
 // quantize maps v to its fixed-point representation, rejecting values the
 // int64 pipeline cannot carry.
 func (s *Sprintz) quantize(v float64) (int64, error) {
@@ -82,7 +80,7 @@ func (s *Sprintz) quantize(v float64) (int64, error) {
 	return int64(q), nil
 }
 
-// CompressInto implements IntoCodec. Residuals are quantized, predicted
+// CompressInto implements Codec. Residuals are quantized, predicted
 // and packed in one streaming pass over blocks of eight, so the encoder
 // needs no intermediate slices — only dst.
 func (s *Sprintz) CompressInto(dst []byte, values []float64) (Encoded, error) {
@@ -132,12 +130,7 @@ func (s *Sprintz) CompressInto(dst []byte, values []float64) (Encoded, error) {
 	return Encoded{Codec: "sprintz", Data: w.Bytes(), N: len(values)}, nil
 }
 
-// Decompress implements Codec.
-func (s *Sprintz) Decompress(enc Encoded) ([]float64, error) {
-	return s.DecompressInto(nil, enc)
-}
-
-// DecompressInto implements IntoCodec.
+// DecompressInto implements Codec.
 func (s *Sprintz) DecompressInto(dst []float64, enc Encoded) ([]float64, error) {
 	if enc.Codec != s.Name() {
 		return nil, ErrCodecMismatch

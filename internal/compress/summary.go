@@ -1,9 +1,6 @@
 package compress
 
-import (
-	"encoding/binary"
-	"math"
-)
+import "math"
 
 // Summary implements the core of SummaryStore's space reclamation
 // (Agrawal & Vulimiri, SOSP 2017; cited in paper §II): data is replaced by
@@ -25,9 +22,9 @@ func (*Summary) Name() string { return "summary" }
 
 const summaryWindowBytes = 24
 
-// Compress implements Codec at ratio 1.
-func (s *Summary) Compress(values []float64) (Encoded, error) {
-	return s.CompressRatio(values, 1.0)
+// CompressInto implements Codec at ratio 1.
+func (s *Summary) CompressInto(dst []byte, values []float64) (Encoded, error) {
+	return s.compressRatio(dst, values, 1.0)
 }
 
 // summaryWindowForRatio sizes windows from the byte budget.
@@ -46,6 +43,10 @@ func summaryWindowForRatio(n int, ratio float64) int {
 
 // CompressRatio implements LossyCodec.
 func (s *Summary) CompressRatio(values []float64, ratio float64) (Encoded, error) {
+	return s.compressRatio(nil, values, ratio)
+}
+
+func (s *Summary) compressRatio(dst []byte, values []float64, ratio float64) (Encoded, error) {
 	if len(values) == 0 {
 		return Encoded{}, ErrEmptyInput
 	}
@@ -53,7 +54,7 @@ func (s *Summary) CompressRatio(values []float64, ratio float64) (Encoded, error
 		return Encoded{}, ErrRatioInfeasible
 	}
 	window := summaryWindowForRatio(len(values), ratio)
-	out := putUvarint(nil, uint64(len(values)))
+	out := putUvarint(dst[:0], uint64(len(values)))
 	out = putUvarint(out, uint64(window))
 	for start := 0; start < len(values); start += window {
 		end := start + window
@@ -85,54 +86,34 @@ func (*Summary) MinRatio(values []float64) float64 {
 type summaryWindow struct{ lo, hi, sum float64 }
 
 func summaryParse(data []byte) (n, window int, wins []summaryWindow, err error) {
-	count, c, err := readCount(data)
+	n, window, recs, err := windowedHeader(data, summaryWindowBytes)
 	if err != nil {
 		return 0, 0, nil, err
 	}
-	data = data[c:]
-	win, c := binary.Uvarint(data)
-	if c <= 0 || win == 0 {
-		return 0, 0, nil, ErrCorrupt
-	}
-	data = data[c:]
-	if len(data)%summaryWindowBytes != 0 {
-		return 0, 0, nil, ErrCorrupt
-	}
-	wins = make([]summaryWindow, len(data)/summaryWindowBytes)
+	wins = make([]summaryWindow, len(recs)/summaryWindowBytes)
 	for i := range wins {
 		off := i * summaryWindowBytes
-		wins[i].lo = math.Float64frombits(binary.LittleEndian.Uint64(data[off:]))
-		wins[i].hi = math.Float64frombits(binary.LittleEndian.Uint64(data[off+8:]))
-		wins[i].sum = math.Float64frombits(binary.LittleEndian.Uint64(data[off+16:]))
+		wins[i] = summaryWindow{f64At(recs[off:]), f64At(recs[off+8:]), f64At(recs[off+16:])}
 	}
-	expect := (int(count) + int(win) - 1) / int(win)
-	if len(wins) != expect {
-		return 0, 0, nil, ErrCorrupt
-	}
-	return int(count), int(win), wins, nil
+	return n, window, wins, nil
 }
 
-// Decompress implements Codec: each window replays its mean.
-func (s *Summary) Decompress(enc Encoded) ([]float64, error) {
+// DecompressInto implements Codec: each window replays its mean.
+func (s *Summary) DecompressInto(dst []float64, enc Encoded) ([]float64, error) {
 	if enc.Codec != s.Name() {
 		return nil, ErrCodecMismatch
 	}
-	n, window, wins, err := summaryParse(enc.Data)
+	n, window, recs, err := windowedHeader(enc.Data, summaryWindowBytes)
 	if err != nil {
 		return nil, err
 	}
-	out := make([]float64, 0, n)
-	remaining := n
-	for _, w := range wins {
-		l := window
-		if remaining < l {
-			l = remaining
-		}
-		mean := w.sum / float64(l)
+	out := growFloats(dst, n)
+	for ; len(recs) > 0; recs = recs[summaryWindowBytes:] {
+		l := min(window, n-len(out))
+		mean := f64At(recs[16:]) / float64(l)
 		for i := 0; i < l; i++ {
 			out = append(out, mean)
 		}
-		remaining -= l
 	}
 	return out, nil
 }

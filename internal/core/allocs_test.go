@@ -24,8 +24,8 @@ const onlineLoopAllocBudget = 3.0
 func TestAllocsOnlineEvaluatorLoop(t *testing.T) {
 	eng, err := NewOnlineEngine(Config{
 		// Target 1 keeps every segment in the lossless phase, the loop the
-		// zero-alloc pass optimizes; the four bit-kernel arms all have
-		// Into paths, so exploration never leaves the pooled fast path.
+		// zero-alloc pass optimizes; the four bit-kernel arms encode
+		// without allocating, so the budget measures the loop alone.
 		TargetRatioOverride: 1,
 		Objective:           SingleTarget(TargetRatio),
 		LosslessArms:        []string{"gorilla", "chimp", "sprintz", "buff"},

@@ -209,7 +209,7 @@ func (e *OfflineEngine) Ingest(values []float64, label int) error {
 	arm := e.losslessMAB.Select(nil)
 	name := e.losslessNames[arm]
 	codec, _ := e.reg.Lookup(name)
-	enc, err := codec.Compress(values)
+	enc, err := compress.Compress(codec, values)
 	if err != nil {
 		e.losslessMAB.Update(arm, 0)
 		return err

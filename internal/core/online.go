@@ -551,7 +551,7 @@ type losslessTrial struct {
 func runLosslessTrial(codec compress.Codec, values []float64) losslessTrial {
 	eb := getEncBuf()
 	start := time.Now()
-	enc, err := compress.CompressInto(codec, eb.b, values)
+	enc, err := codec.CompressInto(eb.b, values)
 	dur := time.Since(start)
 	if err != nil {
 		// The buffer's capacity survives a failed attempt; hand it
@@ -559,9 +559,6 @@ func runLosslessTrial(codec compress.Codec, values []float64) losslessTrial {
 		encBufPool.Put(eb)
 		return losslessTrial{err: err, dur: dur}
 	}
-	// Codecs without an Into path (and growth reallocations) return fresh
-	// backing arrays; track whatever the encoding actually lives in.
-	eb.b = enc.Data
 	return losslessTrial{enc: enc, err: nil, dur: dur, buf: eb}
 }
 
@@ -590,7 +587,7 @@ func runLossyTrial(lc compress.LossyCodec, values []float64, ratio float64) loss
 		return lossyTrial{err: err, dur: dur}
 	}
 	db := getDecBuf()
-	decoded, decErr := compress.DecompressInto(lc, db.v, enc)
+	decoded, decErr := lc.DecompressInto(db.v, enc)
 	if decErr != nil {
 		decBufPool.Put(db)
 		return lossyTrial{enc: enc, decErr: decErr, dur: dur}

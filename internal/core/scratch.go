@@ -82,7 +82,7 @@ func (t *losslessTrial) handOff() {
 }
 
 // releaseDecoded returns a lossy trial's decode slice to the pool. The
-// encode buffer is not pooled: CompressRatio has no Into variant, so
+// encode buffer is not pooled: CompressRatio allocates its output, so
 // there is no wrapper to return. Idempotent per trial copy.
 //
 // adaedge:decision-goroutine

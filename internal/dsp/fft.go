@@ -27,22 +27,27 @@ func FFT(x []complex128) []complex128 {
 
 // IFFT computes the inverse DFT, including the 1/n scaling.
 func IFFT(x []complex128) []complex128 {
-	n := len(x)
-	if n == 0 {
+	if len(x) == 0 {
 		return nil
 	}
-	out := make([]complex128, n)
+	out := make([]complex128, len(x))
 	copy(out, x)
-	if isPow2(n) {
-		radix2(out, true)
+	return ifftInPlace(out)
+}
+
+// ifftInPlace inverts a, overwriting it; the result is a itself when
+// len(a) is a power of two and a fresh slice otherwise.
+func ifftInPlace(a []complex128) []complex128 {
+	if isPow2(len(a)) {
+		radix2(a, true)
 	} else {
-		out = bluestein(out, true)
+		a = bluestein(a, true)
 	}
-	inv := complex(1/float64(n), 0)
-	for i := range out {
-		out[i] *= inv
+	inv := complex(1/float64(len(a)), 0)
+	for i := range a {
+		a[i] *= inv
 	}
-	return out
+	return a
 }
 
 // FFTReal transforms a real-valued signal.
@@ -57,12 +62,23 @@ func FFTReal(x []float64) []complex128 {
 // IFFTReal inverts a spectrum and returns the real parts, discarding any
 // numerically negligible imaginary residue.
 func IFFTReal(spec []complex128) []float64 {
-	c := IFFT(spec)
-	out := make([]float64, len(c))
-	for i, v := range c {
-		out[i] = real(v)
+	c := make([]complex128, len(spec))
+	copy(c, spec)
+	return IFFTRealInto(nil, c)
+}
+
+// IFFTRealInto is IFFTReal appending to dst[:0] and using spec as its
+// workspace: spec is overwritten. It allocates nothing when len(spec) is a
+// power of two and dst has the capacity.
+func IFFTRealInto(dst []float64, spec []complex128) []float64 {
+	dst = dst[:0]
+	if len(spec) == 0 {
+		return dst
 	}
-	return out
+	for _, v := range ifftInPlace(spec) {
+		dst = append(dst, real(v))
+	}
+	return dst
 }
 
 func isPow2(n int) bool { return n > 0 && n&(n-1) == 0 }

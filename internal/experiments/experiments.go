@@ -53,7 +53,7 @@ func Fig2CompressionThroughput(w io.Writer, segments int) []ThroughputRow {
 				if _, err := lossy.CompressRatio(seg, 0.1); err != nil {
 					continue
 				}
-			} else if _, err := codec.Compress(seg); err != nil {
+			} else if _, err := compress.Compress(codec, seg); err != nil {
 				continue
 			}
 			points += len(seg)
@@ -122,7 +122,7 @@ func Fig3EgressRate(w io.Writer, segments int) []EgressRow {
 			name += "*"
 		} else {
 			for _, seg := range X {
-				enc, err := codec.Compress(seg)
+				enc, err := compress.Compress(codec, seg)
 				if err != nil {
 					continue
 				}
@@ -177,7 +177,7 @@ func StaticMLSweep(model ml.Classifier, codec compress.LossyCodec, X [][]float64
 				feasible = false
 				break
 			}
-			dec, err := codec.Decompress(enc)
+			dec, err := compress.Decompress(codec, enc)
 			if err != nil {
 				feasible = false
 				break

@@ -52,7 +52,7 @@ func evalFixedLossy(codec compress.LossyCodec, eval *core.Evaluator, stream []da
 		if err != nil {
 			return math.NaN()
 		}
-		dec, err := codec.Decompress(enc)
+		dec, err := compress.Decompress(codec, enc)
 		if err != nil {
 			return math.NaN()
 		}
@@ -166,7 +166,7 @@ func OnlineSweep(obj core.Objective, ratios []float64, segments int, seed int64,
 			var sum float64
 			for _, seg := range stream {
 				start := time.Now()
-				enc, err := c.Compress(seg.values)
+				enc, err := compress.Compress(c, seg.values)
 				dur := time.Since(start)
 				if err != nil || enc.Ratio() > ratio {
 					feasible = false

@@ -39,7 +39,7 @@ func Fig15aBaselines(w io.Writer, totalSeries int, seed int64) []ShiftRun {
 		ok := true
 		for !stream.Done() {
 			series, _ := stream.Next()
-			enc, err := codec.Compress(series)
+			enc, err := compress.Compress(codec, series)
 			if err != nil {
 				ok = false
 				break
@@ -105,7 +105,7 @@ func runShiftMAB(totalSeries int, seed int64, bc bandit.Config) ShiftRun {
 		series, _ := stream.Next()
 		arm := pol.Select(nil)
 		codec, _ := reg.Lookup(names[arm])
-		enc, err := codec.Compress(series)
+		enc, err := compress.Compress(codec, series)
 		if err != nil {
 			pol.Update(arm, 0)
 			continue

@@ -16,7 +16,7 @@ func populatedPool(t *testing.T, n int) *Pool {
 	names := reg.Lossless()
 	for i, row := range X {
 		codec, _ := reg.Lookup(names[i%len(names)])
-		enc, err := codec.Compress(row)
+		enc, err := compress.Compress(codec, row)
 		if err != nil {
 			t.Fatal(err)
 		}

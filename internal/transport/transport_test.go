@@ -30,10 +30,10 @@ func sampleFrames(t *testing.T, n int) ([]Frame, [][]float64) {
 		if lc, ok := codec.(compress.LossyCodec); ok {
 			enc, err = lc.CompressRatio(row, 0.3)
 			if err != nil {
-				enc, err = codec.Compress(row)
+				enc, err = compress.Compress(codec, row)
 			}
 		} else {
-			enc, err = codec.Compress(row)
+			enc, err = compress.Compress(codec, row)
 		}
 		if err != nil {
 			t.Fatalf("%s: %v", codec.Name(), err)
