@@ -204,19 +204,13 @@ type DrainReport = core.DrainReport
 type (
 	// Frame is one transmitted segment with its codec metadata.
 	Frame = transport.Frame
-	// Uplink is the device-side TCP sender.
-	Uplink = transport.Uplink
 	// CloudCollector receives and decompresses segment frames.
 	CloudCollector = transport.Collector
 )
 
-// Transport constructors.
-var (
-	// Dial connects an uplink to a collector.
-	Dial = transport.Dial
-	// NewCloudCollector builds the receiving side.
-	NewCloudCollector = transport.NewCollector
-)
+// NewCloudCollector builds the receiving side; devices reach it with
+// transport.DialResilient.
+var NewCloudCollector = transport.NewCollector
 
 // Observability types (see OBSERVABILITY.md). Attach an Observer via
 // Config.Obs (engines), transport.ResilientConfig.Obs (uplink) or

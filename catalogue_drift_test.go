@@ -370,8 +370,8 @@ func driveTransport(t *testing.T, upObs, colObs *obs.Observer) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		// Traced frames drive the wire/collector span stages and the AES2
-		// header end to end.
+		// Traced frames drive the wire/collector span stages and the
+		// frame header's trace field end to end.
 		frame := transport.Frame{ID: uint64(i), Label: -1, Trace: obs.TraceOfSegment(uint64(i)), Enc: enc}
 		if err := up.Send(frame); err != nil {
 			t.Fatalf("send %d: %v", i, err)

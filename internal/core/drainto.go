@@ -5,8 +5,9 @@ import (
 	"repro/internal/transport"
 )
 
-// FrameSender consumes transmitted segment frames; *transport.Uplink
-// implements it. Abstracted so tests can capture frames without sockets.
+// FrameSender consumes transmitted segment frames;
+// *transport.ResilientUplink implements it. Abstracted so tests can
+// capture frames without sockets.
 type FrameSender interface {
 	Send(transport.Frame) error
 }

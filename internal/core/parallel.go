@@ -300,7 +300,7 @@ func (p *OnlineParallel) Workers() int { return p.workers }
 // OnResult registers a callback invoked by the sequencer, in submission
 // order, for every segment (err non-nil for failed ones). Must be set
 // before Start; the callback runs on the sequencer goroutine, so it also
-// serializes egress — write to an Uplink here without extra locking.
+// serializes egress — Send to an uplink here without extra locking.
 func (p *OnlineParallel) OnResult(fn func(Result, compress.Encoded, error)) {
 	if p.started {
 		panic("core: OnResult after Start")

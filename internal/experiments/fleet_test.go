@@ -51,7 +51,7 @@ func TestRunFleetExactlyOnce(t *testing.T) {
 // the observability substrate attached, a fleet run under faults closes
 // exactly one end-to-end span per delivered segment — the trace identity
 // each device stamps on its frames survives the spool, retransmissions
-// and the AES2 wire header, and joins the collector's deliver record.
+// and the frame header, and joins the collector's deliver record.
 func TestRunFleetSpansComplete(t *testing.T) {
 	o := obs.New(0)
 	res, err := RunFleet(nil, FleetConfig{

@@ -33,7 +33,8 @@ import (
 
 // EscapePinnedFiles are the hot-path files whose escape decisions are
 // pinned by ESCAPES.baseline: the codec substrate's bit I/O, the four
-// tightest codecs, and the online decision path with its buffer pools.
+// tightest codecs, the online decision path with its buffer pools, and the
+// wire's frame header codec.
 var EscapePinnedFiles = []string{
 	"internal/bitio/bitio.go",
 	"internal/compress/gorilla.go",
@@ -43,6 +44,7 @@ var EscapePinnedFiles = []string{
 	"internal/core/online.go",
 	"internal/core/scratch.go",
 	"internal/core/parallel.go",
+	"internal/transport/transport.go",
 }
 
 // EscapeBaselineFile is the committed golden, relative to the module root.

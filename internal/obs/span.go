@@ -93,8 +93,9 @@ func StageOf(name string) (Stage, bool) {
 
 // TraceOfSegment is the canonical segment→trace mapping: segment ID + 1,
 // so a trace identity is never zero (zero means "no trace" on the wire —
-// untraced AES1 frames stay byte-identical). Engines, the fleet harness
-// and tests all derive trace identities through this one function.
+// an untraced frame leaves the tag's traced bit clear and carries no trace
+// field). Engines, the fleet harness and tests all derive trace identities
+// through this one function.
 func TraceOfSegment(segmentID uint64) uint64 { return segmentID + 1 }
 
 // SpanStage is one recorded lifecycle stage. Like Event it carries no

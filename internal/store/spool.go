@@ -24,12 +24,15 @@ type Spool struct {
 	highWater   float64
 	onPressure  func(over bool)
 
-	mu      sync.Mutex
-	entries []*Entry // pending, ascending ID; guarded by mu
-	bytes   int64    // sum of entry payload sizes; guarded by mu
-	over    bool     // high-water state; guarded by mu
-	acked   uint64   // all IDs < acked are confirmed delivered; guarded by mu
-	dropped int      // Append rejections; guarded by mu
+	mu sync.Mutex
+	// entries[head:] are the pending entries, ascending ID; entries[:head]
+	// are released slots (nil) awaiting compaction. Guarded by mu.
+	entries []*Entry
+	head    int    // guarded by mu
+	bytes   int64  // sum of entry payload sizes; guarded by mu
+	over    bool   // high-water state; guarded by mu
+	acked   uint64 // all IDs < acked are confirmed delivered; guarded by mu
+	dropped int    // Append rejections; guarded by mu
 }
 
 // ErrSpoolFull is returned by Append when the spool bound is reached.
@@ -56,12 +59,15 @@ func NewSpool(maxSegments int, maxBytes int64, highWater float64, onPressure fun
 	}
 }
 
+// lenLocked returns the number of pending entries.
+func (s *Spool) lenLocked() int { return len(s.entries) - s.head }
+
 // utilizationLocked returns the tighter of the segment and byte
 // utilizations.
 func (s *Spool) utilizationLocked() float64 {
 	var u float64
 	if s.maxSegments > 0 {
-		u = float64(len(s.entries)) / float64(s.maxSegments)
+		u = float64(s.lenLocked()) / float64(s.maxSegments)
 	}
 	if s.maxBytes > 0 {
 		if b := float64(s.bytes) / float64(s.maxBytes); b > u {
@@ -88,7 +94,7 @@ func (s *Spool) pressureLocked() func() {
 // (the device's segment counter guarantees this).
 func (s *Spool) Append(e *Entry) error {
 	s.mu.Lock()
-	if (s.maxSegments > 0 && len(s.entries) >= s.maxSegments) ||
+	if (s.maxSegments > 0 && s.lenLocked() >= s.maxSegments) ||
 		(s.maxBytes > 0 && s.bytes+int64(e.Enc.Size()) > s.maxBytes) {
 		s.dropped++
 		s.mu.Unlock()
@@ -108,10 +114,10 @@ func (s *Spool) Append(e *Entry) error {
 func (s *Spool) Head() (*Entry, bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if len(s.entries) == 0 {
+	if s.head == len(s.entries) {
 		return nil, false
 	}
-	return s.entries[0], true
+	return s.entries[s.head], true
 }
 
 // HeadAfter returns the oldest unacknowledged entry with ID > id, without
@@ -122,11 +128,12 @@ func (s *Spool) Head() (*Entry, bool) {
 func (s *Spool) HeadAfter(id uint64) (*Entry, bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	i := sort.Search(len(s.entries), func(i int) bool { return s.entries[i].ID > id })
-	if i == len(s.entries) {
+	live := s.entries[s.head:]
+	i := sort.Search(len(live), func(i int) bool { return live[i].ID > id })
+	if i == len(live) {
 		return nil, false
 	}
-	return s.entries[i], true
+	return live[i], true
 }
 
 // AckBelow drops every entry with ID < next (the collector's cumulative
@@ -143,16 +150,24 @@ func (s *Spool) AckBelow(next uint64) int {
 // retain the entry or call back into the spool.
 func (s *Spool) AckBelowVisit(next uint64, visit func(*Entry)) int {
 	s.mu.Lock()
+	live := s.entries[s.head:]
 	n := 0
-	for n < len(s.entries) && s.entries[n].ID < next {
-		s.bytes -= int64(s.entries[n].Enc.Size())
+	for n < len(live) && live[n].ID < next {
+		s.bytes -= int64(live[n].Enc.Size())
 		if visit != nil {
-			visit(s.entries[n])
+			visit(live[n])
 		}
+		live[n] = nil
 		n++
 	}
-	if n > 0 {
-		s.entries = append([]*Entry(nil), s.entries[n:]...)
+	s.head += n
+	if s.head > s.lenLocked() {
+		// The dead prefix outweighs the live part: slide the live entries
+		// down. Each ACK thus costs O(released) amortized, not O(depth),
+		// and the backing array is reused instead of reallocated.
+		m := copy(s.entries, s.entries[s.head:])
+		clear(s.entries[m:])
+		s.entries, s.head = s.entries[:m], 0
 	}
 	if next > s.acked {
 		s.acked = next
@@ -177,7 +192,7 @@ func (s *Spool) Acked() uint64 {
 func (s *Spool) Len() int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return len(s.entries)
+	return s.lenLocked()
 }
 
 // Bytes returns the pending payload bytes.

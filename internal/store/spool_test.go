@@ -124,3 +124,92 @@ func TestSpoolPressureCallback(t *testing.T) {
 		t.Fatal("OverHighWater should report false after drain")
 	}
 }
+
+// TestSpoolSlidingWindow walks a deep spool through many ACK batches so
+// the head index advances, compacts and advances again: Head, HeadAfter,
+// Len, the segment bound and the released slots must track the live
+// window, never the dead prefix.
+func TestSpoolSlidingWindow(t *testing.T) {
+	const depth = 64
+	s := NewSpool(depth, 0, 0.9, nil)
+	next := uint64(0)
+	fill := func() {
+		for s.Len() < depth {
+			if err := s.Append(spoolEntry(next, 8)); err != nil {
+				t.Fatalf("append %d at len %d: %v", next, s.Len(), err)
+			}
+			next++
+		}
+		if err := s.Append(spoolEntry(next, 8)); !errors.Is(err, ErrSpoolFull) {
+			t.Fatalf("append past the bound at len %d: %v", s.Len(), err)
+		}
+	}
+	acked := uint64(0)
+	for round, batch := range []uint64{1, 7, 31, 1, 40, 64, 3, 33} {
+		fill()
+		acked += batch
+		if n := s.AckBelow(acked); n != int(batch) {
+			t.Fatalf("round %d: released %d, want %d", round, n, batch)
+		}
+		if want := int(next - acked); s.Len() != want || s.Bytes() != int64(8*want) {
+			t.Fatalf("round %d: len=%d bytes=%d, want %d entries", round, s.Len(), s.Bytes(), want)
+		}
+		head, ok := s.Head()
+		if ok != (acked < next) || (ok && head.ID != acked) {
+			t.Fatalf("round %d: head = %+v ok=%v, want ID %d", round, head, ok, acked)
+		}
+		for _, id := range []uint64{0, acked, acked + 5, next - 2} {
+			e, ok := s.HeadAfter(id)
+			want := max(id+1, acked)
+			if ok != (want < next) || (ok && e.ID != want) {
+				t.Fatalf("round %d: HeadAfter(%d) = %+v ok=%v, want ID %d", round, id, e, ok, want)
+			}
+		}
+		for i, e := range s.entries[:s.head] {
+			if e != nil {
+				t.Fatalf("round %d: released slot %d still pins entry %d", round, i, e.ID)
+			}
+		}
+		for i, e := range s.entries[len(s.entries):cap(s.entries)] {
+			if e != nil {
+				t.Fatalf("round %d: slot %d past the window still pins entry %d", round, i, e.ID)
+			}
+		}
+	}
+}
+
+// TestAllocsSpoolAck pins the ACK path: at a steady depth, one Append and
+// one AckBelow reuse the backing array (the parent copied every pending
+// pointer into a fresh slice per ACK, under the lock).
+func TestAllocsSpoolAck(t *testing.T) {
+	const depth = 512
+	s := NewSpool(2*depth, 0, 0.9, nil)
+	entries := make([]*Entry, 4*depth)
+	for i := range entries {
+		entries[i] = spoolEntry(uint64(i), 8)
+	}
+	for _, e := range entries[:depth] {
+		if err := s.Append(e); err != nil {
+			t.Fatal(err)
+		}
+	}
+	id := uint64(depth)
+	step := func() {
+		e := entries[id%uint64(len(entries))]
+		e.ID = id
+		if err := s.Append(e); err != nil {
+			t.Fatal(err)
+		}
+		id++
+		s.AckBelow(id - depth)
+	}
+	for i := 0; i < 4*depth; i++ { // let the backing array reach its size
+		step()
+	}
+	if avg := testing.AllocsPerRun(4*depth, step); avg != 0 {
+		t.Fatalf("Append+AckBelow at depth %d allocates %.2f/op, want 0", depth, avg)
+	}
+	if s.Len() != depth {
+		t.Fatalf("len = %d, want %d", s.Len(), depth)
+	}
+}

@@ -5,22 +5,26 @@
 // metadata the receiver needs to decompress (paper §IV-C: "each segment …
 // is associated with metadata describing its compression configurations").
 //
-// Frame layout (little-endian, one frame per segment):
+// Frame layout (one frame per segment; transport.go has the details):
 //
-//	magic "AES1"
-//	uvarint id | zigzag-varint label | uvarint len(codec) | codec |
-//	uvarint N | uvarint len(data) | data
+//	tag | [uvarint len(codec) | codec] | [zigzag ID delta] | zigzag label |
+//	[uvarint trace] | [uvarint N] | uvarint len(data) | data
 //
-// The plain Writer/Reader pair streams frames fire-and-forget; the stream
-// ends with the sender closing its side and no trailer is needed.
+// The header is stateful per connection: the tag byte holds a slot in a
+// codec-name dictionary both ends build in first-use order, and flag bits
+// saying which of the bracketed fields are present. A frame that repeats
+// the previous codec and N and has the next ID spends three header bytes.
+// The first frame of a stream carries everything, so each connection is
+// self-describing and a redial needs no negotiation.
 //
 // # Reliable delivery
 //
 // ResilientUplink (resilient.go) layers fault tolerance on top: frames
 // are journaled into a bounded Spool before any network I/O, a single
-// pump goroutine sends them in frame→ACK lockstep, and on any error the
-// uplink redials with seeded exponential-backoff jitter and resends from
-// the first unacknowledged frame. Collector (server.go) is the receiving
+// pump goroutine sends them (frame→ACK lockstep under protocol 1,
+// pipelined under protocol 2), and on any error the uplink redials with
+// seeded exponential-backoff jitter and resends from the first
+// unacknowledged frame. Collector (server.go) is the receiving
 // side: a per-device ACK watermark makes redelivered frames idempotent,
 // so the pair provides exactly-once delivery to the sink (DESIGN.md §8).
 //

@@ -4,6 +4,8 @@ import (
 	"bufio"
 	"bytes"
 	"io"
+	"math"
+	"strings"
 	"testing"
 
 	"repro/internal/compress"
@@ -12,27 +14,19 @@ import (
 // FuzzFrameReader: arbitrary bytes must never panic the frame parser or
 // make it allocate past the payload bound.
 func FuzzFrameReader(f *testing.F) {
-	// Seed with a valid two-frame stream.
-	var buf bytes.Buffer
-	w := NewWriter(&buf)
 	paa := compress.NewPAA()
 	enc, err := paa.CompressRatio([]float64{1, 2, 3, 4, 5, 6, 7, 8}, 0.5)
 	if err != nil {
 		f.Fatal(err)
 	}
-	_ = w.Send(Frame{ID: 1, Label: 2, Enc: enc})
-	_ = w.Send(Frame{ID: 2, Label: -1, Enc: enc})
-	_ = w.Flush()
-	f.Add(buf.Bytes())
+	// A valid two-frame stream, then the golden stream (codec switch, slot
+	// reuse, traced frame, backwards ID).
+	f.Add(writeFrames(f, Frame{ID: 1, Label: 2, Enc: enc}, Frame{ID: 2, Label: -1, Enc: enc}))
+	f.Add(writeFrames(f, goldenFrames...))
 	// The watermark-overflow poison frame: ID MaxUint64 parses fine at
 	// this layer (the collector rejects it) and must never panic or wrap
 	// anything in the reader.
-	var poison bytes.Buffer
-	pw := NewWriter(&poison)
-	_ = pw.Send(Frame{ID: 1<<64 - 1, Label: 0, Enc: enc})
-	_ = pw.Flush()
-	f.Add(poison.Bytes())
-	f.Add([]byte("AES1"))
+	f.Add(writeFrames(f, Frame{ID: 1<<64 - 1, Label: 0, Enc: enc}))
 	f.Add([]byte{})
 
 	f.Fuzz(func(t *testing.T, data []byte) {
@@ -51,6 +45,62 @@ func FuzzFrameReader(f *testing.F) {
 			if frame.Enc.N < 0 || frame.Enc.N > maxFramePoints {
 				t.Fatalf("point count %d escaped validation", frame.Enc.N)
 			}
+			if n := len(frame.Enc.Codec); n == 0 || n > 255 {
+				t.Fatalf("codec name of %d bytes escaped validation", n)
+			}
+		}
+	})
+}
+
+// FuzzFrameRoundTrip is the differential test: the fuzzer's bytes are cut
+// into an arbitrary frame list, and whatever the Writer accepts the Reader
+// must give back equal.
+func FuzzFrameRoundTrip(f *testing.F) {
+	f.Add([]byte{})
+	f.Add([]byte("\x00\x01\x03\x04paa-payload\x01\x00\x00\x04more\xff\x09\x07\x02xy"))
+	f.Add(bytes.Repeat([]byte{0x10, 0x00, 0x21, 0x03, 'a', 'b', 'c'}, 48))
+
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var frames []Frame
+		var id uint64
+		// Five control bytes and a payload per frame: ID step, label,
+		// trace, codec name, N.
+		for len(data) >= 5 && len(frames) < 256 {
+			c := data[:5]
+			data = data[5:]
+			switch c[0] & 3 {
+			case 0:
+				id++
+			case 1:
+				id -= uint64(c[0])
+			case 2:
+				id = math.MaxUint64 - uint64(c[0]>>2)
+			default:
+				id = id*131 + uint64(c[0])
+			}
+			size := min(int(c[4]>>2), len(data))
+			frames = append(frames, Frame{
+				ID: id, Label: int(int8(c[1])), Trace: uint64(c[2] & 0x0f),
+				Enc: compress.Encoded{
+					Codec: "c" + strings.Repeat("x", int(c[3]>>6)) + string(rune('0'+c[3]&0x3f)),
+					N:     int(c[4]&3) * 64,
+					Data:  data[:size],
+				},
+			})
+			data = data[size:]
+		}
+		r := NewReader(bytes.NewReader(writeFrames(t, frames...)))
+		for i, want := range frames {
+			got, err := r.Recv()
+			if err != nil {
+				t.Fatalf("frame %d of %d: %v", i, len(frames), err)
+			}
+			if !sameFrame(got, want) {
+				t.Fatalf("frame %d = %+v, want %+v", i, got, want)
+			}
+		}
+		if _, err := r.Recv(); err != io.EOF {
+			t.Fatalf("want io.EOF at stream end, got %v", err)
 		}
 	})
 }

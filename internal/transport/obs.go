@@ -20,8 +20,8 @@ import (
 // uplinkMetrics is the ResilientUplink's cached obs handles.
 type uplinkMetrics struct {
 	sink     obs.TraceSink
-	spans    *obs.SpanRing      // nil when spans are disabled
-	health   *obs.DeviceHealth  // this device's fleet-board row
+	spans    *obs.SpanRing     // nil when spans are disabled
+	health   *obs.DeviceHealth // this device's fleet-board row
 	deviceID uint64
 
 	dials     *obs.Counter
@@ -248,14 +248,6 @@ func (m *collectorMetrics) frame(deviceID, frameID, trace uint64, delivered bool
 			Device: deviceID, Trace: trace, Arm: -1, Value: float64(frameID),
 		})
 	}
-}
-
-// legacyFrame records one fire-and-forget frame (no device watermark).
-func (m *collectorMetrics) legacyFrame() {
-	if m == nil {
-		return
-	}
-	m.frames.Inc()
 }
 
 // badConn records a connection dropped on malformed input.

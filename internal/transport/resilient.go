@@ -54,10 +54,13 @@ type ResilientUplink struct {
 	// consumers are promised sequential calls.
 	evMu sync.Mutex
 
+	// The pump's counters are atomics so the per-frame path never takes mu
+	// for bookkeeping; Stats assembles them into an UplinkStats.
+	framesSent, sendFailures, ackFailures, dials, dialFailures atomic.Int64
+
 	mu     sync.Mutex
 	conn   net.Conn // current connection, nil between dials; guarded by mu
 	closed bool     // guarded by mu
-	stats  UplinkStats
 	// drainWait, when non-nil, is closed as soon as the spool is
 	// observed empty after an ACK advance; guarded by mu. WaitDrain
 	// blocks on it instead of polling.
@@ -181,6 +184,10 @@ func (c ResilientConfig) withDefaults() ResilientConfig {
 	return c
 }
 
+// DefaultDialTimeout bounds each dial attempt: a black-holed collector
+// address must fail the device quickly, not hang it forever.
+const DefaultDialTimeout = 10 * time.Second
+
 // ErrUplinkClosed is returned by Send after Close.
 var ErrUplinkClosed = errors.New("transport: uplink closed")
 
@@ -245,13 +252,16 @@ func (u *ResilientUplink) Acked() uint64 { return u.spool.Acked() }
 
 // Stats returns a snapshot of delivery progress.
 func (u *ResilientUplink) Stats() UplinkStats {
-	u.mu.Lock()
-	st := u.stats
-	u.mu.Unlock()
-	st.Acked = u.spool.Acked()
-	st.Pending = u.spool.Len()
-	st.Dropped = u.spool.Dropped()
-	return st
+	return UplinkStats{
+		FramesSent:   int(u.framesSent.Load()),
+		Acked:        u.spool.Acked(),
+		Dials:        int(u.dials.Load()),
+		DialFailures: int(u.dialFailures.Load()),
+		SendFailures: int(u.sendFailures.Load()),
+		AckFailures:  int(u.ackFailures.Load()),
+		Pending:      u.spool.Len(),
+		Dropped:      u.spool.Dropped(),
+	}
 }
 
 // WaitDrain blocks until every spooled frame is acknowledged or the
@@ -316,6 +326,9 @@ func (u *ResilientUplink) Close() error {
 }
 
 func (u *ResilientUplink) event(e Event) {
+	if u.cfg.OnEvent == nil && u.om == nil {
+		return
+	}
 	u.evMu.Lock()
 	defer u.evMu.Unlock()
 	if u.cfg.OnEvent != nil {
@@ -404,10 +417,7 @@ func (u *ResilientUplink) dropConn() {
 // On failure it records the event and backs off; it reports whether a
 // connection is installed.
 func (u *ResilientUplink) connect() bool {
-	u.mu.Lock()
-	u.stats.Dials++
-	attempt := uint64(u.stats.Dials)
-	u.mu.Unlock()
+	attempt := uint64(u.dials.Add(1))
 	conn, err := u.cfg.Dialer(u.cfg.Addr, u.cfg.DialTimeout)
 	if err == nil {
 		_ = conn.SetWriteDeadline(time.Now().Add(u.cfg.WriteTimeout))
@@ -421,9 +431,7 @@ func (u *ResilientUplink) connect() bool {
 		}
 	}
 	if err != nil {
-		u.mu.Lock()
-		u.stats.DialFailures++
-		u.mu.Unlock()
+		u.dialFailures.Add(1)
 		u.event(Event{Kind: "dial-fail", ID: attempt, Err: err.Error()})
 		wait := u.boff.next()
 		u.event(Event{Kind: "backoff", Wait: wait})
@@ -461,23 +469,17 @@ func (u *ResilientUplink) sendOne(e *store.Entry) error {
 		err = w.Flush()
 	}
 	if err != nil {
-		u.mu.Lock()
-		u.stats.SendFailures++
-		u.mu.Unlock()
+		u.sendFailures.Add(1)
 		u.event(Event{Kind: "send-fail", ID: e.ID, Err: err.Error()})
 		return err
 	}
-	u.mu.Lock()
-	u.stats.FramesSent++
-	u.mu.Unlock()
+	u.framesSent.Add(1)
 	u.event(Event{Kind: "send", ID: e.ID})
 	u.om.spanSend(e.Trace, e.ID)
 	_ = conn.SetReadDeadline(time.Now().Add(u.cfg.AckTimeout))
 	next, err := readAck(br)
 	if err != nil {
-		u.mu.Lock()
-		u.stats.AckFailures++
-		u.mu.Unlock()
+		u.ackFailures.Add(1)
 		u.event(Event{Kind: "ack-fail", ID: e.ID, Err: err.Error()})
 		return err
 	}
@@ -558,15 +560,11 @@ func (u *ResilientUplink) sessionPipelined() error {
 			err = w.Flush()
 		}
 		if err != nil {
-			u.mu.Lock()
-			u.stats.SendFailures++
-			u.mu.Unlock()
+			u.sendFailures.Add(1)
 			u.event(Event{Kind: "send-fail", ID: e.ID, Err: err.Error()})
 			return teardown(err)
 		}
-		u.mu.Lock()
-		u.stats.FramesSent++
-		u.mu.Unlock()
+		u.framesSent.Add(1)
 		u.event(Event{Kind: "send", ID: e.ID})
 		u.om.spanSend(e.Trace, e.ID)
 		cursor, sentAny = e.ID, true
@@ -594,9 +592,7 @@ func (u *ResilientUplink) ackLoop(conn net.Conn, br *bufio.Reader, sent, stop <-
 		_ = conn.SetReadDeadline(time.Now().Add(u.cfg.AckTimeout))
 		next, err := readAck(br)
 		if err != nil {
-			u.mu.Lock()
-			u.stats.AckFailures++
-			u.mu.Unlock()
+			u.ackFailures.Add(1)
 			u.event(Event{Kind: "ack-fail", Err: err.Error()})
 			ackErr <- err
 			return

@@ -89,8 +89,8 @@ func (c CollectorConfig) withDefaults() CollectorConfig {
 // segments to a sink. It is the minimal centralized counterpart an
 // AdaEdge deployment transmits to.
 //
-// Connections that open with a session hello get reliable-delivery
-// semantics: the collector tracks a per-device cumulative watermark and
+// Every connection opens with a session hello (anything else is a bad
+// connection). The collector tracks a per-device cumulative watermark and
 // drops redelivered segments (the resilient uplink retransmits everything
 // unacknowledged after a reconnect), so the sink sees each segment ID at
 // most once per device even though the wire is at-least-once.
@@ -291,31 +291,10 @@ func (c *Collector) Serve(addr string) (net.Addr, error) {
 func (c *Collector) handle(conn net.Conn) {
 	defer func() { _ = conn.Close() }()
 	br := bufio.NewReader(conn)
-	if magic, err := br.Peek(len(helloMagic)); err == nil && [4]byte(magic) == helloMagic {
-		c.handleReliable(conn, br)
-		return
+	if _, err := br.Peek(1); err != nil {
+		return // closed before its first byte: nothing was malformed
 	}
-	c.handleLegacy(br)
-}
-
-// handleLegacy is the fire-and-forget path: frames in, nothing out.
-func (c *Collector) handleLegacy(br *bufio.Reader) {
-	r := NewReader(br)
-	for {
-		frame, err := r.Recv()
-		if errors.Is(err, io.EOF) {
-			return
-		}
-		if err != nil {
-			c.noteBadConn()
-			return
-		}
-		c.frames.Add(1)
-		c.om.legacyFrame()
-		values, release := c.decode(frame)
-		c.sink(frame, values)
-		release()
-	}
+	c.handleReliable(conn, br)
 }
 
 // attach takes single-writer ownership of deviceID for conn: it creates
@@ -510,7 +489,7 @@ func (c *Collector) handleReliable(conn net.Conn, br *bufio.Reader) {
 			// would make the herd redial even more expensive. The decode
 			// shares dev.mu with the sink call, which already serializes
 			// this device's deliveries.
-			values, release := c.decode(frame)
+			bp := c.decode(frame)
 			// The spool resends in ID order, so IDs at the watermark (or
 			// above it, if the device shed segments) advance it; anything
 			// below is a redelivery.
@@ -523,8 +502,12 @@ func (c *Collector) handleReliable(conn net.Conn, br *bufio.Reader) {
 			// ID-ordered even if a zombie connection lingers. Counters and
 			// the trace event stay inside the critical section too, so the
 			// per-device event order in the ring matches delivery order.
-			c.sink(frame, values)
-			release()
+			if bp == nil {
+				c.sink(frame, nil)
+			} else {
+				c.sink(frame, *bp)
+				decodeBufPool.Put(bp)
+			}
 		} else {
 			c.duplicates.Add(1)
 			dev.health.NoteRedelivery()
@@ -564,22 +547,21 @@ var decodeBufPool = sync.Pool{
 	New: func() any { b := make([]float64, 0, 256); return &b },
 }
 
-// decode decompresses a frame into a pooled buffer. release returns the
-// buffer to the pool; callers must not touch values after calling it.
-func (c *Collector) decode(frame Frame) (values []float64, release func()) {
+// decode decompresses a frame into a pooled buffer, which the caller Puts
+// back into decodeBufPool once the sink is done with the values. It
+// returns nil when there is no registry or the frame does not decode.
+func (c *Collector) decode(frame Frame) *[]float64 {
 	if c.reg == nil {
-		return nil, func() {}
+		return nil
 	}
 	bp := decodeBufPool.Get().(*[]float64)
 	out, err := c.reg.DecompressInto((*bp)[:0], frame.Enc)
 	if err != nil {
 		decodeBufPool.Put(bp)
-		return nil, func() {}
+		return nil
 	}
 	*bp = out
-	return out, func() {
-		decodeBufPool.Put(bp)
-	}
+	return bp
 }
 
 func (c *Collector) noteBadConn() {
@@ -678,64 +660,4 @@ func (c *Collector) Close() error {
 		}
 	}
 	return err
-}
-
-// DefaultDialTimeout bounds Dial: a black-holed collector address must
-// fail the device quickly, not hang it forever.
-const DefaultDialTimeout = 10 * time.Second
-
-// Uplink is the device-side sender: a connection plus framing. It is the
-// plain fire-and-forget path; see ResilientUplink for spooled,
-// acknowledged delivery.
-type Uplink struct {
-	conn         net.Conn
-	w            *Writer
-	writeTimeout time.Duration
-}
-
-// Dial connects to a Collector with DefaultDialTimeout.
-func Dial(addr string) (*Uplink, error) {
-	return DialTimeout(addr, DefaultDialTimeout)
-}
-
-// DialTimeout connects to a Collector, failing after timeout (0 means no
-// bound).
-func DialTimeout(addr string, timeout time.Duration) (*Uplink, error) {
-	conn, err := net.DialTimeout("tcp", addr, timeout)
-	if err != nil {
-		return nil, err
-	}
-	return &Uplink{conn: conn, w: NewWriter(conn)}, nil
-}
-
-// SetWriteTimeout bounds each Send/Flush: the write deadline is pushed
-// forward by d before every operation (0 disables, the default).
-func (u *Uplink) SetWriteTimeout(d time.Duration) { u.writeTimeout = d }
-
-func (u *Uplink) pushDeadline() {
-	if u.writeTimeout > 0 {
-		_ = u.conn.SetWriteDeadline(time.Now().Add(u.writeTimeout))
-	}
-}
-
-// Send transmits one segment frame.
-func (u *Uplink) Send(f Frame) error {
-	u.pushDeadline()
-	return u.w.Send(f)
-}
-
-// Flush pushes buffered frames.
-func (u *Uplink) Flush() error {
-	u.pushDeadline()
-	return u.w.Flush()
-}
-
-// Close flushes and closes the connection.
-func (u *Uplink) Close() error {
-	u.pushDeadline()
-	if err := u.w.Flush(); err != nil {
-		_ = u.conn.Close() // the flush error is the one worth reporting
-		return err
-	}
-	return u.conn.Close()
 }

@@ -2,7 +2,6 @@ package transport
 
 import (
 	"bytes"
-	"encoding/binary"
 	"testing"
 	"time"
 
@@ -18,73 +17,22 @@ func tracedFrame(id uint64) Frame {
 	return f
 }
 
-// TestFrameTraceRoundTrip pins the AES2 header: a traced frame leads
-// with the v2 magic and round-trips its trace identity; everything else
-// matches the v1 layout.
+// TestFrameTraceRoundTrip: a traced frame round-trips its trace identity
+// beside everything else, and an untraced one decodes to trace zero
+// (TestFrameGoldenStream pins the bytes).
 func TestFrameTraceRoundTrip(t *testing.T) {
-	var buf bytes.Buffer
-	w := NewWriter(&buf)
 	want := tracedFrame(3)
 	want.Trace = 1 << 40 // multi-byte uvarint
-	if err := w.Send(want); err != nil {
-		t.Fatal(err)
-	}
-	if err := w.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.HasPrefix(buf.Bytes(), []byte("AES2")) {
-		t.Fatalf("traced frame magic = %q, want AES2", buf.Bytes()[:4])
-	}
-	got, err := NewReader(&buf).Recv()
+	r := NewReader(bytes.NewReader(writeFrames(t, want, smallFrame(4))))
+	got, err := r.Recv()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.Trace != want.Trace || got.ID != want.ID || got.Label != want.Label {
+	if !sameFrame(got, want) {
 		t.Fatalf("round trip = %+v, want %+v", got, want)
 	}
-	if got.Enc.Codec != want.Enc.Codec || !bytes.Equal(got.Enc.Data, want.Enc.Data) {
-		t.Fatalf("payload drifted: %+v", got.Enc)
-	}
-}
-
-// TestFrameUntracedByteIdentical pins wire compatibility: a zero-trace
-// frame must serialize byte-for-byte as the original AES1 layout — the
-// trace field is absent, not zero-encoded — so uninstrumented senders
-// and pre-span captures stay indistinguishable.
-func TestFrameUntracedByteIdentical(t *testing.T) {
-	f := smallFrame(7) // Trace zero
-	var got bytes.Buffer
-	w := NewWriter(&got)
-	if err := w.Send(f); err != nil {
-		t.Fatal(err)
-	}
-	if err := w.Flush(); err != nil {
-		t.Fatal(err)
-	}
-
-	// Hand-rolled AES1 encoding of the same frame.
-	var want bytes.Buffer
-	var tmp [binary.MaxVarintLen64]byte
-	put := func(v uint64) { want.Write(tmp[:binary.PutUvarint(tmp[:], v)]) }
-	want.WriteString("AES1")
-	put(f.ID)
-	put(zigzag(int64(f.Label)))
-	put(uint64(len(f.Enc.Codec)))
-	want.WriteString(f.Enc.Codec)
-	put(uint64(f.Enc.N))
-	put(uint64(len(f.Enc.Data)))
-	want.Write(f.Enc.Data)
-
-	if !bytes.Equal(got.Bytes(), want.Bytes()) {
-		t.Fatalf("zero-trace frame not byte-identical to AES1:\n got %x\nwant %x", got.Bytes(), want.Bytes())
-	}
-
-	rt, err := NewReader(&got).Recv()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rt.Trace != 0 {
-		t.Fatalf("AES1 frame decoded trace %d, want 0", rt.Trace)
+	if got, err = r.Recv(); err != nil || got.Trace != 0 {
+		t.Fatalf("untraced frame decoded trace %d (err %v), want 0", got.Trace, err)
 	}
 }
 

@@ -18,19 +18,38 @@ type Frame struct {
 	Label int
 	// Trace is the span identity joining this frame's collector-side
 	// delivery to its device-side lifecycle (see internal/obs). Zero
-	// means "no trace": the frame is emitted with the original AES1
-	// header, byte-identical to pre-span senders. Non-zero traces ride
-	// the AES2 header, one extra uvarint after the label.
+	// means "no trace" and costs nothing on the wire; a non-zero trace
+	// sets the tag's traced bit and rides as one uvarint after the label.
 	Trace uint64
 	// Enc is the compressed representation plus codec metadata.
 	Enc compress.Encoded
 }
 
-var frameMagic = [4]byte{'A', 'E', 'S', '1'}
+// Frame layout. The header is stateful per stream: Writer and Reader each
+// remember the previous frame's ID and N and a dictionary of the codec
+// names seen so far, and a frame carries only what differs.
+//
+//	tag | [uvarint len(codec) | codec] | [zigzag ID delta] | zigzag label |
+//	[uvarint trace] | [uvarint N] | uvarint len(data) | data
+//
+// The tag's low five bits are a codec slot; tagInline means the name
+// follows inline instead. Both ends give an inline name the next free slot,
+// in first-use order, until the dictionary is full; later new names stay
+// inline. The ID is written (as the zigzag distance from previous ID + 1)
+// only when it is not previous ID + 1, N only when it differs from the
+// previous frame's. The first frame of a stream has no previous frame, so
+// it carries both and an inline name: every stream is self-describing from
+// its first byte, which is what lets a redial resume without negotiation.
+const (
+	tagSlotMask = 0x1f
+	tagInline   = tagSlotMask // slot value meaning "name follows"
+	tagTraced   = 0x20
+	tagID       = 0x40
+	tagN        = 0x80
 
-// frameMagicV2 marks a traced frame: same layout as AES1 plus one trace
-// uvarint between the label and the codec name. Readers accept both.
-var frameMagicV2 = [4]byte{'A', 'E', 'S', '2'}
+	// maxCodecSlots bounds the per-stream codec dictionary.
+	maxCodecSlots = tagInline
+)
 
 // ErrBadFrame is returned on malformed input.
 var ErrBadFrame = errors.New("transport: bad frame")
@@ -46,21 +65,25 @@ const maxFrameData = 1 << 30
 // comfortably fits an int32.
 const maxFramePoints = 1 << 27
 
+// streamState is the previous-frame state both ends of a stream keep.
+type streamState struct {
+	started bool
+	nextID  uint64 // previous frame's ID + 1
+	n       int    // previous frame's point count
+	names   [maxCodecSlots]string
+	slots   int // names[:slots] are assigned
+}
+
 // Writer frames segments onto an io.Writer.
 type Writer struct {
 	w   *bufio.Writer
-	tmp [binary.MaxVarintLen64]byte
+	st  streamState
+	hdr []byte // header scratch, reused across frames
 }
 
 // NewWriter wraps w.
 func NewWriter(w io.Writer) *Writer {
-	return &Writer{w: bufio.NewWriter(w)}
-}
-
-func (t *Writer) uvarint(v uint64) error {
-	n := binary.PutUvarint(t.tmp[:], v)
-	_, err := t.w.Write(t.tmp[:n])
-	return err
+	return &Writer{w: bufio.NewWriter(w), hdr: make([]byte, 0, 64)}
 }
 
 // Send writes one frame. Call Flush (or Send more frames and then Flush)
@@ -72,34 +95,49 @@ func (t *Writer) Send(f Frame) error {
 	if f.Enc.N < 0 || f.Enc.N > maxFramePoints {
 		return fmt.Errorf("%w: point count %d", ErrBadFrame, f.Enc.N)
 	}
-	magic := frameMagic
-	if f.Trace != 0 {
-		magic = frameMagicV2
+	st := &t.st
+	slot := 0
+	for slot < st.slots && st.names[slot] != f.Enc.Codec {
+		slot++
 	}
-	if _, err := t.w.Write(magic[:]); err != nil {
-		return err
-	}
-	if err := t.uvarint(f.ID); err != nil {
-		return err
-	}
-	if err := t.uvarint(zigzag(int64(f.Label))); err != nil {
-		return err
+	tag := byte(slot)
+	if slot == st.slots {
+		tag = tagInline
 	}
 	if f.Trace != 0 {
-		if err := t.uvarint(f.Trace); err != nil {
-			return err
+		tag |= tagTraced
+	}
+	if !st.started || f.ID != st.nextID {
+		tag |= tagID
+	}
+	if !st.started || f.Enc.N != st.n {
+		tag |= tagN
+	}
+	b := append(t.hdr[:0], tag)
+	if tag&tagSlotMask == tagInline {
+		b = binary.AppendUvarint(b, uint64(len(f.Enc.Codec)))
+		b = append(b, f.Enc.Codec...)
+		if st.slots < maxCodecSlots {
+			st.names[st.slots] = f.Enc.Codec
+			st.slots++
 		}
 	}
-	if err := t.uvarint(uint64(len(f.Enc.Codec))); err != nil {
-		return err
+	if tag&tagID != 0 {
+		b = binary.AppendUvarint(b, zigzag(int64(f.ID-st.nextID)))
 	}
-	if _, err := t.w.WriteString(f.Enc.Codec); err != nil {
-		return err
+	b = binary.AppendUvarint(b, zigzag(int64(f.Label)))
+	if tag&tagTraced != 0 {
+		b = binary.AppendUvarint(b, f.Trace)
 	}
-	if err := t.uvarint(uint64(f.Enc.N)); err != nil {
-		return err
+	if tag&tagN != 0 {
+		b = binary.AppendUvarint(b, uint64(f.Enc.N))
 	}
-	if err := t.uvarint(uint64(len(f.Enc.Data))); err != nil {
+	b = binary.AppendUvarint(b, uint64(len(f.Enc.Data)))
+	t.hdr = b
+	st.started, st.nextID, st.n = true, f.ID+1, f.Enc.N
+	// A write error leaves the reader's state behind the writer's, but
+	// bufio.Writer errors are sticky: the stream is over either way.
+	if _, err := t.w.Write(b); err != nil {
 		return err
 	}
 	_, err := t.w.Write(f.Enc.Data)
@@ -111,7 +149,8 @@ func (t *Writer) Flush() error { return t.w.Flush() }
 
 // Reader parses frames from an io.Reader.
 type Reader struct {
-	r *bufio.Reader
+	r  *bufio.Reader
+	st streamState
 }
 
 // NewReader wraps r.
@@ -122,59 +161,85 @@ func NewReader(r io.Reader) *Reader {
 // Recv reads the next frame. io.EOF signals a clean end of stream (the
 // sender closed between frames); any mid-frame truncation is an error.
 func (t *Reader) Recv() (Frame, error) {
-	var magic [4]byte
-	if _, err := io.ReadFull(t.r, magic[:]); err != nil {
+	tag, err := t.r.ReadByte()
+	if err != nil {
 		if err == io.EOF {
 			return Frame{}, io.EOF
 		}
-		return Frame{}, fmt.Errorf("%w: %v", ErrBadFrame, err)
+		return Frame{}, badFrame(err)
 	}
-	traced := magic == frameMagicV2
-	if magic != frameMagic && !traced {
-		return Frame{}, ErrBadFrame
+	st := &t.st
+	if !st.started && tag&(tagID|tagN) != tagID|tagN {
+		return Frame{}, fmt.Errorf("%w: first frame leans on a previous one", ErrBadFrame)
 	}
 	var f Frame
-	var err error
-	if f.ID, err = binary.ReadUvarint(t.r); err != nil {
-		return Frame{}, fmt.Errorf("%w: %v", ErrBadFrame, err)
+	if slot := int(tag & tagSlotMask); slot != tagInline {
+		if slot >= st.slots {
+			return Frame{}, fmt.Errorf("%w: undefined codec slot %d", ErrBadFrame, slot)
+		}
+		f.Enc.Codec = st.names[slot]
+	} else {
+		nameLen, err := binary.ReadUvarint(t.r)
+		if err != nil || nameLen == 0 || nameLen > 255 {
+			return Frame{}, ErrBadFrame
+		}
+		// Peek, not ReadFull into a fresh slice: the name is copied once,
+		// into the string the dictionary keeps.
+		name, err := t.r.Peek(int(nameLen))
+		if err != nil {
+			return Frame{}, badFrame(err)
+		}
+		f.Enc.Codec = string(name)
+		if _, err := t.r.Discard(len(name)); err != nil {
+			return Frame{}, badFrame(err)
+		}
+		if st.slots < maxCodecSlots {
+			st.names[st.slots] = f.Enc.Codec
+			st.slots++
+		}
+	}
+	f.ID = st.nextID
+	if tag&tagID != 0 {
+		delta, err := binary.ReadUvarint(t.r)
+		if err != nil {
+			return Frame{}, badFrame(err)
+		}
+		f.ID += uint64(unzigzag(delta))
 	}
 	labelZZ, err := binary.ReadUvarint(t.r)
 	if err != nil {
-		return Frame{}, fmt.Errorf("%w: %v", ErrBadFrame, err)
+		return Frame{}, badFrame(err)
 	}
 	f.Label = int(unzigzag(labelZZ))
-	if traced {
+	if tag&tagTraced != 0 {
 		if f.Trace, err = binary.ReadUvarint(t.r); err != nil {
-			return Frame{}, fmt.Errorf("%w: %v", ErrBadFrame, err)
+			return Frame{}, badFrame(err)
 		}
 	}
-	nameLen, err := binary.ReadUvarint(t.r)
-	if err != nil || nameLen == 0 || nameLen > 255 {
-		return Frame{}, ErrBadFrame
+	f.Enc.N = st.n
+	if tag&tagN != 0 {
+		n, err := binary.ReadUvarint(t.r)
+		if err != nil {
+			return Frame{}, badFrame(err)
+		}
+		if n > maxFramePoints {
+			return Frame{}, fmt.Errorf("%w: point count %d", ErrBadFrame, n)
+		}
+		f.Enc.N = int(n)
 	}
-	name := make([]byte, nameLen)
-	if _, err := io.ReadFull(t.r, name); err != nil {
-		return Frame{}, fmt.Errorf("%w: %v", ErrBadFrame, err)
-	}
-	f.Enc.Codec = string(name)
-	n, err := binary.ReadUvarint(t.r)
-	if err != nil {
-		return Frame{}, fmt.Errorf("%w: %v", ErrBadFrame, err)
-	}
-	if n > maxFramePoints {
-		return Frame{}, fmt.Errorf("%w: point count %d", ErrBadFrame, n)
-	}
-	f.Enc.N = int(n)
 	dataLen, err := binary.ReadUvarint(t.r)
 	if err != nil || dataLen > maxFrameData {
 		return Frame{}, ErrBadFrame
 	}
 	f.Enc.Data = make([]byte, dataLen)
 	if _, err := io.ReadFull(t.r, f.Enc.Data); err != nil {
-		return Frame{}, fmt.Errorf("%w: %v", ErrBadFrame, err)
+		return Frame{}, badFrame(err)
 	}
+	st.started, st.nextID, st.n = true, f.ID+1, f.Enc.N
 	return f, nil
 }
+
+func badFrame(err error) error { return fmt.Errorf("%w: %v", ErrBadFrame, err) }
 
 func zigzag(v int64) uint64   { return uint64((v << 1) ^ (v >> 63)) }
 func unzigzag(u uint64) int64 { return int64(u>>1) ^ -int64(u&1) }

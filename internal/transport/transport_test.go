@@ -7,6 +7,7 @@ import (
 	"errors"
 	"io"
 	"math"
+	"math/rand"
 	"net"
 	"strings"
 	"sync"
@@ -45,27 +46,14 @@ func sampleFrames(t *testing.T, n int) ([]Frame, [][]float64) {
 
 func TestFrameRoundTrip(t *testing.T) {
 	frames, _ := sampleFrames(t, 17) // one per codec
-	var buf bytes.Buffer
-	w := NewWriter(&buf)
-	for _, f := range frames {
-		if err := w.Send(f); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := w.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	r := NewReader(&buf)
+	r := NewReader(bytes.NewReader(writeFrames(t, frames...)))
 	for i, want := range frames {
 		got, err := r.Recv()
 		if err != nil {
 			t.Fatalf("frame %d: %v", i, err)
 		}
-		if got.ID != want.ID || got.Label != want.Label || got.Enc.Codec != want.Enc.Codec || got.Enc.N != want.Enc.N {
-			t.Fatalf("frame %d metadata: %+v vs %+v", i, got, want)
-		}
-		if !bytes.Equal(got.Enc.Data, want.Enc.Data) {
-			t.Fatalf("frame %d payload differs", i)
+		if !sameFrame(got, want) {
+			t.Fatalf("frame %d = %+v, want %+v", i, got, want)
 		}
 	}
 	if _, err := r.Recv(); err != io.EOF {
@@ -74,14 +62,8 @@ func TestFrameRoundTrip(t *testing.T) {
 }
 
 func TestFrameNegativeLabel(t *testing.T) {
-	var buf bytes.Buffer
-	w := NewWriter(&buf)
 	f := Frame{ID: 3, Label: -1, Enc: compress.Encoded{Codec: "paa", Data: []byte{1}, N: 1}}
-	if err := w.Send(f); err != nil {
-		t.Fatal(err)
-	}
-	w.Flush()
-	got, err := NewReader(&buf).Recv()
+	got, err := NewReader(bytes.NewReader(writeFrames(t, f))).Recv()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -90,15 +72,175 @@ func TestFrameNegativeLabel(t *testing.T) {
 	}
 }
 
-func TestFrameRejectsBadInput(t *testing.T) {
-	cases := [][]byte{
-		{'X', 'X', 'X', 'X'},
-		{'A', 'E', 'S', '1'},            // truncated
-		append([]byte("AES1"), 1, 2, 0), // zero-length codec name
+// goldenFrames is the fixed stream the layout tests pin: a first frame, an
+// in-order repeat, a switch to a new codec name, a switch back to a known
+// slot, and a traced frame with a backwards ID and a new N.
+var goldenFrames = []Frame{
+	smallFrame(7),
+	smallFrame(8),
+	{ID: 9, Label: -1, Enc: compress.Encoded{Codec: "gorilla", Data: []byte{9, 9}, N: 4}},
+	smallFrame(10),
+	{ID: 3, Label: 2, Trace: 4, Enc: compress.Encoded{Codec: "paa", Data: []byte{1}, N: 128}},
+}
+
+// goldenWire is goldenFrames on the wire, one frame per line.
+var goldenWire = [][]byte{
+	// tag inline|ID|N, len "paa", zigzag(7-0), zigzag(1), N 4, len 4, data
+	{0xdf, 3, 'p', 'a', 'a', 14, 2, 4, 4, 7, 1, 2, 3},
+	// tag slot 0, label, len, data: the three-byte steady-state header
+	{0x00, 2, 4, 8, 1, 2, 3},
+	// tag inline, len "gorilla", zigzag(-1), len 2, data (ID and N implied)
+	{0x1f, 7, 'g', 'o', 'r', 'i', 'l', 'l', 'a', 1, 2, 9, 9},
+	{0x00, 2, 4, 10, 1, 2, 3},
+	// tag slot 0|traced|ID|N, zigzag(3-11), zigzag(2), trace 4, N 128, len 1, data
+	{0xe0, 15, 4, 4, 0x80, 1, 1, 1},
+}
+
+// writeFrames runs frames through a fresh Writer and returns the bytes.
+func writeFrames(t testing.TB, frames ...Frame) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	w := NewWriter(&buf)
+	for i, f := range frames {
+		if err := w.Send(f); err != nil {
+			t.Fatalf("send %d: %v", i, err)
+		}
 	}
-	for i, data := range cases {
-		if _, err := NewReader(bytes.NewReader(data)).Recv(); err == nil || err == io.EOF {
-			t.Errorf("case %d: bad frame accepted (%v)", i, err)
+	if err := w.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+func sameFrame(a, b Frame) bool {
+	return a.ID == b.ID && a.Label == b.Label && a.Trace == b.Trace &&
+		a.Enc.Codec == b.Enc.Codec && a.Enc.N == b.Enc.N && bytes.Equal(a.Enc.Data, b.Enc.Data)
+}
+
+// TestFrameGoldenStream pins the wire layout byte for byte, and that the
+// reader inverts it.
+func TestFrameGoldenStream(t *testing.T) {
+	want := bytes.Join(goldenWire, nil)
+	got := writeFrames(t, goldenFrames...)
+	if !bytes.Equal(got, want) {
+		t.Fatalf("golden stream drifted:\n got %x\nwant %x", got, want)
+	}
+	r := NewReader(bytes.NewReader(want))
+	for i, f := range goldenFrames {
+		rt, err := r.Recv()
+		if err != nil {
+			t.Fatalf("frame %d: %v", i, err)
+		}
+		if !sameFrame(rt, f) {
+			t.Fatalf("frame %d = %+v, want %+v", i, rt, f)
+		}
+	}
+	if _, err := r.Recv(); err != io.EOF {
+		t.Fatalf("want io.EOF at stream end, got %v", err)
+	}
+}
+
+// TestFrameSteadyStateHeaderSize: an in-order frame repeating the previous
+// codec and N, with a label in [-64, 63] and a payload under 128 bytes,
+// costs exactly three header bytes.
+func TestFrameSteadyStateHeaderSize(t *testing.T) {
+	for _, label := range []int{-64, -1, 0, 63} {
+		for _, size := range []int{0, 88, 127} {
+			f := Frame{ID: 41, Label: label, Enc: compress.Encoded{Codec: "bufflossy", Data: make([]byte, size), N: 128}}
+			next := f
+			next.ID++
+			one, both := len(writeFrames(t, f)), len(writeFrames(t, f, next))
+			if header := both - one - size; header != 3 {
+				t.Errorf("label %d, payload %d: %d header bytes, want 3", label, size, header)
+			}
+		}
+	}
+}
+
+// TestFrameRoundTripRandomSequences is the property test: any frame
+// sequence the Writer accepts comes back equal, including IDs that jump,
+// go backwards or sit next to MaxUint64, N changes, and more distinct
+// codec names than the dictionary holds.
+func TestFrameRoundTripRandomSequences(t *testing.T) {
+	rng := rand.New(rand.NewSource(16))
+	names := make([]string, maxCodecSlots+9)
+	for i := range names {
+		names[i] = "codec-" + strings.Repeat("x", i%5) + string(rune('A'+i))
+	}
+	names[3] = strings.Repeat("n", 255)
+	for seq := 0; seq < 200; seq++ {
+		frames := make([]Frame, 1+rng.Intn(80))
+		var id uint64
+		n := rng.Intn(300)
+		for i := range frames {
+			switch rng.Intn(8) {
+			case 0:
+				id = rng.Uint64()
+			case 1:
+				id = math.MaxUint64 - uint64(rng.Intn(3))
+			case 2:
+				id -= uint64(rng.Intn(1000))
+			case 3:
+				id += uint64(rng.Intn(1000))
+			default:
+				id++
+			}
+			if rng.Intn(6) == 0 {
+				n = rng.Intn(maxFramePoints + 1)
+			}
+			f := Frame{ID: id, Label: rng.Intn(400) - 200}
+			if rng.Intn(3) == 0 {
+				f.Trace = rng.Uint64()
+			}
+			// Early sequences stay inside the dictionary, later ones
+			// overflow it.
+			f.Enc.Codec = names[rng.Intn(1+(seq*len(names))/200)]
+			f.Enc.N = n
+			f.Enc.Data = make([]byte, rng.Intn(300))
+			rng.Read(f.Enc.Data)
+			frames[i] = f
+		}
+		r := NewReader(bytes.NewReader(writeFrames(t, frames...)))
+		for i, want := range frames {
+			got, err := r.Recv()
+			if err != nil {
+				t.Fatalf("sequence %d frame %d: %v", seq, i, err)
+			}
+			if !sameFrame(got, want) {
+				t.Fatalf("sequence %d frame %d = %+v, want %+v", seq, i, got, want)
+			}
+		}
+		if _, err := r.Recv(); err != io.EOF {
+			t.Fatalf("sequence %d: want io.EOF at stream end, got %v", seq, err)
+		}
+	}
+}
+
+// TestFrameRejectsBadInput: hostile bytes are ErrBadFrame, never a panic
+// and never a frame.
+func TestFrameRejectsBadInput(t *testing.T) {
+	first := goldenWire[0]
+	longName := append([]byte{0xdf, 0x80, 0x02}, bytes.Repeat([]byte{'n'}, 256)...)
+	cases := map[string][]byte{
+		"first frame names a slot":         {0xc3, 14, 2, 4, 0},
+		"slot never defined":               append(append([]byte(nil), first...), 0x01, 2, 0),
+		"first frame without ID and N":     {0x1f, 3, 'p', 'a', 'a', 2, 0},
+		"first frame without ID":           {0x9f, 3, 'p', 'a', 'a', 2, 4, 0},
+		"first frame without N":            {0x5f, 3, 'p', 'a', 'a', 14, 2, 0},
+		"zero-length inline name":          {0xdf, 0, 14, 2, 4, 0},
+		"256-byte inline name":             append(longName, 14, 2, 4, 0),
+		"name length overflows uvarint":    append([]byte{0xdf}, bytes.Repeat([]byte{0xff}, 11)...),
+		"payload length past maxFrameData": {0xdf, 3, 'p', 'a', 'a', 14, 2, 4, 0x81, 0x80, 0x80, 0x80, 0x04},
+		"truncated after the tag":          {0xdf},
+	}
+	for name, data := range cases {
+		r := NewReader(bytes.NewReader(data))
+		var err error
+		for i := 0; err == nil && i < 8; i++ {
+			_, err = r.Recv()
+		}
+		if !errors.Is(err, ErrBadFrame) {
+			t.Errorf("%s: want ErrBadFrame, got %v", name, err)
 		}
 	}
 	// Empty codec name rejected at send time.
@@ -107,35 +249,53 @@ func TestFrameRejectsBadInput(t *testing.T) {
 	}
 }
 
+// TestFrameTruncatedEverywhere cuts the golden stream at every byte
+// offset: a cut between frames is a clean io.EOF after the frames before
+// it, a cut anywhere else is ErrBadFrame.
+func TestFrameTruncatedEverywhere(t *testing.T) {
+	full := bytes.Join(goldenWire, nil)
+	boundary := map[int]int{0: 0} // offset → frames before it
+	for i, off := 0, 0; i < len(goldenWire); i++ {
+		off += len(goldenWire[i])
+		boundary[off] = i + 1
+	}
+	for cut := 0; cut <= len(full); cut++ {
+		r := NewReader(bytes.NewReader(full[:cut]))
+		frames := 0
+		var err error
+		for {
+			if _, err = r.Recv(); err != nil {
+				break
+			}
+			frames++
+		}
+		if want, clean := boundary[cut]; clean {
+			if err != io.EOF || frames != want {
+				t.Errorf("cut at %d: %d frames then %v, want %d then io.EOF", cut, frames, err, want)
+			}
+		} else if !errors.Is(err, ErrBadFrame) {
+			t.Errorf("cut at %d: want ErrBadFrame, got %v", cut, err)
+		}
+	}
+}
+
 func TestFrameTruncatedMidPayload(t *testing.T) {
-	var buf bytes.Buffer
-	w := NewWriter(&buf)
-	w.Send(Frame{ID: 1, Enc: compress.Encoded{Codec: "paa", Data: make([]byte, 100), N: 10}})
-	w.Flush()
-	data := buf.Bytes()[:buf.Len()-10]
-	r := NewReader(bytes.NewReader(data))
+	data := writeFrames(t, Frame{ID: 1, Enc: compress.Encoded{Codec: "paa", Data: make([]byte, 100), N: 10}})
+	r := NewReader(bytes.NewReader(data[:len(data)-10]))
 	if _, err := r.Recv(); err == nil || err == io.EOF {
 		t.Fatalf("truncated payload accepted: %v", err)
 	}
 }
 
-// rawFrameWithN builds frame bytes whose point-count uvarint the Writer
-// would refuse to produce, so the Reader's own bound is what gets tested.
+// rawFrameWithN builds first-frame bytes whose point-count uvarint the
+// Writer would refuse to produce, so the Reader's own bound is what gets
+// tested.
 func rawFrameWithN(n uint64) []byte {
-	var buf bytes.Buffer
-	buf.WriteString("AES1")
-	var tmp [binary.MaxVarintLen64]byte
-	put := func(v uint64) {
-		k := binary.PutUvarint(tmp[:], v)
-		buf.Write(tmp[:k])
-	}
-	put(7)                // id
-	put(zigzag(int64(1))) // label
-	put(3)
-	buf.WriteString("paa")
-	put(n) // point count under test
-	put(0) // empty payload
-	return buf.Bytes()
+	b := []byte{tagInline | tagID | tagN, 3, 'p', 'a', 'a'}
+	b = binary.AppendUvarint(b, zigzag(7)) // id
+	b = binary.AppendUvarint(b, zigzag(1)) // label
+	b = binary.AppendUvarint(b, n)         // point count under test
+	return append(b, 0)                    // empty payload
 }
 
 // TestRecvRejectsHostilePointCount is the regression for the unvalidated
@@ -153,8 +313,8 @@ func TestRecvRejectsHostilePointCount(t *testing.T) {
 	if err != nil {
 		t.Fatalf("N at bound rejected: %v", err)
 	}
-	if f.Enc.N != maxFramePoints {
-		t.Fatalf("N = %d, want %d", f.Enc.N, maxFramePoints)
+	if f.Enc.N != maxFramePoints || f.ID != 7 || f.Label != 1 {
+		t.Fatalf("frame = %+v, want ID 7, label 1, N %d", f, maxFramePoints)
 	}
 }
 
@@ -188,7 +348,7 @@ func TestAckRoundTripAndTruncation(t *testing.T) {
 	if _, err := readAck(bufio.NewReader(bytes.NewReader(nil))); err != io.EOF {
 		t.Fatalf("empty stream: want io.EOF, got %v", err)
 	}
-	if _, err := readAck(bufio.NewReader(bytes.NewReader([]byte("AES1\x00")))); !errors.Is(err, ErrBadFrame) {
+	if _, err := readAck(bufio.NewReader(bytes.NewReader([]byte("AEH1\x00")))); !errors.Is(err, ErrBadFrame) {
 		t.Fatalf("foreign magic: want ErrBadFrame, got %v", err)
 	}
 }
@@ -253,6 +413,20 @@ func TestCollectorServeGuards(t *testing.T) {
 	}
 }
 
+// waitFrames polls until the collector has delivered n frames.
+func waitFrames(t *testing.T, col *Collector, n int) {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	for col.Frames() < n {
+		if time.Now().After(deadline) {
+			t.Fatalf("received %d/%d frames", col.Frames(), n)
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+}
+
+// TestDialTimeoutRefused: a dead collector address costs the device a
+// failed dial, not a hang, and the frame stays spooled.
 func TestDialTimeoutRefused(t *testing.T) {
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -260,8 +434,26 @@ func TestDialTimeoutRefused(t *testing.T) {
 	}
 	addr := ln.Addr().String()
 	_ = ln.Close()
-	if _, err := DialTimeout(addr, 500*time.Millisecond); err == nil {
-		t.Fatal("dial to a closed port succeeded")
+	up, err := DialResilient(ResilientConfig{
+		Addr: addr, DialTimeout: 500 * time.Millisecond,
+		BackoffBase: time.Millisecond, BackoffMax: 5 * time.Millisecond,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer up.Close()
+	if err := up.Send(smallFrame(0)); err != nil {
+		t.Fatal(err)
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for up.Stats().DialFailures == 0 {
+		if time.Now().After(deadline) {
+			t.Fatal("dial to a closed port never failed")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	if st := up.Stats(); st.Pending != 1 || st.FramesSent != 0 {
+		t.Fatalf("stats after refused dials = %+v, want the frame still spooled", st)
 	}
 }
 
@@ -272,27 +464,21 @@ func TestUplinkWriteTimeout(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer col.Close()
-	up, err := Dial(addr.String())
+	up, err := DialResilient(ResilientConfig{Addr: addr.String(), WriteTimeout: 2 * time.Second})
 	if err != nil {
 		t.Fatal(err)
 	}
-	up.SetWriteTimeout(2 * time.Second)
+	defer up.Close()
 	frames, _ := sampleFrames(t, 3)
 	for _, f := range frames {
 		if err := up.Send(f); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if err := up.Close(); err != nil {
+	if err := up.WaitDrain(5 * time.Second); err != nil {
 		t.Fatal(err)
 	}
-	deadline := time.Now().Add(5 * time.Second)
-	for col.Frames() < len(frames) {
-		if time.Now().After(deadline) {
-			t.Fatalf("frames = %d", col.Frames())
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
+	waitFrames(t, col, len(frames))
 }
 
 func TestCollectorEndToEnd(t *testing.T) {
@@ -313,29 +499,20 @@ func TestCollectorEndToEnd(t *testing.T) {
 	defer col.Close()
 
 	frames, raws := sampleFrames(t, 12)
-	up, err := Dial(addr.String())
+	up, err := DialResilient(ResilientConfig{Addr: addr.String(), Protocol: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer up.Close()
 	for _, f := range frames {
 		if err := up.Send(f); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if err := up.Close(); err != nil {
+	if err := up.WaitDrain(5 * time.Second); err != nil {
 		t.Fatal(err)
 	}
-
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		if col.Frames() >= len(frames) {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("received %d/%d frames", col.Frames(), len(frames))
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
+	waitFrames(t, col, len(frames))
 	mu.Lock()
 	defer mu.Unlock()
 	for i, f := range frames {
@@ -349,6 +526,10 @@ func TestCollectorEndToEnd(t *testing.T) {
 	}
 }
 
+// TestCollectorSurvivesGarbageConnection: a connection that does not open
+// with a hello (here, frames with no hello in front) is dropped as a bad
+// connection without affecting the next one; a connection that closes
+// before its first byte is not counted at all.
 func TestCollectorSurvivesGarbageConnection(t *testing.T) {
 	col := NewCollector(compress.DefaultRegistry(4), nil)
 	addr, err := col.Serve("127.0.0.1:0")
@@ -357,34 +538,37 @@ func TestCollectorSurvivesGarbageConnection(t *testing.T) {
 	}
 	defer col.Close()
 
-	// A garbage connection must be dropped without affecting the next one.
-	up1, err := Dial(addr.String())
-	if err != nil {
-		t.Fatal(err)
-	}
-	up1.conn.Write([]byte("not a frame at all"))
-	up1.conn.Close()
-
-	frames, _ := sampleFrames(t, 2)
-	up2, err := Dial(addr.String())
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, f := range frames {
-		if err := up2.Send(f); err != nil {
+	for i, garbage := range [][]byte{nil, []byte("not a frame at all"), writeFrames(t, smallFrame(0))} {
+		conn, err := net.DialTimeout("tcp", addr.String(), 5*time.Second)
+		if err != nil {
 			t.Fatal(err)
 		}
-	}
-	up2.Close()
-	deadline := time.Now().Add(5 * time.Second)
-	for col.Frames() < 2 {
-		if time.Now().After(deadline) {
-			t.Fatalf("frames = %d after garbage connection", col.Frames())
+		if _, err := conn.Write(garbage); err != nil {
+			t.Fatal(err)
 		}
-		time.Sleep(5 * time.Millisecond)
+		_ = conn.Close()
+		deadline := time.Now().Add(5 * time.Second)
+		for col.BadConns() < i {
+			if time.Now().After(deadline) {
+				t.Fatalf("bad connections = %d after %d garbage streams", col.BadConns(), i)
+			}
+			time.Sleep(time.Millisecond)
+		}
 	}
-	if col.BadConns() == 0 {
-		t.Fatal("garbage connection not counted")
+
+	s := dialSession(t, addr.String(), 1)
+	defer s.conn.Close()
+	for i := uint64(0); i < 2; i++ {
+		s.send(t, smallFrame(i))
+		if next := s.ack(t); next != i+1 {
+			t.Fatalf("ack after garbage connections = %d, want %d", next, i+1)
+		}
+	}
+	if got := col.BadConns(); got != 2 {
+		t.Fatalf("bad connections = %d, want 2 (the empty one is not malformed)", got)
+	}
+	if col.Frames() != 2 {
+		t.Fatalf("frames = %d, want 2: a hello-less stream must deliver nothing", col.Frames())
 	}
 }
 

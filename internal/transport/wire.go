@@ -7,12 +7,11 @@ import (
 	"io"
 )
 
-// Reliable-session wire extensions. A resilient uplink opens each
-// connection with a hello frame identifying the device; the collector
-// answers segment frames on that connection with cumulative ACKs.
-// Connections that do not start with a hello are legacy fire-and-forget
-// streams (plain Uplink) and receive no ACKs, so the two generations of
-// senders interoperate with one collector.
+// Session records around the segment frames of transport.go. The uplink
+// opens each connection with a hello identifying the device; the collector
+// answers segment frames on that connection with cumulative ACKs. A
+// connection that does not start with a hello is dropped as a bad
+// connection.
 //
 // Hello (device → collector, once per connection):
 //
