@@ -83,8 +83,8 @@ bench-json:
 
 # bench-compare is the perf gate: regenerate the pinned matrix at the
 # committed baseline's scale and diff against BENCH_baseline.json —
-# quality fields must match exactly, ns_per_segment may not regress more
-# than 10%, allocs_per_op may not materially increase. The CI
+# quality fields must match exactly, allocs_per_op may not materially
+# increase, ns_per_segment deltas are printed as notes only. The CI
 # bench-compare job runs the identical command; EXPERIMENTS.md explains
 # how to read a failure and when/how to refresh the baseline.
 # BENCHBASESEGMENTS must match the committed baseline's matrix or the

@@ -35,7 +35,6 @@ func main() {
 	jsonPath := flag.String("json", "", "bench experiment: write the schema-versioned BENCH document to this path")
 	validate := flag.String("validate", "", "validate an existing BENCH_*.json against the schema and exit")
 	compare := flag.String("compare", "", "compare this baseline BENCH_*.json against the NEW document given as the positional argument; exit 1 on regression, 2 on structural error")
-	perfThreshold := flag.Float64("perf-threshold", 0.10, "compare: allowed fractional ns_per_segment increase (0.10 = +10%)")
 	allocSlack := flag.Float64("alloc-slack", 2.0, "compare: allowed absolute allocs_per_op increase; negative fails any increase")
 	flag.Parse()
 
@@ -44,10 +43,7 @@ func main() {
 			fmt.Fprintln(os.Stderr, "usage: adaedge-bench -compare OLD.json NEW.json")
 			os.Exit(experiments.CompareExitError)
 		}
-		os.Exit(experiments.RunCompare(os.Stdout, *compare, flag.Arg(0), experiments.CompareOptions{
-			PerfThreshold: *perfThreshold,
-			AllocSlack:    *allocSlack,
-		}))
+		os.Exit(experiments.RunCompare(os.Stdout, *compare, flag.Arg(0), experiments.CompareOptions{AllocSlack: *allocSlack}))
 	}
 
 	if *validate != "" {

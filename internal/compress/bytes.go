@@ -3,6 +3,7 @@ package compress
 import (
 	"encoding/binary"
 	"math"
+	"math/bits"
 	"slices"
 	"sync"
 )
@@ -35,6 +36,20 @@ func growFloats(dst []float64, n int) []float64 {
 	}
 	return dst[:0]
 }
+
+// growBytes returns dst[:0], reallocated to exactly size bytes of capacity
+// if it cannot hold them. The lossy encoders compute their output size up
+// front and call this once, so CompressRatio and Recode (dst nil) make one
+// allocation, the payload, and CompressInto none in steady state.
+func growBytes(dst []byte, size int) []byte {
+	if cap(dst) < size {
+		return make([]byte, 0, size)
+	}
+	return dst[:0]
+}
+
+// uvarintLen is the number of bytes putUvarint appends for v.
+func uvarintLen(v uint64) int { return (bits.Len64(v|1) + 6) / 7 }
 
 func appendF64(dst []byte, v float64) []byte {
 	return binary.LittleEndian.AppendUint64(dst, math.Float64bits(v))
@@ -91,6 +106,13 @@ func windowedHeader(data []byte, recBytes int) (n, window int, recs []byte, err 
 	return n, window, data, nil
 }
 
+// putWindowedHeader starts the windowedHeader layout in dst[:0], first
+// sizing dst for all ceil(n/window) records of recBytes each.
+func putWindowedHeader(dst []byte, n, window, recBytes int) []byte {
+	out := growBytes(dst, uvarintLen(uint64(n))+uvarintLen(uint64(window))+(n+window-1)/window*recBytes)
+	return putUvarint(putUvarint(out, uint64(n)), uint64(window))
+}
+
 // countedHeader parses the layout FFT and LTTB share: uvarint n | uvarint
 // k | k records of recBytes each. It returns the bytes from the first
 // record on, validated to hold at least k of them.
@@ -105,4 +127,11 @@ func countedHeader(data []byte, recBytes uint64) (n, k int, recs []byte, err err
 		return 0, 0, nil, ErrCorrupt
 	}
 	return int(count), int(kk), data[c:], nil
+}
+
+// putCountedHeader starts the countedHeader layout in dst[:0], first
+// sizing dst for all k records of recBytes each.
+func putCountedHeader(dst []byte, n, k, recBytes int) []byte {
+	out := growBytes(dst, uvarintLen(uint64(n))+uvarintLen(uint64(k))+k*recBytes)
+	return putUvarint(putUvarint(out, uint64(n)), uint64(k))
 }

@@ -29,64 +29,55 @@ type DirectMinMaxer interface {
 	MinMaxEncoded(enc Encoded) (min, max float64, err error)
 }
 
-// --- PAA -------------------------------------------------------------------
+// --- PAA / RRD-sample -----------------------------------------------------------
 
-// SumEncoded implements DirectSummer: Σ mean_i × window_i.
-func (p *PAA) SumEncoded(enc Encoded) (float64, error) {
-	if enc.Codec != p.Name() {
-		return 0, ErrCodecMismatch
-	}
-	n, window, means, err := paaParse(enc.Data)
+// replicatedSum sums the reconstruction of the layout PAA and RRD-sample
+// share, Σ value_i × window_i, reading the records in place.
+func replicatedSum(data []byte) (float64, error) {
+	n, window, recs, err := windowedHeader(data, 8)
 	if err != nil {
 		return 0, err
 	}
 	var sum float64
-	remaining := n
-	for _, m := range means {
-		w := window
-		if remaining < w {
-			w = remaining
-		}
-		sum += m * float64(w)
+	for remaining := n; len(recs) > 0; recs = recs[8:] {
+		w := min(window, remaining)
+		sum += f64At(recs) * float64(w)
 		remaining -= w
 	}
 	return sum, nil
 }
 
-// MinMaxEncoded implements DirectMinMaxer: extrema over the stored means.
+// replicatedMinMax returns the extrema over the stored values.
+func replicatedMinMax(data []byte) (float64, float64, error) {
+	_, _, recs, err := windowedHeader(data, 8)
+	if err != nil {
+		return 0, 0, err
+	}
+	return minMaxF64s(recs)
+}
+
+// SumEncoded implements DirectSummer.
+func (p *PAA) SumEncoded(enc Encoded) (float64, error) {
+	if enc.Codec != p.Name() {
+		return 0, ErrCodecMismatch
+	}
+	return replicatedSum(enc.Data)
+}
+
+// MinMaxEncoded implements DirectMinMaxer.
 func (p *PAA) MinMaxEncoded(enc Encoded) (float64, float64, error) {
 	if enc.Codec != p.Name() {
 		return 0, 0, ErrCodecMismatch
 	}
-	_, _, means, err := paaParse(enc.Data)
-	if err != nil {
-		return 0, 0, err
-	}
-	return minMax(means)
+	return replicatedMinMax(enc.Data)
 }
-
-// --- RRD-sample -------------------------------------------------------------
 
 // SumEncoded implements DirectSummer.
 func (r *RRDSample) SumEncoded(enc Encoded) (float64, error) {
 	if enc.Codec != r.Name() {
 		return 0, ErrCodecMismatch
 	}
-	n, window, samples, err := paaParse(enc.Data) // same layout as PAA
-	if err != nil {
-		return 0, err
-	}
-	var sum float64
-	remaining := n
-	for _, s := range samples {
-		w := window
-		if remaining < w {
-			w = remaining
-		}
-		sum += s * float64(w)
-		remaining -= w
-	}
-	return sum, nil
+	return replicatedSum(enc.Data)
 }
 
 // MinMaxEncoded implements DirectMinMaxer.
@@ -94,11 +85,7 @@ func (r *RRDSample) MinMaxEncoded(enc Encoded) (float64, float64, error) {
 	if enc.Codec != r.Name() {
 		return 0, 0, ErrCodecMismatch
 	}
-	_, _, samples, err := paaParse(enc.Data)
-	if err != nil {
-		return 0, 0, err
-	}
-	return minMax(samples)
+	return replicatedMinMax(enc.Data)
 }
 
 // --- PLA --------------------------------------------------------------------
@@ -109,17 +96,14 @@ func (p *PLA) SumEncoded(enc Encoded) (float64, error) {
 	if enc.Codec != p.Name() {
 		return 0, ErrCodecMismatch
 	}
-	n, pieceLen, pieces, err := plaParse(enc.Data)
+	n, pieceLen, recs, err := windowedHeader(enc.Data, plaPieceBytes)
 	if err != nil {
 		return 0, err
 	}
 	var sum float64
-	for pi, pc := range pieces {
-		l := pieceLen
-		if start := pi * pieceLen; start+l > n {
-			l = n - start
-		}
-		sum += pc.slope*sum1(l) + pc.intercept*float64(l)
+	for start := 0; len(recs) > 0; start, recs = start+pieceLen, recs[plaPieceBytes:] {
+		l := min(pieceLen, n-start)
+		sum += f64At(recs)*sum1(l) + f64At(recs[8:])*float64(l)
 	}
 	return sum, nil
 }
@@ -130,18 +114,15 @@ func (p *PLA) MinMaxEncoded(enc Encoded) (float64, float64, error) {
 	if enc.Codec != p.Name() {
 		return 0, 0, ErrCodecMismatch
 	}
-	n, pieceLen, pieces, err := plaParse(enc.Data)
+	n, pieceLen, recs, err := windowedHeader(enc.Data, plaPieceBytes)
 	if err != nil {
 		return 0, 0, err
 	}
 	lo, hi := math.Inf(1), math.Inf(-1)
-	for pi, pc := range pieces {
-		l := pieceLen
-		if start := pi * pieceLen; start+l > n {
-			l = n - start
-		}
-		first := pc.intercept
-		last := pc.slope*float64(l-1) + pc.intercept
+	for start := 0; len(recs) > 0; start, recs = start+pieceLen, recs[plaPieceBytes:] {
+		l := min(pieceLen, n-start)
+		first := f64At(recs[8:])
+		last := f64At(recs)*float64(l-1) + first
 		lo = math.Min(lo, math.Min(first, last))
 		hi = math.Max(hi, math.Max(first, last))
 	}
@@ -157,16 +138,22 @@ func (f *FFT) SumEncoded(enc Encoded) (float64, error) {
 	if enc.Codec != f.Name() {
 		return 0, ErrCodecMismatch
 	}
-	_, coefs, err := fftParse(enc.Data)
+	n, k, recs, err := countedHeader(enc.Data, fftCoefBytes)
 	if err != nil {
 		return 0, err
 	}
-	for _, c := range coefs {
-		if c.idx == 0 {
-			return real(c.val), nil
+	var dc float64
+	found := false
+	for i := 0; i < k; i++ {
+		c, err := fftCoefAt(recs, i, n)
+		if err != nil {
+			return 0, err
+		}
+		if c.idx == 0 && !found {
+			dc, found = real(c.val), true
 		}
 	}
-	return 0, nil
+	return dc, nil
 }
 
 // --- LTTB -------------------------------------------------------------------
@@ -177,28 +164,31 @@ func (l *LTTB) SumEncoded(enc Encoded) (float64, error) {
 	if enc.Codec != l.Name() {
 		return 0, ErrCodecMismatch
 	}
-	n, idxs, vals, err := lttbParse(enc.Data)
+	n, k, recs, err := countedHeader(enc.Data, lttbPointBytes)
+	if err != nil || k == 0 {
+		return 0, ErrCorrupt
+	}
+	i0, v0, err := lttbPointAt(recs, 0, n, -1)
 	if err != nil {
 		return 0, err
 	}
-	if len(idxs) == 1 {
-		return vals[0] * float64(n), nil
+	if k == 1 {
+		return v0 * float64(n), nil
 	}
-	var sum float64
 	// Flat head before the first kept point, excluding the point itself.
-	sum += vals[0] * float64(idxs[0])
-	for seg := 0; seg < len(idxs)-1; seg++ {
-		i0, i1 := idxs[seg], idxs[seg+1]
-		v0, v1 := vals[seg], vals[seg+1]
-		span := i1 - i0
+	sum := v0 * float64(i0)
+	for p := 1; p < k; p++ {
+		i1, v1, err := lttbPointAt(recs, p, n, i0)
+		if err != nil {
+			return 0, err
+		}
 		// Points i0..i1-1: v(t) = v0 + (t-i0)/span · (v1-v0).
-		steps := float64(span)
-		sum += v0*steps + (v1-v0)*sum1(span)/steps
+		span := i1 - i0
+		sum += v0*float64(span) + (v1-v0)*sum1(span)/float64(span)
+		i0, v0 = i1, v1
 	}
 	// The final kept point and any flat tail after it.
-	last := len(idxs) - 1
-	sum += vals[last] * float64(n-idxs[last])
-	return sum, nil
+	return sum + v0*float64(n-i0), nil
 }
 
 // MinMaxEncoded implements DirectMinMaxer: interpolation never exceeds the
@@ -207,11 +197,25 @@ func (l *LTTB) MinMaxEncoded(enc Encoded) (float64, float64, error) {
 	if enc.Codec != l.Name() {
 		return 0, 0, ErrCodecMismatch
 	}
-	_, _, vals, err := lttbParse(enc.Data)
-	if err != nil {
-		return 0, 0, err
+	n, k, recs, err := countedHeader(enc.Data, lttbPointBytes)
+	if err != nil || k == 0 {
+		return 0, 0, ErrCorrupt
 	}
-	return minMax(vals)
+	lo, hi := math.Inf(1), math.Inf(-1)
+	for p, prev := 0, -1; p < k; p++ {
+		idx, v, err := lttbPointAt(recs, p, n, prev)
+		if err != nil {
+			return 0, 0, err
+		}
+		if v < lo {
+			lo = v
+		}
+		if v > hi {
+			hi = v
+		}
+		prev = idx
+	}
+	return lo, hi, nil
 }
 
 // --- BUFF / BUFF-lossy --------------------------------------------------------
@@ -309,19 +313,18 @@ func (d *Dict) MinMaxEncoded(enc Encoded) (float64, float64, error) {
 	if uint64(len(data)) < dictCount*8 {
 		return 0, 0, ErrCorrupt
 	}
-	vals := make([]float64, dictCount)
-	for i := range vals {
-		vals[i] = math.Float64frombits(binary.LittleEndian.Uint64(data[8*i:]))
-	}
-	return minMax(vals)
+	return minMaxF64s(data[:dictCount*8])
 }
 
-func minMax(vals []float64) (float64, float64, error) {
-	if len(vals) == 0 {
+// minMaxF64s returns the extrema of the little-endian float64s packed in
+// recs, read in place.
+func minMaxF64s(recs []byte) (float64, float64, error) {
+	if len(recs) == 0 {
 		return 0, 0, ErrEmptyInput
 	}
 	lo, hi := math.Inf(1), math.Inf(-1)
-	for _, v := range vals {
+	for ; len(recs) > 0; recs = recs[8:] {
+		v := f64At(recs)
 		if v < lo {
 			lo = v
 		}

@@ -4,7 +4,7 @@ import (
 	"encoding/binary"
 	"math"
 	"math/cmplx"
-	"sort"
+	"slices"
 	"sync"
 
 	"repro/internal/dsp"
@@ -55,47 +55,61 @@ func (f *FFT) compressRatio(dst []byte, values []float64, ratio float64) (Encode
 	if k < 1 {
 		return Encoded{}, ErrRatioInfeasible
 	}
-	spec := dsp.FFTReal(values)
-	return fftEncodeTopK(dst, spec[:half], n, k), nil
+	ws := fftScratches.Get().(*fftScratch)
+	defer fftScratches.Put(ws)
+	ws.spec = dsp.FFTRealInto(ws.spec, values)
+	return fftEncodeTopK(dst, ws, ws.spec[:half], n, k), nil
+}
+
+// fftScratch is the workspace of one transform: the spectrum (the full one
+// for DecompressInto, the half that is ranked for encode and Recode) and
+// the ranking itself.
+type fftScratch struct {
+	spec   []complex128
+	ranked []fftRank
+}
+
+var fftScratches = sync.Pool{New: func() any { return new(fftScratch) }}
+
+// fftRank is one half-spectrum bin with its ranking weight.
+type fftRank struct {
+	idx int
+	mag float64
 }
 
 // fftEncodeTopK serializes into dst[:0] the k largest-magnitude
-// coefficients of the half-spectrum. Real-signal weighting: interior
-// coefficients appear twice in the full spectrum, so their effective
-// energy is doubled when ranking.
-func fftEncodeTopK(dst []byte, half []complex128, n, k int) Encoded {
-	type coef struct {
-		idx int
-		mag float64
-	}
-	ranked := make([]coef, len(half))
+// coefficients of the half-spectrum, ranked in ws. Real-signal weighting:
+// interior coefficients appear twice in the full spectrum, so their
+// effective energy is doubled when ranking.
+func fftEncodeTopK(dst []byte, ws *fftScratch, half []complex128, n, k int) Encoded {
+	ranked := ws.ranked[:0]
 	for i, c := range half {
 		mag := cmplx.Abs(c)
 		if i != 0 && !(n%2 == 0 && i == n/2) {
 			mag *= 2
 		}
-		ranked[i] = coef{idx: i, mag: mag}
+		ranked = append(ranked, fftRank{idx: i, mag: mag})
 	}
-	sort.Slice(ranked, func(a, b int) bool {
-		if ranked[a].mag != ranked[b].mag {
-			return ranked[a].mag > ranked[b].mag
+	ws.ranked = ranked
+	// Magnitude descending, index ascending on ties: a total order, so the
+	// kept set does not depend on the sort algorithm.
+	slices.SortFunc(ranked, func(a, b fftRank) int {
+		if a.mag != b.mag {
+			if a.mag > b.mag {
+				return -1
+			}
+			return 1
 		}
-		return ranked[a].idx < ranked[b].idx
+		return a.idx - b.idx
 	})
-	if k > len(ranked) {
-		k = len(ranked)
-	}
-	keep := ranked[:k]
-	sort.Slice(keep, func(a, b int) bool { return keep[a].idx < keep[b].idx })
+	keep := ranked[:min(k, len(ranked))]
+	slices.SortFunc(keep, func(a, b fftRank) int { return a.idx - b.idx })
 
-	out := putUvarint(dst[:0], uint64(n))
-	out = putUvarint(out, uint64(k))
-	var tmp [fftCoefBytes]byte
+	out := putCountedHeader(dst, n, len(keep), fftCoefBytes)
 	for _, c := range keep {
-		binary.LittleEndian.PutUint32(tmp[0:], uint32(c.idx))
-		binary.LittleEndian.PutUint32(tmp[4:], math.Float32bits(float32(real(half[c.idx]))))
-		binary.LittleEndian.PutUint32(tmp[8:], math.Float32bits(float32(imag(half[c.idx]))))
-		out = append(out, tmp[:]...)
+		out = binary.LittleEndian.AppendUint32(out, uint32(c.idx))
+		out = binary.LittleEndian.AppendUint32(out, math.Float32bits(float32(real(half[c.idx]))))
+		out = binary.LittleEndian.AppendUint32(out, math.Float32bits(float32(imag(half[c.idx]))))
 	}
 	return Encoded{Codec: "fft", Data: out, N: n}
 }
@@ -109,9 +123,6 @@ func (*FFT) MinRatio(values []float64) float64 {
 	return (8 + fftCoefBytes) / float64(8*n)
 }
 
-// fftSpectra recycles the full-spectrum workspace of DecompressInto.
-var fftSpectra = sync.Pool{New: func() any { return new([]complex128) }}
-
 // DecompressInto implements Codec.
 func (f *FFT) DecompressInto(dst []float64, enc Encoded) ([]float64, error) {
 	if enc.Codec != f.Name() {
@@ -121,13 +132,9 @@ func (f *FFT) DecompressInto(dst []float64, enc Encoded) ([]float64, error) {
 	if err != nil {
 		return nil, err
 	}
-	ws := fftSpectra.Get().(*[]complex128)
-	defer fftSpectra.Put(ws)
-	if cap(*ws) < n {
-		*ws = make([]complex128, n)
-	}
-	spec := (*ws)[:n]
-	clear(spec)
+	ws := fftScratches.Get().(*fftScratch)
+	defer fftScratches.Put(ws)
+	spec := ws.zeroed(n)
 	for i := 0; i < k; i++ {
 		c, err := fftCoefAt(recs, i, n)
 		if err != nil {
@@ -159,18 +166,14 @@ func fftCoefAt(recs []byte, i, n int) (fftCoef, error) {
 	return fftCoef{idx: idx, val: complex(float64(re), float64(im))}, nil
 }
 
-func fftParse(data []byte) (n int, coefs []fftCoef, err error) {
-	n, k, recs, err := countedHeader(data, fftCoefBytes)
-	if err != nil {
-		return 0, nil, err
+// zeroed returns n cleared bins of the workspace spectrum.
+func (ws *fftScratch) zeroed(n int) []complex128 {
+	if cap(ws.spec) < n {
+		ws.spec = make([]complex128, n)
 	}
-	coefs = make([]fftCoef, k)
-	for i := range coefs {
-		if coefs[i], err = fftCoefAt(recs, i, n); err != nil {
-			return 0, nil, err
-		}
-	}
-	return n, coefs, nil
+	spec := ws.spec[:n]
+	clear(spec)
+	return spec
 }
 
 // Recode implements Recoder: drops the weakest retained coefficients
@@ -181,21 +184,29 @@ func (f *FFT) Recode(enc Encoded, ratio float64) (Encoded, error) {
 	if enc.Codec != f.Name() {
 		return Encoded{}, ErrCodecMismatch
 	}
-	n, coefs, err := fftParse(enc.Data)
+	n, count, recs, err := countedHeader(enc.Data, fftCoefBytes)
 	if err != nil {
 		return Encoded{}, err
+	}
+	ws := fftScratches.Get().(*fftScratch)
+	defer fftScratches.Put(ws)
+	// The encoder only writes half-spectrum bins; one above n/2 (which
+	// DecompressInto would mirror) is rejected rather than indexed.
+	half := ws.zeroed(n/2 + 1)
+	for i := 0; i < count; i++ {
+		c, err := fftCoefAt(recs, i, len(half))
+		if err != nil {
+			return Encoded{}, err
+		}
+		half[c.idx] = c.val
 	}
 	budget := int(ratio * float64(8*n))
 	k := (budget - 8) / fftCoefBytes
 	if k < 1 {
 		return Encoded{}, ErrRatioInfeasible
 	}
-	if k >= len(coefs) {
+	if k >= count {
 		return enc, nil
 	}
-	half := make([]complex128, n/2+1)
-	for _, c := range coefs {
-		half[c.idx] = c.val
-	}
-	return fftEncodeTopK(nil, half, n, k), nil
+	return fftEncodeTopK(nil, ws, half, n, k), nil
 }

@@ -16,9 +16,11 @@ import (
 // Golden-bytes differential test: testdata/golden_encodings.txt holds the
 // SHA-256 of every codec's encoding (and of what it decodes to) of seeded
 // CBF and plateau segments, as recorded at commit 7342617, the last one
-// where each codec still had its allocating Compress method. A port that
-// changes a single output byte or decoded bit — or turns an error into a
-// success, or the reverse — fails here. To change a format on purpose,
+// where each codec still had its allocating Compress method; the lossy
+// codecs' ratio-driven lines (ratio 0.05, minratio, recode) were recorded
+// at commit 8b1a8a7, before their encoders were ported to one exact-size
+// allocation. A port that changes a single output byte or decoded bit —
+// or turns an error into a success, or the reverse — fails here. To change a format on purpose,
 // replace the lines the failure message names.
 
 var goldenLengths = []int{1, 8, 9, 64, 65, 256}
@@ -54,7 +56,8 @@ func goldenDigest(c Codec, enc Encoded, err error) string {
 // goldenLines computes "codec/mode/dataset/len digest" for every codec of
 // ExtendedRegistry(4) — a superset of DefaultRegistry(4) built from the
 // same constructors — through CompressInto and, for lossy codecs,
-// CompressRatio at 0.2.
+// CompressRatio at 0.2 and 0.05, MinRatio (exact, as %b) and, for
+// Recoders whose 0.2 encoding succeeded, Recode of it to 0.1 and 0.04.
 func goldenLines() []string {
 	reg := ExtendedRegistry(4)
 	var lines []string
@@ -66,9 +69,22 @@ func goldenLines() []string {
 				dst := []byte{0xAA, 0xBB, 0xCC, 0xDD}[:3] // dirty and too small: must not leak, must grow
 				enc, err := CompressInto(c, dst, segs[ds])
 				lines = append(lines, fmt.Sprintf("%s/into/%s/%d %s", name, ds, n, goldenDigest(c, enc, err)))
-				if lc, ok := c.(LossyCodec); ok {
-					enc, err := lc.CompressRatio(segs[ds], 0.2)
-					lines = append(lines, fmt.Sprintf("%s/ratio0.2/%s/%d %s", name, ds, n, goldenDigest(c, enc, err)))
+				lc, ok := c.(LossyCodec)
+				if !ok {
+					continue
+				}
+				at02, err02 := lc.CompressRatio(segs[ds], 0.2)
+				lines = append(lines, fmt.Sprintf("%s/ratio0.2/%s/%d %s", name, ds, n, goldenDigest(c, at02, err02)))
+				enc, err = lc.CompressRatio(segs[ds], 0.05)
+				lines = append(lines, fmt.Sprintf("%s/ratio0.05/%s/%d %s", name, ds, n, goldenDigest(c, enc, err)))
+				lines = append(lines, fmt.Sprintf("%s/minratio/%s/%d %b", name, ds, n, lc.MinRatio(segs[ds])))
+				rec, ok := c.(Recoder)
+				if !ok || err02 != nil {
+					continue
+				}
+				for _, to := range []float64{0.1, 0.04} {
+					enc, err := rec.Recode(at02, to)
+					lines = append(lines, fmt.Sprintf("%s/recode0.2-%v/%s/%d %s", name, to, ds, n, goldenDigest(c, enc, err)))
 				}
 			}
 		}

@@ -3,6 +3,7 @@ package compress
 import (
 	"encoding/binary"
 	"math"
+	"sync"
 )
 
 // LTTB implements Largest-Triangle-Three-Buckets downsampling (Steinarsson
@@ -53,25 +54,44 @@ func (l *LTTB) compressRatio(dst []byte, values []float64, ratio float64) (Encod
 			return Encoded{}, ErrRatioInfeasible
 		}
 	}
-	idxs := lttbSelect(values, k)
-	return lttbEncode(dst, values, idxs, n), nil
+	ws := lttbScratches.Get().(*lttbScratch)
+	defer lttbScratches.Put(ws)
+	ws.sel = lttbSelect(ws.sel, values, k)
+	out := putCountedHeader(dst, n, len(ws.sel), lttbPointBytes)
+	for _, i := range ws.sel {
+		out = lttbAppendPoint(out, uint32(i), values[i])
+	}
+	return Encoded{Codec: l.Name(), Data: out, N: n}, nil
 }
 
-// lttbSelect returns k indices chosen by the LTTB sweep (first and last
-// always included).
-func lttbSelect(values []float64, k int) []int {
+// lttbScratch is the workspace of one encode or recode: the sweep's
+// selection and, for Recode, the kept values decoded from the records.
+type lttbScratch struct {
+	sel  []int
+	vals []float64
+}
+
+var lttbScratches = sync.Pool{New: func() any { return new(lttbScratch) }}
+
+func lttbAppendPoint(out []byte, idx uint32, v float64) []byte {
+	out = binary.LittleEndian.AppendUint32(out, idx)
+	return binary.LittleEndian.AppendUint32(out, math.Float32bits(float32(v)))
+}
+
+// lttbSelect appends to idxs[:0] the k indices chosen by the LTTB sweep
+// (first and last always included).
+func lttbSelect(idxs []int, values []float64, k int) []int {
 	n := len(values)
+	idxs = idxs[:0]
 	if k >= n {
-		idxs := make([]int, n)
-		for i := range idxs {
-			idxs[i] = i
+		for i := 0; i < n; i++ {
+			idxs = append(idxs, i)
 		}
 		return idxs
 	}
 	if k == 1 {
-		return []int{0}
+		return append(idxs, 0)
 	}
-	idxs := make([]int, 0, k)
 	idxs = append(idxs, 0)
 	buckets := k - 2
 	prev := 0
@@ -106,20 +126,7 @@ func lttbSelect(values []float64, k int) []int {
 		idxs = append(idxs, best)
 		prev = best
 	}
-	idxs = append(idxs, n-1)
-	return idxs
-}
-
-func lttbEncode(dst []byte, values []float64, idxs []int, n int) Encoded {
-	out := putUvarint(dst[:0], uint64(n))
-	out = putUvarint(out, uint64(len(idxs)))
-	var tmp [lttbPointBytes]byte
-	for _, i := range idxs {
-		binary.LittleEndian.PutUint32(tmp[0:], uint32(i))
-		binary.LittleEndian.PutUint32(tmp[4:], math.Float32bits(float32(values[i])))
-		out = append(out, tmp[:]...)
-	}
-	return Encoded{Codec: "lttb", Data: out, N: n}
+	return append(idxs, n-1)
 }
 
 // MinRatio implements LossyCodec: two endpoints.
@@ -178,23 +185,6 @@ func lttbPointAt(recs []byte, i, n, prev int) (idx int, val float64, err error) 
 	return idx, float64(math.Float32frombits(binary.LittleEndian.Uint32(recs[off+4:]))), nil
 }
 
-func lttbParse(data []byte) (n int, idxs []int, vals []float64, err error) {
-	n, k, recs, err := countedHeader(data, lttbPointBytes)
-	if err != nil || k == 0 {
-		return 0, nil, nil, ErrCorrupt
-	}
-	idxs = make([]int, k)
-	vals = make([]float64, k)
-	prev := -1
-	for i := range idxs {
-		if idxs[i], vals[i], err = lttbPointAt(recs, i, n, prev); err != nil {
-			return 0, nil, nil, err
-		}
-		prev = idxs[i]
-	}
-	return n, idxs, vals, nil
-}
-
 // Recode implements Recoder: the LTTB sweep is re-run over the already
 // kept (index, value) points, thinning them further without reconstructing
 // the raw series.
@@ -202,26 +192,32 @@ func (l *LTTB) Recode(enc Encoded, ratio float64) (Encoded, error) {
 	if enc.Codec != l.Name() {
 		return Encoded{}, ErrCodecMismatch
 	}
-	n, idxs, vals, err := lttbParse(enc.Data)
-	if err != nil {
-		return Encoded{}, err
+	n, count, recs, err := countedHeader(enc.Data, lttbPointBytes)
+	if err != nil || count == 0 {
+		return Encoded{}, ErrCorrupt
+	}
+	ws := lttbScratches.Get().(*lttbScratch)
+	defer lttbScratches.Put(ws)
+	ws.vals = growFloats(ws.vals, count)
+	for i, prev := 0, -1; i < count; i++ {
+		idx, v, err := lttbPointAt(recs, i, n, prev)
+		if err != nil {
+			return Encoded{}, err
+		}
+		ws.vals, prev = append(ws.vals, v), idx
 	}
 	budget := int(ratio * float64(8*n))
 	k := (budget - 8) / lttbPointBytes
 	if k < 2 {
 		return Encoded{}, ErrRatioInfeasible
 	}
-	if k >= len(idxs) {
+	if k >= count {
 		return enc, nil
 	}
-	sub := lttbSelect(vals, k)
-	out := putUvarint(nil, uint64(n))
-	out = putUvarint(out, uint64(len(sub)))
-	var tmp [lttbPointBytes]byte
-	for _, si := range sub {
-		binary.LittleEndian.PutUint32(tmp[0:], uint32(idxs[si]))
-		binary.LittleEndian.PutUint32(tmp[4:], math.Float32bits(float32(vals[si])))
-		out = append(out, tmp[:]...)
+	ws.sel = lttbSelect(ws.sel, ws.vals, k)
+	out := putCountedHeader(nil, n, len(ws.sel), lttbPointBytes)
+	for _, si := range ws.sel {
+		out = lttbAppendPoint(out, binary.LittleEndian.Uint32(recs[si*lttbPointBytes:]), ws.vals[si])
 	}
 	return Encoded{Codec: l.Name(), Data: out, N: n}, nil
 }

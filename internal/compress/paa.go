@@ -1,10 +1,5 @@
 package compress
 
-import (
-	"encoding/binary"
-	"math"
-)
-
 // PAA implements Piecewise Aggregate Approximation (Keogh et al. 2001;
 // Yi & Faloutsos 2000): the series is segmented into fixed windows and each
 // window is replaced by its mean. Window size controls the ratio. PAA is
@@ -58,8 +53,7 @@ func paaWindowForRatio(n int, ratio float64) int {
 }
 
 func paaEncode(dst []byte, values []float64, window int) Encoded {
-	out := putUvarint(dst[:0], uint64(len(values)))
-	out = putUvarint(out, uint64(window))
+	out := putWindowedHeader(dst, len(values), window, 8)
 	for start := 0; start < len(values); start += window {
 		end := start + window
 		if end > len(values) {
@@ -108,15 +102,6 @@ func replicate(out []float64, n, window int, recs []byte) []float64 {
 	return out
 }
 
-func paaParse(data []byte) (n, window int, means []float64, err error) {
-	n, window, recs, err := windowedHeader(data, 8)
-	if err != nil {
-		return 0, 0, nil, err
-	}
-	means, _ = decodeFloats(nil, recs) // cannot fail: recs holds whole 8-byte records
-	return n, window, means, nil
-}
-
 // Recode implements Recoder: adjacent windows are merged by weighted mean,
 // widening the window without reconstructing the raw series ("apply PAA
 // compression to data already compressed with PAA", paper §IV-E).
@@ -124,7 +109,7 @@ func (p *PAA) Recode(enc Encoded, ratio float64) (Encoded, error) {
 	if enc.Codec != p.Name() {
 		return Encoded{}, ErrCodecMismatch
 	}
-	n, window, means, err := paaParse(enc.Data)
+	n, window, recs, err := windowedHeader(enc.Data, 8)
 	if err != nil {
 		return Encoded{}, err
 	}
@@ -135,30 +120,23 @@ func (p *PAA) Recode(enc Encoded, ratio float64) (Encoded, error) {
 	// Merge m old windows per new window; the merged window size is a
 	// multiple of the old one so the weighted mean is exact.
 	m := (targetWindow + window - 1) / window
-	newWindow := m * window
-	out := putUvarint(nil, uint64(n))
-	out = putUvarint(out, uint64(newWindow))
-	for start := 0; start < len(means); start += m {
-		end := start + m
-		if end > len(means) {
-			end = len(means)
-		}
+	count := len(recs) / 8
+	out := putWindowedHeader(nil, n, m*window, 8)
+	for start := 0; start < count; start += m {
 		var sum, weight float64
-		for j := start; j < end; j++ {
+		for j := start; j < min(start+m, count); j++ {
 			// Every old window holds `window` points except possibly the
 			// final one.
 			w := float64(window)
-			if j == len(means)-1 {
+			if j == count-1 {
 				if rem := n % window; rem != 0 {
 					w = float64(rem)
 				}
 			}
-			sum += means[j] * w
+			sum += f64At(recs[8*j:]) * w
 			weight += w
 		}
-		var tmp [8]byte
-		binary.LittleEndian.PutUint64(tmp[:], math.Float64bits(sum/weight))
-		out = append(out, tmp[:]...)
+		out = appendF64(out, sum/weight)
 	}
 	return Encoded{Codec: p.Name(), Data: out, N: n}, nil
 }

@@ -36,8 +36,7 @@ func (p *PLA) compressRatio(dst []byte, values []float64, ratio float64) (Encode
 		return Encoded{}, ErrRatioInfeasible
 	}
 	pieceLen := plaPieceLenForRatio(len(values), ratio)
-	out := putUvarint(dst[:0], uint64(len(values)))
-	out = putUvarint(out, uint64(pieceLen))
+	out := putWindowedHeader(dst, len(values), pieceLen, plaPieceBytes)
 	for start := 0; start < len(values); start += pieceLen {
 		end := start + pieceLen
 		if end > len(values) {
@@ -129,20 +128,6 @@ func (p *PLA) DecompressInto(dst []float64, enc Encoded) ([]float64, error) {
 	return out, nil
 }
 
-type plaPiece struct{ slope, intercept float64 }
-
-func plaParse(data []byte) (n, pieceLen int, pieces []plaPiece, err error) {
-	n, pieceLen, recs, err := windowedHeader(data, plaPieceBytes)
-	if err != nil {
-		return 0, 0, nil, err
-	}
-	pieces = make([]plaPiece, len(recs)/plaPieceBytes)
-	for i := range pieces {
-		pieces[i] = plaPiece{f64At(recs[plaPieceBytes*i:]), f64At(recs[plaPieceBytes*i+8:])}
-	}
-	return n, pieceLen, pieces, nil
-}
-
 // Recode implements Recoder: adjacent pieces are merged analytically. The
 // least-squares fit of the merged piece is computed in closed form from the
 // constituent lines' sufficient statistics — the "apply PLA compression to
@@ -151,7 +136,7 @@ func (p *PLA) Recode(enc Encoded, ratio float64) (Encoded, error) {
 	if enc.Codec != p.Name() {
 		return Encoded{}, ErrCodecMismatch
 	}
-	n, pieceLen, pieces, err := plaParse(enc.Data)
+	n, pieceLen, recs, err := windowedHeader(enc.Data, plaPieceBytes)
 	if err != nil {
 		return Encoded{}, err
 	}
@@ -160,24 +145,16 @@ func (p *PLA) Recode(enc Encoded, ratio float64) (Encoded, error) {
 		return enc, nil
 	}
 	m := (targetLen + pieceLen - 1) / pieceLen
-	newLen := m * pieceLen
-	out := putUvarint(nil, uint64(n))
-	out = putUvarint(out, uint64(newLen))
-	for start := 0; start < len(pieces); start += m {
-		end := start + m
-		if end > len(pieces) {
-			end = len(pieces)
-		}
+	count := len(recs) / plaPieceBytes
+	out := putWindowedHeader(nil, n, m*pieceLen, plaPieceBytes)
+	for start := 0; start < count; start += m {
 		// Accumulate Σy and Σxy over the merged range using closed-form
 		// sums of each constituent line, with x the merged-local index.
 		var totalLen int
 		var sy, sxy float64
-		for j := start; j < end; j++ {
-			lj := pieceLen
-			if gStart := j * pieceLen; gStart+lj > n {
-				lj = n - gStart
-			}
-			a, b := pieces[j].slope, pieces[j].intercept
+		for j := start; j < min(start+m, count); j++ {
+			lj := min(pieceLen, n-j*pieceLen)
+			a, b := f64At(recs[plaPieceBytes*j:]), f64At(recs[plaPieceBytes*j+8:])
 			pieceSy := a*sum1(lj) + b*float64(lj)
 			pieceSty := a*sum2(lj) + b*sum1(lj) // Σ t·y over local t
 			offset := float64(totalLen)

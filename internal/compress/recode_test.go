@@ -1,6 +1,8 @@
 package compress
 
 import (
+	"encoding/binary"
+	"errors"
 	"math"
 	"testing"
 )
@@ -70,6 +72,23 @@ func TestPAARecodePreservesGlobalMean(t *testing.T) {
 	}
 }
 
+// fftCoefs decodes every coefficient record of an FFT encoding.
+func fftCoefs(t *testing.T, data []byte) (n int, coefs []fftCoef) {
+	t.Helper()
+	n, k, recs, err := countedHeader(data, fftCoefBytes)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < k; i++ {
+		c, err := fftCoefAt(recs, i, n)
+		if err != nil {
+			t.Fatal(err)
+		}
+		coefs = append(coefs, c)
+	}
+	return n, coefs
+}
+
 func TestFFTRecodeKeepsCoefficientSubset(t *testing.T) {
 	sig := smoothSignal(512, 32)
 	fft := NewFFT()
@@ -81,14 +100,8 @@ func TestFFTRecodeKeepsCoefficientSubset(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	nBig, bigCoefs, err := fftParse(big.Data)
-	if err != nil {
-		t.Fatal(err)
-	}
-	nSmall, smallCoefs, err := fftParse(small.Data)
-	if err != nil {
-		t.Fatal(err)
-	}
+	nBig, bigCoefs := fftCoefs(t, big.Data)
+	nSmall, smallCoefs := fftCoefs(t, small.Data)
 	if nBig != nSmall {
 		t.Fatal("N changed")
 	}
@@ -166,20 +179,17 @@ func TestPLARecodeMatchesVirtualLSQ(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Fit the reconstructed values directly at the recoded piece length.
-	_, pieceLen, pieces, err := plaParse(recoded.Data)
+	_, pieceLen, recs, err := windowedHeader(recoded.Data, plaPieceBytes)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for pi, pc := range pieces {
+	for pi := 0; len(recs) > 0; pi, recs = pi+1, recs[plaPieceBytes:] {
 		start := pi * pieceLen
-		end := start + pieceLen
-		if end > len(reconstructed) {
-			end = len(reconstructed)
-		}
+		end := min(start+pieceLen, len(reconstructed))
 		slope, intercept := lsqFit(reconstructed[start:end])
-		if math.Abs(slope-pc.slope) > 1e-6 || math.Abs(intercept-pc.intercept) > 1e-6 {
+		if gotSlope, gotIntercept := f64At(recs), f64At(recs[8:]); math.Abs(slope-gotSlope) > 1e-6 || math.Abs(intercept-gotIntercept) > 1e-6 {
 			t.Fatalf("piece %d: analytic (%.9f,%.9f) vs direct LSQ (%.9f,%.9f)",
-				pi, pc.slope, pc.intercept, slope, intercept)
+				pi, gotSlope, gotIntercept, slope, intercept)
 		}
 	}
 }
@@ -212,5 +222,25 @@ func TestRepeatedRecodingConvergesToFloor(t *testing.T) {
 		if len(dec) != len(sig) {
 			t.Fatalf("%s: floor length %d", c.Name(), len(dec))
 		}
+	}
+}
+
+// TestFFTRecodeRejectsMirroredBin: DecompressInto tolerates a record whose
+// bin lies above n/2 (it mirrors it), but the encoder never writes one and
+// Recode ranks the half-spectrum only, so it must reject the record
+// instead of indexing past the half.
+func TestFFTRecodeRejectsMirroredBin(t *testing.T) {
+	data := putCountedHeader(nil, 8, 2, fftCoefBytes)
+	for _, idx := range []uint32{0, 6} {
+		data = binary.LittleEndian.AppendUint32(data, idx)
+		data = binary.LittleEndian.AppendUint32(data, math.Float32bits(1))
+		data = binary.LittleEndian.AppendUint32(data, 0)
+	}
+	enc := Encoded{Codec: "fft", Data: data, N: 8}
+	if _, err := NewFFT().DecompressInto(nil, enc); err != nil {
+		t.Fatalf("decode: %v", err)
+	}
+	if _, err := NewFFT().Recode(enc, 0.4); !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("Recode of a bin above n/2: err = %v, want ErrCorrupt", err)
 	}
 }

@@ -42,8 +42,7 @@ func (r *RRDSample) compressRatio(dst []byte, values []float64, ratio float64) (
 		return Encoded{}, ErrRatioInfeasible
 	}
 	window := paaWindowForRatio(len(values), ratio)
-	out := putUvarint(dst[:0], uint64(len(values)))
-	out = putUvarint(out, uint64(window))
+	out := putWindowedHeader(dst, len(values), window, 8)
 	state := r.seed
 	for start := 0; start < len(values); start += window {
 		end := start + window
@@ -92,7 +91,7 @@ func (r *RRDSample) Recode(enc Encoded, ratio float64) (Encoded, error) {
 	if enc.Codec != r.Name() {
 		return Encoded{}, ErrCodecMismatch
 	}
-	count, window, samples, err := paaParse(enc.Data) // same layout as PAA
+	n, window, recs, err := windowedHeader(enc.Data, 8)
 	if err != nil {
 		return Encoded{}, err
 	}
@@ -101,17 +100,13 @@ func (r *RRDSample) Recode(enc Encoded, ratio float64) (Encoded, error) {
 		return enc, nil
 	}
 	m := (targetWindow + window - 1) / window
-	newWindow := m * window
-	out := putUvarint(nil, uint64(count))
-	out = putUvarint(out, uint64(newWindow))
+	count := len(recs) / 8
+	out := putWindowedHeader(nil, n, m*window, 8)
 	state := r.seed ^ 0x9e3779b97f4a7c15
-	for start := 0; start < len(samples); start += m {
-		end := start + m
-		if end > len(samples) {
-			end = len(samples)
-		}
+	for start := 0; start < count; start += m {
 		state = xorshift(state + uint64(start))
-		out = appendF64(out, samples[start+int(state%uint64(end-start))])
+		pick := start + int(state%uint64(min(start+m, count)-start))
+		out = append(out, recs[8*pick:8*pick+8]...)
 	}
 	return Encoded{Codec: r.Name(), Data: out, N: enc.N}, nil
 }

@@ -54,8 +54,7 @@ func (s *Summary) compressRatio(dst []byte, values []float64, ratio float64) (En
 		return Encoded{}, ErrRatioInfeasible
 	}
 	window := summaryWindowForRatio(len(values), ratio)
-	out := putUvarint(dst[:0], uint64(len(values)))
-	out = putUvarint(out, uint64(window))
+	out := putWindowedHeader(dst, len(values), window, summaryWindowBytes)
 	for start := 0; start < len(values); start += window {
 		end := start + window
 		if end > len(values) {
@@ -83,21 +82,6 @@ func (*Summary) MinRatio(values []float64) float64 {
 	return (8 + summaryWindowBytes) / float64(8*n)
 }
 
-type summaryWindow struct{ lo, hi, sum float64 }
-
-func summaryParse(data []byte) (n, window int, wins []summaryWindow, err error) {
-	n, window, recs, err := windowedHeader(data, summaryWindowBytes)
-	if err != nil {
-		return 0, 0, nil, err
-	}
-	wins = make([]summaryWindow, len(recs)/summaryWindowBytes)
-	for i := range wins {
-		off := i * summaryWindowBytes
-		wins[i] = summaryWindow{f64At(recs[off:]), f64At(recs[off+8:]), f64At(recs[off+16:])}
-	}
-	return n, window, wins, nil
-}
-
 // DecompressInto implements Codec: each window replays its mean.
 func (s *Summary) DecompressInto(dst []float64, enc Encoded) ([]float64, error) {
 	if enc.Codec != s.Name() {
@@ -123,7 +107,7 @@ func (s *Summary) Recode(enc Encoded, ratio float64) (Encoded, error) {
 	if enc.Codec != s.Name() {
 		return Encoded{}, ErrCodecMismatch
 	}
-	n, window, wins, err := summaryParse(enc.Data)
+	n, window, recs, err := windowedHeader(enc.Data, summaryWindowBytes)
 	if err != nil {
 		return Encoded{}, err
 	}
@@ -132,25 +116,26 @@ func (s *Summary) Recode(enc Encoded, ratio float64) (Encoded, error) {
 		return enc, nil
 	}
 	m := (targetWindow + window - 1) / window
-	newWindow := m * window
-	out := putUvarint(nil, uint64(n))
-	out = putUvarint(out, uint64(newWindow))
-	for start := 0; start < len(wins); start += m {
-		end := start + m
-		if end > len(wins) {
-			end = len(wins)
-		}
-		merged := summaryWindow{lo: math.Inf(1), hi: math.Inf(-1)}
-		for _, w := range wins[start:end] {
-			merged.lo = math.Min(merged.lo, w.lo)
-			merged.hi = math.Max(merged.hi, w.hi)
-			merged.sum += w.sum
-		}
-		out = appendF64(out, merged.lo)
-		out = appendF64(out, merged.hi)
-		out = appendF64(out, merged.sum)
+	out := putWindowedHeader(nil, n, m*window, summaryWindowBytes)
+	for step := m * summaryWindowBytes; len(recs) > 0; recs = recs[min(step, len(recs)):] {
+		lo, hi, sum := summaryMerge(recs[:min(step, len(recs))])
+		out = appendF64(out, lo)
+		out = appendF64(out, hi)
+		out = appendF64(out, sum)
 	}
 	return Encoded{Codec: s.Name(), Data: out, N: n}, nil
+}
+
+// summaryMerge folds whole (min, max, sum) records, read in place, into
+// the summary of their union: min of mins, max of maxes, sum of sums.
+func summaryMerge(recs []byte) (lo, hi, sum float64) {
+	lo, hi = math.Inf(1), math.Inf(-1)
+	for ; len(recs) > 0; recs = recs[summaryWindowBytes:] {
+		lo = math.Min(lo, f64At(recs))
+		hi = math.Max(hi, f64At(recs[8:]))
+		sum += f64At(recs[16:])
+	}
+	return lo, hi, sum
 }
 
 // SumEncoded implements DirectSummer — exact with respect to the ORIGINAL
@@ -159,14 +144,11 @@ func (s *Summary) SumEncoded(enc Encoded) (float64, error) {
 	if enc.Codec != s.Name() {
 		return 0, ErrCodecMismatch
 	}
-	_, _, wins, err := summaryParse(enc.Data)
+	_, _, recs, err := windowedHeader(enc.Data, summaryWindowBytes)
 	if err != nil {
 		return 0, err
 	}
-	var sum float64
-	for _, w := range wins {
-		sum += w.sum
-	}
+	_, _, sum := summaryMerge(recs)
 	return sum, nil
 }
 
@@ -176,14 +158,10 @@ func (s *Summary) MinMaxEncoded(enc Encoded) (float64, float64, error) {
 	if enc.Codec != s.Name() {
 		return 0, 0, ErrCodecMismatch
 	}
-	_, _, wins, err := summaryParse(enc.Data)
+	_, _, recs, err := windowedHeader(enc.Data, summaryWindowBytes)
 	if err != nil {
 		return 0, 0, err
 	}
-	lo, hi := math.Inf(1), math.Inf(-1)
-	for _, w := range wins {
-		lo = math.Min(lo, w.lo)
-		hi = math.Max(hi, w.hi)
-	}
+	lo, hi, _ := summaryMerge(recs)
 	return lo, hi, nil
 }

@@ -92,8 +92,10 @@ type Config struct {
 	// the slow outlier, §V-B2).
 	CodecCost func(op, codec string, points int) float64
 	// LosslessProbeInterval is how often (in segments) the online engine
-	// re-probes lossless viability after it has been found infeasible
-	// (default 50).
+	// re-probes lossless viability after two consecutive all-arm misses
+	// have found it infeasible (default 50). A probe is one trial of the
+	// lossless policy's own pick: a hit makes lossless viable again, a
+	// miss costs that one encode (DESIGN.md §5, "Lossless viability").
 	LosslessProbeInterval int
 	// DeviceWatts enables energy accounting (paper §IV-A4's deferred
 	// power constraint): every codec operation is charged at this power

@@ -49,11 +49,13 @@ type OfflineEngine struct {
 	// emitted on the ingest goroutine only (see internal/core/obs.go).
 	om *offlineMetrics
 
-	// Ingest-goroutine-only decode/mask scratch, reused across recodes so
-	// the steady-state recoding loop stops allocating per victim. Each
-	// slice backs exactly one concurrently-live decode (see the call
-	// sites); none of them escapes the engine.
+	// Ingest-goroutine-only encode/decode/mask scratch, reused across
+	// segments so the steady-state ingest and recoding loops stop
+	// allocating per segment and per victim. Each slice backs exactly one
+	// concurrently-live encode or decode (see the call sites); none of
+	// them escapes the engine.
 	armMask   []bool
+	ingestEnc []byte    // Ingest's lossless encode, copied out at exact size
 	recodeDec []float64 // recodeEntry's shared victim decode
 	scoreDec  []float64 // scoreRecode's candidate decode
 	scoreRaw  []float64 // scoreRecode's fallback reference decode
@@ -209,11 +211,16 @@ func (e *OfflineEngine) Ingest(values []float64, label int) error {
 	arm := e.losslessMAB.Select(nil)
 	name := e.losslessNames[arm]
 	codec, _ := e.reg.Lookup(name)
-	enc, err := compress.Compress(codec, values)
+	enc, err := codec.CompressInto(e.ingestEnc, values)
 	if err != nil {
 		e.losslessMAB.Update(arm, 0)
 		return err
 	}
+	// The pool keeps an exact-size copy; the scratch, grown once to the
+	// largest encoding seen, serves the next segment.
+	stored := make([]byte, len(enc.Data))
+	copy(stored, enc.Data)
+	e.ingestEnc, enc.Data = enc.Data, stored
 	e.losslessMAB.Update(arm, 1-minf(enc.Ratio(), 1))
 	e.mutStats(func(s *OfflineStats) { s.LosslessUse[name]++ })
 	e.energy.Charge(e.costFn("encode", name, len(values)))
@@ -548,8 +555,8 @@ func (e *OfflineEngine) scoreRecode(victim *store.Entry, newEnc compress.Encoded
 		}
 		e.scoreRaw = raw
 	}
-	obs := Observation{Raw: raw, Decoded: decoded, CompressedBytes: newEnc.Size()}
-	return e.eval.Reward(obs), e.eval.AccuracyLoss(obs), nil
+	reward, accLoss = e.eval.Score(Observation{Raw: raw, Decoded: decoded, CompressedBytes: newEnc.Size()})
+	return reward, accLoss, nil
 }
 
 // recodeCost returns the virtual CPU seconds one recode consumed: the

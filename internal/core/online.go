@@ -385,8 +385,12 @@ func (e *OnlineEngine) tryLossless(target float64) bool {
 
 // processLossless attempts lossless compression under the target ratio.
 // Infeasibility is a property of the *best* lossless codec, not of one
-// exploratory pick, so on a miss the engine retries the remaining arms
-// before concluding the segment cannot be handled losslessly.
+// exploratory pick, so while lossless is viable a miss retries the
+// remaining arms before concluding the segment cannot be handled
+// losslessly. A periodic re-probe of a non-viable stream only asks whether
+// the data has turned compressible, and the policy's own pick answers
+// that: one trial, whose miss costs one encode instead of the whole arm
+// list (DESIGN.md §5, "Lossless viability").
 //
 // adaedge:decision-goroutine
 func (e *OnlineEngine) processLossless(id, trace uint64, values []float64, prep *PreparedSegment, target float64, trials *decisionTrials) (Result, compress.Encoded, bool) {
@@ -397,7 +401,11 @@ func (e *OnlineEngine) processLossless(id, trace uint64, values []float64, prep 
 		// viability failure (the data's compressibility did not change).
 		return Result{}, compress.Encoded{}, false
 	}
-	for remaining := len(e.losslessNames); remaining > 0; remaining-- {
+	attempts := len(e.losslessNames)
+	if target < 1 && !e.losslessViable.Load() {
+		attempts = 1
+	}
+	for ; attempts > 0; attempts-- {
 		arm := e.losslessMAB.Select(allowed)
 		if arm < 0 {
 			break
@@ -521,7 +529,7 @@ func (e *OnlineEngine) processLossy(id, trace uint64, values []float64, prep *Pr
 		e.scr.parkDec(t.dec)
 	}
 	obs := Observation{Raw: values, Decoded: t.decoded, CompressedBytes: t.enc.Size(), Duration: t.dur}
-	reward := e.eval.Reward(obs)
+	reward, accLoss := e.eval.Score(obs)
 	e.lossyMAB.Update(arm, reward)
 	e.ctx.observeLossy(arm, len(values), t.enc.Ratio(), reward)
 	e.ctx.chosen(id, arm, len(values), true, t.enc.Ratio())
@@ -529,7 +537,7 @@ func (e *OnlineEngine) processLossy(id, trace uint64, values []float64, prep *Pr
 	e.om.spanEncode(trace, arm, name, t.enc.Ratio())
 	return Result{
 		SegmentID: id, Codec: name, Lossy: true, Ratio: t.enc.Ratio(),
-		Reward: reward, AccuracyLoss: e.eval.AccuracyLoss(obs), Duration: t.dur,
+		Reward: reward, AccuracyLoss: accLoss, Duration: t.dur,
 	}, t.enc, nil
 }
 

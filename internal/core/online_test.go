@@ -340,3 +340,157 @@ func TestOnlineDegradeCapsAtOne(t *testing.T) {
 		t.Fatalf("effective target %v exceeds 1", got)
 	}
 }
+
+// countingCodec counts the lossless trials the engine runs through it.
+type countingCodec struct {
+	compress.Codec
+	trials *int
+}
+
+func (c countingCodec) CompressInto(dst []byte, values []float64) (compress.Encoded, error) {
+	*c.trials++
+	return c.Codec.CompressInto(dst, values)
+}
+
+// countingRegistry is a candidate set whose lossless arms share one trial
+// counter; the lossy arms are registered as they are.
+func countingRegistry() (*compress.Registry, int, *int) {
+	trials := new(int)
+	lossless := []compress.Codec{
+		compress.NewSnappy(), compress.NewDict(), compress.NewGorilla(),
+		compress.NewChimp(), compress.NewSprintz(4), compress.NewBUFF(4),
+	}
+	reg := compress.NewRegistry()
+	for _, c := range lossless {
+		reg.Register(countingCodec{c, trials})
+	}
+	for _, c := range []compress.Codec{
+		compress.NewBUFFLossy(4), compress.NewPAA(), compress.NewPLA(),
+		compress.NewFFT(), compress.NewLTTB(), compress.NewRRDSample(1),
+	} {
+		reg.Register(c)
+	}
+	return reg, len(lossless), trials
+}
+
+// shiftPool is one CBF regime followed by one plateau regime, half each.
+func shiftPool(n int, seed int64) [][]float64 {
+	stream := datasets.NewShiftStream(n, 128, seed)
+	pool := make([][]float64, n)
+	for i := range pool {
+		pool[i], _ = stream.Next()
+	}
+	return pool
+}
+
+// TestOnlineLosslessViabilityStateMachine walks the viability states with
+// a trial counter: viable retries every arm, two all-arm misses flip to
+// non-viable, a non-viable stream runs no lossless trial except one — the
+// policy's pick — every LosslessProbeInterval segments, a probe hit makes
+// lossless viable again, and leaving it again takes two all-arm misses.
+func TestOnlineLosslessViabilityStateMachine(t *testing.T) {
+	const interval = 10
+	reg, arms, trials := countingRegistry()
+	e, err := NewOnlineEngine(Config{
+		TargetRatioOverride:   0.2,
+		Objective:             AggTarget(query.Max),
+		Registry:              reg,
+		LosslessProbeInterval: interval,
+		Seed:                  3,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	pool := shiftPool(200, 11)
+	cbf, plateaus := pool[:100], pool[100:]
+	step := func(values []float64) (lossy bool, ran int) {
+		t.Helper()
+		before := *trials
+		res, _, err := e.Process(values, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res.Lossy, *trials - before
+	}
+	leaveViable := func(segs [][]float64) {
+		t.Helper()
+		for i := 0; i < 2; i++ {
+			if lossy, ran := step(segs[i]); !lossy || ran != arms {
+				t.Fatalf("viable miss %d: lossy=%v after %d lossless trials, want every one of %d arms tried", i, lossy, ran, arms)
+			}
+		}
+	}
+
+	// Viable -> non-viable on CBF, then interval-1 quiet segments per probe.
+	leaveViable(cbf)
+	for i := 2; i < 2+3*interval; i++ {
+		want := 0
+		if (i-1)%interval == 0 {
+			want = 1
+		}
+		if lossy, ran := step(cbf[i]); !lossy || ran != want {
+			t.Fatalf("non-viable segment %d: lossy=%v after %d lossless trials, want %d", i, lossy, ran, want)
+		}
+	}
+	// The data turns compressible: the next probe's single trial hits.
+	for i := 0; ; i++ {
+		lossy, ran := step(plateaus[i])
+		if !lossy {
+			if ran != 1 {
+				t.Fatalf("probe hit ran %d lossless trials, want 1", ran)
+			}
+			break
+		}
+		if ran > 1 || i >= interval {
+			t.Fatalf("plateau segment %d: %d lossless trials and still lossy, want a one-trial hit within %d segments", i, ran, interval)
+		}
+	}
+	if lossy, ran := step(plateaus[interval+1]); lossy || ran < 1 {
+		t.Fatalf("after the probe hit: lossy=%v with %d lossless trials, want a lossless segment", lossy, ran)
+	}
+	// And the flip back is the viable state's: two all-arm misses, then quiet.
+	leaveViable(cbf[50:])
+	if lossy, ran := step(cbf[52]); !lossy || ran != 0 {
+		t.Fatalf("non-viable again: lossy=%v after %d lossless trials, want none", lossy, ran)
+	}
+}
+
+// TestOnlineReprobeTakesUpRegimeFlip runs the edge_shift configuration
+// over four CBF/plateau cycles: each flip to plateaus must be back on
+// lossless within LosslessProbeInterval segments of the boundary, and the
+// lossless share must stay where the all-arm re-probe had it.
+func TestOnlineReprobeTakesUpRegimeFlip(t *testing.T) {
+	e, err := NewOnlineEngine(Config{
+		TargetRatioOverride: 0.20,
+		Objective:           AggTarget(query.Max),
+		BanditPolicy:        "contextual",
+		Seed:                1,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const half, cycles = 256, 4
+	pool := shiftPool(2*half, 11)
+	for c := 0; c < cycles; c++ {
+		takenUp := -1
+		for i, values := range pool {
+			res, _, err := e.Process(values, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if i >= half && !res.Lossy && takenUp < 0 {
+				takenUp = i - half
+			}
+		}
+		if takenUp < 0 || takenUp > e.cfg.LosslessProbeInterval {
+			t.Errorf("cycle %d: plateaus taken up losslessly %d segments after the flip, want within %d", c, takenUp, e.cfg.LosslessProbeInterval)
+		}
+	}
+	// 844 of the 1024 plateau segments with the all-arm re-probe (commit
+	// 8b1a8a7): each flip waits out the rest of a probe interval.
+	const parent = 844
+	got := e.Stats().LosslessSegments
+	if d := got - parent; d < -parent/100 || d > parent/100 {
+		t.Errorf("LosslessSegments = %d over %d cycles, want within 1%% of %d", got, cycles, parent)
+	}
+}

@@ -14,8 +14,9 @@ import (
 	"repro/internal/query"
 )
 
-// segOutcome is the determinism-relevant slice of a Result: everything
-// except Duration, which is wall time and legitimately varies run to run.
+// segOutcome is the determinism-relevant slice of a segment's outcome:
+// everything in the Result except Duration, which is wall time and
+// legitimately varies run to run, plus the encoded bytes.
 type segOutcome struct {
 	SegmentID    uint64
 	Codec        string
@@ -23,12 +24,14 @@ type segOutcome struct {
 	Ratio        float64
 	Reward       float64
 	AccuracyLoss float64
+	Encoding     string
 }
 
-func outcomeOf(r Result) segOutcome {
+func outcomeOf(r Result, enc compress.Encoded) segOutcome {
 	return segOutcome{
 		SegmentID: r.SegmentID, Codec: r.Codec, Lossy: r.Lossy,
 		Ratio: r.Ratio, Reward: r.Reward, AccuracyLoss: r.AccuracyLoss,
+		Encoding: string(enc.Data),
 	}
 }
 
@@ -53,11 +56,11 @@ func runSequential(t *testing.T, cfg Config, segs []LabeledSegment) ([]segOutcom
 	}
 	var out []segOutcome
 	for _, s := range segs {
-		res, _, err := eng.Process(s.Values, s.Label)
+		res, enc, err := eng.Process(s.Values, s.Label)
 		if err != nil {
 			t.Fatal(err)
 		}
-		out = append(out, outcomeOf(res))
+		out = append(out, outcomeOf(res, enc))
 	}
 	return out, eng.Stats()
 }
@@ -71,12 +74,12 @@ func runParallel(t *testing.T, cfg Config, workers int, segs []LabeledSegment) (
 	}
 	par := NewOnlineParallel(eng, 0)
 	var out []segOutcome
-	par.OnResult(func(res Result, _ compress.Encoded, err error) {
+	par.OnResult(func(res Result, enc compress.Encoded, err error) {
 		if err != nil {
 			t.Errorf("parallel segment failed: %v", err)
 			return
 		}
-		out = append(out, outcomeOf(res))
+		out = append(out, outcomeOf(res, enc))
 	})
 	par.Start(context.Background())
 	for _, s := range segs {
@@ -90,9 +93,9 @@ func runParallel(t *testing.T, cfg Config, workers int, segs []LabeledSegment) (
 
 // TestParallelOnlineMatchesSequential is the determinism guarantee: for a
 // fixed seed, Workers: k produces the byte-identical selected-codec
-// sequence, rewards, and stats as Workers: 1, because codec trials are
-// pure and every bandit decision happens on the sequencer in arrival
-// order.
+// sequence, rewards, encodings and stats as Workers: 1, because codec
+// trials are pure and every bandit decision happens on the sequencer in
+// arrival order.
 func TestParallelOnlineMatchesSequential(t *testing.T) {
 	for _, tc := range []struct {
 		name string
@@ -102,6 +105,10 @@ func TestParallelOnlineMatchesSequential(t *testing.T) {
 		{"lossy-ratio", Config{TargetRatioOverride: 0.3, Objective: SingleTarget(TargetRatio), Seed: 7}},
 		{"lossless-unconstrained", Config{TargetRatioOverride: 1, Objective: SingleTarget(TargetRatio), Seed: 11}},
 		{"ucb", Config{TargetRatioOverride: 0.2, Objective: AggTarget(query.Sum), Seed: 5, UseUCB: true}},
+		// Lossless turns non-viable on the second segment; at interval 10
+		// the remaining 98 cross nine one-arm re-probes, which workers
+		// never speculate and the sequencer must run inline, identically.
+		{"lossy-reprobe", Config{TargetRatioOverride: 0.15, Objective: AggTarget(query.Max), Seed: 9, LosslessProbeInterval: 10}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			segs := cbfSegments(t, 100, 90)
@@ -139,7 +146,7 @@ func TestRunOnlineSegmentsHonorsWorkers(t *testing.T) {
 		}
 		out := make([]segOutcome, len(results))
 		for i, r := range results {
-			out[i] = outcomeOf(r)
+			out[i] = outcomeOf(r, compress.Encoded{})
 		}
 		return out
 	}

@@ -8,12 +8,15 @@ import (
 
 // Trial-buffer recycling for the speculative evaluator loop.
 //
-// Every segment decision runs up to a dozen codec trials; before this pass
-// each trial allocated its encode buffer (and, for lossy arms, a decode
-// slice) and dropped it on the floor. The pools below keep those buffers
+// A segment decision in the lossless phase runs up to a dozen codec
+// trials, a lossy one an encode and a decode; without recycling each
+// trial allocates its encode buffer (and, for lossy arms, a decode slice)
+// and drops it on the floor. The pools below keep those buffers
 // circulating: trials carry their pool wrapper through losslessTrial /
 // lossyTrial so recycling a rejected trial is a pointer hand-back, never
-// an allocation.
+// an allocation. A lossy trial's encoding is the exception: CompressRatio
+// makes one exact-size allocation, the payload, which leaves with the
+// decision (DESIGN.md §10), so only its decode slice is pooled.
 //
 // Ownership rules (DESIGN.md §10):
 //

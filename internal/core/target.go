@@ -172,19 +172,44 @@ func NewEvaluator(o Objective) (*Evaluator, error) {
 // (ML or aggregation terms).
 func (e *Evaluator) NeedsAccuracy() bool { return e.hasML || e.hasAgg }
 
-// Reward scores an observation in [0,1] (higher is better).
-func (e *Evaluator) Reward(obs Observation) float64 {
-	var total float64
+// Score evaluates obs in one pass, computing each term's metric once, and
+// returns both readings the engines take from it. reward is the bandit
+// reward in [0,1] (higher is better). accLoss scores only the accuracy
+// terms of the objective (1 - weighted accuracy), the quantity the paper's
+// figures plot: terms without an accuracy interpretation (size,
+// throughput) are excluded and the remaining weights renormalized; if the
+// objective has no accuracy terms the loss is 0.
+func (e *Evaluator) Score(obs Observation) (reward, accLoss float64) {
+	var total, acc, wsum float64
 	for _, t := range e.terms {
-		total += t.Weight * e.metric(t, obs)
+		m := t.Weight * e.metric(t, obs)
+		total += m
+		if t.Kind == TargetAggAccuracy || t.Kind == TargetMLAccuracy {
+			acc += m
+			wsum += t.Weight
+		}
+	}
+	if wsum > 0 {
+		accLoss = 1 - acc/wsum
 	}
 	if total < 0 {
-		return 0
+		total = 0
+	} else if total > 1 {
+		total = 1
 	}
-	if total > 1 {
-		return 1
-	}
-	return total
+	return total, accLoss
+}
+
+// Reward is Score's reward alone.
+func (e *Evaluator) Reward(obs Observation) float64 {
+	reward, _ := e.Score(obs)
+	return reward
+}
+
+// AccuracyLoss is Score's accuracy loss alone.
+func (e *Evaluator) AccuracyLoss(obs Observation) float64 {
+	_, accLoss := e.Score(obs)
+	return accLoss
 }
 
 func (e *Evaluator) metric(t Term, obs Observation) float64 {
@@ -229,24 +254,4 @@ func (e *Evaluator) metric(t Term, obs Observation) float64 {
 	default:
 		return 0
 	}
-}
-
-// AccuracyLoss scores only the accuracy terms of the objective (1 -
-// weighted accuracy), the quantity the paper's figures plot. Terms without
-// an accuracy interpretation (size, throughput) are excluded and the
-// remaining weights renormalized; if the objective has no accuracy terms
-// the loss is 0.
-func (e *Evaluator) AccuracyLoss(obs Observation) float64 {
-	var acc, wsum float64
-	for _, t := range e.terms {
-		if t.Kind != TargetAggAccuracy && t.Kind != TargetMLAccuracy {
-			continue
-		}
-		acc += t.Weight * e.metric(t, obs)
-		wsum += t.Weight
-	}
-	if wsum == 0 {
-		return 0
-	}
-	return 1 - acc/wsum
 }

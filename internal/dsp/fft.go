@@ -51,12 +51,28 @@ func ifftInPlace(a []complex128) []complex128 {
 }
 
 // FFTReal transforms a real-valued signal.
-func FFTReal(x []float64) []complex128 {
-	c := make([]complex128, len(x))
-	for i, v := range x {
-		c[i] = complex(v, 0)
+func FFTReal(x []float64) []complex128 { return FFTRealInto(nil, x) }
+
+// FFTRealInto is FFTReal writing the spectrum into dst's backing array,
+// reallocated if it cannot hold len(x) bins. It allocates nothing when
+// len(x) is a power of two and dst has the capacity; other lengths return
+// Bluestein's fresh slice.
+func FFTRealInto(dst []complex128, x []float64) []complex128 {
+	if len(x) == 0 {
+		return dst[:0]
 	}
-	return FFT(c)
+	if cap(dst) < len(x) {
+		dst = make([]complex128, len(x))
+	}
+	dst = dst[:len(x)]
+	for i, v := range x {
+		dst[i] = complex(v, 0)
+	}
+	if isPow2(len(x)) {
+		radix2(dst, false)
+		return dst
+	}
+	return bluestein(dst, false)
 }
 
 // IFFTReal inverts a spectrum and returns the real parts, discarding any

@@ -169,3 +169,39 @@ func TestParsevalEnergy(t *testing.T) {
 		t.Fatalf("Parseval violated: time %g vs freq %g", timeEnergy, freqEnergy)
 	}
 }
+
+// TestFFTRealIntoMatchesFFT pins the into-form to the allocating transform
+// bit for bit, over a dirty workspace, at a radix-2 and a Bluestein length,
+// and its zero-allocation promise at the radix-2 one.
+func TestFFTRealIntoMatchesFFT(t *testing.T) {
+	rng := rand.New(rand.NewSource(6))
+	for _, n := range []int{1, 100, 128} {
+		x := make([]float64, n)
+		c := make([]complex128, n)
+		for i := range x {
+			x[i] = rng.NormFloat64()
+			c[i] = complex(x[i], 0)
+		}
+		ws := make([]complex128, 128)
+		for i := range ws {
+			ws[i] = complex(math.NaN(), 7)
+		}
+		want, got := FFT(c), FFTRealInto(ws, x)
+		if len(got) != n {
+			t.Fatalf("n=%d: %d bins", n, len(got))
+		}
+		for i := range want {
+			if want[i] != got[i] {
+				t.Fatalf("n=%d bin %d: FFTRealInto %v, FFT %v", n, i, got[i], want[i])
+			}
+		}
+		if isPow2(n) {
+			if allocs := testing.AllocsPerRun(50, func() { FFTRealInto(ws, x) }); allocs != 0 {
+				t.Errorf("n=%d: FFTRealInto allocates %v/op into a large enough workspace, want 0", n, allocs)
+			}
+		}
+	}
+	if got := FFTRealInto(nil, nil); got != nil {
+		t.Errorf("FFTRealInto(nil, nil) = %v, want nil", got)
+	}
+}

@@ -53,10 +53,9 @@ type BenchConfig struct {
 	Workers []int
 	// Repeats runs each cell this many times and keeps the perf fields
 	// from the fastest run (default 3). Quality fields are deterministic,
-	// so repeats only reduce scheduler noise on the perf axes — best-of-N
-	// is what lets -compare hold a tight ns_per_segment threshold.
-	// Short cells (tens of milliseconds) need the full default; min-of-5
-	// empirically holds run-to-run jitter under the gate's 10%.
+	// so repeats only reduce scheduler noise on the perf axes; on a shared
+	// machine best-of-N still leaves ns_per_segment swinging tens of
+	// percent, which is why -compare reports it and gates allocs_per_op.
 	Repeats int
 }
 

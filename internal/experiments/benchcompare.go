@@ -14,9 +14,11 @@ import (
 //   - quality fields are seeded-deterministic, so they must match EXACTLY.
 //     Any drift means a behaviour change — intended (refresh the baseline)
 //     or not (a bug) — and fails the comparison either way, loudly.
-//   - ns_per_segment is honest wall clock; it fails only beyond a
-//     configurable relative threshold (default +10%), and only when both
-//     documents come from the same machine is the signal meaningful.
+//   - ns_per_segment is honest wall clock over ~4 ms cells: on a shared
+//     machine it swings tens of percent between two runs of one binary
+//     (ROADMAP's paired-run rule exists for that), so a delta beyond ±10%
+//     is printed as a note and never fails the comparison. Speed is
+//     claimed with cmd/adaedge-e2e's paired runs instead.
 //   - allocs_per_op is near-deterministic for a given binary; it fails on
 //     any increase beyond a small absolute slack that absorbs sync.Pool
 //     refill jitter.
@@ -28,28 +30,24 @@ import (
 
 // CompareOptions tunes the perf gate.
 type CompareOptions struct {
-	// PerfThreshold is the allowed fractional ns_per_segment increase
-	// (0.10 = +10%). Zero selects the default 0.10.
-	PerfThreshold float64
 	// AllocSlack is the allowed absolute allocs_per_op increase. Zero
 	// selects the default 2.0; negative means literally any increase
 	// fails.
 	AllocSlack float64
 }
 
+// nsNoteThreshold is the fractional ns_per_segment change worth a note.
+const nsNoteThreshold = 0.10
+
 // fleetPerfThreshold is the allowed fractional drop in the fleet cell's
-// devices_x_segments_per_sec. It is intentionally much wider than
-// PerfThreshold: the fleet number crosses the kernel's loopback stack and
-// hundreds of goroutines, so its run-to-run noise dwarfs the in-process
-// cells'. It still catches the failure mode it exists for — a collector
+// devices_x_segments_per_sec, wide enough to sit above the run-to-run
+// noise of a number that crosses the kernel's loopback stack and hundreds
+// of goroutines. It still catches the failure mode it exists for — a collector
 // change that serializes the fleet or re-introduces per-frame lockstep
 // shows up as an integer-factor collapse, not a 40% wobble.
 const fleetPerfThreshold = 0.40
 
 func (o CompareOptions) withDefaults() CompareOptions {
-	if o.PerfThreshold == 0 {
-		o.PerfThreshold = 0.10
-	}
 	if o.AllocSlack == 0 {
 		o.AllocSlack = 2.0
 	}
@@ -77,8 +75,8 @@ func (r CompareReport) OK() bool {
 
 // Render writes the human-readable report.
 func (r CompareReport) Render(w io.Writer) {
-	fmt.Fprintf(w, "bench compare: %d case(s) matched, limits ns/segment +%.1f%%, allocs/op +%.1f\n",
-		r.Matched, r.opts.PerfThreshold*100, r.opts.AllocSlack)
+	fmt.Fprintf(w, "bench compare: %d case(s) matched, limit allocs/op +%.1f, ns/segment reported only\n",
+		r.Matched, r.opts.AllocSlack)
 	for _, n := range r.Notes {
 		fmt.Fprintf(w, "  note: %s\n", n)
 	}
@@ -255,24 +253,17 @@ func (r *CompareReport) compareCase(oc, nc BenchCase) {
 	}
 
 	op, np := oc.Perf, nc.Perf
-	// Fleet cases skip the tight single-process gates: their wall clock
-	// crosses loopback TCP, goroutine scheduling and injected redial
-	// backoffs, so ns_per_segment jitters far past the 10% threshold and
-	// Mallocs counts whole sessions. The fleet gate above, with its wider
-	// threshold, is their perf axis.
+	// Fleet cases skip the single-process fields: their wall clock crosses
+	// loopback TCP, goroutine scheduling and injected redial backoffs, and
+	// Mallocs counts whole sessions. The fleet gate above is their perf
+	// axis.
 	if nc.Mode == "fleet" {
 		return
 	}
 	if op.NsPerSegment > 0 {
-		rel := (np.NsPerSegment - op.NsPerSegment) / op.NsPerSegment
-		switch {
-		case rel > r.opts.PerfThreshold:
-			r.PerfRegressions = append(r.PerfRegressions,
-				fmt.Sprintf("%s: ns_per_segment %.0f -> %.0f (%+.1f%%, limit +%.1f%%)",
-					id, op.NsPerSegment, np.NsPerSegment, rel*100, r.opts.PerfThreshold*100))
-		case rel < -r.opts.PerfThreshold:
+		if rel := (np.NsPerSegment - op.NsPerSegment) / op.NsPerSegment; rel > nsNoteThreshold || rel < -nsNoteThreshold {
 			r.Notes = append(r.Notes,
-				fmt.Sprintf("%s: ns_per_segment improved %.0f -> %.0f (%+.1f%%)",
+				fmt.Sprintf("%s: ns_per_segment %.0f -> %.0f (%+.1f%%)",
 					id, op.NsPerSegment, np.NsPerSegment, rel*100))
 		}
 	}

@@ -132,22 +132,23 @@ func TestCompareStructuralErrors(t *testing.T) {
 	}
 }
 
-// TestCompareConfigurableLimits checks the threshold knobs actually move
-// the gate: the perf-regression fixture passes once both limits are wide
-// enough, and an explicit negative AllocSlack makes any increase fail.
+// TestCompareConfigurableLimits checks the slack knob actually moves the
+// gate: the perf-regression fixture (+60% ns_per_segment, +18 allocs)
+// passes once the slack is wide enough — the latency delta is a note, not
+// a failure — and an explicit negative AllocSlack makes any increase fail.
 func TestCompareConfigurableLimits(t *testing.T) {
 	oldData := readFixture(t, "compare_old.json")
 	newData := readFixture(t, "compare_perf_regression.json")
 
-	rep, err := CompareBenchJSON(oldData, newData, CompareOptions{PerfThreshold: 0.75, AllocSlack: 100})
+	rep, err := CompareBenchJSON(oldData, newData, CompareOptions{AllocSlack: 100})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !rep.OK() {
-		t.Fatalf("wide limits should pass, got regressions: %v", rep.PerfRegressions)
+		t.Fatalf("a wide slack should pass, got regressions: %v", rep.PerfRegressions)
 	}
 
-	rep, err = CompareBenchJSON(oldData, newData, CompareOptions{PerfThreshold: 0.75, AllocSlack: -1})
+	rep, err = CompareBenchJSON(oldData, newData, CompareOptions{AllocSlack: -1})
 	if err != nil {
 		t.Fatal(err)
 	}

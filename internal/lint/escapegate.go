@@ -33,15 +33,25 @@ import (
 
 // EscapePinnedFiles are the hot-path files whose escape decisions are
 // pinned by ESCAPES.baseline: the codec substrate's bit I/O, the four
-// tightest codecs, the online decision path with its buffer pools, and the
-// wire's frame header codec.
+// tightest lossless codecs, the lossy encoders whose one allocation is the
+// payload, the forest the ML objective predicts with, both engines'
+// decision paths with their buffer pools and evaluator, and the wire's
+// frame header codec.
 var EscapePinnedFiles = []string{
 	"internal/bitio/bitio.go",
 	"internal/compress/gorilla.go",
 	"internal/compress/chimp.go",
 	"internal/compress/sprintz.go",
 	"internal/compress/buff.go",
+	"internal/compress/fftc.go",
+	"internal/compress/paa.go",
+	"internal/compress/pla.go",
+	"internal/compress/lttb.go",
+	"internal/compress/rrd.go",
+	"internal/ml/forest.go",
 	"internal/core/online.go",
+	"internal/core/offline.go",
+	"internal/core/target.go",
 	"internal/core/scratch.go",
 	"internal/core/parallel.go",
 	"internal/transport/transport.go",

@@ -70,20 +70,16 @@ func FitForest(X [][]float64, y []int, cfg ForestConfig) (*RandomForest, error) 
 }
 
 // Predict implements Classifier by majority vote (ties break to the lower
-// label for determinism).
+// label for determinism). It runs once per raw and once per decoded
+// segment on the online ML objective, so the tally stays off the heap.
 func (f *RandomForest) Predict(x []float64) int {
-	votes := make([]int, f.Classes)
+	var stack [stackClasses]int
+	votes := voteSlots(stack[:], f.Classes)
 	for _, t := range f.Trees {
 		p := t.Predict(x)
 		if p >= 0 && p < len(votes) {
 			votes[p]++
 		}
 	}
-	best := 0
-	for c, v := range votes {
-		if v > votes[best] {
-			best = c
-		}
-	}
-	return best
+	return argmax(votes)
 }

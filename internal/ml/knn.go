@@ -1,7 +1,5 @@
 package ml
 
-import "sort"
-
 // KNN is a k-nearest-neighbour classifier over Euclidean distance. Unlike
 // tree models it degrades smoothly under lossy compression: predictions
 // only change when perturbations move a point across a class boundary
@@ -35,19 +33,25 @@ func FitKNN(X [][]float64, y []int, k int) (*KNN, error) {
 	return &KNN{K: k, X: cx, Y: append([]int(nil), y...), Classes: maxLabel(y) + 1}, nil
 }
 
-// Predict implements Classifier.
+// neighbour is one candidate of KNN.Predict's nearest set.
+type neighbour struct {
+	d float64
+	y int
+}
+
+// Predict implements Classifier. For K and Classes up to stackClasses (the
+// default K is 5) the nearest set and the tally live on the stack.
 func (m *KNN) Predict(x []float64) int {
-	type nd struct {
-		d float64
-		y int
-		i int
+	var nstack [stackClasses]neighbour
+	nearest := nstack[:0]
+	if m.K > len(nstack) {
+		nearest = make([]neighbour, 0, m.K)
 	}
-	nearest := make([]nd, 0, m.K+1)
 	worst := -1.0
 	for i, row := range m.X {
 		d := euclideanSq(x, row)
 		if len(nearest) < m.K {
-			nearest = append(nearest, nd{d, m.Y[i], i})
+			nearest = append(nearest, neighbour{d, m.Y[i]})
 			if d > worst {
 				worst = d
 			}
@@ -63,7 +67,7 @@ func (m *KNN) Predict(x []float64) int {
 				fi, fd = j, e.d
 			}
 		}
-		nearest[fi] = nd{d, m.Y[i], i}
+		nearest[fi] = neighbour{d, m.Y[i]}
 		worst = -1
 		for _, e := range nearest {
 			if e.d > worst {
@@ -71,25 +75,15 @@ func (m *KNN) Predict(x []float64) int {
 			}
 		}
 	}
-	// Deterministic vote: sort by (distance, index) then majority with
-	// low-label tie-break.
-	sort.Slice(nearest, func(a, b int) bool {
-		if nearest[a].d != nearest[b].d {
-			return nearest[a].d < nearest[b].d
-		}
-		return nearest[a].i < nearest[b].i
-	})
-	votes := make([]int, m.Classes)
+	// Majority with low-label tie-break; the tally does not depend on the
+	// order of the nearest set, and distance ties were settled above in
+	// favour of the lower row index.
+	var vstack [stackClasses]int
+	votes := voteSlots(vstack[:], m.Classes)
 	for _, e := range nearest {
 		if e.y >= 0 && e.y < len(votes) {
 			votes[e.y]++
 		}
 	}
-	best := 0
-	for c, v := range votes {
-		if v > votes[best] {
-			best = c
-		}
-	}
-	return best
+	return argmax(votes)
 }

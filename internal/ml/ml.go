@@ -98,6 +98,24 @@ func mode(y []int, idx []int, classes int) int {
 	for _, i := range idx {
 		counts[y[i]]++
 	}
+	return argmax(counts)
+}
+
+// stackClasses is how many vote counters (and KNN neighbours) Predict
+// keeps in a stack array; models beyond it pay one heap slice per call.
+const stackClasses = 16
+
+// voteSlots returns n zeroed counters: a prefix of buf, the caller's
+// zeroed stack array, when it is large enough.
+func voteSlots(buf []int, n int) []int {
+	if n <= len(buf) {
+		return buf[:n]
+	}
+	return make([]int, n)
+}
+
+// argmax returns the index of the largest count, the lowest on ties.
+func argmax(counts []int) int {
 	best := 0
 	for c, n := range counts {
 		if n > counts[best] {

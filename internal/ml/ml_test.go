@@ -299,3 +299,52 @@ func TestModelsOnCBF(t *testing.T) {
 		t.Fatalf("knn CBF accuracy %.3f, want >= 0.8", acc)
 	}
 }
+
+// TestAllocsPredict pins Predict at zero allocations for every model: the
+// online ML objective predicts twice per segment (raw and decoded), so one
+// vote slice per call was 4 of edge_ml's 9.5 allocations per segment.
+func TestAllocsPredict(t *testing.T) {
+	X, y := blobs(300, 8, 3, 0.5, 20)
+	tree, err := FitTree(X, y, TreeConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	forest, err := FitForest(X, y, ForestConfig{Trees: 10, Seed: 20})
+	if err != nil {
+		t.Fatal(err)
+	}
+	knn, err := FitKNN(X, y, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	kmeans, err := FitKMeans(X, KMeansConfig{K: 3, Seed: 20})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, m := range map[string]Classifier{"tree": tree, "forest": forest, "knn": knn, "kmeans": kmeans} {
+		if got := testing.AllocsPerRun(100, func() { m.Predict(X[7]) }); got != 0 {
+			t.Errorf("%s.Predict allocates %v/op, want 0", name, got)
+		}
+	}
+}
+
+// TestPredictBeyondStackClasses drives the forest and KNN through the heap
+// fallback their stack tallies take above stackClasses labels / neighbours.
+func TestPredictBeyondStackClasses(t *testing.T) {
+	classes := stackClasses + 4
+	X, y := blobs(40*classes, 4, classes, 0.3, 21)
+	forest, err := FitForest(X, y, ForestConfig{Trees: 10, Seed: 21})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if acc := LabelAccuracy(forest, X, y); acc < 0.95 {
+		t.Errorf("forest accuracy %.3f over %d classes, want >= 0.95", acc, classes)
+	}
+	knn, err := FitKNN(X, y, stackClasses+1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if acc := LabelAccuracy(knn, X, y); acc < 0.95 {
+		t.Errorf("knn accuracy %.3f with k=%d over %d classes, want >= 0.95", acc, knn.K, classes)
+	}
+}

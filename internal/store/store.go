@@ -1,7 +1,6 @@
 package store
 
 import (
-	"container/list"
 	"sync"
 
 	"repro/internal/compress"
@@ -54,97 +53,109 @@ type Policy interface {
 	Len() int
 }
 
-// LRU is the paper's default policy: least-recently-used segments are
-// recoded first, so hot segments keep their fidelity.
-type LRU struct {
-	ll    *list.List
-	index map[uint64]*list.Element
+// order is the recency list behind LRU and RoundRobin: segment ids from
+// the next recoding victim (front) to the most recently registered (back).
+// Nodes live in one slab and link by slab index — nodes[0] is the sentinel
+// of the circular list — so registering a segment allocates nothing beyond
+// the amortised growth of the slab and the index map.
+type order struct {
+	nodes []orderNode
+	free  int32 // head of the freed-slot chain through next; 0 = empty
+	index map[uint64]int32
 }
 
-// NewLRU returns an empty LRU policy.
-func NewLRU() *LRU {
-	return &LRU{ll: list.New(), index: make(map[uint64]*list.Element)}
+type orderNode struct {
+	id         uint64
+	prev, next int32
 }
 
-// Put implements Policy.
-func (l *LRU) Put(id uint64) {
-	if e, ok := l.index[id]; ok {
-		l.ll.MoveToBack(e)
+func newOrder() order {
+	return order{nodes: make([]orderNode, 1), index: make(map[uint64]int32)}
+}
+
+// unlink detaches slot i from the list, leaving the slot itself alone.
+func (o *order) unlink(i int32) {
+	n := o.nodes[i]
+	o.nodes[n.prev].next, o.nodes[n.next].prev = n.next, n.prev
+}
+
+// linkBack attaches slot i before the sentinel, the most-recent end.
+func (o *order) linkBack(i int32) {
+	last := o.nodes[0].prev
+	o.nodes[i].prev, o.nodes[i].next = last, 0
+	o.nodes[last].next, o.nodes[0].prev = i, i
+}
+
+// touch moves id to the back and reports whether it was tracked.
+func (o *order) touch(id uint64) bool {
+	i, ok := o.index[id]
+	if ok {
+		o.unlink(i)
+		o.linkBack(i)
+	}
+	return ok
+}
+
+// Put implements Policy: a new id joins at the back, a tracked one moves
+// there.
+func (o *order) Put(id uint64) {
+	if o.touch(id) {
 		return
 	}
-	l.index[id] = l.ll.PushBack(id)
-}
-
-// Get implements Policy.
-func (l *LRU) Get(id uint64) {
-	if e, ok := l.index[id]; ok {
-		l.ll.MoveToBack(e)
+	i := o.free
+	if i != 0 {
+		o.free = o.nodes[i].next
+	} else {
+		i = int32(len(o.nodes))
+		o.nodes = append(o.nodes, orderNode{})
 	}
+	o.nodes[i].id = id
+	o.index[id] = i
+	o.linkBack(i)
 }
 
-// Victim implements Policy: the front of the list is least recently used.
-func (l *LRU) Victim() (uint64, bool) {
-	if e := l.ll.Front(); e != nil {
-		return e.Value.(uint64), true
+// Victim implements Policy: the front of the list.
+func (o *order) Victim() (uint64, bool) {
+	if i := o.nodes[0].next; i != 0 {
+		return o.nodes[i].id, true
 	}
 	return 0, false
 }
 
 // Remove implements Policy.
-func (l *LRU) Remove(id uint64) {
-	if e, ok := l.index[id]; ok {
-		l.ll.Remove(e)
-		delete(l.index, id)
+func (o *order) Remove(id uint64) {
+	if i, ok := o.index[id]; ok {
+		o.unlink(i)
+		delete(o.index, id)
+		o.nodes[i].next, o.free = o.free, i
 	}
 }
 
 // Len implements Policy.
-func (l *LRU) Len() int { return l.ll.Len() }
+func (o *order) Len() int { return len(o.index) }
+
+// LRU is the paper's default policy: least-recently-used segments are
+// recoded first, so hot segments keep their fidelity.
+type LRU struct{ order }
+
+// NewLRU returns an empty LRU policy.
+func NewLRU() *LRU { return &LRU{newOrder()} }
+
+// Get implements Policy: an access makes the segment most recently used.
+func (l *LRU) Get(id uint64) { l.touch(id) }
 
 // RoundRobin recodes strictly oldest-first regardless of access pattern,
-// matching RRDTool/TVStore behaviour; kept for the LRU ablation.
-type RoundRobin struct {
-	ll    *list.List
-	index map[uint64]*list.Element
-}
+// matching RRDTool/TVStore behaviour; kept for the LRU ablation. A (re-)Put
+// still moves the segment to the back of the cycle, so recoding rotates
+// round-robin through the pool; only accesses are ignored — that is what
+// distinguishes this policy from LRU.
+type RoundRobin struct{ order }
 
 // NewRoundRobin returns an empty round-robin policy.
-func NewRoundRobin() *RoundRobin {
-	return &RoundRobin{ll: list.New(), index: make(map[uint64]*list.Element)}
-}
-
-// Put implements Policy: a (re-)put moves the segment to the back of the
-// cycle, so recoding rotates round-robin through the pool. Only accesses
-// (Get) are ignored — that is what distinguishes this policy from LRU.
-func (r *RoundRobin) Put(id uint64) {
-	if e, ok := r.index[id]; ok {
-		r.ll.MoveToBack(e)
-		return
-	}
-	r.index[id] = r.ll.PushBack(id)
-}
+func NewRoundRobin() *RoundRobin { return &RoundRobin{newOrder()} }
 
 // Get implements Policy: accesses do not affect ordering.
 func (*RoundRobin) Get(uint64) {}
-
-// Victim implements Policy.
-func (r *RoundRobin) Victim() (uint64, bool) {
-	if e := r.ll.Front(); e != nil {
-		return e.Value.(uint64), true
-	}
-	return 0, false
-}
-
-// Remove implements Policy.
-func (r *RoundRobin) Remove(id uint64) {
-	if e, ok := r.index[id]; ok {
-		r.ll.Remove(e)
-		delete(r.index, id)
-	}
-}
-
-// Len implements Policy.
-func (r *RoundRobin) Len() int { return r.ll.Len() }
 
 // Pool is the compressed buffer pool: entries indexed by segment id with a
 // compression-ordering policy.

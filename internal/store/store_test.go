@@ -1,6 +1,7 @@
 package store
 
 import (
+	"runtime"
 	"testing"
 	"time"
 
@@ -170,5 +171,35 @@ func TestBufferDefaultLimit(t *testing.T) {
 	b := NewBuffer(0)
 	if b.limit != 1024 {
 		t.Fatalf("default limit = %d", b.limit)
+	}
+}
+
+// TestAllocsPoolPut pins the pool's bookkeeping per ingested segment: the
+// order list links nodes inside one slab, so Put + Victim + Touch allocate
+// nothing of their own — what remains is the amortised growth of the slab
+// and of the two id maps, well under one allocation per segment
+// (container/list cost an Element and a boxed id per Put on top of it).
+// Counted from MemStats because testing.AllocsPerRun truncates to whole
+// allocations, which would hide exactly that difference.
+func TestAllocsPoolPut(t *testing.T) {
+	for name, policy := range map[string]Policy{"lru": NewLRU(), "roundrobin": NewRoundRobin()} {
+		p := NewPool(policy)
+		entries := make([]Entry, 4096)
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for i := range entries {
+			entries[i].ID = uint64(i)
+			p.Put(&entries[i])
+			if v, ok := p.Victim(); ok {
+				p.Touch(v.ID)
+			}
+		}
+		runtime.ReadMemStats(&after)
+		if got := float64(after.Mallocs-before.Mallocs) / float64(len(entries)); got >= 1 {
+			t.Errorf("%s: Put+Victim+Touch allocates %.2f/op amortised, want under 1", name, got)
+		}
+		if p.Len() != len(entries) {
+			t.Errorf("%s: pool holds %d of %d entries", name, p.Len(), len(entries))
+		}
 	}
 }
