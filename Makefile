@@ -49,10 +49,11 @@ race:
 	$(GO) test -race ./...
 
 # fuzz-smoke mirrors the CI fuzz job: every Fuzz* target in the
-# decoder-facing packages (and the bufownership analyzer, seeded with its
+# decoder-facing packages, the bit reader under them (differential against
+# a bit-by-bit reference) and the bufownership analyzer (seeded with its
 # fixture corpus) gets $(FUZZTIME) of fuzzing.
 fuzz-smoke:
-	@for pkg in ./internal/compress ./internal/transport ./internal/lint; do \
+	@for pkg in ./internal/bitio ./internal/compress ./internal/transport ./internal/lint; do \
 		targets=$$($(GO) test -list '^Fuzz' $$pkg | grep '^Fuzz'); \
 		for t in $$targets; do \
 			echo "--- $$pkg $$t"; \

@@ -202,14 +202,17 @@ type DrainReport = core.DrainReport
 
 // Transport types for shipping segments to a cloud collector.
 type (
-	// Frame is one transmitted segment with its codec metadata.
+	// Frame is one transmitted segment with its codec metadata. A frame
+	// handed to a collector sink borrows its payload (Enc.Data) from the
+	// connection: it is valid until the sink returns.
 	Frame = transport.Frame
 	// CloudCollector receives and decompresses segment frames.
 	CloudCollector = transport.Collector
 )
 
 // NewCloudCollector builds the receiving side; devices reach it with
-// transport.DialResilient.
+// transport.DialResilient. The sink's values and its frame's payload are
+// reused once it returns: copy what you keep.
 var NewCloudCollector = transport.NewCollector
 
 // Observability types (see OBSERVABILITY.md). Attach an Observer via

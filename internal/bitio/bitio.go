@@ -4,6 +4,7 @@
 package bitio
 
 import (
+	"encoding/binary"
 	"errors"
 )
 
@@ -99,72 +100,77 @@ func (w *Writer) ResetBuf(buf []byte) {
 	w.bits = 0
 }
 
-// Reader consumes bits most-significant-bit first from a byte slice.
+// Reader consumes bits most-significant-bit first from a byte slice. The
+// cursor is one bit offset: byte position off>>3, bit off&7 within it.
 type Reader struct {
 	buf []byte
-	pos int   // byte position
-	bit uint8 // bit offset within buf[pos] [0,8)
+	off uint // bits consumed
+	end uint // 8*len(buf); a field because ReadBits has no inlining budget left to compute it
+	// tail is the last eight bytes of buf as one big-endian word (a shorter
+	// buf right-aligned), loaded once by Reset, so the reads that reach into
+	// the last 64 bits need no byte loop and no load past the end.
+	tail uint64
 }
 
 // NewReader wraps data without copying.
 func NewReader(data []byte) *Reader {
-	return &Reader{buf: data}
+	r := new(Reader)
+	r.Reset(data)
+	return r
 }
 
 // Reset rewinds the reader onto data without copying, so one stack- or
 // struct-resident Reader can serve many decodes allocation-free.
 func (r *Reader) Reset(data []byte) {
-	r.buf = data
-	r.pos = 0
-	r.bit = 0
+	r.buf, r.off, r.end, r.tail = data, 0, 8*uint(len(data)), 0
+	for _, b := range data[max(0, len(data)-8):] {
+		r.tail = r.tail<<8 | uint64(b)
+	}
 }
 
 // ReadBit consumes a single bit.
 func (r *Reader) ReadBit() (bool, error) {
-	if r.pos >= len(r.buf) {
+	if r.off >= r.end {
 		return false, ErrShortRead
 	}
-	bit := r.buf[r.pos]&(1<<(7-r.bit)) != 0
-	r.bit++
-	if r.bit == 8 {
-		r.bit = 0
-		r.pos++
-	}
+	bit := r.buf[r.off>>3]<<(r.off&7)&0x80 != 0
+	r.off++
 	return bit, nil
 }
 
-// ReadBits consumes n bits (n in [0,64]) and returns them right-aligned.
-func (r *Reader) ReadBits(n uint) (uint64, error) {
-	var v uint64
-	for n > 0 {
-		if r.pos >= len(r.buf) {
-			return 0, ErrShortRead
-		}
-		avail := uint(8 - r.bit)
-		take := n
-		if take > avail {
-			take = avail
-		}
-		chunk := r.buf[r.pos] >> (avail - take)
-		chunk &= (1 << take) - 1
-		v = v<<take | uint64(chunk)
-		r.bit += uint8(take)
-		if r.bit == 8 {
-			r.bit = 0
-			r.pos++
-		}
-		n -= take
+// ReadBits consumes n bits (n in [0,64]) and returns them right-aligned. A
+// read past the end consumes what is left and returns ErrShortRead.
+//
+// One load serves every width at every bit offset: while more than 64 bits
+// remain, nine bytes are in bounds, and the eight-byte big-endian word at
+// the cursor plus the byte after it hold bits s..s+64; the last 64 bits come
+// from the tail word. The body is loop- and call-free so that it stays
+// inside the compiler's inlining budget (cost 79 of 80 with go1.24;
+// TestReadBitsInlines) and the decoders pay no call per field.
+func (r *Reader) ReadBits(n uint) (v uint64, err error) {
+	// s is the cursor's distance into the last 64 bits. It wraps past 1<<63
+	// exactly when more than 64 bits remain; a cursor a caller pushed past
+	// the end with n > 64 lands in between and reads as short.
+	s := r.off + 64 - r.end
+	if s >= 1<<63 {
+		b := r.buf[r.off>>3:]
+		s = r.off & 7
+		v = binary.BigEndian.Uint64(b)<<s | uint64(b[8])>>(8-s)
+	} else if s+n <= 64 {
+		v = r.tail << s
+	} else {
+		r.off = r.end
+		return 0, ErrShortRead
 	}
-	return v, nil
+	r.off += n
+	return v >> (64 - n), nil
 }
 
 // ReadUint64 consumes 64 bits.
 func (r *Reader) ReadUint64() (uint64, error) { return r.ReadBits(64) }
 
 // Remaining returns the number of unread bits.
-func (r *Reader) Remaining() int {
-	return 8*(len(r.buf)-r.pos) - int(r.bit)
-}
+func (r *Reader) Remaining() int { return int(r.end - r.off) }
 
 // ZigZag encodes a signed integer so that small magnitudes (positive or
 // negative) map to small unsigned values, as used by Sprintz delta coding.

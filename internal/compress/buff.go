@@ -122,8 +122,10 @@ func (b buffCore) decodeInto(dst []float64, enc Encoded) ([]float64, error) {
 	return out, nil
 }
 
-// headerSize returns the byte size of enc's header (everything before the
-// packed deltas), or -1 if corrupt.
+// buffHeaderSize returns the byte size of data's header (everything before
+// the packed deltas) and its width and dropped-bits fields, or -1 if
+// corrupt: the stored width, width - drop, must be in [1,64], which is what
+// bitio.Reader.ReadBits takes.
 func buffHeaderSize(data []byte) (hdr, width, drop int) {
 	p := 0
 	for _, field := range []int{0, 1, 2} {
@@ -137,7 +139,11 @@ func buffHeaderSize(data []byte) (hdr, width, drop int) {
 	if len(data) < p+2 {
 		return -1, 0, 0
 	}
-	return p + 2, int(data[p]), int(data[p+1])
+	width, drop = int(data[p]), int(data[p+1])
+	if drop >= width || width > 64 {
+		return -1, 0, 0
+	}
+	return p + 2, width, drop
 }
 
 // BUFF is the lossless bounded-float codec: exact round-trip for data

@@ -1,6 +1,10 @@
 package compress
 
-import "repro/internal/bitio"
+import (
+	"math/bits"
+
+	"repro/internal/bitio"
+)
 
 // Dict is dictionary encoding for numeric data: distinct values are
 // collected into a dictionary and each point is stored as a bit-packed code
@@ -86,11 +90,4 @@ func (d *Dict) DecompressInto(dst []float64, enc Encoded) ([]float64, error) {
 }
 
 // bitsFor returns the number of bits needed to represent v (at least 1).
-func bitsFor(v uint64) int {
-	bits := 1
-	for v > 1 {
-		v >>= 1
-		bits++
-	}
-	return bits
-}
+func bitsFor(v uint64) int { return max(1, bits.Len64(v)) }

@@ -104,3 +104,57 @@ func TestHostileHeadersRejected(t *testing.T) {
 		}
 	}
 }
+
+// TestHostileBitWidthsRejected: a forged width field must be ErrCorrupt on
+// every path that hands it to bitio.Reader.ReadBits, whose contract is
+// [0,64] — BUFF's width/drop pair on the decode, recode and direct-query
+// paths (a drop above the width is a negative stored width), and Sprintz's
+// seven-bit block width.
+func TestHostileBitWidthsRejected(t *testing.T) {
+	values := make([]float64, 128)
+	for i := range values {
+		values[i] = float64(i%17) / 4
+	}
+	lossy := NewBUFFLossy(4)
+	enc, err := lossy.CompressRatio(values, 0.5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	hdr, _, _ := buffHeaderSize(enc.Data)
+	for _, wd := range [][2]byte{{9, 200}, {65, 0}, {255, 254}, {0, 0}} {
+		bad := Encoded{Codec: enc.Codec, Data: append([]byte(nil), enc.Data...), N: enc.N}
+		bad.Data[hdr-2], bad.Data[hdr-1] = wd[0], wd[1]
+		if _, err := Decompress(lossy, bad); err != ErrCorrupt {
+			t.Errorf("width %d drop %d: decode returned %v, want ErrCorrupt", wd[0], wd[1], err)
+		}
+		if _, err := lossy.Recode(bad, 0.1); err != ErrCorrupt {
+			t.Errorf("width %d drop %d: Recode returned %v, want ErrCorrupt", wd[0], wd[1], err)
+		}
+		if _, err := lossy.SumEncoded(bad); err != ErrCorrupt {
+			t.Errorf("width %d drop %d: SumEncoded returned %v, want ErrCorrupt", wd[0], wd[1], err)
+		}
+	}
+
+	sprintz := NewSprintz(4)
+	senc, err := Compress(sprintz, values)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Block widths sit at bit offsets that depend on the widths before them,
+	// so forge every byte in turn: where the byte held a width, 127 is wider
+	// than any residual and must be ErrCorrupt; elsewhere the stream may
+	// still decode. Nothing else may come back.
+	rejected := 0
+	for at := range senc.Data {
+		bad := Encoded{Codec: senc.Codec, Data: append([]byte(nil), senc.Data...), N: senc.N}
+		bad.Data[at] |= 0xfe
+		if _, err := Decompress(sprintz, bad); err == ErrCorrupt {
+			rejected++
+		} else if err != nil {
+			t.Errorf("sprintz byte %d forged: %v, want ErrCorrupt or a decode", at, err)
+		}
+	}
+	if rejected == 0 {
+		t.Error("no forged sprintz byte was rejected: the sweep never reached a block width")
+	}
+}

@@ -165,7 +165,7 @@ func (s *Sprintz) DecompressInto(dst []float64, enc Encoded) ([]float64, error) 
 	remaining := int(count) - 1
 	for remaining > 0 {
 		width, err := r.ReadBits(7)
-		if err != nil {
+		if err != nil || width > 64 {
 			return nil, ErrCorrupt
 		}
 		blockLen := 8

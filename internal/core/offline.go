@@ -33,8 +33,14 @@ type OfflineEngine struct {
 
 	losslessNames []string
 	lossyNames    []string
-	losslessMAB   bandit.Policy
-	lossyPool     *bandit.Pool
+	// The arms' codecs, resolved from the registry once: lossless[i] is
+	// losslessNames[i], lossy[i] is lossyNames[i], and recoders[i] is
+	// lossy[i] as a Recoder, nil when it is not one.
+	lossless    []compress.Codec
+	lossy       []compress.LossyCodec
+	recoders    []compress.Recoder
+	losslessMAB bandit.Policy
+	lossyPool   *bandit.Pool
 
 	storage *sim.Storage
 	pool    *store.Pool
@@ -129,6 +135,22 @@ func NewOfflineEngine(cfg Config) (*OfflineEngine, error) {
 			LossyUse:    make(map[string]int),
 		},
 	}
+	for _, name := range e.losslessNames {
+		c, ok := cfg.Registry.Lookup(name)
+		if !ok {
+			return nil, fmt.Errorf("core: lossless arm %q is not in the registry", name)
+		}
+		e.lossless = append(e.lossless, c)
+	}
+	for _, name := range e.lossyNames {
+		c, _ := cfg.Registry.Lookup(name)
+		lc, ok := c.(compress.LossyCodec)
+		if !ok {
+			return nil, fmt.Errorf("core: lossy arm %q is not a lossy codec in the registry", name)
+		}
+		rec, _ := c.(compress.Recoder)
+		e.lossy, e.recoders = append(e.lossy, lc), append(e.recoders, rec)
+	}
 	e.losslessMAB = newPolicy(cfg, len(e.losslessNames), 303, "bandit.offline.lossless")
 	e.om = newOfflineMetrics(cfg.Obs)
 	factory := func(arms int, bc bandit.Config) bandit.Policy {
@@ -210,8 +232,7 @@ func (e *OfflineEngine) Ingest(values []float64, label int) error {
 	// Lossless selection: minimize compressed size (paper §IV-C2).
 	arm := e.losslessMAB.Select(nil)
 	name := e.losslessNames[arm]
-	codec, _ := e.reg.Lookup(name)
-	enc, err := codec.CompressInto(e.ingestEnc, values)
+	enc, err := e.lossless[arm].CompressInto(e.ingestEnc, values)
 	if err != nil {
 		e.losslessMAB.Update(arm, 0)
 		return err
@@ -343,9 +364,8 @@ func (e *OfflineEngine) recodeEntry(victim *store.Entry) (bool, error) {
 		}
 		ref = v
 	}
-	for i, name := range e.lossyNames {
-		c, _ := e.reg.Lookup(name)
-		if c.(compress.LossyCodec).MinRatio(ref) <= target {
+	for i, lc := range e.lossy {
+		if lc.MinRatio(ref) <= target {
 			allowed[i] = true
 			anyAllowed = true
 		}
@@ -372,12 +392,11 @@ func (e *OfflineEngine) recodeEntry(victim *store.Entry) (bool, error) {
 		}
 		arm := mab.Select(allowed)
 		codecName = e.lossyNames[arm]
-		c, _ := e.reg.Lookup(codecName)
-		lc := c.(compress.LossyCodec)
+		lc := e.lossy[arm]
 		var err error
 		if t, ok := spec[arm]; ok {
 			newEnc, err, virtual = t.enc, t.err, t.virtual
-		} else if rec, ok := lc.(compress.Recoder); ok && victim.Enc.Codec == codecName {
+		} else if rec := e.recoders[arm]; rec != nil && victim.Enc.Codec == codecName {
 			// Virtual decompression: same-codec direct recode (§IV-E).
 			newEnc, err = rec.Recode(victim.Enc, target)
 			virtual = true
@@ -473,8 +492,7 @@ func (e *OfflineEngine) speculateRecodeTrials(victim *store.Entry, allowed []boo
 			continue
 		}
 		armIdx = append(armIdx, i)
-		c, _ := e.reg.Lookup(name)
-		if _, ok := c.(compress.Recoder); !ok || victim.Enc.Codec != name {
+		if e.recoders[i] == nil || victim.Enc.Codec != name {
 			needDecode = true
 		}
 	}
@@ -504,17 +522,14 @@ func (e *OfflineEngine) speculateRecodeTrials(victim *store.Entry, allowed []boo
 		go func() {
 			defer wg.Done()
 			for i := range idx {
-				name := e.lossyNames[i]
-				c, _ := e.reg.Lookup(name)
-				lc := c.(compress.LossyCodec)
-				switch rec, ok := lc.(compress.Recoder); {
-				case ok && victim.Enc.Codec == name:
+				switch rec := e.recoders[i]; {
+				case rec != nil && victim.Enc.Codec == e.lossyNames[i]:
 					enc, err := rec.Recode(victim.Enc, target)
 					trials[i] = recodeTrial{enc: enc, err: err, virtual: true}
 				case decodeErr != nil:
 					trials[i] = recodeTrial{err: decodeErr}
 				default:
-					enc, err := lc.CompressRatio(decoded, target)
+					enc, err := e.lossy[i].CompressRatio(decoded, target)
 					trials[i] = recodeTrial{enc: enc, err: err}
 				}
 			}

@@ -41,6 +41,24 @@ func TestOfflineRequiresStorage(t *testing.T) {
 	}
 }
 
+// TestOfflineRejectsUnknownArms: the arms' codecs are resolved at
+// construction, so a name the registry does not have — or has, but not as a
+// lossy codec — fails there and not as a nil codec on the first segment.
+func TestOfflineRejectsUnknownArms(t *testing.T) {
+	base := Config{StorageBytes: 1 << 20, Objective: SingleTarget(TargetRatio), Seed: 1}
+	for name, arms := range map[string]func(*Config){
+		"unknown lossless arm":  func(c *Config) { c.LosslessArms = []string{"gorilla", "gorila"} },
+		"unknown lossy arm":     func(c *Config) { c.LossyArms = []string{"paa", "nope"} },
+		"lossless as lossy arm": func(c *Config) { c.LossyArms = []string{"paa", "gorilla"} },
+	} {
+		cfg := base
+		arms(&cfg)
+		if _, err := NewOfflineEngine(cfg); err == nil {
+			t.Errorf("%s: engine built", name)
+		}
+	}
+}
+
 func TestOfflineRejectsEmptySegment(t *testing.T) {
 	e, err := NewOfflineEngine(Config{StorageBytes: 1 << 20, Objective: SingleTarget(TargetRatio), Seed: 1})
 	if err != nil {

@@ -35,8 +35,8 @@ import (
 // pinned by ESCAPES.baseline: the codec substrate's bit I/O, the four
 // tightest lossless codecs, the lossy encoders whose one allocation is the
 // payload, the forest the ML objective predicts with, both engines'
-// decision paths with their buffer pools and evaluator, and the wire's
-// frame header codec.
+// decision paths with their buffer pools and evaluator, and the delivered
+// half: the uplink's Send, the spool's ring and the wire's frame codec.
 var EscapePinnedFiles = []string{
 	"internal/bitio/bitio.go",
 	"internal/compress/gorilla.go",
@@ -54,6 +54,8 @@ var EscapePinnedFiles = []string{
 	"internal/core/target.go",
 	"internal/core/scratch.go",
 	"internal/core/parallel.go",
+	"internal/store/spool.go",
+	"internal/transport/resilient.go",
 	"internal/transport/transport.go",
 }
 

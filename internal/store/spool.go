@@ -18,6 +18,15 @@ import (
 // fires the pressure callback, which the uplink wires to the online
 // engine's Degrade hook so the bandit tightens its effective bandwidth
 // target instead of letting the backlog grow unboundedly.
+//
+// Pending entries live by value in a ring: Append copies the caller's
+// Entry into the next free slot and an ACK zeroes the slots it releases
+// (dropping their payload references), so a spooled segment costs no heap
+// object of its own. The ring starts empty, doubles when full, never past
+// the segment bound, and does not shrink: it is standing memory the size
+// of the deepest backlog seen. Head and HeadAfter return copies, not
+// pointers into the ring — the sender works on an entry outside the lock
+// while ACKs release slots and Append reuses them.
 type Spool struct {
 	maxSegments int
 	maxBytes    int64
@@ -25,15 +34,19 @@ type Spool struct {
 	onPressure  func(over bool)
 
 	mu sync.Mutex
-	// entries[head:] are the pending entries, ascending ID; entries[:head]
-	// are released slots (nil) awaiting compaction. Guarded by mu.
-	entries []*Entry
+	// The count pending entries are ring[head], ring[head+1], ... wrapping
+	// at len(ring), ascending ID; every other slot is zero. Guarded by mu.
+	ring    []Entry
 	head    int    // guarded by mu
+	count   int    // guarded by mu
 	bytes   int64  // sum of entry payload sizes; guarded by mu
 	over    bool   // high-water state; guarded by mu
 	acked   uint64 // all IDs < acked are confirmed delivered; guarded by mu
 	dropped int    // Append rejections; guarded by mu
 }
+
+// minSpoolRing is the ring's first size.
+const minSpoolRing = 16
 
 // ErrSpoolFull is returned by Append when the spool bound is reached.
 var ErrSpoolFull = errors.New("store: spool full")
@@ -59,15 +72,36 @@ func NewSpool(maxSegments int, maxBytes int64, highWater float64, onPressure fun
 	}
 }
 
-// lenLocked returns the number of pending entries.
-func (s *Spool) lenLocked() int { return len(s.entries) - s.head }
+// atLocked returns the slot k places after the oldest pending entry: the
+// k-th pending entry for k < count, the next free slot for k == count in a
+// ring that is not full.
+func (s *Spool) atLocked(k int) *Entry {
+	i := s.head + k
+	if i >= len(s.ring) {
+		i -= len(s.ring)
+	}
+	return &s.ring[i]
+}
+
+// growLocked doubles a full ring, up to the segment bound, and unwraps the
+// pending entries to its start.
+func (s *Spool) growLocked() {
+	size := max(2*len(s.ring), minSpoolRing)
+	if s.maxSegments > 0 {
+		size = min(size, s.maxSegments)
+	}
+	ring := make([]Entry, size)
+	n := copy(ring, s.ring[s.head:])
+	copy(ring[n:], s.ring[:s.head])
+	s.ring, s.head = ring, 0
+}
 
 // utilizationLocked returns the tighter of the segment and byte
 // utilizations.
 func (s *Spool) utilizationLocked() float64 {
 	var u float64
 	if s.maxSegments > 0 {
-		u = float64(s.lenLocked()) / float64(s.maxSegments)
+		u = float64(s.count) / float64(s.maxSegments)
 	}
 	if s.maxBytes > 0 {
 		if b := float64(s.bytes) / float64(s.maxBytes); b > u {
@@ -90,17 +124,21 @@ func (s *Spool) pressureLocked() func() {
 	return func() { fn(over) }
 }
 
-// Append spools one entry. Entries must arrive in ascending ID order
+// Append spools a copy of *e. Entries must arrive in ascending ID order
 // (the device's segment counter guarantees this).
 func (s *Spool) Append(e *Entry) error {
 	s.mu.Lock()
-	if (s.maxSegments > 0 && s.lenLocked() >= s.maxSegments) ||
+	if (s.maxSegments > 0 && s.count >= s.maxSegments) ||
 		(s.maxBytes > 0 && s.bytes+int64(e.Enc.Size()) > s.maxBytes) {
 		s.dropped++
 		s.mu.Unlock()
 		return ErrSpoolFull
 	}
-	s.entries = append(s.entries, e)
+	if s.count == len(s.ring) {
+		s.growLocked()
+	}
+	*s.atLocked(s.count) = *e
+	s.count++
 	s.bytes += int64(e.Enc.Size())
 	notify := s.pressureLocked()
 	s.mu.Unlock()
@@ -110,30 +148,30 @@ func (s *Spool) Append(e *Entry) error {
 	return nil
 }
 
-// Head returns the oldest unacknowledged entry without removing it.
-func (s *Spool) Head() (*Entry, bool) {
+// Head returns a copy of the oldest unacknowledged entry without removing
+// it.
+func (s *Spool) Head() (Entry, bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.head == len(s.entries) {
-		return nil, false
+	if s.count == 0 {
+		return Entry{}, false
 	}
-	return s.entries[s.head], true
+	return s.ring[s.head], true
 }
 
-// HeadAfter returns the oldest unacknowledged entry with ID > id, without
-// removing it. The pipelined uplink uses it as its send cursor: after
-// transmitting entry id it asks for the next pending entry strictly past
-// it, so in-flight-but-unacked entries are not retransmitted until a
+// HeadAfter returns a copy of the oldest unacknowledged entry with ID > id,
+// without removing it. The pipelined uplink uses it as its send cursor:
+// after transmitting entry id it asks for the next pending entry strictly
+// past it, so in-flight-but-unacked entries are not retransmitted until a
 // session break resets the cursor back to Head.
-func (s *Spool) HeadAfter(id uint64) (*Entry, bool) {
+func (s *Spool) HeadAfter(id uint64) (Entry, bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	live := s.entries[s.head:]
-	i := sort.Search(len(live), func(i int) bool { return live[i].ID > id })
-	if i == len(live) {
-		return nil, false
+	k := sort.Search(s.count, func(k int) bool { return s.atLocked(k).ID > id })
+	if k == s.count {
+		return Entry{}, false
 	}
-	return live[i], true
+	return *s.atLocked(k), true
 }
 
 // AckBelow drops every entry with ID < next (the collector's cumulative
@@ -145,29 +183,27 @@ func (s *Spool) AckBelow(next uint64) int {
 
 // AckBelowVisit is AckBelow with a per-entry visitor: visit (may be nil)
 // is called under the spool lock for each released entry, in ID order,
-// before the entry is dropped. The uplink uses it to close each frame's
+// before its slot is zeroed. The uplink uses it to close each frame's
 // wire.ack span stage with the entry's trace identity; visitors must not
 // retain the entry or call back into the spool.
 func (s *Spool) AckBelowVisit(next uint64, visit func(*Entry)) int {
 	s.mu.Lock()
-	live := s.entries[s.head:]
-	n := 0
-	for n < len(live) && live[n].ID < next {
-		s.bytes -= int64(live[n].Enc.Size())
-		if visit != nil {
-			visit(live[n])
+	released := 0
+	for s.count > 0 {
+		e := &s.ring[s.head]
+		if e.ID >= next {
+			break
 		}
-		live[n] = nil
-		n++
-	}
-	s.head += n
-	if s.head > s.lenLocked() {
-		// The dead prefix outweighs the live part: slide the live entries
-		// down. Each ACK thus costs O(released) amortized, not O(depth),
-		// and the backing array is reused instead of reallocated.
-		m := copy(s.entries, s.entries[s.head:])
-		clear(s.entries[m:])
-		s.entries, s.head = s.entries[:m], 0
+		s.bytes -= int64(e.Enc.Size())
+		if visit != nil {
+			visit(e)
+		}
+		*e = Entry{}
+		if s.head++; s.head == len(s.ring) {
+			s.head = 0
+		}
+		s.count--
+		released++
 	}
 	if next > s.acked {
 		s.acked = next
@@ -177,7 +213,7 @@ func (s *Spool) AckBelowVisit(next uint64, visit func(*Entry)) int {
 	if notify != nil {
 		notify()
 	}
-	return n
+	return released
 }
 
 // Acked returns the cumulative acknowledgement watermark: all IDs below
@@ -192,7 +228,7 @@ func (s *Spool) Acked() uint64 {
 func (s *Spool) Len() int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.lenLocked()
+	return s.count
 }
 
 // Bytes returns the pending payload bytes.

@@ -17,6 +17,11 @@
 // The first frame of a stream carries everything, so each connection is
 // self-describing and a redial needs no negotiation.
 //
+// A Reader reads every payload into one buffer of its own, so a received
+// Frame's Enc.Data is valid until the next Recv — in a Collector sink,
+// until the sink returns, like the decoded values beside it. Copy what
+// you keep. Steady-state Send and Recv allocate nothing.
+//
 // # Reliable delivery
 //
 // ResilientUplink (resilient.go) layers fault tolerance on top: frames

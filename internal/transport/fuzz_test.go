@@ -11,8 +11,9 @@ import (
 	"repro/internal/compress"
 )
 
-// FuzzFrameReader: arbitrary bytes must never panic the frame parser or
-// make it allocate past the payload bound.
+// FuzzFrameReader: arbitrary bytes must never panic the frame parser, and
+// what it allocates must follow the input's size, not the lengths the
+// input claims.
 func FuzzFrameReader(f *testing.F) {
 	paa := compress.NewPAA()
 	enc, err := paa.CompressRatio([]float64{1, 2, 3, 4, 5, 6, 7, 8}, 0.5)
@@ -27,27 +28,33 @@ func FuzzFrameReader(f *testing.F) {
 	// this layer (the collector rejects it) and must never panic or wrap
 	// anything in the reader.
 	f.Add(writeFrames(f, Frame{ID: 1<<64 - 1, Label: 0, Enc: enc}))
+	f.Add(hostileLength())
 	f.Add([]byte{})
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		r := NewReader(bytes.NewReader(data))
-		for i := 0; i < 64; i++ { // bounded frames per input
-			frame, err := r.Recv()
-			if err == io.EOF {
-				return
+		got := allocatedBy(func() {
+			r := NewReader(bytes.NewReader(data))
+			for i := 0; i < 64; i++ { // bounded frames per input
+				frame, err := r.Recv()
+				if err != nil {
+					return // io.EOF or rejected: fine
+				}
+				if len(frame.Enc.Data) > maxFrameData {
+					t.Fatal("payload bound violated")
+				}
+				if frame.Enc.N < 0 || frame.Enc.N > maxFramePoints {
+					t.Fatalf("point count %d escaped validation", frame.Enc.N)
+				}
+				if n := len(frame.Enc.Codec); n == 0 || n > 255 {
+					t.Fatalf("codec name of %d bytes escaped validation", n)
+				}
 			}
-			if err != nil {
-				return // rejected: fine
-			}
-			if len(frame.Enc.Data) > maxFrameData {
-				t.Fatal("payload bound violated")
-			}
-			if frame.Enc.N < 0 || frame.Enc.N > maxFramePoints {
-				t.Fatalf("point count %d escaped validation", frame.Enc.N)
-			}
-			if n := len(frame.Enc.Codec); n == 0 || n > 255 {
-				t.Fatalf("codec name of %d bytes escaped validation", n)
-			}
+		})
+		// A buffer is at most twice the payload bytes received (or one
+		// step), and one payload's buffers sum to a geometric series:
+		// linear in the input, whatever lengths it claims.
+		if bound := uint64(hostileAllocBound + 4*len(data)); got >= bound {
+			t.Fatalf("%d input bytes made the reader allocate %d, want < %d", len(data), got, bound)
 		}
 	})
 }

@@ -4,7 +4,9 @@ import (
 	"bytes"
 	"errors"
 	"net"
+	"runtime"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -207,5 +209,126 @@ func TestBackoffDeterministic(t *testing.T) {
 	b1.reset()
 	if d := b1.next(); d > base {
 		t.Fatalf("post-reset delay %v exceeds base %v", d, base)
+	}
+}
+
+// TestAllocsUplinkSend: spooling a frame allocates nothing — the entry is
+// copied into the spool's ring, not boxed. The pump is parked inside its
+// first dial for the whole measurement, so what is counted is Send alone.
+func TestAllocsUplinkSend(t *testing.T) {
+	release := make(chan struct{})
+	up, err := DialResilient(ResilientConfig{
+		Addr:          "127.0.0.1:1",
+		SpoolSegments: 2048,
+		Dialer: func(string, time.Duration) (net.Conn, error) {
+			<-release
+			return nil, errors.New("released")
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer up.Close()
+	defer close(release)
+	frame := smallFrame(0)
+	send := func() {
+		if err := up.Send(frame); err != nil {
+			t.Fatal(err)
+		}
+		frame.ID++
+	}
+	for frame.ID <= 1024 { // one past a ring size: the ring has doubled to the bound
+		send()
+	}
+	if avg := testing.AllocsPerRun(1000, send); avg != 0 {
+		t.Fatalf("Send allocates %.2f/op, want 0", avg)
+	}
+}
+
+// TestAllocsSessionSteadyState sends 4096 frames through a warm pipelined
+// session on loopback — Send, spool, pump, socket, collector Recv, decode,
+// sink, ACK, spool release — and counts every malloc in the process.
+//
+// The one thing left allocating is the collector's writeAck, one malloc per
+// ACK (see the comment there for why it still does), and how many ACKs 4096
+// frames take is the collector's call: at least one per ackEvery frames,
+// more whenever its read side runs dry, which depends on who gets the CPU.
+// So the pin is on the rest: beyond one per ACK, at most one malloc per 50
+// frames (WaitDrain's timer and channel, a decode buffer the GC took back
+// from the pool).
+func TestAllocsSessionSteadyState(t *testing.T) {
+	if raceBuild() {
+		t.Skip("sync.Pool drops Puts under the race detector")
+	}
+	const frames = 4096
+	var delivered atomic.Int64
+	col := NewCollector(compress.DefaultRegistry(4), func(f Frame, values []float64) {
+		if len(values) == f.Enc.N {
+			delivered.Add(1)
+		}
+	})
+	addr, err := col.Serve("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer col.Close()
+	var acks atomic.Int64
+	up, err := DialResilient(ResilientConfig{
+		Addr: addr.String(), DeviceID: 9, Protocol: 2, SpoolSegments: frames,
+		OnEvent: func(e Event) {
+			if e.Kind == "ack" {
+				acks.Add(1)
+			}
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer up.Close()
+
+	// One frame per codec the wire workloads of cmd/adaedge-e2e cycle through
+	// (the stdlib flate decoder behind gzip and zlib allocates per stream).
+	var pool []Frame
+	all, _ := sampleFrames(t, 17)
+	for _, f := range all {
+		switch f.Enc.Codec {
+		case "gorilla", "chimp", "sprintz", "buff", "paa", "pla", "fft", "lttb":
+			pool = append(pool, f)
+		}
+	}
+	if len(pool) != 8 {
+		t.Fatalf("%d of the 8 wire codecs in the registry", len(pool))
+	}
+	var id uint64
+	burst := func() {
+		for i := 0; i < frames; i++ {
+			f := pool[i%len(pool)]
+			f.ID = id
+			id++
+			if err := up.Send(f); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := up.WaitDrain(20 * time.Second); err != nil {
+			t.Fatal(err)
+		}
+	}
+	burst() // dial, codec dictionary, ring, read buffer, decode pool
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	acks0 := acks.Load()
+	burst()
+	runtime.ReadMemStats(&after)
+	mallocs, acked := int64(after.Mallocs-before.Mallocs), acks.Load()-acks0
+	if got := delivered.Load(); got != 2*frames {
+		t.Fatalf("%d of %d frames delivered and decoded", got, 2*frames)
+	}
+	t.Logf("%d mallocs and %d ACKs for %d frames: %.3f allocs/frame, %.3f outside writeAck",
+		mallocs, acked, frames, float64(mallocs)/frames, float64(mallocs-acked)/frames)
+	if mallocs <= 0 {
+		t.Error("no malloc at all: writeAck stopped escaping, so adaedge-e2e's wire_replay can read allocs_per_segment = 0, which its smoke test fails (see writeAck)")
+	}
+	if rest := mallocs - acked; rest > frames/50 {
+		t.Errorf("%d mallocs beyond writeAck's for %d frames, want <= %d", rest, frames, frames/50)
 	}
 }

@@ -114,8 +114,9 @@ func (c CollectorConfig) withDefaults() CollectorConfig {
 //     of mostly-idle devices costs O(1) small entries each, and
 //     eviction can never re-open a delivered ID.
 //
-// The sink's values slice is only valid for the duration of the call
-// (decode buffers are pooled); sinks that retain values must copy.
+// The sink's values slice and its frame's Enc.Data are only valid for the
+// duration of the call (decode buffers are pooled, the payload buffer is
+// the connection's Reader's); sinks that retain either must copy.
 type Collector struct {
 	cfg  CollectorConfig
 	reg  *compress.Registry
@@ -194,8 +195,8 @@ type deviceState struct {
 // NewCollector builds a receiver with default configuration. sink is
 // invoked for every frame with the decompressed values (nil when decode
 // fails or the codec is unknown — the frame itself still carries the
-// payload). The values slice is reused after the sink returns; copy to
-// retain.
+// payload). The values slice and the frame's Enc.Data are reused after the
+// sink returns; copy to retain.
 func NewCollector(reg *compress.Registry, sink func(Frame, []float64)) *Collector {
 	return NewCollectorWith(reg, sink, CollectorConfig{})
 }

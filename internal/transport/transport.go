@@ -21,7 +21,10 @@ type Frame struct {
 	// means "no trace" and costs nothing on the wire; a non-zero trace
 	// sets the tag's traced bit and rides as one uvarint after the label.
 	Trace uint64
-	// Enc is the compressed representation plus codec metadata.
+	// Enc is the compressed representation plus codec metadata. On a frame
+	// a Reader returned, Enc.Data is the Reader's own buffer: valid until
+	// the next Recv on it (for a collector sink, until the sink returns);
+	// copy to retain.
 	Enc compress.Encoded
 }
 
@@ -56,6 +59,21 @@ var ErrBadFrame = errors.New("transport: bad frame")
 
 // maxFrameData bounds a frame's payload against hostile length fields.
 const maxFrameData = 1 << 30
+
+// The length field is read before the payload and nothing vouches for it,
+// so it may not size memory by itself. A payload that does not fit the
+// Reader's buffer is read in steps, each no larger than what has already
+// arrived (payloadStep for the first), and the buffer grows a step at a
+// time, so it is never more than twice the bytes received or one
+// payloadStep: a header claiming maxFrameData in front of ten bytes costs
+// 64 KiB, not 1 GiB. And only the buffer for payloads up to maxKeptPayload
+// stays with the Reader for the next frame; a larger payload gets one of
+// its own, so one big frame does not pin its size for the rest of the
+// session.
+const (
+	payloadStep    = 64 << 10
+	maxKeptPayload = 4 * 4096 // four bufio buffers
+)
 
 // maxFramePoints bounds the wire-supplied point count N. The count is
 // metadata (decoders allocate from it and Ratio/cost accounting divide by
@@ -149,8 +167,9 @@ func (t *Writer) Flush() error { return t.w.Flush() }
 
 // Reader parses frames from an io.Reader.
 type Reader struct {
-	r  *bufio.Reader
-	st streamState
+	r   *bufio.Reader
+	st  streamState
+	buf []byte // payload buffer, reused by every Recv
 }
 
 // NewReader wraps r.
@@ -159,7 +178,9 @@ func NewReader(r io.Reader) *Reader {
 }
 
 // Recv reads the next frame. io.EOF signals a clean end of stream (the
-// sender closed between frames); any mid-frame truncation is an error.
+// sender closed between frames); any mid-frame truncation is an error. The
+// frame's Enc.Data aliases a buffer the next Recv overwrites, which is what
+// keeps a steady-state Recv allocation-free: copy the payload to keep it.
 func (t *Reader) Recv() (Frame, error) {
 	tag, err := t.r.ReadByte()
 	if err != nil {
@@ -231,12 +252,41 @@ func (t *Reader) Recv() (Frame, error) {
 	if err != nil || dataLen > maxFrameData {
 		return Frame{}, ErrBadFrame
 	}
-	f.Enc.Data = make([]byte, dataLen)
-	if _, err := io.ReadFull(t.r, f.Enc.Data); err != nil {
+	if f.Enc.Data, err = t.readPayload(int(dataLen)); err != nil {
 		return Frame{}, badFrame(err)
 	}
 	st.started, st.nextID, st.n = true, f.ID+1, f.Enc.N
 	return f, nil
+}
+
+// readPayload reads the next n bytes into the Reader's buffer, or into a
+// one-off buffer when n is past maxKeptPayload, growing it as the bytes
+// arrive (see payloadStep).
+func (t *Reader) readPayload(n int) ([]byte, error) {
+	kept := n <= maxKeptPayload
+	var data []byte
+	if kept {
+		data = t.buf[:0]
+	}
+	for len(data) < n {
+		have := len(data)
+		step := min(n-have, max(have, payloadStep))
+		if need := have + step; need > cap(data) {
+			// At least twice the old capacity, so the kept buffer settles at
+			// the stream's largest payload within a few frames.
+			grown := make([]byte, have, max(need, 2*cap(data)))
+			copy(grown, data)
+			data = grown
+		}
+		data = data[:have+step]
+		if _, err := io.ReadFull(t.r, data[have:]); err != nil {
+			return nil, err
+		}
+	}
+	if kept {
+		t.buf = data
+	}
+	return data, nil
 }
 
 func badFrame(err error) error { return fmt.Errorf("%w: %v", ErrBadFrame, err) }

@@ -9,6 +9,7 @@ import (
 	"math"
 	"math/rand"
 	"net"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -284,6 +285,84 @@ func TestFrameTruncatedMidPayload(t *testing.T) {
 	r := NewReader(bytes.NewReader(data[:len(data)-10]))
 	if _, err := r.Recv(); err == nil || err == io.EOF {
 		t.Fatalf("truncated payload accepted: %v", err)
+	}
+}
+
+// TestRecvPayloadAliasesReaderBuffer pins the ownership contract from both
+// sides: a payload is intact until the next Recv, the next Recv is allowed
+// to overwrite it (so retaining means copying), and a payload past
+// maxKeptPayload gets a buffer of its own that the Reader does not keep.
+func TestRecvPayloadAliasesReaderBuffer(t *testing.T) {
+	frame := func(id uint64, size int, fill byte) Frame {
+		return Frame{ID: id, Enc: compress.Encoded{Codec: "paa", Data: bytes.Repeat([]byte{fill}, size), N: 1}}
+	}
+	frames := []Frame{frame(0, 100, 'a'), frame(1, 100, 'b'), frame(2, maxKeptPayload+1, 'c'), frame(3, 40, 'd')}
+	r := NewReader(bytes.NewReader(writeFrames(t, frames...)))
+	first, err := r.Recv()
+	if err != nil || !sameFrame(first, frames[0]) {
+		t.Fatalf("frame 0 = %+v, %v", first, err)
+	}
+	second, err := r.Recv()
+	if err != nil || !sameFrame(second, frames[1]) {
+		t.Fatalf("frame 1 = %+v, %v", second, err)
+	}
+	if &first.Enc.Data[0] != &second.Enc.Data[0] || first.Enc.Data[0] != 'b' {
+		t.Fatal("the second Recv did not reuse the first one's buffer")
+	}
+	big, err := r.Recv()
+	if err != nil || !sameFrame(big, frames[2]) {
+		t.Fatalf("frame 2: %d payload bytes, %v", len(big.Enc.Data), err)
+	}
+	if cap(r.buf) > maxKeptPayload {
+		t.Fatalf("the Reader kept a %d-byte buffer after a %d-byte payload", cap(r.buf), len(big.Enc.Data))
+	}
+	last, err := r.Recv()
+	if err != nil || !sameFrame(last, frames[3]) {
+		t.Fatalf("frame 3 = %+v, %v", last, err)
+	}
+	if !sameFrame(big, frames[2]) {
+		t.Fatal("a one-off payload was overwritten by the next Recv")
+	}
+}
+
+// hostileLength is a first frame whose length field claims maxFrameData
+// with ten payload bytes behind it.
+func hostileLength() []byte {
+	b := []byte{tagInline | tagID | tagN, 3, 'p', 'a', 'a', 0, 0, 1}
+	b = binary.AppendUvarint(b, maxFrameData)
+	return append(b, "ten bytes."...)
+}
+
+// allocatedBy returns the heap bytes fn allocated, live or not.
+func allocatedBy(fn func()) uint64 {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	fn()
+	runtime.ReadMemStats(&after)
+	return after.TotalAlloc - before.TotalAlloc
+}
+
+// hostileAllocBound is what one Reader may allocate on bytes nothing
+// vouches for: its bufio buffer, one payloadStep, and slack for the error.
+const hostileAllocBound = 1 << 20
+
+// TestRecvHostileLengthAllocatesBySteps: memory follows the bytes that
+// arrive, not the length field in front of them.
+func TestRecvHostileLengthAllocatesBySteps(t *testing.T) {
+	var err error
+	got := allocatedBy(func() { _, err = NewReader(bytes.NewReader(hostileLength())).Recv() })
+	if !errors.Is(err, ErrBadFrame) {
+		t.Fatalf("want ErrBadFrame, got %v", err)
+	}
+	if got >= hostileAllocBound {
+		t.Fatalf("a 1 GiB length field in front of 10 bytes allocated %d bytes, want < %d", got, hostileAllocBound)
+	}
+	// A payload that does arrive is read whole, however many steps it takes.
+	want := Frame{ID: 5, Enc: compress.Encoded{Codec: "paa", Data: make([]byte, 5*payloadStep+123), N: 1}}
+	rand.New(rand.NewSource(18)).Read(want.Enc.Data)
+	f, err := NewReader(bytes.NewReader(writeFrames(t, want))).Recv()
+	if err != nil || !sameFrame(f, want) {
+		t.Fatalf("%d-byte payload: got %d bytes, %v", len(want.Enc.Data), len(f.Enc.Data), err)
 	}
 }
 
