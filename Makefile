@@ -8,7 +8,7 @@ VETTOOL := $(BIN)/adaedge-lint
 # Per-target fuzz time for the smoke pass (CI uses the same value).
 FUZZTIME ?= 20s
 
-.PHONY: all build vet lint escape-gate escape-gate-update test race fuzz-smoke obs-smoke fleet-smoke bench-json bench-compare doc-drift loc ci clean
+.PHONY: all build vet lint escape-gate escape-gate-update test race fuzz-smoke obs-smoke fleet-smoke bench-smoke bench-json bench-compare doc-drift loc ci clean
 
 all: build
 
@@ -72,6 +72,12 @@ obs-smoke:
 fleet-smoke:
 	./scripts/fleet_smoke.sh
 
+# bench-smoke runs every root-package ablation benchmark once. Nothing
+# else executes them, so this pass is what notices one that stopped
+# compiling, errors, or b.Fatals because what it measures went missing.
+bench-smoke:
+	$(GO) test -run '^$$' -bench Ablation -benchtime 1x .
+
 # bench-json runs the continuous benchmark matrix and writes the next free
 # BENCH_<n>.json in the repo root, then re-validates it against the schema.
 # BENCHSEGMENTS scales the workload (CI uses a short scale).
@@ -108,7 +114,7 @@ doc-drift:
 loc:
 	@find . -name '*.go' ! -name '*_test.go' ! -path './vendor/*' ! -path '*/testdata/*' | xargs cat | wc -l
 
-ci: build vet lint escape-gate race obs-smoke fleet-smoke doc-drift
+ci: build vet lint escape-gate race obs-smoke fleet-smoke bench-smoke doc-drift
 
 clean:
 	rm -rf $(BIN)

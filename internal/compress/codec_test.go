@@ -476,10 +476,14 @@ func TestEncodedRatio(t *testing.T) {
 // TestFlateBombRejected: a hundred-odd KB of deflated zeros must not
 // inflate past the decode bound. The payloads are valid streams holding
 // maxDecodePoints points and a MiB more; before the bound existed they
-// decoded to all of them, through some 800 MiB of allocation.
+// decoded to all of them, through some 800 MiB of allocation. What a
+// rejection costs must not depend on the capacity of the pooled scratch the
+// decode happens to draw either: growing by append's own steps it cost 256
+// MiB from an empty scratch and 427 from the 1 024 bytes a 128-point
+// segment leaves in the pool, so each case primes the pool first.
 func TestFlateBombRejected(t *testing.T) {
 	if raceBuild() {
-		t.Skip("single-goroutine, and inflating 2 × 128 MiB under the race detector takes ~15 s")
+		t.Skip("single-goroutine, and inflating 128 MiB a case under the race detector takes ~8 s each")
 	}
 	var deflated bytes.Buffer
 	w, _ := flate.NewWriter(&deflated, flate.BestSpeed)
@@ -504,15 +508,24 @@ func TestFlateBombRejected(t *testing.T) {
 		{NewZlib(6), []byte{0x78, 0x01}, be.AppendUint32(nil, adler.Sum32())},
 	} {
 		payload := append(append(tc.header, deflated.Bytes()...), tc.trailer...)
-		var before, after runtime.MemStats
-		runtime.ReadMemStats(&before)
-		_, err := tc.c.DecompressInto(nil, Encoded{Codec: tc.c.Name(), Data: payload, N: size / 8})
-		runtime.ReadMemStats(&after)
-		if !errors.Is(err, ErrCorrupt) {
-			t.Errorf("%s: %d-byte payload inflating to %d points: err = %v, want ErrCorrupt", tc.c.Name(), len(payload), size/8, err)
-		}
-		if got, limit := after.TotalAlloc-before.TotalAlloc, uint64(3*8*maxDecodePoints); got > limit {
-			t.Errorf("%s: rejecting the payload allocated %d MiB, want under %d MiB", tc.c.Name(), got>>20, limit>>20)
+		for _, scratchCap := range []int{0, 512, 1024, 3000, 8192, 20000, 70000} {
+			// One goroutine, no GC in between: the decode's Get returns this
+			// buffer, and the Get below what the decode Put back.
+			primed := make([]byte, 0, scratchCap)
+			byteScratch.Put(&primed)
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			_, err := tc.c.DecompressInto(nil, Encoded{Codec: tc.c.Name(), Data: payload, N: size / 8})
+			runtime.ReadMemStats(&after)
+			if !errors.Is(err, ErrCorrupt) {
+				t.Errorf("%s: %d-byte payload inflating to %d points: err = %v, want ErrCorrupt", tc.c.Name(), len(payload), size/8, err)
+			}
+			if got, limit := after.TotalAlloc-before.TotalAlloc, uint64(2*8*maxDecodePoints); got >= limit {
+				t.Errorf("%s, scratch of %d bytes: rejecting the payload allocated %d MiB, want under %d MiB", tc.c.Name(), scratchCap, got>>20, limit>>20)
+			}
+			if left := byteScratch.Get().(*[]byte); cap(*left) > maxPooledScratch {
+				t.Errorf("%s, scratch of %d bytes: the rejected decode left a %d MiB buffer in the pool", tc.c.Name(), scratchCap, cap(*left)>>20)
+			}
 		}
 	}
 }

@@ -63,10 +63,10 @@ func (f *FFT) compressRatio(dst []byte, values []float64, ratio float64) (Encode
 
 // fftScratch is the workspace of one transform: the spectrum (the full one
 // for DecompressInto, the half that is ranked for encode and Recode) and
-// the ranking itself.
+// the coefficients the ranking keeps.
 type fftScratch struct {
-	spec   []complex128
-	ranked []fftRank
+	spec []complex128
+	keep []fftRank
 }
 
 var fftScratches = sync.Pool{New: func() any { return new(fftScratch) }}
@@ -77,32 +77,54 @@ type fftRank struct {
 	mag float64
 }
 
+// before is the ranking: magnitude descending, index ascending on ties. A
+// total order, so the kept set does not depend on how it is selected.
+func (a fftRank) before(b fftRank) bool {
+	return a.mag > b.mag || a.mag == b.mag && a.idx < b.idx
+}
+
 // fftEncodeTopK serializes into dst[:0] the k largest-magnitude
-// coefficients of the half-spectrum, ranked in ws. Real-signal weighting:
-// interior coefficients appear twice in the full spectrum, so their
-// effective energy is doubled when ranking.
+// coefficients of the half-spectrum. Real-signal weighting: interior
+// coefficients appear twice in the full spectrum, so their effective
+// energy is doubled when ranking.
+//
+// The k are selected through a heap in ws whose root is the weakest kept so
+// far, not by sorting all the bins to keep a tenth of them: a bin that does
+// not rank before the root costs one comparison.
 func fftEncodeTopK(dst []byte, ws *fftScratch, half []complex128, n, k int) Encoded {
-	ranked := ws.ranked[:0]
+	keep := ws.keep[:0]
 	for i, c := range half {
-		mag := cmplx.Abs(c)
+		r := fftRank{idx: i, mag: cmplx.Abs(c)}
 		if i != 0 && !(n%2 == 0 && i == n/2) {
-			mag *= 2
+			r.mag *= 2
 		}
-		ranked = append(ranked, fftRank{idx: i, mag: mag})
-	}
-	ws.ranked = ranked
-	// Magnitude descending, index ascending on ties: a total order, so the
-	// kept set does not depend on the sort algorithm.
-	slices.SortFunc(ranked, func(a, b fftRank) int {
-		if a.mag != b.mag {
-			if a.mag > b.mag {
-				return -1
+		switch {
+		case len(keep) < k:
+			keep = append(keep, r)
+			for j := len(keep) - 1; j > 0; {
+				parent := (j - 1) / 2
+				if !keep[parent].before(keep[j]) {
+					break
+				}
+				keep[parent], keep[j] = keep[j], keep[parent]
+				j = parent
 			}
-			return 1
+		case r.before(keep[0]):
+			keep[0] = r
+			for j := 0; ; {
+				weaker := 2*j + 1 // the child ranking after the other
+				if weaker+1 < len(keep) && keep[weaker].before(keep[weaker+1]) {
+					weaker++
+				}
+				if weaker >= len(keep) || !keep[j].before(keep[weaker]) {
+					break
+				}
+				keep[j], keep[weaker] = keep[weaker], keep[j]
+				j = weaker
+			}
 		}
-		return a.idx - b.idx
-	})
-	keep := ranked[:min(k, len(ranked))]
+	}
+	ws.keep = keep
 	slices.SortFunc(keep, func(a, b fftRank) int { return a.idx - b.idx })
 
 	out := putCountedHeader(dst, n, len(keep), fftCoefBytes)

@@ -6,7 +6,6 @@ import (
 	"compress/zlib"
 	"fmt"
 	"io"
-	"slices"
 	"sync"
 )
 
@@ -117,17 +116,33 @@ func (f *flateCore) decompress(dst []float64, enc Encoded) ([]float64, error) {
 		f.decs.Put(d)
 		out, err = decodeFloats(dst, *raw)
 	}
+	if err != nil && cap(*raw) > maxPooledScratch {
+		// What a hostile payload inflated to is not a working set: let the
+		// collector have it now, not two cycles after the pool lets go.
+		*raw = nil
+	}
 	byteScratch.Put(raw)
 	return out, err
 }
 
+// maxPooledScratch is the largest inflate buffer a failed decode hands
+// back to byteScratch: 131 072 points, a thousand ordinary segments.
+const maxPooledScratch = 1 << 20
+
 // readBounded appends r's content to buf and fails once it exceeds limit
-// bytes. It doubles buf as it fills, so even a rejected payload costs at
-// most about twice the limit in allocation.
+// bytes. A full buf moves to the smallest of the capacities (limit+1)>>2k
+// that at least doubles it, never to a multiple of whatever capacity the
+// pooled scratch happened to arrive with: the buffers a rejected payload
+// leaves behind then sum to under 4/3 of limit+1 from any start, where
+// append's own growth steps overshot the limit by up to 2.4x on the last.
 func readBounded(buf []byte, r io.Reader, limit int) ([]byte, error) {
 	for {
 		if len(buf) == cap(buf) {
-			buf = slices.Grow(buf, max(len(buf), 512))
+			next := limit + 1
+			for next>>2 >= max(2*cap(buf), 512) {
+				next >>= 2
+			}
+			buf = append(make([]byte, 0, next), buf...)
 		}
 		n, err := r.Read(buf[len(buf):min(cap(buf), limit+1)])
 		buf = buf[:len(buf)+n]

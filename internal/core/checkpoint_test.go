@@ -125,7 +125,9 @@ func TestRestoreRejectsGarbage(t *testing.T) {
 
 func TestRestoredPoolRecodesUnderPressure(t *testing.T) {
 	// After resume, the LRU order (rebuilt oldest-first) must let the
-	// engine keep recoding under pressure.
+	// engine keep recoding under pressure. The dump carries no sketches,
+	// so the restored entries are recoded on their stored representation
+	// alone, side by side with new entries recoded on theirs.
 	cfg := Config{
 		StorageBytes: 30 << 10,
 		Objective:    MLTarget(kmeansModel(t)),
@@ -144,12 +146,43 @@ func TestRestoredPoolRecodesUnderPressure(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	levelAtResume := map[uint64]int{}
+	restored.EachEntry(func(en *store.Entry) {
+		if en.Sketch != nil {
+			t.Fatalf("restored entry %d has a sketch: the dump format has no room for one", en.ID)
+		}
+		levelAtResume[en.ID] = en.Level
+	})
 	ingestCBF(t, restored, 80, 125)
 	if restored.Stats().Recodes == 0 {
 		t.Fatal("no recodes after resume under pressure")
 	}
-	datasetsSegments := restored.Segments()
-	if datasetsSegments != 160 {
-		t.Fatalf("segments = %d", datasetsSegments)
+	if restored.Segments() != 160 {
+		t.Fatalf("segments = %d", restored.Segments())
+	}
+	if used, capacity := restored.Storage().Used(), restored.Storage().Capacity(); used > capacity {
+		t.Fatalf("%d bytes stored after resume + ingest, budget %d", used, capacity)
+	}
+	var recodedOld, recodedNew int
+	restored.EachEntry(func(en *store.Entry) {
+		level, old := levelAtResume[en.ID]
+		switch {
+		case old && en.Sketch != nil:
+			t.Errorf("restored entry %d grew a sketch", en.ID)
+		case !old && en.Sketch == nil:
+			t.Errorf("entry %d, ingested after the resume, has no sketch", en.ID)
+		case old && en.Level > level:
+			recodedOld++
+		case !old && en.Level > 0:
+			recodedNew++
+		}
+		// Through the registry: QuerySegment would re-enter the pool lock
+		// EachEntry holds.
+		if _, err := restored.reg.Decompress(en.Enc); err != nil {
+			t.Errorf("entry %d no longer decodes: %v", en.ID, err)
+		}
+	})
+	if recodedOld == 0 || recodedNew == 0 {
+		t.Fatalf("recoded %d restored and %d new entries, want some of both", recodedOld, recodedNew)
 	}
 }

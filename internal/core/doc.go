@@ -14,7 +14,10 @@
 // bandit takes over. OfflineEngine (offline.go) handles the disconnected
 // case: segments accumulate under a storage budget and are cascade-recoded
 // to roughly half size when usage crosses the threshold θ, with a
-// per-ratio-range bandit pool choosing the lossy codec.
+// per-ratio-range bandit pool choosing the lossy codec. It keeps no raw
+// data: what later recodes need of a segment (the objective's answers on
+// it, each arm's smallest reachable ratio) is taken once at ingest into a
+// few-dozen-byte sketch on the entry (DESIGN.md §5).
 //
 // # Concurrency
 //

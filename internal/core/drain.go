@@ -50,9 +50,9 @@ func (e *OfflineEngine) Drain(bw sim.Bandwidth, seconds float64) DrainReport {
 		budget -= size
 		report.SegmentsSent++
 		report.BytesSent += size
-		// Ship a copy without the measurement-only raw values.
+		// Ship a copy without the engine's own sketch.
 		sent := *en
-		sent.EvalRaw = nil
+		sent.Sketch = nil
 		report.Sent = append(report.Sent, sent)
 		e.pool.Remove(en.ID)
 		e.storage.Free(size)

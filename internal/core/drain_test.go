@@ -12,7 +12,7 @@ func drainEngine(t *testing.T, segments int) *OfflineEngine {
 	t.Helper()
 	e, err := NewOfflineEngine(Config{
 		StorageBytes: 2 << 20,
-		Objective:    SingleTarget(TargetRatio),
+		Objective:    AggTarget(query.Sum), // an accuracy term, so entries carry a sketch
 		Seed:         1,
 	})
 	if err != nil {
@@ -37,9 +37,12 @@ func TestDrainSendsOldestFirstAndFreesSpace(t *testing.T) {
 		if en.ID != uint64(i) {
 			t.Fatalf("sent[%d].ID = %d, want %d (oldest first)", i, en.ID, i)
 		}
-		if en.EvalRaw != nil {
-			t.Fatal("measurement data leaked into transmission")
+		if en.Sketch != nil {
+			t.Fatal("the engine's sketch leaked into transmission")
 		}
+	}
+	if left, ok := e.pool.Peek(uint64(rep.SegmentsSent)); !ok || left.Sketch == nil {
+		t.Fatal("a segment still in the pool lost its sketch (or never had one: the check above is vacuous)")
 	}
 	if after := e.Storage().Used(); after != before-rep.BytesSent {
 		t.Fatalf("storage not freed: before %d, after %d, sent %d", before, after, rep.BytesSent)

@@ -72,10 +72,6 @@ type Config struct {
 	LosslessArms []string
 	// Policy orders offline recoding (nil selects LRU).
 	Policy store.Policy
-	// KeepEvalRaw retains raw segment copies for measurement-grade
-	// accuracy evaluation (see store.Entry.EvalRaw). Enabled
-	// automatically when the objective has accuracy terms.
-	KeepEvalRaw bool
 	// RecodeBudget enables the CPU-time budget model for the offline
 	// recoder: recoding only proceeds as fast as the simulated CPU
 	// allows, so expensive decode paths can fall behind ingestion and
@@ -271,10 +267,3 @@ var ErrNoFeasibleCodec = errors.New("core: no codec can satisfy the constraints"
 // ErrEnergyExhausted is returned once the configured energy budget has
 // been consumed.
 var ErrEnergyExhausted = errors.New("core: energy budget exhausted")
-
-// cloneValues copies a segment's values for evaluation snapshots.
-func cloneValues(v []float64) []float64 {
-	out := make([]float64, len(v))
-	copy(out, v)
-	return out
-}

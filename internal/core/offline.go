@@ -36,9 +36,12 @@ type OfflineEngine struct {
 	// The arms' codecs, resolved from the registry once: lossless[i] is
 	// losslessNames[i], lossy[i] is lossyNames[i], and recoders[i] is
 	// lossy[i] as a Recoder, nil when it is not one.
-	lossless    []compress.Codec
-	lossy       []compress.LossyCodec
-	recoders    []compress.Recoder
+	lossless []compress.Codec
+	lossy    []compress.LossyCodec
+	recoders []compress.Recoder
+	// fallback is the registry's "rrdsample", the last resort when no arm
+	// can reach a recode's target; nil when the registry has none.
+	fallback    compress.LossyCodec
 	losslessMAB bandit.Policy
 	lossyPool   *bandit.Pool
 
@@ -64,7 +67,8 @@ type OfflineEngine struct {
 	ingestEnc []byte    // Ingest's lossless encode, copied out at exact size
 	recodeDec []float64 // recodeEntry's shared victim decode
 	scoreDec  []float64 // scoreRecode's candidate decode
-	scoreRaw  []float64 // scoreRecode's fallback reference decode
+	scoreRaw  []float64 // scoreRecode's reference decode for an entry without a sketch
+	floors    []float64 // recodeEntry's feasibility floors for an entry without a sketch
 
 	// statsMu guards stats and accLoss so Stats/Snapshot can be polled
 	// while another goroutine (e.g. an OfflineRunner worker) ingests.
@@ -118,9 +122,6 @@ func NewOfflineEngine(cfg Config) (*OfflineEngine, error) {
 	if err != nil {
 		return nil, err
 	}
-	if eval.NeedsAccuracy() {
-		cfg.KeepEvalRaw = true
-	}
 	e := &OfflineEngine{
 		cfg:           cfg,
 		reg:           cfg.Registry,
@@ -130,6 +131,7 @@ func NewOfflineEngine(cfg Config) (*OfflineEngine, error) {
 		storage:       sim.NewStorage(cfg.StorageBytes, cfg.StorageThreshold),
 		pool:          store.NewPool(cfg.Policy),
 		clock:         sim.NewClock(cfg.IngestRate),
+		accLoss:       make(accLossCache),
 		stats: OfflineStats{
 			LosslessUse: make(map[string]int),
 			LossyUse:    make(map[string]int),
@@ -150,6 +152,9 @@ func NewOfflineEngine(cfg Config) (*OfflineEngine, error) {
 		}
 		rec, _ := c.(compress.Recoder)
 		e.lossy, e.recoders = append(e.lossy, lc), append(e.recoders, rec)
+	}
+	if c, ok := cfg.Registry.Lookup("rrdsample"); ok {
+		e.fallback, _ = c.(compress.LossyCodec)
 	}
 	e.losslessMAB = newPolicy(cfg, len(e.losslessNames), 303, "bandit.offline.lossless")
 	e.om = newOfflineMetrics(cfg.Obs)
@@ -252,8 +257,11 @@ func (e *OfflineEngine) Ingest(values []float64, label int) error {
 		StartSec: end - float64(len(values))/e.cfg.IngestRate,
 		EndSec:   end,
 	}
-	if e.cfg.KeepEvalRaw {
-		entry.EvalRaw = cloneValues(values)
+	if e.eval.NeedsAccuracy() {
+		// The raw is in hand only here: keep what every later recode of
+		// this segment will ask of it, not the segment (DESIGN.md §5).
+		sketch := make([]float64, 0, e.eval.answers+len(e.lossy)+1)
+		entry.Sketch = e.appendFloors(e.eval.Reference(sketch, values), values)
 	}
 
 	// Make room, then store.
@@ -319,7 +327,8 @@ func (e *OfflineEngine) recodeOne() bool {
 // recodeEntry halves the victim's size, preferring the virtual
 // decompression path, and feeds the reward back to the ratio range's
 // bandit instance. The wall-clock read only seeds recodeCost's fallback
-// timing, never a decision.
+// timing and the observer's latency histogram, never a decision, and is
+// skipped when neither will look at it.
 //
 // adaedge:decision-goroutine
 // adaedge:perf-timer
@@ -328,11 +337,14 @@ func (e *OfflineEngine) recodeEntry(victim *store.Entry) (bool, error) {
 	current := victim.Enc.Ratio()
 	target := current / 2 // paper: "the size is reduced to half"
 
-	start := time.Now()
+	var start time.Time
+	if e.cfg.CodecCost == nil || e.om != nil {
+		start = time.Now()
+	}
 
-	// Determine raw values for feasibility checks and (if needed) full
-	// recompression. EvalRaw is measurement ground truth; the recode
-	// itself must work from the stored representation, so we decode.
+	// The recode itself works from the stored representation: decode it
+	// at most once, and only when a full recompression (or an entry
+	// without a sketch) asks for the values.
 	var values []float64
 	decode := func() ([]float64, error) {
 		if values != nil {
@@ -356,16 +368,22 @@ func (e *OfflineEngine) recodeEntry(victim *store.Entry) (bool, error) {
 		allowed[i] = false
 	}
 	anyAllowed := false
-	ref := victim.EvalRaw
-	if ref == nil {
+	// Feasibility floors: the ones Ingest took off the raw, or, for an
+	// entry without a sketch (ratio-only objective, restored pool), the
+	// stored representation's own.
+	floors := victim.Sketch
+	if floors != nil {
+		floors = floors[e.eval.answers:]
+	} else {
 		v, err := decode()
 		if err != nil {
 			return false, err
 		}
-		ref = v
+		e.floors = e.appendFloors(e.floors[:0], v)
+		floors = e.floors
 	}
-	for i, lc := range e.lossy {
-		if lc.MinRatio(ref) <= target {
+	for i := range e.lossy {
+		if floors[i] <= target {
 			allowed[i] = true
 			anyAllowed = true
 		}
@@ -422,22 +440,20 @@ func (e *OfflineEngine) recodeEntry(victim *store.Entry) (bool, error) {
 			return false, err
 		}
 		mab.Update(arm, reward)
-		oldCodec := victim.Enc.Codec
-		e.finishRecode(victim, newEnc, oldSize, accLoss, virtual, e.recodeCost(start, oldCodec, codecName, victim.Enc.N, virtual))
-		e.mutStats(func(s *OfflineStats) { s.LossyUse[codecName]++ })
+		cost := e.recodeCost(start, victim.Enc.Codec, codecName, victim.Enc.N, virtual)
+		e.finishRecode(victim, newEnc, oldSize, accLoss, virtual, false, cost)
 		e.om.recoded(victim.ID, codecName, target, newEnc.Ratio(), reward, e.storage.Utilization(), virtual, false, start)
 		return true, nil
 
 	default:
 		// Last resort: RRD-sample at whatever ratio it can still reach
 		// (paper Fig 12: "BUFF-lossy fails and falls back to RRD-sample").
-		c, ok := e.reg.Lookup("rrdsample")
-		if !ok {
+		lc := e.fallback
+		if lc == nil {
 			return false, ErrNoFeasibleCodec
 		}
-		lc := c.(compress.LossyCodec)
 		fallbackTarget := target
-		if mr := lc.MinRatio(ref); mr > fallbackTarget {
+		if mr := floors[len(e.lossy)]; mr > fallbackTarget {
 			fallbackTarget = mr
 		}
 		var err error
@@ -460,14 +476,24 @@ func (e *OfflineEngine) recodeEntry(victim *store.Entry) (bool, error) {
 		if err != nil {
 			return false, err
 		}
-		e.finishRecode(victim, newEnc, oldSize, accLoss, virtual, e.recodeCost(start, victim.Enc.Codec, lc.Name(), victim.Enc.N, virtual))
-		e.mutStats(func(s *OfflineStats) {
-			s.Fallbacks++
-			s.LossyUse[lc.Name()]++
-		})
+		cost := e.recodeCost(start, victim.Enc.Codec, lc.Name(), victim.Enc.N, virtual)
+		e.finishRecode(victim, newEnc, oldSize, accLoss, virtual, true, cost)
 		e.om.recoded(victim.ID, lc.Name(), fallbackTarget, newEnc.Ratio(), 0, e.storage.Utilization(), virtual, true, start)
 		return true, nil
 	}
+}
+
+// appendFloors appends the smallest ratio each lossy arm can reach on
+// values, in arm order, then the fallback's when the registry has one: the
+// second half of an entry's sketch, after the evaluator's Reference.
+func (e *OfflineEngine) appendFloors(dst, values []float64) []float64 {
+	for _, lc := range e.lossy {
+		dst = append(dst, lc.MinRatio(values))
+	}
+	if e.fallback != nil {
+		dst = append(dst, e.fallback.MinRatio(values))
+	}
+	return dst
 }
 
 // recodeTrial is one speculative recode candidate: the encoding an arm
@@ -550,8 +576,8 @@ func (e *OfflineEngine) speculateRecodeTrials(victim *store.Entry, allowed []boo
 	return out, decoded
 }
 
-// scoreRecode evaluates the recoded representation against the ground
-// truth and returns (bandit reward, accuracy loss).
+// scoreRecode evaluates the recoded representation against the raw
+// segment's reference answers and returns (bandit reward, accuracy loss).
 //
 // adaedge:decision-goroutine
 func (e *OfflineEngine) scoreRecode(victim *store.Entry, newEnc compress.Encoded) (reward, accLoss float64, err error) {
@@ -560,17 +586,19 @@ func (e *OfflineEngine) scoreRecode(victim *store.Entry, newEnc compress.Encoded
 		return 0, 0, err
 	}
 	e.scoreDec = decoded
-	raw := victim.EvalRaw
-	if raw == nil {
-		// Without retained ground truth, score against the previous
-		// representation (best available reference).
-		raw, err = e.reg.DecompressInto(e.scoreRaw[:0], victim.Enc)
-		if err != nil {
-			return 0, 0, err
-		}
-		e.scoreRaw = raw
+	obs := Observation{Decoded: decoded, CompressedBytes: newEnc.Size()}
+	if victim.Sketch != nil {
+		reward, accLoss = e.eval.ScoreAgainst(victim.Sketch[:e.eval.answers], victim.Enc.N, obs)
+		return reward, accLoss, nil
 	}
-	reward, accLoss = e.eval.Score(Observation{Raw: raw, Decoded: decoded, CompressedBytes: newEnc.Size()})
+	// Without a sketch, score against the previous representation (best
+	// available reference).
+	obs.Raw, err = e.reg.DecompressInto(e.scoreRaw[:0], victim.Enc)
+	if err != nil {
+		return 0, 0, err
+	}
+	e.scoreRaw = obs.Raw
+	reward, accLoss = e.eval.Score(obs)
 	return reward, accLoss, nil
 }
 
@@ -600,38 +628,35 @@ func (e *OfflineEngine) recodeCost(start time.Time, oldCodec, newCodec string, p
 }
 
 // finishRecode commits the new representation, storage accounting, CPU
-// budget accounting, and LRU repositioning.
+// budget accounting, LRU repositioning and, in one trip through the stats
+// lock, the recode's statistics and cached accuracy loss.
 //
 // adaedge:decision-goroutine
-func (e *OfflineEngine) finishRecode(victim *store.Entry, newEnc compress.Encoded, oldSize int, accLoss float64, virtual bool, cost float64) {
+func (e *OfflineEngine) finishRecode(victim *store.Entry, newEnc compress.Encoded, oldSize int, accLoss float64, virtual, fallback bool, cost float64) {
 	_ = e.storage.Resize(int64(newEnc.Size() - oldSize)) // shrink never fails
 	victim.Enc = newEnc
 	victim.Lossless = false
 	victim.Level++
 	e.pool.Touch(victim.ID)
-	e.setAccLoss(victim.ID, accLoss)
-	e.mutStats(func(s *OfflineStats) {
-		s.Recodes++
-		if virtual {
-			s.VirtualRecodes++
-		}
-	})
+	e.statsMu.Lock()
+	e.accLoss[victim.ID] = accLoss
+	e.stats.Recodes++
+	if virtual {
+		e.stats.VirtualRecodes++
+	}
+	if fallback {
+		e.stats.Fallbacks++
+	}
+	e.stats.LossyUse[newEnc.Codec]++
+	e.statsMu.Unlock()
 	if e.cfg.RecodeBudget {
 		e.recodeBudget -= cost * e.cfg.CPUScale
 	}
 }
 
-// accLoss bookkeeping: cached per segment, averaged for snapshots.
+// accLossCache holds each recoded segment's accuracy loss, averaged for
+// snapshots.
 type accLossCache map[uint64]float64
-
-func (e *OfflineEngine) setAccLoss(id uint64, loss float64) {
-	e.statsMu.Lock()
-	defer e.statsMu.Unlock()
-	if e.accLoss == nil {
-		e.accLoss = make(accLossCache)
-	}
-	e.accLoss[id] = loss
-}
 
 // Snapshot captures the current space/accuracy state. Losses are summed
 // in segment-id order so the result is bit-for-bit reproducible.

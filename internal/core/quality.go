@@ -215,19 +215,18 @@ func (o *qualityOracle) observeLossy(e *OnlineEngine, res Result, values []float
 
 	candidates := make([]quality.ArmOutcome, 0, n)
 	chosen := quality.ArmOutcome{Arm: -1, Codec: res.Codec, Reward: res.Reward}
+	// Every arm is scored against the same raw: take its answers once.
+	var scratch [4]float64
+	ref := o.eval.Reference(scratch[:0], values)
 	for arm := 0; arm < n; arm++ {
 		t := trials[arm]
 		if !have[arm] || t.err != nil || t.decErr != nil {
 			continue
 		}
-		out := quality.ArmOutcome{
-			Arm:   arm,
-			Codec: e.lossyNames[arm],
-			Reward: o.eval.Reward(Observation{
-				Raw: values, Decoded: t.decoded,
-				CompressedBytes: t.enc.Size(), Duration: t.dur,
-			}),
-		}
+		reward, _ := o.eval.ScoreAgainst(ref, len(values), Observation{
+			Decoded: t.decoded, CompressedBytes: t.enc.Size(), Duration: t.dur,
+		})
+		out := quality.ArmOutcome{Arm: arm, Codec: e.lossyNames[arm], Reward: reward}
 		candidates = append(candidates, out)
 		if out.Codec == res.Codec {
 			chosen = out

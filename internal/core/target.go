@@ -125,7 +125,9 @@ func (o Objective) validate() ([]Term, error) {
 
 // Observation is everything the evaluator knows about one compression act.
 type Observation struct {
-	// Raw is the original segment (ground truth).
+	// Raw is the original segment (ground truth). Score reads it only
+	// through Reference and its length; ScoreAgainst takes those two
+	// directly and ignores it, for a caller that no longer holds the raw.
 	Raw []float64
 	// Decoded is the segment after decompression (equal to Raw for
 	// lossless codecs).
@@ -139,13 +141,17 @@ type Observation struct {
 // Evaluator turns observations into bandit rewards in [0,1]. Throughput is
 // normalized against the running maximum observed so far, so the weighted
 // complex targets of paper §IV-D3 combine commensurable quantities.
+//
+// All an accuracy term needs of the raw segment is its own answer on it
+// (the model's class, the aggregate), so scoring is split in two:
+// Reference takes the answers off the raw once, ScoreAgainst scores any
+// number of decodes against them, and Score is the two back to back.
 type Evaluator struct {
-	mu      sync.Mutex
-	terms   []Term
-	maxThr  float64
-	hasML   bool
-	hasAgg  bool
-	hasSize bool
+	mu     sync.Mutex
+	terms  []Term
+	maxThr float64
+	// answers is the number of accuracy terms, the length of a Reference.
+	answers int
 }
 
 // NewEvaluator compiles an objective.
@@ -156,35 +162,69 @@ func NewEvaluator(o Objective) (*Evaluator, error) {
 	}
 	e := &Evaluator{terms: terms}
 	for _, t := range terms {
-		switch t.Kind {
-		case TargetMLAccuracy:
-			e.hasML = true
-		case TargetAggAccuracy:
-			e.hasAgg = true
-		case TargetRatio:
-			e.hasSize = true
+		if t.isAccuracy() {
+			e.answers++
 		}
 	}
 	return e, nil
 }
 
+// isAccuracy reports whether the term compares decompressed data with the
+// raw (ML or aggregation agreement).
+func (t Term) isAccuracy() bool {
+	return t.Kind == TargetAggAccuracy || t.Kind == TargetMLAccuracy
+}
+
 // NeedsAccuracy reports whether the objective depends on decompressed data
 // (ML or aggregation terms).
-func (e *Evaluator) NeedsAccuracy() bool { return e.hasML || e.hasAgg }
+func (e *Evaluator) NeedsAccuracy() bool { return e.answers > 0 }
 
-// Score evaluates obs in one pass, computing each term's metric once, and
-// returns both readings the engines take from it. reward is the bandit
-// reward in [0,1] (higher is better). accLoss scores only the accuracy
-// terms of the objective (1 - weighted accuracy), the quantity the paper's
-// figures plot: terms without an accuracy interpretation (size,
+// Reference appends to dst what the objective's accuracy terms read off
+// the raw segment, one value per accuracy term in term order: the frozen
+// model's predicted class for an ML term, the aggregate for an aggregation
+// term. With len(raw) it is all ScoreAgainst needs of the raw, at 8 bytes
+// per term instead of 8 per point.
+func (e *Evaluator) Reference(dst, raw []float64) []float64 {
+	for _, t := range e.terms {
+		switch t.Kind {
+		case TargetMLAccuracy:
+			dst = append(dst, float64(t.Model.Predict(raw)))
+		case TargetAggAccuracy:
+			// Apply fails on an empty raw, which ScoreAgainst sees as
+			// points == 0, or on an unknown operator, which fails again on
+			// the decoded side: either way the term scores 0 there.
+			v, _ := query.Apply(t.Agg, raw)
+			dst = append(dst, v)
+		}
+	}
+	return dst
+}
+
+// Score evaluates obs against obs.Raw: ScoreAgainst the raw's Reference,
+// taken on stack scratch.
+func (e *Evaluator) Score(obs Observation) (reward, accLoss float64) {
+	var scratch [4]float64
+	return e.ScoreAgainst(e.Reference(scratch[:0], obs.Raw), len(obs.Raw), obs)
+}
+
+// ScoreAgainst evaluates obs in one pass, computing each term's metric
+// once, against ref = Reference(raw) and points = len(raw); obs.Raw is not
+// read. It returns both readings the engines take from it. reward is the
+// bandit reward in [0,1] (higher is better). accLoss scores only the
+// accuracy terms of the objective (1 - weighted accuracy), the quantity the
+// paper's figures plot: terms without an accuracy interpretation (size,
 // throughput) are excluded and the remaining weights renormalized; if the
 // objective has no accuracy terms the loss is 0.
-func (e *Evaluator) Score(obs Observation) (reward, accLoss float64) {
+func (e *Evaluator) ScoreAgainst(ref []float64, points int, obs Observation) (reward, accLoss float64) {
 	var total, acc, wsum float64
 	for _, t := range e.terms {
-		m := t.Weight * e.metric(t, obs)
+		var answer float64
+		if t.isAccuracy() {
+			answer, ref = ref[0], ref[1:]
+		}
+		m := t.Weight * e.metric(t, answer, points, obs)
 		total += m
-		if t.Kind == TargetAggAccuracy || t.Kind == TargetMLAccuracy {
+		if t.isAccuracy() {
 			acc += m
 			wsum += t.Weight
 		}
@@ -212,13 +252,15 @@ func (e *Evaluator) AccuracyLoss(obs Observation) float64 {
 	return accLoss
 }
 
-func (e *Evaluator) metric(t Term, obs Observation) float64 {
+// metric is one term's reading; answer is the term's Reference value
+// (accuracy terms only) and points the raw segment's length.
+func (e *Evaluator) metric(t Term, answer float64, points int, obs Observation) float64 {
 	switch t.Kind {
 	case TargetRatio:
-		if len(obs.Raw) == 0 {
+		if points == 0 {
 			return 0
 		}
-		ratio := float64(obs.CompressedBytes) / float64(8*len(obs.Raw))
+		ratio := float64(obs.CompressedBytes) / float64(8*points)
 		if ratio > 1 {
 			ratio = 1
 		}
@@ -227,7 +269,7 @@ func (e *Evaluator) metric(t Term, obs Observation) float64 {
 		if obs.Duration <= 0 {
 			return 0
 		}
-		thr := float64(8*len(obs.Raw)) / obs.Duration.Seconds()
+		thr := float64(8*points) / obs.Duration.Seconds()
 		e.mu.Lock()
 		if thr > e.maxThr {
 			e.maxThr = thr
@@ -239,15 +281,18 @@ func (e *Evaluator) metric(t Term, obs Observation) float64 {
 		}
 		return thr / max
 	case TargetAggAccuracy:
-		acc, err := query.Evaluate(t.Agg, obs.Raw, obs.Decoded)
+		if points == 0 {
+			return 0
+		}
+		lossy, err := query.Apply(t.Agg, obs.Decoded)
 		if err != nil {
 			return 0
 		}
-		return acc
+		return query.Accuracy(answer, lossy)
 	case TargetMLAccuracy:
 		// One segment is one feature vector; agreement is binary per the
 		// paper's ACC_ml with |X| = 1 at update time.
-		if t.Model.Predict(obs.Raw) == t.Model.Predict(obs.Decoded) {
+		if float64(t.Model.Predict(obs.Decoded)) == answer {
 			return 1
 		}
 		return 0

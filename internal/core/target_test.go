@@ -182,3 +182,132 @@ func TestTargetKindString(t *testing.T) {
 		}
 	}
 }
+
+// scoreFromRaw is the objective as the paper states it, every term read
+// straight off the raw segment: the definition Evaluator's Reference /
+// ScoreAgainst split has to reproduce. maxThr is the caller's running
+// throughput maximum.
+func scoreFromRaw(terms []Term, obs Observation, maxThr *float64) (reward, accLoss float64) {
+	var wsumAll float64
+	for _, t := range terms {
+		wsumAll += t.Weight
+	}
+	var total, acc, wsum float64
+	for _, t := range terms {
+		var m float64
+		switch t.Kind {
+		case TargetRatio:
+			if len(obs.Raw) > 0 {
+				m = 1 - math.Min(float64(obs.CompressedBytes)/float64(8*len(obs.Raw)), 1)
+			}
+		case TargetThroughput:
+			if obs.Duration > 0 {
+				thr := float64(8*len(obs.Raw)) / obs.Duration.Seconds()
+				*maxThr = math.Max(*maxThr, thr)
+				if *maxThr != 0 {
+					m = thr / *maxThr
+				}
+			}
+		case TargetAggAccuracy:
+			m, _ = query.Evaluate(t.Agg, obs.Raw, obs.Decoded) // 0 on error
+		case TargetMLAccuracy:
+			if t.Model.Predict(obs.Raw) == t.Model.Predict(obs.Decoded) {
+				m = 1
+			}
+		}
+		m *= t.Weight / wsumAll
+		total += m
+		if t.Kind == TargetAggAccuracy || t.Kind == TargetMLAccuracy {
+			acc += m
+			wsum += t.Weight / wsumAll
+		}
+	}
+	if wsum > 0 {
+		accLoss = 1 - acc/wsum
+	}
+	if total < 0 {
+		total = 0
+	} else if total > 1 {
+		total = 1
+	}
+	return total, accLoss
+}
+
+// TestScoreAgainstReferenceMatchesRaw: scoring a decode against
+// Reference(raw), with the raw gone, gives bit for bit what the definition
+// gives with the raw in hand, and so does Score. Every term kind alone,
+// several accuracy terms between other terms (the answers are matched to
+// their terms by order), and the inputs where the aggregation term's edge
+// cases live: an empty decode or raw (Apply fails, the term is 0), a zero
+// aggregate, a NaN aggregate.
+func TestScoreAgainstReferenceMatchesRaw(t *testing.T) {
+	model := trainedKNN(t)
+	X, _ := datasets.CBF(4, datasets.CBFConfig{Seed: 9})
+	coarse := make([]float64, len(X[0]))
+	for i, v := range X[0] {
+		coarse[i] = math.Round(v)
+	}
+	withNaN := append([]float64{math.NaN()}, X[1][1:]...)
+	zeroSum := []float64{1, -1, 2, -2}
+	pairs := []struct {
+		name         string
+		raw, decoded []float64
+	}{
+		{"identical", X[0], X[0]},
+		{"rounded", X[0], coarse},
+		{"other class", X[1], X[2]},
+		{"empty decode", X[0], nil},
+		{"empty raw", nil, X[0]},
+		{"NaN aggregate", withNaN, X[1]},
+		{"NaN decode", X[1], withNaN},
+		{"zero aggregate", zeroSum, zeroSum},
+		{"zero aggregate missed", zeroSum, []float64{1, -1, 2, -1}},
+	}
+	objectives := map[string]Objective{
+		"ratio":      SingleTarget(TargetRatio),
+		"throughput": SingleTarget(TargetThroughput),
+		"ml":         MLTarget(model),
+		"sum":        AggTarget(query.Sum),
+		"avg":        AggTarget(query.Avg),
+		"min":        AggTarget(query.Min),
+		"max":        AggTarget(query.Max),
+		"unknown op": AggTarget(query.Agg(99)),
+		"weighted": Weighted(
+			Term{Kind: TargetRatio, Weight: 1},
+			Term{Kind: TargetAggAccuracy, Weight: 3, Agg: query.Min},
+			Term{Kind: TargetThroughput, Weight: 1},
+			Term{Kind: TargetMLAccuracy, Weight: 5, Model: model},
+			Term{Kind: TargetAggAccuracy, Weight: 2, Agg: query.Sum},
+		),
+	}
+	for name, obj := range objectives {
+		viaRaw, err := NewEvaluator(obj)
+		if err != nil {
+			t.Fatal(err)
+		}
+		viaRef, _ := NewEvaluator(obj)
+		var maxThr float64
+		for i, p := range pairs {
+			obs := Observation{
+				Raw: p.raw, Decoded: p.decoded,
+				CompressedBytes: 40 + 90*i, Duration: time.Duration(1+i%3) * time.Microsecond,
+			}
+			wantReward, wantLoss := scoreFromRaw(obj.Terms, obs, &maxThr)
+			ref := viaRef.Reference(nil, p.raw)
+			if len(ref) != viaRef.answers {
+				t.Fatalf("%s: Reference has %d values, the objective %d accuracy terms", name, len(ref), viaRef.answers)
+			}
+			noRaw := obs
+			noRaw.Raw = nil
+			for how, score := range map[string]func() (float64, float64){
+				"Score":        func() (float64, float64) { return viaRaw.Score(obs) },
+				"ScoreAgainst": func() (float64, float64) { return viaRef.ScoreAgainst(ref, len(p.raw), noRaw) },
+			} {
+				reward, loss := score()
+				if math.Float64bits(reward) != math.Float64bits(wantReward) || math.Float64bits(loss) != math.Float64bits(wantLoss) {
+					t.Errorf("%s, %s, %s: (reward, loss) = (%v, %v), want (%v, %v)", name, p.name, how, reward, loss, wantReward, wantLoss)
+				}
+			}
+		}
+	}
+}

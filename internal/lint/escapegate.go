@@ -5,6 +5,7 @@ import (
 	"io"
 	"os"
 	"os/exec"
+	"path"
 	"path/filepath"
 	"regexp"
 	"sort"
@@ -69,19 +70,36 @@ var escapeLineRe = regexp.MustCompile(`^(.*\.go):\d+:\d+: (.*(?:escapes to heap|
 // ParseEscapes extracts the normalized escape decisions for the pinned
 // files from raw `go build -gcflags=-m` output: one "file: message" entry
 // per decision, line/column stripped, sorted and deduplicated.
-func ParseEscapes(output string, pinned []string) []string {
+//
+// The go command replays a package's cached diagnostics with the paths of
+// whichever build compiled it first: "./file.go" if that build ran inside
+// the package's directory. Those are resolved against the "# import/path"
+// header the go command prints above each package's output (module is the
+// module path the import paths start with), so where the cache was filled
+// from cannot make a pinned file's decisions vanish from the gate.
+func ParseEscapes(output, module string, pinned []string) []string {
 	pin := make(map[string]bool, len(pinned))
 	for _, p := range pinned {
 		pin[filepath.ToSlash(p)] = true
 	}
 	seen := map[string]bool{}
 	var out []string
+	pkgDir := "" // the current package's directory, relative to the module root
 	for _, line := range strings.Split(output, "\n") {
-		m := escapeLineRe.FindStringSubmatch(strings.TrimSpace(line))
+		line = strings.TrimSpace(line)
+		if header, ok := strings.CutPrefix(line, "# "); ok {
+			importPath, _, _ := strings.Cut(header, " ")
+			pkgDir = strings.TrimPrefix(strings.TrimPrefix(importPath, module), "/")
+			continue
+		}
+		m := escapeLineRe.FindStringSubmatch(line)
 		if m == nil {
 			continue
 		}
 		file := filepath.ToSlash(m[1])
+		if inPkg, ok := strings.CutPrefix(file, "./"); ok {
+			file = path.Join(pkgDir, inPkg)
+		}
 		if !pin[file] {
 			continue
 		}
@@ -155,6 +173,20 @@ func moduleRoot(dir string) (string, error) {
 	}
 }
 
+// modulePath reads the module path off root's go.mod.
+func modulePath(root string) (string, error) {
+	data, err := os.ReadFile(filepath.Join(root, "go.mod"))
+	if err != nil {
+		return "", err
+	}
+	for _, line := range strings.Split(string(data), "\n") {
+		if mod, ok := strings.CutPrefix(strings.TrimSpace(line), "module "); ok {
+			return strings.TrimSpace(mod), nil
+		}
+	}
+	return "", fmt.Errorf("no module line in %s/go.mod", root)
+}
+
 // RunEscapeGate compiles the module with escape-analysis diagnostics and
 // compares the pinned files' decisions against the baseline, writing a
 // report to w. With update set it rewrites the baseline instead of
@@ -162,6 +194,11 @@ func moduleRoot(dir string) (string, error) {
 // updated), 1 new escapes, 2 tool error.
 func RunEscapeGate(w io.Writer, update bool) int {
 	root, err := moduleRoot(".")
+	if err != nil {
+		fmt.Fprintf(w, "escape-gate: %v\n", err)
+		return 2
+	}
+	module, err := modulePath(root)
 	if err != nil {
 		fmt.Fprintf(w, "escape-gate: %v\n", err)
 		return 2
@@ -175,7 +212,7 @@ func RunEscapeGate(w io.Writer, update bool) int {
 		fmt.Fprintf(w, "escape-gate: go build -gcflags=-m failed: %v\n%s", err, out)
 		return 2
 	}
-	current := ParseEscapes(string(out), EscapePinnedFiles)
+	current := ParseEscapes(string(out), module, EscapePinnedFiles)
 
 	baselinePath := filepath.Join(root, EscapeBaselineFile)
 	if update {

@@ -25,7 +25,7 @@ func TestParseEscapes(t *testing.T) {
 		"internal/compress/gorilla.go",
 		"internal/compress/chimp.go",
 	}
-	got := ParseEscapes(escapeSample, pinned)
+	got := ParseEscapes(escapeSample, "repro", pinned)
 	want := []string{
 		"internal/bitio/bitio.go: &Writer{...} escapes to heap",
 		"internal/bitio/bitio.go: moved to heap: scratch",
@@ -35,12 +35,36 @@ func TestParseEscapes(t *testing.T) {
 	if !reflect.DeepEqual(got, want) {
 		t.Errorf("ParseEscapes:\n got %q\nwant %q", got, want)
 	}
+	// The same two packages as the go command replays them after
+	// `go build -gcflags=-m .` first compiled bitio from inside its own
+	// directory: the gate used to match nothing for bitio.go here, and
+	// -escape-update dropped its baseline lines.
+	if got := ParseEscapes(escapeSampleInPackageDir, "repro", pinned); !reflect.DeepEqual(got, want) {
+		t.Errorf("ParseEscapes, bitio's diagnostics cached relative to its own directory:\n got %q\nwant %q", got, want)
+	}
 }
+
+// escapeSampleInPackageDir is escapeSample with bitio's lines in the
+// "./file.go" spelling, and a same-named file of another package that must
+// not be taken for the pinned one.
+const escapeSampleInPackageDir = `# repro/internal/bitio
+./bitio.go:10:6: can inline NewWriter
+./bitio.go:14:9: &Writer{...} escapes to heap
+./bitio.go:22:9: &Writer{...} escapes to heap
+./bitio.go:31:13: moved to heap: scratch
+# repro/internal/other [repro/internal/other.test]
+./bitio.go:7:2: moved to heap: elsewhere
+./gorilla.go:7:2: moved to heap: elsewhere
+# repro/internal/compress
+internal/compress/gorilla.go:40:12: make([]byte, 0, n) escapes to heap
+internal/compress/chimp.go:55:12: make([]byte, 0, 4) escapes to heap
+internal/compress/coldpath.go:9:10: big escapes to heap
+`
 
 // TestParseEscapesUnpinned proves the gate ignores escapes outside the
 // pinned set entirely: cold paths may allocate freely.
 func TestParseEscapesUnpinned(t *testing.T) {
-	got := ParseEscapes(escapeSample, []string{"internal/compress/coldpath.go"})
+	got := ParseEscapes(escapeSample, "repro", []string{"internal/compress/coldpath.go"})
 	want := []string{"internal/compress/coldpath.go: big escapes to heap"}
 	if !reflect.DeepEqual(got, want) {
 		t.Errorf("ParseEscapes(coldpath only):\n got %q\nwant %q", got, want)

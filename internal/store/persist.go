@@ -32,7 +32,7 @@ var persistMagic = [4]byte{'A', 'E', 'P', '1'}
 var ErrBadFormat = errors.New("store: bad persistence format")
 
 // WriteTo serializes every pool entry (sorted by id) to w and returns the
-// byte count. EvalRaw measurement data is never persisted.
+// byte count. An entry's Sketch is engine working state and is not persisted.
 func (p *Pool) WriteTo(w io.Writer) (int64, error) {
 	bw := bufio.NewWriter(w)
 	var written int64

@@ -22,8 +22,8 @@ func populatedPool(t *testing.T, n int) *Pool {
 		}
 		p.Put(&Entry{
 			ID: uint64(i), Enc: enc, Lossless: true, Level: i % 3,
-			Label:   y[i],
-			EvalRaw: row, // must NOT be persisted
+			Label:  y[i],
+			Sketch: row[:4], // must NOT be persisted
 		})
 	}
 	return p
@@ -55,8 +55,8 @@ func TestPersistRoundTrip(t *testing.T) {
 		if restored.Label != orig.Label || restored.Level != orig.Level || restored.Lossless != orig.Lossless {
 			t.Fatalf("entry %d metadata mismatch: %+v vs %+v", orig.ID, restored, orig)
 		}
-		if restored.EvalRaw != nil {
-			t.Fatal("EvalRaw must not be persisted")
+		if restored.Sketch != nil {
+			t.Fatal("Sketch must not be persisted")
 		}
 		origVals, err := reg.Decompress(orig.Enc)
 		if err != nil {

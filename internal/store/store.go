@@ -27,12 +27,14 @@ type Entry struct {
 	// StartSec and EndSec bound the segment's span on the device's
 	// virtual clock, enabling time-range queries.
 	StartSec, EndSec float64
-	// EvalRaw optionally retains the raw values for reward evaluation and
-	// experiment metrics only. It is ground truth the measurement harness
-	// holds (as the paper's evaluation does); it is never counted against
-	// the storage budget and a production deployment would evaluate at
-	// compression time instead.
-	EvalRaw []float64
+	// Sketch is what the offline engine took off the raw segment at ingest
+	// so that it need not keep the segment: the objective's reference
+	// answers (core.Evaluator.Reference) followed by each lossy arm's
+	// feasibility floor, a few dozen bytes where the raw is 8 per point.
+	// Nil when the objective has no accuracy term and on entries restored
+	// from a dump. It is engine working state, opaque to the pool: never
+	// counted against the storage budget, persisted or shipped.
+	Sketch []float64
 }
 
 // Policy orders segments for compression and recoding. Implementations
