@@ -48,17 +48,11 @@ type (
 	OfflineEngine = core.OfflineEngine
 	// Device runs the combined lifecycle over an intermittent link.
 	Device = core.Device
-	// Pipeline fans online selection across workers (paper §V-C).
+	// Pipeline runs Config.Workers share-nothing online engines, one per
+	// independent signal (paper §V-C).
 	Pipeline = core.Pipeline
-	// OnlineParallel fans ONE stream's codec trials across workers while
-	// keeping selections byte-identical to the sequential run.
-	OnlineParallel = core.OnlineParallel
-	// PreparedSegment carries a segment with speculatively computed trials.
-	PreparedSegment = core.PreparedSegment
 	// LabeledSegment pairs segment values with a class label.
 	LabeledSegment = core.LabeledSegment
-	// Mux routes multiple signals to per-signal engines.
-	Mux = core.Mux
 	// Collector turns a point stream into fixed-size segments.
 	Collector = core.Collector
 	// Result describes one processed segment.
@@ -142,14 +136,10 @@ var (
 	NewOfflineEngine = core.NewOfflineEngine
 	// NewDevice builds the combined-lifecycle device.
 	NewDevice = core.NewDevice
-	// NewPipeline builds a multi-worker online pipeline.
+	// NewPipeline builds a pipeline of Config.Workers online engines.
 	NewPipeline = core.NewPipeline
-	// NewOnlineParallel wraps one engine in the single-stream pipeline.
-	NewOnlineParallel = core.NewOnlineParallel
-	// RunOnlineSegments processes a batch honoring Config.Workers.
+	// RunOnlineSegments processes a batch through one engine, in order.
 	RunOnlineSegments = core.RunOnlineSegments
-	// NewMux builds a multi-signal router.
-	NewMux = core.NewMux
 	// NewCollector builds a point-level ingest collector.
 	NewCollector = core.NewCollector
 )

@@ -7,12 +7,9 @@
 package repro
 
 import (
-	"context"
-	"fmt"
 	"io"
 	"math"
 	"testing"
-	"time"
 
 	"repro/internal/bandit"
 	"repro/internal/compress"
@@ -187,47 +184,6 @@ func BenchmarkScalabilityThreads(b *testing.B) {
 		speedup = rows[1].PtsPerSec / rows[0].PtsPerSec
 	}
 	b.ReportMetric(speedup, "8-worker-speedup")
-}
-
-// BenchmarkOnlineParallel measures the single-stream parallel pipeline:
-// one engine, one bandit state, codec trials fanned over Config.Workers
-// (vs BenchmarkScalabilityThreads' share-nothing shards). 1024-point
-// segments keep the trial work dominant. Workers > 1 only pays off with
-// idle cores: expect ≥1.5x at 4 workers on multi-core hardware and ≤1x on
-// a single-CPU host, where speculation is pure overhead.
-func BenchmarkOnlineParallel(b *testing.B) {
-	const segLen, segments = 1024, 60
-	stream := datasets.NewCBFStream(datasets.CBFConfig{Seed: 23, Length: segLen})
-	segs := make([]core.LabeledSegment, segments)
-	points := 0
-	for i := range segs {
-		v, l := stream.Next()
-		segs[i] = core.LabeledSegment{Values: v, Label: l}
-		points += len(v)
-	}
-	for _, workers := range []int{1, 2, 4, 8} {
-		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
-			var ptsPerSec float64
-			for i := 0; i < b.N; i++ {
-				eng, err := core.NewOnlineEngine(core.Config{
-					TargetRatioOverride: 1, // lossless trials dominate
-					Objective:           core.SingleTarget(core.TargetRatio),
-					Seed:                21,
-					Workers:             workers,
-					SegmentLength:       segLen,
-				})
-				if err != nil {
-					b.Fatal(err)
-				}
-				start := time.Now()
-				if _, err := core.RunOnlineSegments(context.Background(), eng, segs); err != nil {
-					b.Fatal(err)
-				}
-				ptsPerSec = float64(points) / time.Since(start).Seconds()
-			}
-			b.ReportMetric(ptsPerSec, "pts/s")
-		})
-	}
 }
 
 // --- Ablation benches (DESIGN.md §5) ---------------------------------------

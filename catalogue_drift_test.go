@@ -16,7 +16,6 @@
 package repro
 
 import (
-	"context"
 	"fmt"
 	"net"
 	"os"
@@ -245,7 +244,7 @@ func driveEngines(t *testing.T, o *obs.Observer) {
 		v, label := stream.Next()
 		segs[i] = core.LabeledSegment{Values: v, Label: label}
 	}
-	if _, err := core.RunOnlineSegments(context.Background(), eng, segs); err != nil {
+	if _, err := core.RunOnlineSegments(eng, segs); err != nil {
 		t.Fatal(err)
 	}
 
@@ -293,7 +292,7 @@ func driveEngines(t *testing.T, o *obs.Observer) {
 		v, label := stream.Next()
 		ctxSegs[i] = core.LabeledSegment{Values: v, Label: label}
 	}
-	if _, err := core.RunOnlineSegments(context.Background(), ctxEng, ctxSegs); err != nil {
+	if _, err := core.RunOnlineSegments(ctxEng, ctxSegs); err != nil {
 		t.Fatal(err)
 	}
 	if st := ctxEng.Stats(); st.DeadlineFallbacks == 0 || st.DeadlineMisses == 0 || st.DeadlineRejects == 0 {

@@ -22,11 +22,10 @@ import (
 )
 
 func main() {
-	exp := flag.String("exp", "all", "experiment to run: fig2,fig3,fig5,fig6,fig7,fig8,fig9,fig10,fig11,fig12,fig13,fig14,fig15,scale,parallel,headline,bench,fleet,all")
+	exp := flag.String("exp", "all", "experiment to run: fig2,fig3,fig5,fig6,fig7,fig8,fig9,fig10,fig11,fig12,fig13,fig14,fig15,scale,headline,bench,fleet,all")
 	segments := flag.Int("segments", 0, "stream length in segments; for -exp fleet, segments per device (0 = experiment default)")
 	devices := flag.Int("devices", 0, "fleet experiment: number of simulated devices (0 = default 200)")
 	budget := flag.Int64("budget", 0, "offline storage budget in bytes (0 = default)")
-	workers := flag.Int("workers", 0, "parallel experiment: measure only this worker count (0 = the 1,2,4,8 ladder)")
 	model := flag.String("model", "", "fig7 model kind: dtree|rforest|knn|kmeans (default: all four)")
 	format := flag.String("format", "text", "output format: text|csv (csv supports fig2,3,5,6,7,8,9,10,11,12,13,14)")
 	debugAddr := flag.String("debug-addr", "", "serve /debug/pprof (and the obs endpoints) on this address while experiments run; empty disables")
@@ -162,12 +161,6 @@ func main() {
 			experiments.Fig15bMAB(w, *segments, 15, nil)
 		case "scale":
 			experiments.Scalability(w, nil, *segments)
-		case "parallel":
-			var counts []int
-			if *workers > 0 {
-				counts = []int{*workers}
-			}
-			experiments.ParallelScalability(w, counts, *segments)
 		case "headline":
 			experiments.HeadlineClaims(w, *segments)
 		case "fleet":
@@ -187,9 +180,6 @@ func main() {
 			}
 		case "bench":
 			cfg := experiments.BenchConfig{Segments: *segments}
-			if *workers > 0 {
-				cfg.Workers = []int{*workers}
-			}
 			if *jsonPath != "" {
 				fmt.Fprintf(w, "continuous benchmark -> %s\n", *jsonPath)
 				_, err := experiments.WriteBenchJSON(w, cfg, *jsonPath)
@@ -207,7 +197,7 @@ func main() {
 	}
 
 	if *exp == "all" {
-		for _, name := range []string{"fig2", "fig3", "fig5", "fig6", "fig7", "fig8", "fig9", "fig10", "fig11", "fig12", "fig13", "fig14", "fig15", "scale", "parallel", "headline"} {
+		for _, name := range []string{"fig2", "fig3", "fig5", "fig6", "fig7", "fig8", "fig9", "fig10", "fig11", "fig12", "fig13", "fig14", "fig15", "scale", "headline"} {
 			fmt.Fprintf(w, "=== %s ===\n", name)
 			run(name)
 		}

@@ -11,7 +11,6 @@
 package main
 
 import (
-	"context"
 	"flag"
 	"fmt"
 	"os"
@@ -46,7 +45,6 @@ func main() {
 	deadline := flag.Duration("deadline", 0, "per-segment latency deadline (predicted encode+uplink); 0 disables the gate")
 	qualityEvery := flag.Int("quality", 0, "online decision-quality oracle: score every Nth decision (0 disables); snapshot at /debug/quality")
 	extended := flag.Bool("extended", false, "add the modelar and summary codecs to the candidate set")
-	workers := flag.Int("workers", 1, "codec-trial worker goroutines (1 = sequential; results are identical at any count)")
 	debugAddr := flag.String("debug-addr", "", "serve /debug/{metrics,vars,trace,spans,fleet,pprof} on this address (e.g. 127.0.0.1:0); empty disables")
 	spans := flag.Bool("spans", false, "record segment-lifecycle spans (requires -debug-addr; browse at /debug/spans)")
 	linger := flag.Duration("linger", 0, "keep the process (and -debug-addr endpoints) alive this long after the run")
@@ -66,7 +64,6 @@ func main() {
 		UseUCB:              *ucb,
 		BanditPolicy:        *banditName,
 		Deadline:            *deadline,
-		Workers:             *workers,
 	}
 	if *qualityEvery > 0 {
 		cfg.Quality = &quality.Config{SampleEvery: *qualityEvery}
@@ -176,17 +173,13 @@ func runOnline(cfg core.Config, stream *datasets.CBFStream, segments int, verbos
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)
 	}
-	fmt.Printf("online mode: target compression ratio %.4f", eng.TargetRatio())
-	if w := eng.Workers(); w > 1 {
-		fmt.Printf("   (%d trial workers)", w)
-	}
-	fmt.Println()
+	fmt.Printf("online mode: target compression ratio %.4f\n", eng.TargetRatio())
 	segs := make([]core.LabeledSegment, segments)
 	for i := range segs {
 		series, label := stream.Next()
 		segs[i] = core.LabeledSegment{Values: series, Label: label}
 	}
-	results, err := core.RunOnlineSegments(context.Background(), eng, segs)
+	results, err := core.RunOnlineSegments(eng, segs)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)

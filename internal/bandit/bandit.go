@@ -25,16 +25,11 @@ type Policy interface {
 	Update(arm int, reward float64)
 	// Estimates returns a copy of the current per-arm value estimates.
 	Estimates() []float64
-	// EstimatesInto copies the estimates into dst, reusing its backing
-	// array when it is large enough, and returns the filled slice. A
-	// right-sized dst makes the call allocation-free — the accessor hot
-	// paths (speculative preparation, regret oracles) poll estimates per
-	// segment and must not allocate under the policy lock.
-	EstimatesInto(dst []float64) []float64
-	// RewardsInto copies the per-arm cumulative observed rewards into dst
-	// under the same reuse contract as EstimatesInto. Unlike Estimates,
-	// which may be a decayed or preference-based quantity, rewards are the
-	// raw sums fed to Update — the attribution ledger.
+	// RewardsInto copies the per-arm cumulative observed rewards into dst,
+	// reusing its backing array when it is large enough, and returns the
+	// filled slice. Unlike Estimates, which may be a decayed or
+	// preference-based quantity, rewards are the raw sums fed to Update —
+	// the attribution ledger.
 	RewardsInto(dst []float64) []float64
 	// Counts returns a copy of the per-arm play counts.
 	Counts() []int
@@ -184,13 +179,6 @@ func (p *EpsilonGreedy) Estimates() []float64 {
 	return out
 }
 
-// EstimatesInto implements Policy.
-func (p *EpsilonGreedy) EstimatesInto(dst []float64) []float64 {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return fillInto(dst, p.values)
-}
-
 // RewardsInto implements Policy.
 func (p *EpsilonGreedy) RewardsInto(dst []float64) []float64 {
 	p.mu.Lock()
@@ -300,13 +288,6 @@ func (p *UCB1) Estimates() []float64 {
 	out := make([]float64, len(p.values))
 	copy(out, p.values)
 	return out
-}
-
-// EstimatesInto implements Policy.
-func (p *UCB1) EstimatesInto(dst []float64) []float64 {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return fillInto(dst, p.values)
 }
 
 // RewardsInto implements Policy.

@@ -164,21 +164,13 @@ func (p *Policy) Update(arm int, reward float64) {
 
 // Estimates implements bandit.Policy. The estimates are the empirical
 // values only — priors are a per-segment quantity and never leak into
-// the cross-segment estimate accessors the speculation and oracle
-// layers read.
+// the cross-segment estimate accessors the oracle layer reads.
 func (p *Policy) Estimates() []float64 {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	out := make([]float64, len(p.values))
 	copy(out, p.values)
 	return out
-}
-
-// EstimatesInto implements bandit.Policy.
-func (p *Policy) EstimatesInto(dst []float64) []float64 {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return fillInto(dst, p.values)
 }
 
 // RewardsInto implements bandit.Policy.

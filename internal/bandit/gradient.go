@@ -133,13 +133,6 @@ func (p *Gradient) Estimates() []float64 {
 	return out
 }
 
-// EstimatesInto implements Policy.
-func (p *Gradient) EstimatesInto(dst []float64) []float64 {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return fillInto(dst, p.prefs)
-}
-
 // RewardsInto implements Policy.
 func (p *Gradient) RewardsInto(dst []float64) []float64 {
 	p.mu.Lock()

@@ -19,8 +19,8 @@ import (
 // the virtual-seconds cost model, evaluator rewards) and never on
 // measured durations, and every ctl method runs on the decision
 // goroutine in decision order. A seeded run therefore reproduces the
-// identical gate decisions, priors and trace events at any Workers
-// count — the same contract the plain policies honour.
+// identical gate decisions, priors and trace events every time — the
+// same contract the plain policies honour.
 
 // ctxMinObservations is how many samples an arm's predictor needs before
 // the deadline gate may reject the arm. A cold arm is never rejected:

@@ -1,76 +1,37 @@
 package core
 
 import (
-	"context"
-	"reflect"
 	"testing"
 	"time"
 
-	"repro/internal/datasets"
-	"repro/internal/obs"
 	"repro/internal/obs/quality"
 	"repro/internal/query"
 )
 
-// ctxEngine builds an instrumented online engine with the contextual
-// policy, the quality oracle and an optional deadline.
-func ctxEngine(t *testing.T, workers int, deadline time.Duration, o *obs.Observer) *OnlineEngine {
-	t.Helper()
-	eng, err := NewOnlineEngine(Config{
+// ctxConfig is the contextual policy with the quality oracle attached and
+// an optional deadline.
+func ctxConfig(deadline time.Duration) Config {
+	return Config{
 		TargetRatioOverride: 0.15,
 		Objective:           AggTarget(query.Max),
 		BanditPolicy:        "contextual",
 		Deadline:            deadline,
 		Seed:                42,
-		Workers:             workers,
-		Obs:                 o,
 		Quality:             &quality.Config{SampleEvery: 4},
-	})
-	if err != nil {
-		t.Fatal(err)
 	}
-	return eng
-}
-
-func ctxSegments(n int) []LabeledSegment {
-	stream := datasets.NewCBFStream(datasets.CBFConfig{Seed: 90})
-	segs := make([]LabeledSegment, n)
-	for i := range segs {
-		v, label := stream.Next()
-		segs[i] = LabeledSegment{Values: v, Label: label}
-	}
-	return segs
-}
-
-// ctxTraceRun processes n CBF segments through a contextual engine and
-// returns the full decision trace plus the final stats.
-func ctxTraceRun(t *testing.T, workers, n int, deadline time.Duration) ([]obs.Event, OnlineStats) {
-	t.Helper()
-	o := obs.New(1 << 16)
-	eng := ctxEngine(t, workers, deadline, o)
-	if _, err := RunOnlineSegments(context.Background(), eng, ctxSegments(n)); err != nil {
-		t.Fatal(err)
-	}
-	if d := o.Ring().Dropped(); d != 0 {
-		t.Fatalf("trace ring dropped %d events — raise the test ring capacity", d)
-	}
-	return o.Ring().Events(), eng.Stats()
 }
 
 // TestContextualTraceDeterministic extends the §9 invariant to the
 // contextual layer: features, predictions, priors, deadline gating and
 // the quality.contextual events are all pure functions of the seeded
-// segment stream, so the full trace is byte-identical across reruns and
-// worker counts.
+// segment stream, so the full trace is byte-identical across reruns.
 func TestContextualTraceDeterministic(t *testing.T) {
-	const segments = 80
-	const deadline = 20 * time.Microsecond
-	base, stats := ctxTraceRun(t, 1, segments, deadline)
-	if len(base) == 0 {
+	run := runSeededTwice(t, ctxConfig(20*time.Microsecond), 80)
+	if len(run.Events) == 0 {
 		t.Fatal("instrumented contextual run emitted no trace events")
 	}
 	predicts := 0
-	for _, ev := range base {
+	for _, ev := range run.Events {
 		if ev.Source == "quality.contextual" && ev.Kind == "predict" {
 			predicts++
 		}
@@ -78,31 +39,15 @@ func TestContextualTraceDeterministic(t *testing.T) {
 	if predicts == 0 {
 		t.Fatal("no quality.contextual predict events — the predictor never warmed up")
 	}
-	if stats.DeadlineViolations != 0 {
-		t.Fatalf("deadline violations = %d, want 0", stats.DeadlineViolations)
-	}
-
-	again, _ := ctxTraceRun(t, 1, segments, deadline)
-	if !reflect.DeepEqual(base, again) {
-		t.Fatal("same-seed sequential contextual runs produced different traces")
-	}
-	par, parStats := ctxTraceRun(t, 4, segments, deadline)
-	if !reflect.DeepEqual(base, par) {
-		t.Fatal("Workers: 4 contextual trace differs from Workers: 1")
-	}
-	if !reflect.DeepEqual(stats, parStats) {
-		t.Fatalf("Workers: 4 stats differ:\n%+v\n%+v", stats, parStats)
+	if run.Stats.DeadlineViolations != 0 {
+		t.Fatalf("deadline violations = %d, want 0", run.Stats.DeadlineViolations)
 	}
 }
 
-// TestContextualWithoutDeadlineMatchesAcrossWorkers pins the plain
-// contextual policy (no gate) to the same determinism contract.
-func TestContextualWithoutDeadlineMatchesAcrossWorkers(t *testing.T) {
-	base, _ := ctxTraceRun(t, 1, 60, 0)
-	par, _ := ctxTraceRun(t, 4, 60, 0)
-	if !reflect.DeepEqual(base, par) {
-		t.Fatal("contextual (no deadline) trace differs across worker counts")
-	}
+// TestContextualWithoutDeadlineDeterministic pins the plain contextual
+// policy (no gate) to the same determinism contract.
+func TestContextualWithoutDeadlineDeterministic(t *testing.T) {
+	runSeededTwice(t, ctxConfig(0), 60)
 }
 
 // TestDeadlineGateNeverViolates is the gating property test: across a
@@ -118,23 +63,17 @@ func TestDeadlineGateNeverViolates(t *testing.T) {
 		5 * time.Microsecond,  // only the cheap transforms fit
 		200 * time.Nanosecond, // nothing fits: pure fallback regime
 	} {
-		o := obs.New(1 << 16)
-		eng := ctxEngine(t, 1, d, o)
-		results, err := RunOnlineSegments(context.Background(), eng, ctxSegments(segments))
-		if err != nil {
-			t.Fatalf("deadline %v: %v", d, err)
+		run := runSeeded(t, ctxConfig(d), segments)
+		if len(run.Results) != segments {
+			t.Fatalf("deadline %v: %d results, want %d — the gate dropped segments", d, len(run.Results), segments)
 		}
-		if len(results) != segments {
-			t.Fatalf("deadline %v: %d results, want %d — the gate dropped segments", d, len(results), segments)
-		}
-		for _, r := range results {
+		for _, r := range run.Results {
 			if r.Codec == "" {
 				t.Fatalf("deadline %v: segment %d decided with no codec", d, r.SegmentID)
 			}
 		}
-		stats := eng.Stats()
-		if stats.DeadlineViolations != 0 {
-			t.Fatalf("deadline %v: %d violations, want 0", d, stats.DeadlineViolations)
+		if run.Stats.DeadlineViolations != 0 {
+			t.Fatalf("deadline %v: %d violations, want 0", d, run.Stats.DeadlineViolations)
 		}
 	}
 }
@@ -143,12 +82,8 @@ func TestDeadlineGateNeverViolates(t *testing.T) {
 // below every codec's cost-model latency must route segments through the
 // fastest-predicted fallback (with misses recorded) instead of failing.
 func TestDeadlineTightForcesFallback(t *testing.T) {
-	o := obs.New(1 << 16)
-	eng := ctxEngine(t, 1, 200*time.Nanosecond, o)
-	if _, err := RunOnlineSegments(context.Background(), eng, ctxSegments(60)); err != nil {
-		t.Fatal(err)
-	}
-	stats := eng.Stats()
+	run := runSeeded(t, ctxConfig(200*time.Nanosecond), 60)
+	stats := run.Stats
 	if stats.DeadlineFallbacks == 0 {
 		t.Fatal("unmeetable deadline produced no fallbacks")
 	}
@@ -159,7 +94,7 @@ func TestDeadlineTightForcesFallback(t *testing.T) {
 		t.Fatalf("violations = %d, want 0", stats.DeadlineViolations)
 	}
 	fallbackEvents := 0
-	for _, ev := range o.Ring().Events() {
+	for _, ev := range run.Events {
 		if ev.Source == "core.online" && ev.Kind == "deadline_fallback" {
 			fallbackEvents++
 		}
@@ -185,7 +120,7 @@ func TestDeadlineWorksUnderPlainPolicy(t *testing.T) {
 	if eng.ctx == nil {
 		t.Fatal("Deadline alone did not build the contextual layer")
 	}
-	results, err := RunOnlineSegments(context.Background(), eng, ctxSegments(50))
+	results, err := RunOnlineSegments(eng, cbfSegments(t, 50, 90))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -103,7 +103,7 @@ func TestPipelineDeterministicPerWorkerSeeds(t *testing.T) {
 			TargetRatioOverride: 0.2,
 			Objective:           SingleTarget(TargetRatio),
 			Seed:                5,
-		}, 1)
+		})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -111,7 +111,9 @@ func TestPipelineDeterministicPerWorkerSeeds(t *testing.T) {
 		stream := datasets.NewCBFStream(datasets.CBFConfig{Seed: 93})
 		for i := 0; i < 50; i++ {
 			series, label := stream.Next()
-			p.Submit(LabeledSegment{Values: series, Label: label})
+			if err := p.Submit(LabeledSegment{Values: series, Label: label}); err != nil {
+				t.Fatal(err)
+			}
 		}
 		p.Close()
 		return p.Stats().CodecUse

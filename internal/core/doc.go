@@ -22,13 +22,12 @@
 // # Concurrency
 //
 // Both engines follow one contract: decisions are single-goroutine,
-// snapshots are concurrent. Process/ProcessPrepared (online) and Ingest
-// (offline) must be called from one goroutine at a time; Stats, Snapshot
-// and the estimate accessors may be polled from anywhere and return deep
-// copies. OnlineParallel (parallel.go) fans pure codec trials out across
-// Workers goroutines while a single sequencer makes every bandit decision
-// in arrival order, so a run at Workers: k is byte-identical to
-// Workers: 1 for the same seed (DESIGN.md §7).
+// snapshots are concurrent. Process (online) and Ingest (offline) must be
+// called from one goroutine at a time; Degrade, Stats, Snapshot and the
+// estimate accessors may be called from anywhere, and the accessors return
+// deep copies. One engine never uses more than one core: Pipeline
+// (pipeline.go) runs Config.Workers share-nothing engines, one per
+// independent signal (DESIGN.md §7).
 //
 // # Observability
 //
@@ -37,6 +36,6 @@
 // per segment (online) or ingest/recode (offline), interleaved with the
 // bandit's select/update events. All events are emitted on the decision
 // goroutine and carry no wall-clock fields, so a seeded run reproduces
-// the identical trace at any Workers setting (DESIGN.md §9). A nil
+// the identical trace every time (DESIGN.md §9). A nil
 // observer disables everything at the cost of one branch per call site.
 package core

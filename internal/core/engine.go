@@ -54,8 +54,8 @@ type Config struct {
 	// remains the engine degrades to the fastest predicted arm instead of
 	// dropping the segment. Predictions come from the deterministic codec
 	// cost model and the online ridge predictor, never from measured
-	// durations, so gating is reproducible at any Workers count. 0
-	// disables the gate. Works under any BanditPolicy.
+	// durations, so gating is reproducible run to run. 0 disables the
+	// gate. Works under any BanditPolicy.
 	Deadline time.Duration
 	// SingleLossyMAB collapses the offline per-ratio-range bandit pool
 	// into one instance. The paper argues (§IV-C2) that rewards differ
@@ -119,15 +119,9 @@ type Config struct {
 	// 0; the fleet harness assigns each simulated device its ID so
 	// device-side spans join the collector's by identity.
 	DeviceID uint64
-	// Workers sizes the parallel codec-trial pool. 1 (the default) keeps
-	// the fully sequential path; set runtime.GOMAXPROCS(0) to fan codec
-	// trials out across cores. Online, OnlineParallel/RunOnlineSegments
-	// prepare speculative trials on Workers goroutines while a single
-	// sequencer makes every bandit decision in arrival order; offline,
-	// recode candidate trials fan out per victim. Because codec trials are
-	// pure functions of the segment bytes and all decisions stay
-	// serialized, any Workers value produces results identical to
-	// Workers: 1 for the same seed (see DESIGN.md §7).
+	// Workers is the number of share-nothing engines NewPipeline builds
+	// (values below 1 mean 1); ignored by the engines themselves, which
+	// always decide on a single goroutine (DESIGN.md §7).
 	Workers int
 	// Seed drives all stochastic components.
 	Seed int64
@@ -167,9 +161,6 @@ func (c Config) withDefaults(online bool) Config {
 	}
 	if c.LosslessProbeInterval == 0 {
 		c.LosslessProbeInterval = 50
-	}
-	if c.Workers < 1 {
-		c.Workers = 1
 	}
 	return c
 }

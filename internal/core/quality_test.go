@@ -1,60 +1,30 @@
 package core
 
 import (
-	"context"
 	"reflect"
 	"testing"
 
 	"repro/internal/datasets"
-	"repro/internal/obs"
 	"repro/internal/obs/quality"
 	"repro/internal/query"
 )
 
-// qualityTraceRun is traceRun with the decision-quality oracle attached:
-// the returned stream interleaves core decisions, bandit events and the
-// oracle's regret events, all on the decision goroutine.
-func qualityTraceRun(t *testing.T, workers, n int) []obs.Event {
-	t.Helper()
-	o := obs.New(1 << 16)
-	eng, err := NewOnlineEngine(Config{
+// TestQualityTraceDeterministic extends the §9 determinism invariant to
+// the regret oracle: with quality observability enabled, a seeded run
+// still reproduces the identical event stream. The oracle's candidate set
+// and rewards are pure functions of the decision inputs, and its shadow
+// goroutines only fill pre-assigned slots, so where and when a missing
+// trial is computed cannot change the emitted regret.
+func TestQualityTraceDeterministic(t *testing.T) {
+	const segments = 80
+	run := runSeededTwice(t, Config{
 		TargetRatioOverride: 0.15,
 		Objective:           AggTarget(query.Max),
 		Seed:                42,
-		Workers:             workers,
-		Obs:                 o,
 		Quality:             &quality.Config{SampleEvery: 4},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	stream := datasets.NewCBFStream(datasets.CBFConfig{Seed: 90})
-	segs := make([]LabeledSegment, n)
-	for i := range segs {
-		v, label := stream.Next()
-		segs[i] = LabeledSegment{Values: v, Label: label}
-	}
-	if _, err := RunOnlineSegments(context.Background(), eng, segs); err != nil {
-		t.Fatal(err)
-	}
-	if d := o.Ring().Dropped(); d != 0 {
-		t.Fatalf("trace ring dropped %d events — raise the test ring capacity", d)
-	}
-	return o.Ring().Events()
-}
-
-// TestQualityTraceDeterministic extends the §9 determinism invariant to
-// the regret oracle: with quality observability enabled, a seeded run
-// still reproduces the identical event stream at any worker count. This
-// is the property the oracle's design defends — its candidate set and
-// rewards are pure functions of the decision inputs, so reusing
-// speculative trials (hit rates vary with timing) versus shadow-computing
-// them cannot change the emitted regret.
-func TestQualityTraceDeterministic(t *testing.T) {
-	const segments = 80
-	base := qualityTraceRun(t, 1, segments)
+	}, segments)
 	regrets := 0
-	for _, ev := range base {
+	for _, ev := range run.Events {
 		if ev.Source == "quality.online" {
 			if ev.Kind != "regret" {
 				t.Fatalf("unexpected quality event kind %q", ev.Kind)
@@ -68,12 +38,6 @@ func TestQualityTraceDeterministic(t *testing.T) {
 	// SampleEvery: 4 over ids 0..79 → ids 0, 4, ..., 76.
 	if want := segments / 4; regrets != want {
 		t.Fatalf("regret events = %d, want %d", regrets, want)
-	}
-	if again := qualityTraceRun(t, 1, segments); !reflect.DeepEqual(base, again) {
-		t.Fatal("same-seed sequential runs produced different traces with quality enabled")
-	}
-	if par := qualityTraceRun(t, 4, segments); !reflect.DeepEqual(base, par) {
-		t.Fatal("Workers: 4 trace differs from Workers: 1 with quality enabled")
 	}
 }
 

@@ -9,11 +9,11 @@ import (
 	"repro/internal/query"
 )
 
-// Regression tests for data races latent in the pre-parallel code and
-// surfaced by this PR's -race sweep. The seed's Stats() returned struct
-// copies whose maps (CodecUse, LosslessUse, LossyUse) were the engine's
-// live maps, so any monitor polling stats while segments flowed raced
-// with the accounting writes. Same story for the offline accLoss cache
+// Regression tests for data races between the decision goroutine and
+// monitors. The seed's Stats() returned struct copies whose maps
+// (CodecUse, LosslessUse, LossyUse) were the engine's live maps, so any
+// monitor polling stats while segments flowed raced with the accounting
+// writes. Same story for the offline accLoss cache
 // read by Snapshot(). Stats now deep-copies under a mutex; these tests
 // fail under -race against the old code.
 
@@ -97,21 +97,18 @@ func TestOnlineStatsSnapshotIsolated(t *testing.T) {
 
 // TestOnlineSnapshotMutateWhileRunning goes one step beyond polling: the
 // monitors actively WRITE to every map a snapshot accessor returns while
-// the parallel pipeline is deciding segments. If any accessor ever leaks
-// a live engine map again, -race flags the write against the accounting
-// goroutine immediately.
+// the decision goroutine is processing segments. If any accessor ever
+// leaks a live engine map again, -race flags the write against the
+// decision goroutine's accounting immediately.
 func TestOnlineSnapshotMutateWhileRunning(t *testing.T) {
 	eng, err := NewOnlineEngine(Config{
 		TargetRatioOverride: 0.2,
 		Objective:           SingleTarget(TargetRatio),
 		Seed:                53,
-		Workers:             4,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	par := NewOnlineParallel(eng, 0)
-	par.Start(context.Background())
 
 	stop := make(chan struct{})
 	var wg sync.WaitGroup
@@ -145,10 +142,11 @@ func TestOnlineSnapshotMutateWhileRunning(t *testing.T) {
 	const segments = 150
 	for i := 0; i < segments; i++ {
 		v, label := stream.Next()
-		par.Submit(v, label)
-	}
-	if err := par.Close(); err != nil {
-		t.Fatal(err)
+		if _, _, err := eng.Process(v, label); err != nil {
+			close(stop)
+			wg.Wait()
+			t.Fatal(err)
+		}
 	}
 	close(stop)
 	wg.Wait()

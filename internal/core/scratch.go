@@ -6,7 +6,7 @@ import (
 	"repro/internal/compress"
 )
 
-// Trial-buffer recycling for the speculative evaluator loop.
+// Trial-buffer recycling for the decision loop.
 //
 // A segment decision in the lossless phase runs up to a dozen codec
 // trials, a lossy one an encode and a decode; without recycling each
@@ -21,11 +21,10 @@ import (
 // Ownership rules (DESIGN.md §10):
 //
 //   - A trial's buffers belong to the trial until it is released. Release
-//     happens at exactly one site per trial: inline losers are released in
-//     the decision loop (only when the decision is not oracle-sampled —
-//     the oracle reads noted trials later in the same process call), and
-//     prepared trials are swept by ProcessPrepared after the decision and
-//     the oracle's observe pass are both complete.
+//     happens at exactly one site per trial: losers are released in the
+//     decision loop (only when the decision is not oracle-sampled — the
+//     oracle reads noted trials later in the same Process call), and the
+//     lossy winner's decode slice when Process returns.
 //   - The selected trial's encoding escapes to the caller with the
 //     returned compress.Encoded and leaves the pool's circulation; its
 //     emptied wrapper parks in spareEncBufs so RecycleEncoded can re-arm
@@ -35,8 +34,7 @@ import (
 //     release the same trial through two copies.
 //
 // The pools are shared by every engine in the process; sync.Pool makes
-// cross-goroutine hand-offs (worker-prepared trials released on the
-// decision goroutine) race-safe.
+// that (and the oracle's shadow-goroutine trials) race-safe.
 
 // encBuf wraps a trial encode buffer so pool round trips are pointer-sized.
 type encBuf struct{ b []byte }
@@ -84,26 +82,11 @@ func (t *losslessTrial) handOff() {
 	t.buf = nil
 }
 
-// releaseDecoded returns a lossy trial's decode slice to the pool. The
-// encode buffer is not pooled: CompressRatio allocates its output, so
-// there is no wrapper to return. Idempotent per trial copy.
-//
-// adaedge:decision-goroutine
-func (t *lossyTrial) releaseDecoded() {
-	if t.dec == nil {
-		return
-	}
-	t.dec.v = t.decoded
-	decBufPool.Put(t.dec)
-	t.dec = nil
-	t.decoded = nil
-}
-
 // RecycleEncoded hands an Encoded's backing buffer back to the trial
 // pools. Callers that drop every reference to enc.Data once a segment is
 // accounted (benchmark drivers, metrics-only consumers) can call this
-// after each Process/ProcessPrepared to make the steady-state decision
-// loop allocation-free. Callers that retain the bytes — an uplink spool,
+// after each Process to make the steady-state decision loop
+// allocation-free. Callers that retain the bytes — an uplink spool,
 // a storage pool — must NOT recycle: the buffer would be overwritten by
 // a later trial while still referenced.
 func RecycleEncoded(enc compress.Encoded) {
@@ -116,7 +99,7 @@ func RecycleEncoded(enc compress.Encoded) {
 }
 
 // engineScratch holds slices reused across segments by the decision
-// goroutine. Never touched by PrepareSegment workers.
+// goroutine.
 type engineScratch struct {
 	mask       []bool
 	pendingDec *decBuf

@@ -56,7 +56,7 @@ func (o CompareOptions) withDefaults() CompareOptions {
 
 // CompareReport is the outcome of one document comparison.
 type CompareReport struct {
-	// Matched counts (name, workers) cells present in both documents.
+	// Matched counts cells present, by name, in both documents.
 	Matched int
 	// QualityDiffs lists exact-match failures on deterministic fields.
 	QualityDiffs []string
@@ -148,28 +148,23 @@ func CompareBenchJSON(oldData, newData []byte, opts CompareOptions) (CompareRepo
 			oldDoc.GoVersion, newDoc.GoVersion))
 	}
 
-	type key struct {
-		name    string
-		workers int
-	}
-	oldCases := make(map[key]BenchCase, len(oldDoc.Cases))
+	oldCases := make(map[string]BenchCase, len(oldDoc.Cases))
 	for _, c := range oldDoc.Cases {
-		oldCases[key{c.Name, c.Workers}] = c
+		oldCases[c.Name] = c
 	}
-	seen := make(map[key]bool, len(newDoc.Cases))
+	seen := make(map[string]bool, len(newDoc.Cases))
 	for _, nc := range newDoc.Cases {
-		k := key{nc.Name, nc.Workers}
-		seen[k] = true
-		oc, ok := oldCases[k]
+		seen[nc.Name] = true
+		oc, ok := oldCases[nc.Name]
 		if !ok {
-			return rep, fmt.Errorf("bench compare: case %s/w%d present only in the new document — regenerate the baseline", nc.Name, nc.Workers)
+			return rep, fmt.Errorf("bench compare: case %s present only in the new document — regenerate the baseline", nc.Name)
 		}
 		rep.Matched++
 		rep.compareCase(oc, nc)
 	}
-	for k := range oldCases {
-		if !seen[k] {
-			return rep, fmt.Errorf("bench compare: case %s/w%d present only in the old document — regenerate the baseline", k.name, k.workers)
+	for name := range oldCases {
+		if !seen[name] {
+			return rep, fmt.Errorf("bench compare: case %s present only in the old document — regenerate the baseline", name)
 		}
 	}
 	return rep, nil
@@ -177,7 +172,7 @@ func CompareBenchJSON(oldData, newData []byte, opts CompareOptions) (CompareRepo
 
 // compareCase diffs one matched cell.
 func (r *CompareReport) compareCase(oc, nc BenchCase) {
-	id := fmt.Sprintf("%s/w%d", nc.Name, nc.Workers)
+	id := nc.Name
 	oq, nq := oc.Quality, nc.Quality
 
 	exact := []struct {

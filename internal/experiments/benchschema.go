@@ -89,13 +89,6 @@ func validateCase(c map[string]any) error {
 	if _, err := wantString(c, "target"); err != nil {
 		return err
 	}
-	workers, err := wantNumber(c, "workers")
-	if err != nil {
-		return err
-	}
-	if workers < 1 {
-		return fmt.Errorf("workers = %v, want >= 1", workers)
-	}
 	for _, key := range []string{"segments", "seed", "target_ratio", "storage_bytes"} {
 		if _, err := wantNumber(c, key); err != nil {
 			return err

@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"context"
 	"testing"
 	"time"
 
@@ -32,7 +31,7 @@ func runPolicyRegret(t *testing.T, policy string, deadline time.Duration) (quali
 		v, l := stream.Next()
 		segs[i] = core.LabeledSegment{Values: v, Label: l}
 	}
-	if _, err := core.RunOnlineSegments(context.Background(), eng, segs); err != nil {
+	if _, err := core.RunOnlineSegments(eng, segs); err != nil {
 		t.Fatal(err)
 	}
 	return eng.Quality().Snapshot(), eng.Stats()

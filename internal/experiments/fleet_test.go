@@ -149,11 +149,11 @@ func TestBenchFleetCase(t *testing.T) {
 // validated.
 func TestBenchSchemaFleet(t *testing.T) {
 	doc := `{
-	  "schema_version": 3, "tool": "adaedge-bench", "go_version": "go",
+	  "schema_version": 4, "tool": "adaedge-bench", "go_version": "go",
 	  "gomaxprocs": 1, "segments": 10, "seed": 11,
 	  "cases": [{
 	    "name": "fleet_v2", "mode": "fleet", "target": "collector",
-	    "workers": 1, "segments": 10, "seed": 11,
+	    "segments": 10, "seed": 11,
 	    "target_ratio": 0, "storage_bytes": 0,
 	    "quality": {"overall_ratio": 0, "mean_accuracy_loss": 0,
 	      "lossless_segments": 0, "lossy_segments": 0, "regret_samples": 0,
@@ -214,7 +214,7 @@ func TestCompareFleet(t *testing.T) {
 	mk := func(rate float64, delivered int, ns float64) BenchCase {
 		return BenchCase{
 			Name: "fleet_v2", Mode: "fleet", Target: "collector",
-			Workers: 1, Segments: 10, Seed: 11,
+			Segments: 10, Seed: 11,
 			Fleet: &BenchFleet{
 				Devices: 4, SegmentsPerDevice: 2, Delivered: delivered,
 				DevicesXSegmentsPerSec: rate,

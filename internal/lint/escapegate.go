@@ -54,7 +54,6 @@ var EscapePinnedFiles = []string{
 	"internal/core/offline.go",
 	"internal/core/target.go",
 	"internal/core/scratch.go",
-	"internal/core/parallel.go",
 	"internal/store/spool.go",
 	"internal/transport/resilient.go",
 	"internal/transport/transport.go",

@@ -12,8 +12,8 @@ import (
 
 // GoroutineDiscipline verifies the single-decision-goroutine contract of
 // DESIGN.md §7: every bandit Select/Update, every RNG draw, and every
-// obs/quality event emission happens on one goroutine — the sequencer in
-// parallel mode, the caller's goroutine in direct mode. seqdeterminism
+// obs/quality event emission happens on one goroutine per engine — the
+// goroutine that calls Process or Ingest. seqdeterminism
 // already pins WHERE those calls may appear (which packages); this
 // analyzer pins WHO may make them, generalizing the rule beyond RNG
 // ordering to the whole decision/observability surface.
@@ -26,12 +26,12 @@ import (
 // is a decision function: it may only be called from another decision
 // function, or from a goroutine launched by a go statement that itself
 // carries the marker (the sanctioned launch of THE decision goroutine —
-// the sequencer in parallel.go, the share-nothing per-device workers in
-// pipeline.go). Entry packages (-entry-pkgs: experiments, cmd, examples)
+// the share-nothing per-engine workers in pipeline.go, OfflineRunner's
+// worker in runner.go). Entry packages (-entry-pkgs: experiments, cmd, examples)
 // and _test.go files are exempt: their main goroutine IS the decision
-// goroutine in direct mode. The annotation is exported as an analyzer
+// goroutine. The annotation is exported as an analyzer
 // fact, so the discipline follows calls across packages under the
-// unitchecker driver — core's sequencer calling quality.Tracker's
+// unitchecker driver — core's Process calling quality.Tracker's
 // emitters is checked even though the annotation lives in internal/obs.
 //
 // Two shapes are flagged: a call to a decision function from outside the

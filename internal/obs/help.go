@@ -22,9 +22,6 @@ var MetricHelp = map[string]string{
 	"core.online.deadline_rejects":         "arms masked because their predicted encode+uplink latency misses `Config.Deadline`",
 	"core.online.deadline_fallbacks":       "segments where no ratio-feasible arm met the deadline and the fastest predicted arm was forced",
 	"core.online.deadline_misses":          "chosen arm's cost-model encode+uplink latency exceeded the deadline after the fact",
-	"core.online.spec_hits":                "worker-speculated trials consumed as-is",
-	"core.online.spec_misses":              "speculated-path trials recomputed inline",
-	"core.online.prepared_stale":           "prepared segments discarded because the target moved",
 	"core.online.effective_target":         "effective target ratio at the last decision",
 	"core.online.pressure":                 "uplink-pressure throttle at the last decision",
 	"core.online.compress_seconds.<codec>": "per-codec trial latency (LatencyBuckets)",
@@ -45,7 +42,7 @@ var MetricHelp = map[string]string{
 	"quality.online.arm_switches":       "decisions whose codec differed from the previous one",
 	"quality.online.optimal_hits":       "samples where the chosen arm was oracle-best",
 	"quality.online.shadow_trials":      "oracle candidate trials recomputed off the decision goroutine",
-	"quality.online.reused_trials":      "oracle candidate trials reused from speculative/decision-path work",
+	"quality.online.reused_trials":      "oracle candidate trials reused from the decision path's own work",
 	"quality.online.regret_cum":         "cumulative regret (Σ best − chosen) over all samples",
 	"quality.online.regret_window":      "mean regret over the last `Window` samples",
 	"quality.online.regret_last":        "regret of the most recent sample",

@@ -21,8 +21,8 @@
 // everywhere) disables instrumentation entirely: every metric method is
 // nil-receiver safe, so the instrumented hot paths pay one predictable
 // branch and no clock reads when observability is off. That property is
-// load-bearing — BenchmarkOnlineParallel must not regress when the layer
-// is disabled.
+// load-bearing: cmd/adaedge-e2e attaches no observer, so the benchmark's
+// engine workloads measure exactly this disabled path.
 //
 // # Clock ownership
 //
