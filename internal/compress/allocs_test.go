@@ -11,9 +11,8 @@ import (
 // segments. The contract: after one warm-up call has sized the
 // caller-owned dst (and the codec's pooled scratch), CompressInto and
 // DecompressInto allocate no more than the pinned count — zero for every
-// codec except Dict's value index and compress/flate's per-block Huffman
-// tables, whose count follows the data (25–26 on this signal), hence a
-// ceiling. The lossy codecs' ratio-driven entry points are pinned beside
+// codec except compress/flate's per-block Huffman tables, whose count
+// follows the data (25–26 on this signal), hence a ceiling. The lossy codecs' ratio-driven entry points are pinned beside
 // them: MinRatio at zero, CompressRatio and Recode at one, the payload.
 
 // allocSignal is shaped to exercise every kernel path: repeats (Gorilla /
@@ -71,7 +70,7 @@ func TestCodecAllocs(t *testing.T) {
 		{NewBUFFLossy(4), 0, 0, onePayload},
 		{NewElf(4), 0, 0, nil},
 		{NewSnappy(), 0, 0, nil},
-		{NewDict(), 15, 0, nil},
+		{NewDict(), 0, 0, nil},
 		{NewGzip(), 0, 32, nil},
 		{NewZlib(6), 0, 32, nil},
 		{NewPAA(), 0, 0, onePayload},

@@ -295,11 +295,19 @@ func (b *BUFFLossy) Recode(enc Encoded, ratio float64) (Encoded, error) {
 		return Encoded{}, ErrCodecMismatch
 	}
 	hdr, width, drop := buffHeaderSize(enc.Data)
-	if hdr < 0 {
+	count, _, err := readCount(enc.Data)
+	if hdr < 0 || err != nil {
 		return Encoded{}, ErrCorrupt
 	}
+	// The payload's own count, as decodeInto: enc.N is metadata that travels
+	// apart from the bytes. The bits it promises must be there before the
+	// output is sized by it.
+	n := int(count)
 	curWidth := width - drop
-	target := buffWidthForRatio(enc.N, hdr, ratio)
+	if len(enc.Data)-hdr < (n*curWidth+7)/8 {
+		return Encoded{}, ErrCorrupt
+	}
+	target := buffWidthForRatio(n, hdr, ratio)
 	if target < 1 {
 		return Encoded{}, ErrRatioInfeasible
 	}
@@ -308,19 +316,19 @@ func (b *BUFFLossy) Recode(enc Encoded, ratio float64) (Encoded, error) {
 	}
 	extra := curWidth - target
 	// The one allocation: header and repacked bits at their exact size.
-	out := make([]byte, hdr, hdr+(enc.N*target+7)/8)
+	out := make([]byte, hdr, hdr+(n*target+7)/8)
 	copy(out, enc.Data[:hdr])
 	out[hdr-1] = byte(drop + extra) // update dropped-bits field
 	var r bitio.Reader
 	r.Reset(enc.Data[hdr:])
 	var w bitio.Writer
 	w.ResetBuf(out)
-	for i := 0; i < enc.N; i++ {
+	for i := 0; i < n; i++ {
 		v, err := r.ReadBits(uint(curWidth))
 		if err != nil {
 			return Encoded{}, ErrCorrupt
 		}
 		w.WriteBits(v>>uint(extra), uint(target))
 	}
-	return Encoded{Codec: b.Name(), Data: w.Bytes(), N: enc.N}, nil
+	return Encoded{Codec: b.Name(), Data: w.Bytes(), N: n}, nil
 }

@@ -2,6 +2,7 @@ package compress
 
 import (
 	"math/bits"
+	"sync"
 
 	"repro/internal/bitio"
 )
@@ -30,18 +31,20 @@ func (*Dict) CompressInto(dst []byte, values []float64) (Encoded, error) {
 	if len(values) == 0 {
 		return Encoded{}, ErrEmptyInput
 	}
-	index := make(map[float64]uint32, 64)
-	var dict []float64
-	codes := make([]uint32, len(values))
-	for i, v := range values {
-		code, ok := index[v]
+	ws := dictScratches.Get().(*dictScratch)
+	defer dictScratches.Put(ws)
+	clear(ws.index)
+	dict, codes := ws.dict[:0], ws.codes[:0]
+	for _, v := range values {
+		code, ok := ws.index[v]
 		if !ok {
 			code = uint32(len(dict))
-			index[v] = code
+			ws.index[v] = code
 			dict = append(dict, v)
 		}
-		codes[i] = code
+		codes = append(codes, code)
 	}
+	ws.dict, ws.codes = dict, codes
 	width := bitsFor(uint64(len(dict) - 1))
 	out := putUvarint(dst[:0], uint64(len(dict)))
 	out = appendFloats(out, dict)
@@ -53,6 +56,18 @@ func (*Dict) CompressInto(dst []byte, values []float64) (Encoded, error) {
 	}
 	return Encoded{Codec: "dict", Data: w.Bytes(), N: len(values)}, nil
 }
+
+// dictScratch is the workspace of one encode: the value index, the
+// dictionary in first-seen order and each point's code.
+type dictScratch struct {
+	index map[float64]uint32
+	dict  []float64
+	codes []uint32
+}
+
+var dictScratches = sync.Pool{New: func() any {
+	return &dictScratch{index: make(map[float64]uint32, 64)}
+}}
 
 // DecompressInto implements Codec. Codes index the dictionary where it
 // lies in enc.Data; nothing is staged.

@@ -143,14 +143,13 @@ func (f *FFT) SumEncoded(enc Encoded) (float64, error) {
 		return 0, err
 	}
 	var dc float64
-	found := false
 	for i := 0; i < k; i++ {
 		c, err := fftCoefAt(recs, i, n)
 		if err != nil {
 			return 0, err
 		}
-		if c.idx == 0 && !found {
-			dc, found = real(c.val), true
+		if c.idx == 0 {
+			dc = real(c.val) // a forged second bin 0 overwrites, as in DecompressInto
 		}
 	}
 	return dc, nil
@@ -224,11 +223,11 @@ func (l *LTTB) MinMaxEncoded(enc Encoded) (float64, float64, error) {
 // float slice.
 func buffMinMaxSum(enc Encoded) (lo, hi, sum float64, err error) {
 	hdr, width, drop := buffHeaderSize(enc.Data)
-	if hdr < 0 {
+	count, c1, err := readCount(enc.Data)
+	if hdr < 0 || err != nil {
 		return 0, 0, 0, ErrCorrupt
 	}
 	data := enc.Data
-	_, c1 := binary.Uvarint(data)
 	prec, c2 := binary.Uvarint(data[c1:])
 	minZZ, _ := binary.Uvarint(data[c1+c2:])
 	minQ := bitio.UnZigZag(minZZ)
@@ -239,24 +238,18 @@ func buffMinMaxSum(enc Encoded) (lo, hi, sum float64, err error) {
 		bias = 1 << uint(drop-1)
 	}
 	r := bitio.NewReader(enc.Data[hdr:])
-	loD, hiD := uint64(math.MaxUint64), uint64(0)
-	toFloat := func(d uint64) float64 {
-		return float64(int64(d<<uint(drop)+bias)+minQ) / scale
-	}
-	for i := 0; i < enc.N; i++ {
+	lo, hi = math.Inf(1), math.Inf(-1)
+	for i := uint64(0); i < count; i++ {
 		d, err := r.ReadBits(uint(storedWidth))
 		if err != nil {
 			return 0, 0, 0, ErrCorrupt
 		}
-		if d < loD {
-			loD = d
-		}
-		if d > hiD {
-			hiD = d
-		}
-		sum += toFloat(d)
+		// Extrema over the values, not the deltas: a forged 64-bit width
+		// wraps the shift, and the decode with it.
+		v := float64(int64(d<<uint(drop)+bias)+minQ) / scale
+		lo, hi = min(lo, v), max(hi, v)
+		sum += v
 	}
-	lo, hi = toFloat(loD), toFloat(hiD)
 	return lo, hi, sum, nil
 }
 

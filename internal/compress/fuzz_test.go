@@ -2,6 +2,7 @@ package compress
 
 import (
 	"math"
+	"math/cmplx"
 	"testing"
 )
 
@@ -157,4 +158,148 @@ func TestHostileBitWidthsRejected(t *testing.T) {
 	if rejected == 0 {
 		t.Error("no forged sprintz byte was rejected: the sweep never reached a block width")
 	}
+}
+
+// The decode targets above only drive DecompressInto; Recode and the direct
+// queries parse the same bytes through their own code (stored pools are
+// recoded in place, and a restored dump is bytes the engine did not write).
+
+// fuzzNs are the Encoded.N values a parser is tried with beside the payload
+// header's own count: metadata travels apart from the payload (a pool dump
+// stores it in its own field), so it can disagree with it.
+var fuzzNs = []int{0, 1, 1 << 20}
+
+// fuzzEncoded builds the hostile Encoded: nsel picks N from fuzzNs, or the
+// count the payload itself leads with (every layout here starts with one).
+func fuzzEncoded(c Codec, data []byte, nsel uint8) Encoded {
+	enc := Encoded{Codec: c.Name(), Data: data}
+	if i := int(nsel) % (len(fuzzNs) + 1); i < len(fuzzNs) {
+		enc.N = fuzzNs[i]
+	} else if n, _, err := readCount(data); err == nil {
+		enc.N = int(n)
+	}
+	return enc
+}
+
+// fuzzDecodable reports whether decoding data as a reference is affordable
+// inside a fuzz iteration: a forged count up to maxDecodePoints is accepted
+// by design and costs FFT an eight-digit-point inverse transform, seconds
+// the decode targets already spend.
+func fuzzDecodable(data []byte) bool {
+	n, _, err := readCount(data)
+	return err == nil && n <= 1<<16
+}
+
+// fuzzEach seeds f with every valid encoding of every codec in the extended
+// registry that pick accepts, at each N selector, and returns those codecs
+// in name order (the fuzz function's first argument indexes them).
+func fuzzEach(f *testing.F, pick func(Codec) bool) []Codec {
+	reg := ExtendedRegistry(4)
+	var codecs []Codec
+	for _, name := range reg.SortedNames() {
+		c, _ := reg.Lookup(name)
+		if !pick(c) {
+			continue
+		}
+		for _, seed := range fuzzSeeds(f, c) {
+			for nsel := range len(fuzzNs) + 1 {
+				f.Add(uint8(len(codecs)), seed, uint8(nsel), uint8(31))
+			}
+		}
+		codecs = append(codecs, c)
+	}
+	return codecs
+}
+
+// FuzzRecode: no Recoder may panic on arbitrary bytes or metadata; what it
+// returns is no larger than what it was given, and decodes (or is rejected)
+// without a panic.
+func FuzzRecode(f *testing.F) {
+	codecs := fuzzEach(f, func(c Codec) bool { _, ok := c.(Recoder); return ok })
+	f.Fuzz(func(t *testing.T, which uint8, data []byte, nsel, rsel uint8) {
+		c := codecs[int(which)%len(codecs)]
+		enc := fuzzEncoded(c, data, nsel)
+		ratio := float64(rsel%64+1) / 64
+		out, err := c.(Recoder).Recode(enc, ratio)
+		if err != nil {
+			return // rejected: fine
+		}
+		if out.Size() > enc.Size() {
+			t.Fatalf("%s: Recode to %.3f grew %d bytes to %d", c.Name(), ratio, enc.Size(), out.Size())
+		}
+		if fuzzDecodable(out.Data) {
+			fuzzDecode(t, c, out.Data)
+		}
+	})
+}
+
+// FuzzDirectQuery: no direct aggregate may panic on arbitrary bytes or
+// metadata, and when both it and the decoder accept them it agrees with
+// aggregating the decode (DirectSummer's and DirectMinMaxer's contract).
+func FuzzDirectQuery(f *testing.F) {
+	codecs := fuzzEach(f, func(c Codec) bool {
+		_, sum := c.(DirectSummer)
+		_, mm := c.(DirectMinMaxer)
+		return sum || mm
+	})
+	f.Fuzz(func(t *testing.T, which uint8, data []byte, nsel, _ uint8) {
+		c := codecs[int(which)%len(codecs)]
+		enc := fuzzEncoded(c, data, nsel)
+		var sum, lo, hi float64
+		var sumErr, mmErr error = ErrCorrupt, ErrCorrupt
+		if ds, ok := c.(DirectSummer); ok {
+			sum, sumErr = ds.SumEncoded(enc)
+		}
+		if dm, ok := c.(DirectMinMaxer); ok {
+			lo, hi, mmErr = dm.MinMaxEncoded(enc)
+		}
+		if !fuzzDecodable(data) {
+			return
+		}
+		vals, err := c.DecompressInto(nil, enc)
+		if err != nil {
+			return
+		}
+		// The reference, and the scale its rounding error grows with. Bytes
+		// that decode to NaN, ±Inf or close enough to overflow that a closed
+		// form's intermediate can reach it have no aggregate to agree on.
+		var wsum, scale float64
+		wlo, whi := math.Inf(1), math.Inf(-1)
+		for _, v := range vals {
+			wsum, scale = wsum+v, scale+math.Abs(v)
+			wlo, whi = math.Min(wlo, v), math.Max(whi, v)
+		}
+		if c.Name() == "fft" {
+			// The inverse transform rounds relative to the spectrum, which a
+			// forged Nyquist or DC imaginary part keeps out of the values.
+			if n, k, recs, err := countedHeader(data, fftCoefBytes); err == nil {
+				for i := 0; i < k; i++ {
+					if co, err := fftCoefAt(recs, i, n); err == nil {
+						scale += cmplx.Abs(co.val)
+					}
+				}
+			}
+		}
+		if !(scale < 1e280) {
+			return
+		}
+		tol := 1e-9 * math.Max(1, scale)
+		if sumErr == nil && !(math.Abs(sum-wsum) <= tol) {
+			t.Errorf("%s: direct sum %v, decoded sum %v", c.Name(), sum, wsum)
+		}
+		agree := math.Abs(lo-wlo) <= tol && math.Abs(hi-whi) <= tol
+		switch c.Name() {
+		case "summary":
+			// Its extrema are the original data's (summary.go), of which
+			// the payload holds nothing else to check them against.
+			agree = true
+		case "dict":
+			// The dictionary's extrema: a forged entry no code uses can
+			// only widen them.
+			agree = lo <= wlo && hi >= whi
+		}
+		if mmErr == nil && !agree {
+			t.Errorf("%s: direct min/max (%v, %v), decoded (%v, %v)", c.Name(), lo, hi, wlo, whi)
+		}
+	})
 }

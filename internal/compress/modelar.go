@@ -213,7 +213,11 @@ func (m *Modelar) Recode(enc Encoded, ratio float64) (Encoded, error) {
 	if enc.Codec != m.Name() {
 		return Encoded{}, ErrCodecMismatch
 	}
-	budget := int(ratio * float64(8*enc.N))
+	n, _, err := readCount(enc.Data)
+	if err != nil {
+		return Encoded{}, err
+	}
+	budget := int(ratio * float64(8*n))
 	if enc.Size() <= budget {
 		return enc, nil
 	}
@@ -231,9 +235,9 @@ func (m *Modelar) SumEncoded(enc Encoded) (float64, error) {
 		return 0, ErrCodecMismatch
 	}
 	data := enc.Data
-	count, c := binary.Uvarint(data)
-	if c <= 0 {
-		return 0, ErrCorrupt
+	count, c, err := readCount(data)
+	if err != nil {
+		return 0, err
 	}
 	data = data[c:]
 	var sum float64
@@ -249,9 +253,9 @@ func (m *Modelar) SumEncoded(enc Encoded) (float64, error) {
 			return 0, ErrCorrupt
 		}
 		data = data[c:]
-		if seen+l > count {
-			l = count - seen
-		}
+		// A forged length past the count: DecompressInto stops mid-model.
+		full := l
+		l = min(l, count-seen)
 		switch kind {
 		case modelConst:
 			if len(data) < 8 {
@@ -267,6 +271,13 @@ func (m *Modelar) SumEncoded(enc Encoded) (float64, error) {
 			first := math.Float64frombits(binary.LittleEndian.Uint64(data))
 			last := math.Float64frombits(binary.LittleEndian.Uint64(data[8:]))
 			data = data[16:]
+			// The end DecompressInto reaches: a one-point line is its first
+			// value, a truncated one stops short of its last.
+			if l == 1 {
+				last = first
+			} else if l < full {
+				last = first + float64(l-1)/float64(full-1)*(last-first)
+			}
 			sum += (first + last) / 2 * float64(l)
 		default:
 			return 0, ErrCorrupt

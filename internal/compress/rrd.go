@@ -95,7 +95,9 @@ func (r *RRDSample) Recode(enc Encoded, ratio float64) (Encoded, error) {
 	if err != nil {
 		return Encoded{}, err
 	}
-	targetWindow := paaWindowForRatio(enc.N, ratio)
+	// The payload's own count, as every parser here: enc.N is metadata that
+	// travels apart from the bytes (0 from a corrupt dump divided by zero).
+	targetWindow := paaWindowForRatio(n, ratio)
 	if targetWindow <= window {
 		return enc, nil
 	}
@@ -108,5 +110,5 @@ func (r *RRDSample) Recode(enc Encoded, ratio float64) (Encoded, error) {
 		pick := start + int(state%uint64(min(start+m, count)-start))
 		out = append(out, recs[8*pick:8*pick+8]...)
 	}
-	return Encoded{Codec: r.Name(), Data: out, N: enc.N}, nil
+	return Encoded{Codec: r.Name(), Data: out, N: n}, nil
 }

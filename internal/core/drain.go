@@ -33,9 +33,18 @@ type DrainReport struct {
 
 // Drain transmits as many segments as the window allows.
 func (e *OfflineEngine) Drain(bw sim.Bandwidth, seconds float64) DrainReport {
+	report, _ := e.drain(bw, seconds, nil)
+	return report
+}
+
+// drain is Drain with a say for the link: ship, when not nil, is handed
+// each segment before it leaves the pool, and its first error ends the
+// window with that segment and everything after it still stored, untouched.
+func (e *OfflineEngine) drain(bw sim.Bandwidth, seconds float64, ship func(*store.Entry) error) (DrainReport, error) {
 	budget := int64(float64(bw) * seconds)
 	var report DrainReport
 	var sentIDs []uint64
+	var err error
 
 	// Snapshot candidates oldest-first (ascending id = ingest order).
 	var candidates []*store.Entry
@@ -46,6 +55,11 @@ func (e *OfflineEngine) Drain(bw sim.Bandwidth, seconds float64) DrainReport {
 		size := int64(en.Enc.Size())
 		if size > budget {
 			break
+		}
+		if ship != nil {
+			if err = ship(en); err != nil {
+				break
+			}
 		}
 		budget -= size
 		report.SegmentsSent++
@@ -69,5 +83,5 @@ func (e *OfflineEngine) Drain(bw sim.Bandwidth, seconds float64) DrainReport {
 	}
 	report.SegmentsLeft = e.pool.Len()
 	report.BytesLeft = e.pool.TotalBytes()
-	return report
+	return report, err
 }

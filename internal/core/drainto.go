@@ -2,6 +2,7 @@ package core
 
 import (
 	"repro/internal/sim"
+	"repro/internal/store"
 	"repro/internal/transport"
 )
 
@@ -13,36 +14,12 @@ type FrameSender interface {
 }
 
 // DrainTo offloads the backlog through a framed sender — Drain plus the
-// actual network protocol of §IV-B1. Segments the sender rejects stay
-// stored (and re-enter the pool untouched); the returned report covers
-// only what was actually shipped.
+// actual network protocol of §IV-B1. A segment leaves the pool only once
+// the sender has taken it: the one it rejects and everything after it stay
+// stored as they were, sketch, cached loss and recoding order included, and
+// the returned report covers only what was actually shipped.
 func (e *OfflineEngine) DrainTo(sender FrameSender, bw sim.Bandwidth, seconds float64) (DrainReport, error) {
-	report := e.Drain(bw, seconds)
-	for i, entry := range report.Sent {
-		frame := transport.Frame{ID: entry.ID, Label: entry.Label, Enc: entry.Enc}
-		if err := sender.Send(frame); err != nil {
-			// Re-store everything not yet shipped so no data is lost.
-			for j := i; j < len(report.Sent); j++ {
-				failed := report.Sent[j]
-				restored := failed // copy
-				if allocErr := e.storage.Alloc(int64(failed.Enc.Size())); allocErr != nil {
-					// The space was freed by Drain moments ago; a failure
-					// here means concurrent ingestion raced the drain.
-					// Surface the original send error either way.
-					break
-				}
-				e.pool.Put(&restored)
-			}
-			report.Sent = report.Sent[:i]
-			report.SegmentsSent = i
-			report.BytesSent = 0
-			for _, en := range report.Sent {
-				report.BytesSent += int64(en.Enc.Size())
-			}
-			report.SegmentsLeft = e.pool.Len()
-			report.BytesLeft = e.pool.TotalBytes()
-			return report, err
-		}
-	}
-	return report, nil
+	return e.drain(bw, seconds, func(en *store.Entry) error {
+		return sender.Send(transport.Frame{ID: en.ID, Label: en.Label, Enc: en.Enc})
+	})
 }

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"testing"
 
+	"repro/internal/query"
 	"repro/internal/sim"
 	"repro/internal/store"
 	"repro/internal/transport"
@@ -72,4 +73,44 @@ func TestDrainToRestoresOnSendFailure(t *testing.T) {
 			t.Fatalf("restored segment %d broken: %v", en.ID, err)
 		}
 	})
+}
+
+// TestDrainToFailureKeepsSketchAndLoss: a refused segment stays as it was
+// stored. Until PR 22 DrainTo drained first and re-stored the stripped copies
+// from report.Sent on failure, so the device reported no accuracy loss
+// (0.30 → 0 here) and every later recode of those segments scored against a
+// lossy reference.
+func TestDrainToFailureKeepsSketchAndLoss(t *testing.T) {
+	const segments = 60
+	e, err := NewOfflineEngine(Config{
+		StorageBytes: segments * 140, // tight: most segments get recoded
+		Objective:    AggTarget(query.Max),
+		Seed:         1,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ingestCBF(t, e, segments, 60)
+	sketches := func() (n int) {
+		e.EachEntry(func(en *store.Entry) {
+			if en.Sketch != nil {
+				n++
+			}
+		})
+		return n
+	}
+	wantLoss, wantSketches := e.Snapshot().MeanAccuracyLoss, sketches()
+	if wantLoss == 0 || wantSketches != segments {
+		t.Fatalf("loss %g and %d sketches before the drain: nothing to lose, the test is vacuous", wantLoss, wantSketches)
+	}
+	wantErr := errors.New("link dropped")
+	if _, err := e.DrainTo(&captureSender{failAt: 0, failErr: wantErr}, sim.Net5G, 10); !errors.Is(err, wantErr) {
+		t.Fatalf("err = %v", err)
+	}
+	if got := e.Snapshot().MeanAccuracyLoss; got != wantLoss {
+		t.Errorf("mean accuracy loss %g after a failed DrainTo, %g before", got, wantLoss)
+	}
+	if got := sketches(); got != wantSketches {
+		t.Errorf("%d of %d sketches left after a failed DrainTo", got, wantSketches)
+	}
 }

@@ -68,6 +68,13 @@ type OfflineEngine struct {
 	scoreRaw  []float64 // scoreRecode's reference decode for an entry without a sketch
 	floors    []float64 // recodeEntry's feasibility floors for an entry without a sketch
 
+	// The unused tails of the chunks Ingest carves entries and sketch rows
+	// from. Nothing else points at a chunk but the pool's entries in it, so
+	// it is garbage once the last of them is removed (Drain goes oldest
+	// first, which is chunk order).
+	entries  []store.Entry
+	sketches []float64
+
 	// statsMu guards stats and accLoss so Stats/Snapshot can be polled
 	// while another goroutine (e.g. an OfflineRunner worker) ingests.
 	// Ingest itself stays single-goroutine; see the type comment.
@@ -106,6 +113,12 @@ type Snapshot struct {
 	// Segments is the pool size.
 	Segments int
 }
+
+// entryChunk is how many entries, and sketch rows, Ingest allocates at a
+// time: 127 × 128-byte entries plus the 8-byte header Go's allocator puts on
+// a pointerful object above 512 bytes fill the 16 384 size class; one entry
+// more lands in the 18 432 class and wastes 2 KiB a chunk.
+const entryChunk = 127
 
 // NewOfflineEngine builds the engine.
 func NewOfflineEngine(cfg Config) (*OfflineEngine, error) {
@@ -249,17 +262,30 @@ func (e *OfflineEngine) Ingest(values []float64, label int) error {
 	e.mutStats(func(s *OfflineStats) { s.LosslessUse[name]++ })
 	e.energy.Charge(e.costFn("encode", name, len(values)))
 
+	// The entry and its sketch are the next row of their chunks, taken
+	// only once the segment is stored: a failed Ingest leaves the row to
+	// the next one.
+	if len(e.entries) == 0 {
+		e.entries = make([]store.Entry, entryChunk)
+	}
 	end := e.clock.Seconds()
-	entry := &store.Entry{
+	entry := &e.entries[0]
+	*entry = store.Entry{
 		ID: id, Enc: enc, Lossless: true, Label: label,
 		StartSec: end - float64(len(values))/e.cfg.IngestRate,
 		EndSec:   end,
 	}
+	stride := 0
 	if e.eval.NeedsAccuracy() {
 		// The raw is in hand only here: keep what every later recode of
-		// this segment will ask of it, not the segment (DESIGN.md §5).
-		sketch := make([]float64, 0, e.eval.answers+len(e.lossy)+1)
-		entry.Sketch = e.appendFloors(e.eval.Reference(sketch, values), values)
+		// this segment will ask of it, not the segment (DESIGN.md §5). The
+		// row's capacity stops at its stride, so appending past it would
+		// reallocate rather than run into the next segment's row.
+		stride = e.eval.answers + len(e.lossy) + 1
+		if len(e.sketches) < stride {
+			e.sketches = make([]float64, entryChunk*stride)
+		}
+		entry.Sketch = e.appendFloors(e.eval.Reference(e.sketches[:0:stride], values), values)
 	}
 
 	// Make room, then store.
@@ -270,6 +296,7 @@ func (e *OfflineEngine) Ingest(values []float64, label int) error {
 		return err
 	}
 	e.pool.Put(entry)
+	e.entries, e.sketches = e.entries[1:], e.sketches[stride:]
 	e.om.ingest(id, name, enc.Ratio(), e.storage.Utilization(), e.pool.Len())
 
 	// Threshold-triggered cascade recoding (paper Fig 4).

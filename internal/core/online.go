@@ -424,8 +424,8 @@ func (e *OnlineEngine) processLossless(id, trace uint64, values []float64, targe
 			SegmentID: id, Codec: name, Lossy: false, Ratio: ratio,
 			Reward: 1 - minf(ratio, 1), Duration: t.dur,
 		}
-		// The winning encoding escapes with the return; park its wrapper
-		// for RecycleEncoded.
+		// The winning encoding escapes with the return; its emptied
+		// wrapper goes back to the pool.
 		enc := t.enc
 		t.handOff()
 		return res, enc, true

@@ -27,8 +27,11 @@ import (
 //     lossy winner's decode slice when Process returns.
 //   - The selected trial's encoding escapes to the caller with the
 //     returned compress.Encoded and leaves the pool's circulation; its
-//     emptied wrapper parks in spareEncBufs so RecycleEncoded can re-arm
-//     it without allocating.
+//     emptied wrapper goes straight back to encBufPool, where the next
+//     trial sizes a fresh buffer in it or RecycleEncoded re-arms it with
+//     returned bytes. A caller that keeps every payload (an uplink spool)
+//     pays one allocation per lossless winner, the payload, and none for
+//     the wrapper.
 //   - Releasing is idempotent per trial copy (the wrapper pointer is
 //     nil'ed), but distinct copies of one trial share a wrapper — never
 //     release the same trial through two copies.
@@ -44,11 +47,6 @@ type decBuf struct{ v []float64 }
 
 var encBufPool = sync.Pool{New: func() any { return new(encBuf) }}
 var decBufPool = sync.Pool{New: func() any { return new(decBuf) }}
-
-// spareEncBufs holds wrappers whose buffer escaped to a caller.
-// RecycleEncoded re-arms one with the returned bytes, so the
-// winner-buffer hand-off round trip allocates nothing steady-state.
-var spareEncBufs = sync.Pool{New: func() any { return new(encBuf) }}
 
 func getEncBuf() *encBuf { return encBufPool.Get().(*encBuf) }
 func getDecBuf() *decBuf { return decBufPool.Get().(*decBuf) }
@@ -68,9 +66,9 @@ func (t *losslessTrial) release() {
 	t.enc.Data = nil // poison: the encoding is dead after release
 }
 
-// handOff parks the wrapper of a trial whose encoding escapes to the
+// handOff returns the wrapper of a trial whose encoding escapes to the
 // caller. The buffer itself leaves with the Encoded; only the empty
-// wrapper is kept, for RecycleEncoded.
+// wrapper goes back to the pool.
 //
 // adaedge:decision-goroutine
 func (t *losslessTrial) handOff() {
@@ -78,7 +76,7 @@ func (t *losslessTrial) handOff() {
 		return
 	}
 	t.buf.b = nil
-	spareEncBufs.Put(t.buf)
+	encBufPool.Put(t.buf)
 	t.buf = nil
 }
 
@@ -93,7 +91,7 @@ func RecycleEncoded(enc compress.Encoded) {
 	if cap(enc.Data) == 0 {
 		return
 	}
-	eb := spareEncBufs.Get().(*encBuf)
+	eb := getEncBuf()
 	eb.b = enc.Data
 	encBufPool.Put(eb)
 }

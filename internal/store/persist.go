@@ -148,7 +148,9 @@ func ReadPool(r io.Reader, policy Policy) (*Pool, error) {
 			return nil, fmt.Errorf("%w: %v", ErrBadFormat, err)
 		}
 		const maxSegmentBytes = 1 << 30
-		if dataLen > maxSegmentBytes {
+		// No encoder writes a segment of no points, and N divides in every
+		// ratio computed from the entry.
+		if n == 0 || dataLen > maxSegmentBytes {
 			return nil, ErrBadFormat
 		}
 		data := make([]byte, dataLen)

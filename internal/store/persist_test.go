@@ -112,6 +112,9 @@ func TestPersistRejectsGarbage(t *testing.T) {
 		[]byte("XXXX"),
 		[]byte("AEP1"), // truncated after magic
 		append([]byte("AEP1"), 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0x01), // absurd count
+		// One well-formed segment (id 0, label 0, lossy, level 0, 2 data
+		// bytes) whose point count N is 0.
+		[]byte("AEP1\x01\x00\x00\x00\x00\x03paa\x00\x02\x01\x01"),
 	}
 	for i, data := range cases {
 		if _, err := ReadPool(bytes.NewReader(data), nil); err == nil {
