@@ -138,7 +138,7 @@ func (f *FFT) SumEncoded(enc Encoded) (float64, error) {
 	if enc.Codec != f.Name() {
 		return 0, ErrCodecMismatch
 	}
-	n, k, recs, err := countedHeader(enc.Data, fftCoefBytes)
+	n, k, recs, err := fftHeader(enc)
 	if err != nil {
 		return 0, err
 	}

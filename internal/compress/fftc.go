@@ -150,7 +150,7 @@ func (f *FFT) DecompressInto(dst []float64, enc Encoded) ([]float64, error) {
 	if enc.Codec != f.Name() {
 		return nil, ErrCodecMismatch
 	}
-	n, k, recs, err := countedHeader(enc.Data, fftCoefBytes)
+	n, k, recs, err := fftHeader(enc)
 	if err != nil {
 		return nil, err
 	}
@@ -168,6 +168,22 @@ func (f *FFT) DecompressInto(dst []float64, enc Encoded) ([]float64, error) {
 		}
 	}
 	return dsp.IFFTRealInto(growFloats(dst, n), spec), nil
+}
+
+// fftHeader is countedHeader for an FFT payload, plus the bound every
+// reader of one applies before it does any work that grows with n. The count
+// still comes from the payload, but the payload alone cannot vouch for it: a
+// forged n of maxDecodePoints in front of no coefficient at all would
+// "decode", after an inverse transform of sixteen million zeros. So the
+// payload must hold a coefficient (the encoder never writes fewer than one),
+// and where the caller knows the point count, as the collector does from
+// the frame, n must be that count.
+func fftHeader(enc Encoded) (n, k int, recs []byte, err error) {
+	n, k, recs, err = countedHeader(enc.Data, fftCoefBytes)
+	if err == nil && (k < 1 || enc.N != 0 && enc.N != n) {
+		err = ErrCorrupt
+	}
+	return n, k, recs, err
 }
 
 type fftCoef struct {
@@ -206,7 +222,7 @@ func (f *FFT) Recode(enc Encoded, ratio float64) (Encoded, error) {
 	if enc.Codec != f.Name() {
 		return Encoded{}, ErrCodecMismatch
 	}
-	n, count, recs, err := countedHeader(enc.Data, fftCoefBytes)
+	n, count, recs, err := fftHeader(enc)
 	if err != nil {
 		return Encoded{}, err
 	}

@@ -244,3 +244,40 @@ func TestFFTRecodeRejectsMirroredBin(t *testing.T) {
 		t.Fatalf("Recode of a bin above n/2: err = %v, want ErrCorrupt", err)
 	}
 }
+
+// forgedFFTCount is a 30-byte payload whose header claims 11.5 million
+// points and no coefficient: before fftHeader it decoded, after an inverse
+// transform of that many zeros (17.8 s and a 256 MB pooled spectrum), and
+// Recode zeroed a half-spectrum of it before looking at the ratio.
+func forgedFFTCount() []byte {
+	data := putUvarint(putUvarint(nil, 11_500_000), 0)
+	for len(data) < 30 {
+		data = append(data, 0xa5)
+	}
+	return data
+}
+
+// TestFFTForgedCountRejected: every reader of an FFT payload rejects a
+// count the payload cannot vouch for before doing work that grows with it —
+// no coefficient at all, whatever the metadata says, and a count that
+// disagrees with the metadata where the caller supplied it.
+func TestFFTForgedCountRejected(t *testing.T) {
+	oneCoef := putCountedHeader(nil, 11_500_000, 1, fftCoefBytes)
+	oneCoef = append(oneCoef, make([]byte, fftCoefBytes)...)
+	fft := NewFFT()
+	for _, enc := range []Encoded{
+		{Codec: "fft", Data: forgedFFTCount()},
+		{Codec: "fft", Data: forgedFFTCount(), N: 11_500_000},
+		{Codec: "fft", Data: oneCoef, N: 128},
+	} {
+		if _, err := fft.DecompressInto(nil, enc); !errors.Is(err, ErrCorrupt) {
+			t.Errorf("N=%d, %d bytes: decode err = %v, want ErrCorrupt", enc.N, len(enc.Data), err)
+		}
+		if _, err := fft.Recode(enc, 0.5); !errors.Is(err, ErrCorrupt) {
+			t.Errorf("N=%d, %d bytes: Recode err = %v, want ErrCorrupt", enc.N, len(enc.Data), err)
+		}
+		if _, err := fft.SumEncoded(enc); !errors.Is(err, ErrCorrupt) {
+			t.Errorf("N=%d, %d bytes: SumEncoded err = %v, want ErrCorrupt", enc.N, len(enc.Data), err)
+		}
+	}
+}

@@ -33,6 +33,8 @@ import (
 //     SegmentsPerDevice, no matter how many retransmissions the fault
 //     schedules force (duplicates are absorbed by the per-device
 //     watermark). Anything else is an error, not a statistic.
+//   - resume, not replay: a session redelivers at most its first frame,
+//     so duplicates must not exceed the dials that succeeded.
 //   - bounded memory: after the fleet disconnects, resident device state
 //     must fall to the eviction bound; the GC'd heap delta per device is
 //     reported so the BENCH trajectory shows what an idle device costs.
@@ -269,6 +271,13 @@ func RunFleet(w io.Writer, cfg FleetConfig) (FleetResult, error) {
 	expected := cfg.Devices * cfg.SegmentsPerDevice
 	if got := int(delivered.Load()); got != expected {
 		return FleetResult{}, fmt.Errorf("fleet: delivered %d segments, want exactly %d (exactly-once violated or drain incomplete)", got, expected)
+	}
+	// A version-2 session sends its first frame alone and resumes from the
+	// watermark the ACK carries, so that frame is the only one it can
+	// redeliver. More duplicates than sessions means sessions are replaying
+	// their spool again, which at this scale never converges.
+	if dup, sessions := col.Duplicates(), int(dials.Load()-dialFails.Load()); dup > sessions {
+		return FleetResult{}, fmt.Errorf("fleet: %d duplicates over %d sessions, want at most one per session", dup, sessions)
 	}
 	closedSpans := 0
 	if spans != nil {

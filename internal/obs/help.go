@@ -56,8 +56,8 @@ var MetricHelp = map[string]string{
 	// Resilient uplink.
 	"transport.uplink.dials":         "successful (re)dials",
 	"transport.uplink.dial_failures": "failed dial attempts",
-	"transport.uplink.sends":         "frames written to the wire (incl. resends)",
-	"transport.uplink.send_failures": "write errors (connection torn down)",
+	"transport.uplink.sends":         "frames a successful socket write has carried whole (incl. resends)",
+	"transport.uplink.send_failures": "socket write errors (connection torn down)",
 	"transport.uplink.acks":          "cumulative ACKs received",
 	"transport.uplink.ack_failures":  "ACK read errors",
 	"transport.uplink.backoffs":      "backoff sleeps between redials",

@@ -27,9 +27,10 @@
 // ResilientUplink (resilient.go) layers fault tolerance on top: frames
 // are journaled into a bounded Spool before any network I/O, a single
 // pump goroutine sends them (frame→ACK lockstep under protocol 1,
-// pipelined under protocol 2), and on any error the uplink redials with
-// seeded exponential-backoff jitter and resends from the first
-// unacknowledged frame. Collector (server.go) is the receiving
+// pipelined and written per burst under protocol 2), and on any error the
+// uplink redials with seeded exponential-backoff jitter, sends the first
+// unacknowledged frame again and goes on from the watermark its ACK
+// carries. Collector (server.go) is the receiving
 // side: a per-device ACK watermark makes redelivered frames idempotent,
 // so the pair provides exactly-once delivery to the sink (DESIGN.md §8).
 //

@@ -14,13 +14,16 @@ import (
 
 // ResilientUplink is the fault-tolerant device-side sender: Send spools
 // the frame in a bounded on-device queue (backed by store.Spool) and
-// returns without touching the network; a single pump goroutine owns all
-// I/O, sending spooled frames in ID order with write deadlines and
-// reading the collector's cumulative ACK after each one. On any
+// returns without touching the network; a single pump goroutine owns every
+// write, sending spooled frames in ID order with a deadline on each socket
+// write, and the collector's cumulative ACKs release them. On any
 // connection error the pump backs off exponentially (deterministic,
-// seeded jitter), redials, and resends from the first unacknowledged
-// frame. The wire is therefore at-least-once; the collector's per-device
-// watermark turns it into exactly-once at the sink.
+// seeded jitter), redials, and sends the first unacknowledged frame again:
+// the ACK that answers it is the collector's watermark, which may release
+// more than that frame, and the session goes on from there. The wire is
+// therefore at-least-once — at most one redelivered frame per session on
+// version 2, per failed frame on version 1 — and the collector's
+// per-device watermark turns it into exactly-once at the sink.
 //
 // The uplink speaks one of two session protocols (ResilientConfig.
 // Protocol):
@@ -30,12 +33,15 @@ import (
 //     network interaction is a deterministic function of the spooled
 //     traffic and the fault schedule, so two runs with the same seed
 //     produce the same retry/ACK trace.
-//   - Version 2 pipelines: the pump streams spooled frames without
-//     waiting, and a per-session ACK-reader goroutine applies the
-//     collector's coalesced cumulative ACKs as they arrive. Throughput
-//     no longer pays a round trip per frame, but the interleaving of
-//     send and ack events is scheduler-dependent, so seeded chaos
-//     comparisons stay on version 1.
+//   - Version 2 pipelines. A session sends the spool head alone and
+//     waits for the ACK a version-2 collector owes a lone frame; after
+//     that the pump streams spooled frames without waiting, flushing when
+//     it has caught up with the spool or the write buffer is full, and a
+//     per-session ACK-reader goroutine applies the collector's coalesced
+//     cumulative ACKs as they arrive. Throughput pays one round trip per
+//     session, not per frame, but the interleaving of send and ack
+//     events is scheduler-dependent, so seeded chaos comparisons stay on
+//     version 1.
 type ResilientUplink struct {
 	cfg   ResilientConfig
 	spool *store.Spool
@@ -65,10 +71,35 @@ type ResilientUplink struct {
 	// observed empty after an ACK advance; guarded by mu. WaitDrain
 	// blocks on it instead of polling.
 	drainWait chan struct{}
-	// br and w frame the current conn; replaced on redial. Only the pump
-	// touches them, but they are replaced under mu alongside conn.
-	br *bufio.Reader
-	w  *Writer
+	// br and w frame the current conn and out is what w writes to; replaced
+	// on redial. Only the pump touches them, but they are replaced under mu
+	// alongside conn.
+	br  *bufio.Reader
+	w   *Writer
+	out *deadlineWriter
+	// burst lists the version-2 session's frames that are in w's buffer and
+	// not yet known to be on the socket, oldest first, and sent tells that
+	// session's parked ackLoop that frames are in flight again. Pump only.
+	burst []frameRef
+	sent  chan struct{}
+}
+
+// frameRef is what the pump keeps of a buffered frame for its send record.
+type frameRef struct{ id, trace uint64 }
+
+// deadlineWriter is the connection as the frame Writer sees it: every
+// socket write arms its own deadline, so no stream runs into a stale one,
+// and is counted, so the pump can tell a Send that spilled the buffer.
+type deadlineWriter struct {
+	conn    net.Conn
+	timeout time.Duration
+	writes  int
+}
+
+func (d *deadlineWriter) Write(p []byte) (int, error) {
+	_ = d.conn.SetWriteDeadline(time.Now().Add(d.timeout))
+	d.writes++
+	return d.conn.Write(p)
 }
 
 // ResilientConfig parameterizes DialResilient. The zero value of every
@@ -88,7 +119,7 @@ type ResilientConfig struct {
 	AckEvery int
 	// DialTimeout bounds each dial attempt (default DefaultDialTimeout).
 	DialTimeout time.Duration
-	// WriteTimeout bounds each frame write (default 10s).
+	// WriteTimeout bounds each socket write (default 10s).
 	WriteTimeout time.Duration
 	// AckTimeout bounds the wait for each cumulative ACK (default 10s).
 	AckTimeout time.Duration
@@ -138,13 +169,17 @@ type Event struct {
 
 // UplinkStats summarizes delivery progress.
 type UplinkStats struct {
-	// FramesSent counts frame writes, including retransmissions.
+	// FramesSent counts frames whose last byte a successful socket write
+	// carried, retransmissions included. A version-2 session buffers frames
+	// and writes them in bursts, so a frame still in the buffer, or in a
+	// write that failed, is not counted (some of a failed write's frames
+	// may have reached the collector all the same).
 	FramesSent int
 	// Acked is the collector's cumulative watermark.
 	Acked uint64
 	// Dials and DialFailures count connection attempts.
 	Dials, DialFailures int
-	// SendFailures counts frame writes that broke the connection.
+	// SendFailures counts socket writes that broke the connection.
 	SendFailures int
 	// AckFailures counts ACK reads that broke the connection (timeouts
 	// and torn reads on the collector→device half), kept separate from
@@ -204,6 +239,7 @@ func DialResilient(cfg ResilientConfig) (*ResilientUplink, error) {
 		cfg:  cfg,
 		boff: newBackoff(cfg.BackoffBase, cfg.BackoffMax, cfg.Seed),
 		work: make(chan struct{}, 1),
+		sent: make(chan struct{}, 1),
 		done: make(chan struct{}),
 		om:   newUplinkMetrics(cfg.Obs, cfg.DeviceID),
 	}
@@ -384,7 +420,7 @@ func (u *ResilientUplink) run() {
 		}
 		var err error
 		if pipelined {
-			err = u.sessionPipelined()
+			err = u.sessionPipelined(head)
 		} else {
 			err = u.sendOne(head)
 		}
@@ -408,7 +444,7 @@ func (u *ResilientUplink) connected() bool {
 func (u *ResilientUplink) dropConn() {
 	u.mu.Lock()
 	conn := u.conn
-	u.conn, u.br, u.w = nil, nil, nil
+	u.conn, u.br, u.w, u.out = nil, nil, nil, nil
 	u.mu.Unlock()
 	if conn != nil {
 		_ = conn.Close()
@@ -450,7 +486,8 @@ func (u *ResilientUplink) connect() bool {
 	}
 	u.conn = conn
 	u.br = bufio.NewReader(conn)
-	u.w = NewWriter(conn)
+	u.out = &deadlineWriter{conn: conn, timeout: u.cfg.WriteTimeout}
+	u.w = NewWriter(u.out)
 	u.mu.Unlock()
 	u.event(Event{Kind: "dial", ID: attempt})
 	return true
@@ -465,7 +502,6 @@ func (u *ResilientUplink) sendOne(e store.Entry) error {
 		return net.ErrClosed
 	}
 	rttFrom := u.om.rttStart()
-	_ = conn.SetWriteDeadline(time.Now().Add(u.cfg.WriteTimeout))
 	err := w.Send(Frame{ID: e.ID, Label: e.Label, Trace: e.Trace, Enc: e.Enc})
 	if err == nil {
 		err = w.Flush()
@@ -492,54 +528,79 @@ func (u *ResilientUplink) sendOne(e store.Entry) error {
 	return nil
 }
 
-// sessionPipelined runs one version-2 session: the pump streams spooled
-// frames past a send cursor without waiting for ACKs, while ackLoop (a
+// sessionPipelined runs one version-2 session over the installed
+// connection; head is the spool's oldest entry. The first frame earns the
+// watermark: head goes out alone, and the ACK a version-2 collector owes a
+// lone frame, duplicate or not, carries the first ID it has not delivered,
+// so applying it releases whatever the previous session delivered without
+// seeing acknowledged — at most one frame per session crosses the wire
+// twice. After that the pump streams past a send cursor without waiting for
+// ACKs: frames collect in the Writer's buffer, which spills to the socket
+// when it fills and is flushed whenever the cursor catches the spool,
+// always before the pump parks, so nothing waits on a timer. ackLoop (a
 // per-session goroutine) applies the collector's coalesced cumulative
-// ACKs. Either side's error tears the session down; the pump then backs
-// off, redials, and resends from the first unacknowledged frame. It
-// returns nil only when the uplink is closing.
-func (u *ResilientUplink) sessionPipelined() error {
+// ACKs. Either side's error tears the session down; the pump then backs off
+// and redials. It returns nil only when the uplink is closing.
+func (u *ResilientUplink) sessionPipelined(head store.Entry) error {
 	u.mu.Lock()
-	conn, br, w := u.conn, u.br, u.w
+	conn, br := u.conn, u.br
 	u.mu.Unlock()
 	if conn == nil {
 		return net.ErrClosed
 	}
 	ackErr := make(chan error, 1)
-	sent := make(chan struct{}, 1)
+	resumed := make(chan struct{})
 	stop := make(chan struct{})
-	var acked atomic.Bool
 	var wg sync.WaitGroup
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		u.ackLoop(conn, br, sent, stop, ackErr, &acked)
+		u.ackLoop(conn, br, stop, ackErr, resumed)
 	}()
 	teardown := func(err error) error {
 		close(stop)
 		u.dropConn() // unblocks the reader's readAck
 		wg.Wait()
-		if acked.Load() {
+		select {
+		case <-resumed:
 			// The session made progress; the next failure is a fresh
 			// incident, not a continuation of this one.
 			u.boff.reset()
+		default:
 		}
 		return err
 	}
+	sendFail := func(err error) error {
+		u.sendFailures.Add(1)
+		u.event(Event{Kind: "send-fail", ID: u.burst[0].id, Err: err.Error()})
+		return teardown(err)
+	}
 
-	var cursor uint64
-	var sentAny bool
+	u.burst = u.burst[:0]
+	err := u.sendBuffered(head)
+	if err == nil {
+		err = u.flushBurst()
+	}
+	if err != nil {
+		return sendFail(err)
+	}
+	select {
+	case <-resumed:
+	case err := <-ackErr:
+		return teardown(err)
+	case <-u.done:
+		return teardown(nil)
+	}
+	cursor := head.ID
 	for {
-		var e store.Entry
-		var ok bool
-		if sentAny {
-			e, ok = u.spool.HeadAfter(cursor)
-		} else {
-			e, ok = u.spool.Head()
-		}
+		e, ok := u.spool.HeadAfter(cursor)
 		if !ok {
-			// Everything spooled is in flight (or the spool is empty):
-			// park until new work, an ACK-side verdict, or Close.
+			// Everything spooled is buffered, in flight or acknowledged: put
+			// the buffer on the wire, then park until new work, an ACK-side
+			// verdict, or Close.
+			if err := u.flushBurst(); err != nil {
+				return sendFail(err)
+			}
 			select {
 			case <-u.work:
 				continue
@@ -556,36 +617,65 @@ func (u *ResilientUplink) sessionPipelined() error {
 			return teardown(nil)
 		default:
 		}
-		_ = conn.SetWriteDeadline(time.Now().Add(u.cfg.WriteTimeout))
-		err := w.Send(Frame{ID: e.ID, Label: e.Label, Trace: e.Trace, Enc: e.Enc})
-		if err == nil {
-			err = w.Flush()
+		if err := u.sendBuffered(e); err != nil {
+			return sendFail(err)
 		}
-		if err != nil {
-			u.sendFailures.Add(1)
-			u.event(Event{Kind: "send-fail", ID: e.ID, Err: err.Error()})
-			return teardown(err)
-		}
-		u.framesSent.Add(1)
-		u.event(Event{Kind: "send", ID: e.ID})
-		u.om.spanSend(e.Trace, e.ID)
-		cursor, sentAny = e.ID, true
-		select {
-		case sent <- struct{}{}:
-		default:
-		}
+		cursor = e.ID
+	}
+}
+
+// sendBuffered frames e into the Writer's buffer. If the buffer spilled on
+// the way, every frame buffered before e is on the socket and is recorded as
+// sent; e itself, possibly cut in two by the spill, waits for the next write.
+func (u *ResilientUplink) sendBuffered(e store.Entry) error {
+	u.burst = append(u.burst, frameRef{e.ID, e.Trace})
+	writes := u.out.writes
+	err := u.w.Send(Frame{ID: e.ID, Label: e.Label, Trace: e.Trace, Enc: e.Enc})
+	if err == nil && u.out.writes != writes {
+		u.sentBurst(len(u.burst) - 1)
+	}
+	return err
+}
+
+// flushBurst puts the buffered frames, if any, on the socket and records
+// them as sent.
+func (u *ResilientUplink) flushBurst() error {
+	if len(u.burst) == 0 {
+		return nil
+	}
+	err := u.w.Flush()
+	if err == nil {
+		u.sentBurst(len(u.burst))
+	}
+	return err
+}
+
+// sentBurst records the n oldest buffered frames as sent, one send event
+// each in ID order, now that a socket write has carried them whole.
+func (u *ResilientUplink) sentBurst(n int) {
+	u.framesSent.Add(int64(n))
+	for _, f := range u.burst[:n] {
+		u.event(Event{Kind: "send", ID: f.id})
+		u.om.spanSend(f.trace, f.id)
+	}
+	u.burst = u.burst[:copy(u.burst, u.burst[n:])]
+	select {
+	case u.sent <- struct{}{}:
+	default:
 	}
 }
 
 // ackLoop is the version-2 session's read half: it applies cumulative
 // ACKs while frames are outstanding and parks while the spool is empty
-// (an idle session expects no ACKs, so no read deadline may fire). The
-// first error is posted to ackErr and ends the loop.
-func (u *ResilientUplink) ackLoop(conn net.Conn, br *bufio.Reader, sent, stop <-chan struct{}, ackErr chan<- error, acked *atomic.Bool) {
+// (an idle session expects no ACKs, so no read deadline may fire). It
+// closes resumed once the session's first ACK is applied. The first error
+// is posted to ackErr and ends the loop.
+func (u *ResilientUplink) ackLoop(conn net.Conn, br *bufio.Reader, stop <-chan struct{}, ackErr chan<- error, resumed chan<- struct{}) {
+	first := true
 	for {
 		if u.spool.Len() == 0 {
 			select {
-			case <-sent:
+			case <-u.sent:
 				continue // frames in flight again; resume reading
 			case <-stop:
 				return
@@ -599,9 +689,12 @@ func (u *ResilientUplink) ackLoop(conn net.Conn, br *bufio.Reader, sent, stop <-
 			ackErr <- err
 			return
 		}
-		acked.Store(true)
 		u.ackTo(next)
 		u.event(Event{Kind: "ack", ID: next})
+		if first {
+			first = false
+			close(resumed)
+		}
 	}
 }
 

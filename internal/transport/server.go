@@ -450,6 +450,7 @@ func (c *Collector) handleReliable(conn net.Conn, br *bufio.Reader) {
 	r := NewReader(br)
 	bw := bufio.NewWriter(conn)
 	var pending uint64 // frames received since the last ACK
+	var ackBroken bool // an ACK write failed: deliver what still arrives, acknowledge nothing
 	for {
 		frame, err := r.Recv()
 		if errors.Is(err, io.EOF) {
@@ -457,11 +458,13 @@ func (c *Collector) handleReliable(conn net.Conn, br *bufio.Reader) {
 		}
 		if err != nil {
 			// A kicked session's connection is closed under it mid-read;
-			// that is a clean takeover, not a protocol violation.
+			// that is a clean takeover, not a protocol violation. Nor is
+			// the read error that follows a failed ACK write: the
+			// connection was already known dead.
 			dev.mu.Lock()
 			stale := dev.gen != gen
 			dev.mu.Unlock()
-			if !stale {
+			if !stale && !ackBroken {
 				c.noteBadConn()
 			}
 			return
@@ -522,17 +525,27 @@ func (c *Collector) handleReliable(conn net.Conn, br *bufio.Reader) {
 		dev.mu.Unlock()
 		pending++
 		// v1 acks in lockstep (ackEvery == 1); v2 coalesces: ack every
-		// ackEvery frames, or as soon as the read side goes idle so the
-		// tail of a burst is never left waiting.
-		if pending < ackEvery && br.Buffered() > 0 {
+		// ackEvery frames, and as soon as the read side goes idle, so the
+		// tail of a burst is never left waiting and the lone frame that
+		// opens a v2 session is answered with the watermark it resumes
+		// from (wire.go: the device sends nothing until it is).
+		if ackBroken || pending < ackEvery && br.Buffered() > 0 {
 			continue
 		}
 		_ = conn.SetWriteDeadline(time.Now().Add(ackWriteTimeout))
-		if err := writeAck(bw, ackNext); err != nil {
-			return
+		err = writeAck(bw, ackNext)
+		if err == nil {
+			err = bw.Flush()
 		}
-		if err := bw.Flush(); err != nil {
-			return
+		if err != nil {
+			// The device is gone (a reset, typically: it closed on a write
+			// fault with our ACKs unread) but what it wrote before that is
+			// still in our buffers, whole frames of a burst among it. Keep
+			// delivering until the read side ends too: the device's next
+			// session learns the watermark from its first ACK, so each
+			// frame delivered now is one it does not send again.
+			ackBroken = true
+			continue
 		}
 		c.om.ackBatch(pending)
 		health.NoteAckBatch(pending)

@@ -582,3 +582,57 @@ func TestAllocsFrameRecv(t *testing.T) {
 		t.Fatalf("Recv allocates %.2f/op, want 0", avg)
 	}
 }
+
+// TestCollectorDeliversWhatItHoldsAfterAckFails: a device that resets its
+// connection right after a burst leaves whole frames in the collector's
+// buffers and nobody to acknowledge them to. The failed ACK write must not
+// throw them away — the device's next session learns the watermark from its
+// first ACK, so every frame delivered now is one it does not send again.
+func TestCollectorDeliversWhatItHoldsAfterAckFails(t *testing.T) {
+	const frames = 41
+	gate := make(chan struct{})
+	col := NewCollector(compress.DefaultRegistry(4), func(f Frame, _ []float64) {
+		if f.ID == 1 {
+			<-gate // hold the session on the burst's first frame until the device is gone
+		}
+	})
+	addr, err := col.Serve("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer col.Close()
+	conn, err := net.DialTimeout("tcp", addr.String(), 5*time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_ = conn.(*net.TCPConn).SetLinger(0) // Close resets, as closing with unread ACKs does
+	if err := writeHelloV2(conn, 31, 0); err != nil {
+		t.Fatal(err)
+	}
+	w := NewWriter(conn)
+	if err := w.Send(smallFrame(0)); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	waitFrames(t, col, 1)
+	for id := uint64(1); id < frames; id++ {
+		if err := w.Send(smallFrame(id)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := w.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	waitFrames(t, col, 2) // the handler has the burst in its buffer and is inside the sink
+	_ = conn.Close()
+	close(gate)
+	waitFrames(t, col, frames)
+	if next, ok := col.Acked(31); !ok || next != frames {
+		t.Fatalf("watermark = %d (known %v), want %d", next, ok, frames)
+	}
+	if bad := col.BadConns(); bad != 0 {
+		t.Fatalf("%d bad connections, want 0: a reset is not malformed input", bad)
+	}
+}

@@ -26,10 +26,22 @@ import (
 //
 // Version 2 is the pipelined protocol: the device streams frames without
 // waiting, and the collector coalesces ACKs — one every ackEvery frames,
-// or sooner when its read side goes idle (nothing buffered), so the tail
-// of a burst is acknowledged promptly. ackEvery is the device's request;
-// the collector may ack more often (idle flush) but never less. ackEvery
-// of 0 asks for the collector's default.
+// and one whenever its read side goes idle (nothing buffered) after a
+// frame, duplicates included. The idle ACK is an obligation, not a
+// courtesy: it is what acknowledges the tail of a burst, and it is how a
+// new session learns where to resume. ackEvery is the device's request; the
+// collector acks more often (the idle ACK) but never less. ackEvery of 0
+// asks for the collector's default.
+//
+// Resume, version 2: a device opens every session with its oldest
+// unacknowledged frame alone and sends nothing more until that frame is
+// acknowledged. A lone frame leaves the collector's read side idle, so the
+// ACK comes at once, and being cumulative it carries the collector's
+// watermark: everything the previous session delivered without the device
+// seeing it acknowledged is released by this one ACK, and the stream
+// continues with the first frame the collector does not have. At most one
+// frame per session crosses the wire twice, and no hello reply or other
+// wire message is needed for it.
 //
 // ACK (collector → device):
 //
@@ -37,8 +49,10 @@ import (
 //
 // next is the cumulative watermark: every segment ID < next has been
 // delivered to the sink (or deduplicated). The device drops spooled
-// segments below next and, after a reconnect, resends from next upward —
-// at-least-once on the wire, exactly-once at the sink.
+// segments below next and, after a reconnect, resends from its oldest
+// spooled frame (version 1: one frame at a time; version 2: that frame,
+// then from the next its ACK carries) — at-least-once on the wire,
+// exactly-once at the sink.
 
 var (
 	helloMagic = [4]byte{'A', 'E', 'H', '1'}

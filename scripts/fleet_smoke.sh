@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # fleet_smoke.sh — end-to-end check of the fleet-scale collector path.
 #
-# Two checks, both end to end:
+# Three checks, all end to end:
 #
 #  1. `adaedge-bench -exp fleet` at a small scale: 40 simulated devices,
 #     each speaking the version-2 pipelined session protocol through its
@@ -10,7 +10,14 @@
 #     collector with idle eviction. RunFleet itself errors unless every
 #     segment is delivered exactly once, so the run only needs to exit 0
 #     and print its summary line.
-#  2. A shrunken bench matrix emitted to BENCH json: the fleet cell must
+#  2. The same at 120 devices x 32 segments, where a device's backlog
+#     spans many outages. A session that replays its whole un-ACKed spool
+#     on every redial spends the link's up-time on frames the collector
+#     already has (over 100 000 duplicates for 3 840 deliveries, or a
+#     drain timeout, before sessions resumed from their first ACK); one
+#     that resumes redelivers at most its first frame, so RunFleet also
+#     errors when duplicates exceed the dials that succeeded.
+#  3. A shrunken bench matrix emitted to BENCH json: the fleet cell must
 #     be present, schema-valid, and carry the throughput fields the
 #     -compare gate thresholds.
 #
@@ -26,6 +33,11 @@ trap 'rm -rf "$tmp"' EXIT
 out=$("$GO" run ./cmd/adaedge-bench -exp fleet -devices 40 -segments 4)
 echo "$out"
 echo "$out" | grep -q '^fleet: 40 devices x 4 segments' ||
+	{ echo "fleet smoke: missing summary line"; exit 1; }
+
+out=$("$GO" run ./cmd/adaedge-bench -exp fleet -devices 120 -segments 32)
+echo "$out"
+echo "$out" | grep -q '^fleet: 120 devices x 32 segments' ||
 	{ echo "fleet smoke: missing summary line"; exit 1; }
 
 "$GO" run ./cmd/adaedge-bench -exp bench -segments 30 -json "$tmp/BENCH_fleet_smoke.json" >/dev/null
