@@ -8,7 +8,7 @@ VETTOOL := $(BIN)/adaedge-lint
 # Per-target fuzz time for the smoke pass (CI uses the same value).
 FUZZTIME ?= 20s
 
-.PHONY: all build vet lint escape-gate escape-gate-update test race fuzz-smoke obs-smoke fleet-smoke bench-smoke bench-json bench-compare doc-drift loc ci clean
+.PHONY: all build vet lint escape-gate escape-gate-update test race fuzz-smoke obs-smoke fleet-smoke bench-smoke doc-drift loc ci clean
 
 all: build
 
@@ -49,11 +49,12 @@ race:
 	$(GO) test -race ./...
 
 # fuzz-smoke mirrors the CI fuzz job: every Fuzz* target in the
-# decoder-facing packages, the bit reader under them (differential against
-# a bit-by-bit reference) and the bufownership analyzer (seeded with its
-# fixture corpus) gets $(FUZZTIME) of fuzzing.
+# decoder-facing packages, the persisted-format readers in internal/store,
+# the bit reader under them (differential against a bit-by-bit reference)
+# and the bufownership analyzer (seeded with its fixture corpus) gets
+# $(FUZZTIME) of fuzzing.
 fuzz-smoke:
-	@for pkg in ./internal/bitio ./internal/compress ./internal/transport ./internal/lint; do \
+	@for pkg in ./internal/bitio ./internal/compress ./internal/store ./internal/transport ./internal/lint; do \
 		targets=$$($(GO) test -list '^Fuzz' $$pkg | grep '^Fuzz'); \
 		for t in $$targets; do \
 			echo "--- $$pkg $$t"; \
@@ -77,30 +78,6 @@ fleet-smoke:
 # compiling, errors, or b.Fatals because what it measures went missing.
 bench-smoke:
 	$(GO) test -run '^$$' -bench Ablation -benchtime 1x .
-
-# bench-json runs the continuous benchmark matrix and writes the next free
-# BENCH_<n>.json in the repo root, then re-validates it against the schema.
-# BENCHSEGMENTS scales the workload (CI uses a short scale).
-BENCHSEGMENTS ?= 160
-bench-json:
-	@n=0; while [ -e BENCH_$$n.json ]; do n=$$((n+1)); done; \
-	out=BENCH_$$n.json; \
-	$(GO) run ./cmd/adaedge-bench -exp bench -segments $(BENCHSEGMENTS) -json $$out && \
-	$(GO) run ./cmd/adaedge-bench -validate $$out
-
-# bench-compare is the perf gate: regenerate the pinned matrix at the
-# committed baseline's scale and diff against BENCH_baseline.json —
-# quality fields must match exactly, allocs_per_op may not materially
-# increase, ns_per_segment deltas are printed as notes only. The CI
-# bench-compare job runs the identical command; EXPERIMENTS.md explains
-# how to read a failure and when/how to refresh the baseline.
-# BENCHBASESEGMENTS must match the committed baseline's matrix or the
-# compare aborts with "matrix mismatch".
-BENCHBASELINE     ?= BENCH_baseline.json
-BENCHBASESEGMENTS ?= 120
-bench-compare:
-	$(GO) run ./cmd/adaedge-bench -exp bench -segments $(BENCHBASESEGMENTS) -json BENCH_head.json
-	$(GO) run ./cmd/adaedge-bench -compare $(BENCHBASELINE) BENCH_head.json
 
 # doc-drift cross-checks README.md against the CLI flag surface in both
 # directions: every defined flag must be documented, every documented

@@ -5,10 +5,12 @@
 //	adaedge-bench -exp all            # every experiment
 //	adaedge-bench -exp fig7           # one figure (fig2..fig15, scale)
 //	adaedge-bench -exp fig12 -segments 400 -budget 65536
-//	adaedge-bench -compare BENCH_baseline.json BENCH_new.json
+//	adaedge-bench -exp fleet -devices 120 -segments 32
 //
 // Output is the textual equivalent of each figure's series; EXPERIMENTS.md
-// records how the shapes compare with the paper.
+// records how the shapes compare with the paper. Speed and allocations are
+// measured by cmd/adaedge-e2e, and the engines' seeded decision quality is
+// pinned by internal/experiments' TestSeededQualityGolden.
 package main
 
 import (
@@ -22,7 +24,7 @@ import (
 )
 
 func main() {
-	exp := flag.String("exp", "all", "experiment to run: fig2,fig3,fig5,fig6,fig7,fig8,fig9,fig10,fig11,fig12,fig13,fig14,fig15,scale,headline,bench,fleet,all")
+	exp := flag.String("exp", "all", "experiment to run: fig2,fig3,fig5,fig6,fig7,fig8,fig9,fig10,fig11,fig12,fig13,fig14,fig15,scale,headline,fleet,all")
 	segments := flag.Int("segments", 0, "stream length in segments; for -exp fleet, segments per device (0 = experiment default)")
 	devices := flag.Int("devices", 0, "fleet experiment: number of simulated devices (0 = default 200)")
 	budget := flag.Int64("budget", 0, "offline storage budget in bytes (0 = default)")
@@ -31,33 +33,7 @@ func main() {
 	debugAddr := flag.String("debug-addr", "", "serve /debug/pprof (and the obs endpoints) on this address while experiments run; empty disables")
 	spans := flag.Bool("spans", false, "fleet experiment: record segment-lifecycle spans and print the per-device health scoreboard (browse at /debug/spans and /debug/fleet with -debug-addr)")
 	linger := flag.Duration("linger", 0, "keep the process (and -debug-addr endpoints) alive this long after the experiments")
-	jsonPath := flag.String("json", "", "bench experiment: write the schema-versioned BENCH document to this path")
-	validate := flag.String("validate", "", "validate an existing BENCH_*.json against the schema and exit")
-	compare := flag.String("compare", "", "compare this baseline BENCH_*.json against the NEW document given as the positional argument; exit 1 on regression, 2 on structural error")
-	allocSlack := flag.Float64("alloc-slack", 2.0, "compare: allowed absolute allocs_per_op increase; negative fails any increase")
 	flag.Parse()
-
-	if *compare != "" {
-		if flag.NArg() != 1 {
-			fmt.Fprintln(os.Stderr, "usage: adaedge-bench -compare OLD.json NEW.json")
-			os.Exit(experiments.CompareExitError)
-		}
-		os.Exit(experiments.RunCompare(os.Stdout, *compare, flag.Arg(0), experiments.CompareOptions{AllocSlack: *allocSlack}))
-	}
-
-	if *validate != "" {
-		data, err := os.ReadFile(*validate)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		if err := experiments.ValidateBenchJSON(data); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		fmt.Printf("%s: valid (schema version %d)\n", *validate, experiments.BenchSchemaVersion)
-		return
-	}
 
 	var observer *obs.Observer
 	if *debugAddr != "" || *spans {
@@ -177,17 +153,6 @@ func main() {
 			emit(err)
 			if *spans {
 				printFleetBoard(w, observer)
-			}
-		case "bench":
-			cfg := experiments.BenchConfig{Segments: *segments}
-			if *jsonPath != "" {
-				fmt.Fprintf(w, "continuous benchmark -> %s\n", *jsonPath)
-				_, err := experiments.WriteBenchJSON(w, cfg, *jsonPath)
-				emit(err)
-			} else {
-				fmt.Fprintln(w, "continuous benchmark (use -json PATH to persist)")
-				_, err := experiments.RunBench(w, cfg)
-				emit(err)
 			}
 		default:
 			fmt.Fprintf(os.Stderr, "unknown experiment %q\n", name)

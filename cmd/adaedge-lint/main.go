@@ -14,8 +14,7 @@
 //	                                    # escapes against ESCAPES.baseline
 //	go vet -vettool=adaedge-lint ./...  # raw vettool (CI, editors)
 //
-// -run and -escape exit with the adaedge-bench -compare convention:
-// 0 clean, 1 findings/regressions, 2 tool error.
+// -run and -escape exit 0 clean / 1 findings / 2 error.
 package main
 
 import (

@@ -1,6 +1,7 @@
 // Package bitio provides bit-granular readers and writers over byte slices.
 // It is the shared substrate for the bit-packed codecs (Gorilla, Chimp,
-// Sprintz, BUFF) in internal/compress.
+// Sprintz, BUFF) in internal/compress; ReadUvarint is the canonical varint
+// reader behind the store and session formats.
 package bitio
 
 import (

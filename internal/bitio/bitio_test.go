@@ -1,6 +1,10 @@
 package bitio
 
 import (
+	"bytes"
+	"encoding/binary"
+	"io"
+	"math"
 	"math/rand"
 	"os/exec"
 	"strconv"
@@ -362,3 +366,28 @@ func BenchmarkReadBits(b *testing.B) {
 }
 
 var benchSink uint64
+
+func TestReadUvarintMinimalOnly(t *testing.T) {
+	for _, v := range []uint64{0, 1, 127, 128, 1 << 30, math.MaxUint64} {
+		enc := binary.AppendUvarint(nil, v)
+		r := bytes.NewReader(enc)
+		if got, err := ReadUvarint(r); err != nil || got != v || r.Len() != 0 {
+			t.Fatalf("ReadUvarint(%x) = %d, %v with %d bytes left; want %d", enc, got, err, r.Len(), v)
+		}
+	}
+	for _, tc := range []struct {
+		in   []byte
+		want error
+	}{
+		{nil, io.EOF},
+		{[]byte{0x80}, io.ErrUnexpectedEOF},
+		{[]byte{0x80, 0x00}, errOverlongVarint},       // 0 in two bytes
+		{[]byte{0xff, 0x80, 0x00}, errOverlongVarint}, // 127 in three
+		{[]byte{0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x02}, errOverlongVarint}, // 2^64
+		{bytes.Repeat([]byte{0x80}, 11), errOverlongVarint},
+	} {
+		if _, err := ReadUvarint(bytes.NewReader(tc.in)); err != tc.want {
+			t.Errorf("ReadUvarint(%x): err %v, want %v", tc.in, err, tc.want)
+		}
+	}
+}

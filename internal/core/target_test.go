@@ -209,7 +209,11 @@ func scoreFromRaw(terms []Term, obs Observation, maxThr *float64) (reward, accLo
 				}
 			}
 		case TargetAggAccuracy:
-			m, _ = query.Evaluate(t.Agg, obs.Raw, obs.Decoded) // 0 on error
+			tv, errRaw := query.Apply(t.Agg, obs.Raw)
+			lv, errDec := query.Apply(t.Agg, obs.Decoded)
+			if errRaw == nil && errDec == nil { // 0 on error
+				m = query.Accuracy(tv, lv)
+			}
 		case TargetMLAccuracy:
 			if t.Model.Predict(obs.Raw) == t.Model.Predict(obs.Decoded) {
 				m = 1

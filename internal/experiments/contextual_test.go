@@ -5,40 +5,17 @@ import (
 	"time"
 
 	"repro/internal/core"
-	"repro/internal/datasets"
 	"repro/internal/obs/quality"
 )
 
-// runPolicyRegret runs the BENCH online_ratio configuration (seed 11,
-// ratio 0.15, oracle every 4th decision) at the baseline's 120-segment
-// horizon under one policy and returns the oracle snapshot.
+// runPolicyRegret runs TestSeededQualityGolden's online_ratio cell (seed
+// 11, ratio 0.15, oracle every 4th decision, 120 segments) under one policy.
 func runPolicyRegret(t *testing.T, policy string, deadline time.Duration) (quality.Snapshot, core.OnlineStats) {
-	t.Helper()
-	eng, err := core.NewOnlineEngine(core.Config{
-		TargetRatioOverride: 0.15,
-		Objective:           core.SingleTarget(core.TargetRatio),
-		BanditPolicy:        policy,
-		Deadline:            deadline,
-		Seed:                11,
-		Quality:             &quality.Config{SampleEvery: 4},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	stream := datasets.NewCBFStream(datasets.CBFConfig{Seed: 12})
-	segs := make([]core.LabeledSegment, 120)
-	for i := range segs {
-		v, l := stream.Next()
-		segs[i] = core.LabeledSegment{Values: v, Label: l}
-	}
-	if _, err := core.RunOnlineSegments(eng, segs); err != nil {
-		t.Fatal(err)
-	}
-	return eng.Quality().Snapshot(), eng.Stats()
+	return runOnlineCell(t, core.SingleTarget(core.TargetRatio), 0.15, policy, deadline)
 }
 
 // TestContextualRegretBeatsPlainPolicies is the PR's acceptance bar: on
-// the seeded BENCH matrix, the contextual policy's cumulative regret at
+// the seeded online_ratio cell, the contextual policy's cumulative regret at
 // the horizon must be no worse than the best plain policy's. The warm
 // start earns its keep by skipping the cold exploration the plain
 // policies pay for.
@@ -62,9 +39,10 @@ func TestContextualRegretBeatsPlainPolicies(t *testing.T) {
 	}
 }
 
-// TestContextualDeadlineCellInvariant mirrors the BENCH deadline cell:
-// with the 5µs gate the run must complete every segment, record zero
-// violations, and still see fallbacks only when nothing feasible remains.
+// TestContextualDeadlineCellInvariant mirrors TestSeededQualityGolden's
+// online_ctx_deadline cell: with the 5µs gate the run must complete every
+// segment, record zero violations, and still see fallbacks only when
+// nothing feasible remains.
 func TestContextualDeadlineCellInvariant(t *testing.T) {
 	_, stats := runPolicyRegret(t, "contextual", 5*time.Microsecond)
 	if stats.Segments != 120 {

@@ -37,10 +37,10 @@ import (
 //     so duplicates must not exceed the dials that succeeded.
 //   - bounded memory: after the fleet disconnects, resident device state
 //     must fall to the eviction bound; the GC'd heap delta per device is
-//     reported so the BENCH trajectory shows what an idle device costs.
+//     reported as what an idle device costs.
 //
-// Throughput is reported as devices×segments/sec — the fleet-aggregate
-// delivery rate the bench-compare gate thresholds.
+// Throughput is reported as devices×segments/sec, the fleet-aggregate
+// delivery rate.
 
 // Virtual-clock parameters for the per-device fault plans. The rates are
 // chosen so a device's ~6-frame burst crosses one or two link outages:
@@ -130,9 +130,6 @@ type FleetResult struct {
 	// devices tracked only by their watermark.
 	ResidentDevices  int
 	WatermarkDevices int
-	// RawBytes is the uncompressed payload volume represented by the
-	// delivered segments.
-	RawBytes int
 	// WallSeconds and DevicesXSegmentsPerSec are the run's wall clock and
 	// the fleet-aggregate delivery rate.
 	WallSeconds            float64
@@ -172,9 +169,8 @@ func RunFleet(w io.Writer, cfg FleetConfig) (FleetResult, error) {
 	defer func() { _ = col.Close() }()
 
 	// One representative CBF segment, encoded once and shared read-only by
-	// every frame: the fleet benchmark measures the collector's session
-	// machinery, not the codec (the codec has its own cells in the
-	// matrix).
+	// every frame: the fleet run measures the collector's session
+	// machinery, not the codec.
 	stream := datasets.NewCBFStream(datasets.CBFConfig{Seed: cfg.Seed})
 	values, _ := stream.Next()
 	enc, err := compress.NewPAA().CompressRatio(values, 0.25)
@@ -306,7 +302,6 @@ func RunFleet(w io.Writer, cfg FleetConfig) (FleetResult, error) {
 		DialFailures:           int(dialFails.Load()),
 		ResidentDevices:        col.ResidentDevices(),
 		WatermarkDevices:       col.Watermarks().Len(),
-		RawBytes:               expected * 8 * len(values),
 		WallSeconds:            wall,
 		DevicesXSegmentsPerSec: float64(expected) / wall,
 		IdleBytesPerDevice:     idleBytes,

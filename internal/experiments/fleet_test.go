@@ -1,8 +1,6 @@
 package experiments
 
 import (
-	"encoding/json"
-	"strings"
 	"testing"
 
 	"repro/internal/obs"
@@ -120,135 +118,5 @@ func TestRunFleetSpansComplete(t *testing.T) {
 		if d.WatermarkLag != 0 {
 			t.Fatalf("device %d WatermarkLag = %d, want 0", d.Device, d.WatermarkLag)
 		}
-	}
-}
-
-// TestBenchFleetCase checks the fleet cell the matrix emits: fleet block
-// present, mode "fleet", deterministic delivered total, and a document
-// containing it passes the schema.
-func TestBenchFleetCase(t *testing.T) {
-	cfg := benchTestConfig()
-	c, err := benchFleet(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if c.Mode != "fleet" || c.Fleet == nil {
-		t.Fatalf("mode %q fleet %v, want a fleet case", c.Mode, c.Fleet)
-	}
-	wantDevices := fleetDevicesFor(cfg.Segments)
-	if c.Fleet.Devices != wantDevices {
-		t.Fatalf("Devices = %d, want %d", c.Fleet.Devices, wantDevices)
-	}
-	if c.Fleet.Delivered != wantDevices*c.Fleet.SegmentsPerDevice {
-		t.Fatalf("Delivered = %d, want %d", c.Fleet.Delivered, wantDevices*c.Fleet.SegmentsPerDevice)
-	}
-}
-
-// TestBenchSchemaFleet pins the fleet-mode schema rules: the block is
-// required for fleet cases, forbidden elsewhere, and its fields are
-// validated.
-func TestBenchSchemaFleet(t *testing.T) {
-	doc := `{
-	  "schema_version": 4, "tool": "adaedge-bench", "go_version": "go",
-	  "gomaxprocs": 1, "segments": 10, "seed": 11,
-	  "cases": [{
-	    "name": "fleet_v2", "mode": "fleet", "target": "collector",
-	    "segments": 10, "seed": 11,
-	    "target_ratio": 0, "storage_bytes": 0,
-	    "quality": {"overall_ratio": 0, "mean_accuracy_loss": 0,
-	      "lossless_segments": 0, "lossy_segments": 0, "regret_samples": 0,
-	      "arm_switches": 0, "optimal_rate": 0, "space_utilization": 0, "recodes": 0,
-	      "deadline_fallbacks": 0, "deadline_misses": 0, "deadline_violations": 0},
-	    "perf": {"wall_seconds": 1, "segments_per_sec": 1, "raw_bytes_per_sec": 1,
-	      "ns_per_segment": 1, "allocs_per_op": 0, "alloc_bytes": 0, "mallocs": 0, "num_gc": 0},
-	    "fleet": {"devices": 4, "segments_per_device": 2, "delivered": 8,
-	      "duplicates": 0, "sessions_kicked": 0, "evictions": 0,
-	      "devices_x_segments_per_sec": 100, "idle_bytes_per_device": 0}
-	  }]
-	}`
-	if err := ValidateBenchJSON([]byte(doc)); err != nil {
-		t.Fatalf("valid fleet document rejected: %v", err)
-	}
-	breakages := []struct {
-		name string
-		mut  func(c map[string]any)
-		want string
-	}{
-		{"missing fleet block", func(c map[string]any) { delete(c, "fleet") }, "fleet block"},
-		{"fleet block on online case", func(c map[string]any) { c["mode"] = "online" }, "fleet block present"},
-		{"zero devices", func(c map[string]any) {
-			c["fleet"].(map[string]any)["devices"] = 0.0
-		}, "devices"},
-		{"negative throughput", func(c map[string]any) {
-			c["fleet"].(map[string]any)["devices_x_segments_per_sec"] = -1.0
-		}, "devices_x_segments_per_sec"},
-		{"missing delivered", func(c map[string]any) {
-			delete(c["fleet"].(map[string]any), "delivered")
-		}, "delivered"},
-	}
-	for _, bk := range breakages {
-		var m map[string]any
-		if err := json.Unmarshal([]byte(doc), &m); err != nil {
-			t.Fatal(err)
-		}
-		bk.mut(m["cases"].([]any)[0].(map[string]any))
-		broken, err := json.Marshal(m)
-		if err != nil {
-			t.Fatal(err)
-		}
-		err = ValidateBenchJSON(broken)
-		if err == nil {
-			t.Fatalf("%s: broken document passed validation", bk.name)
-		}
-		if !strings.Contains(err.Error(), bk.want) {
-			t.Fatalf("%s: error %q does not mention %q", bk.name, err, bk.want)
-		}
-	}
-}
-
-// TestCompareFleet pins the fleet gate: delivered drift is a quality
-// failure, a throughput collapse past the fleet threshold is a perf
-// regression, jitter inside it passes, and the fleet case skips the tight
-// ns_per_segment gate.
-func TestCompareFleet(t *testing.T) {
-	mk := func(rate float64, delivered int, ns float64) BenchCase {
-		return BenchCase{
-			Name: "fleet_v2", Mode: "fleet", Target: "collector",
-			Segments: 10, Seed: 11,
-			Fleet: &BenchFleet{
-				Devices: 4, SegmentsPerDevice: 2, Delivered: delivered,
-				DevicesXSegmentsPerSec: rate,
-			},
-			Perf: BenchPerf{WallSeconds: 1, SegmentsPerSec: 1, RawBytesPerSec: 1,
-				NsPerSegment: ns, AllocsPerOp: 0},
-		}
-	}
-	diff := func(oc, nc BenchCase) CompareReport {
-		rep := CompareReport{opts: CompareOptions{}.withDefaults()}
-		rep.compareCase(oc, nc)
-		return rep
-	}
-
-	if rep := diff(mk(1000, 8, 100), mk(800, 8, 100)); !rep.OK() {
-		t.Fatalf("20%% throughput drop inside the fleet threshold failed: %+v", rep)
-	}
-	rep := diff(mk(1000, 8, 100), mk(500, 8, 100))
-	if rep.OK() || len(rep.PerfRegressions) == 0 {
-		t.Fatalf("50%% throughput collapse passed: %+v", rep)
-	}
-	rep = diff(mk(1000, 8, 100), mk(1000, 7, 100))
-	if rep.OK() || len(rep.QualityDiffs) == 0 {
-		t.Fatalf("delivered drift passed: %+v", rep)
-	}
-	// ns_per_segment tripled: would fail the 10% engine gate, but fleet
-	// wall clock is gated by the fleet threshold instead.
-	if rep := diff(mk(1000, 8, 100), mk(1000, 8, 300)); !rep.OK() {
-		t.Fatalf("fleet case hit the engine ns gate: %+v", rep)
-	}
-	// Fleet block disappearing is a quality failure.
-	nc := mk(1000, 8, 100)
-	nc.Fleet = nil
-	if rep := diff(mk(1000, 8, 100), nc); rep.OK() {
-		t.Fatal("fleet block removal passed")
 	}
 }

@@ -29,8 +29,7 @@ import (
 // reports in unpinned files (cold paths, constructors, tests) are out of
 // scope — the gate guards the segment-rate path only.
 //
-// Exit codes follow the bench-compare convention: 0 clean, 1 new escapes,
-// 2 tool failure.
+// Exit 0 clean / 1 findings (new escapes) / 2 error.
 
 // EscapePinnedFiles are the hot-path files whose escape decisions are
 // pinned by ESCAPES.baseline: the codec substrate's bit I/O, the four
@@ -189,8 +188,8 @@ func modulePath(root string) (string, error) {
 // RunEscapeGate compiles the module with escape-analysis diagnostics and
 // compares the pinned files' decisions against the baseline, writing a
 // report to w. With update set it rewrites the baseline instead of
-// failing. Returns a bench-compare-style exit code: 0 clean (or baseline
-// updated), 1 new escapes, 2 tool error.
+// failing. Returns the exit code: 0 clean (or baseline updated) / 1
+// findings (new escapes) / 2 error.
 func RunEscapeGate(w io.Writer, update bool) int {
 	root, err := moduleRoot(".")
 	if err != nil {

@@ -25,8 +25,7 @@
 //	go vet -vettool=$(pwd)/bin/adaedge-lint ./...
 //
 // or directly as `adaedge-lint -run ./...`, which adds per-analyzer
-// finding counts and bench-compare-style exit codes (0 clean, 1 findings,
-// 2 tool error).
+// finding counts and exits 0 clean / 1 findings / 2 error.
 //
 // Every analyzer skips _test.go files: tests may legitimately seed RNGs,
 // reach into guarded state sequentially, and exercise panics.

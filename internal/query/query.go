@@ -95,20 +95,3 @@ func Accuracy(trueVal, lossyVal float64) float64 {
 	}
 	return acc
 }
-
-// Loss is 1 - Accuracy, the quantity plotted in the paper's Figs 8–9.
-func Loss(trueVal, lossyVal float64) float64 { return 1 - Accuracy(trueVal, lossyVal) }
-
-// Evaluate compares the operator on raw and lossy values and returns the
-// relative accuracy.
-func Evaluate(a Agg, raw, lossy []float64) (float64, error) {
-	tv, err := Apply(a, raw)
-	if err != nil {
-		return 0, err
-	}
-	lv, err := Apply(a, lossy)
-	if err != nil {
-		return 0, err
-	}
-	return Accuracy(tv, lv), nil
-}

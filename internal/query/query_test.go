@@ -64,41 +64,6 @@ func TestAccuracy(t *testing.T) {
 	}
 }
 
-func TestLossComplementsAccuracy(t *testing.T) {
-	f := func(a, b float64) bool {
-		if math.IsNaN(a) || math.IsNaN(b) || math.IsInf(a, 0) || math.IsInf(b, 0) {
-			return true
-		}
-		return math.Abs(Loss(a, b)+Accuracy(a, b)-1) < 1e-12
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestEvaluate(t *testing.T) {
-	raw := []float64{10, 20, 30, 40}
-	lossy := []float64{11, 19, 31, 39} // same sum
-	acc, err := Evaluate(Sum, raw, lossy)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if acc != 1 {
-		t.Fatalf("sum accuracy = %v, want 1", acc)
-	}
-	acc, err = Evaluate(Max, raw, lossy)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := 1 - math.Abs(40.0-39.0)/40
-	if math.Abs(acc-want) > 1e-12 {
-		t.Fatalf("max accuracy = %v, want %v", acc, want)
-	}
-	if _, err := Evaluate(Sum, nil, lossy); err != ErrEmpty {
-		t.Fatalf("want ErrEmpty, got %v", err)
-	}
-}
-
 func TestAccuracyBounds(t *testing.T) {
 	f := func(a, b float64) bool {
 		if math.IsNaN(a) || math.IsNaN(b) || math.IsInf(a, 0) || math.IsInf(b, 0) {

@@ -6,8 +6,10 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"slices"
 	"sort"
 
+	"repro/internal/bitio"
 	"repro/internal/compress"
 )
 
@@ -96,56 +98,67 @@ func (p *Pool) WriteTo(w io.Writer) (int64, error) {
 }
 
 // ReadPool deserializes a pool dump into a fresh Pool with the given
-// policy (nil = LRU). Entries re-enter the policy in id order.
+// policy (nil = LRU). Entries re-enter the policy in id order. Only what
+// WriteTo writes is accepted (minimal varints, strictly increasing ids, no
+// unknown flag bits), so a dump that reads back re-serializes to the same
+// bytes; anything else is ErrBadFormat.
 func ReadPool(r io.Reader, policy Policy) (*Pool, error) {
 	br := bufio.NewReader(r)
 	var magic [4]byte
 	if _, err := io.ReadFull(br, magic[:]); err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrBadFormat, err)
+		return nil, badFormat(err)
 	}
 	if magic != persistMagic {
 		return nil, ErrBadFormat
 	}
-	count, err := binary.ReadUvarint(br)
+	count, err := readUvarint(br)
 	if err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrBadFormat, err)
+		return nil, err
 	}
 	const maxSegments = 1 << 26 // sanity bound against corrupt counts
 	if count > maxSegments {
 		return nil, ErrBadFormat
 	}
 	pool := NewPool(policy)
+	var prevID uint64
 	for i := uint64(0); i < count; i++ {
 		e := &Entry{}
-		if e.ID, err = binary.ReadUvarint(br); err != nil {
-			return nil, fmt.Errorf("%w: %v", ErrBadFormat, err)
+		if e.ID, err = readUvarint(br); err != nil {
+			return nil, err
 		}
-		labelZZ, err := binary.ReadUvarint(br)
+		if i > 0 && e.ID <= prevID {
+			return nil, fmt.Errorf("%w: id %d after %d", ErrBadFormat, e.ID, prevID)
+		}
+		prevID = e.ID
+		labelZZ, err := readUvarint(br)
 		if err != nil {
-			return nil, fmt.Errorf("%w: %v", ErrBadFormat, err)
+			return nil, err
 		}
 		e.Label = int(unzigzag64(labelZZ))
-		var flags [1]byte
-		if _, err := io.ReadFull(br, flags[:]); err != nil {
-			return nil, fmt.Errorf("%w: %v", ErrBadFormat, err)
-		}
-		e.Lossless = flags[0]&1 != 0
-		level, err := binary.ReadUvarint(br)
+		flags, err := br.ReadByte()
 		if err != nil {
-			return nil, fmt.Errorf("%w: %v", ErrBadFormat, err)
+			return nil, badFormat(err)
+		}
+		if flags > 1 {
+			return nil, fmt.Errorf("%w: flags %#x", ErrBadFormat, flags)
+		}
+		e.Lossless = flags == 1
+		level, err := readUvarint(br)
+		if err != nil {
+			return nil, err
 		}
 		e.Level = int(level)
 		codec, err := readString(br)
 		if err != nil {
 			return nil, err
 		}
-		n, err := binary.ReadUvarint(br)
+		n, err := readUvarint(br)
 		if err != nil {
-			return nil, fmt.Errorf("%w: %v", ErrBadFormat, err)
+			return nil, err
 		}
-		dataLen, err := binary.ReadUvarint(br)
+		dataLen, err := readUvarint(br)
 		if err != nil {
-			return nil, fmt.Errorf("%w: %v", ErrBadFormat, err)
+			return nil, err
 		}
 		const maxSegmentBytes = 1 << 30
 		// No encoder writes a segment of no points, and N divides in every
@@ -153,9 +166,9 @@ func ReadPool(r io.Reader, policy Policy) (*Pool, error) {
 		if n == 0 || dataLen > maxSegmentBytes {
 			return nil, ErrBadFormat
 		}
-		data := make([]byte, dataLen)
-		if _, err := io.ReadFull(br, data); err != nil {
-			return nil, fmt.Errorf("%w: %v", ErrBadFormat, err)
+		data, err := readData(br, int(dataLen))
+		if err != nil {
+			return nil, err
 		}
 		e.Enc = compress.Encoded{Codec: codec, Data: data, N: int(n)}
 		pool.Put(e)
@@ -163,10 +176,30 @@ func ReadPool(r io.Reader, policy Policy) (*Pool, error) {
 	return pool, nil
 }
 
+// readData reads an n-byte payload, growing the buffer only as bytes
+// arrive: 64 KiB first, then never more than what has already been read,
+// so a forged length costs at most about twice the bytes actually present
+// (the rule transport.Reader.readPayload follows). A payload of at most
+// 64 KiB, which is every segment an honest dump holds, is one exact-size
+// allocation.
+func readData(br *bufio.Reader, n int) ([]byte, error) {
+	const firstStep = 64 << 10
+	data := make([]byte, 0, min(n, firstStep))
+	for len(data) < n {
+		have := len(data)
+		step := min(n-have, max(have, firstStep))
+		data = slices.Grow(data, step)[:have+step]
+		if _, err := io.ReadFull(br, data[have:]); err != nil {
+			return nil, badFormat(err)
+		}
+	}
+	return data, nil
+}
+
 func readString(br *bufio.Reader) (string, error) {
-	l, err := binary.ReadUvarint(br)
+	l, err := readUvarint(br)
 	if err != nil {
-		return "", fmt.Errorf("%w: %v", ErrBadFormat, err)
+		return "", err
 	}
 	const maxName = 256
 	if l > maxName {
@@ -174,10 +207,22 @@ func readString(br *bufio.Reader) (string, error) {
 	}
 	buf := make([]byte, l)
 	if _, err := io.ReadFull(br, buf); err != nil {
-		return "", fmt.Errorf("%w: %v", ErrBadFormat, err)
+		return "", badFormat(err)
 	}
 	return string(buf), nil
 }
+
+// readUvarint reads one minimally encoded uvarint (bitio.ReadUvarint);
+// every failure is ErrBadFormat.
+func readUvarint(br *bufio.Reader) (uint64, error) {
+	v, err := bitio.ReadUvarint(br)
+	if err != nil {
+		return 0, badFormat(err)
+	}
+	return v, nil
+}
+
+func badFormat(err error) error { return fmt.Errorf("%w: %v", ErrBadFormat, err) }
 
 func zigzag64(v int64) uint64   { return uint64((v << 1) ^ (v >> 63)) }
 func unzigzag64(u uint64) int64 { return int64(u>>1) ^ -int64(u&1) }

@@ -107,34 +107,42 @@ func (w *Watermarks) WriteTo(dst io.Writer) (int64, error) {
 }
 
 // ReadWatermarks deserializes a table written by WriteTo. Truncated or
-// foreign input is ErrBadFormat, never a silently partial table.
+// foreign input is ErrBadFormat, never a silently partial table; so is
+// anything WriteTo cannot have written (an overlong varint, device IDs out
+// of order or repeated, a zero watermark Store would drop), which makes a
+// table that reads back re-serialize to the same bytes.
 func ReadWatermarks(src io.Reader) (*Watermarks, error) {
 	br := bufio.NewReader(src)
 	var magic [4]byte
 	if _, err := io.ReadFull(br, magic[:]); err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrBadFormat, err)
+		return nil, badFormat(err)
 	}
 	if magic != watermarkMagic {
 		return nil, ErrBadFormat
 	}
-	count, err := binary.ReadUvarint(br)
+	count, err := readUvarint(br)
 	if err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrBadFormat, err)
+		return nil, err
 	}
 	const maxDevices = 1 << 30 // sanity bound against corrupt counts
 	if count > maxDevices {
 		return nil, ErrBadFormat
 	}
 	w := NewWatermarks()
+	var prevID uint64
 	for i := uint64(0); i < count; i++ {
-		id, err := binary.ReadUvarint(br)
+		id, err := readUvarint(br)
 		if err != nil {
-			return nil, fmt.Errorf("%w: %v", ErrBadFormat, err)
+			return nil, err
 		}
-		next, err := binary.ReadUvarint(br)
+		next, err := readUvarint(br)
 		if err != nil {
-			return nil, fmt.Errorf("%w: %v", ErrBadFormat, err)
+			return nil, err
 		}
+		if (i > 0 && id <= prevID) || next == 0 {
+			return nil, fmt.Errorf("%w: device %d watermark %d after device %d", ErrBadFormat, id, next, prevID)
+		}
+		prevID = id
 		w.Store(id, next)
 	}
 	return w, nil

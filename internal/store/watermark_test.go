@@ -75,10 +75,14 @@ func TestWatermarksRoundTrip(t *testing.T) {
 func TestWatermarksReadRejectsGarbage(t *testing.T) {
 	cases := [][]byte{
 		nil,
-		[]byte("AEP1"),                  // wrong magic
-		[]byte("AEW1"),                  // truncated before count
-		{'A', 'E', 'W', '1', 2, 1, 1},   // count 2, one entry only
-		{'A', 'E', 'W', '1', 1, 0x80},   // torn varint
+		[]byte("AEP1"),                      // wrong magic
+		[]byte("AEW1"),                      // truncated before count
+		{'A', 'E', 'W', '1', 2, 1, 1},       // count 2, one entry only
+		{'A', 'E', 'W', '1', 1, 0x80},       // torn varint
+		{'A', 'E', 'W', '1', 1, 0x87, 0, 1}, // overlong device ID
+		{'A', 'E', 'W', '1', 2, 7, 1, 7, 2}, // device 7 twice
+		{'A', 'E', 'W', '1', 2, 7, 1, 3, 2}, // IDs out of order
+		{'A', 'E', 'W', '1', 1, 7, 0},       // zero watermark
 	}
 	for i, in := range cases {
 		if _, err := ReadWatermarks(bytes.NewReader(in)); !errors.Is(err, ErrBadFormat) {
@@ -115,4 +119,37 @@ func TestSpoolHeadAfter(t *testing.T) {
 	if e, ok := s.HeadAfter(0); !ok || e.ID != 9 {
 		t.Fatalf("HeadAfter(0) after ack = %v,%v want 9,true", e, ok)
 	}
+}
+
+// FuzzReadWatermarks feeds hostile tables to ReadWatermarks: it must not
+// panic, must fail only with ErrBadFormat, and a table it accepts must
+// re-serialize to exactly the bytes it consumed.
+func FuzzReadWatermarks(f *testing.F) {
+	for _, table := range []map[uint64]uint64{{}, {0: 1, 7: 3, 42: 1000, math.MaxUint64: math.MaxUint64}} {
+		w := NewWatermarks()
+		for id, next := range table {
+			w.Store(id, next)
+		}
+		var buf bytes.Buffer
+		if _, err := w.WriteTo(&buf); err != nil {
+			f.Fatal(err)
+		}
+		f.Add(buf.Bytes())
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		w, consumed, err := readConsumed(data, ReadWatermarks)
+		if err != nil {
+			if !errors.Is(err, ErrBadFormat) {
+				t.Fatalf("error %v is not ErrBadFormat", err)
+			}
+			return
+		}
+		var out bytes.Buffer
+		if _, err := w.WriteTo(&out); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(out.Bytes(), consumed) {
+			t.Fatalf("re-serialized %x, consumed %x", out.Bytes(), consumed)
+		}
+	})
 }

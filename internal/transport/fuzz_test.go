@@ -3,6 +3,7 @@ package transport
 import (
 	"bufio"
 	"bytes"
+	"errors"
 	"io"
 	"math"
 	"strings"
@@ -128,6 +129,41 @@ func FuzzAckReader(f *testing.F) {
 			if _, err := readAck(r); err != nil {
 				return // io.EOF or rejected: fine
 			}
+		}
+	})
+}
+
+// FuzzReadHello: arbitrary bytes must never panic the hello parser, it
+// fails only with ErrBadFrame, and a hello it accepts is byte for byte
+// what writeHello or writeHelloV2 writes for the parsed fields.
+func FuzzReadHello(f *testing.F) {
+	var v1, v2 bytes.Buffer
+	_ = writeHello(&v1, 99)
+	_ = writeHelloV2(&v2, 1<<40, DefaultAckEvery)
+	f.Add(v1.Bytes())
+	f.Add(v2.Bytes())
+	f.Add([]byte("AEH1\x03\x63"))     // version 3
+	f.Add([]byte("AEH1\x81\x00\x07")) // overlong version 1
+	f.Add([]byte{})
+
+	f.Fuzz(func(t *testing.T, data []byte) {
+		src := bytes.NewReader(data)
+		br := bufio.NewReader(src)
+		h, err := readHello(br)
+		if err != nil {
+			if !errors.Is(err, ErrBadFrame) {
+				t.Fatalf("error %v is not ErrBadFrame", err)
+			}
+			return
+		}
+		var out bytes.Buffer
+		if h.version == helloVersion {
+			_ = writeHello(&out, h.deviceID)
+		} else {
+			_ = writeHelloV2(&out, h.deviceID, h.ackEvery)
+		}
+		if consumed := data[:len(data)-src.Len()-br.Buffered()]; !bytes.Equal(out.Bytes(), consumed) {
+			t.Fatalf("hello %+v re-serializes to %x, consumed %x", h, out.Bytes(), consumed)
 		}
 	})
 }

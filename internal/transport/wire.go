@@ -5,6 +5,8 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
+
+	"repro/internal/bitio"
 )
 
 // Session records around the segment frames of transport.go. The uplink
@@ -97,7 +99,8 @@ func writeHelloV2(w io.Writer, deviceID, ackEvery uint64) error {
 // readHello parses a session hello whose magic has already been peeked
 // (not consumed) by the caller. A failed read is reported as the
 // underlying error (torn hello), distinct from a cleanly-read but
-// unsupported version.
+// unsupported version. Varints must be minimal, so a hello that parses is
+// byte for byte the one writeHello or writeHelloV2 writes for it.
 func readHello(r *bufio.Reader) (hello, error) {
 	var h hello
 	var magic [4]byte
@@ -107,7 +110,7 @@ func readHello(r *bufio.Reader) (hello, error) {
 	if magic != helloMagic {
 		return h, ErrBadFrame
 	}
-	version, err := binary.ReadUvarint(r)
+	version, err := bitio.ReadUvarint(r)
 	if err != nil {
 		return h, fmt.Errorf("%w: reading hello version: %v", ErrBadFrame, err)
 	}
@@ -115,12 +118,12 @@ func readHello(r *bufio.Reader) (hello, error) {
 		return h, fmt.Errorf("%w: hello version %d", ErrBadFrame, version)
 	}
 	h.version = version
-	h.deviceID, err = binary.ReadUvarint(r)
+	h.deviceID, err = bitio.ReadUvarint(r)
 	if err != nil {
 		return h, fmt.Errorf("%w: reading hello device id: %v", ErrBadFrame, err)
 	}
 	if version == helloVersion2 {
-		h.ackEvery, err = binary.ReadUvarint(r)
+		h.ackEvery, err = bitio.ReadUvarint(r)
 		if err != nil {
 			return h, fmt.Errorf("%w: reading hello ack interval: %v", ErrBadFrame, err)
 		}

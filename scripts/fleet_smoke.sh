@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # fleet_smoke.sh — end-to-end check of the fleet-scale collector path.
 #
-# Three checks, all end to end:
+# Two checks, both end to end:
 #
 #  1. `adaedge-bench -exp fleet` at a small scale: 40 simulated devices,
 #     each speaking the version-2 pipelined session protocol through its
@@ -17,18 +17,12 @@
 #     drain timeout, before sessions resumed from their first ACK); one
 #     that resumes redelivers at most its first frame, so RunFleet also
 #     errors when duplicates exceed the dials that succeeded.
-#  3. A shrunken bench matrix emitted to BENCH json: the fleet cell must
-#     be present, schema-valid, and carry the throughput fields the
-#     -compare gate thresholds.
 #
 # Run via `make fleet-smoke`.
 set -euo pipefail
 
 GO=${GO:-go}
 cd "$(dirname "$0")/.."
-
-tmp=$(mktemp -d)
-trap 'rm -rf "$tmp"' EXIT
 
 out=$("$GO" run ./cmd/adaedge-bench -exp fleet -devices 40 -segments 4)
 echo "$out"
@@ -40,10 +34,4 @@ echo "$out"
 echo "$out" | grep -q '^fleet: 120 devices x 32 segments' ||
 	{ echo "fleet smoke: missing summary line"; exit 1; }
 
-"$GO" run ./cmd/adaedge-bench -exp bench -segments 30 -json "$tmp/BENCH_fleet_smoke.json" >/dev/null
-"$GO" run ./cmd/adaedge-bench -validate "$tmp/BENCH_fleet_smoke.json"
-for field in '"mode": "fleet"' '"devices_x_segments_per_sec"' '"idle_bytes_per_device"'; do
-	grep -q "$field" "$tmp/BENCH_fleet_smoke.json" ||
-		{ echo "fleet smoke: BENCH json missing $field"; exit 1; }
-done
 echo "fleet-smoke OK"
