@@ -8,7 +8,7 @@ VETTOOL := $(BIN)/adaedge-lint
 # Per-target fuzz time for the smoke pass (CI uses the same value).
 FUZZTIME ?= 20s
 
-.PHONY: all build vet lint escape-gate escape-gate-update test race fuzz-smoke obs-smoke fleet-smoke bench-smoke doc-drift loc ci clean
+.PHONY: all build vet fmt-check lint escape-gate escape-gate-update test race fuzz-smoke obs-smoke fleet-smoke bench-smoke doc-drift loc ci clean
 
 all: build
 
@@ -17,6 +17,12 @@ build:
 
 vet:
 	$(GO) vet ./...
+
+# fmt-check fails, naming the files, when gofmt would reformat any tracked
+# Go file outside vendor/.
+fmt-check:
+	@out=$$(gofmt -l $$(git ls-files '*.go' ':!vendor')); \
+	if [ -n "$$out" ]; then echo "gofmt -l lists:"; echo "$$out"; exit 1; fi
 
 # lint builds the adaedge-lint vettool (internal/lint: codecpurity,
 # nopanicdecode, lockdiscipline, seqdeterminism, bufownership,
@@ -50,11 +56,11 @@ race:
 
 # fuzz-smoke mirrors the CI fuzz job: every Fuzz* target in the
 # decoder-facing packages, the persisted-format readers in internal/store,
-# the bit reader under them (differential against a bit-by-bit reference)
-# and the bufownership analyzer (seeded with its fixture corpus) gets
-# $(FUZZTIME) of fuzzing.
+# the bit reader under them (differential against a bit-by-bit reference),
+# the ml model loader and the bufownership analyzer (seeded with its
+# fixture corpus) gets $(FUZZTIME) of fuzzing.
 fuzz-smoke:
-	@for pkg in ./internal/bitio ./internal/compress ./internal/store ./internal/transport ./internal/lint; do \
+	@for pkg in ./internal/bitio ./internal/compress ./internal/store ./internal/transport ./internal/ml ./internal/lint; do \
 		targets=$$($(GO) test -list '^Fuzz' $$pkg | grep '^Fuzz'); \
 		for t in $$targets; do \
 			echo "--- $$pkg $$t"; \
@@ -91,7 +97,7 @@ doc-drift:
 loc:
 	@find . -name '*.go' ! -name '*_test.go' ! -path './vendor/*' ! -path '*/testdata/*' | xargs cat | wc -l
 
-ci: build vet lint escape-gate race obs-smoke fleet-smoke bench-smoke doc-drift
+ci: build vet fmt-check lint escape-gate race obs-smoke fleet-smoke bench-smoke doc-drift
 
 clean:
 	rm -rf $(BIN)

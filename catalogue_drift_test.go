@@ -65,7 +65,7 @@ var bucketRE = regexp.MustCompile(`\[\d+\]`)
 // event source→kinds, and the span-stage catalogue.
 type docCatalogue struct {
 	metrics    map[string]bool
-	help       map[string]string // metric name → Meaning cell
+	help       map[string]string          // metric name → Meaning cell
 	events     map[string]map[string]bool // source → kind set
 	spanStages map[string]bool
 }

@@ -1,8 +1,11 @@
 package ml
 
 import (
+	"cmp"
 	"math"
-	"sort"
+	"runtime"
+	"slices"
+	"sync"
 )
 
 // DecisionTree is a CART classification tree with Gini-impurity splits.
@@ -15,8 +18,6 @@ type DecisionTree struct {
 	Nodes []TreeNode
 	// Classes is the number of distinct labels seen at fit time.
 	Classes int
-
-	cfg TreeConfig
 }
 
 // TreeNode is one node of a flattened decision tree.
@@ -55,63 +56,143 @@ func (c TreeConfig) withDefaults() TreeConfig {
 	return c
 }
 
-// FitTree trains a CART tree.
+// FitTree trains a CART tree: the one-tree case of FitForest's fit, with
+// every training row in the sample once.
 func FitTree(X [][]float64, y []int, cfg TreeConfig) (*DecisionTree, error) {
 	if err := validate(X, y); err != nil {
 		return nil, err
 	}
-	t := &DecisionTree{Classes: maxLabel(y) + 1, cfg: cfg.withDefaults()}
-	idx := make([]int, len(X))
-	for i := range idx {
-		idx[i] = i
+	all := make([]int, len(X))
+	for i := range all {
+		all[i] = 1
 	}
-	t.grow(X, y, idx, 0)
-	return t, nil
+	return fitTrees(X, y, [][]int{all}, []TreeConfig{cfg})[0], nil
 }
 
-// grow recursively builds the subtree over idx and returns its node index.
-func (t *DecisionTree) grow(X [][]float64, y []int, idx []int, depth int) int {
-	node := TreeNode{Feature: -1, Label: mode(y, idx, t.Classes-1)}
-	self := len(t.Nodes)
-	t.Nodes = append(t.Nodes, node)
-	if depth >= t.cfg.MaxDepth || len(idx) < 2*t.cfg.MinLeaf || almostPure(y, idx) {
+// fitTrees fits tree t on the sample holding training row r counts[t][r]
+// times, bounded by cfgs[t]. Each feature's rows are sorted once for all
+// trees; the trees are then fit share-nothing, each a pure function of its
+// sample and config, whatever the number of goroutines.
+func fitTrees(X [][]float64, y []int, counts [][]int, cfgs []TreeConfig) []*DecisionTree {
+	sorted := make([][]sortedRow, len(X[0]))
+	flat := make([]sortedRow, len(X)*len(sorted))
+	parallel(len(sorted), func(f int) {
+		col := flat[f*len(X) : (f+1)*len(X)]
+		for r, row := range X {
+			col[r] = sortedRow{row[f], r}
+		}
+		slices.SortFunc(col, func(a, b sortedRow) int { return cmp.Compare(a.v, b.v) })
+		sorted[f] = col
+	})
+	trees := make([]*DecisionTree, len(counts))
+	parallel(len(trees), func(t int) {
+		trees[t] = growTree(X, y, sorted, counts[t], cfgs[t].withDefaults())
+	})
+	return trees
+}
+
+// parallel calls fn(0) … fn(n-1) on min(GOMAXPROCS, n) goroutines and
+// returns once every call has.
+func parallel(n int, fn func(i int)) {
+	workers := min(runtime.GOMAXPROCS(0), n)
+	var wg sync.WaitGroup
+	wg.Add(workers)
+	for k := 0; k < workers; k++ {
+		go func() {
+			defer wg.Done()
+			for i := k; i < n; i += workers {
+				fn(i)
+			}
+		}()
+	}
+	wg.Wait()
+}
+
+// sortedRow is one training row's value of one feature.
+type sortedRow struct {
+	v   float64
+	row int
+}
+
+// grower holds one tree's fit: the presorted training set it reads and
+// every scratch slice it writes, so a node allocates nothing.
+type grower struct {
+	X                  [][]float64
+	y                  []int
+	sorted             [][]sortedRow // per feature, every row in ascending value order; shared
+	cfg                TreeConfig
+	counts             []int // sample multiplicity per row
+	node               []int // the node whose subtree holds each row now, -1 outside the sample
+	rows               []int // the sampled rows, partitioned in place as the tree splits
+	feats              []int
+	total, left, right []int // class tallies of the node and of either side of a split
+	t                  *DecisionTree
+}
+
+func growTree(X [][]float64, y []int, sorted [][]sortedRow, counts []int, cfg TreeConfig) *DecisionTree {
+	c := maxLabel(y) + 1
+	g := &grower{X: X, y: y, sorted: sorted, cfg: cfg, counts: counts, t: &DecisionTree{Classes: c},
+		node: make([]int, len(X)), rows: make([]int, 0, len(X)), feats: make([]int, len(sorted)),
+		total: make([]int, c), left: make([]int, c), right: make([]int, c)}
+	for r, k := range counts {
+		g.node[r] = -1
+		if k > 0 {
+			g.rows = append(g.rows, r)
+		}
+	}
+	g.grow(0, len(g.rows), 0)
+	return g.t
+}
+
+// grow builds the subtree over rows[lo:hi] and returns its node index.
+// Nodes are laid out in preorder, so a child always follows its parent.
+func (g *grower) grow(lo, hi, depth int) int {
+	self := len(g.t.Nodes)
+	clear(g.total)
+	n := 0
+	for _, r := range g.rows[lo:hi] {
+		g.node[r] = self
+		g.total[g.y[r]] += g.counts[r]
+		n += g.counts[r]
+	}
+	label := argmax(g.total)
+	g.t.Nodes = append(g.t.Nodes, TreeNode{Feature: -1, Label: label})
+	if depth >= g.cfg.MaxDepth || n < 2*g.cfg.MinLeaf || g.total[label] == n { // pure: one class holds every sample
 		return self
 	}
-	feat, thr, ok := t.bestSplit(X, y, idx)
+	feat, thr, ok := g.bestSplit(self, n)
 	if !ok {
 		return self
 	}
-	var left, right []int
-	for _, i := range idx {
-		if X[i][feat] <= thr {
-			left = append(left, i)
-		} else {
-			right = append(right, i)
+	mid, nl := lo, 0
+	for i := lo; i < hi; i++ {
+		if r := g.rows[i]; g.X[r][feat] <= thr {
+			g.rows[i], g.rows[mid] = g.rows[mid], r
+			mid++
+			nl += g.counts[r]
 		}
 	}
-	if len(left) < t.cfg.MinLeaf || len(right) < t.cfg.MinLeaf {
+	if nl < g.cfg.MinLeaf || n-nl < g.cfg.MinLeaf {
 		return self
 	}
-	l := t.grow(X, y, left, depth+1)
-	r := t.grow(X, y, right, depth+1)
-	t.Nodes[self].Feature = feat
-	t.Nodes[self].Threshold = thr
-	t.Nodes[self].Left = l
-	t.Nodes[self].Right = r
+	l := g.grow(lo, mid, depth+1)
+	r := g.grow(mid, hi, depth+1)
+	nd := &g.t.Nodes[self]
+	nd.Feature, nd.Threshold, nd.Left, nd.Right = feat, thr, l, r
 	return self
 }
 
 // bestSplit scans candidate features for the split minimizing weighted Gini
-// impurity.
-func (t *DecisionTree) bestSplit(X [][]float64, y []int, idx []int) (feat int, thr float64, ok bool) {
-	dim := len(X[0])
-	features := make([]int, dim)
+// impurity over the node's n samples, the rows marked self: one pass over
+// each feature's presorted rows, skipping other nodes' rows, and no sort.
+func (g *grower) bestSplit(self, n int) (feat int, thr float64, ok bool) {
+	features := g.feats
 	for i := range features {
 		features[i] = i
 	}
-	if t.cfg.MaxFeatures > 0 && t.cfg.MaxFeatures < dim {
-		// Deterministic xorshift shuffle keyed by the node's sample set.
-		state := t.cfg.FeatureSeed ^ uint64(len(idx))*0x9e3779b97f4a7c15
+	if dim := len(features); g.cfg.MaxFeatures > 0 && g.cfg.MaxFeatures < dim {
+		// Deterministic xorshift shuffle keyed by the node's sample size.
+		state := g.cfg.FeatureSeed ^ uint64(n)*0x9e3779b97f4a7c15
 		if state == 0 {
 			state = 1
 		}
@@ -122,54 +203,42 @@ func (t *DecisionTree) bestSplit(X [][]float64, y []int, idx []int) (feat int, t
 			j := int(state % uint64(i+1))
 			features[i], features[j] = features[j], features[i]
 		}
-		features = features[:t.cfg.MaxFeatures]
+		features = features[:g.cfg.MaxFeatures]
 	}
 
-	parentImp := gini(y, idx, t.Classes-1)
+	parentImp := giniFromCounts(g.total, n)
 	bestGain := 1e-9
-	type fv struct {
-		v float64
-		y int
-	}
-	vals := make([]fv, len(idx))
+	nf := float64(n)
 	for _, f := range features {
-		for k, i := range idx {
-			vals[k] = fv{v: X[i][f], y: y[i]}
-		}
-		sort.Slice(vals, func(a, b int) bool { return vals[a].v < vals[b].v })
-		leftCounts := make([]int, t.Classes)
-		rightCounts := make([]int, t.Classes)
-		for _, e := range vals {
-			rightCounts[e.y]++
-		}
-		nl, nr := 0, len(vals)
-		for k := 0; k < len(vals)-1; k++ {
-			leftCounts[vals[k].y]++
-			rightCounts[vals[k].y]--
-			nl++
-			nr--
-			if vals[k].v == vals[k+1].v {
+		clear(g.left)
+		copy(g.right, g.total)
+		nl, nr := 0, n
+		// prev's samples move left once the node's next row is seen; a
+		// split is scored only between two distinct values.
+		prev := sortedRow{row: -1}
+		for _, e := range g.sorted[f] {
+			if g.node[e.row] != self {
 				continue
 			}
-			gl := giniFromCounts(leftCounts, nl)
-			gr := giniFromCounts(rightCounts, nr)
-			n := float64(len(vals))
-			gain := parentImp - (float64(nl)/n)*gl - (float64(nr)/n)*gr
-			if gain > bestGain {
-				bestGain = gain
-				feat = f
-				thr = (vals[k].v + vals[k+1].v) / 2
-				ok = true
+			if prev.row >= 0 {
+				c, label := g.counts[prev.row], g.y[prev.row]
+				g.left[label] += c
+				g.right[label] -= c
+				nl, nr = nl+c, nr-c
+				if prev.v != e.v {
+					gain := parentImp - (float64(nl)/nf)*giniFromCounts(g.left, nl) - (float64(nr)/nf)*giniFromCounts(g.right, nr)
+					if gain > bestGain {
+						bestGain, feat, thr, ok = gain, f, (prev.v+e.v)/2, true
+					}
+				}
 			}
+			prev = e
 		}
 	}
 	return feat, thr, ok
 }
 
 func giniFromCounts(counts []int, n int) float64 {
-	if n == 0 {
-		return 0
-	}
 	imp := 1.0
 	nf := float64(n)
 	for _, c := range counts {

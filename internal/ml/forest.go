@@ -18,7 +18,7 @@ type RandomForest struct {
 
 // ForestConfig parameterizes forest training.
 type ForestConfig struct {
-	// Trees is the ensemble size; 0 selects 20.
+	// Trees is the ensemble size; 0 or less selects 20.
 	Trees int
 	// Tree bounds each member's growth. MaxFeatures 0 selects sqrt(dim).
 	Tree TreeConfig
@@ -26,47 +26,38 @@ type ForestConfig struct {
 	Seed int64
 }
 
-// FitForest trains a random forest.
+// FitForest trains a random forest. Every random draw (each tree's
+// bootstrap rows, then its FeatureSeed, tree by tree) is made here, on the
+// caller's goroutine, from one rng seeded by cfg.Seed; only then are the
+// trees fit, in parallel. The forest is a pure function of the seed.
 func FitForest(X [][]float64, y []int, cfg ForestConfig) (*RandomForest, error) {
 	if err := validate(X, y); err != nil {
 		return nil, err
 	}
-	if cfg.Trees == 0 {
+	if cfg.Trees <= 0 {
 		cfg.Trees = 20
 	}
 	if cfg.Tree.MaxFeatures == 0 {
-		cfg.Tree.MaxFeatures = int(math.Sqrt(float64(len(X[0]))))
-		if cfg.Tree.MaxFeatures < 1 {
-			cfg.Tree.MaxFeatures = 1
-		}
+		cfg.Tree.MaxFeatures = max(1, int(math.Sqrt(float64(len(X[0])))))
 	}
 	seed := cfg.Seed
 	if seed == 0 {
 		seed = 1
 	}
 	rng := rand.New(rand.NewSource(seed))
-	f := &RandomForest{Classes: maxLabel(y) + 1}
 	n := len(X)
-	for t := 0; t < cfg.Trees; t++ {
-		// Bootstrap sample with replacement.
-		bx := make([][]float64, n)
-		by := make([]int, n)
+	counts := make([][]int, cfg.Trees)
+	cfgs := make([]TreeConfig, cfg.Trees)
+	for t := range counts {
+		// Bootstrap with replacement: how many times each row of X is drawn.
+		counts[t] = make([]int, n)
 		for i := 0; i < n; i++ {
-			j := rng.Intn(n)
-			bx[i] = X[j]
-			by[i] = y[j]
+			counts[t][rng.Intn(n)]++
 		}
-		tc := cfg.Tree
-		tc.FeatureSeed = rng.Uint64()
-		tree, err := FitTree(bx, by, tc)
-		if err != nil {
-			return nil, err
-		}
-		// The bootstrap may miss high labels; keep the global class count.
-		tree.Classes = f.Classes
-		f.Trees = append(f.Trees, tree)
+		cfgs[t] = cfg.Tree
+		cfgs[t].FeatureSeed = rng.Uint64()
 	}
-	return f, nil
+	return &RandomForest{Trees: fitTrees(X, y, counts, cfgs), Classes: maxLabel(y) + 1}, nil
 }
 
 // Predict implements Classifier by majority vote (ties break to the lower

@@ -5,6 +5,11 @@
 // data and then treated as frozen ground truth: the metric of interest is
 // prediction agreement between raw and lossy-decompressed inputs, not
 // absolute label accuracy.
+//
+// Fitting is set-up work and uses every core: trees split by scanning each
+// feature's rows, sorted once per fit, and FitForest fits its trees on
+// several goroutines after drawing every random number on the caller's,
+// so a model is a pure function of its data, config and seed.
 package ml
 
 import "errors"
@@ -92,15 +97,6 @@ func maxLabel(y []int) int {
 	return m
 }
 
-// mode returns the most frequent label among the rows indexed by idx.
-func mode(y []int, idx []int, classes int) int {
-	counts := make([]int, classes+1)
-	for _, i := range idx {
-		counts[y[i]]++
-	}
-	return argmax(counts)
-}
-
 // stackClasses is how many vote counters (and KNN neighbours) Predict
 // keeps in a stack array; models beyond it pay one heap slice per call.
 const stackClasses = 16
@@ -123,36 +119,4 @@ func argmax(counts []int) int {
 		}
 	}
 	return best
-}
-
-// gini computes the Gini impurity of the labels indexed by idx.
-func gini(y []int, idx []int, classes int) float64 {
-	if len(idx) == 0 {
-		return 0
-	}
-	counts := make([]int, classes+1)
-	for _, i := range idx {
-		counts[y[i]]++
-	}
-	imp := 1.0
-	n := float64(len(idx))
-	for _, c := range counts {
-		p := float64(c) / n
-		imp -= p * p
-	}
-	return imp
-}
-
-// almostPure reports whether the indexed labels are (nearly) a single class.
-func almostPure(y []int, idx []int) bool {
-	if len(idx) == 0 {
-		return true
-	}
-	first := y[idx[0]]
-	for _, i := range idx {
-		if y[i] != first {
-			return false
-		}
-	}
-	return true
 }

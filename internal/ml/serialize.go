@@ -41,36 +41,70 @@ func Save(w io.Writer, m Classifier) error {
 	return gob.NewEncoder(w).Encode(env)
 }
 
-// Load deserializes a model previously written by Save.
+// Load deserializes a model previously written by Save. It accepts only
+// what a fit can produce: a model whose Predict returns, without a panic.
 func Load(r io.Reader) (Classifier, error) {
 	var env modelEnvelope
 	if err := gob.NewDecoder(r).Decode(&env); err != nil {
 		return nil, fmt.Errorf("ml: decode model: %w", err)
 	}
-	switch env.Kind {
-	case "dtree":
-		if env.Tree == nil {
-			return nil, fmt.Errorf("ml: envelope kind %q missing payload", env.Kind)
-		}
-		return env.Tree, nil
-	case "rforest":
-		if env.For == nil {
-			return nil, fmt.Errorf("ml: envelope kind %q missing payload", env.Kind)
-		}
-		return env.For, nil
-	case "knn":
-		if env.Knn == nil {
-			return nil, fmt.Errorf("ml: envelope kind %q missing payload", env.Kind)
-		}
-		return env.Knn, nil
-	case "kmeans":
-		if env.Km == nil {
-			return nil, fmt.Errorf("ml: envelope kind %q missing payload", env.Kind)
-		}
-		return env.Km, nil
-	default:
-		return nil, fmt.Errorf("ml: unknown model kind %q", env.Kind)
+	var m interface {
+		Classifier
+		valid() bool
 	}
+	switch {
+	case env.Kind == "dtree" && env.Tree != nil:
+		m = env.Tree
+	case env.Kind == "rforest" && env.For != nil:
+		m = env.For
+	case env.Kind == "knn" && env.Knn != nil:
+		m = env.Knn
+	case env.Kind == "kmeans" && env.Km != nil:
+		m = env.Km
+	default:
+		return nil, fmt.Errorf("ml: unknown model kind %q or missing payload", env.Kind)
+	}
+	if !m.valid() {
+		return nil, fmt.Errorf("ml: invalid %s model", env.Kind)
+	}
+	return m, nil
+}
+
+// maxClasses bounds a loaded model's label count, which sizes Predict's
+// vote tally.
+const maxClasses = 1 << 16
+
+// valid requires every internal node's children to lie after it and inside
+// Nodes, as grow lays them out, so that Predict's walk ends at a leaf.
+func (t *DecisionTree) valid() bool {
+	for i, n := range t.Nodes {
+		if n.Feature >= 0 && (min(n.Left, n.Right) <= i || max(n.Left, n.Right) >= len(t.Nodes)) {
+			return false
+		}
+	}
+	return len(t.Nodes) > 0 && t.Classes >= 1 && t.Classes <= maxClasses
+}
+
+func (f *RandomForest) valid() bool {
+	for _, t := range f.Trees {
+		if t == nil || !t.valid() {
+			return false
+		}
+	}
+	return len(f.Trees) > 0 && f.Classes >= 1 && f.Classes <= maxClasses
+}
+
+func (m *KNN) valid() bool {
+	return len(m.X) == len(m.Y) && m.K >= 1 && m.K <= len(m.X) && m.Classes >= 1 && m.Classes <= maxClasses
+}
+
+func (m *KMeans) valid() bool {
+	for _, c := range m.Centroids {
+		if len(c) != len(m.Centroids[0]) {
+			return false
+		}
+	}
+	return len(m.Centroids) > 0
 }
 
 // Marshal serializes a model to a byte slice.

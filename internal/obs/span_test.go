@@ -88,9 +88,9 @@ func TestSpanRingWraparound(t *testing.T) {
 // and zero-trace records (untraced wire traffic) never form groups.
 func TestSpanGroupsCompleteness(t *testing.T) {
 	r := NewSpanRing(16)
-	r.Record(StageIngest, SpanStage{Device: 1, Trace: 1})   // device-only
+	r.Record(StageIngest, SpanStage{Device: 1, Trace: 1})           // device-only
 	r.Record(StageCollectorDeliver, SpanStage{Device: 1, Trace: 2}) // deliver-only
-	r.Record(StageEncode, SpanStage{Device: 1, Trace: 3})   // joined
+	r.Record(StageEncode, SpanStage{Device: 1, Trace: 3})           // joined
 	r.Record(StageCollectorDeliver, SpanStage{Device: 1, Trace: 3})
 	r.Record(StageWireSend, SpanStage{Device: 1, Trace: 0}) // untraced
 	groups := r.Groups()
