@@ -53,6 +53,7 @@ test:
 
 race:
 	$(GO) test -race ./...
+	$(GO) test -race -count=50 -run '^(TestChaosExactlyOnceDeterministic|TestSessionTraceSingleWriterOrdered)$$' ./internal/transport
 
 # fuzz-smoke mirrors the CI fuzz job: every Fuzz* target in the
 # decoder-facing packages, the persisted-format readers in internal/store,
@@ -73,7 +74,7 @@ fuzz-smoke:
 obs-smoke:
 	./scripts/obs_smoke.sh
 
-# fleet-smoke drives a small simulated fleet (v2 sessions, staggered
+# fleet-smoke drives a small simulated fleet (pipelined sessions, staggered
 # outages, thundering-herd redial) end to end against one sharded
 # collector; the run fails unless delivery is exactly-once.
 fleet-smoke:

@@ -17,8 +17,8 @@ import (
 )
 
 // Fleet-scale collector experiment (`adaedge-bench -exp fleet`): hundreds
-// of simulated devices drive one sharded collector through the version-2
-// pipelined session protocol, under per-device fault schedules built from
+// of simulated devices drive one sharded collector through pipelined
+// sessions, under per-device fault schedules built from
 // one shared link cycle staggered per device (outages spread across the
 // fleet instead of synchronizing) plus one common scripted reset (every
 // device's virtual clock crosses it, so the whole fleet redials — the
@@ -63,10 +63,8 @@ type FleetConfig struct {
 	// Seed drives the shared segment, every device's backoff jitter, and
 	// the fault schedules (default 11).
 	Seed int64
-	// Shards and AckEvery configure the collector (0 = transport
-	// defaults).
-	Shards   int
-	AckEvery int
+	// Shards is the collector's shard count (0 = the transport default).
+	Shards int
 	// MaxIdleDevices is the collector's idle-eviction bound (default
 	// Devices/4, minimum 1) — small enough that the run provably evicts.
 	MaxIdleDevices int
@@ -159,7 +157,6 @@ func RunFleet(w io.Writer, cfg FleetConfig) (FleetResult, error) {
 		delivered.Add(1)
 	}, transport.CollectorConfig{
 		Shards:         cfg.Shards,
-		AckEvery:       cfg.AckEvery,
 		MaxIdleDevices: cfg.MaxIdleDevices,
 	}).Instrument(cfg.Obs)
 	addr, err := col.Serve("127.0.0.1:0")
@@ -202,8 +199,6 @@ func RunFleet(w io.Writer, cfg FleetConfig) (FleetResult, error) {
 			Addr:          addr.String(),
 			DeviceID:      deviceID,
 			Obs:           cfg.Obs,
-			Protocol:      2,
-			AckEvery:      cfg.AckEvery,
 			Seed:          cfg.Seed + int64(i),
 			SpoolSegments: cfg.SegmentsPerDevice + 1, // headroom: the fleet run never sheds
 			BackoffBase:   time.Millisecond,
@@ -268,7 +263,7 @@ func RunFleet(w io.Writer, cfg FleetConfig) (FleetResult, error) {
 	if got := int(delivered.Load()); got != expected {
 		return FleetResult{}, fmt.Errorf("fleet: delivered %d segments, want exactly %d (exactly-once violated or drain incomplete)", got, expected)
 	}
-	// A version-2 session sends its first frame alone and resumes from the
+	// A session sends its first frame alone and resumes from the
 	// watermark the ACK carries, so that frame is the only one it can
 	// redeliver. More duplicates than sessions means sessions are replaying
 	// their spool again, which at this scale never converges.

@@ -58,13 +58,13 @@ var MetricHelp = map[string]string{
 	"transport.uplink.dial_failures": "failed dial attempts",
 	"transport.uplink.sends":         "frames a successful socket write has carried whole (incl. resends)",
 	"transport.uplink.send_failures": "socket write errors (connection torn down)",
-	"transport.uplink.acks":          "cumulative ACKs received",
-	"transport.uplink.ack_failures":  "ACK read errors",
+	"transport.uplink.acks":          "cumulative ACKs applied (several read at once apply as one)",
+	"transport.uplink.ack_failures":  "ACK read errors that ended a session (not the ones Close or a failed write caused)",
 	"transport.uplink.backoffs":      "backoff sleeps between redials",
 	"transport.uplink.spool_rejects": "frames the bounded spool refused",
 	"transport.uplink.pending":       "spool backlog after the last append/ACK",
 	"transport.uplink.spool_depth":   "backlog distribution (DepthBuckets)",
-	"transport.uplink.rtt_seconds":   "frame→ACK round trip (LatencyBuckets)",
+	"transport.uplink.rtt_seconds":   "a lone frame's round trip: a session's first, or every frame under lockstep (LatencyBuckets)",
 
 	// Collector.
 	"transport.collector.frames":          "frames delivered to the sink (exactly-once)",

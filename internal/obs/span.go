@@ -10,7 +10,7 @@ import "sync"
 //	spool.enqueue → wire.send → wire.ack → collector.deliver
 //
 // joined by a (device, trace) identity the transport propagates over the
-// wire (protocol v2 frames carry the trace ID; see internal/transport).
+// wire (a traced frame carries the trace ID; see internal/transport).
 // A span is "closed end-to-end" once a collector.deliver stage joins the
 // device-side stages, which is exactly the paper's delivered-segment
 // lifecycle: the fleet experiment asserts closed == devices×segments.

@@ -71,6 +71,7 @@ func chaosRun(t *testing.T, seed int64, frames []Frame) chaosOutcome {
 	cfg := ResilientConfig{
 		Addr:         addr.String(),
 		DeviceID:     42,
+		AckEvery:     1, // lockstep: the trace is a function of the seed
 		Seed:         seed,
 		BackoffBase:  200 * time.Microsecond,
 		BackoffMax:   2 * time.Millisecond,

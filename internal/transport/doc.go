@@ -26,11 +26,12 @@
 //
 // ResilientUplink (resilient.go) layers fault tolerance on top: frames
 // are journaled into a bounded Spool before any network I/O, a single
-// pump goroutine sends them (frame→ACK lockstep under protocol 1,
-// pipelined and written per burst under protocol 2), and on any error the
-// uplink redials with seeded exponential-backoff jitter, sends the first
-// unacknowledged frame again and goes on from the watermark its ACK
-// carries. Collector (server.go) is the receiving
+// pump goroutine sends them (pipelined and written per burst; frame→ACK
+// lockstep with ResilientConfig.AckEvery 1) and applies the ACKs a
+// per-session reader hands it, and on any error the uplink redials with
+// seeded exponential-backoff jitter, sends the first unacknowledged frame
+// again and goes on from the watermark its ACK carries. There is one
+// session protocol (wire.go). Collector (server.go) is the receiving
 // side: a per-device ACK watermark makes redelivered frames idempotent,
 // so the pair provides exactly-once delivery to the sink (DESIGN.md §8).
 //
@@ -41,6 +42,6 @@
 // lifecycle transition, all emitted from the pump goroutine in order);
 // Collector.Instrument attaches the receiving side (frame, duplicate and
 // bad-connection counters plus deliver/redeliver events). Event fields
-// carry no wall clocks, so seeded chaos runs compare traces byte-for-byte
-// (DESIGN.md §9).
+// carry no wall clocks, so seeded lockstep chaos runs compare traces
+// byte-for-byte (DESIGN.md §9).
 package transport

@@ -135,15 +135,16 @@ func FuzzAckReader(f *testing.F) {
 
 // FuzzReadHello: arbitrary bytes must never panic the hello parser, it
 // fails only with ErrBadFrame, and a hello it accepts is byte for byte
-// what writeHello or writeHelloV2 writes for the parsed fields.
+// what writeHello writes for the parsed fields. The retired version-1
+// hello, which had no ack interval, is rejected.
 func FuzzReadHello(f *testing.F) {
-	var v1, v2 bytes.Buffer
-	_ = writeHello(&v1, 99)
-	_ = writeHelloV2(&v2, 1<<40, DefaultAckEvery)
-	f.Add(v1.Bytes())
-	f.Add(v2.Bytes())
-	f.Add([]byte("AEH1\x03\x63"))     // version 3
-	f.Add([]byte("AEH1\x81\x00\x07")) // overlong version 1
+	v1 := []byte("AEH1\x01\x63") // version 1, device 99
+	var hello bytes.Buffer
+	_ = writeHello(&hello, 1<<40, DefaultAckEvery)
+	f.Add(v1)
+	f.Add(hello.Bytes())
+	f.Add([]byte("AEH1\x03\x63"))         // version 3
+	f.Add([]byte("AEH1\x82\x00\x07\x00")) // overlong version 2
 	f.Add([]byte{})
 
 	f.Fuzz(func(t *testing.T, data []byte) {
@@ -156,12 +157,11 @@ func FuzzReadHello(f *testing.F) {
 			}
 			return
 		}
-		var out bytes.Buffer
-		if h.version == helloVersion {
-			_ = writeHello(&out, h.deviceID)
-		} else {
-			_ = writeHelloV2(&out, h.deviceID, h.ackEvery)
+		if bytes.HasPrefix(data, v1[:5]) {
+			t.Fatalf("accepted a version-1 hello as %+v", h)
 		}
+		var out bytes.Buffer
+		_ = writeHello(&out, h.deviceID, h.ackEvery)
 		if consumed := data[:len(data)-src.Len()-br.Buffered()]; !bytes.Equal(out.Bytes(), consumed) {
 			t.Fatalf("hello %+v re-serializes to %x, consumed %x", h, out.Bytes(), consumed)
 		}

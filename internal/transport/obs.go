@@ -12,10 +12,12 @@ import (
 // is the disabled configuration and costs one branch per call site.
 //
 // Ordering note: all uplink events are emitted by the single pump
-// goroutine, so their ring order is deterministic for a fixed fault
-// schedule and seed. Collector events come from per-connection handler
-// goroutines; only per-device order and the totals are deterministic,
-// which is what the chaos test asserts (DESIGN.md §9).
+// goroutine (the session's ACK reader only hands it watermarks), so an
+// ack is recorded after the sends it covers, and under lockstep
+// (ResilientConfig.AckEvery 1) the ring order is deterministic for a
+// fixed fault schedule and seed. Collector events come from
+// per-connection handler goroutines; only per-device order and the totals
+// are deterministic, which is what the chaos test asserts (DESIGN.md §9).
 
 // uplinkMetrics is the ResilientUplink's cached obs handles.
 type uplinkMetrics struct {
@@ -276,7 +278,7 @@ func (m *collectorMetrics) eviction() {
 }
 
 // ackBatch records how many frames one cumulative ACK covered (always 1
-// on the v1 lockstep path).
+// for a device whose hello asks for lockstep).
 func (m *collectorMetrics) ackBatch(n uint64) {
 	if m == nil {
 		return

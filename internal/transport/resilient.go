@@ -21,27 +21,22 @@ import (
 // seeded jitter), redials, and sends the first unacknowledged frame again:
 // the ACK that answers it is the collector's watermark, which may release
 // more than that frame, and the session goes on from there. The wire is
-// therefore at-least-once — at most one redelivered frame per session on
-// version 2, per failed frame on version 1 — and the collector's
-// per-device watermark turns it into exactly-once at the sink.
+// therefore at-least-once — at most one redelivered frame per session —
+// and the collector's per-device watermark turns it into exactly-once at
+// the sink.
 //
-// The uplink speaks one of two session protocols (ResilientConfig.
-// Protocol):
-//
-//   - Version 1 (default) is the frame→ACK lockstep. It trades
-//     pipelining for a property the chaos tests depend on: the entire
-//     network interaction is a deterministic function of the spooled
-//     traffic and the fault schedule, so two runs with the same seed
-//     produce the same retry/ACK trace.
-//   - Version 2 pipelines. A session sends the spool head alone and
-//     waits for the ACK a version-2 collector owes a lone frame; after
-//     that the pump streams spooled frames without waiting, flushing when
-//     it has caught up with the spool or the write buffer is full, and a
-//     per-session ACK-reader goroutine applies the collector's coalesced
-//     cumulative ACKs as they arrive. Throughput pays one round trip per
-//     session, not per frame, but the interleaving of send and ack
-//     events is scheduler-dependent, so seeded chaos comparisons stay on
-//     version 1.
+// A session sends the spool head alone and waits for the ACK the
+// collector owes a lone frame; after that the pump streams spooled frames
+// without waiting, flushing when it has caught up with the spool or the
+// write buffer is full. Throughput pays one round trip per session, not
+// per frame. A per-session reader goroutine reads the collector's
+// coalesced cumulative ACKs and hands the pump the highest watermark; the
+// pump alone applies ACKs and writes the delivery trace. With
+// ResilientConfig.AckEvery 1 every frame goes out like a session's first:
+// flushed alone, then the pump waits for the ACK that covers it. That
+// lockstep makes the whole network interaction a deterministic function
+// of the spooled traffic and the fault schedule, so two runs with the
+// same seed produce the same retry/ACK trace.
 type ResilientUplink struct {
 	cfg   ResilientConfig
 	spool *store.Spool
@@ -55,10 +50,6 @@ type ResilientUplink struct {
 	// releases (nil when uninstrumented; built once to keep the ACK path
 	// allocation-free).
 	ackVisit func(*store.Entry)
-	// evMu serializes the delivery trace: in pipelined mode events come
-	// from both the pump and the session's ACK reader, and OnEvent
-	// consumers are promised sequential calls.
-	evMu sync.Mutex
 
 	// The pump's counters are atomics so the per-frame path never takes mu
 	// for bookkeeping; Stats assembles them into an UplinkStats.
@@ -77,11 +68,16 @@ type ResilientUplink struct {
 	br  *bufio.Reader
 	w   *Writer
 	out *deadlineWriter
-	// burst lists the version-2 session's frames that are in w's buffer and
-	// not yet known to be on the socket, oldest first, and sent tells that
-	// session's parked ackLoop that frames are in flight again. Pump only.
+	// burst lists the session's frames that are in w's buffer and not yet
+	// known to be on the socket, oldest first. Pump only.
 	burst []frameRef
-	sent  chan struct{}
+	// The session's hand-offs between the pump and its ackLoop. sentTo is
+	// one past the highest frame ID on the socket, and sent wakes a parked
+	// ackLoop when it grows; readTo is the highest watermark ackLoop has
+	// read, and acked wakes the pump to apply it. Both are reset by the
+	// pump before each session's ackLoop starts.
+	sentTo, readTo atomic.Uint64
+	sent, acked    chan struct{}
 }
 
 // frameRef is what the pump keeps of a buffered frame for its send record.
@@ -110,12 +106,14 @@ type ResilientConfig struct {
 	// DeviceID identifies this device to the collector's dedup watermark.
 	// Devices sharing a collector must use distinct IDs.
 	DeviceID uint64
-	// Protocol selects the session protocol: 0 or 1 is the version-1
-	// lockstep (deterministic, one ACK per frame), 2 is the pipelined
-	// version-2 session with coalesced ACKs.
+	// Protocol is ignored: there is one session protocol.
+	//
+	// Deprecated: lockstep, which Protocol 1 selected, is AckEvery 1.
 	Protocol int
-	// AckEvery is the ACK coalescing factor requested in the version-2
-	// hello (0 asks for the collector's default). Ignored for version 1.
+	// AckEvery is the ACK interval requested in the hello: 0 asks for the
+	// collector's default (DefaultAckEvery), and 1 is lockstep, where the
+	// pump flushes every frame alone and waits for the ACK that covers it
+	// before sending the next (a deterministic delivery trace).
 	AckEvery int
 	// DialTimeout bounds each dial attempt (default DefaultDialTimeout).
 	DialTimeout time.Duration
@@ -158,7 +156,8 @@ type Event struct {
 	// Kind is one of "dial", "dial-fail", "send", "send-fail", "ack",
 	// "ack-fail", "backoff".
 	Kind string
-	// ID is the frame ID (send), ACK watermark (ack), or dial attempt
+	// ID is the frame ID (send, send-fail; for ack-fail the oldest frame
+	// still waiting for its ACK), ACK watermark (ack), or dial attempt
 	// ordinal (dial/dial-fail).
 	ID uint64
 	// Wait is the backoff delay (backoff events only).
@@ -170,7 +169,7 @@ type Event struct {
 // UplinkStats summarizes delivery progress.
 type UplinkStats struct {
 	// FramesSent counts frames whose last byte a successful socket write
-	// carried, retransmissions included. A version-2 session buffers frames
+	// carried, retransmissions included. A session buffers frames
 	// and writes them in bursts, so a frame still in the buffer, or in a
 	// write that failed, is not counted (some of a failed write's frames
 	// may have reached the collector all the same).
@@ -223,7 +222,8 @@ func (c ResilientConfig) withDefaults() ResilientConfig {
 // address must fail the device quickly, not hang it forever.
 const DefaultDialTimeout = 10 * time.Second
 
-// ErrUplinkClosed is returned by Send after Close.
+// ErrUplinkClosed is returned by Send after Close, and by a WaitDrain
+// that Close cut short.
 var ErrUplinkClosed = errors.New("transport: uplink closed")
 
 // DialResilient starts a resilient uplink toward cfg.Addr. It returns
@@ -236,12 +236,13 @@ func DialResilient(cfg ResilientConfig) (*ResilientUplink, error) {
 		return nil, errors.New("transport: resilient uplink needs an address")
 	}
 	u := &ResilientUplink{
-		cfg:  cfg,
-		boff: newBackoff(cfg.BackoffBase, cfg.BackoffMax, cfg.Seed),
-		work: make(chan struct{}, 1),
-		sent: make(chan struct{}, 1),
-		done: make(chan struct{}),
-		om:   newUplinkMetrics(cfg.Obs, cfg.DeviceID),
+		cfg:   cfg,
+		boff:  newBackoff(cfg.BackoffBase, cfg.BackoffMax, cfg.Seed),
+		work:  make(chan struct{}, 1),
+		sent:  make(chan struct{}, 1),
+		acked: make(chan struct{}, 1),
+		done:  make(chan struct{}),
+		om:    newUplinkMetrics(cfg.Obs, cfg.DeviceID),
 	}
 	if u.om != nil {
 		u.ackVisit = func(e *store.Entry) { u.om.spanAck(e.Trace, e.ID) }
@@ -302,9 +303,10 @@ func (u *ResilientUplink) Stats() UplinkStats {
 	}
 }
 
-// WaitDrain blocks until every spooled frame is acknowledged or the
-// timeout expires. It parks on a drain-notification channel signalled
-// from the ACK path (no polling).
+// WaitDrain blocks until every spooled frame is acknowledged, the uplink
+// is closed (ErrUplinkClosed, with frames still pending) or the timeout
+// expires. It parks on a drain-notification channel signalled from the
+// ACK path (no polling).
 func (u *ResilientUplink) WaitDrain(timeout time.Duration) error {
 	t := time.NewTimer(timeout)
 	defer t.Stop()
@@ -323,6 +325,12 @@ func (u *ResilientUplink) WaitDrain(timeout time.Duration) error {
 		case <-ch:
 			// Woken by an ACK advance; re-check — a concurrent Send may
 			// have refilled the spool.
+		case <-u.done:
+			// Closed: nothing will acknowledge what is left.
+			if u.spool.Len() == 0 {
+				return nil
+			}
+			return ErrUplinkClosed
 		case <-t.C:
 			return errors.New("transport: drain timeout")
 		}
@@ -363,37 +371,31 @@ func (u *ResilientUplink) Close() error {
 	return nil
 }
 
+// event writes one entry of the delivery trace. Only the pump calls it,
+// so OnEvent is never entered concurrently.
 func (u *ResilientUplink) event(e Event) {
-	if u.cfg.OnEvent == nil && u.om == nil {
-		return
-	}
-	u.evMu.Lock()
-	defer u.evMu.Unlock()
 	if u.cfg.OnEvent != nil {
 		u.cfg.OnEvent(e)
 	}
 	u.om.event(e)
 }
 
-// sleep waits d or until Close, reporting whether the uplink is still
-// open.
-func (u *ResilientUplink) sleep(d time.Duration) bool {
+// sleep waits d or until Close.
+func (u *ResilientUplink) sleep(d time.Duration) {
 	t := time.NewTimer(d)
 	defer t.Stop()
 	select {
 	case <-t.C:
-		return true
 	case <-u.done:
-		return false
 	}
 }
 
-// run is the pump: it owns every network write (in pipelined mode a
-// per-session ACK-reader goroutine owns the reads).
+// run is the pump: it owns every network write, applies every ACK and
+// writes the whole delivery trace (a per-session ackLoop goroutine only
+// reads ACKs).
 func (u *ResilientUplink) run() {
 	defer u.wg.Done()
 	defer u.dropConn()
-	pipelined := u.cfg.Protocol >= 2
 	for {
 		head, ok := u.spool.Head()
 		if !ok {
@@ -404,41 +406,17 @@ func (u *ResilientUplink) run() {
 				return
 			}
 		}
-		select {
-		case <-u.done:
+		if u.closing() {
 			return
-		default:
 		}
-		if !u.connected() && !u.connect() {
-			// connect already backed off; bail out only on Close.
-			select {
-			case <-u.done:
-				return
-			default:
-				continue
-			}
-		}
-		var err error
-		if pipelined {
-			err = u.sessionPipelined(head)
-		} else {
-			err = u.sendOne(head)
-		}
-		if err != nil {
-			u.dropConn()
+		// A failed connect has backed off already, and a session ends with
+		// its connection dropped; either way the loop top sees Close.
+		if u.connect() && u.session(head) != nil {
 			wait := u.boff.next()
 			u.event(Event{Kind: "backoff", Wait: wait})
-			if !u.sleep(wait) {
-				return
-			}
+			u.sleep(wait)
 		}
 	}
-}
-
-func (u *ResilientUplink) connected() bool {
-	u.mu.Lock()
-	defer u.mu.Unlock()
-	return u.conn != nil
 }
 
 func (u *ResilientUplink) dropConn() {
@@ -459,12 +437,7 @@ func (u *ResilientUplink) connect() bool {
 	conn, err := u.cfg.Dialer(u.cfg.Addr, u.cfg.DialTimeout)
 	if err == nil {
 		_ = conn.SetWriteDeadline(time.Now().Add(u.cfg.WriteTimeout))
-		if u.cfg.Protocol >= 2 {
-			err = writeHelloV2(conn, u.cfg.DeviceID, uint64(u.cfg.AckEvery))
-		} else {
-			err = writeHello(conn, u.cfg.DeviceID)
-		}
-		if err != nil {
+		if err = writeHello(conn, u.cfg.DeviceID, uint64(u.cfg.AckEvery)); err != nil {
 			_ = conn.Close()
 		}
 	}
@@ -473,9 +446,7 @@ func (u *ResilientUplink) connect() bool {
 		u.event(Event{Kind: "dial-fail", ID: attempt, Err: err.Error()})
 		wait := u.boff.next()
 		u.event(Event{Kind: "backoff", Wait: wait})
-		if !u.sleep(wait) {
-			return false
-		}
+		u.sleep(wait)
 		return false
 	}
 	u.mu.Lock()
@@ -493,134 +464,117 @@ func (u *ResilientUplink) connect() bool {
 	return true
 }
 
-// sendOne transmits the head frame and waits for the cumulative ACK.
-func (u *ResilientUplink) sendOne(e store.Entry) error {
-	u.mu.Lock()
-	conn, br, w := u.conn, u.br, u.w
-	u.mu.Unlock()
-	if conn == nil {
-		return net.ErrClosed
-	}
-	rttFrom := u.om.rttStart()
-	err := w.Send(Frame{ID: e.ID, Label: e.Label, Trace: e.Trace, Enc: e.Enc})
-	if err == nil {
-		err = w.Flush()
-	}
-	if err != nil {
-		u.sendFailures.Add(1)
-		u.event(Event{Kind: "send-fail", ID: e.ID, Err: err.Error()})
-		return err
-	}
-	u.framesSent.Add(1)
-	u.event(Event{Kind: "send", ID: e.ID})
-	u.om.spanSend(e.Trace, e.ID)
-	_ = conn.SetReadDeadline(time.Now().Add(u.cfg.AckTimeout))
-	next, err := readAck(br)
-	if err != nil {
-		u.ackFailures.Add(1)
-		u.event(Event{Kind: "ack-fail", ID: e.ID, Err: err.Error()})
-		return err
-	}
-	u.om.rttDone(rttFrom)
-	u.ackTo(next)
-	u.event(Event{Kind: "ack", ID: next})
-	u.boff.reset()
-	return nil
-}
-
-// sessionPipelined runs one version-2 session over the installed
-// connection; head is the spool's oldest entry. The first frame earns the
-// watermark: head goes out alone, and the ACK a version-2 collector owes a
-// lone frame, duplicate or not, carries the first ID it has not delivered,
-// so applying it releases whatever the previous session delivered without
-// seeing acknowledged — at most one frame per session crosses the wire
-// twice. After that the pump streams past a send cursor without waiting for
-// ACKs: frames collect in the Writer's buffer, which spills to the socket
-// when it fills and is flushed whenever the cursor catches the spool,
-// always before the pump parks, so nothing waits on a timer. ackLoop (a
-// per-session goroutine) applies the collector's coalesced cumulative
-// ACKs. Either side's error tears the session down; the pump then backs off
-// and redials. It returns nil only when the uplink is closing.
-func (u *ResilientUplink) sessionPipelined(head store.Entry) error {
+// session runs one session over the installed connection; head is the
+// spool's oldest entry. The first frame earns the watermark: head goes out
+// alone, and the ACK the collector owes a lone frame, duplicate or not,
+// carries the first ID it has not delivered, so applying it releases
+// whatever the previous session delivered without seeing acknowledged — at
+// most one frame per session crosses the wire twice. After that the pump
+// streams past a send cursor without waiting for ACKs: frames collect in
+// the Writer's buffer, which spills to the socket when it fills and is
+// flushed whenever the cursor catches the spool, always before the pump
+// parks, so nothing waits on a timer. With AckEvery 1 every frame goes out
+// like the first. The pump applies what ackLoop reads between frames and
+// while it waits. Either side's error tears the session down, and the pump
+// backs off and redials; it returns nil only when the uplink is closing.
+func (u *ResilientUplink) session(head store.Entry) error {
 	u.mu.Lock()
 	conn, br := u.conn, u.br
 	u.mu.Unlock()
-	if conn == nil {
-		return net.ErrClosed
-	}
+	u.burst = u.burst[:0]
+	u.sentTo.Store(0)
+	u.readTo.Store(0)
 	ackErr := make(chan error, 1)
-	resumed := make(chan struct{})
 	stop := make(chan struct{})
 	var wg sync.WaitGroup
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		u.ackLoop(conn, br, stop, ackErr, resumed)
+		u.ackLoop(conn, br, stop, ackErr)
 	}()
-	teardown := func(err error) error {
+	// end stops ackLoop, whose error from then on (the dropped connection's,
+	// typically) is neither counted nor traced, and applies the last
+	// watermark it read.
+	end := func(err error) error {
 		close(stop)
 		u.dropConn() // unblocks the reader's readAck
 		wg.Wait()
-		select {
-		case <-resumed:
-			// The session made progress; the next failure is a fresh
-			// incident, not a continuation of this one.
-			u.boff.reset()
-		default:
-		}
+		u.applyAck()
 		return err
 	}
+	// A failure is counted and traced unless Close broke the connection.
 	sendFail := func(err error) error {
+		if u.closing() {
+			return end(nil)
+		}
 		u.sendFailures.Add(1)
 		u.event(Event{Kind: "send-fail", ID: u.burst[0].id, Err: err.Error()})
-		return teardown(err)
+		return end(err)
+	}
+	ackFail := func(err error) error {
+		if u.closing() {
+			return end(nil)
+		}
+		u.applyAck()
+		oldest, _ := u.spool.Head()
+		u.ackFailures.Add(1)
+		u.event(Event{Kind: "ack-fail", ID: oldest.ID, Err: err.Error()})
+		return end(err)
 	}
 
-	u.burst = u.burst[:0]
-	err := u.sendBuffered(head)
-	if err == nil {
-		err = u.flushBurst()
-	}
-	if err != nil {
-		return sendFail(err)
-	}
-	select {
-	case <-resumed:
-	case err := <-ackErr:
-		return teardown(err)
-	case <-u.done:
-		return teardown(nil)
-	}
-	cursor := head.ID
+	e, lone := head, true
 	for {
-		e, ok := u.spool.HeadAfter(cursor)
-		if !ok {
+		if err := u.sendBuffered(e); err != nil {
+			return sendFail(err)
+		}
+		if lone {
+			rtt := u.om.rttStart()
+			if err := u.flushBurst(); err != nil {
+				return sendFail(err)
+			}
+			for u.spool.Acked() <= e.ID {
+				select {
+				case <-u.acked:
+					u.applyAck()
+				case err := <-ackErr:
+					return ackFail(err)
+				case <-u.done:
+					return end(nil)
+				}
+			}
+			u.om.rttDone(rtt)
+			lone = u.cfg.AckEvery == 1
+		}
+		for cursor := e.ID; ; {
+			var ok bool
+			if e, ok = u.spool.HeadAfter(cursor); ok {
+				break
+			}
 			// Everything spooled is buffered, in flight or acknowledged: put
-			// the buffer on the wire, then park until new work, an ACK-side
-			// verdict, or Close.
+			// the buffer on the wire, then park until new work, an ACK, the
+			// reader's error, or Close.
 			if err := u.flushBurst(); err != nil {
 				return sendFail(err)
 			}
 			select {
 			case <-u.work:
-				continue
+			case <-u.acked:
+				u.applyAck()
 			case err := <-ackErr:
-				return teardown(err)
+				return ackFail(err)
 			case <-u.done:
-				return teardown(nil)
+				return end(nil)
 			}
 		}
 		select {
+		case <-u.acked:
+			u.applyAck()
 		case err := <-ackErr:
-			return teardown(err)
+			return ackFail(err)
 		case <-u.done:
-			return teardown(nil)
+			return end(nil)
 		default:
 		}
-		if err := u.sendBuffered(e); err != nil {
-			return sendFail(err)
-		}
-		cursor = e.ID
 	}
 }
 
@@ -653,11 +607,15 @@ func (u *ResilientUplink) flushBurst() error {
 // sentBurst records the n oldest buffered frames as sent, one send event
 // each in ID order, now that a socket write has carried them whole.
 func (u *ResilientUplink) sentBurst(n int) {
+	if n == 0 {
+		return
+	}
 	u.framesSent.Add(int64(n))
 	for _, f := range u.burst[:n] {
 		u.event(Event{Kind: "send", ID: f.id})
 		u.om.spanSend(f.trace, f.id)
 	}
+	u.sentTo.Store(u.burst[n-1].id + 1)
 	u.burst = u.burst[:copy(u.burst, u.burst[n:])]
 	select {
 	case u.sent <- struct{}{}:
@@ -665,15 +623,17 @@ func (u *ResilientUplink) sentBurst(n int) {
 	}
 }
 
-// ackLoop is the version-2 session's read half: it applies cumulative
-// ACKs while frames are outstanding and parks while the spool is empty
-// (an idle session expects no ACKs, so no read deadline may fire). It
-// closes resumed once the session's first ACK is applied. The first error
-// is posted to ackErr and ends the loop.
-func (u *ResilientUplink) ackLoop(conn net.Conn, br *bufio.Reader, stop <-chan struct{}, ackErr chan<- error, resumed chan<- struct{}) {
-	first := true
+// ackLoop is the session's read half, and reading ACKs is all it does. It
+// reads while the last watermark it read leaves a frame on the socket
+// uncovered and parks otherwise (an idle session expects no ACK, so no read
+// deadline may fire). Each watermark goes to readTo, and acked wakes the
+// pump to apply it; the send never blocks, because a wake-up still pending
+// covers the newer, cumulative watermark too. Its one error goes to ackErr
+// and ends the loop; the pump decides whether it counts.
+func (u *ResilientUplink) ackLoop(conn net.Conn, br *bufio.Reader, stop <-chan struct{}, ackErr chan<- error) {
+	var read uint64
 	for {
-		if u.spool.Len() == 0 {
+		if read >= u.sentTo.Load() {
 			select {
 			case <-u.sent:
 				continue // frames in flight again; resume reading
@@ -684,30 +644,46 @@ func (u *ResilientUplink) ackLoop(conn net.Conn, br *bufio.Reader, stop <-chan s
 		_ = conn.SetReadDeadline(time.Now().Add(u.cfg.AckTimeout))
 		next, err := readAck(br)
 		if err != nil {
-			u.ackFailures.Add(1)
-			u.event(Event{Kind: "ack-fail", Err: err.Error()})
 			ackErr <- err
 			return
 		}
-		u.ackTo(next)
-		u.event(Event{Kind: "ack", ID: next})
-		if first {
-			first = false
-			close(resumed)
+		read = next
+		u.readTo.Store(next)
+		select {
+		case u.acked <- struct{}{}:
+		default:
 		}
 	}
 }
 
-// ackTo applies one cumulative ACK: it releases every spooled entry below
-// next — closing each traced frame's wire.ack span stage via ackVisit —
-// mirrors the watermark and depth onto the obs surfaces, and wakes drain
-// waiters.
-func (u *ResilientUplink) ackTo(next uint64) {
+// applyAck applies the last watermark ackLoop read, if it is news; the
+// pump alone applies ACKs and traces them. It releases every spooled entry
+// below the watermark — closing each traced frame's wire.ack span stage
+// via ackVisit — mirrors the watermark and depth onto the obs surfaces,
+// wakes drain waiters, and resets the backoff: the session made progress,
+// so its next failure is a fresh incident.
+func (u *ResilientUplink) applyAck() {
+	next := u.readTo.Load()
+	if next <= u.spool.Acked() {
+		return
+	}
 	u.spool.AckBelowVisit(next, u.ackVisit)
 	u.notifyDrain()
 	if u.om != nil {
 		u.om.ackWatermark(u.spool.Acked())
 		u.om.spoolDepth(u.spool.Len())
+	}
+	u.event(Event{Kind: "ack", ID: next})
+	u.boff.reset()
+}
+
+// closing reports whether Close has been called.
+func (u *ResilientUplink) closing() bool {
+	select {
+	case <-u.done:
+		return true
+	default:
+		return false
 	}
 }
 

@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"repro/internal/compress"
+	"repro/internal/obs"
 	"repro/internal/store"
 )
 
@@ -176,6 +177,104 @@ func TestResilientSpoolPressure(t *testing.T) {
 	}
 }
 
+// TestWaitDrainReturnsOnClose: frames pending behind a collector that is
+// never reached do not hold WaitDrain to its timeout once Close runs; it
+// returns ErrUplinkClosed then.
+func TestWaitDrainReturnsOnClose(t *testing.T) {
+	up, err := DialResilient(ResilientConfig{
+		Addr:        "127.0.0.1:1",
+		BackoffBase: time.Millisecond,
+		BackoffMax:  2 * time.Millisecond,
+		Dialer: func(string, time.Duration) (net.Conn, error) {
+			return nil, errors.New("link permanently down")
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer up.Close()
+	if err := up.Send(smallFrame(0)); err != nil {
+		t.Fatal(err)
+	}
+	go func() {
+		time.Sleep(50 * time.Millisecond)
+		_ = up.Close()
+	}()
+	start := time.Now()
+	err = up.WaitDrain(2 * time.Second)
+	if waited := time.Since(start); !errors.Is(err, ErrUplinkClosed) || waited > time.Second {
+		t.Fatalf("WaitDrain = %v after %v, want ErrUplinkClosed soon after the Close at 50ms", err, waited)
+	}
+}
+
+// TestSessionTraceSingleWriterOrdered: the pump alone writes the delivery
+// trace, so in a fault-free session of the default configuration OnEvent
+// is never entered concurrently, and an ACK is traced only after every
+// frame it covers: ack(w) comes after send(w-1).
+func TestSessionTraceSingleWriterOrdered(t *testing.T) {
+	const frames = 4096
+	col := NewCollector(compress.DefaultRegistry(4), nil)
+	addr, err := col.Serve("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer col.Close()
+	var inUse, overlapped atomic.Bool
+	sent := make([]bool, frames)
+	acks := 0
+	var bad []Event
+	up, err := DialResilient(ResilientConfig{
+		Addr: addr.String(), DeviceID: 14, SpoolSegments: frames,
+		OnEvent: func(e Event) {
+			if !inUse.CompareAndSwap(false, true) {
+				overlapped.Store(true)
+				return
+			}
+			defer inUse.Store(false)
+			switch e.Kind {
+			case "dial":
+			case "send":
+				sent[e.ID] = true
+			case "ack":
+				acks++
+				if e.ID == 0 || !sent[e.ID-1] {
+					bad = append(bad, e)
+				}
+			default:
+				bad = append(bad, e)
+			}
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for id := uint64(0); id < frames; id++ {
+		if err := up.Send(smallFrame(id)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := up.WaitDrain(20 * time.Second); err != nil {
+		t.Fatal(err)
+	}
+	if err := up.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if overlapped.Load() {
+		t.Fatal("OnEvent was entered concurrently")
+	}
+	if len(bad) != 0 {
+		t.Fatalf("%d events out of place in a fault-free session, first %+v (an ack(w) needs send(w-1) before it)", len(bad), bad[0])
+	}
+	for id, ok := range sent {
+		if !ok {
+			t.Fatalf("no send event for frame %d", id)
+		}
+	}
+	if acks == 0 || up.Acked() != frames {
+		t.Fatalf("%d ack events, watermark %d, want the last to be %d", acks, up.Acked(), frames)
+	}
+}
+
 // TestBackoffDeterministic: the jitter stream is a pure function of the
 // seed, and every delay stays inside [ceil/2, ceil].
 func TestBackoffDeterministic(t *testing.T) {
@@ -253,33 +352,30 @@ func TestAllocsUplinkSend(t *testing.T) {
 // ACK (see the comment there for why it still does), and how many ACKs 4096
 // frames take is the collector's call: at least one per ackEvery frames,
 // more whenever its read side runs dry, which depends on who gets the CPU.
-// So the pin is on the rest: beyond one per ACK, at most one malloc per 50
-// frames (WaitDrain's timer and channel, a decode buffer the GC took back
-// from the pool).
+// So the pin is on the rest: beyond one per ACK the collector wrote (its
+// ack_batch histogram counts them; the device may apply several in one
+// go), at most one malloc per 50 frames (WaitDrain's timer and channel, a
+// decode buffer the GC took back from the pool).
 func TestAllocsSessionSteadyState(t *testing.T) {
 	if raceBuild() {
 		t.Skip("sync.Pool drops Puts under the race detector")
 	}
 	const frames = 4096
 	var delivered atomic.Int64
+	o := obs.New(64)
 	col := NewCollector(compress.DefaultRegistry(4), func(f Frame, values []float64) {
 		if len(values) == f.Enc.N {
 			delivered.Add(1)
 		}
-	})
+	}).Instrument(o)
 	addr, err := col.Serve("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer col.Close()
-	var acks atomic.Int64
+	acks := o.Registry().Histogram("transport.collector.ack_batch", nil)
 	up, err := DialResilient(ResilientConfig{
-		Addr: addr.String(), DeviceID: 9, Protocol: 2, SpoolSegments: frames,
-		OnEvent: func(e Event) {
-			if e.Kind == "ack" {
-				acks.Add(1)
-			}
-		},
+		Addr: addr.String(), DeviceID: 9, SpoolSegments: frames,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -316,10 +412,10 @@ func TestAllocsSessionSteadyState(t *testing.T) {
 	burst() // dial, codec dictionary, ring, read buffer, decode pool
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
-	acks0 := acks.Load()
+	acks0 := acks.Count()
 	burst()
 	runtime.ReadMemStats(&after)
-	mallocs, acked := int64(after.Mallocs-before.Mallocs), acks.Load()-acks0
+	mallocs, acked := int64(after.Mallocs-before.Mallocs), acks.Count()-acks0
 	if got := delivered.Load(); got != 2*frames {
 		t.Fatalf("%d of %d frames delivered and decoded", got, 2*frames)
 	}

@@ -12,9 +12,9 @@ import (
 	"repro/internal/sim"
 )
 
-// The version-2 session's two rules, each with the test that fails without
-// it: the first frame of a session goes out alone and the ACK it earns is
-// where the session resumes, and after it the pump writes per burst.
+// The session's two rules, each with the test that fails without it: the
+// first frame of a session goes out alone and the ACK it earns is where
+// the session resumes, and after it the pump writes per burst.
 
 // scriptedCollector is the collector's end of the wire played by the test:
 // it accepts sessions one at a time and reads frames and writes ACKs only
@@ -51,8 +51,8 @@ func (c *scriptedCollector) accept(t *testing.T) *scriptedSession {
 	t.Cleanup(func() { _ = conn.Close() })
 	br := bufio.NewReader(conn)
 	_ = conn.SetReadDeadline(time.Now().Add(5 * time.Second))
-	if h, err := readHello(br); err != nil || h.version != helloVersion2 {
-		t.Fatalf("hello = %+v, %v; want a version-2 hello", h, err)
+	if h, err := readHello(br); err != nil {
+		t.Fatalf("hello = %+v, %v", h, err)
 	}
 	return &scriptedSession{conn: conn, br: br, r: NewReader(br)}
 }
@@ -116,7 +116,7 @@ func TestResumeFromFirstAck(t *testing.T) {
 			col := newScriptedCollector(t)
 			release := make(chan struct{})
 			up, err := DialResilient(ResilientConfig{
-				Addr: col.ln.Addr().String(), DeviceID: 3, Protocol: 2,
+				Addr: col.ln.Addr().String(), DeviceID: 3,
 				BackoffBase: time.Millisecond, BackoffMax: 2 * time.Millisecond,
 				Dialer: heldDialer(release, nil),
 			})
@@ -188,7 +188,7 @@ func TestLoneFrameNeverAckedFailsByAckTimeout(t *testing.T) {
 	col := newScriptedCollector(t)
 	failed := make(chan Event, 1)
 	up, err := DialResilient(ResilientConfig{
-		Addr: col.ln.Addr().String(), DeviceID: 4, Protocol: 2,
+		Addr: col.ln.Addr().String(), DeviceID: 4,
 		AckTimeout:  50 * time.Millisecond,
 		BackoffBase: time.Second, BackoffMax: time.Second, // one session is all the test looks at
 		OnEvent: func(e Event) {
@@ -227,6 +227,44 @@ func TestLoneFrameNeverAckedFailsByAckTimeout(t *testing.T) {
 	}
 }
 
+// TestCloseMidSessionTracesNoAckFail: Close breaks a session whose reader
+// is blocked on an ACK. The read error that follows is Close's doing, not
+// a failure of the link, so it is neither counted nor traced.
+func TestCloseMidSessionTracesNoAckFail(t *testing.T) {
+	col := newScriptedCollector(t)
+	var mu sync.Mutex
+	var fails []Event
+	up, err := DialResilient(ResilientConfig{
+		Addr: col.ln.Addr().String(), DeviceID: 10,
+		OnEvent: func(e Event) {
+			if e.Kind == "ack-fail" || e.Kind == "send-fail" {
+				mu.Lock()
+				fails = append(fails, e)
+				mu.Unlock()
+			}
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := up.Send(smallFrame(0)); err != nil {
+		t.Fatal(err)
+	}
+	s := col.accept(t)
+	if f := s.recv(t); f.ID != 0 {
+		t.Fatalf("session opened with frame %d, want 0", f.ID)
+	}
+	time.Sleep(20 * time.Millisecond) // the reader is blocked on frame 0's ACK, which never comes
+	if err := up.Close(); err != nil {
+		t.Fatal(err)
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	if st := up.Stats(); st.AckFailures != 0 || st.SendFailures != 0 || len(fails) != 0 {
+		t.Fatalf("stats = %+v, failure events %+v: want none for a Close", st, fails)
+	}
+}
+
 // TestResumeSeededOutages spools a backlog faster than the collector
 // drains it and runs it through a seeded fault plan with more than twenty
 // outages. Every ID reaches the sink exactly once, and no session redelivers
@@ -258,7 +296,7 @@ func TestResumeSeededOutages(t *testing.T) {
 	)
 	plan := sim.NewFaultPlan(link, 40_000, 0.125)
 	up, err := DialResilient(ResilientConfig{
-		Addr: addr.String(), DeviceID: 21, Protocol: 2, Seed: 7,
+		Addr: addr.String(), DeviceID: 21, Seed: 7,
 		SpoolSegments: total,
 		BackoffBase:   200 * time.Microsecond, BackoffMax: 2 * time.Millisecond,
 		Dialer: func(a string, timeout time.Duration) (net.Conn, error) {
@@ -341,7 +379,7 @@ func TestBacklogCrossesInBursts(t *testing.T) {
 	release := make(chan struct{})
 	var conn *writeLog
 	up, err := DialResilient(ResilientConfig{
-		Addr: addr.String(), DeviceID: 5, Protocol: 2,
+		Addr: addr.String(), DeviceID: 5,
 		Dialer: heldDialer(release, func(c net.Conn) net.Conn { conn = &writeLog{Conn: c}; return conn }),
 	})
 	if err != nil {
@@ -381,8 +419,9 @@ func TestBacklogCrossesInBursts(t *testing.T) {
 
 // TestIdleSessionSendsPromptly: a frame handed to an idle session reaches
 // the sink with no further Send and no timer behind it, and a stream that
-// outlasts WriteTimeout several times over, idle gaps included, never trips
-// on a deadline armed for an earlier write.
+// outlasts WriteTimeout and AckTimeout several times over, idle gaps
+// included, never trips on a deadline armed for an earlier write, nor on
+// an ACK read while every frame on the socket is already acknowledged.
 func TestIdleSessionSendsPromptly(t *testing.T) {
 	col := NewCollector(compress.DefaultRegistry(4), nil)
 	addr, err := col.Serve("127.0.0.1:0")
@@ -391,7 +430,8 @@ func TestIdleSessionSendsPromptly(t *testing.T) {
 	}
 	defer col.Close()
 	up, err := DialResilient(ResilientConfig{
-		Addr: addr.String(), DeviceID: 6, Protocol: 2, WriteTimeout: 50 * time.Millisecond,
+		Addr: addr.String(), DeviceID: 6,
+		WriteTimeout: 50 * time.Millisecond, AckTimeout: 50 * time.Millisecond,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -425,7 +465,9 @@ func TestIdleSessionSendsPromptly(t *testing.T) {
 // has carried them, so a burst whose write fails adds nothing to
 // FramesSent and emits no send event, and the send-fail names the first
 // frame that did not make it. Send events stay one per frame, in ID order
-// within a session.
+// within a session. The failed write closes the connection under the ACK
+// reader too, and that is no second failure: no ACK failure is counted or
+// traced.
 func TestFailedBurstCountsNoFrame(t *testing.T) {
 	col := NewCollector(compress.DefaultRegistry(4), nil)
 	addr, err := col.Serve("127.0.0.1:0")
@@ -438,7 +480,7 @@ func TestFailedBurstCountsNoFrame(t *testing.T) {
 	var events []Event
 	dials := 0
 	up, err := DialResilient(ResilientConfig{
-		Addr: addr.String(), DeviceID: 8, Protocol: 2,
+		Addr: addr.String(), DeviceID: 8,
 		BackoffBase: time.Millisecond, BackoffMax: 2 * time.Millisecond,
 		Dialer: heldDialer(release, func(c net.Conn) net.Conn {
 			dials++
@@ -471,8 +513,8 @@ func TestFailedBurstCountsNoFrame(t *testing.T) {
 	st := up.Stats()
 	_ = up.Close()
 	// Session one: frame 0. Session two: frame 1 alone, then 2..7.
-	if st.FramesSent != frames || st.SendFailures != 1 {
-		t.Fatalf("stats = %+v, want %d frames sent (none for the failed burst) and one send failure", st, frames)
+	if st.FramesSent != frames || st.SendFailures != 1 || st.AckFailures != 0 {
+		t.Fatalf("stats = %+v, want %d frames sent (none for the failed burst), one send failure and no ACK failure", st, frames)
 	}
 	mu.Lock()
 	defer mu.Unlock()
@@ -485,6 +527,8 @@ func TestFailedBurstCountsNoFrame(t *testing.T) {
 			if e.ID != 1 || len(sends) != 1 {
 				t.Fatalf("send-fail for frame %d after sends %v, want frame 1 after [0]", e.ID, sends)
 			}
+		case "ack-fail":
+			t.Fatalf("ack-fail (%s) after sends %v: the failed write's closed connection is not an ACK failure", e.Err, sends)
 		}
 	}
 	for i, id := range sends {

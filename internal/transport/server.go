@@ -34,8 +34,8 @@ const (
 	// DefaultCollectorShards is the device-map shard count when
 	// CollectorConfig.Shards is 0.
 	DefaultCollectorShards = 16
-	// DefaultAckEvery is the v2 ACK coalescing factor when neither the
-	// device hello nor CollectorConfig requests one.
+	// DefaultAckEvery is the ACK coalescing factor for a device whose
+	// hello asks for 0.
 	DefaultAckEvery = 16
 	// maxAckEvery caps the negotiated coalescing factor so a hostile
 	// hello cannot make the collector withhold ACKs indefinitely.
@@ -49,10 +49,6 @@ type CollectorConfig struct {
 	// two; default DefaultCollectorShards). Devices hash to shards by
 	// ID, so unrelated devices never contend on one mutex.
 	Shards int
-	// AckEvery is the default v2 ACK coalescing factor for devices whose
-	// hello does not request one (default DefaultAckEvery). Version-1
-	// sessions always get lockstep per-frame ACKs regardless.
-	AckEvery int
 	// MaxIdleDevices bounds resident per-device session state for
 	// devices with no live connection. When the bound is exceeded,
 	// idle devices are evicted down to a watermark entry in Watermarks.
@@ -75,9 +71,6 @@ func (c CollectorConfig) withDefaults() CollectorConfig {
 		n <<= 1
 	}
 	c.Shards = n
-	if c.AckEvery <= 0 {
-		c.AckEvery = DefaultAckEvery
-	}
 	if c.MaxIdleDevices > 0 && c.Watermarks == nil {
 		c.Watermarks = store.NewWatermarks()
 	}
@@ -106,9 +99,9 @@ func (c CollectorConfig) withDefaults() CollectorConfig {
 //     calls for one device are therefore serialized and ID-ordered by
 //     construction, no matter how many zombie connections a flaky
 //     network leaves behind.
-//   - ACKs are coalesced for protocol-v2 sessions (every K frames or
-//     when the read side goes idle); v1 sessions keep the lockstep
-//     one-ACK-per-frame exchange byte for byte.
+//   - ACKs are coalesced: every K frames (the hello's request) or when
+//     the read side goes idle, so a device that asks for K = 1, or sends
+//     one frame and waits, gets one ACK per frame.
 //   - Idle devices beyond CollectorConfig.MaxIdleDevices are evicted
 //     down to a watermark entry in a store.Watermarks table, so a fleet
 //     of mostly-idle devices costs O(1) small entries each, and
@@ -427,23 +420,16 @@ func (c *Collector) detach(deviceID uint64, dev *deviceState, gen uint64) {
 }
 
 // handleReliable is the hello/ACK path: per-device dedup with serialized,
-// ID-ordered sink calls; lockstep ACKs for v1 sessions, coalesced ACKs
-// for v2.
+// ID-ordered sink calls and coalesced cumulative ACKs.
 func (c *Collector) handleReliable(conn net.Conn, br *bufio.Reader) {
 	h, err := readHello(br)
 	if err != nil {
 		c.noteBadConn()
 		return
 	}
-	ackEvery := uint64(1)
-	if h.version >= helloVersion2 {
-		ackEvery = h.ackEvery
-		if ackEvery == 0 {
-			ackEvery = uint64(c.cfg.AckEvery)
-		}
-		if ackEvery > maxAckEvery {
-			ackEvery = maxAckEvery
-		}
+	ackEvery := min(h.ackEvery, maxAckEvery)
+	if ackEvery == 0 {
+		ackEvery = DefaultAckEvery
 	}
 	dev, gen := c.attach(h.deviceID, conn)
 	defer c.detach(h.deviceID, dev, gen)
@@ -524,11 +510,10 @@ func (c *Collector) handleReliable(conn net.Conn, br *bufio.Reader) {
 		health := dev.health
 		dev.mu.Unlock()
 		pending++
-		// v1 acks in lockstep (ackEvery == 1); v2 coalesces: ack every
-		// ackEvery frames, and as soon as the read side goes idle, so the
-		// tail of a burst is never left waiting and the lone frame that
-		// opens a v2 session is answered with the watermark it resumes
-		// from (wire.go: the device sends nothing until it is).
+		// Ack every ackEvery frames, and as soon as the read side goes
+		// idle, so the tail of a burst is never left waiting and the lone
+		// frame that opens a session is answered with the watermark it
+		// resumes from (wire.go: the device sends nothing until it is).
 		if ackBroken || pending < ackEvery && br.Buffered() > 0 {
 			continue
 		}

@@ -18,7 +18,9 @@ import (
 
 // sessionClient is a raw reliable-session client for collector tests:
 // hand-rolled hello, frames, and ACK reads, so tests can drive exactly
-// the wire interleavings the resilient uplink would never produce.
+// the wire interleavings the resilient uplink would never produce. Its
+// hello asks for lockstep (an ACK every frame), so each send is answered
+// by its own ACK however the collector's reads fall.
 type sessionClient struct {
 	conn net.Conn
 	w    *Writer
@@ -31,7 +33,7 @@ func dialSession(t *testing.T, addr string, deviceID uint64) *sessionClient {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := writeHello(conn, deviceID); err != nil {
+	if err := writeHello(conn, deviceID, 1); err != nil {
 		t.Fatal(err)
 	}
 	return &sessionClient{conn: conn, w: NewWriter(conn), br: bufio.NewReader(conn)}
@@ -353,27 +355,63 @@ func TestCollectorEvictReattachRace(t *testing.T) {
 	}
 }
 
-// TestResilientPipelinedDelivery: the version-2 protocol delivers
-// exactly once with coalesced ACKs, and WaitDrain's notification path
-// (no polling) sees the drain.
+// TestResilientPipelinedDelivery: a hello that asks for an ACK interval of
+// 0 gets DefaultAckEvery — a burst is acknowledged at least that often, in
+// fewer ACKs than frames — and a session with the default configuration
+// delivers exactly once with coalesced ACKs, and WaitDrain's notification
+// path (no polling) sees the drain.
 func TestResilientPipelinedDelivery(t *testing.T) {
 	reg := compress.DefaultRegistry(4)
 	var mu sync.Mutex
 	counts := map[uint64]int{}
-	col := NewCollectorWith(reg, func(f Frame, _ []float64) {
+	col := NewCollector(reg, func(f Frame, _ []float64) {
 		mu.Lock()
 		counts[f.ID]++
 		mu.Unlock()
-	}, CollectorConfig{AckEvery: 8})
+	})
 	addr, err := col.Serve("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer col.Close()
 
-	up, err := DialResilient(ResilientConfig{
-		Addr: addr.String(), DeviceID: 11, Protocol: 2, AckEvery: 4,
-	})
+	raw := NewCollector(reg, nil)
+	rawAddr, err := raw.Serve("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer raw.Close()
+	conn, err := net.DialTimeout("tcp", rawAddr.String(), 5*time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	if err := writeHello(conn, 12, 0); err != nil {
+		t.Fatal(err)
+	}
+	s := &sessionClient{conn: conn, w: NewWriter(conn), br: bufio.NewReader(conn)}
+	const burst = 40
+	for id := uint64(0); id < burst; id++ {
+		if err := s.w.Send(smallFrame(id)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := s.w.Flush(); err != nil { // one write: the collector finds the burst buffered
+		t.Fatal(err)
+	}
+	acks := 0
+	for prev := uint64(0); prev < burst; acks++ {
+		next := s.ack(t)
+		if next <= prev || next-prev > DefaultAckEvery {
+			t.Fatalf("ACK %d after %d: want every frame up to %d covered at least every %d", next, prev, burst, DefaultAckEvery)
+		}
+		prev = next
+	}
+	if acks >= burst {
+		t.Fatalf("%d ACKs for a %d-frame burst: the hello's 0 was not read as DefaultAckEvery", acks, burst)
+	}
+
+	up, err := DialResilient(ResilientConfig{Addr: addr.String(), DeviceID: 11})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -444,7 +482,7 @@ func TestResilientPipelinedRedial(t *testing.T) {
 		return conn, err
 	}
 	up, err := DialResilient(ResilientConfig{
-		Addr: addr.String(), DeviceID: 13, Protocol: 2, AckEvery: 4,
+		Addr: addr.String(), DeviceID: 13, AckEvery: 4,
 		BackoffBase: 5 * time.Millisecond, BackoffMax: 50 * time.Millisecond,
 		Dialer: dialer,
 	})
@@ -606,7 +644,7 @@ func TestCollectorDeliversWhatItHoldsAfterAckFails(t *testing.T) {
 		t.Fatal(err)
 	}
 	_ = conn.(*net.TCPConn).SetLinger(0) // Close resets, as closing with unread ACKs does
-	if err := writeHelloV2(conn, 31, 0); err != nil {
+	if err := writeHello(conn, 31, 0); err != nil {
 		t.Fatal(err)
 	}
 	w := NewWriter(conn)

@@ -434,25 +434,22 @@ func TestAckRoundTripAndTruncation(t *testing.T) {
 
 func TestHelloRoundTrip(t *testing.T) {
 	var buf bytes.Buffer
-	if err := writeHello(&buf, 99); err != nil {
+	if err := writeHello(&buf, 7, 32); err != nil {
 		t.Fatal(err)
+	}
+	if want := []byte{'A', 'E', 'H', '1', 2, 7, 32}; !bytes.Equal(buf.Bytes(), want) {
+		t.Fatalf("hello bytes % x, want % x", buf.Bytes(), want)
 	}
 	h, err := readHello(bufio.NewReader(&buf))
-	if err != nil || h.deviceID != 99 || h.version != helloVersion || h.ackEvery != 0 {
-		t.Fatalf("v1 round trip: %+v err=%v", h, err)
+	if err != nil || h.deviceID != 7 || h.ackEvery != 32 {
+		t.Fatalf("round trip: %+v err=%v", h, err)
 	}
-	buf.Reset()
-	if err := writeHelloV2(&buf, 7, 32); err != nil {
-		t.Fatal(err)
-	}
-	h, err = readHello(bufio.NewReader(&buf))
-	if err != nil || h.deviceID != 7 || h.version != helloVersion2 || h.ackEvery != 32 {
-		t.Fatalf("v2 round trip: %+v err=%v", h, err)
-	}
-	// Unknown protocol versions are rejected up front.
-	bad := []byte{'A', 'E', 'H', '1', 3, 99}
-	if _, err := readHello(bufio.NewReader(bytes.NewReader(bad))); !errors.Is(err, ErrBadFrame) {
-		t.Fatalf("version 3: want ErrBadFrame, got %v", err)
+	// Any other protocol version is rejected up front, the retired
+	// lockstep version 1 included.
+	for _, bad := range [][]byte{{'A', 'E', 'H', '1', 3, 99, 0}, {'A', 'E', 'H', '1', 1, 99}, {'A', 'E', 'H', '1', 1, 99, 0}} {
+		if _, err := readHello(bufio.NewReader(bytes.NewReader(bad))); !errors.Is(err, ErrBadFrame) || !strings.Contains(err.Error(), "hello version") {
+			t.Fatalf("version %d: want ErrBadFrame naming the version, got %v", bad[4], err)
+		}
 	}
 	// A hello torn mid-version reports the read failure, not a bogus
 	// "version 0" (the readHello error-conflation regression).
@@ -465,7 +462,7 @@ func TestHelloRoundTrip(t *testing.T) {
 		t.Fatalf("torn hello error conflates read failure with version mismatch: %v", err)
 	}
 	// Torn mid-deviceID and mid-ackEvery are likewise diagnosable reads.
-	if _, err := readHello(bufio.NewReader(bytes.NewReader([]byte{'A', 'E', 'H', '1', 1}))); !errors.Is(err, ErrBadFrame) {
+	if _, err := readHello(bufio.NewReader(bytes.NewReader([]byte{'A', 'E', 'H', '1', 2}))); !errors.Is(err, ErrBadFrame) {
 		t.Fatalf("torn device id: want ErrBadFrame, got %v", err)
 	}
 	if _, err := readHello(bufio.NewReader(bytes.NewReader([]byte{'A', 'E', 'H', '1', 2, 7}))); !errors.Is(err, ErrBadFrame) {
@@ -578,7 +575,7 @@ func TestCollectorEndToEnd(t *testing.T) {
 	defer col.Close()
 
 	frames, raws := sampleFrames(t, 12)
-	up, err := DialResilient(ResilientConfig{Addr: addr.String(), Protocol: 2})
+	up, err := DialResilient(ResilientConfig{Addr: addr.String()})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -17,33 +17,29 @@ import (
 //
 // Hello (device → collector, once per connection):
 //
-//	v1: magic "AEH1" | uvarint 1 | uvarint deviceID
-//	v2: magic "AEH1" | uvarint 2 | uvarint deviceID | uvarint ackEvery
+//	magic "AEH1" | uvarint 2 | uvarint deviceID | uvarint ackEvery
 //
-// Version 1 is the lockstep protocol: the collector answers every frame
-// with an ACK before reading the next, and the device waits for it. That
-// round trip per frame is what makes the seeded chaos traces
-// byte-reproducible, so v1 is preserved verbatim for old devices and the
-// determinism suite.
+// The version field is always 2; the lockstep version 1 (no ackEvery, an
+// ACK after every frame) is gone, and a hello naming any other version is
+// a bad connection. The device streams frames without waiting, and the
+// collector coalesces ACKs — one every ackEvery frames, and one whenever
+// its read side goes idle (nothing buffered) after a frame, duplicates
+// included. The idle ACK is an obligation, not a courtesy: it is what
+// acknowledges the tail of a burst, and it is how a new session learns
+// where to resume. ackEvery is the device's request; the collector acks
+// more often (the idle ACK) but never less. ackEvery of 0 asks for the
+// collector's default; 1 is lockstep, an ACK for every frame.
 //
-// Version 2 is the pipelined protocol: the device streams frames without
-// waiting, and the collector coalesces ACKs — one every ackEvery frames,
-// and one whenever its read side goes idle (nothing buffered) after a
-// frame, duplicates included. The idle ACK is an obligation, not a
-// courtesy: it is what acknowledges the tail of a burst, and it is how a
-// new session learns where to resume. ackEvery is the device's request; the
-// collector acks more often (the idle ACK) but never less. ackEvery of 0
-// asks for the collector's default.
-//
-// Resume, version 2: a device opens every session with its oldest
-// unacknowledged frame alone and sends nothing more until that frame is
-// acknowledged. A lone frame leaves the collector's read side idle, so the
-// ACK comes at once, and being cumulative it carries the collector's
-// watermark: everything the previous session delivered without the device
-// seeing it acknowledged is released by this one ACK, and the stream
-// continues with the first frame the collector does not have. At most one
-// frame per session crosses the wire twice, and no hello reply or other
-// wire message is needed for it.
+// Resume: a device opens every session with its oldest unacknowledged
+// frame alone and sends nothing more until that frame is acknowledged. A
+// lone frame leaves the collector's read side idle, so the ACK comes at
+// once, and being cumulative it carries the collector's watermark:
+// everything the previous session delivered without the device seeing it
+// acknowledged is released by this one ACK, and the stream continues with
+// the first frame the collector does not have. At most one frame per
+// session crosses the wire twice, and no hello reply or other wire message
+// is needed for it. A device that asked for ackEvery 1 sends every frame
+// this way.
 //
 // ACK (collector → device):
 //
@@ -51,45 +47,30 @@ import (
 //
 // next is the cumulative watermark: every segment ID < next has been
 // delivered to the sink (or deduplicated). The device drops spooled
-// segments below next and, after a reconnect, resends from its oldest
-// spooled frame (version 1: one frame at a time; version 2: that frame,
-// then from the next its ACK carries) — at-least-once on the wire,
-// exactly-once at the sink.
+// segments below next and, after a reconnect, resends its oldest spooled
+// frame and goes on from the next its ACK carries — at-least-once on the
+// wire, exactly-once at the sink.
 
 var (
 	helloMagic = [4]byte{'A', 'E', 'H', '1'}
 	ackMagic   = [4]byte{'A', 'E', 'A', '1'}
 )
 
-// Reliable-session protocol versions (see package comment above).
-const (
-	helloVersion  = 1 // lockstep: one ACK per frame, sender waits
-	helloVersion2 = 2 // pipelined: batched ACKs, negotiated ackEvery
-)
+// helloVersion is the session protocol version every hello carries.
+const helloVersion = 2
 
 // hello carries the negotiated parameters of one reliable session.
 type hello struct {
 	deviceID uint64
-	version  uint64
-	ackEvery uint64 // v2 only: requested ACK coalescing factor (0 = collector default)
+	ackEvery uint64 // requested ACK interval (0 = collector default)
 }
 
-// writeHello emits a version-1 (lockstep) session hello for deviceID.
-func writeHello(w io.Writer, deviceID uint64) error {
-	var buf [4 + 2*binary.MaxVarintLen64]byte
-	n := copy(buf[:], helloMagic[:])
-	n += binary.PutUvarint(buf[n:], helloVersion)
-	n += binary.PutUvarint(buf[n:], deviceID)
-	_, err := w.Write(buf[:n])
-	return err
-}
-
-// writeHelloV2 emits a version-2 (pipelined) session hello for deviceID,
-// requesting an ACK at least every ackEvery frames.
-func writeHelloV2(w io.Writer, deviceID, ackEvery uint64) error {
+// writeHello emits the session hello for deviceID, requesting an ACK at
+// least every ackEvery frames.
+func writeHello(w io.Writer, deviceID, ackEvery uint64) error {
 	var buf [4 + 3*binary.MaxVarintLen64]byte
 	n := copy(buf[:], helloMagic[:])
-	n += binary.PutUvarint(buf[n:], helloVersion2)
+	n += binary.PutUvarint(buf[n:], helloVersion)
 	n += binary.PutUvarint(buf[n:], deviceID)
 	n += binary.PutUvarint(buf[n:], ackEvery)
 	_, err := w.Write(buf[:n])
@@ -100,7 +81,7 @@ func writeHelloV2(w io.Writer, deviceID, ackEvery uint64) error {
 // (not consumed) by the caller. A failed read is reported as the
 // underlying error (torn hello), distinct from a cleanly-read but
 // unsupported version. Varints must be minimal, so a hello that parses is
-// byte for byte the one writeHello or writeHelloV2 writes for it.
+// byte for byte the one writeHello writes for it.
 func readHello(r *bufio.Reader) (hello, error) {
 	var h hello
 	var magic [4]byte
@@ -114,19 +95,16 @@ func readHello(r *bufio.Reader) (hello, error) {
 	if err != nil {
 		return h, fmt.Errorf("%w: reading hello version: %v", ErrBadFrame, err)
 	}
-	if version != helloVersion && version != helloVersion2 {
+	if version != helloVersion {
 		return h, fmt.Errorf("%w: hello version %d", ErrBadFrame, version)
 	}
-	h.version = version
 	h.deviceID, err = bitio.ReadUvarint(r)
 	if err != nil {
 		return h, fmt.Errorf("%w: reading hello device id: %v", ErrBadFrame, err)
 	}
-	if version == helloVersion2 {
-		h.ackEvery, err = bitio.ReadUvarint(r)
-		if err != nil {
-			return h, fmt.Errorf("%w: reading hello ack interval: %v", ErrBadFrame, err)
-		}
+	h.ackEvery, err = bitio.ReadUvarint(r)
+	if err != nil {
+		return h, fmt.Errorf("%w: reading hello ack interval: %v", ErrBadFrame, err)
 	}
 	return h, nil
 }

@@ -4,8 +4,8 @@
 # Two checks, both end to end:
 #
 #  1. `adaedge-bench -exp fleet` at a small scale: 40 simulated devices,
-#     each speaking the version-2 pipelined session protocol through its
-#     own fault schedule (staggered outages over one shared link cycle
+#     each running pipelined sessions (the default ACK interval) through
+#     its own fault schedule (staggered outages over one shared link cycle
 #     plus the common thundering-herd reset), against one sharded
 #     collector with idle eviction. RunFleet itself errors unless every
 #     segment is delivered exactly once, so the run only needs to exit 0
