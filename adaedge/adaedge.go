@@ -7,7 +7,6 @@
 //
 //   - Online engine: bandwidth-constrained selection and egress.
 //   - Offline engine: storage-budgeted cascade recoding.
-//   - Device: the combined lifecycle over an intermittent link.
 //   - Codec registry: the lossless and lossy candidate set.
 //   - Optimization targets: size, throughput, aggregation accuracy,
 //     ML-task accuracy, and weighted combinations.
@@ -46,15 +45,8 @@ type (
 	// OfflineEngine evolves stored data inside a storage budget (paper
 	// §IV-C2).
 	OfflineEngine = core.OfflineEngine
-	// Device runs the combined lifecycle over an intermittent link.
-	Device = core.Device
-	// Pipeline runs Config.Workers share-nothing online engines, one per
-	// independent signal (paper §V-C).
-	Pipeline = core.Pipeline
 	// LabeledSegment pairs segment values with a class label.
 	LabeledSegment = core.LabeledSegment
-	// Collector turns a point stream into fixed-size segments.
-	Collector = core.Collector
 	// Result describes one processed segment.
 	Result = core.Result
 	// Snapshot is one offline space/accuracy sample.
@@ -134,14 +126,8 @@ var (
 	NewOnlineEngine = core.NewOnlineEngine
 	// NewOfflineEngine builds the offline engine.
 	NewOfflineEngine = core.NewOfflineEngine
-	// NewDevice builds the combined-lifecycle device.
-	NewDevice = core.NewDevice
-	// NewPipeline builds a pipeline of Config.Workers online engines.
-	NewPipeline = core.NewPipeline
 	// RunOnlineSegments processes a batch through one engine, in order.
 	RunOnlineSegments = core.RunOnlineSegments
-	// NewCollector builds a point-level ingest collector.
-	NewCollector = core.NewCollector
 )
 
 // Objective constructors.
@@ -182,10 +168,6 @@ var (
 func TargetRatioFor(ingestPointsPerSec float64, bw Bandwidth) float64 {
 	return sim.TargetRatio(ingestPointsPerSec, bw)
 }
-
-// EnergyMeter tracks joules against an optional budget (the paper's
-// deferred power constraint, §IV-A4).
-type EnergyMeter = core.EnergyMeter
 
 // DrainReport summarizes one reconnection offload window.
 type DrainReport = core.DrainReport

@@ -42,8 +42,7 @@ func NewCodecDB(reg *compress.Registry) *CodecDB {
 
 // segFeatures derives the data-feature vector the predictor keys on.
 func segFeatures(values []float64) [4]float64 {
-	seg := timeseries.Segment{Values: values}
-	st, err := seg.ComputeStats()
+	st, err := timeseries.ComputeStats(values)
 	if err != nil {
 		return [4]float64{}
 	}

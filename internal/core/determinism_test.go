@@ -93,32 +93,3 @@ func TestOfflineEngineDeterministic(t *testing.T) {
 		t.Fatalf("snapshots diverged: %+v vs %+v", snapA, snapB)
 	}
 }
-
-func TestPipelineDeterministicPerWorkerSeeds(t *testing.T) {
-	// Worker seeds derive from the base seed: two pipelines with the same
-	// configuration produce the same merged codec-use histogram when work
-	// is distributed identically (single worker avoids racing the queue).
-	run := func() map[string]int {
-		p, err := NewPipeline(Config{
-			TargetRatioOverride: 0.2,
-			Objective:           SingleTarget(TargetRatio),
-			Seed:                5,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		p.Start(t.Context())
-		stream := datasets.NewCBFStream(datasets.CBFConfig{Seed: 93})
-		for i := 0; i < 50; i++ {
-			series, label := stream.Next()
-			if err := p.Submit(LabeledSegment{Values: series, Label: label}); err != nil {
-				t.Fatal(err)
-			}
-		}
-		p.Close()
-		return p.Stats().CodecUse
-	}
-	if a, b := run(), run(); !reflect.DeepEqual(a, b) {
-		t.Fatalf("pipeline runs diverged: %v vs %v", a, b)
-	}
-}

@@ -151,6 +151,37 @@ func TestRetargetChangesBehaviour(t *testing.T) {
 	}
 }
 
+// TestRetargetIgnoresDeadLink: a link reporting no capacity has no ratio
+// to compress to. Retarget keeps the previous target, so segments still
+// leave at it instead of every Process failing with ErrNoFeasibleCodec.
+func TestRetargetIgnoresDeadLink(t *testing.T) {
+	e, err := NewOnlineEngine(Config{
+		IngestRate: 4e6,
+		Bandwidth:  sim.Net3G,
+		Objective:  AggTarget(query.Sum),
+		Seed:       5,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := e.TargetRatio()
+	stream := datasets.NewCBFStream(datasets.CBFConfig{Seed: 64})
+	for _, bw := range []sim.Bandwidth{0, -5} {
+		e.Retarget(bw)
+		if got := e.TargetRatio(); got != want {
+			t.Fatalf("Retarget(%v): target ratio = %v, want %v kept", bw, got, want)
+		}
+		series, label := stream.Next()
+		res, _, err := e.Process(series, label)
+		if err != nil {
+			t.Fatalf("Process after Retarget(%v): %v", bw, err)
+		}
+		if res.Ratio > want+ratioSlack {
+			t.Fatalf("Process after Retarget(%v): ratio %v over the kept target %v", bw, res.Ratio, want)
+		}
+	}
+}
+
 func TestRetargetRatioValidation(t *testing.T) {
 	e, err := NewOnlineEngine(Config{
 		TargetRatioOverride: 0.5,

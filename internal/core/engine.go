@@ -93,14 +93,6 @@ type Config struct {
 	// lossless policy's own pick: a hit makes lossless viable again, a
 	// miss costs that one encode (DESIGN.md §5, "Lossless viability").
 	LosslessProbeInterval int
-	// DeviceWatts enables energy accounting (paper §IV-A4's deferred
-	// power constraint): every codec operation is charged at this power
-	// draw using the deterministic cost model. 0 disables metering.
-	DeviceWatts float64
-	// EnergyBudgetJoules turns the meter into a hard constraint; once
-	// exhausted the offline engine refuses further ingestion with
-	// ErrEnergyExhausted. 0 meters without enforcing.
-	EnergyBudgetJoules float64
 	// Obs attaches the observability substrate: counters, gauges and
 	// latency histograms in its Registry, one decision-trace event per
 	// bandit pull in its Ring. Nil (the default) disables instrumentation
@@ -112,16 +104,17 @@ type Config struct {
 	// evaluation of every feasible arm feeding regret metrics, reward-gap
 	// histograms and "regret" trace events (see internal/obs/quality and
 	// internal/core/quality.go). Nil disables it; observing never perturbs
-	// decisions, rewards or energy accounting.
+	// decisions or rewards.
 	Quality *quality.Config
 	// DeviceID labels this engine's device on span-stage records and the
 	// fleet health board (see internal/obs). Single-device runs leave it
 	// 0; the fleet harness assigns each simulated device its ID so
 	// device-side spans join the collector's by identity.
 	DeviceID uint64
-	// Workers is the number of share-nothing engines NewPipeline builds
-	// (values below 1 mean 1); ignored by the engines themselves, which
-	// always decide on a single goroutine (DESIGN.md §7).
+	// Workers is ignored: an engine always decides on one goroutine.
+	//
+	// Deprecated: more cores mean more engines, one per goroutine
+	// (DESIGN.md §7).
 	Workers int
 	// Seed drives all stochastic components.
 	Seed int64
@@ -254,7 +247,3 @@ type Result struct {
 // contrasts against; AdaEdge itself only returns it when even RRD-sample
 // cannot fit.
 var ErrNoFeasibleCodec = errors.New("core: no codec can satisfy the constraints")
-
-// ErrEnergyExhausted is returned once the configured energy budget has
-// been consumed.
-var ErrEnergyExhausted = errors.New("core: energy budget exhausted")

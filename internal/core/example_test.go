@@ -92,22 +92,3 @@ func ExampleWeighted() {
 	// Output:
 	// terms: 2
 }
-
-// Point-level ingestion: the collector seals fixed-size segments and
-// buffers them for the compression path.
-func ExampleCollector() {
-	c := core.NewCollector(core.CollectorConfig{SegmentLength: 4})
-	c.PushBatch([]float64{1, 2, 3, 4, 5, 6, 7, 8, 9})
-	c.Flush() // seal the partial tail
-	for {
-		seg, ok := c.Next()
-		if !ok {
-			break
-		}
-		fmt.Println(seg.Values)
-	}
-	// Output:
-	// [1 2 3 4]
-	// [5 6 7 8]
-	// [9]
-}

@@ -86,40 +86,3 @@ func TestOfflineEngineInvariantsUnderRandomOps(t *testing.T) {
 		})
 	}
 }
-
-// The same discipline for the device across link transitions.
-func TestDeviceInvariantsUnderRandomOps(t *testing.T) {
-	rng := rand.New(rand.NewSource(9))
-	d, err := NewDevice(Config{
-		IngestRate:   128_000,
-		StorageBytes: 64 << 10,
-		Objective:    SingleTarget(TargetRatio),
-		Seed:         9,
-	}, sim.NewLink(
-		sim.LinkPhase{Seconds: 0.02, Bandwidth: sim.Net4G},
-		sim.LinkPhase{Seconds: 0.03, Bandwidth: 0},
-	))
-	if err != nil {
-		t.Fatal(err)
-	}
-	stream := datasets.NewCBFStream(datasets.CBFConfig{Seed: 10})
-	for step := 0; step < 300; step++ {
-		series, label := stream.Next()
-		if _, err := d.Ingest(series, label); err != nil {
-			t.Fatalf("step %d: %v", step, err)
-		}
-		st := d.Stats()
-		if st.OnlineSegments+st.OfflineSegments != step+1 {
-			t.Fatalf("step %d: accounted %d+%d", step, st.OnlineSegments, st.OfflineSegments)
-		}
-		if d.Backlog() > st.OfflineSegments-st.DrainedSegments {
-			t.Fatalf("step %d: backlog %d exceeds stored-drained %d",
-				step, d.Backlog(), st.OfflineSegments-st.DrainedSegments)
-		}
-		if rng.Intn(20) == 0 && d.Backlog() > 0 {
-			if _, err := d.Offline().Query(query.Max); err != nil {
-				t.Fatalf("step %d: backlog query: %v", step, err)
-			}
-		}
-	}
-}

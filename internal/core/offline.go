@@ -22,8 +22,8 @@ import (
 //
 // Concurrency contract: Ingest (and Query/QuerySegment, which reorder the
 // recoding policy) must run on a single goroutine at a time. Stats,
-// Snapshot, Clock, Storage and Energy are safe to poll concurrently with
-// ingestion (see DESIGN.md §7).
+// Snapshot, Clock and Storage are safe to poll concurrently with ingestion
+// (see DESIGN.md §7).
 type OfflineEngine struct {
 	cfg  Config
 	reg  *compress.Registry
@@ -49,8 +49,6 @@ type OfflineEngine struct {
 
 	nextID       uint64
 	recodeBudget float64 // virtual seconds available to the recoder
-	energy       *EnergyMeter
-	costFn       func(op, codec string, points int) float64
 
 	// om caches the obs handles; nil when Config.Obs is unset. Events are
 	// emitted on the ingest goroutine only (see internal/core/obs.go).
@@ -76,8 +74,8 @@ type OfflineEngine struct {
 	sketches []float64
 
 	// statsMu guards stats and accLoss so Stats/Snapshot can be polled
-	// while another goroutine (e.g. an OfflineRunner worker) ingests.
-	// Ingest itself stays single-goroutine; see the type comment.
+	// while another goroutine ingests. Ingest itself stays
+	// single-goroutine; see the type comment.
 	statsMu sync.Mutex
 	accLoss accLossCache // guarded by statsMu
 	stats   OfflineStats // guarded by statsMu
@@ -180,18 +178,8 @@ func NewOfflineEngine(cfg Config) (*OfflineEngine, error) {
 		bounds = []float64{} // one bucket: the ablation configuration
 	}
 	e.lossyPool = bandit.NewPool(len(e.lossyNames), bc, bounds, factory)
-	e.costFn = cfg.CodecCost
-	if e.costFn == nil {
-		e.costFn = DefaultCodecCost
-	}
-	if cfg.DeviceWatts > 0 {
-		e.energy = NewEnergyMeter(cfg.DeviceWatts, cfg.EnergyBudgetJoules)
-	}
 	return e, nil
 }
-
-// Energy exposes the engine's energy meter (nil when metering is off).
-func (e *OfflineEngine) Energy() *EnergyMeter { return e.energy }
 
 // Clock exposes the virtual ingestion clock.
 func (e *OfflineEngine) Clock() *sim.Clock { return e.clock }
@@ -233,9 +221,6 @@ func (e *OfflineEngine) Ingest(values []float64, label int) error {
 	if len(values) == 0 {
 		return compress.ErrEmptyInput
 	}
-	if e.energy.Exhausted() {
-		return ErrEnergyExhausted
-	}
 	e.clock.Advance(len(values))
 	if e.cfg.RecodeBudget {
 		e.recodeBudget += float64(len(values)) / e.cfg.IngestRate
@@ -260,7 +245,6 @@ func (e *OfflineEngine) Ingest(values []float64, label int) error {
 	e.ingestEnc, enc.Data = enc.Data, stored
 	e.losslessMAB.Update(arm, 1-minf(enc.Ratio(), 1))
 	e.mutStats(func(s *OfflineStats) { s.LosslessUse[name]++ })
-	e.energy.Charge(e.costFn("encode", name, len(values)))
 
 	// The entry and its sketch are the next row of their chunks, taken
 	// only once the segment is stored: a failed Ingest leaves the row to
@@ -538,14 +522,6 @@ func (e *OfflineEngine) scoreRecode(victim *store.Entry, newEnc compress.Encoded
 // adaedge:decision-goroutine
 // adaedge:perf-timer
 func (e *OfflineEngine) recodeCost(start time.Time, oldCodec, newCodec string, points int, virtual bool) float64 {
-	// Energy is always charged on the deterministic model so the meter
-	// stays reproducible even when the recoder budget uses wall time.
-	energyCost := e.costFn("encode", newCodec, points)
-	if !virtual {
-		energyCost += e.costFn("decode", oldCodec, points)
-	}
-	e.energy.Charge(energyCost)
-
 	if e.cfg.CodecCost == nil {
 		return time.Since(start).Seconds()
 	}

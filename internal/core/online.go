@@ -24,7 +24,7 @@ import (
 // goroutine"). Degrade, Stats, LossyEstimates and LosslessEstimates are
 // safe from any goroutine while it runs. Retarget/RetargetRatio must not
 // race with in-flight processing. More cores are used by running more
-// engines (Pipeline), never by sharing one.
+// engines, one per goroutine, never by sharing one.
 type OnlineEngine struct {
 	cfg         Config
 	reg         *compress.Registry
@@ -49,7 +49,6 @@ type OnlineEngine struct {
 	// field the concurrency contract would forbid touching mid-flight.
 	pressureBits atomic.Uint64
 
-	energy *EnergyMeter
 	costFn func(op, codec string, points int) float64
 
 	// om caches the obs handles; nil when Config.Obs is unset. All event
@@ -99,26 +98,6 @@ type OnlineStats struct {
 	// outside the explicit fallback path. The gate's invariant is that
 	// this stays 0; tests and the BENCH deadline cell assert it.
 	DeadlineViolations int
-}
-
-// Add folds o into s, field by field: the one place that knows every
-// counter, so a merged view cannot silently drop a new one. s.CodecUse
-// must be non-nil.
-func (s *OnlineStats) Add(o OnlineStats) {
-	s.Segments += o.Segments
-	s.LosslessSegments += o.LosslessSegments
-	s.LossySegments += o.LossySegments
-	s.TotalRawBytes += o.TotalRawBytes
-	s.TotalCompressedBytes += o.TotalCompressedBytes
-	s.AccuracyLossSum += o.AccuracyLossSum
-	s.BandwidthViolations += o.BandwidthViolations
-	for k, v := range o.CodecUse {
-		s.CodecUse[k] += v
-	}
-	s.DeadlineRejects += o.DeadlineRejects
-	s.DeadlineFallbacks += o.DeadlineFallbacks
-	s.DeadlineMisses += o.DeadlineMisses
-	s.DeadlineViolations += o.DeadlineViolations
 }
 
 // MeanAccuracyLoss returns the average per-segment workload accuracy loss.
@@ -177,9 +156,6 @@ func NewOnlineEngine(cfg Config) (*OnlineEngine, error) {
 		e.costFn = DefaultCodecCost
 	}
 	e.ctx = newContextualCtl(cfg, e)
-	if cfg.DeviceWatts > 0 {
-		e.energy = NewEnergyMeter(cfg.DeviceWatts, cfg.EnergyBudgetJoules)
-	}
 	e.qo, err = newQualityOracle(cfg)
 	if err != nil {
 		return nil, err
@@ -189,9 +165,6 @@ func NewOnlineEngine(cfg Config) (*OnlineEngine, error) {
 	}
 	return e, nil
 }
-
-// Energy exposes the engine's energy meter (nil when metering is off).
-func (e *OnlineEngine) Energy() *EnergyMeter { return e.energy }
 
 // TargetRatio returns the constraint-derived ratio, before any uplink
 // pressure throttle.
@@ -233,8 +206,13 @@ func (e *OnlineEngine) Degrade(factor float64) {
 // capacity — the paper's variable-bandwidth case (§IV-A2). Lossless
 // viability is re-probed from scratch because a looser target may make
 // lossless feasible again; the bandit estimates are kept (data statistics
-// did not change, only the constraint).
+// did not change, only the constraint). A dead link (bw <= 0) is ignored:
+// it has no ratio to compress to, and the caller stores rather than sends
+// while it lasts.
 func (e *OnlineEngine) Retarget(bw sim.Bandwidth) {
+	if bw <= 0 {
+		return
+	}
 	e.cfg.Bandwidth = bw
 	target := sim.TargetRatio(e.cfg.IngestRate, bw)
 	if target > 1 {
@@ -286,9 +264,6 @@ func (e *OnlineEngine) Process(values []float64, label int) (Result, compress.En
 	if len(values) == 0 {
 		return Result{}, compress.Encoded{}, compress.ErrEmptyInput
 	}
-	if e.energy.Exhausted() {
-		return Result{}, compress.Encoded{}, ErrEnergyExhausted
-	}
 	// The lossy winner's parked decode buffer is safe to recycle only
 	// after the oracle's observe pass; flush on every exit.
 	defer e.scr.flushDec()
@@ -335,6 +310,34 @@ func (e *OnlineEngine) Process(values []float64, label int) (Result, compress.En
 	e.om.decision(res, target, e.Pressure())
 	e.qo.observe(e, res, values, trials, target)
 	return res, enc, nil
+}
+
+// LabeledSegment is one unit of online work: a fixed-size segment plus its
+// (optional) class label.
+type LabeledSegment struct {
+	Values []float64
+	Label  int
+}
+
+// RunOnlineSegments pushes segments through eng on the caller's goroutine
+// and returns their Results in input order; failed segments hold a zero
+// Result. The whole stream is attempted and the first error returned.
+//
+// adaedge:decision-goroutine
+func RunOnlineSegments(eng *OnlineEngine, segs []LabeledSegment) ([]Result, error) {
+	results := make([]Result, 0, len(segs))
+	var first error
+	for _, s := range segs {
+		res, enc, err := eng.Process(s.Values, s.Label)
+		if err != nil && first == nil {
+			first = err
+		}
+		results = append(results, res)
+		// Only the Result survives this loop; hand the encoding's buffer
+		// back so steady-state segments allocate nothing.
+		RecycleEncoded(enc)
+	}
+	return results, first
 }
 
 // tryLossless decides whether to attempt lossless compression this
@@ -387,10 +390,8 @@ func (e *OnlineEngine) processLossless(id, trace uint64, values []float64, targe
 		}
 		allowed[arm] = false
 		name := e.losslessNames[arm]
-		// Every attempt costs energy, including ones the target rejects;
-		// the same cost-model duration advances the span's virtual time.
+		// The cost-model duration advances the span's virtual time.
 		cost := e.costFn("encode", name, len(values))
-		e.energy.Charge(cost)
 		codec, _ := e.reg.Lookup(name)
 		t := runLosslessTrial(codec, values)
 		trials.noteLossless(arm, t)
@@ -460,7 +461,6 @@ func (e *OnlineEngine) processLossy(id, trace uint64, values []float64, target f
 	arm := e.lossyMAB.Select(allowed)
 	name := e.lossyNames[arm]
 	cost := e.costFn("encode", name, len(values))
-	e.energy.Charge(cost)
 
 	codec, _ := e.reg.Lookup(name)
 	t := runLossyTrial(codec.(compress.LossyCodec), values, target)

@@ -22,8 +22,8 @@ import (
 //
 // Non-perturbation: the oracle observes but never participates. It holds
 // its own Evaluator (the engine's is stateful — the running
-// max-throughput normalizer — and must not see oracle trials), it never
-// calls Select/Update on a policy, and it never charges the energy meter.
+// max-throughput normalizer — and must not see oracle trials), and it
+// never calls Select/Update on a policy.
 // TestQualityDoesNotPerturbDecisions pins this down.
 
 // qualityOracle is the engine-side half of the regret oracle; the

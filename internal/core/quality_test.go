@@ -43,8 +43,8 @@ func TestQualityTraceDeterministic(t *testing.T) {
 
 // TestQualityDoesNotPerturbDecisions proves the oracle observes without
 // participating: attaching it changes no codec selection. It would fail
-// if the oracle shared the engine's stateful evaluator, charged energy,
-// or touched a policy's RNG.
+// if the oracle shared the engine's stateful evaluator or touched a
+// policy's RNG.
 func TestQualityDoesNotPerturbDecisions(t *testing.T) {
 	run := func(qc *quality.Config) []string {
 		eng, err := NewOnlineEngine(Config{

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"context"
 	"sync"
 	"testing"
 
@@ -167,7 +166,8 @@ func TestOnlineSnapshotMutateWhileRunning(t *testing.T) {
 }
 
 // TestOfflineSnapshotMutateWhileRunning is the offline counterpart:
-// monitors write into the maps Stats returns while the runner ingests.
+// monitors write into the maps Stats returns while the test goroutine
+// ingests.
 func TestOfflineSnapshotMutateWhileRunning(t *testing.T) {
 	eng, err := NewOfflineEngine(Config{
 		StorageBytes: 20 << 10,
@@ -177,9 +177,6 @@ func TestOfflineSnapshotMutateWhileRunning(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	runner := NewOfflineRunner(eng, CollectorConfig{SegmentLength: 128})
-	runner.Start(context.Background())
-
 	stop := make(chan struct{})
 	var wg sync.WaitGroup
 	for i := 0; i < 3; i++ {
@@ -206,11 +203,12 @@ func TestOfflineSnapshotMutateWhileRunning(t *testing.T) {
 	stream := datasets.NewCBFStream(datasets.CBFConfig{Seed: 102})
 	const segments = 100
 	for i := 0; i < segments; i++ {
-		v, _ := stream.Next()
-		runner.Push(v)
-	}
-	if err := runner.Stop(); err != nil {
-		t.Fatal(err)
+		v, label := stream.Next()
+		if err := eng.Ingest(v, label); err != nil {
+			close(stop)
+			wg.Wait()
+			t.Fatal(err)
+		}
 	}
 	close(stop)
 	wg.Wait()
@@ -223,10 +221,10 @@ func TestOfflineSnapshotMutateWhileRunning(t *testing.T) {
 	}
 }
 
-// TestOfflineStatsPollRace runs an OfflineRunner (the engine's real
-// concurrent client: the paper's collector thread) while monitors poll
-// Stats and Snapshot, the exact interleaving that raced on the shared
-// LosslessUse/LossyUse maps and the accLoss cache.
+// TestOfflineStatsPollRace ingests on the test goroutine (the engine's
+// decision goroutine) while monitors poll Stats and Snapshot, the exact
+// interleaving that raced on the shared LosslessUse/LossyUse maps and the
+// accLoss cache.
 func TestOfflineStatsPollRace(t *testing.T) {
 	eng, err := NewOfflineEngine(Config{
 		StorageBytes: 20 << 10,
@@ -236,9 +234,6 @@ func TestOfflineStatsPollRace(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	runner := NewOfflineRunner(eng, CollectorConfig{SegmentLength: 128})
-	runner.Start(context.Background())
-
 	stop := make(chan struct{})
 	var wg sync.WaitGroup
 	for i := 0; i < 4; i++ {
@@ -264,11 +259,12 @@ func TestOfflineStatsPollRace(t *testing.T) {
 	}
 	stream := datasets.NewCBFStream(datasets.CBFConfig{Seed: 100})
 	for i := 0; i < 100; i++ {
-		v, _ := stream.Next()
-		runner.Push(v)
-	}
-	if err := runner.Stop(); err != nil {
-		t.Fatal(err)
+		v, label := stream.Next()
+		if err := eng.Ingest(v, label); err != nil {
+			close(stop)
+			wg.Wait()
+			t.Fatal(err)
+		}
 	}
 	close(stop)
 	wg.Wait()

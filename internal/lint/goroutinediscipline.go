@@ -25,12 +25,13 @@ import (
 //
 // is a decision function: it may only be called from another decision
 // function, or from a goroutine launched by a go statement that itself
-// carries the marker (the sanctioned launch of THE decision goroutine —
-// the share-nothing per-engine workers in pipeline.go, OfflineRunner's
-// worker in runner.go). Entry packages (-entry-pkgs: experiments, cmd, examples)
-// and _test.go files are exempt: their main goroutine IS the decision
-// goroutine. The annotation is exported as an analyzer
-// fact, so the discipline follows calls across packages under the
+// carries the marker (the sanctioned launch of THE decision goroutine, a
+// worker that owns its engine outright; no product package launches one
+// today, and the analyzer's testdata keeps the form covered). Entry
+// packages (-entry-pkgs: experiments, cmd, examples) and _test.go files
+// are exempt: their main goroutine IS the decision goroutine. The
+// annotation is exported as an analyzer fact, so the discipline follows
+// calls across packages under the
 // unitchecker driver — core's Process calling quality.Tracker's
 // emitters is checked even though the annotation lives in internal/obs.
 //

@@ -24,9 +24,9 @@
 //
 // The package deliberately has no dependency on core: core computes the
 // rewards (it owns the evaluator and the codecs), quality aggregates
-// them. The Tracker itself never selects, never updates a policy, and
-// never charges energy — attaching it must not perturb decisions, the
-// invariant TestQualityDoesNotPerturbDecisions enforces.
+// them. The Tracker itself never selects and never updates a policy —
+// attaching it must not perturb decisions, the invariant
+// TestQualityDoesNotPerturbDecisions enforces.
 package quality
 
 import (

@@ -1,8 +1,8 @@
 // Package store implements AdaEdge's segment management (paper §IV-F): the
-// uncompressed ingest buffer, the compressed buffer pool, and pluggable
-// compression-ordering policies behind the standard GET/PUT API, with the
-// paper's LRU-based policy as the default and a round-robin (RRDTool-style
-// oldest-first) policy for comparison.
+// compressed buffer pool and pluggable compression-ordering policies
+// behind the standard GET/PUT API, with the paper's LRU-based policy as the
+// default and a round-robin (RRDTool-style oldest-first) policy for
+// comparison.
 //
 // Pool is the compressed-segment home: Put admits an Entry, Get retrieves
 // it (touching LRU recency), and Victim hands the policy's next recoding

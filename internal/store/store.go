@@ -4,7 +4,6 @@ import (
 	"sync"
 
 	"repro/internal/compress"
-	"repro/internal/timeseries"
 )
 
 // Entry is a compressed segment resident in the pool.
@@ -263,52 +262,4 @@ func (p *Pool) Each(fn func(*Entry)) {
 	for _, e := range p.entries {
 		fn(e)
 	}
-}
-
-// Buffer is the bounded uncompressed ingest buffer feeding the compression
-// threads. When full, Push reports false and the caller must flush or shed
-// (paper §IV-C: "if the uncompressed buffer exceeds its capacity … the
-// data is flushed to the disk").
-type Buffer struct {
-	mu    sync.Mutex
-	segs  []*timeseries.Segment
-	limit int
-}
-
-// NewBuffer builds a buffer holding at most limit segments (0 = 1024).
-func NewBuffer(limit int) *Buffer {
-	if limit <= 0 {
-		limit = 1024
-	}
-	return &Buffer{limit: limit}
-}
-
-// Push appends a segment, reporting whether it fit.
-func (b *Buffer) Push(s *timeseries.Segment) bool {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	if len(b.segs) >= b.limit {
-		return false
-	}
-	b.segs = append(b.segs, s)
-	return true
-}
-
-// Pop removes and returns the oldest segment.
-func (b *Buffer) Pop() (*timeseries.Segment, bool) {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	if len(b.segs) == 0 {
-		return nil, false
-	}
-	s := b.segs[0]
-	b.segs = b.segs[1:]
-	return s, true
-}
-
-// Len returns the number of buffered segments.
-func (b *Buffer) Len() int {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return len(b.segs)
 }

@@ -3,10 +3,8 @@ package store
 import (
 	"runtime"
 	"testing"
-	"time"
 
 	"repro/internal/compress"
-	"repro/internal/timeseries"
 )
 
 func entry(id uint64, size int) *Entry {
@@ -140,37 +138,6 @@ func TestPoolEach(t *testing.T) {
 	p.Each(func(e *Entry) { seen[e.ID] = true })
 	if !seen[1] || !seen[2] {
 		t.Fatalf("each missed entries: %v", seen)
-	}
-}
-
-func TestBuffer(t *testing.T) {
-	b := NewBuffer(2)
-	seg := func(id uint64) *timeseries.Segment {
-		return timeseries.NewSegment(id, "s", time.Unix(0, 0), time.Second, []float64{1})
-	}
-	if !b.Push(seg(1)) || !b.Push(seg(2)) {
-		t.Fatal("push failed")
-	}
-	if b.Push(seg(3)) {
-		t.Fatal("push should fail when full")
-	}
-	if b.Len() != 2 {
-		t.Fatalf("len = %d", b.Len())
-	}
-	s, ok := b.Pop()
-	if !ok || s.ID != 1 {
-		t.Fatalf("pop = %+v", s)
-	}
-	b.Pop()
-	if _, ok := b.Pop(); ok {
-		t.Fatal("pop from empty buffer succeeded")
-	}
-}
-
-func TestBufferDefaultLimit(t *testing.T) {
-	b := NewBuffer(0)
-	if b.limit != 1024 {
-		t.Fatalf("default limit = %d", b.limit)
 	}
 }
 

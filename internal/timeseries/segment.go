@@ -1,14 +1,11 @@
-// Package timeseries defines the segmented time-series data model used
-// throughout AdaEdge. Incoming sensor values are cached into fixed-size
-// arrays ("segments"); each segment carries a timestamp and metadata
-// describing how it is currently compressed.
+// Package timeseries holds the segment-level substrate shared across
+// AdaEdge: the decimal precisions the datasets guarantee, and the
+// distribution statistics a data-feature selector keys on.
 package timeseries
 
 import (
 	"errors"
-	"fmt"
 	"math"
-	"time"
 )
 
 // Precision describes the number of decimal digits a dataset guarantees.
@@ -23,79 +20,29 @@ const (
 	PrecisionUCI Precision = 6
 )
 
-// Segment is a fixed-length run of consecutive data points from one signal.
-// Segments are the unit of compression: exactly one compression scheme is
-// selected per segment at any time.
-type Segment struct {
-	// ID is a monotonically increasing sequence number assigned at ingest.
-	ID uint64
-	// Signal identifies the source sensor stream.
-	Signal string
-	// Start is the timestamp of the first point.
-	Start time.Time
-	// Interval is the uniform sampling interval between points.
-	Interval time.Duration
-	// Values holds the raw data points. Nil once the segment has been
-	// compressed and its raw form dropped.
-	Values []float64
-	// Label is an optional class label used by ML evaluation workloads.
-	Label int
-}
-
 // ErrEmptySegment is returned by operations that require at least one point.
 var ErrEmptySegment = errors.New("timeseries: empty segment")
 
-// NewSegment builds a segment from a copy of values.
-func NewSegment(id uint64, signal string, start time.Time, interval time.Duration, values []float64) *Segment {
-	v := make([]float64, len(values))
-	copy(v, values)
-	return &Segment{ID: id, Signal: signal, Start: start, Interval: interval, Values: v}
-}
-
-// Len returns the number of points in the segment.
-func (s *Segment) Len() int { return len(s.Values) }
-
-// RawSize returns the uncompressed size in bytes (8 bytes per float64),
-// the quantity U in the paper's formulation.
-func (s *Segment) RawSize() int { return 8 * len(s.Values) }
-
-// End returns the timestamp just past the last point.
-func (s *Segment) End() time.Time {
-	return s.Start.Add(time.Duration(len(s.Values)) * s.Interval)
-}
-
-// Clone returns a deep copy of the segment.
-func (s *Segment) Clone() *Segment {
-	c := *s
-	c.Values = make([]float64, len(s.Values))
-	copy(c.Values, s.Values)
-	return &c
-}
-
-// String implements fmt.Stringer.
-func (s *Segment) String() string {
-	return fmt.Sprintf("segment(%s#%d, %d pts @ %s)", s.Signal, s.ID, len(s.Values), s.Start.Format(time.RFC3339))
-}
-
-// Stats summarizes a segment's value distribution. Codecs and the selection
-// framework use it to estimate compressibility.
+// Stats summarizes a segment's value distribution, the compressibility
+// features the CodecDB-style baseline selector keys on.
 type Stats struct {
 	Min, Max  float64
 	Mean      float64
 	Std       float64
-	Distinct  int     // number of distinct values (capped sample-based for large segments)
+	Distinct  int     // occupied bins of the 64-bin value histogram
 	Entropy   float64 // empirical Shannon entropy of value histogram, bits/value
 	FirstDiff float64 // mean absolute first difference, a smoothness proxy
 }
 
-// ComputeStats scans the segment once and derives distribution statistics.
-func (s *Segment) ComputeStats() (Stats, error) {
-	if len(s.Values) == 0 {
+// ComputeStats scans a segment's values once and derives distribution
+// statistics.
+func ComputeStats(values []float64) (Stats, error) {
+	if len(values) == 0 {
 		return Stats{}, ErrEmptySegment
 	}
 	st := Stats{Min: math.Inf(1), Max: math.Inf(-1)}
 	var sum, sumSq float64
-	for _, v := range s.Values {
+	for _, v := range values {
 		if v < st.Min {
 			st.Min = v
 		}
@@ -105,7 +52,7 @@ func (s *Segment) ComputeStats() (Stats, error) {
 		sum += v
 		sumSq += v * v
 	}
-	n := float64(len(s.Values))
+	n := float64(len(values))
 	st.Mean = sum / n
 	variance := sumSq/n - st.Mean*st.Mean
 	if variance < 0 {
@@ -114,14 +61,14 @@ func (s *Segment) ComputeStats() (Stats, error) {
 	st.Std = math.Sqrt(variance)
 
 	var diffSum float64
-	for i := 1; i < len(s.Values); i++ {
-		diffSum += math.Abs(s.Values[i] - s.Values[i-1])
+	for i := 1; i < len(values); i++ {
+		diffSum += math.Abs(values[i] - values[i-1])
 	}
-	if len(s.Values) > 1 {
-		st.FirstDiff = diffSum / float64(len(s.Values)-1)
+	if len(values) > 1 {
+		st.FirstDiff = diffSum / float64(len(values)-1)
 	}
 
-	st.Distinct, st.Entropy = histogramEntropy(s.Values, st.Min, st.Max)
+	st.Distinct, st.Entropy = histogramEntropy(values, st.Min, st.Max)
 	return st, nil
 }
 
@@ -156,14 +103,4 @@ func histogramEntropy(values []float64, min, max float64) (int, float64) {
 		entropy -= p * math.Log2(p)
 	}
 	return distinct, entropy
-}
-
-// Quantize rounds every value to the given decimal precision in place.
-// Datasets declare a precision (paper §V) and BUFF/Sprintz rely on values
-// actually fitting within it.
-func (s *Segment) Quantize(p Precision) {
-	scale := math.Pow10(int(p))
-	for i, v := range s.Values {
-		s.Values[i] = math.Round(v*scale) / scale
-	}
 }

@@ -3,49 +3,10 @@ package timeseries
 import (
 	"math"
 	"testing"
-	"testing/quick"
-	"time"
 )
 
-func seg(values ...float64) *Segment {
-	return NewSegment(1, "sig", time.Unix(100, 0), time.Millisecond, values)
-}
-
-func TestNewSegmentCopies(t *testing.T) {
-	src := []float64{1, 2, 3}
-	s := NewSegment(7, "a", time.Unix(0, 0), time.Second, src)
-	src[0] = 99
-	if s.Values[0] != 1 {
-		t.Fatal("segment aliased caller slice")
-	}
-	if s.ID != 7 || s.Signal != "a" || s.Len() != 3 {
-		t.Fatalf("bad fields: %+v", s)
-	}
-}
-
-func TestRawSizeAndEnd(t *testing.T) {
-	s := seg(1, 2, 3, 4)
-	if s.RawSize() != 32 {
-		t.Fatalf("raw size = %d", s.RawSize())
-	}
-	want := time.Unix(100, 0).Add(4 * time.Millisecond)
-	if !s.End().Equal(want) {
-		t.Fatalf("end = %v, want %v", s.End(), want)
-	}
-}
-
-func TestClone(t *testing.T) {
-	s := seg(1, 2)
-	c := s.Clone()
-	c.Values[0] = 42
-	if s.Values[0] != 1 {
-		t.Fatal("clone shares storage")
-	}
-}
-
 func TestComputeStats(t *testing.T) {
-	s := seg(1, 2, 3, 4, 5)
-	st, err := s.ComputeStats()
+	st, err := ComputeStats([]float64{1, 2, 3, 4, 5})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -61,17 +22,14 @@ func TestComputeStats(t *testing.T) {
 }
 
 func TestComputeStatsEmpty(t *testing.T) {
-	s := seg()
-	if _, err := s.ComputeStats(); err != ErrEmptySegment {
+	if _, err := ComputeStats(nil); err != ErrEmptySegment {
 		t.Fatalf("want ErrEmptySegment, got %v", err)
 	}
 }
 
 func TestEntropyOrdering(t *testing.T) {
-	constant := seg(5, 5, 5, 5, 5, 5, 5, 5)
-	spread := seg(1, 9, 2, 8, 3, 7, 4, 6)
-	cs, _ := constant.ComputeStats()
-	ss, _ := spread.ComputeStats()
+	cs, _ := ComputeStats([]float64{5, 5, 5, 5, 5, 5, 5, 5})
+	ss, _ := ComputeStats([]float64{1, 9, 2, 8, 3, 7, 4, 6})
 	if cs.Entropy != 0 {
 		t.Fatalf("constant entropy = %v", cs.Entropy)
 	}
@@ -80,45 +38,5 @@ func TestEntropyOrdering(t *testing.T) {
 	}
 	if cs.Distinct != 1 {
 		t.Fatalf("constant distinct = %d", cs.Distinct)
-	}
-}
-
-func TestQuantize(t *testing.T) {
-	s := seg(1.23456789, -2.98765432)
-	s.Quantize(PrecisionCBF)
-	if s.Values[0] != 1.2346 || s.Values[1] != -2.9877 {
-		t.Fatalf("quantized = %v", s.Values)
-	}
-}
-
-func TestQuantizeIdempotent(t *testing.T) {
-	f := func(raw []float64) bool {
-		vals := make([]float64, 0, len(raw))
-		for _, v := range raw {
-			if math.IsNaN(v) || math.IsInf(v, 0) || math.Abs(v) > 1e10 {
-				continue
-			}
-			vals = append(vals, v)
-		}
-		s := seg(vals...)
-		s.Quantize(PrecisionUCR)
-		once := append([]float64(nil), s.Values...)
-		s.Quantize(PrecisionUCR)
-		for i := range once {
-			if s.Values[i] != once[i] {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestStringer(t *testing.T) {
-	s := seg(1)
-	if s.String() == "" {
-		t.Fatal("empty String()")
 	}
 }
