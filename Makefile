@@ -8,7 +8,7 @@ VETTOOL := $(BIN)/adaedge-lint
 # Per-target fuzz time for the smoke pass (CI uses the same value).
 FUZZTIME ?= 20s
 
-.PHONY: all build vet fmt-check lint escape-gate escape-gate-update test race fuzz-smoke obs-smoke fleet-smoke bench-smoke doc-drift loc ci clean
+.PHONY: all build vet fmt-check lint escape-gate escape-gate-update test race allocs fuzz-smoke obs-smoke fleet-smoke bench-smoke doc-drift loc ci clean
 
 all: build
 
@@ -55,6 +55,12 @@ race:
 	$(GO) test -race ./...
 	$(GO) test -race -count=50 -run '^(TestChaosExactlyOnceDeterministic|TestSessionTraceSingleWriterOrdered)$$' ./internal/transport
 
+# allocs runs the allocation and retained-heap pins without the race
+# detector: every one of them skips under -race (sync.Pool drops Puts
+# there), so `make race` alone never runs them.
+allocs:
+	$(GO) test -count=1 -run 'Allocs|RetainedBytes|ChunksReleased' ./...
+
 # fuzz-smoke mirrors the CI fuzz job: every Fuzz* target in the
 # decoder-facing packages, the persisted-format readers in internal/store,
 # the bit reader under them (differential against a bit-by-bit reference),
@@ -98,7 +104,7 @@ doc-drift:
 loc:
 	@find . -name '*.go' ! -name '*_test.go' ! -path './vendor/*' ! -path '*/testdata/*' | xargs cat | wc -l
 
-ci: build vet fmt-check lint escape-gate race obs-smoke fleet-smoke bench-smoke doc-drift
+ci: build vet fmt-check lint escape-gate race allocs obs-smoke fleet-smoke bench-smoke doc-drift
 
 clean:
 	rm -rf $(BIN)

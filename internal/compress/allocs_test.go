@@ -12,8 +12,9 @@ import (
 // caller-owned dst (and the codec's pooled scratch), CompressInto and
 // DecompressInto allocate no more than the pinned count — zero for every
 // codec except compress/flate's per-block Huffman tables, whose count
-// follows the data (25–26 on this signal), hence a ceiling. The lossy codecs' ratio-driven entry points are pinned beside
-// them: MinRatio at zero, CompressRatio and Recode at one, the payload.
+// follows the data (25–26 on this signal), hence a ceiling. The lossy
+// codecs' ratio-driven entry points are pinned beside them: MinRatio and
+// CompressRatioInto at zero, CompressRatio and Recode at one, the payload.
 
 // allocSignal is shaped to exercise every kernel path: repeats (Gorilla /
 // Chimp zero-XOR flags), smooth ramps (Sprintz residual widths), and a
@@ -50,12 +51,13 @@ func TestCodecAllocs(t *testing.T) {
 		t.Skip("under the race detector sync.Pool drops a quarter of its Puts, so pooled scratch is rebuilt mid-measurement")
 	}
 	sig := allocSignal(256)
-	// lossy pins the ratio-driven entry points: MinRatio, CompressRatio at
-	// 0.2 and Recode 0.2 -> 0.1. CompressRatio and Recode return a payload
-	// that escapes into the spool or the pool, so their floor is 1, the
-	// exact-size output.
-	type lossy struct{ minRatio, ratio, recode float64 }
-	onePayload := &lossy{0, 1, 1}
+	// lossy pins the ratio-driven entry points: MinRatio, CompressRatio and
+	// CompressRatioInto at 0.2, and Recode 0.2 -> 0.1. CompressRatio and
+	// Recode return a fresh payload, so their floor is 1, the exact-size
+	// output; CompressRatioInto reuses its warmed-up dst, as the online
+	// trial loop does, so its floor is 0.
+	type lossy struct{ minRatio, ratio, ratioInto, recode float64 }
+	onePayload := &lossy{0, 1, 0, 1}
 	for _, tc := range []struct {
 		c                    Codec
 		compress, decompress float64
@@ -80,9 +82,10 @@ func TestCodecAllocs(t *testing.T) {
 		{NewRRDSample(1), 0, 0, onePayload},
 		// A ceiling over what this signal measures (290 and 253), not a
 		// target: the ε binary search encodes each of its 42 candidates
-		// into a fresh append-grown buffer, and Recode decodes and then
-		// runs the same search.
-		{NewModelar(), 0, 0, &lossy{0, 300, 300}},
+		// into a fresh append-grown buffer (CompressRatioInto only writes
+		// the winner into dst), and Recode decodes and then runs the same
+		// search.
+		{NewModelar(), 0, 0, &lossy{0, 300, 300, 300}},
 		{NewSummary(), 0, 0, onePayload},
 	} {
 		c := tc.c
@@ -128,6 +131,12 @@ func TestCodecAllocs(t *testing.T) {
 			var at02 Encoded
 			pin("CompressRatio", tc.lossy.ratio, func() error {
 				at02, err = lc.CompressRatio(sig, 0.2)
+				return err
+			})
+			var into []byte
+			pin("CompressRatioInto", tc.lossy.ratioInto, func() error {
+				e, err := lc.CompressRatioInto(into, sig, 0.2)
+				into = e.Data
 				return err
 			})
 			pin("Recode", tc.lossy.recode, func() error {

@@ -27,10 +27,11 @@ type buffCore struct {
 	scale     float64
 }
 
-// encodeInto appends the encoding to dst[:0]. The quantization runs twice —
-// once for the min/max scan, once while packing — trading a handful of
-// rounds per point for dropping the per-segment int64 staging slice, which
-// is what keeps the speculative trial loop allocation-free.
+// encodeInto appends the encoding to dst[:0], sized exactly once the
+// min/max scan has fixed the width. The quantization runs twice — once for
+// the scan, once while packing — trading a handful of rounds per point for
+// dropping the per-segment int64 staging slice, which is what keeps the
+// speculative trial loop allocation-free.
 func (b buffCore) encodeInto(dst []byte, values []float64, dropLimit int) (Encoded, error) {
 	if len(values) == 0 {
 		return Encoded{}, ErrEmptyInput
@@ -56,12 +57,11 @@ func (b buffCore) encodeInto(dst []byte, values []float64, dropLimit int) (Encod
 	}
 	storedWidth := width - drop
 
-	if cap(dst) == 0 {
-		dst = make([]byte, 0, len(values)*storedWidth/8+16)
-	}
-	out := putUvarint(dst[:0], uint64(len(values)))
-	out = putUvarint(out, uint64(b.precision))
-	out = binary.AppendUvarint(out, bitio.ZigZag(minQ))
+	n, prec, minZZ := uint64(len(values)), uint64(b.precision), bitio.ZigZag(minQ)
+	out := growBytes(dst, uvarintLen(n)+uvarintLen(prec)+uvarintLen(minZZ)+2+(len(values)*storedWidth+7)/8)
+	out = putUvarint(out, n)
+	out = putUvarint(out, prec)
+	out = putUvarint(out, minZZ)
 	out = append(out, byte(width), byte(drop))
 	var w bitio.Writer
 	w.ResetBuf(out)
@@ -219,7 +219,7 @@ func buffWidthForRatio(n int, headerBytes int, ratio float64) int {
 	return int(budgetBits) / n
 }
 
-// probeFull is the full-width encode CompressRatio and MinRatio size
+// probeFull is the full-width encode CompressRatioInto and MinRatio size
 // themselves by, written into pooled scratch (the caller hands it to
 // byteScratch.Put once done with full.Data) instead of a buffer thrown
 // away after its header is read. It stays a whole encode on purpose:
@@ -236,6 +236,11 @@ func (b buffCore) probeFull(values []float64) (full Encoded, scratch *[]byte, er
 
 // CompressRatio implements LossyCodec.
 func (b *BUFFLossy) CompressRatio(values []float64, ratio float64) (Encoded, error) {
+	return b.CompressRatioInto(nil, values, ratio)
+}
+
+// CompressRatioInto implements LossyCodec.
+func (b *BUFFLossy) CompressRatioInto(dst []byte, values []float64, ratio float64) (Encoded, error) {
 	// A whole sizing encode, not a min/max scan: see probeFull for why.
 	full, scratch, err := b.core.probeFull(values)
 	defer byteScratch.Put(scratch)
@@ -249,12 +254,12 @@ func (b *BUFFLossy) CompressRatio(values []float64, ratio float64) (Encoded, err
 	target := buffWidthForRatio(len(values), hdr, ratio)
 	if target >= width {
 		// Nothing to truncate: the probe is the payload.
-		return Encoded{Codec: b.Name(), Data: append([]byte(nil), full.Data...), N: full.N}, nil
+		return Encoded{Codec: b.Name(), Data: append(growBytes(dst, len(full.Data)), full.Data...), N: full.N}, nil
 	}
 	if target < 1 {
 		return Encoded{}, ErrRatioInfeasible
 	}
-	enc, err := b.core.encodeInto(nil, values, width-target)
+	enc, err := b.core.encodeInto(dst, values, width-target)
 	if err != nil {
 		return Encoded{}, err
 	}

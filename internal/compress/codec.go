@@ -9,8 +9,9 @@
 // Every codec is reached through the one Codec interface, whose two
 // methods append into caller-owned buffers (CompressInto, DecompressInto);
 // Compress and Decompress are the allocating one-liners for callers off
-// the segment-rate path. LossyCodec and Recoder add the ratio-driven
-// entry points on top.
+// the segment-rate path. LossyCodec adds the ratio-driven encode in the
+// same pair of forms (CompressRatioInto, and CompressRatio into a fresh
+// buffer), and Recoder the recode on top.
 package compress
 
 import (
@@ -82,12 +83,16 @@ func CompressInto(c Codec, dst []byte, values []float64) (Encoded, error) {
 }
 
 // LossyCodec is a codec tunable to a desired compression ratio. Given a
-// target ratio r, CompressRatio produces output of approximately r × 8N
-// bytes, trading accuracy for space.
+// target ratio r, CompressRatioInto produces output of approximately r × 8N
+// bytes, trading accuracy for space. It appends into dst[:0] under the same
+// ownership rules as CompressInto; CompressRatio is CompressRatioInto(nil,
+// …), a payload the caller owns outright.
 type LossyCodec interface {
 	Codec
-	// CompressRatio encodes values targeting the given compression ratio
-	// in (0, 1].
+	// CompressRatioInto encodes values targeting the given compression
+	// ratio in (0, 1] into dst's backing array, growing it as needed.
+	CompressRatioInto(dst []byte, values []float64, ratio float64) (Encoded, error)
+	// CompressRatio is CompressRatioInto into a fresh buffer.
 	CompressRatio(values []float64, ratio float64) (Encoded, error)
 	// MinRatio reports the smallest ratio the codec can achieve on a
 	// segment of n points (e.g. BUFF-lossy cannot discard the integer

@@ -30,15 +30,16 @@ const fftCoefBytes = 12
 
 // CompressInto implements Codec at ratio 1.
 func (f *FFT) CompressInto(dst []byte, values []float64) (Encoded, error) {
-	return f.compressRatio(dst, values, 1.0)
+	return f.CompressRatioInto(dst, values, 1.0)
 }
 
 // CompressRatio implements LossyCodec.
 func (f *FFT) CompressRatio(values []float64, ratio float64) (Encoded, error) {
-	return f.compressRatio(nil, values, ratio)
+	return f.CompressRatioInto(nil, values, ratio)
 }
 
-func (f *FFT) compressRatio(dst []byte, values []float64, ratio float64) (Encoded, error) {
+// CompressRatioInto implements LossyCodec.
+func (f *FFT) CompressRatioInto(dst []byte, values []float64, ratio float64) (Encoded, error) {
 	if len(values) == 0 {
 		return Encoded{}, ErrEmptyInput
 	}

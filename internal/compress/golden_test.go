@@ -1,6 +1,7 @@
 package compress
 
 import (
+	"bytes"
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
@@ -55,10 +56,11 @@ func goldenDigest(c Codec, enc Encoded, err error) string {
 
 // goldenLines computes "codec/mode/dataset/len digest" for every codec of
 // ExtendedRegistry(4) — a superset of DefaultRegistry(4) built from the
-// same constructors — through CompressInto and, for lossy codecs,
-// CompressRatio at 0.2 and 0.05, MinRatio (exact, as %b) and, for
-// Recoders whose 0.2 encoding succeeded, Recode of it to 0.1 and 0.04.
-func goldenLines() []string {
+// same constructors — through CompressInto and, for lossy codecs, ratio
+// (CompressRatio or CompressRatioInto) at 0.2 and 0.05, MinRatio (exact, as
+// %b) and, for Recoders whose 0.2 encoding succeeded, Recode of it to 0.1
+// and 0.04.
+func goldenLines(ratio func(lc LossyCodec, values []float64, r float64) (Encoded, error)) []string {
 	reg := ExtendedRegistry(4)
 	var lines []string
 	for _, name := range reg.Names() {
@@ -73,9 +75,9 @@ func goldenLines() []string {
 				if !ok {
 					continue
 				}
-				at02, err02 := lc.CompressRatio(segs[ds], 0.2)
+				at02, err02 := ratio(lc, segs[ds], 0.2)
 				lines = append(lines, fmt.Sprintf("%s/ratio0.2/%s/%d %s", name, ds, n, goldenDigest(c, at02, err02)))
-				enc, err = lc.CompressRatio(segs[ds], 0.05)
+				enc, err = ratio(lc, segs[ds], 0.05)
 				lines = append(lines, fmt.Sprintf("%s/ratio0.05/%s/%d %s", name, ds, n, goldenDigest(c, enc, err)))
 				lines = append(lines, fmt.Sprintf("%s/minratio/%s/%d %b", name, ds, n, lc.MinRatio(segs[ds])))
 				rec, ok := c.(Recoder)
@@ -98,13 +100,28 @@ func TestGoldenEncodings(t *testing.T) {
 		t.Fatal(err)
 	}
 	want := strings.Split(strings.TrimRight(string(raw), "\n"), "\n")
-	got := goldenLines()
-	if len(got) != len(want) {
-		t.Fatalf("golden file has %d lines, the registry produces %d", len(want), len(got))
-	}
-	for i := range got {
-		if got[i] != want[i] {
-			t.Errorf("encoding changed:\n want %s\n got  %s", want[i], got[i])
-		}
+	for _, pass := range []struct {
+		name  string
+		ratio func(lc LossyCodec, values []float64, r float64) (Encoded, error)
+	}{
+		{"CompressRatio", LossyCodec.CompressRatio},
+		// A dst full of garbage with room for any of these encodings: the
+		// encoder must write into it and read none of it.
+		{"CompressRatioInto", func(lc LossyCodec, values []float64, r float64) (Encoded, error) {
+			dirty := bytes.Repeat([]byte{0xEE}, 8*len(values)+64)
+			return lc.CompressRatioInto(dirty[:5], values, r)
+		}},
+	} {
+		t.Run(pass.name, func(t *testing.T) {
+			got := goldenLines(pass.ratio)
+			if len(got) != len(want) {
+				t.Fatalf("golden file has %d lines, the registry produces %d", len(want), len(got))
+			}
+			for i := range got {
+				if got[i] != want[i] {
+					t.Errorf("encoding changed:\n want %s\n got  %s", want[i], got[i])
+				}
+			}
+		})
 	}
 }

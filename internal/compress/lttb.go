@@ -26,15 +26,16 @@ const lttbPointBytes = 8
 
 // CompressInto implements Codec at ratio 1.
 func (l *LTTB) CompressInto(dst []byte, values []float64) (Encoded, error) {
-	return l.compressRatio(dst, values, 1.0)
+	return l.CompressRatioInto(dst, values, 1.0)
 }
 
 // CompressRatio implements LossyCodec.
 func (l *LTTB) CompressRatio(values []float64, ratio float64) (Encoded, error) {
-	return l.compressRatio(nil, values, ratio)
+	return l.CompressRatioInto(nil, values, ratio)
 }
 
-func (l *LTTB) compressRatio(dst []byte, values []float64, ratio float64) (Encoded, error) {
+// CompressRatioInto implements LossyCodec.
+func (l *LTTB) CompressRatioInto(dst []byte, values []float64, ratio float64) (Encoded, error) {
 	if len(values) == 0 {
 		return Encoded{}, ErrEmptyInput
 	}

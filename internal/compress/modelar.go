@@ -158,8 +158,15 @@ func (m *Modelar) DecompressInto(dst []float64, enc Encoded) ([]float64, error) 
 	return out, nil
 }
 
-// CompressRatio implements LossyCodec: binary-search the error bound.
+// CompressRatio implements LossyCodec.
 func (m *Modelar) CompressRatio(values []float64, ratio float64) (Encoded, error) {
+	return m.CompressRatioInto(nil, values, ratio)
+}
+
+// CompressRatioInto implements LossyCodec: binary-search the error bound.
+// Only the exact encoding is written into dst directly; the search encodes
+// each candidate into a fresh buffer and copies the winner into dst.
+func (m *Modelar) CompressRatioInto(dst []byte, values []float64, ratio float64) (Encoded, error) {
 	if len(values) == 0 {
 		return Encoded{}, ErrEmptyInput
 	}
@@ -167,7 +174,7 @@ func (m *Modelar) CompressRatio(values []float64, ratio float64) (Encoded, error
 		return Encoded{}, ErrRatioInfeasible
 	}
 	budget := int(ratio * float64(8*len(values)))
-	enc := modelarEncode(nil, values, 0)
+	enc := modelarEncode(dst, values, 0)
 	if enc.Size() <= budget {
 		return enc, nil
 	}
@@ -194,6 +201,7 @@ func (m *Modelar) CompressRatio(values []float64, ratio float64) (Encoded, error
 			epsLo = mid
 		}
 	}
+	best.Data = append(enc.Data[:0], best.Data...)
 	return best, nil
 }
 

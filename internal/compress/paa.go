@@ -25,13 +25,18 @@ func (p *PAA) CompressInto(dst []byte, values []float64) (Encoded, error) {
 
 // CompressRatio implements LossyCodec.
 func (p *PAA) CompressRatio(values []float64, ratio float64) (Encoded, error) {
+	return p.CompressRatioInto(nil, values, ratio)
+}
+
+// CompressRatioInto implements LossyCodec.
+func (p *PAA) CompressRatioInto(dst []byte, values []float64, ratio float64) (Encoded, error) {
 	if len(values) == 0 {
 		return Encoded{}, ErrEmptyInput
 	}
 	if ratio <= 0 {
 		return Encoded{}, ErrRatioInfeasible
 	}
-	return paaEncode(nil, values, paaWindowForRatio(len(values), ratio)), nil
+	return paaEncode(dst, values, paaWindowForRatio(len(values), ratio)), nil
 }
 
 // paaWindowForRatio derives the window size from the byte budget, keeping

@@ -20,15 +20,16 @@ const plaPieceBytes = 16
 // CompressInto implements Codec at ratio 1 (pieces of two points: exact
 // lines).
 func (p *PLA) CompressInto(dst []byte, values []float64) (Encoded, error) {
-	return p.compressRatio(dst, values, 1.0)
+	return p.CompressRatioInto(dst, values, 1.0)
 }
 
 // CompressRatio implements LossyCodec.
 func (p *PLA) CompressRatio(values []float64, ratio float64) (Encoded, error) {
-	return p.compressRatio(nil, values, ratio)
+	return p.CompressRatioInto(nil, values, ratio)
 }
 
-func (p *PLA) compressRatio(dst []byte, values []float64, ratio float64) (Encoded, error) {
+// CompressRatioInto implements LossyCodec.
+func (p *PLA) CompressRatioInto(dst []byte, values []float64, ratio float64) (Encoded, error) {
 	if len(values) == 0 {
 		return Encoded{}, ErrEmptyInput
 	}

@@ -26,15 +26,16 @@ func (*RRDSample) Name() string { return "rrdsample" }
 
 // CompressInto implements Codec at ratio 1.
 func (r *RRDSample) CompressInto(dst []byte, values []float64) (Encoded, error) {
-	return r.compressRatio(dst, values, 1.0)
+	return r.CompressRatioInto(dst, values, 1.0)
 }
 
 // CompressRatio implements LossyCodec.
 func (r *RRDSample) CompressRatio(values []float64, ratio float64) (Encoded, error) {
-	return r.compressRatio(nil, values, ratio)
+	return r.CompressRatioInto(nil, values, ratio)
 }
 
-func (r *RRDSample) compressRatio(dst []byte, values []float64, ratio float64) (Encoded, error) {
+// CompressRatioInto implements LossyCodec.
+func (r *RRDSample) CompressRatioInto(dst []byte, values []float64, ratio float64) (Encoded, error) {
 	if len(values) == 0 {
 		return Encoded{}, ErrEmptyInput
 	}

@@ -24,7 +24,7 @@ const summaryWindowBytes = 24
 
 // CompressInto implements Codec at ratio 1.
 func (s *Summary) CompressInto(dst []byte, values []float64) (Encoded, error) {
-	return s.compressRatio(dst, values, 1.0)
+	return s.CompressRatioInto(dst, values, 1.0)
 }
 
 // summaryWindowForRatio sizes windows from the byte budget.
@@ -43,10 +43,11 @@ func summaryWindowForRatio(n int, ratio float64) int {
 
 // CompressRatio implements LossyCodec.
 func (s *Summary) CompressRatio(values []float64, ratio float64) (Encoded, error) {
-	return s.compressRatio(nil, values, ratio)
+	return s.CompressRatioInto(nil, values, ratio)
 }
 
-func (s *Summary) compressRatio(dst []byte, values []float64, ratio float64) (Encoded, error) {
+// CompressRatioInto implements LossyCodec.
+func (s *Summary) CompressRatioInto(dst []byte, values []float64, ratio float64) (Encoded, error) {
 	if len(values) == 0 {
 		return Encoded{}, ErrEmptyInput
 	}

@@ -64,9 +64,12 @@ type OnlineEngine struct {
 	// internal/core/contextual.go).
 	ctx *contextualCtl
 
-	// scr holds decision-goroutine-only scratch (arm masks, parked decode
-	// buffers) reused across segments.
+	// scr holds decision-goroutine-only scratch (arm masks, the lossy
+	// winner's parked trial buffers) reused across segments.
 	scr engineScratch
+	// slab is the payload slab Process carves its returned encodings from
+	// (see carve); decision goroutine only.
+	slab []byte
 
 	statsMu sync.Mutex
 	stats   OnlineStats // guarded by statsMu
@@ -256,17 +259,25 @@ func (e *OnlineEngine) Stats() OnlineStats {
 const ratioSlack = 1e-9
 
 // Process compresses one segment (a fixed-size array of points, paper
-// §IV-C) and returns the outcome. The caller transmits Result-associated
-// bytes; the engine only accounts for them.
+// §IV-C) and returns the outcome with its encoding, which the caller
+// transmits or stores; the engine only accounts for it.
+//
+// The encoding's bytes are the caller's: the engine never writes them
+// again, and an append to them reallocates instead of running into the
+// next payload. They share a 16 KiB slab with the payloads decided around
+// them, though, and a kept payload keeps its slab alive. A caller that
+// drops payloads in about the order it got them, as an uplink spool does,
+// frees whole slabs; one that keeps a sparse few for a long time holds
+// their slabs and should clone them.
 //
 // adaedge:decision-goroutine
 func (e *OnlineEngine) Process(values []float64, label int) (Result, compress.Encoded, error) {
 	if len(values) == 0 {
 		return Result{}, compress.Encoded{}, compress.ErrEmptyInput
 	}
-	// The lossy winner's parked decode buffer is safe to recycle only
+	// The lossy winner's parked trial buffers are safe to recycle only
 	// after the oracle's observe pass; flush on every exit.
-	defer e.scr.flushDec()
+	defer e.scr.flush()
 	id := e.nextID
 	e.nextID++
 	// One consistent target per segment, even if a concurrent Degrade
@@ -328,14 +339,11 @@ func RunOnlineSegments(eng *OnlineEngine, segs []LabeledSegment) ([]Result, erro
 	results := make([]Result, 0, len(segs))
 	var first error
 	for _, s := range segs {
-		res, enc, err := eng.Process(s.Values, s.Label)
+		res, _, err := eng.Process(s.Values, s.Label)
 		if err != nil && first == nil {
 			first = err
 		}
 		results = append(results, res)
-		// Only the Result survives this loop; hand the encoding's buffer
-		// back so steady-state segments allocate nothing.
-		RecycleEncoded(enc)
 	}
 	return results, first
 }
@@ -425,10 +433,12 @@ func (e *OnlineEngine) processLossless(id, trace uint64, values []float64, targe
 			SegmentID: id, Codec: name, Lossy: false, Ratio: ratio,
 			Reward: 1 - minf(ratio, 1), Duration: t.dur,
 		}
-		// The winning encoding escapes with the return; its emptied
-		// wrapper goes back to the pool.
-		enc := t.enc
-		t.handOff()
+		// The winner's bytes move into the payload slab, and its trial
+		// buffer goes the way of a loser's.
+		enc := compress.Encoded{Codec: t.enc.Codec, Data: e.carve(t.enc.Data), N: t.enc.N}
+		if recycle {
+			t.release()
+		}
 		return res, enc, true
 	}
 	e.losslessFails++
@@ -475,10 +485,10 @@ func (e *OnlineEngine) processLossy(id, trace uint64, values []float64, target f
 		e.lossyMAB.Update(arm, 0)
 		return Result{}, compress.Encoded{}, t.decErr
 	}
-	// The decode slice feeds the observation below and, on sampled
-	// decisions, the oracle's observe pass; Process releases it at the
-	// very end.
-	e.scr.parkDec(t.dec)
+	// The encoding feeds the payload copy below, the decode slice the
+	// observation, and on sampled decisions both the oracle's observe
+	// pass; Process releases them at the very end.
+	e.scr.parkLossy(&t)
 	obs := Observation{Raw: values, Decoded: t.decoded, CompressedBytes: t.enc.Size(), Duration: t.dur}
 	reward, accLoss := e.eval.Score(obs)
 	e.lossyMAB.Update(arm, reward)
@@ -486,10 +496,36 @@ func (e *OnlineEngine) processLossy(id, trace uint64, values []float64, target f
 	e.ctx.chosen(id, arm, len(values), true, t.enc.Ratio())
 	e.om.spanSelect(trace, arm, name)
 	e.om.spanEncode(trace, arm, name, t.enc.Ratio())
+	enc := compress.Encoded{Codec: t.enc.Codec, Data: e.carve(t.enc.Data), N: t.enc.N}
 	return Result{
 		SegmentID: id, Codec: name, Lossy: true, Ratio: t.enc.Ratio(),
 		Reward: reward, AccuracyLoss: accLoss, Duration: t.dur,
-	}, t.enc, nil
+	}, enc, nil
+}
+
+// payloadSlabBytes is the size of the slabs online payloads are carved
+// from, exactly one of the allocator's size classes; it holds some 180
+// edge_ml payloads. A payload larger than an eighth of a slab gets its own
+// allocation, which bounds what a slab leaves unused at its tail.
+const payloadSlabBytes = 16 << 10
+
+// carve copies b into the payload slab's tail and returns the copy, capped
+// at its length. Payloads leave in the order they are carved (an uplink
+// spool releases them by ID), so a slab's payloads die together: a full
+// slab is replaced and left to the garbage collector, with no free list.
+//
+// adaedge:decision-goroutine
+func (e *OnlineEngine) carve(b []byte) []byte {
+	n := len(b)
+	if n > payloadSlabBytes/8 {
+		return append([]byte(nil), b...)
+	}
+	if cap(e.slab)-len(e.slab) < n {
+		e.slab = make([]byte, 0, payloadSlabBytes)
+	}
+	off := len(e.slab)
+	e.slab = append(e.slab, b...)
+	return e.slab[off : off+n : off+n]
 }
 
 // losslessTrial is the outcome of one pure lossless codec attempt. buf is
@@ -522,37 +558,43 @@ func runLosslessTrial(codec compress.Codec, values []float64) losslessTrial {
 }
 
 // lossyTrial is the outcome of one pure lossy codec attempt at a target
-// ratio, including the decode needed for reward evaluation. dec is the
-// pool wrapper of the decoded slice (nil when decoding failed).
+// ratio, including the decode needed for reward evaluation. buf and dec
+// are the pool wrappers of the encoding and the decoded slice (nil when
+// either step failed).
 type lossyTrial struct {
 	enc     compress.Encoded
 	err     error
 	decoded []float64
 	decErr  error
 	dur     time.Duration
+	buf     *encBuf
 	dec     *decBuf
 }
 
-// runLossyTrial compresses values toward ratio and decodes the result
-// into a pooled slice. Pure, like runLosslessTrial; the timer feeds
-// Result.Duration only.
+// runLossyTrial compresses values toward ratio into a pooled buffer and
+// decodes the result into a pooled slice. Pure, like runLosslessTrial; the
+// timer feeds Result.Duration only.
 //
 // adaedge:perf-timer
 func runLossyTrial(lc compress.LossyCodec, values []float64, ratio float64) lossyTrial {
+	eb := getEncBuf()
 	start := time.Now()
-	enc, err := lc.CompressRatio(values, ratio)
+	enc, err := lc.CompressRatioInto(eb.b, values, ratio)
 	dur := time.Since(start)
 	if err != nil {
+		encBufPool.Put(eb)
 		return lossyTrial{err: err, dur: dur}
 	}
+	eb.b = enc.Data
 	db := getDecBuf()
 	decoded, decErr := lc.DecompressInto(db.v, enc)
 	if decErr != nil {
+		encBufPool.Put(eb)
 		decBufPool.Put(db)
-		return lossyTrial{enc: enc, decErr: decErr, dur: dur}
+		return lossyTrial{decErr: decErr, dur: dur}
 	}
 	db.v = decoded
-	return lossyTrial{enc: enc, decoded: decoded, dur: dur, dec: db}
+	return lossyTrial{enc: enc, decoded: decoded, dur: dur, buf: eb, dec: db}
 }
 
 // account folds one decided segment into the stream statistics.

@@ -1,10 +1,6 @@
 package core
 
-import (
-	"sync"
-
-	"repro/internal/compress"
-)
+import "sync"
 
 // Trial-buffer recycling for the decision loop.
 //
@@ -13,25 +9,22 @@ import (
 // trial allocates its encode buffer (and, for lossy arms, a decode slice)
 // and drops it on the floor. The pools below keep those buffers
 // circulating: trials carry their pool wrapper through losslessTrial /
-// lossyTrial so recycling a rejected trial is a pointer hand-back, never
-// an allocation. A lossy trial's encoding is the exception: CompressRatio
-// makes one exact-size allocation, the payload, which leaves with the
-// decision (DESIGN.md §10), so only its decode slice is pooled.
+// lossyTrial so recycling a trial is a pointer hand-back, never an
+// allocation. No trial buffer leaves the engine: Process copies the
+// winner's bytes into the engine's payload slab (OnlineEngine.carve) and
+// then recycles the winner like any other trial, so a caller that keeps
+// every payload, as an uplink spool does, leaves the pools whole.
 //
 // Ownership rules (DESIGN.md §10):
 //
 //   - A trial's buffers belong to the trial until it is released. Release
-//     happens at exactly one site per trial: losers are released in the
-//     decision loop (only when the decision is not oracle-sampled — the
-//     oracle reads noted trials later in the same Process call), and the
-//     lossy winner's decode slice when Process returns.
-//   - The selected trial's encoding escapes to the caller with the
-//     returned compress.Encoded and leaves the pool's circulation; its
-//     emptied wrapper goes straight back to encBufPool, where the next
-//     trial sizes a fresh buffer in it or RecycleEncoded re-arms it with
-//     returned bytes. A caller that keeps every payload (an uplink spool)
-//     pays one allocation per lossless winner, the payload, and none for
-//     the wrapper.
+//     happens at exactly one site per trial: lossless trials in the
+//     decision loop, a loser on the spot and the winner after its copy, and
+//     the lossy winner's encode and decode buffers when Process returns,
+//     after the copy and the oracle's observe pass. On oracle-sampled
+//     decisions the lossless trials are not released at all: the oracle
+//     reads the noted trials after the loop, and they are left to the
+//     garbage collector.
 //   - Releasing is idempotent per trial copy (the wrapper pointer is
 //     nil'ed), but distinct copies of one trial share a wrapper — never
 //     release the same trial through two copies.
@@ -51,9 +44,9 @@ var decBufPool = sync.Pool{New: func() any { return new(decBuf) }}
 func getEncBuf() *encBuf { return encBufPool.Get().(*encBuf) }
 func getDecBuf() *decBuf { return decBufPool.Get().(*decBuf) }
 
-// release returns a rejected trial's encode buffer to the pool. Safe on
-// trials that never had a wrapper (error trials, fallback codecs) and on
-// already-released copies.
+// release returns a lossless trial's encode buffer to the pool: a loser's,
+// or the winner's once its bytes are in the payload slab. Safe on trials
+// that never had a wrapper (error trials) and on already-released copies.
 //
 // adaedge:decision-goroutine
 func (t *losslessTrial) release() {
@@ -66,40 +59,11 @@ func (t *losslessTrial) release() {
 	t.enc.Data = nil // poison: the encoding is dead after release
 }
 
-// handOff returns the wrapper of a trial whose encoding escapes to the
-// caller. The buffer itself leaves with the Encoded; only the empty
-// wrapper goes back to the pool.
-//
-// adaedge:decision-goroutine
-func (t *losslessTrial) handOff() {
-	if t.buf == nil {
-		return
-	}
-	t.buf.b = nil
-	encBufPool.Put(t.buf)
-	t.buf = nil
-}
-
-// RecycleEncoded hands an Encoded's backing buffer back to the trial
-// pools. Callers that drop every reference to enc.Data once a segment is
-// accounted (benchmark drivers, metrics-only consumers) can call this
-// after each Process to make the steady-state decision loop
-// allocation-free. Callers that retain the bytes — an uplink spool,
-// a storage pool — must NOT recycle: the buffer would be overwritten by
-// a later trial while still referenced.
-func RecycleEncoded(enc compress.Encoded) {
-	if cap(enc.Data) == 0 {
-		return
-	}
-	eb := getEncBuf()
-	eb.b = enc.Data
-	encBufPool.Put(eb)
-}
-
 // engineScratch holds slices reused across segments by the decision
 // goroutine.
 type engineScratch struct {
 	mask       []bool
+	pendingEnc *encBuf
 	pendingDec *decBuf
 }
 
@@ -118,18 +82,23 @@ func (s *engineScratch) boolMask(n int, fill bool) []bool {
 	return m
 }
 
-// parkDec defers a decode buffer's release to the end of the current
-// process call — after the oracle's observe pass, its last reader.
+// parkLossy defers the release of the lossy winner's encode and decode
+// buffers to the end of the current process call — after the payload copy
+// and the oracle's observe pass, their last readers.
 //
 // adaedge:decision-goroutine
-func (s *engineScratch) parkDec(d *decBuf) {
-	s.pendingDec = d
+func (s *engineScratch) parkLossy(t *lossyTrial) {
+	s.pendingEnc, s.pendingDec = t.buf, t.dec
 }
 
-// flushDec releases the parked decode buffer, if any.
+// flush releases the parked buffers, if any.
 //
 // adaedge:decision-goroutine
-func (s *engineScratch) flushDec() {
+func (s *engineScratch) flush() {
+	if s.pendingEnc != nil {
+		encBufPool.Put(s.pendingEnc)
+		s.pendingEnc = nil
+	}
 	if s.pendingDec != nil {
 		decBufPool.Put(s.pendingDec)
 		s.pendingDec = nil

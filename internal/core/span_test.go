@@ -143,6 +143,7 @@ func TestOnlineSpanLifecycle(t *testing.T) {
 // steady-state budget as the uninstrumented one (span Record writes into
 // the preallocated ring under a mutex; no per-stage garbage).
 func TestAllocsOnlineSpanEmission(t *testing.T) {
+	skipAllocPinUnderRace(t)
 	o := obs.New(0)
 	o.EnableSpans(0)
 	eng, err := NewOnlineEngine(Config{
@@ -170,17 +171,15 @@ func TestAllocsOnlineSpanEmission(t *testing.T) {
 	}
 	step := 0
 	run := func() {
-		_, enc, err := eng.Process(segs[step%len(segs)], step%2)
-		if err != nil {
+		if _, _, err := eng.Process(segs[step%len(segs)], step%2); err != nil {
 			t.Fatal(err)
 		}
-		RecycleEncoded(enc)
 		step++
 	}
 	for i := 0; i < 400; i++ {
 		run()
 	}
-	if got := testing.AllocsPerRun(300, run); got > onlineLoopAllocBudget {
-		t.Errorf("spans-enabled evaluator loop allocates %v/op steady-state, budget %v", got, onlineLoopAllocBudget)
+	if got := mallocsPerOp(2048, run); got > onlineLoopAllocBudget {
+		t.Errorf("spans-enabled evaluator loop allocates %.3f/op steady-state, budget %v", got, onlineLoopAllocBudget)
 	}
 }

@@ -24,9 +24,9 @@ import (
 // Inside the pool packages (-pool-pkgs) the analyzer flags:
 //
 //   - double-release: a second release-family call (release,
-//     releaseDecoded, handOff) on the same trial in the same statement
-//     sequence — runtime idempotence makes this latent rather than fatal,
-//     but it always means the single-release-site rule was broken;
+//     releaseDecoded) on the same trial in the same statement sequence —
+//     runtime idempotence makes this latent rather than fatal, but it
+//     always means the single-release-site rule was broken;
 //   - use-after-release: reading a trial (its encoding, decode slice or
 //     wrapper) after its release call in the same statement sequence,
 //     including returning the released encoding;
@@ -69,7 +69,7 @@ var bufWrapperNames = pkgList{"encBuf", "decBuf"}
 
 // bufReleaseNames are the release-family method names. A call through any
 // of them ends the receiver's ownership of its pooled buffer.
-var bufReleaseNames = pkgList{"release", "releaseDecoded", "handOff"}
+var bufReleaseNames = pkgList{"release", "releaseDecoded"}
 
 func init() {
 	BufOwnership.Flags.Var(&bufPoolPkgs, "pool-pkgs",

@@ -33,10 +33,10 @@ import (
 
 // EscapePinnedFiles are the hot-path files whose escape decisions are
 // pinned by ESCAPES.baseline: the codec substrate's bit I/O, the four
-// tightest lossless codecs, the lossy encoders whose one allocation is the
-// payload, the forest the ML objective predicts with, both engines'
-// decision paths with their buffer pools and evaluator, and the delivered
-// half: the uplink's Send, the spool's ring and the wire's frame codec.
+// tightest lossless codecs, the lossy encoders, the forest the ML objective
+// predicts with, both engines' decision paths with their buffer pools and
+// evaluator, and the delivered half: the uplink's Send, the spool's ring
+// and the wire's frame codec.
 var EscapePinnedFiles = []string{
 	"internal/bitio/bitio.go",
 	"internal/compress/gorilla.go",

@@ -66,6 +66,8 @@ func TestSeqDeterminismAllowed(t *testing.T) {
 func TestBufOwnership(t *testing.T) {
 	setFlag(t, lint.BufOwnership, "pool-pkgs", "bufpkg")
 	setFlag(t, lint.BufOwnership, "into-pkgs", "bufpkg")
+	// The fixture's trial also has a hand-off, a second release-family name.
+	setFlag(t, lint.BufOwnership, "releases", "release,releaseDecoded,handOff")
 	linttest.Run(t, "testdata/bufpkg", "bufpkg", lint.BufOwnership)
 }
 
