@@ -4,7 +4,10 @@ import (
 	"bytes"
 	"math"
 	"reflect"
+	"sync"
 	"testing"
+
+	"repro/internal/datasets"
 )
 
 // Buffer-aliasing property tests: after the zero-alloc pass, every codec
@@ -124,5 +127,54 @@ func TestScratchReuseIndependence(t *testing.T) {
 				t.Fatal("later compression mutated an earlier encoding (retained slice)")
 			}
 		})
+	}
+}
+
+// TestCompressConcurrentCallers: Compress's pooled scratch serves every
+// goroutine in the process. Payloads encoded on four goroutines at once
+// must equal the sequential ones byte for byte, and still equal them once
+// every goroutine is done, so that no later encode wrote through a payload
+// handed out earlier.
+func TestCompressConcurrentCallers(t *testing.T) {
+	reg := DefaultRegistry(4)
+	names := reg.Names()
+	segs, _ := datasets.CBF(24, datasets.CBFConfig{Seed: 3})
+	encode := func(k int) (Encoded, error) {
+		c, _ := reg.Lookup(names[k/len(segs)])
+		return Compress(c, segs[k%len(segs)])
+	}
+	want := make([][]byte, len(names)*len(segs))
+	for k := range want {
+		enc, err := encode(k)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want[k] = enc.Data
+	}
+	got := make([][][]byte, 4)
+	var wg sync.WaitGroup
+	for g := range got {
+		got[g] = make([][]byte, len(want))
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := range want {
+				k := (i + 37*g) % len(want) // each goroutine in its own order
+				enc, err := encode(k)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				got[g][k] = enc.Data
+			}
+		}()
+	}
+	wg.Wait()
+	for g := range got {
+		for k := range want {
+			if !bytes.Equal(got[g][k], want[k]) {
+				t.Fatalf("goroutine %d: %s payload of segment %d differs from the sequential one", g, names[k/len(segs)], k%len(segs))
+			}
+		}
 	}
 }

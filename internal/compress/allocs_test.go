@@ -1,8 +1,11 @@
 package compress
 
 import (
+	"runtime"
 	"runtime/debug"
 	"testing"
+
+	"repro/internal/datasets"
 )
 
 // Steady-state allocation pins for every codec type. The codecs sit under
@@ -15,6 +18,7 @@ import (
 // follows the data (25–26 on this signal), hence a ceiling. The lossy
 // codecs' ratio-driven entry points are pinned beside them: MinRatio and
 // CompressRatioInto at zero, CompressRatio and Recode at one, the payload.
+// Compress, the nil-dst form, is one on every codec.
 
 // allocSignal is shaped to exercise every kernel path: repeats (Gorilla /
 // Chimp zero-XOR flags), smooth ramps (Sprintz residual widths), and a
@@ -115,6 +119,12 @@ func TestCodecAllocs(t *testing.T) {
 				encBuf, enc = e.Data, e
 				return err
 			})
+			// Every codec, Modelar included: one allocation, the payload at
+			// its length, whatever the codec's own growth pattern.
+			pin("Compress", 1, func() error {
+				_, err := Compress(c, sig)
+				return err
+			})
 			pin("DecompressInto", tc.decompress, func() error {
 				v, err := c.DecompressInto(decBuf, enc)
 				decBuf = v
@@ -143,6 +153,54 @@ func TestCodecAllocs(t *testing.T) {
 				_, err := c.(Recoder).Recode(at02, 0.1)
 				return err
 			})
+		})
+	}
+}
+
+// liveHeap is the heap still reachable after the pools let go.
+func liveHeap() int64 {
+	var ms runtime.MemStats
+	runtime.GC()
+	runtime.GC() // the first cycle only moves pooled scratch to the victim cache
+	runtime.ReadMemStats(&ms)
+	return int64(ms.HeapAlloc)
+}
+
+// TestCompressRetainedBytes pins what a kept Compress payload costs the
+// heap: 4 096 encodes of seed-11 CBF segments per codec, all held live, at
+// most 1.15 × their mean length plus 16 bytes each. The allocator's size
+// classes round up by at most 12.5 % above 1 KiB; what is left of the margin
+// catches a codec whose grown buffer leaves with the payload (gorilla,
+// chimp, sprintz, snappy, gzip and zlib-6/9 kept 33–73 % spare capacity
+// before Compress copied out of pooled scratch).
+func TestCompressRetainedBytes(t *testing.T) {
+	if raceBuild() {
+		t.Skip("under the race detector sync.Pool drops a quarter of its Puts, so pooled scratch is rebuilt mid-measurement")
+	}
+	segs, _ := datasets.CBF(1024, datasets.CBFConfig{Seed: 11})
+	kept := make([]Encoded, 4096)
+	reg := DefaultRegistry(4)
+	for _, name := range reg.Names() {
+		c, _ := reg.Lookup(name)
+		t.Run(name, func(t *testing.T) {
+			before := liveHeap()
+			payload := 0
+			for i := range kept {
+				enc, err := Compress(c, segs[i%len(segs)])
+				if err != nil {
+					t.Fatal(err)
+				}
+				kept[i] = enc
+				payload += enc.Size()
+			}
+			perPayload := float64(liveHeap()-before) / float64(len(kept))
+			mean := float64(payload) / float64(len(kept))
+			if budget := 1.15*mean + 16; perPayload > budget {
+				t.Errorf("a kept payload of %.0f bytes on average holds %.0f bytes of heap, budget %.0f", mean, perPayload, budget)
+			} else {
+				t.Logf("%.0f-byte payloads hold %.0f bytes each", mean, perPayload)
+			}
+			clear(kept)
 		})
 	}
 }

@@ -8,8 +8,8 @@
 //
 // Every codec is reached through the one Codec interface, whose two
 // methods append into caller-owned buffers (CompressInto, DecompressInto);
-// Compress and Decompress are the allocating one-liners for callers off
-// the segment-rate path. LossyCodec adds the ratio-driven encode in the
+// Compress and Decompress are the allocating forms for callers off the
+// segment-rate path, Compress at one right-sized payload on every codec. LossyCodec adds the ratio-driven encode in the
 // same pair of forms (CompressRatioInto, and CompressRatio into a fresh
 // buffer), and Recoder the recode on top.
 package compress
@@ -47,8 +47,10 @@ func (e Encoded) Ratio() float64 {
 // Codec is one compression method over float64 segments. Both methods
 // append into a caller-owned buffer, so a caller that keeps its buffers
 // circulating (the online trial loop, the collector's decode path) runs
-// allocation-free in steady state; cold callers pass nil or use the
-// Compress / Decompress package functions.
+// allocation-free in steady state. A codec handed a nil dst grows it as the
+// encoding needs, so the payload may carry spare capacity: callers without
+// a buffer use the package's Compress (or CompressInto), which sizes the
+// payload to its length on every codec.
 //
 // Buffer ownership: CompressInto appends the encoding to dst[:0] and the
 // returned Encoded.Data aliases dst's backing array (or a growth of it) —
@@ -70,17 +72,39 @@ type Codec interface {
 	DecompressInto(dst []float64, enc Encoded) ([]float64, error)
 }
 
-// Compress encodes values into a fresh buffer.
-func Compress(c Codec, values []float64) (Encoded, error) { return c.CompressInto(nil, values) }
+// Compress is CompressInto(c, nil, values): a payload the caller owns
+// outright, at the cost of one allocation of its length.
+func Compress(c Codec, values []float64) (Encoded, error) { return CompressInto(c, nil, values) }
 
 // Decompress decodes enc into a fresh slice.
 func Decompress(c Codec, enc Encoded) ([]float64, error) { return c.DecompressInto(nil, enc) }
 
-// CompressInto is c.CompressInto(dst, values), the form the whole-path
-// benchmark (cmd/adaedge-e2e) calls.
+// CompressInto is c.CompressInto(dst, values) when dst has capacity. When
+// it has none, the codec encodes into pooled scratch and the caller gets
+// one copy of the payload at its length: the one allocation is the
+// payload, whatever the codec's growth pattern, and a kept payload pins no
+// slack beyond the allocator's size class.
 func CompressInto(c Codec, dst []byte, values []float64) (Encoded, error) {
-	return c.CompressInto(dst, values)
+	if cap(dst) > 0 {
+		return c.CompressInto(dst, values)
+	}
+	buf := encScratch.Get().(*[]byte)
+	defer encScratch.Put(buf)
+	enc, err := c.CompressInto(*buf, values)
+	if err != nil {
+		return Encoded{}, err
+	}
+	if *buf = enc.Data[:0]; cap(*buf) > maxPooledScratch {
+		*buf = nil // one outsized segment is not a working set
+	}
+	enc.Data = append([]byte(nil), enc.Data...)
+	return enc, nil
 }
+
+// encScratch recycles the staging buffer of CompressInto's nil-dst form.
+// A codec hands back a payload aliasing the buffer or a growth of it, and
+// the growth is kept, so the buffer settles at the largest encoding seen.
+var encScratch = sync.Pool{New: func() any { return new([]byte) }}
 
 // LossyCodec is a codec tunable to a desired compression ratio. Given a
 // target ratio r, CompressRatioInto produces output of approximately r × 8N

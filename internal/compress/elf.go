@@ -86,9 +86,6 @@ func (e *Elf) CompressInto(dst []byte, values []float64) (Encoded, error) {
 	if len(values) == 0 {
 		return Encoded{}, ErrEmptyInput
 	}
-	if cap(dst) == 0 {
-		dst = make([]byte, 0, len(values)*4)
-	}
 	out := putUvarint(dst[:0], uint64(len(values)))
 	out = putUvarint(out, uint64(e.precision))
 	var w bitio.Writer

@@ -56,11 +56,11 @@ func goldenDigest(c Codec, enc Encoded, err error) string {
 
 // goldenLines computes "codec/mode/dataset/len digest" for every codec of
 // ExtendedRegistry(4) — a superset of DefaultRegistry(4) built from the
-// same constructors — through CompressInto and, for lossy codecs, ratio
-// (CompressRatio or CompressRatioInto) at 0.2 and 0.05, MinRatio (exact, as
-// %b) and, for Recoders whose 0.2 encoding succeeded, Recode of it to 0.1
-// and 0.04.
-func goldenLines(ratio func(lc LossyCodec, values []float64, r float64) (Encoded, error)) []string {
+// same constructors — through encode (the "into" lines) and, for lossy
+// codecs, ratio (CompressRatio or CompressRatioInto) at 0.2 and 0.05,
+// MinRatio (exact, as %b) and, for Recoders whose 0.2 encoding succeeded,
+// Recode of it to 0.1 and 0.04.
+func goldenLines(encode func(c Codec, values []float64) (Encoded, error), ratio func(lc LossyCodec, values []float64, r float64) (Encoded, error)) []string {
 	reg := ExtendedRegistry(4)
 	var lines []string
 	for _, name := range reg.Names() {
@@ -68,8 +68,7 @@ func goldenLines(ratio func(lc LossyCodec, values []float64, r float64) (Encoded
 		for _, n := range goldenLengths {
 			segs := goldenSegments(n)
 			for _, ds := range []string{"cbf", "plateau"} {
-				dst := []byte{0xAA, 0xBB, 0xCC, 0xDD}[:3] // dirty and too small: must not leak, must grow
-				enc, err := CompressInto(c, dst, segs[ds])
+				enc, err := encode(c, segs[ds])
 				lines = append(lines, fmt.Sprintf("%s/into/%s/%d %s", name, ds, n, goldenDigest(c, enc, err)))
 				lc, ok := c.(LossyCodec)
 				if !ok {
@@ -100,20 +99,29 @@ func TestGoldenEncodings(t *testing.T) {
 		t.Fatal(err)
 	}
 	want := strings.Split(strings.TrimRight(string(raw), "\n"), "\n")
+	// A dst that is dirty and too small: the encoder must not leak its
+	// bytes, and must grow it.
+	intoDirty := func(c Codec, values []float64) (Encoded, error) {
+		return CompressInto(c, []byte{0xAA, 0xBB, 0xCC, 0xDD}[:3], values)
+	}
 	for _, pass := range []struct {
-		name  string
-		ratio func(lc LossyCodec, values []float64, r float64) (Encoded, error)
+		name   string
+		encode func(c Codec, values []float64) (Encoded, error)
+		ratio  func(lc LossyCodec, values []float64, r float64) (Encoded, error)
 	}{
-		{"CompressRatio", LossyCodec.CompressRatio},
+		{"CompressRatio", intoDirty, LossyCodec.CompressRatio},
 		// A dst full of garbage with room for any of these encodings: the
 		// encoder must write into it and read none of it.
-		{"CompressRatioInto", func(lc LossyCodec, values []float64, r float64) (Encoded, error) {
+		{"CompressRatioInto", intoDirty, func(lc LossyCodec, values []float64, r float64) (Encoded, error) {
 			dirty := bytes.Repeat([]byte{0xEE}, 8*len(values)+64)
 			return lc.CompressRatioInto(dirty[:5], values, r)
 		}},
+		// The nil-dst form, through pooled scratch that every codec before
+		// this one has left dirty.
+		{"Compress", Compress, LossyCodec.CompressRatio},
 	} {
 		t.Run(pass.name, func(t *testing.T) {
-			got := goldenLines(pass.ratio)
+			got := goldenLines(pass.encode, pass.ratio)
 			if len(got) != len(want) {
 				t.Fatalf("golden file has %d lines, the registry produces %d", len(want), len(got))
 			}

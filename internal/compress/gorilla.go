@@ -30,9 +30,6 @@ func (*Gorilla) CompressInto(dst []byte, values []float64) (Encoded, error) {
 	if len(values) == 0 {
 		return Encoded{}, ErrEmptyInput
 	}
-	if cap(dst) == 0 {
-		dst = make([]byte, 0, len(values)*4)
-	}
 	var w bitio.Writer
 	w.ResetBuf(putUvarint(dst[:0], uint64(len(values))))
 	prev := math.Float64bits(values[0])

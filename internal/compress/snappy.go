@@ -63,9 +63,6 @@ func (s *Snappy) DecompressInto(dst []float64, enc Encoded) ([]float64, error) {
 
 // snappyEncode appends the block encoding of src to dst[:0].
 func snappyEncode(dst, src []byte) []byte {
-	if cap(dst) == 0 {
-		dst = make([]byte, 0, len(src)/2+16)
-	}
 	dst = putUvarint(dst[:0], uint64(len(src)))
 	var table [snapTableSize]int32
 	for i := range table {

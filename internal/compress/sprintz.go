@@ -87,9 +87,6 @@ func (s *Sprintz) CompressInto(dst []byte, values []float64) (Encoded, error) {
 	if len(values) == 0 {
 		return Encoded{}, ErrEmptyInput
 	}
-	if cap(dst) == 0 {
-		dst = make([]byte, 0, len(values)*2+2*binary.MaxVarintLen64)
-	}
 	first, err := s.quantize(values[0])
 	if err != nil {
 		return Encoded{}, err

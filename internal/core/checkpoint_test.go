@@ -151,7 +151,7 @@ func TestRestoredPoolRecodesUnderPressure(t *testing.T) {
 		if en.Sketch != nil {
 			t.Fatalf("restored entry %d has a sketch: the dump format has no room for one", en.ID)
 		}
-		levelAtResume[en.ID] = en.Level
+		levelAtResume[en.ID] = int(en.Level)
 	})
 	ingestCBF(t, restored, 80, 125)
 	if restored.Stats().Recodes == 0 {
@@ -171,7 +171,7 @@ func TestRestoredPoolRecodesUnderPressure(t *testing.T) {
 			t.Errorf("restored entry %d grew a sketch", en.ID)
 		case !old && en.Sketch == nil:
 			t.Errorf("entry %d, ingested after the resume, has no sketch", en.ID)
-		case old && en.Level > level:
+		case old && int(en.Level) > level:
 			recodedOld++
 		case !old && en.Level > 0:
 			recodedNew++

@@ -43,7 +43,6 @@ func (e *OfflineEngine) Drain(bw sim.Bandwidth, seconds float64) DrainReport {
 func (e *OfflineEngine) drain(bw sim.Bandwidth, seconds float64, ship func(*store.Entry) error) (DrainReport, error) {
 	budget := int64(float64(bw) * seconds)
 	var report DrainReport
-	var sentIDs []uint64
 	var err error
 
 	// Snapshot candidates oldest-first (ascending id = ingest order).
@@ -70,16 +69,6 @@ func (e *OfflineEngine) drain(bw sim.Bandwidth, seconds float64, ship func(*stor
 		report.Sent = append(report.Sent, sent)
 		e.pool.Remove(en.ID)
 		e.storage.Free(size)
-		sentIDs = append(sentIDs, en.ID)
-	}
-	// accLoss is shared with concurrent Stats/Snapshot pollers; evict the
-	// transmitted segments' cached losses under the lock.
-	if len(sentIDs) > 0 {
-		e.statsMu.Lock()
-		for _, id := range sentIDs {
-			delete(e.accLoss, id)
-		}
-		e.statsMu.Unlock()
 	}
 	report.SegmentsLeft = e.pool.Len()
 	report.BytesLeft = e.pool.TotalBytes()

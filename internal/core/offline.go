@@ -60,7 +60,6 @@ type OfflineEngine struct {
 	// concurrently-live encode or decode (see the call sites); none of
 	// them escapes the engine.
 	armMask   []bool
-	ingestEnc []byte    // Ingest's lossless encode, copied out at exact size
 	recodeDec []float64 // recodeEntry's shared victim decode
 	scoreDec  []float64 // scoreRecode's candidate decode
 	scoreRaw  []float64 // scoreRecode's reference decode for an entry without a sketch
@@ -73,11 +72,10 @@ type OfflineEngine struct {
 	entries  []store.Entry
 	sketches []float64
 
-	// statsMu guards stats and accLoss so Stats/Snapshot can be polled
-	// while another goroutine ingests. Ingest itself stays
-	// single-goroutine; see the type comment.
+	// statsMu guards stats and every pooled entry's AccLoss so
+	// Stats/Snapshot can be polled while another goroutine ingests. Ingest
+	// itself stays single-goroutine; see the type comment.
 	statsMu sync.Mutex
-	accLoss accLossCache // guarded by statsMu
 	stats   OfflineStats // guarded by statsMu
 }
 
@@ -140,7 +138,6 @@ func NewOfflineEngine(cfg Config) (*OfflineEngine, error) {
 		storage:       sim.NewStorage(cfg.StorageBytes, cfg.StorageThreshold),
 		pool:          store.NewPool(cfg.Policy),
 		clock:         sim.NewClock(cfg.IngestRate),
-		accLoss:       make(accLossCache),
 		stats: OfflineStats{
 			LosslessUse: make(map[string]int),
 			LossyUse:    make(map[string]int),
@@ -233,16 +230,12 @@ func (e *OfflineEngine) Ingest(values []float64, label int) error {
 	// Lossless selection: minimize compressed size (paper §IV-C2).
 	arm := e.losslessMAB.Select(nil)
 	name := e.losslessNames[arm]
-	enc, err := e.lossless[arm].CompressInto(e.ingestEnc, values)
+	// The pool keeps the payload: one allocation at its length.
+	enc, err := compress.Compress(e.lossless[arm], values)
 	if err != nil {
 		e.losslessMAB.Update(arm, 0)
 		return err
 	}
-	// The pool keeps an exact-size copy; the scratch, grown once to the
-	// largest encoding seen, serves the next segment.
-	stored := make([]byte, len(enc.Data))
-	copy(stored, enc.Data)
-	e.ingestEnc, enc.Data = enc.Data, stored
 	e.losslessMAB.Update(arm, 1-minf(enc.Ratio(), 1))
 	e.mutStats(func(s *OfflineStats) { s.LosslessUse[name]++ })
 
@@ -534,7 +527,7 @@ func (e *OfflineEngine) recodeCost(start time.Time, oldCodec, newCodec string, p
 
 // finishRecode commits the new representation, storage accounting, CPU
 // budget accounting, LRU repositioning and, in one trip through the stats
-// lock, the recode's statistics and cached accuracy loss.
+// lock, the recode's statistics and the entry's accuracy loss.
 //
 // adaedge:decision-goroutine
 func (e *OfflineEngine) finishRecode(victim *store.Entry, newEnc compress.Encoded, oldSize int, accLoss float64, virtual, fallback bool, cost float64) {
@@ -544,7 +537,7 @@ func (e *OfflineEngine) finishRecode(victim *store.Entry, newEnc compress.Encode
 	victim.Level++
 	e.pool.Touch(victim.ID)
 	e.statsMu.Lock()
-	e.accLoss[victim.ID] = accLoss
+	victim.AccLoss = accLoss
 	e.stats.Recodes++
 	if virtual {
 		e.stats.VirtualRecodes++
@@ -559,23 +552,19 @@ func (e *OfflineEngine) finishRecode(victim *store.Entry, newEnc compress.Encode
 	}
 }
 
-// accLossCache holds each recoded segment's accuracy loss, averaged for
-// snapshots.
-type accLossCache map[uint64]float64
-
 // Snapshot captures the current space/accuracy state. Losses are summed
 // in segment-id order so the result is bit-for-bit reproducible.
 func (e *OfflineEngine) Snapshot() Snapshot {
-	var ids []uint64
-	e.pool.Each(func(entry *store.Entry) { ids = append(ids, entry.ID) })
-	sort.Slice(ids, func(a, b int) bool { return ids[a] < ids[b] })
+	var entries []*store.Entry
+	e.pool.Each(func(entry *store.Entry) { entries = append(entries, entry) })
+	sort.Slice(entries, func(a, b int) bool { return entries[a].ID < entries[b].ID })
 	var sum float64
 	e.statsMu.Lock()
-	for _, id := range ids {
-		sum += e.accLoss[id]
+	for _, entry := range entries {
+		sum += entry.AccLoss
 	}
 	e.statsMu.Unlock()
-	n := len(ids)
+	n := len(entries)
 	mean := 0.0
 	if n > 0 {
 		mean = sum / float64(n)

@@ -20,7 +20,7 @@ func offlineTraceDigest(e *OfflineEngine) string {
 	e.EachEntry(func(en *store.Entry) { entries = append(entries, en) })
 	sort.Slice(entries, func(a, b int) bool { return entries[a].ID < entries[b].ID })
 	for _, en := range entries {
-		fmt.Fprintf(h, "%d %s %d %d %x %x\n", en.ID, en.Enc.Codec, en.Level, en.Enc.Size(), en.Enc.Data, math.Float64bits(e.accLoss[en.ID]))
+		fmt.Fprintf(h, "%d %s %d %d %x %x\n", en.ID, en.Enc.Codec, en.Level, en.Enc.Size(), en.Enc.Data, math.Float64bits(en.AccLoss))
 	}
 	st := e.Stats()
 	fmt.Fprintf(h, "%d %d %d %d %d\n", st.SegmentsIngested, st.Recodes, st.VirtualRecodes, st.Fallbacks, st.RecodeSkips)

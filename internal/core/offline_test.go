@@ -180,9 +180,9 @@ func TestOfflineQueryProtectsSegmentsUnderLRU(t *testing.T) {
 	var otherLevels, others int
 	e.EachEntry(func(en *store.Entry) {
 		if en.ID == 0 {
-			level0 = en.Level
+			level0 = int(en.Level)
 		} else if en.ID < 40 {
-			otherLevels += en.Level
+			otherLevels += int(en.Level)
 			others++
 		}
 	})
@@ -378,10 +378,10 @@ func TestOfflineRoundRobinPolicy(t *testing.T) {
 	var oldLevels, newLevels, olds, news int
 	e.EachEntry(func(en *store.Entry) {
 		if en.ID < 30 {
-			oldLevels += en.Level
+			oldLevels += int(en.Level)
 			olds++
 		} else if en.ID >= 90 {
-			newLevels += en.Level
+			newLevels += int(en.Level)
 			news++
 		}
 	})

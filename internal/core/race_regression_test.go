@@ -12,9 +12,10 @@ import (
 // monitors. The seed's Stats() returned struct copies whose maps
 // (CodecUse, LosslessUse, LossyUse) were the engine's live maps, so any
 // monitor polling stats while segments flowed raced with the accounting
-// writes. Same story for the offline accLoss cache
-// read by Snapshot(). Stats now deep-copies under a mutex; these tests
-// fail under -race against the old code.
+// writes. Same story for the offline accuracy losses read by Snapshot(),
+// now each entry's AccLoss. Stats now deep-copies under a mutex and
+// Snapshot reads the losses under it; these tests fail under -race
+// against the old code.
 
 // TestOnlineStatsPollRace polls Stats and both estimate maps from monitor
 // goroutines while the engine processes segments.
@@ -224,7 +225,7 @@ func TestOfflineSnapshotMutateWhileRunning(t *testing.T) {
 // TestOfflineStatsPollRace ingests on the test goroutine (the engine's
 // decision goroutine) while monitors poll Stats and Snapshot, the exact
 // interleaving that raced on the shared LosslessUse/LossyUse maps and the
-// accLoss cache.
+// accuracy losses.
 func TestOfflineStatsPollRace(t *testing.T) {
 	eng, err := NewOfflineEngine(Config{
 		StorageBytes: 20 << 10,

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"slices"
 	"sort"
 
@@ -147,7 +148,10 @@ func ReadPool(r io.Reader, policy Policy) (*Pool, error) {
 		if err != nil {
 			return nil, err
 		}
-		e.Level = int(level)
+		if level > math.MaxInt32 {
+			return nil, fmt.Errorf("%w: level %d", ErrBadFormat, level)
+		}
+		e.Level = int32(level)
 		codec, err := readString(br)
 		if err != nil {
 			return nil, err

@@ -26,7 +26,7 @@ func populatedPool(t testing.TB, n int) *Pool {
 			t.Fatal(err)
 		}
 		p.Put(&Entry{
-			ID: uint64(i), Enc: enc, Lossless: true, Level: i % 3,
+			ID: uint64(i), Enc: enc, Lossless: true, Level: int32(i % 3),
 			Label:  y[i],
 			Sketch: row[:4], // must NOT be persisted
 		})
@@ -125,6 +125,9 @@ func TestPersistRejectsGarbage(t *testing.T) {
 		[]byte("AEP1\x80\x00"),
 		[]byte("AEP1\x01\x00\x00\x02\x00\x03paa\x01\x01\x01"),
 		[]byte("AEP1\x02\x05\x00\x00\x00\x03paa\x01\x01\x01\x05\x00\x00\x00\x03paa\x01\x01\x01"),
+		// A level of 1<<31, past what Entry.Level holds: accepting it would
+		// re-serialize as another number.
+		[]byte("AEP1\x01\x00\x00\x00\x80\x80\x80\x80\x08\x03paa\x01\x01\x01"),
 	}
 	for i, data := range cases {
 		if _, err := ReadPool(bytes.NewReader(data), nil); !errors.Is(err, ErrBadFormat) {

@@ -6,7 +6,10 @@ import (
 	"repro/internal/compress"
 )
 
-// Entry is a compressed segment resident in the pool.
+// Entry is a compressed segment resident in the pool. It is 128 bytes,
+// which the size-class arithmetic of the offline engine's entry chunks
+// assumes (TestEntryIs128Bytes): a field added here must take a word from
+// another.
 type Entry struct {
 	// ID is the segment id.
 	ID uint64
@@ -15,8 +18,8 @@ type Entry struct {
 	// Lossless records whether Enc was produced by a lossless codec.
 	Lossless bool
 	// Level counts how many times the segment has been recoded (0 =
-	// first compression).
-	Level int
+	// first compression). It shares Lossless's word.
+	Level int32
 	// Label is the segment's class label, carried for ML evaluation.
 	Label int
 	// Trace is the segment's span identity (0 = untraced), carried through
@@ -26,6 +29,10 @@ type Entry struct {
 	// StartSec and EndSec bound the segment's span on the device's
 	// virtual clock, enabling time-range queries.
 	StartSec, EndSec float64
+	// AccLoss is the offline engine's workload accuracy loss of Enc, set
+	// when it recodes the segment (0 while lossless). Engine state like
+	// Sketch: not persisted.
+	AccLoss float64
 	// Sketch is what the offline engine took off the raw segment at ingest
 	// so that it need not keep the segment: the objective's reference
 	// answers (core.Evaluator.Reference) followed by each lossy arm's

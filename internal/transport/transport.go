@@ -289,7 +289,18 @@ func (t *Reader) readPayload(n int) ([]byte, error) {
 	return data, nil
 }
 
-func badFrame(err error) error { return fmt.Errorf("%w: %v", ErrBadFrame, err) }
+// badFrame reports a frame the stream tore under: ErrBadFrame, with the
+// read error behind it in the message only.
+func badFrame(err error) error { return &frameError{err} }
+
+// frameError formats when asked, not when built: a dropped link fails
+// reads by the thousand and hardly anyone prints them. It unwraps to
+// ErrBadFrame alone, so errors.Is and errors.As see through it exactly
+// what they saw through fmt.Errorf("%w: %v").
+type frameError struct{ cause error }
+
+func (e *frameError) Error() string { return ErrBadFrame.Error() + ": " + e.cause.Error() }
+func (e *frameError) Unwrap() error { return ErrBadFrame }
 
 func zigzag(v int64) uint64   { return uint64((v << 1) ^ (v >> 63)) }
 func unzigzag(u uint64) int64 { return int64(u>>1) ^ -int64(u&1) }

@@ -432,6 +432,38 @@ func TestAckRoundTripAndTruncation(t *testing.T) {
 	}
 }
 
+// failingReader fails every Read with err, the way a dropped link does.
+type failingReader struct{ err error }
+
+func (r failingReader) Read([]byte) (int, error) { return 0, r.err }
+
+// TestBadFrameErrorFormatsLazily: a read that fails under the wire costs
+// one allocation, the error, and is formatted only when printed, into the
+// text fmt.Errorf("%w: %v", ErrBadFrame, cause) gave. errors.Is and
+// errors.As see ErrBadFrame and not the cause, as they did then.
+func TestBadFrameErrorFormatsLazily(t *testing.T) {
+	cause := &net.OpError{Op: "read", Net: "tcp", Err: errors.New("connection reset by peer")}
+	br := bufio.NewReader(failingReader{cause})
+	_, err := readAck(br)
+	if !errors.Is(err, ErrBadFrame) {
+		t.Fatalf("want ErrBadFrame, got %v", err)
+	}
+	var op *net.OpError
+	if errors.As(err, &op) {
+		t.Error("the read error is reachable through errors.As; it used to be message text only")
+	}
+	if got, want := err.Error(), "transport: bad frame: read tcp: connection reset by peer"; got != want {
+		t.Errorf("message %q, want %q", got, want)
+	}
+	if got := testing.AllocsPerRun(100, func() {
+		if _, err := readAck(br); err == nil {
+			t.Fatal("read from a failing link succeeded")
+		}
+	}); got > 1 {
+		t.Errorf("a failed ACK read allocates %v/op, want at most 1", got)
+	}
+}
+
 func TestHelloRoundTrip(t *testing.T) {
 	var buf bytes.Buffer
 	if err := writeHello(&buf, 7, 32); err != nil {

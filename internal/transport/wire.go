@@ -86,7 +86,7 @@ func readHello(r *bufio.Reader) (hello, error) {
 	var h hello
 	var magic [4]byte
 	if _, err := io.ReadFull(r, magic[:]); err != nil {
-		return h, fmt.Errorf("%w: %v", ErrBadFrame, err)
+		return h, badFrame(err)
 	}
 	if magic != helloMagic {
 		return h, ErrBadFrame
@@ -138,17 +138,17 @@ func readAck(r *bufio.Reader) (next uint64, err error) {
 		if err == io.EOF && len(magic) == 0 {
 			return 0, io.EOF
 		}
-		return 0, fmt.Errorf("%w: %v", ErrBadFrame, err)
+		return 0, badFrame(err)
 	}
 	if [4]byte(magic) != ackMagic {
 		return 0, ErrBadFrame
 	}
 	if _, err := r.Discard(len(ackMagic)); err != nil {
-		return 0, fmt.Errorf("%w: %v", ErrBadFrame, err)
+		return 0, badFrame(err)
 	}
 	next, err = binary.ReadUvarint(r)
 	if err != nil {
-		return 0, fmt.Errorf("%w: %v", ErrBadFrame, err)
+		return 0, badFrame(err)
 	}
 	return next, nil
 }
