@@ -198,8 +198,6 @@ type (
 	// TraceEvent is one structured decision-trace entry. Events carry no
 	// wall-clock fields, so seeded runs reproduce identical sequences.
 	TraceEvent = obs.Event
-	// TraceSink receives trace events; Ring is the standard sink.
-	TraceSink = obs.TraceSink
 	// TraceRing is a bounded in-memory event buffer.
 	TraceRing = obs.Ring
 )

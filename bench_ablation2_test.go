@@ -108,11 +108,11 @@ func BenchmarkAblationInformativenessPolicy(b *testing.B) {
 // UCB1 vs optimistic ε-greedy on the online ML workload.
 func BenchmarkAblationUCBvsEpsilonGreedy(b *testing.B) {
 	obj := core.AggTarget(query.Sum)
-	run := func(useUCB bool) float64 {
+	run := func(policy string) float64 {
 		eng, err := core.NewOnlineEngine(core.Config{
 			TargetRatioOverride: 0.1,
 			Objective:           obj,
-			UseUCB:              useUCB,
+			BanditPolicy:        policy,
 			Seed:                73,
 		})
 		if err != nil {
@@ -129,8 +129,8 @@ func BenchmarkAblationUCBvsEpsilonGreedy(b *testing.B) {
 	}
 	var eps, ucb float64
 	for i := 0; i < b.N; i++ {
-		eps = run(false)
-		ucb = run(true)
+		eps = run("egreedy")
+		ucb = run("ucb")
 	}
 	b.ReportMetric(eps, "epsilon-greedy-loss")
 	b.ReportMetric(ucb, "ucb1-loss")

@@ -1,6 +1,6 @@
-// Catalogue-drift guard: OBSERVABILITY.md documents every metric and
-// trace-event name the system emits, and this test keeps the document
-// honest in both directions. It drives every instrumented surface — both
+// Catalogue-drift guard: OBSERVABILITY.md documents every metric, every
+// trace record (source, kind and lifecycle stage) the system emits, and
+// this test keeps the document honest in both directions. It drives every instrumented surface — both
 // engines (online with the quality oracle attached), a resilient uplink
 // under a fault schedule, and a live collector — against test observers,
 // then diffs the union of what the registries and trace rings actually
@@ -62,12 +62,25 @@ var bucketRE = regexp.MustCompile(`\[\d+\]`)
 
 // docCatalogue is what OBSERVABILITY.md claims: metric names (with
 // `<codec>`/`<bucket>` placeholders intact), each metric's Meaning cell,
-// event source→kinds, and the span-stage catalogue.
+// and the one record table: source → kind → the lifecycle stages a record
+// of that kind may carry (empty for records that are not stages).
 type docCatalogue struct {
-	metrics    map[string]bool
-	help       map[string]string          // metric name → Meaning cell
-	events     map[string]map[string]bool // source → kind set
-	spanStages map[string]bool
+	metrics map[string]bool
+	help    map[string]string                     // metric name → Meaning cell
+	events  map[string]map[string]map[string]bool // source → kind → stage set
+}
+
+// stages is the set of every documented lifecycle stage.
+func (c docCatalogue) stages() map[string]bool {
+	out := map[string]bool{}
+	for _, kinds := range c.events {
+		for _, stages := range kinds {
+			for st := range stages {
+				out[st] = true
+			}
+		}
+	}
+	return out
 }
 
 // splitTableRow splits one markdown table row into trimmed cells,
@@ -108,12 +121,11 @@ func parseCatalogue(t *testing.T) docCatalogue {
 		t.Fatal(err)
 	}
 	cat := docCatalogue{
-		metrics:    map[string]bool{},
-		help:       map[string]string{},
-		events:     map[string]map[string]bool{},
-		spanStages: map[string]bool{},
+		metrics: map[string]bool{},
+		help:    map[string]string{},
+		events:  map[string]map[string]map[string]bool{},
 	}
-	inEvents, inStages := false, false
+	inEvents := false
 	for _, line := range strings.Split(string(data), "\n") {
 		if m := metricRowRE.FindStringSubmatch(line); m != nil {
 			cat.metrics[m[1]] = true
@@ -124,45 +136,39 @@ func parseCatalogue(t *testing.T) docCatalogue {
 		}
 		trimmed := strings.TrimSpace(line)
 		switch {
-		case strings.HasPrefix(trimmed, "| Source | Kinds"):
-			inEvents, inStages = true, false
-			continue
-		case strings.HasPrefix(trimmed, "| Stage | Emitted by"):
-			inStages, inEvents = true, false
+		case strings.HasPrefix(trimmed, "| Source | Kinds | Stage"):
+			inEvents = true
 			continue
 		case !strings.HasPrefix(trimmed, "|"):
-			inEvents, inStages = false, false
+			inEvents = false
 			continue
 		}
 		cells := strings.Split(trimmed, "|")
-		if len(cells) < 4 || strings.HasPrefix(strings.TrimSpace(cells[1]), "---") {
-			continue
-		}
-		if inStages {
-			for _, s := range backtickRE.FindAllStringSubmatch(cells[1], -1) {
-				cat.spanStages[s[1]] = true
-			}
-			continue
-		}
-		if !inEvents {
+		if !inEvents || len(cells) < 5 || strings.HasPrefix(strings.TrimSpace(cells[1]), "---") {
 			continue
 		}
 		sources := backtickRE.FindAllStringSubmatch(cells[1], -1)
 		kinds := backtickRE.FindAllStringSubmatch(cells[2], -1)
+		stages := backtickRE.FindAllStringSubmatch(cells[3], -1)
 		for _, s := range sources {
 			ks := cat.events[s[1]]
 			if ks == nil {
-				ks = map[string]bool{}
+				ks = map[string]map[string]bool{}
 				cat.events[s[1]] = ks
 			}
 			for _, k := range kinds {
-				ks[k[1]] = true
+				if ks[k[1]] == nil {
+					ks[k[1]] = map[string]bool{}
+				}
+				for _, st := range stages {
+					ks[k[1]][st[1]] = true
+				}
 			}
 		}
 	}
-	if len(cat.metrics) == 0 || len(cat.events) == 0 || len(cat.spanStages) == 0 {
-		t.Fatalf("parsed an empty catalogue (metrics=%d, event sources=%d, span stages=%d) — did the table format change?",
-			len(cat.metrics), len(cat.events), len(cat.spanStages))
+	if len(cat.metrics) == 0 || len(cat.events) == 0 || len(cat.stages()) == 0 {
+		t.Fatalf("parsed an empty catalogue (metrics=%d, record sources=%d, stages=%d) — did the table format change?",
+			len(cat.metrics), len(cat.events), len(cat.stages()))
 	}
 	return cat
 }
@@ -191,12 +197,12 @@ func normalizeSource(src string) string {
 
 // driftOutcome is the union of everything the driven surfaces emitted.
 type driftOutcome struct {
-	metrics    map[string]bool
-	events     map[string]map[string]bool
-	spanStages map[string]bool // stage names with at least one record
+	metrics map[string]bool
+	events  map[string]map[string]map[string]bool // source → kind → stages carried ("" for none)
 }
 
-func (o *driftOutcome) absorb(obsv *obs.Observer) {
+func (o *driftOutcome) absorb(t *testing.T, obsv *obs.Observer) {
+	t.Helper()
 	snap := obsv.Registry().Snapshot()
 	for name := range snap.Counters {
 		o.metrics[name] = true
@@ -207,20 +213,36 @@ func (o *driftOutcome) absorb(obsv *obs.Observer) {
 	for name := range snap.Histograms {
 		o.metrics[name] = true
 	}
+	if d := obsv.Ring().Dropped(); d != 0 {
+		t.Fatalf("drift harness ring dropped %d records — raise its capacity", d)
+	}
 	for _, ev := range obsv.Ring().Events() {
 		src := normalizeSource(ev.Source)
 		ks := o.events[src]
 		if ks == nil {
-			ks = map[string]bool{}
+			ks = map[string]map[string]bool{}
 			o.events[src] = ks
 		}
-		ks[ev.Kind] = true
+		if ks[ev.Kind] == nil {
+			ks[ev.Kind] = map[string]bool{}
+		}
+		ks[ev.Kind][ev.Stage] = true
 	}
-	for stage, n := range obsv.Spans().StageCounts() {
-		if n > 0 {
-			o.spanStages[stage] = true
+}
+
+// stages is the set of every stage name carried by an emitted record.
+func (o driftOutcome) stages() map[string]bool {
+	out := map[string]bool{}
+	for _, kinds := range o.events {
+		for _, stages := range kinds {
+			for st := range stages {
+				if st != "" {
+					out[st] = true
+				}
+			}
 		}
 	}
+	return out
 }
 
 // driveEngines runs the online engine (quality oracle attached, plus an
@@ -389,23 +411,18 @@ func driveTransport(t *testing.T, upObs, colObs *obs.Observer) {
 func TestObservabilityCatalogueDrift(t *testing.T) {
 	cat := parseCatalogue(t)
 
+	// The engine drives the device-side stages, the traced transport run
+	// drives the spool/wire/collector stages.
 	engObs := obs.New(1 << 16)
 	upObs := obs.New(1 << 16)
 	colObs := obs.New(1 << 16)
-	// Spans on everywhere: the engine drives the device-side stages, the
-	// traced transport run drives spool/wire/collector stages, and the
-	// stage histograms register so the documented→emitted direction covers
-	// the span metric family too.
-	engObs.EnableSpans(0)
-	upObs.EnableSpans(0)
-	colObs.EnableSpans(0)
 	driveEngines(t, engObs)
 	driveTransport(t, upObs, colObs)
 
-	got := driftOutcome{metrics: map[string]bool{}, events: map[string]map[string]bool{}, spanStages: map[string]bool{}}
-	got.absorb(engObs)
-	got.absorb(upObs)
-	got.absorb(colObs)
+	got := driftOutcome{metrics: map[string]bool{}, events: map[string]map[string]map[string]bool{}}
+	got.absorb(t, engObs)
+	got.absorb(t, upObs)
+	got.absorb(t, colObs)
 
 	var drift []string
 
@@ -417,8 +434,15 @@ func TestObservabilityCatalogueDrift(t *testing.T) {
 	}
 	for _, src := range sortedKeys(got.events) {
 		for _, kind := range sortedKeys(got.events[src]) {
-			if !cat.events[src][kind] {
+			documented, ok := cat.events[src][kind]
+			if !ok {
 				drift = append(drift, fmt.Sprintf("event %s/%s is emitted but missing from OBSERVABILITY.md", src, kind))
+				continue
+			}
+			for _, stage := range sortedKeys(got.events[src][kind]) {
+				if stage != "" && !documented[stage] {
+					drift = append(drift, fmt.Sprintf("event %s/%s carries stage %q, which its OBSERVABILITY.md row does not name", src, kind, stage))
+				}
 			}
 		}
 	}
@@ -442,36 +466,32 @@ func TestObservabilityCatalogueDrift(t *testing.T) {
 			continue
 		}
 		for _, kind := range sortedKeys(cat.events[src]) {
-			if !got.events[src][kind] && !undrivenKinds[src+"/"+kind] {
+			if got.events[src][kind] == nil && !undrivenKinds[src+"/"+kind] {
 				drift = append(drift, fmt.Sprintf("documented event %s/%s was never emitted", src, kind))
 			}
 		}
 	}
 
-	// Span stages, both directions: every stage the driven surfaces
-	// recorded must have a catalogue row, every catalogued stage must be
-	// recorded (the harness drives the full lifecycle), and the catalogue
-	// must match the canonical obs.StageNames set exactly.
-	for _, stage := range sortedKeys(got.spanStages) {
-		if !cat.spanStages[stage] {
-			drift = append(drift, fmt.Sprintf("span stage %q is emitted but missing from OBSERVABILITY.md", stage))
-		}
-	}
-	for _, stage := range sortedKeys(cat.spanStages) {
-		if !got.spanStages[stage] {
-			drift = append(drift, fmt.Sprintf("documented span stage %q was never recorded", stage))
+	// Stages, both directions: every stage a record carried is checked
+	// against its row above, every documented stage must be recorded (the
+	// harness drives the full lifecycle), and the documented set must match
+	// the canonical obs.StageNames set exactly.
+	docStages, gotStages := cat.stages(), got.stages()
+	for _, stage := range sortedKeys(docStages) {
+		if !gotStages[stage] {
+			drift = append(drift, fmt.Sprintf("documented stage %q was never recorded", stage))
 		}
 	}
 	canonical := map[string]bool{}
 	for _, stage := range obs.StageNames() {
 		canonical[stage] = true
-		if !cat.spanStages[stage] {
-			drift = append(drift, fmt.Sprintf("span stage %q (obs.StageNames) has no catalogue row", stage))
+		if !docStages[stage] {
+			drift = append(drift, fmt.Sprintf("stage %q (obs.StageNames) has no OBSERVABILITY.md row", stage))
 		}
 	}
-	for _, stage := range sortedKeys(cat.spanStages) {
+	for _, stage := range sortedKeys(docStages) {
 		if !canonical[stage] {
-			drift = append(drift, fmt.Sprintf("documented span stage %q is not in obs.StageNames", stage))
+			drift = append(drift, fmt.Sprintf("documented stage %q is not in obs.StageNames", stage))
 		}
 	}
 

@@ -30,16 +30,19 @@ func main() {
 	budget := flag.Int64("budget", 0, "offline storage budget in bytes (0 = default)")
 	model := flag.String("model", "", "fig7 model kind: dtree|rforest|knn|kmeans (default: all four)")
 	format := flag.String("format", "text", "output format: text|csv (csv supports fig2,3,5,6,7,8,9,10,11,12,13,14)")
-	debugAddr := flag.String("debug-addr", "", "serve /debug/pprof (and the obs endpoints) on this address while experiments run; empty disables")
-	spans := flag.Bool("spans", false, "fleet experiment: record segment-lifecycle spans and print the per-device health scoreboard (browse at /debug/spans and /debug/fleet with -debug-addr)")
+	debugAddr := flag.String("debug-addr", "", "serve /debug/pprof (and the obs endpoints) on this address while experiments run; -exp fleet then records its spans end to end and prints the health scoreboard; empty disables")
 	linger := flag.Duration("linger", 0, "keep the process (and -debug-addr endpoints) alive this long after the experiments")
 	flag.Parse()
 
 	var observer *obs.Observer
-	if *debugAddr != "" || *spans {
-		observer = obs.New(0)
-	}
 	if *debugAddr != "" {
+		// A fleet run asserts one closed span per delivered segment, so its
+		// trace ring must hold the whole run.
+		ringCap := 0
+		if *exp == "fleet" {
+			ringCap = experiments.FleetConfig{Devices: *devices, SegmentsPerDevice: *segments}.TraceRingCap()
+		}
+		observer = obs.New(ringCap)
 		addr, stop, err := observer.Serve(*debugAddr)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, err)
@@ -140,18 +143,16 @@ func main() {
 		case "headline":
 			experiments.HeadlineClaims(w, *segments)
 		case "fleet":
-			fleetCfg := experiments.FleetConfig{
+			// With -debug-addr the run is instrumented: it records spans
+			// end to end, asserts exactly one closed span per delivered
+			// segment, and fills the per-device health scoreboard.
+			_, err := experiments.RunFleet(w, experiments.FleetConfig{
 				Devices:           *devices,
 				SegmentsPerDevice: *segments,
-			}
-			if *spans {
-				// The instrumented run records spans end to end and asserts
-				// exactly one closed span per delivered segment.
-				fleetCfg.Obs = observer
-			}
-			_, err := experiments.RunFleet(w, fleetCfg)
+				Obs:               observer,
+			})
 			emit(err)
-			if *spans {
+			if observer != nil {
 				printFleetBoard(w, observer)
 			}
 		default:
@@ -175,7 +176,7 @@ func main() {
 	}
 }
 
-// printFleetBoard renders the per-device health scoreboard a spans-enabled
+// printFleetBoard renders the per-device health scoreboard an instrumented
 // fleet run filled in (the same rows /debug/fleet serves).
 func printFleetBoard(w *os.File, observer *obs.Observer) {
 	rows := observer.Fleet().Snapshot()

@@ -40,13 +40,11 @@ func main() {
 	seed := flag.Int64("seed", 1, "deterministic seed")
 	verbose := flag.Bool("v", false, "print the per-segment selection trace")
 	policy := flag.String("policy", "lru", "offline recoding policy: lru|roundrobin|informativeness")
-	ucb := flag.Bool("ucb", false, "use UCB1 instead of optimistic ε-greedy")
-	banditName := flag.String("bandit", "", "selection policy: egreedy|ucb|gradient|contextual (empty = egreedy; -ucb wins when set)")
+	banditName := flag.String("bandit", "", "selection policy: egreedy|ucb|gradient|contextual (empty = egreedy)")
 	deadline := flag.Duration("deadline", 0, "per-segment latency deadline (predicted encode+uplink); 0 disables the gate")
 	qualityEvery := flag.Int("quality", 0, "online decision-quality oracle: score every Nth decision (0 disables); snapshot at /debug/quality")
 	extended := flag.Bool("extended", false, "add the modelar and summary codecs to the candidate set")
 	debugAddr := flag.String("debug-addr", "", "serve /debug/{metrics,vars,trace,spans,fleet,pprof} on this address (e.g. 127.0.0.1:0); empty disables")
-	spans := flag.Bool("spans", false, "record segment-lifecycle spans (requires -debug-addr; browse at /debug/spans)")
 	linger := flag.Duration("linger", 0, "keep the process (and -debug-addr endpoints) alive this long after the run")
 	flag.Parse()
 
@@ -61,7 +59,6 @@ func main() {
 		StorageBytes:        *budget,
 		Objective:           obj,
 		Seed:                *seed,
-		UseUCB:              *ucb,
 		BanditPolicy:        *banditName,
 		Deadline:            *deadline,
 	}
@@ -70,9 +67,6 @@ func main() {
 	}
 	if *debugAddr != "" {
 		observer := obs.New(0)
-		if *spans {
-			observer.EnableSpans(0)
-		}
 		cfg.Obs = observer
 		addr, stop, err := observer.Serve(*debugAddr)
 		if err != nil {
@@ -82,9 +76,6 @@ func main() {
 		defer func() { _ = stop() }()
 		// The smoke test parses this line to find the ephemeral port.
 		fmt.Printf("debug listening on %s\n", addr)
-	} else if *spans {
-		fmt.Fprintln(os.Stderr, "-spans requires -debug-addr (spans are browsed at /debug/spans)")
-		os.Exit(2)
 	}
 	switch strings.ToLower(*policy) {
 	case "lru", "":

@@ -56,11 +56,11 @@ type Config struct {
 	UCBC float64
 	// Seed makes exploration deterministic; 0 selects a fixed default.
 	Seed int64
-	// Trace observes every Select and Update as a decision-trace event
+	// Trace records every Select and Update as a decision-trace event
 	// (obs package). Events are emitted under the policy mutex, in
 	// decision order, and carry no wall-clock fields, so a seeded run
 	// reproduces the same sequence. Nil disables tracing at zero cost.
-	Trace obs.TraceSink
+	Trace *obs.Ring
 	// Name labels this policy's trace events (Event.Source), e.g.
 	// "bandit.online.lossy". Empty selects "bandit".
 	Name string

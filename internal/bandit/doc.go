@@ -13,7 +13,7 @@
 // for a single instance.
 //
 // Every policy is deterministic for a fixed Config.Seed and internally
-// mutex-guarded. Config.Trace attaches an obs.TraceSink: each Select and
+// mutex-guarded. Config.Trace attaches an obs.Ring: each Select and
 // Update emits one structured event under the policy mutex, in decision
 // order, with no wall-clock fields — so a seeded run reproduces the same
 // event sequence (DESIGN.md §9). Config.Name labels the events' Source

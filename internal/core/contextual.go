@@ -3,6 +3,7 @@ package core
 import (
 	"repro/internal/bandit/contextual"
 	"repro/internal/obs"
+	"repro/internal/sim"
 )
 
 // Contextual selection and deadline gating (DESIGN.md §11). The engine
@@ -50,10 +51,12 @@ type ctxPhase struct {
 
 // contextualCtl is the engine-side contextual layer.
 type contextualCtl struct {
-	deadline  float64 // seconds; 0 disables the gate
-	bandwidth float64 // uplink bytes/second; 0 drops the uplink term
-	optimism  float64
-	costFn    func(op, codec string, points int) float64
+	deadline float64 // seconds; 0 disables the gate
+	// link is the engine's live uplink capacity (&OnlineEngine.cfg.Bandwidth,
+	// which Retarget rewrites); 0 drops the uplink term.
+	link     *sim.Bandwidth
+	optimism float64
+	costFn   func(op, codec string, points int) float64
 
 	feats []float64
 
@@ -77,12 +80,12 @@ func newContextualCtl(cfg Config, e *OnlineEngine) *contextualCtl {
 		return nil
 	}
 	c := &contextualCtl{
-		deadline:  cfg.Deadline.Seconds(),
-		bandwidth: float64(cfg.Bandwidth),
-		optimism:  cfg.Bandit.Optimism,
-		costFn:    e.costFn,
-		feats:     make([]float64, 0, contextual.NumFeatures),
-		m:         newCtxMetrics(cfg.Obs, cfg.DeviceID),
+		deadline: cfg.Deadline.Seconds(),
+		link:     &e.cfg.Bandwidth,
+		optimism: cfg.Bandit.Optimism,
+		costFn:   e.costFn,
+		feats:    make([]float64, 0, contextual.NumFeatures),
+		m:        newCtxMetrics(cfg.Obs, cfg.DeviceID),
 	}
 	c.lossless = newCtxPhase(e.losslessNames, e.losslessMAB)
 	c.lossy = newCtxPhase(e.lossyNames, e.lossyMAB)
@@ -155,16 +158,18 @@ func (c *contextualCtl) predictPhase(ph *ctxPhase, points int) {
 
 // uplinkSeconds is the predicted transmission time of a segment
 // compressed to ratio: ratio × 8 bytes/point × points over the link
-// bandwidth. Without a configured link (ratio-override runs) the term
-// is zero and the deadline constrains encode latency alone.
+// bandwidth, as the engine's last Retarget left it. Without a configured
+// link (ratio-override runs) the term is zero and the deadline constrains
+// encode latency alone.
 func (c *contextualCtl) uplinkSeconds(ratio float64, points int) float64 {
-	if c.bandwidth <= 0 {
+	bw := float64(*c.link)
+	if bw <= 0 {
 		return 0
 	}
 	if ratio < 0 {
 		ratio = 0
 	}
-	return ratio * 8 * float64(points) / c.bandwidth
+	return ratio * 8 * float64(points) / bw
 }
 
 // maskLossless intersects the lossless phase's deadline feasibility into
@@ -339,7 +344,7 @@ func absf(v float64) float64 {
 // onlineMetrics pattern: nil when Config.Obs is unset, every method
 // nil-receiver-safe, all emission on the decision goroutine.
 type ctxMetrics struct {
-	sink obs.TraceSink
+	ring *obs.Ring
 	// health is this device's fleet-board row: deadline rejects and
 	// fallbacks surface per device on /debug/fleet (nil rows no-op).
 	health *obs.DeviceHealth
@@ -362,7 +367,7 @@ func newCtxMetrics(o *obs.Observer, deviceID uint64) *ctxMetrics {
 	}
 	reg := o.Registry()
 	return &ctxMetrics{
-		sink:      o.Sink(),
+		ring:      o.Ring(),
 		health:    o.Fleet().Device(deviceID),
 		rejects:   reg.Counter("core.online.deadline_rejects"),
 		fallbacks: reg.Counter("core.online.deadline_fallbacks"),
@@ -400,10 +405,10 @@ func (m *ctxMetrics) predictionError(ratioErr, latErr float64) {
 
 // adaedge:decision-goroutine
 func (m *ctxMetrics) predictEvent(id uint64, arm int, codec string, lossy bool, predRatio, ratioErr, predReward, predLat float64) {
-	if m == nil || m.sink == nil {
+	if m == nil {
 		return
 	}
-	m.sink.Record(obs.Event{
+	m.ring.Record(obs.Event{
 		Source: "quality.contextual", Kind: "predict", ID: id, Arm: arm,
 		Codec: codec, Lossy: lossy, Ratio: predRatio, Value: ratioErr,
 		Reward: predReward, Target: predLat,
@@ -417,10 +422,7 @@ func (m *ctxMetrics) fallbackEvent(id uint64, arm int, codec string, predLat, de
 	}
 	m.fallbacks.Inc()
 	m.health.NoteDeadlineFallback()
-	if m.sink == nil {
-		return
-	}
-	m.sink.Record(obs.Event{
+	m.ring.Record(obs.Event{
 		Source: "core.online", Kind: "deadline_fallback", ID: id, Arm: arm,
 		Codec: codec, Lossy: true, Value: predLat, Target: deadline,
 	})

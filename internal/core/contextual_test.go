@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/obs/quality"
 	"repro/internal/query"
+	"repro/internal/sim"
 )
 
 // ctxConfig is the contextual policy with the quality oracle attached and
@@ -145,5 +146,49 @@ func TestContextualPolicyValidation(t *testing.T) {
 		BanditPolicy: "contextal",
 	}); err == nil {
 		t.Fatal("typo'd policy name accepted")
+	}
+}
+
+// TestRetargetReachesDeadlineGate is the regression test for a gate that
+// kept the link it was built with: after Retarget to a slower link, the
+// deadline gate's predicted uplink term must follow the new link. On a
+// 5G link every lossless arm fits a 1ms deadline; on 2G the same arms'
+// predicted upload alone misses it, so the gate must start rejecting.
+func TestRetargetReachesDeadlineGate(t *testing.T) {
+	eng, err := NewOnlineEngine(Config{
+		IngestRate: 2000,
+		Bandwidth:  sim.Net5G,
+		Deadline:   time.Millisecond,
+		Objective:  SingleTarget(TargetRatio),
+		Seed:       42,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	segs := cbfSegments(t, 60, 90)
+	for _, s := range segs[:30] {
+		if _, _, err := eng.Process(s.Values, s.Label); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if st := eng.Stats(); st.DeadlineRejects != 0 || st.LossySegments != 0 {
+		t.Fatalf("on 5G: stats %+v, want every segment lossless and no rejects", st)
+	}
+
+	eng.Retarget(sim.Net2G)
+	if got, want := eng.ctx.uplinkSeconds(0.5, 128), 0.5*8*128/float64(sim.Net2G); got != want {
+		t.Fatalf("predicted uplink term after Retarget(2G) = %v s, want %v s", got, want)
+	}
+	for _, s := range segs[30:] {
+		if _, _, err := eng.Process(s.Values, s.Label); err != nil {
+			t.Fatal(err)
+		}
+	}
+	st := eng.Stats()
+	if st.DeadlineRejects == 0 {
+		t.Fatal("after Retarget(2G) the gate rejected nothing: it still predicts the 5G upload")
+	}
+	if st.DeadlineViolations != 0 {
+		t.Fatalf("deadline violations = %d, want 0", st.DeadlineViolations)
 	}
 }

@@ -41,12 +41,9 @@ type Config struct {
 	// ε-greedy with ε = 0.01 online and 0.1 offline; zero Epsilon selects
 	// those defaults per mode.
 	Bandit bandit.Config
-	// UseUCB selects UCB1 instead of ε-greedy.
-	UseUCB bool
 	// BanditPolicy names the selection policy: "egreedy" (default), "ucb",
 	// "gradient" or "contextual" (prediction-warm-started selection, see
-	// internal/bandit/contextual and DESIGN.md §11). UseUCB predates it
-	// and wins when set, so existing callers keep their behaviour.
+	// internal/bandit/contextual and DESIGN.md §11).
 	BanditPolicy string
 	// Deadline bounds each segment's predicted encode+uplink latency
 	// (online engine, DESIGN.md §11). Arms whose predicted total latency
@@ -187,13 +184,9 @@ func newPolicy(cfg Config, arms int, seedOffset int64, name string) bandit.Polic
 	return buildPolicy(cfg, arms, banditConfig(cfg, seedOffset, name))
 }
 
-// buildPolicy instantiates the policy Config selects — UseUCB (the older
-// switch) wins over BanditPolicy for compatibility. Shared by the online
-// engine and the offline per-ratio-range pool factory.
+// buildPolicy instantiates the policy Config.BanditPolicy selects. Shared
+// by the online engine and the offline per-ratio-range pool factory.
 func buildPolicy(cfg Config, arms int, bc bandit.Config) bandit.Policy {
-	if cfg.UseUCB {
-		return bandit.NewUCB1(arms, bc)
-	}
 	switch cfg.BanditPolicy {
 	case "ucb":
 		return bandit.NewUCB1(arms, bc)
@@ -210,12 +203,12 @@ func buildPolicy(cfg Config, arms int, bc bandit.Config) bandit.Policy {
 }
 
 // banditConfig derives one policy instance's config: seed offset applied,
-// trace sink and source label wired from the engine observer.
+// trace ring and source label wired from the engine observer.
 func banditConfig(cfg Config, seedOffset int64, name string) bandit.Config {
 	bc := cfg.Bandit
 	bc.Seed += seedOffset
 	if bc.Trace == nil {
-		bc.Trace = cfg.Obs.Sink()
+		bc.Trace = cfg.Obs.Ring()
 	}
 	if bc.Name == "" {
 		bc.Name = name

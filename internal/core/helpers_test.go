@@ -22,18 +22,16 @@ func cbfSegments(t testing.TB, n int, seed int64) []LabeledSegment {
 // seededRun is everything a seeded online run leaves behind that must not
 // depend on scheduling, map iteration order or the wall clock.
 type seededRun struct {
-	Events  []obs.Event     // decision trace: core, bandit and oracle events
-	Stages  []obs.SpanStage // segment-lifecycle span stream
-	Results []Result        // Duration (wall time) zeroed
+	Events  []obs.Event // the trace: core events and stages, bandit and oracle events
+	Results []Result    // Duration (wall time) zeroed
 	Stats   OnlineStats
 }
 
 // runSeeded pushes n CBF segments (stream seed 90) through a fresh engine
-// built from cfg with a fresh, spans-enabled observer attached.
+// built from cfg with a fresh observer attached.
 func runSeeded(t *testing.T, cfg Config, n int) seededRun {
 	t.Helper()
 	o := obs.New(1 << 16)
-	o.EnableSpans(0)
 	cfg.Obs = o
 	eng, err := NewOnlineEngine(cfg)
 	if err != nil {
@@ -49,12 +47,12 @@ func runSeeded(t *testing.T, cfg Config, n int) seededRun {
 	for i := range results {
 		results[i].Duration = 0
 	}
-	return seededRun{Events: o.Ring().Events(), Stages: o.Spans().Stages(), Results: results, Stats: eng.Stats()}
+	return seededRun{Events: o.Ring().Events(), Results: results, Stats: eng.Stats()}
 }
 
 // runSeededTwice is the determinism check every trace test shares: two
-// runs of cfg must leave identical decision traces, span streams, results
-// and stats — a map-iteration or wall-clock leak into any of them shows up
+// runs of cfg must leave identical traces (stages included), results and
+// stats — a map-iteration or wall-clock leak into any of them shows up
 // as a divergence here. It returns the first run for structural checks.
 func runSeededTwice(t *testing.T, cfg Config, n int) seededRun {
 	t.Helper()
@@ -69,16 +67,8 @@ func runSeededTwice(t *testing.T, cfg Config, n int) seededRun {
 		t.Fatalf("same-seed trace lengths diverged: %d vs %d", len(a.Events), len(b.Events))
 	}
 	for i := range a.Events {
-		if !reflect.DeepEqual(a.Events[i], b.Events[i]) {
+		if a.Events[i] != b.Events[i] {
 			t.Fatalf("same-seed traces diverged at event %d:\n  %+v\n  %+v", i, a.Events[i], b.Events[i])
-		}
-	}
-	if len(a.Stages) != len(b.Stages) {
-		t.Fatalf("same-seed span stream lengths diverged: %d vs %d", len(a.Stages), len(b.Stages))
-	}
-	for i := range a.Stages {
-		if a.Stages[i] != b.Stages[i] {
-			t.Fatalf("same-seed span streams diverged at record %d:\n  %+v\n  %+v", i, a.Stages[i], b.Stages[i])
 		}
 	}
 	return a

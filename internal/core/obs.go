@@ -13,22 +13,23 @@ import (
 // costs one predictable branch per call site and performs no clock reads
 // beyond the ones the engines already make for Result.Duration.
 //
-// Trace events are emitted on the decision goroutine only, in decision
-// order, and carry no wall-clock fields — a seeded run reproduces the
-// identical event sequence every time (DESIGN.md §7, §9).
+// Trace records — decisions and the engine-side lifecycle stages alike —
+// are emitted on the decision goroutine only, in decision order, and carry
+// no wall-clock fields: a seeded run reproduces the identical record
+// sequence every time (DESIGN.md §7, §9).
 
 // onlineMetrics is the OnlineEngine's cached obs handles.
 type onlineMetrics struct {
-	sink obs.TraceSink
-	reg  *obs.Registry
-	// spans is the segment-lifecycle span ring (nil when spans are
-	// disabled on the observer); deviceID labels this engine's records.
-	spans    *obs.SpanRing
-	deviceID uint64
-	// vt accumulates the current segment's virtual time — cost-model
-	// seconds since ingest — across its span stages. Decision-goroutine
-	// only, reset by spanBegin.
-	vt float64
+	ring     *obs.Ring
+	reg      *obs.Registry
+	deviceID uint64 // labels this engine's stage records
+	// id, trace, vt and arm describe the segment being decided: its ID and
+	// trace identity, its virtual time — cost-model seconds since ingest,
+	// accumulated across its stages — and the arm its select stage chose.
+	// Decision-goroutine only, reset by spanBegin.
+	id, trace uint64
+	vt        float64
+	arm       int
 
 	segments   *obs.Counter
 	lossless   *obs.Counter
@@ -50,9 +51,8 @@ func newOnlineMetrics(o *obs.Observer, deviceID uint64) *onlineMetrics {
 	}
 	reg := o.Registry()
 	return &onlineMetrics{
-		sink:       o.Sink(),
+		ring:       o.Ring(),
 		reg:        reg,
-		spans:      o.Spans(),
 		deviceID:   deviceID,
 		segments:   reg.Counter("core.online.segments"),
 		lossless:   reg.Counter("core.online.segments_lossless"),
@@ -80,23 +80,25 @@ func (m *onlineMetrics) trial(codec string, d time.Duration) {
 	h.Observe(d.Seconds())
 }
 
-// spanBegin opens a traced segment's span: it resets the virtual-time
-// accumulator and records the ingest stage, returning the segment's trace
-// identity. When spans are disabled it returns 0, which turns every later
-// span call for this segment into a single-branch no-op — the nil-observer
-// hot path stays allocation- and clock-free.
+// span records one lifecycle stage of the segment being decided, stamped
+// with its identity and current virtual time.
 //
 // adaedge:decision-goroutine
-func (m *onlineMetrics) spanBegin(id uint64, points int) uint64 {
-	if m == nil || m.spans == nil {
-		return 0
+func (m *onlineMetrics) span(st obs.Stage, ev obs.Event) {
+	ev.Source, ev.ID, ev.Device, ev.Trace, ev.VT = "core.online", m.id, m.deviceID, m.trace, m.vt
+	m.ring.RecordStage(st, ev)
+}
+
+// spanBegin opens a segment's span: it resets the per-segment state and
+// records the ingest stage.
+//
+// adaedge:decision-goroutine
+func (m *onlineMetrics) spanBegin(id uint64, points int) {
+	if m == nil {
+		return
 	}
-	trace := obs.TraceOfSegment(id)
-	m.vt = 0
-	m.spans.Record(obs.StageIngest, obs.SpanStage{
-		Device: m.deviceID, Trace: trace, Arm: -1, Value: float64(points),
-	})
-	return trace
+	m.id, m.trace, m.vt, m.arm = id, obs.TraceOfSegment(id), 0, -1
+	m.span(obs.StageIngest, obs.Event{Arm: -1, Value: float64(points)})
 }
 
 // spanFeatures records the features stage: the contextual layer extracted
@@ -104,58 +106,39 @@ func (m *onlineMetrics) spanBegin(id uint64, points int) uint64 {
 // virtual-time model — prediction is not a codec operation).
 //
 // adaedge:decision-goroutine
-func (m *onlineMetrics) spanFeatures(trace uint64) {
-	if m == nil || trace == 0 {
+func (m *onlineMetrics) spanFeatures() {
+	if m == nil {
 		return
 	}
-	m.spans.Record(obs.StageFeatures, obs.SpanStage{
-		Device: m.deviceID, Trace: trace, Arm: -1, VT: m.vt,
-	})
+	m.span(obs.StageFeatures, obs.Event{Arm: -1})
 }
 
 // spanTrial advances the segment's virtual time by one codec trial's
 // cost-model duration and records the trial stage.
 //
 // adaedge:decision-goroutine
-func (m *onlineMetrics) spanTrial(trace uint64, arm int, codec string, cost float64) {
-	if m == nil || trace == 0 {
+func (m *onlineMetrics) spanTrial(arm int, codec string, cost float64) {
+	if m == nil {
 		return
 	}
 	m.vt += cost
-	m.spans.Record(obs.StageTrial, obs.SpanStage{
-		Device: m.deviceID, Trace: trace, Arm: arm, Codec: codec,
-		VT: m.vt, Dur: cost,
-	})
+	m.span(obs.StageTrial, obs.Event{Arm: arm, Codec: codec, Dur: cost})
 }
 
 // spanSelect records the winning arm's selection.
 //
 // adaedge:decision-goroutine
-func (m *onlineMetrics) spanSelect(trace uint64, arm int, codec string) {
-	if m == nil || trace == 0 {
+func (m *onlineMetrics) spanSelect(arm int, codec string) {
+	if m == nil {
 		return
 	}
-	m.spans.Record(obs.StageSelect, obs.SpanStage{
-		Device: m.deviceID, Trace: trace, Arm: arm, Codec: codec, VT: m.vt,
-	})
-}
-
-// spanEncode closes the engine half of the span: the winning encoding
-// leaves the decision path with the achieved ratio in Value.
-//
-// adaedge:decision-goroutine
-func (m *onlineMetrics) spanEncode(trace uint64, arm int, codec string, ratio float64) {
-	if m == nil || trace == 0 {
-		return
-	}
-	m.spans.Record(obs.StageEncode, obs.SpanStage{
-		Device: m.deviceID, Trace: trace, Arm: arm, Codec: codec,
-		VT: m.vt, Value: ratio,
-	})
+	m.arm = arm
+	m.span(obs.StageSelect, obs.Event{Arm: arm, Codec: codec})
 }
 
 // decision records the per-segment outcome: counters, gauges, and the
-// one decision-trace event per bandit pull cycle.
+// one decision event per bandit pull cycle, which is also the segment's
+// encode stage — the winning encoding leaving the engine.
 //
 // adaedge:decision-goroutine
 func (m *onlineMetrics) decision(res Result, target, pressure float64) {
@@ -170,13 +153,10 @@ func (m *onlineMetrics) decision(res Result, target, pressure float64) {
 	}
 	m.effTarget.Set(target)
 	m.pressure.Set(pressure)
-	if m.sink != nil {
-		m.sink.Record(obs.Event{
-			Source: "core.online", Kind: "decision", ID: res.SegmentID,
-			Codec: res.Codec, Lossy: res.Lossy, Ratio: res.Ratio,
-			Reward: res.Reward, Target: target, Pressure: pressure,
-		})
-	}
+	m.span(obs.StageEncode, obs.Event{
+		Kind: "decision", Arm: m.arm, Codec: res.Codec, Lossy: res.Lossy,
+		Ratio: res.Ratio, Reward: res.Reward, Target: target, Pressure: pressure,
+	})
 }
 
 // violation counts a segment whose egress exceeded the link capacity.
@@ -197,17 +177,15 @@ func (m *onlineMetrics) noFeasible(id uint64, target, pressure float64) {
 		return
 	}
 	m.infeasible.Inc()
-	if m.sink != nil {
-		m.sink.Record(obs.Event{
-			Source: "core.online", Kind: "no_feasible", ID: id,
-			Target: target, Pressure: pressure, Err: ErrNoFeasibleCodec.Error(),
-		})
-	}
+	m.ring.Record(obs.Event{
+		Source: "core.online", Kind: "no_feasible", ID: id,
+		Target: target, Pressure: pressure, Err: ErrNoFeasibleCodec.Error(),
+	})
 }
 
 // offlineMetrics is the OfflineEngine's cached obs handles.
 type offlineMetrics struct {
-	sink obs.TraceSink
+	ring *obs.Ring
 	reg  *obs.Registry
 
 	ingests   *obs.Counter
@@ -230,7 +208,7 @@ func newOfflineMetrics(o *obs.Observer) *offlineMetrics {
 	}
 	reg := o.Registry()
 	return &offlineMetrics{
-		sink:      o.Sink(),
+		ring:      o.Ring(),
 		reg:       reg,
 		ingests:   reg.Counter("core.offline.ingests"),
 		recodes:   reg.Counter("core.offline.recodes"),
@@ -254,12 +232,10 @@ func (m *offlineMetrics) ingest(id uint64, codec string, ratio, util float64, st
 	m.ingests.Inc()
 	m.util.Set(util)
 	m.stored.Set(float64(stored))
-	if m.sink != nil {
-		m.sink.Record(obs.Event{
-			Source: "core.offline", Kind: "ingest", ID: id,
-			Codec: codec, Ratio: ratio, Value: util,
-		})
-	}
+	m.ring.Record(obs.Event{
+		Source: "core.offline", Kind: "ingest", ID: id,
+		Codec: codec, Ratio: ratio, Value: util,
+	})
 }
 
 // recoded records one completed recode (bandit-selected or fallback).
@@ -289,13 +265,11 @@ func (m *offlineMetrics) recoded(id uint64, codec string, target, ratio, reward,
 	}
 	h.Observe(d.Seconds())
 	m.util.Set(util)
-	if m.sink != nil {
-		m.sink.Record(obs.Event{
-			Source: "core.offline", Kind: kind, ID: id,
-			Codec: codec, Lossy: true, Ratio: ratio,
-			Reward: reward, Target: target, Value: util,
-		})
-	}
+	m.ring.Record(obs.Event{
+		Source: "core.offline", Kind: kind, ID: id,
+		Codec: codec, Lossy: true, Ratio: ratio,
+		Reward: reward, Target: target, Value: util,
+	})
 }
 
 // recodeSkip counts recodes deferred for lack of CPU budget.

@@ -28,6 +28,8 @@ func TestDecisionTraceDeterministic(t *testing.T) {
 		switch {
 		case ev.Source == "core.online" && ev.Kind == "decision":
 			decisions++
+		case ev.Source == "core.online" && ev.Kind == ev.Stage:
+			// ingest, trial and select stage records
 		case ev.Source == "bandit.online.lossless" || ev.Source == "bandit.online.lossy":
 			banditEvents++
 		default:

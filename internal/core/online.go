@@ -283,14 +283,13 @@ func (e *OnlineEngine) Process(values []float64, label int) (Result, compress.En
 	// One consistent target per segment, even if a concurrent Degrade
 	// lands mid-decision.
 	target := e.EffectiveTarget()
-	// Span lifecycle: trace is 0 when spans are disabled, turning every
-	// stage emission below into a single branch.
-	trace := e.om.spanBegin(id, len(values))
+	// Span lifecycle: the ingest stage opens the segment's span.
+	e.om.spanBegin(id, len(values))
 	// Contextual layer: features, per-arm predictions, policy priors and
 	// deadline feasibility for this segment (no-op when disabled).
 	e.ctx.begin(values)
 	if e.ctx != nil {
-		e.om.spanFeatures(trace)
+		e.om.spanFeatures()
 	}
 	// On oracle-sampled decisions, capture the trials this decision
 	// consumes so the counterfactual evaluation reuses instead of
@@ -303,7 +302,7 @@ func (e *OnlineEngine) Process(values []float64, label int) (Result, compress.En
 	// Phase 1: lossless, preferred whenever it can meet R (paper: "We
 	// choose the best lossless compression by default").
 	if e.tryLossless(target) {
-		res, enc, ok := e.processLossless(id, trace, values, target, trials)
+		res, enc, ok := e.processLossless(id, values, target, trials)
 		if ok {
 			e.account(res)
 			e.om.decision(res, target, e.Pressure())
@@ -313,7 +312,7 @@ func (e *OnlineEngine) Process(values []float64, label int) (Result, compress.En
 	}
 
 	// Phase 2: lossy selection toward the target ratio.
-	res, enc, err := e.processLossy(id, trace, values, target, trials)
+	res, enc, err := e.processLossy(id, values, target, trials)
 	if err != nil {
 		return Result{}, compress.Encoded{}, err
 	}
@@ -379,7 +378,7 @@ func (e *OnlineEngine) tryLossless(target float64) bool {
 // list (DESIGN.md §5, "Lossless viability").
 //
 // adaedge:decision-goroutine
-func (e *OnlineEngine) processLossless(id, trace uint64, values []float64, target float64, trials *decisionTrials) (Result, compress.Encoded, bool) {
+func (e *OnlineEngine) processLossless(id uint64, values []float64, target float64, trials *decisionTrials) (Result, compress.Encoded, bool) {
 	allowed := e.scr.boolMask(len(e.losslessNames), true)
 	if !e.ctx.maskLossless(allowed) {
 		// Every lossless arm misses the predicted deadline; the lossy
@@ -404,7 +403,7 @@ func (e *OnlineEngine) processLossless(id, trace uint64, values []float64, targe
 		t := runLosslessTrial(codec, values)
 		trials.noteLossless(arm, t)
 		e.om.trial(name, t.dur)
-		e.om.spanTrial(trace, arm, name, cost)
+		e.om.spanTrial(arm, name, cost)
 		// Trials that lose are recycled on the spot — unless the oracle
 		// sampled this decision, in which case it reads the noted trials
 		// after this loop and the buffers must outlive it.
@@ -427,8 +426,7 @@ func (e *OnlineEngine) processLossless(id, trace uint64, values []float64, targe
 		e.losslessFails = 0
 		e.losslessViable.Store(true)
 		e.ctx.chosen(id, arm, len(values), false, ratio)
-		e.om.spanSelect(trace, arm, name)
-		e.om.spanEncode(trace, arm, name, ratio)
+		e.om.spanSelect(arm, name)
 		res := Result{
 			SegmentID: id, Codec: name, Lossy: false, Ratio: ratio,
 			Reward: 1 - minf(ratio, 1), Duration: t.dur,
@@ -451,7 +449,7 @@ func (e *OnlineEngine) processLossless(id, trace uint64, values []float64, targe
 // processLossy runs the lossy-selection phase toward the target ratio.
 //
 // adaedge:decision-goroutine
-func (e *OnlineEngine) processLossy(id, trace uint64, values []float64, target float64, trials *decisionTrials) (Result, compress.Encoded, error) {
+func (e *OnlineEngine) processLossy(id uint64, values []float64, target float64, trials *decisionTrials) (Result, compress.Encoded, error) {
 	allowed := e.scr.boolMask(len(e.lossyNames), false)
 	feasible := false
 	for i, name := range e.lossyNames {
@@ -476,7 +474,7 @@ func (e *OnlineEngine) processLossy(id, trace uint64, values []float64, target f
 	t := runLossyTrial(codec.(compress.LossyCodec), values, target)
 	trials.noteLossy(arm, t)
 	e.om.trial(name, t.dur)
-	e.om.spanTrial(trace, arm, name, cost)
+	e.om.spanTrial(arm, name, cost)
 	if t.err != nil {
 		e.lossyMAB.Update(arm, 0)
 		return Result{}, compress.Encoded{}, fmt.Errorf("core: %s at ratio %.3f: %w", name, target, t.err)
@@ -494,8 +492,7 @@ func (e *OnlineEngine) processLossy(id, trace uint64, values []float64, target f
 	e.lossyMAB.Update(arm, reward)
 	e.ctx.observeLossy(arm, len(values), t.enc.Ratio(), reward)
 	e.ctx.chosen(id, arm, len(values), true, t.enc.Ratio())
-	e.om.spanSelect(trace, arm, name)
-	e.om.spanEncode(trace, arm, name, t.enc.Ratio())
+	e.om.spanSelect(arm, name)
 	enc := compress.Encoded{Codec: t.enc.Codec, Data: e.carve(t.enc.Data), N: t.enc.N}
 	return Result{
 		SegmentID: id, Codec: name, Lossy: true, Ratio: t.enc.Ratio(),

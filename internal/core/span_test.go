@@ -9,15 +9,17 @@ import (
 	"repro/internal/query"
 )
 
-// Span-layer contract at the engine level (DESIGN.md §7, §9): stage
-// emission happens on the decision goroutine only, timestamps come from
-// the virtual cost model, and enabling spans never perturbs decisions —
-// so a seeded run's span stream is byte-identical run to run and its
-// decision trace is identical with spans on or off.
+// Span contract at the engine level (DESIGN.md §7, §9): stage records
+// are ordinary trace events emitted on the decision goroutine only,
+// timestamps come from the virtual cost model, and attaching an observer
+// never perturbs decisions — so a seeded run's trace, stages included, is
+// byte-identical run to run, and its decisions equal an uninstrumented
+// run's.
 
-// TestOnlineSpansDeterministic pins the span stream of a seeded run:
+// TestOnlineSpansDeterministic pins the stage stream of a seeded run:
 // stage order, trace identities, arms, codecs and every virtual-time
-// field are identical run to run.
+// field are identical run to run, and every decision is its segment's
+// encode stage.
 func TestOnlineSpansDeterministic(t *testing.T) {
 	run := runSeededTwice(t, Config{
 		TargetRatioOverride: 0.15,
@@ -25,48 +27,55 @@ func TestOnlineSpansDeterministic(t *testing.T) {
 		Seed:                42,
 		DeviceID:            9,
 	}, 60)
-	if len(run.Stages) == 0 {
-		t.Fatal("no span stages recorded")
+	stages := 0
+	for _, ev := range run.Events {
+		if ev.Stage == "" {
+			continue
+		}
+		stages++
+		if ev.Device != 9 || ev.Trace != obs.TraceOfSegment(ev.ID) {
+			t.Fatalf("stage record %+v: want device 9 and trace = segment ID + 1", ev)
+		}
+		if (ev.Kind == "decision") != (ev.Stage == "encode") {
+			t.Fatalf("record %+v: the decision and the encode stage must be one record", ev)
+		}
+	}
+	if stages == 0 {
+		t.Fatal("no stage records in the trace")
 	}
 }
 
 // TestOnlineSpansDoNotPerturbDecisions pins the zero-interference
-// invariant: enabling the span layer changes neither the selected codecs
-// nor the decision-trace event stream of a seeded run.
+// invariant: a seeded run with an observer attached — every stage
+// recorded — decides exactly as the same run with Obs == nil.
 func TestOnlineSpansDoNotPerturbDecisions(t *testing.T) {
-	run := func(enableSpans bool) ([]obs.Event, []string) {
-		o := obs.New(0)
-		if enableSpans {
-			o.EnableSpans(0)
-		}
-		eng, err := NewOnlineEngine(Config{
-			TargetRatioOverride: 0.15,
-			Objective:           AggTarget(query.Max),
-			Seed:                42,
-			Obs:                 o,
-		})
+	cfg := Config{
+		TargetRatioOverride: 0.15,
+		Objective:           AggTarget(query.Max),
+		Seed:                42,
+	}
+	run := func(o *obs.Observer) []Result {
+		cfg.Obs = o
+		eng, err := NewOnlineEngine(cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
-		stream := datasets.NewCBFStream(datasets.CBFConfig{Seed: 90})
-		var codecs []string
-		for i := 0; i < 60; i++ {
-			series, label := stream.Next()
-			res, _, err := eng.Process(series, label)
-			if err != nil {
-				t.Fatal(err)
-			}
-			codecs = append(codecs, res.Codec)
+		results, err := RunOnlineSegments(eng, cbfSegments(t, 60, 90))
+		if err != nil {
+			t.Fatal(err)
 		}
-		return o.Ring().Events(), codecs
+		for i := range results {
+			results[i].Duration = 0
+		}
+		return results
 	}
-	evOff, codecsOff := run(false)
-	evOn, codecsOn := run(true)
-	if !reflect.DeepEqual(codecsOff, codecsOn) {
-		t.Fatal("enabling spans changed codec selections")
+	o := obs.New(0)
+	with, without := run(o), run(nil)
+	if o.Ring().Total() == 0 {
+		t.Fatal("the attached observer recorded nothing")
 	}
-	if !reflect.DeepEqual(evOff, evOn) {
-		t.Fatal("enabling spans changed the decision-trace event stream")
+	if !reflect.DeepEqual(with, without) {
+		t.Fatal("attaching an observer changed the decisions")
 	}
 }
 
@@ -76,7 +85,6 @@ func TestOnlineSpansDoNotPerturbDecisions(t *testing.T) {
 // non-decreasing along the chain; identity fields stamped.
 func TestOnlineSpanLifecycle(t *testing.T) {
 	o := obs.New(0)
-	o.EnableSpans(0)
 	eng, err := NewOnlineEngine(Config{
 		TargetRatioOverride: 0.15,
 		Objective:           AggTarget(query.Max),
@@ -98,7 +106,7 @@ func TestOnlineSpanLifecycle(t *testing.T) {
 		}
 		ids = append(ids, res.SegmentID)
 	}
-	groups := o.Spans().Groups()
+	groups := o.Ring().Groups()
 	if len(groups) != len(ids) {
 		t.Fatalf("span groups = %d, want %d", len(groups), len(ids))
 	}
@@ -138,14 +146,14 @@ func TestOnlineSpanLifecycle(t *testing.T) {
 	}
 }
 
-// TestAllocsOnlineSpanEmission pins span emission at zero extra
-// allocations: the spans-enabled evaluator loop must hold the same
-// steady-state budget as the uninstrumented one (span Record writes into
-// the preallocated ring under a mutex; no per-stage garbage).
+// TestAllocsOnlineSpanEmission pins stage emission at zero extra
+// allocations: the instrumented evaluator loop, every stage recorded,
+// must hold the same steady-state budget as the uninstrumented one
+// (RecordStage writes into the preallocated ring under a mutex; no
+// per-stage garbage).
 func TestAllocsOnlineSpanEmission(t *testing.T) {
 	skipAllocPinUnderRace(t)
 	o := obs.New(0)
-	o.EnableSpans(0)
 	eng, err := NewOnlineEngine(Config{
 		TargetRatioOverride: 1,
 		Objective:           SingleTarget(TargetRatio),
@@ -180,6 +188,6 @@ func TestAllocsOnlineSpanEmission(t *testing.T) {
 		run()
 	}
 	if got := mallocsPerOp(2048, run); got > onlineLoopAllocBudget {
-		t.Errorf("spans-enabled evaluator loop allocates %.3f/op steady-state, budget %v", got, onlineLoopAllocBudget)
+		t.Errorf("instrumented evaluator loop allocates %.3f/op steady-state, budget %v", got, onlineLoopAllocBudget)
 	}
 }

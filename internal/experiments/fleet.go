@@ -73,13 +73,14 @@ type FleetConfig struct {
 	// and the whole fleet redials.
 	HerdAt float64
 	// Obs optionally attaches the observability substrate: the collector
-	// and every device uplink are instrumented, the span layer is enabled
-	// (sized to the fleet's traffic), and every frame carries its trace
-	// identity over the wire — so each delivered segment closes one
+	// and every device uplink are instrumented, and every frame carries its
+	// trace identity over the wire — so each delivered segment closes one
 	// end-to-end span and the run asserts closed == Devices ×
-	// SegmentsPerDevice on top of the sink count. The per-device health
-	// board behind /debug/fleet fills from the same run. Nil skips all of
-	// it (the default; the smoke path stays uninstrumented).
+	// SegmentsPerDevice on top of the sink count. That check reads the
+	// observer's trace ring, which must hold the whole run: build the
+	// observer with TraceRingCap. The per-device health board behind
+	// /debug/fleet fills from the same run. Nil skips all of it (the
+	// default; the smoke path stays uninstrumented).
 	Obs *obs.Observer
 }
 
@@ -103,6 +104,22 @@ func (c FleetConfig) withDefaults() FleetConfig {
 		c.HerdAt = 0.2
 	}
 	return c
+}
+
+// fleetRecordsPerSegment bounds the trace records one traced fleet
+// segment leaves in the ring: spool.enqueue, wire.ack and
+// collector.deliver once each, a send per (re)transmission, and its share
+// of the device's dial, backoff, ACK and redelivery events under the fault
+// schedules; fleets from 40×1 to 120×32 devices×segments leave 7.6-11.7.
+const fleetRecordsPerSegment = 16
+
+// TraceRingCap is the trace-ring capacity (obs.New's ringCap) an observer
+// attached to this fleet run needs, so the closed-span check sees every
+// trace. The extra segment's worth per device covers the dial and backoff
+// records a device leaves however little it sends.
+func (c FleetConfig) TraceRingCap() int {
+	c = c.withDefaults()
+	return c.Devices * (c.SegmentsPerDevice + 1) * fleetRecordsPerSegment
 }
 
 // FleetResult is one fleet run's outcome. Delivered is deterministic
@@ -147,11 +164,7 @@ type FleetResult struct {
 func RunFleet(w io.Writer, cfg FleetConfig) (FleetResult, error) {
 	cfg = cfg.withDefaults()
 	reg := compress.DefaultRegistry(4)
-	// Span sizing: each traced segment records spool.enqueue + wire.send +
-	// wire.ack + collector.deliver, plus one wire.send per retransmission
-	// the fault schedules force — 8× traffic keeps the full fleet's spans
-	// buffered so the closed-span completeness check sees every trace.
-	spans := cfg.Obs.EnableSpans(cfg.Devices * cfg.SegmentsPerDevice * 8)
+	ring := cfg.Obs.Ring()
 	var delivered atomic.Int64
 	col := transport.NewCollectorWith(reg, func(transport.Frame, []float64) {
 		delivered.Add(1)
@@ -221,7 +234,7 @@ func RunFleet(w io.Writer, cfg FleetConfig) (FleetResult, error) {
 			defer func() { _ = up.Close() }()
 			for s := 0; s < cfg.SegmentsPerDevice; s++ {
 				trace := uint64(0)
-				if spans != nil {
+				if ring != nil {
 					trace = obs.TraceOfSegment(uint64(s))
 				}
 				if err := up.Send(transport.Frame{ID: uint64(s), Label: s % 5, Trace: trace, Enc: enc}); err != nil {
@@ -271,15 +284,16 @@ func RunFleet(w io.Writer, cfg FleetConfig) (FleetResult, error) {
 		return FleetResult{}, fmt.Errorf("fleet: %d duplicates over %d sessions, want at most one per session", dup, sessions)
 	}
 	closedSpans := 0
-	if spans != nil {
+	if ring != nil {
 		// Every delivered segment must have closed one end-to-end span:
 		// device-side stages joined by a collector.deliver record under
 		// the trace identity the wire propagated. WaitDrain already
 		// ordered this — the deliver precedes the ACK, the ACK precedes
 		// the spool release the drain waits on.
-		closedSpans = spans.ClosedSpans()
+		closedSpans = ring.ClosedSpans()
 		if closedSpans != expected {
-			return FleetResult{}, fmt.Errorf("fleet: %d closed end-to-end spans, want exactly %d (trace propagation broken)", closedSpans, expected)
+			return FleetResult{}, fmt.Errorf("fleet: %d closed end-to-end spans, want exactly %d (trace propagation broken, or the trace ring dropped %d records: size it with TraceRingCap)",
+				closedSpans, expected, ring.Dropped())
 		}
 	}
 	idleBytes := 0.0
@@ -307,7 +321,7 @@ func RunFleet(w io.Writer, cfg FleetConfig) (FleetResult, error) {
 			res.Devices, res.SegmentsPerDevice, res.DevicesXSegmentsPerSec,
 			res.Duplicates, res.SessionsKicked, res.Evictions,
 			res.DialFailures, res.Dials, res.IdleBytesPerDevice)
-		if spans != nil {
+		if ring != nil {
 			fmt.Fprintf(w, "  %d spans closed", res.ClosedSpans)
 		}
 		fmt.Fprintln(w)

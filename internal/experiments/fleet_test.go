@@ -51,14 +51,15 @@ func TestRunFleetExactlyOnce(t *testing.T) {
 // each device stamps on its frames survives the spool, retransmissions
 // and the frame header, and joins the collector's deliver record.
 func TestRunFleetSpansComplete(t *testing.T) {
-	o := obs.New(0)
-	res, err := RunFleet(nil, FleetConfig{
+	cfg := FleetConfig{
 		Devices:           10,
 		SegmentsPerDevice: 4,
 		Seed:              7,
 		MaxIdleDevices:    3,
-		Obs:               o,
-	})
+	}
+	o := obs.New(cfg.TraceRingCap())
+	cfg.Obs = o
+	res, err := RunFleet(nil, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -66,28 +67,26 @@ func TestRunFleetSpansComplete(t *testing.T) {
 	if res.ClosedSpans != want {
 		t.Fatalf("ClosedSpans = %d, want %d", res.ClosedSpans, want)
 	}
-	spans := o.Spans()
-	if spans == nil {
-		t.Fatal("RunFleet did not enable spans on the observer")
+	if d := o.Ring().Dropped(); d != 0 {
+		t.Fatalf("trace ring dropped %d records at TraceRingCap", d)
 	}
-	// Cumulative stage counters: exactly one deliver, enqueue and ack per
-	// delivered segment (dedup and the spool release are exactly-once);
-	// wire.send is at-least-once under retransmission.
-	if got := spans.StageCount(obs.StageCollectorDeliver); got != uint64(want) {
-		t.Fatalf("collector.deliver count = %d, want %d", got, want)
+	// Stage histograms count every stage: exactly one deliver, enqueue
+	// and ack per delivered segment (dedup and the spool release are
+	// exactly-once); wire.send is at-least-once under retransmission.
+	stageCount := func(stage string) int64 {
+		return o.Registry().Snapshot().Histograms["span.stage_seconds."+stage].Count
 	}
-	if got := spans.StageCount(obs.StageSpoolEnqueue); got != uint64(want) {
-		t.Fatalf("spool.enqueue count = %d, want %d", got, want)
+	for _, stage := range []string{"collector.deliver", "spool.enqueue", "wire.ack"} {
+		if got := stageCount(stage); got != int64(want) {
+			t.Fatalf("%s count = %d, want %d", stage, got, want)
+		}
 	}
-	if got := spans.StageCount(obs.StageWireAck); got != uint64(want) {
-		t.Fatalf("wire.ack count = %d, want %d", got, want)
-	}
-	if got := spans.StageCount(obs.StageWireSend); got < uint64(want) {
+	if got := stageCount("wire.send"); got < int64(want) {
 		t.Fatalf("wire.send count = %d, want >= %d", got, want)
 	}
 	// Every group is complete and well-formed: enqueue before send before
 	// deliver per (device, trace), devices in 1..10, traces in 1..4.
-	groups := spans.Groups()
+	groups := o.Ring().Groups()
 	if len(groups) != want {
 		t.Fatalf("span groups = %d, want %d", len(groups), want)
 	}

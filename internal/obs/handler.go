@@ -16,16 +16,17 @@ import (
 // snapshots). Endpoints:
 //
 //	/debug/metrics   JSON Snapshot of every counter, gauge and histogram,
-//	                 plus trace-ring and span-ring totals; ?format=prom
-//	                 switches to the Prometheus text exposition format
+//	                 plus trace-ring totals; ?format=prom switches to the
+//	                 Prometheus text exposition format
 //	/debug/vars      expvar-style flat JSON: one key per counter/gauge,
 //	                 plus cmdline and memstats
 //	/debug/trace     JSON array of buffered trace events, oldest first;
 //	                 ?n=K returns only the newest K, ?source=S filters by
 //	                 event source, ?device=D by emitting device
-//	/debug/spans     assembled segment-lifecycle spans (SpanGroup JSON),
-//	                 oldest first; ?device=D / ?stage=S filter, ?n=K keeps
-//	                 the newest K, ?slowest=K the K largest virtual times
+//	/debug/spans     the same ring's stage records grouped into
+//	                 segment-lifecycle spans (SpanGroup JSON), oldest first;
+//	                 ?device=D / ?stage=S filter, ?n=K keeps the newest K,
+//	                 ?slowest=K the K largest virtual times
 //	/debug/fleet     per-device health scoreboard (DeviceHealthSnapshot
 //	                 rows sorted by device; ?device=D selects one)
 //	/debug/pprof/    the standard net/http/pprof profiling index
@@ -33,7 +34,7 @@ import (
 // The mux is not registered on http.DefaultServeMux: exposure is the
 // caller's explicit choice (both CLIs gate it behind -debug-addr).
 func NewHandler(reg *Registry, ring *Ring) http.Handler {
-	return newHandler(reg, ring, nil, nil, nil)
+	return newHandler(reg, ring, nil, nil)
 }
 
 // debugFilter is the query-parameter set shared by /debug/trace and
@@ -73,17 +74,10 @@ func parseDebugFilter(q url.Values) debugFilter {
 	return f
 }
 
-// newHandler is NewHandler plus the Observer-backed resolvers: spansFn /
-// fleetFn yield the span ring and fleet board per request (so enabling
-// spans after the handler was built still surfaces them), and pageFn is
-// the published-page resolver (Observer.page).
-func newHandler(reg *Registry, ring *Ring, spansFn func() *SpanRing, fleetFn func() *FleetBoard, pageFn func(string) func() any) http.Handler {
-	spans := func() *SpanRing {
-		if spansFn == nil {
-			return nil
-		}
-		return spansFn()
-	}
+// newHandler is NewHandler plus the Observer-backed resolvers: fleetFn
+// yields the fleet board per request, and pageFn is the published-page
+// resolver (Observer.page).
+func newHandler(reg *Registry, ring *Ring, fleetFn func() *FleetBoard, pageFn func(string) func() any) http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/debug/metrics", func(w http.ResponseWriter, r *http.Request) {
 		if r.URL.Query().Get("format") == "prom" {
@@ -91,30 +85,11 @@ func newHandler(reg *Registry, ring *Ring, spansFn func() *SpanRing, fleetFn fun
 			_ = reg.Snapshot().WriteProm(w)
 			return
 		}
-		type ringTotals struct {
-			Total   uint64 `json:"total"`
-			Dropped uint64 `json:"dropped"`
-			Len     int    `json:"len"`
-		}
 		type payload struct {
 			Snapshot
 			Trace ringTotals `json:"trace"`
-			Spans struct {
-				ringTotals
-				Stages map[string]uint64 `json:"stages,omitempty"`
-			} `json:"spans"`
 		}
-		var p payload
-		p.Snapshot = reg.Snapshot()
-		p.Trace.Total = ring.Total()
-		p.Trace.Dropped = ring.Dropped()
-		p.Trace.Len = ring.Len()
-		sr := spans()
-		p.Spans.Total = sr.Total()
-		p.Spans.Dropped = sr.Dropped()
-		p.Spans.Len = sr.Len()
-		p.Spans.Stages = sr.StageCounts()
-		writeJSON(w, p)
+		writeJSON(w, payload{Snapshot: reg.Snapshot(), Trace: totalsOf(ring)})
 	})
 	mux.HandleFunc("/debug/vars", func(w http.ResponseWriter, r *http.Request) {
 		snap := reg.Snapshot()
@@ -157,8 +132,7 @@ func newHandler(reg *Registry, ring *Ring, spansFn func() *SpanRing, fleetFn fun
 	})
 	mux.HandleFunc("/debug/spans", func(w http.ResponseWriter, r *http.Request) {
 		f := parseDebugFilter(r.URL.Query())
-		sr := spans()
-		groups := sr.Groups()
+		groups := ring.Groups()
 		if f.hasDevice || f.stage != "" {
 			kept := groups[:0]
 			for _, g := range groups {
@@ -198,21 +172,11 @@ func newHandler(reg *Registry, ring *Ring, spansFn func() *SpanRing, fleetFn fun
 			}
 		}
 		type payload struct {
-			Total   uint64            `json:"total"`
-			Dropped uint64            `json:"dropped"`
-			Len     int               `json:"len"`
-			Stages  map[string]uint64 `json:"stages,omitempty"`
-			Closed  int               `json:"closed"`
-			Groups  []SpanGroup       `json:"groups"`
+			ringTotals
+			Closed int         `json:"closed"`
+			Groups []SpanGroup `json:"groups"`
 		}
-		writeJSON(w, payload{
-			Total:   sr.Total(),
-			Dropped: sr.Dropped(),
-			Len:     sr.Len(),
-			Stages:  sr.StageCounts(),
-			Closed:  closed,
-			Groups:  groups,
-		})
+		writeJSON(w, payload{ringTotals: totalsOf(ring), Closed: closed, Groups: groups})
 	})
 	mux.HandleFunc("/debug/fleet", func(w http.ResponseWriter, r *http.Request) {
 		f := parseDebugFilter(r.URL.Query())
@@ -256,6 +220,18 @@ func newHandler(reg *Registry, ring *Ring, spansFn func() *SpanRing, fleetFn fun
 	mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
 	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
 	return mux
+}
+
+// ringTotals is the trace ring's bookkeeping as /debug/metrics and
+// /debug/spans report it.
+type ringTotals struct {
+	Total   uint64 `json:"total"`
+	Dropped uint64 `json:"dropped"`
+	Len     int    `json:"len"`
+}
+
+func totalsOf(r *Ring) ringTotals {
+	return ringTotals{Total: r.Total(), Dropped: r.Dropped(), Len: r.Len()}
 }
 
 func writeJSON(w http.ResponseWriter, v any) {

@@ -77,9 +77,8 @@ var MetricHelp = map[string]string{
 }
 
 // spanStageHelp is the shared meaning template for the nine
-// span.stage_seconds.<stage> histograms (registered by
-// Observer.EnableSpans); the catalogue carries one row per stage with
-// identical text.
+// span.stage_seconds.<stage> histograms (registered by New); the catalogue
+// carries one row per stage with identical text.
 func spanStageHelp(stage string) string {
 	return "cost-model (virtual) seconds attributed to `" + stage + "` span stages; zero-cost stages count throughput only (LatencyBuckets)"
 }

@@ -98,8 +98,8 @@ func TestNilSafety(t *testing.T) {
 	if snap := reg.Snapshot(); len(snap.Counters) != 0 {
 		t.Fatalf("nil registry snapshot not empty: %+v", snap)
 	}
-	if sink := o.Sink(); sink != nil {
-		t.Fatal("nil observer sink should be a nil interface")
+	if ring := o.Ring(); ring != nil {
+		t.Fatal("nil observer returned a ring")
 	}
 	o.Ring().Record(Event{})
 	if n := o.Ring().Len(); n != 0 {

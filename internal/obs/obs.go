@@ -13,8 +13,10 @@
 //   - Fixed-bucket histograms: lock-free Observe on atomic bucket
 //     counters, for compress/decompress latency, frame RTT and spool
 //     depth distributions (Histogram).
-//   - A bounded in-memory ring of structured decision-trace events, one
-//     per bandit pull or delivery step (Event, Ring, TraceSink).
+//   - A bounded in-memory ring of one structured record type, Event: one
+//     per bandit pull, decision or delivery step, and one per stage of a
+//     segment's lifecycle span, from ingest to collector delivery (Event,
+//     Ring; span.go).
 //
 // The Observer type bundles a Registry and a Ring and is what engines and
 // transports accept in their configs. A nil Observer (the default
@@ -35,7 +37,7 @@
 // # Determinism
 //
 // Trace events deliberately carry no wall-clock fields. Events emitted by
-// a single decision goroutine (an engine's sequencer, an uplink's pump)
+// a single goroutine (an engine's decision goroutine, an uplink's pump)
 // therefore form a deterministic sequence: the same seeded run produces
 // the same events in the same order, which is what lets the chaos and
 // determinism tests assert on event streams instead of scraping logs.
@@ -45,9 +47,10 @@
 // # HTTP exposure
 //
 // Handler serves the whole substrate over an opt-in debug mux: a JSON
-// metrics snapshot, expvar-style vars, the trace ring, and net/http/pprof
-// profiling. Both CLIs expose it behind -debug-addr; OBSERVABILITY.md
-// catalogues every metric and endpoint.
+// metrics snapshot, expvar-style vars, the trace ring (as a list, and
+// grouped into spans), and net/http/pprof profiling. Both CLIs expose it
+// behind -debug-addr; OBSERVABILITY.md catalogues every metric, record
+// and endpoint.
 package obs
 
 import (
@@ -58,23 +61,29 @@ import (
 
 // Observer bundles the two halves of the substrate — a metric Registry
 // and a trace Ring — into the single handle engine and transport configs
-// accept. The zero-value-nil Observer disables instrumentation: all
-// methods are nil-receiver safe and return nil components, whose methods
-// are in turn nil-receiver safe.
+// accept. An attached Observer records everything, lifecycle stages
+// included; the nil Observer disables instrumentation: all methods are
+// nil-receiver safe and return nil components, whose methods are in turn
+// nil-receiver safe.
 type Observer struct {
 	reg  *Registry
 	ring *Ring
 
 	mu    sync.Mutex
-	spans *SpanRing             // guarded by mu (set once by EnableSpans)
 	fleet *FleetBoard           // guarded by mu (lazily created)
 	pages map[string]func() any // guarded by mu
 }
 
 // New builds an Observer with a fresh Registry and a trace Ring holding
-// up to ringCap events (DefaultRingCap when ringCap <= 0).
+// up to ringCap events (DefaultRingCap when ringCap <= 0), and registers
+// the per-stage latency histograms (span.stage_seconds.<stage>) the ring's
+// stage records feed.
 func New(ringCap int) *Observer {
-	return &Observer{reg: NewRegistry(), ring: NewRing(ringCap)}
+	o := &Observer{reg: NewRegistry(), ring: NewRing(ringCap)}
+	for st, name := range stageNames {
+		o.ring.hist[st] = o.reg.Histogram("span.stage_seconds."+name, LatencyBuckets)
+	}
+	return o
 }
 
 // Registry returns the metric registry, or nil on a nil Observer.
@@ -85,56 +94,13 @@ func (o *Observer) Registry() *Registry {
 	return o.reg
 }
 
-// Ring returns the trace ring, or nil on a nil Observer.
+// Ring returns the trace ring, or nil on a nil Observer. Emitters hold
+// the result; a nil ring ignores every record.
 func (o *Observer) Ring() *Ring {
 	if o == nil {
 		return nil
 	}
 	return o.ring
-}
-
-// Sink returns the Observer's trace sink as an interface, or a nil
-// interface on a nil Observer — callers can store the result and guard
-// emission with a plain `if sink != nil`.
-func (o *Observer) Sink() TraceSink {
-	if o == nil || o.ring == nil {
-		return nil
-	}
-	return o.ring
-}
-
-// EnableSpans turns on the segment-lifecycle span layer: it creates the
-// SpanRing (holding up to ringCap stage records, DefaultSpanRingCap when
-// ringCap <= 0) and registers the per-stage latency histograms
-// (span.stage_seconds.<stage>) the ring feeds. Idempotent — a second call
-// returns the existing ring and ignores ringCap. Spans must be enabled
-// before the engines and transports that should emit them are built:
-// emitters cache the ring pointer at construction. Nil-receiver safe
-// (returns nil, and a nil SpanRing ignores Record).
-func (o *Observer) EnableSpans(ringCap int) *SpanRing {
-	if o == nil {
-		return nil
-	}
-	o.mu.Lock()
-	defer o.mu.Unlock()
-	if o.spans == nil {
-		o.spans = NewSpanRing(ringCap)
-		for st := Stage(0); st < numSpanStages; st++ {
-			o.spans.hist[st] = o.reg.Histogram("span.stage_seconds."+st.String(), LatencyBuckets)
-		}
-	}
-	return o.spans
-}
-
-// Spans returns the span ring, or nil when spans are disabled or the
-// Observer is nil. Callers cache the result; nil rings no-op.
-func (o *Observer) Spans() *SpanRing {
-	if o == nil {
-		return nil
-	}
-	o.mu.Lock()
-	defer o.mu.Unlock()
-	return o.spans
 }
 
 // Fleet returns the per-device health board behind /debug/fleet, creating
@@ -182,11 +148,9 @@ func (o *Observer) page(path string) func() any {
 }
 
 // Handler returns the debug HTTP mux over this Observer (see NewHandler),
-// including /debug/spans, /debug/fleet and any pages registered via
-// Publish. The span ring and fleet board resolve per request, so enabling
-// spans after Serve still surfaces them.
+// including /debug/fleet and any pages registered via Publish.
 func (o *Observer) Handler() http.Handler {
-	return newHandler(o.Registry(), o.Ring(), o.Spans, o.Fleet, o.page)
+	return newHandler(o.Registry(), o.Ring(), o.Fleet, o.page)
 }
 
 // Serve starts the debug endpoint on addr (":0" picks an ephemeral port)

@@ -148,7 +148,7 @@ var GapBuckets = []float64{0.001, 0.002, 0.005, 0.01, 0.02, 0.05, 0.1, 0.2, 0.3,
 // configuration: every method is nil-receiver safe.
 type Tracker struct {
 	cfg  Config
-	sink obs.TraceSink
+	ring *obs.Ring
 	reg  *obs.Registry
 
 	decisions *obs.Counter
@@ -199,7 +199,7 @@ func NewTracker(o *obs.Observer, cfg Config) *Tracker {
 	cfg = cfg.withDefaults()
 	t := &Tracker{
 		cfg:  cfg,
-		sink: o.Sink(),
+		ring: o.Ring(),
 		reg:  o.Registry(),
 		gap:  make(map[string]*obs.Histogram),
 	}
@@ -346,13 +346,11 @@ func (t *Tracker) ObserveSample(id uint64, chosen ArmOutcome, candidates []ArmOu
 	t.regretCum.Set(cum)
 	t.regretWindow.Set(windowed)
 	t.regretLast.Set(regret)
-	if t.sink != nil {
-		t.sink.Record(obs.Event{
-			Source: t.cfg.Source, Kind: "regret", ID: id,
-			Arm: best.Arm, Codec: best.Codec, Reward: best.Reward,
-			Value: regret,
-		})
-	}
+	t.ring.Record(obs.Event{
+		Source: t.cfg.Source, Kind: "regret", ID: id,
+		Arm: best.Arm, Codec: best.Codec, Reward: best.Reward,
+		Value: regret,
+	})
 }
 
 // codecStatsLocked returns the mutable per-codec ledger entry. mu held.

@@ -4,59 +4,67 @@ import (
 	"testing"
 )
 
-// TestSpanRingRecord pins the basics: canonical stage-name stamping,
-// 1-based Seq assignment, cumulative per-stage counters, and the stage
-// histogram feed when one is attached.
+// TestSpanRingRecord pins stage recording on the one ring: canonical
+// stage-name stamping (Kind defaults to the stage name, an explicit Kind
+// stays), 1-based Seq shared with plain events, and the stage histogram
+// feed when one is attached.
 func TestSpanRingRecord(t *testing.T) {
-	r := NewSpanRing(8)
+	r := NewRing(8)
 	h := NewRegistry().Histogram("span.stage_seconds.trial", LatencyBuckets)
 	r.hist[StageTrial] = h
-	r.Record(StageIngest, SpanStage{Device: 1, Trace: 7, Arm: -1})
-	r.Record(StageTrial, SpanStage{Device: 1, Trace: 7, Arm: 2, Codec: "paa", Dur: 0.001})
-	stages := r.Stages()
-	if len(stages) != 2 {
-		t.Fatalf("Stages len = %d, want 2", len(stages))
+	r.RecordStage(StageIngest, Event{Device: 1, Trace: 7, Arm: -1})
+	r.Record(Event{Source: "bandit", Kind: "select", Arm: 2})
+	r.RecordStage(StageTrial, Event{Device: 1, Trace: 7, Arm: 2, Codec: "paa", Dur: 0.001})
+	r.RecordStage(StageEncode, Event{Kind: "decision", Device: 1, Trace: 7, Arm: 2})
+	evs := r.Events()
+	if len(evs) != 4 {
+		t.Fatalf("Events len = %d, want 4", len(evs))
 	}
-	if stages[0].Stage != "ingest" || stages[0].Seq != 1 {
-		t.Fatalf("first record = %+v, want stamped ingest/Seq 1", stages[0])
+	if evs[0].Stage != "ingest" || evs[0].Kind != "ingest" || evs[0].Seq != 1 {
+		t.Fatalf("first record = %+v, want stamped ingest/Seq 1", evs[0])
 	}
-	if stages[1].Stage != "trial" || stages[1].Seq != 2 || stages[1].Codec != "paa" {
-		t.Fatalf("second record = %+v", stages[1])
+	if evs[1].Stage != "" || evs[1].Seq != 2 {
+		t.Fatalf("plain event = %+v, want no stage and Seq 2", evs[1])
 	}
-	if r.Total() != 2 || r.Dropped() != 0 || r.Len() != 2 {
+	if evs[2].Stage != "trial" || evs[2].Seq != 3 || evs[2].Codec != "paa" {
+		t.Fatalf("trial record = %+v", evs[2])
+	}
+	if evs[3].Stage != "encode" || evs[3].Kind != "decision" {
+		t.Fatalf("decision record = %+v, want Kind decision carrying stage encode", evs[3])
+	}
+	if r.Total() != 4 || r.Dropped() != 0 || r.Len() != 4 {
 		t.Fatalf("totals: total %d dropped %d len %d", r.Total(), r.Dropped(), r.Len())
-	}
-	if r.StageCount(StageTrial) != 1 || r.StageCount(StageIngest) != 1 {
-		t.Fatalf("stage counts = %v", r.StageCounts())
 	}
 	if h.Count() != 1 {
 		t.Fatalf("trial histogram count = %d, want the Dur observed", h.Count())
 	}
 	// Out-of-range stages are dropped, not stamped.
-	r.Record(numSpanStages, SpanStage{Trace: 9})
-	if r.Total() != 2 {
+	r.RecordStage(numStages, Event{Trace: 9})
+	if r.Total() != 4 {
 		t.Fatal("out-of-range stage was recorded")
 	}
 }
 
 // TestSpanRingWraparound pins the bounded-buffer semantics: old records
-// evict oldest-first, cumulative counters survive the eviction, and the
-// groups assembled from the surviving window stay causally consistent —
-// a trace either kept its collector.deliver join (still Complete) or lost
-// stages wholesale, but Groups never invents identities.
+// evict oldest-first, the stage histograms keep counting across the
+// eviction, and the groups assembled from the surviving window stay
+// causally consistent — a trace either kept its collector.deliver join
+// (still Complete) or lost stages wholesale, but Groups never invents
+// identities.
 func TestSpanRingWraparound(t *testing.T) {
-	r := NewSpanRing(8)
+	o := New(8)
+	r := o.Ring()
 	// 6 traces × (wire.send + collector.deliver) = 12 records through a
 	// capacity-8 ring: the first 4 records (traces 1-2) are evicted.
 	for trace := uint64(1); trace <= 6; trace++ {
-		r.Record(StageWireSend, SpanStage{Device: 1, Trace: trace})
-		r.Record(StageCollectorDeliver, SpanStage{Device: 1, Trace: trace})
+		r.RecordStage(StageWireSend, Event{Device: 1, Trace: trace})
+		r.RecordStage(StageCollectorDeliver, Event{Device: 1, Trace: trace})
 	}
 	if r.Total() != 12 || r.Dropped() != 4 || r.Len() != 8 {
 		t.Fatalf("total %d dropped %d len %d, want 12/4/8", r.Total(), r.Dropped(), r.Len())
 	}
-	// Cumulative counters survive eviction: all 6 delivers still counted.
-	if got := r.StageCount(StageCollectorDeliver); got != 6 {
+	// The stage histogram survives eviction: all 6 delivers still counted.
+	if got := o.Registry().Snapshot().Histograms["span.stage_seconds.collector.deliver"].Count; got != 6 {
 		t.Fatalf("deliver count = %d, want 6 (cumulative across wraparound)", got)
 	}
 	groups := r.Groups()
@@ -75,24 +83,25 @@ func TestSpanRingWraparound(t *testing.T) {
 		t.Fatalf("ClosedSpans = %d, want 4", got)
 	}
 	// Seq keeps ascending across the wraparound.
-	stages := r.Stages()
-	for i := 1; i < len(stages); i++ {
-		if stages[i].Seq != stages[i-1].Seq+1 {
-			t.Fatalf("Seq gap after wraparound: %d then %d", stages[i-1].Seq, stages[i].Seq)
+	evs := r.Events()
+	for i := 1; i < len(evs); i++ {
+		if evs[i].Seq != evs[i-1].Seq+1 {
+			t.Fatalf("Seq gap after wraparound: %d then %d", evs[i-1].Seq, evs[i].Seq)
 		}
 	}
 }
 
 // TestSpanGroupsCompleteness pins the Complete predicate: device-side
 // stages alone are open, a deliver alone is open, only the join closes,
-// and zero-trace records (untraced wire traffic) never form groups.
+// and zero-trace records (plain events, untraced wire traffic) never form
+// groups.
 func TestSpanGroupsCompleteness(t *testing.T) {
-	r := NewSpanRing(16)
-	r.Record(StageIngest, SpanStage{Device: 1, Trace: 1})           // device-only
-	r.Record(StageCollectorDeliver, SpanStage{Device: 1, Trace: 2}) // deliver-only
-	r.Record(StageEncode, SpanStage{Device: 1, Trace: 3})           // joined
-	r.Record(StageCollectorDeliver, SpanStage{Device: 1, Trace: 3})
-	r.Record(StageWireSend, SpanStage{Device: 1, Trace: 0}) // untraced
+	r := NewRing(16)
+	r.RecordStage(StageIngest, Event{Device: 1, Trace: 1})           // device-only
+	r.RecordStage(StageCollectorDeliver, Event{Device: 1, Trace: 2}) // deliver-only
+	r.RecordStage(StageEncode, Event{Device: 1, Trace: 3})           // joined
+	r.RecordStage(StageCollectorDeliver, Event{Device: 1, Trace: 3})
+	r.Record(Event{Source: "transport.uplink", Kind: "send", Device: 1}) // untraced
 	groups := r.Groups()
 	if len(groups) != 3 {
 		t.Fatalf("groups = %d, want 3 (zero-trace records skipped)", len(groups))
@@ -105,29 +114,26 @@ func TestSpanGroupsCompleteness(t *testing.T) {
 		t.Fatalf("completeness = %v, want only trace 3 closed", complete)
 	}
 	// Same trace on another device is a distinct span.
-	r.Record(StageEncode, SpanStage{Device: 2, Trace: 3})
+	r.RecordStage(StageEncode, Event{Device: 2, Trace: 3})
 	if got := len(r.Groups()); got != 4 {
 		t.Fatalf("groups after second device = %d, want 4 (identity is (device, trace))", got)
 	}
 }
 
-// TestSpanRingNilSafety: a nil ring ignores writes and returns empty
-// snapshots, so emitters hold the pointer unconditionally.
+// TestSpanRingNilSafety: a nil ring ignores stage records and returns
+// empty groups, so emitters hold the pointer unconditionally.
 func TestSpanRingNilSafety(t *testing.T) {
-	var r *SpanRing
-	r.Record(StageIngest, SpanStage{Trace: 1})
+	var r *Ring
+	r.RecordStage(StageIngest, Event{Trace: 1})
 	if r.Total() != 0 || r.Dropped() != 0 || r.Len() != 0 {
 		t.Fatal("nil ring reported totals")
 	}
-	if r.Stages() != nil || r.StageCounts() != nil || r.Groups() != nil {
-		t.Fatal("nil ring returned non-nil snapshots")
-	}
-	if r.StageCount(StageTrial) != 0 || r.ClosedSpans() != 0 {
-		t.Fatal("nil ring counted stages")
+	if r.Events() != nil || r.Groups() != nil || r.ClosedSpans() != 0 {
+		t.Fatal("nil ring returned non-empty snapshots")
 	}
 }
 
-// TestStageNames pins the catalogue round trip and causal order.
+// TestStageNames pins the catalogue and its causal order.
 func TestStageNames(t *testing.T) {
 	names := StageNames()
 	want := []string{"ingest", "features", "trial", "select", "encode",
@@ -139,16 +145,6 @@ func TestStageNames(t *testing.T) {
 		if names[i] != n {
 			t.Fatalf("stage %d = %q, want %q", i, names[i], n)
 		}
-		st, ok := StageOf(n)
-		if !ok || st.String() != n {
-			t.Fatalf("StageOf(%q) = %v,%v", n, st, ok)
-		}
-	}
-	if _, ok := StageOf("nope"); ok {
-		t.Fatal("StageOf accepted an unknown name")
-	}
-	if Stage(200).String() != "?" {
-		t.Fatal("out-of-range String not ?")
 	}
 }
 
@@ -159,21 +155,20 @@ func TestTraceOfSegment(t *testing.T) {
 	}
 }
 
-// TestAllocsSpanRecord pins the hot-path budget: recording a span stage
-// into a warm ring allocates nothing, even with the stage histogram
+// TestAllocsSpanRecord pins the hot-path budget: recording a traced
+// stage into a warm ring allocates nothing, even with the stage histogram
 // attached — the record is copied into the preallocated buffer under the
 // ring lock.
 func TestAllocsSpanRecord(t *testing.T) {
-	o := New(0)
-	r := o.EnableSpans(256)
-	rec := SpanStage{Device: 3, Trace: 11, Arm: 1, Codec: "paa", VT: 0.25, Dur: 0.01, Value: 0.2}
+	r := New(256).Ring()
+	rec := Event{Source: "core.online", ID: 10, Device: 3, Trace: 11, Arm: 1, Codec: "paa", VT: 0.25, Dur: 0.01}
 	for i := 0; i < 512; i++ {
-		r.Record(StageTrial, rec)
+		r.RecordStage(StageTrial, rec)
 	}
 	if got := testing.AllocsPerRun(1000, func() {
-		r.Record(StageTrial, rec)
+		r.RecordStage(StageTrial, rec)
 	}); got != 0 {
-		t.Errorf("SpanRing.Record allocates %v/op, want 0", got)
+		t.Errorf("Ring.RecordStage allocates %v/op, want 0", got)
 	}
 }
 
@@ -258,29 +253,23 @@ func TestFleetBoard(t *testing.T) {
 	}
 }
 
-// TestObserverSpanPlumbing pins the Observer-level lifecycle: spans are
-// off by default, EnableSpans is idempotent, registers the nine stage
-// histograms, and a nil observer stays inert.
+// TestObserverSpanPlumbing pins the Observer-level wiring: an attached
+// observer's ring records stages and feeds the nine stage histograms New
+// registers, and a nil observer stays inert.
 func TestObserverSpanPlumbing(t *testing.T) {
-	o := New(0)
-	if o.Spans() != nil {
-		t.Fatal("spans enabled by default")
-	}
-	r := o.EnableSpans(32)
-	if r == nil || o.Spans() != r {
-		t.Fatal("EnableSpans did not install the ring")
-	}
-	if o.EnableSpans(64) != r {
-		t.Fatal("EnableSpans not idempotent")
-	}
+	o := New(32)
 	snap := o.Registry().Snapshot()
 	for _, st := range StageNames() {
 		if _, ok := snap.Histograms["span.stage_seconds."+st]; !ok {
 			t.Fatalf("stage histogram for %q not registered", st)
 		}
 	}
+	o.Ring().RecordStage(StageSelect, Event{Trace: 1})
+	if got := o.Registry().Snapshot().Histograms["span.stage_seconds.select"].Count; got != 1 {
+		t.Fatalf("select histogram count = %d, want 1", got)
+	}
 	var nilObs *Observer
-	if nilObs.EnableSpans(0) != nil || nilObs.Spans() != nil || nilObs.Fleet() != nil {
+	if nilObs.Ring() != nil || nilObs.Registry() != nil || nilObs.Fleet() != nil {
 		t.Fatal("nil observer not inert")
 	}
 }

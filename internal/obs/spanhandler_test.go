@@ -6,21 +6,21 @@ import (
 	"testing"
 )
 
-// spanObserver extends the seeded observer with a span ring and fleet
+// spanObserver extends the seeded observer with stage records and a fleet
 // board shaped like a tiny two-device run: device 1 closed trace 1 end
 // to end, device 2 stopped at wire.send.
 func spanObserver(t *testing.T) *Observer {
 	t.Helper()
 	o := seededObserver()
-	r := o.EnableSpans(64)
-	r.Record(StageIngest, SpanStage{Device: 1, Trace: 1, Arm: -1, Value: 128})
-	r.Record(StageTrial, SpanStage{Device: 1, Trace: 1, Arm: 0, Codec: "gorilla", VT: 0.001, Dur: 0.001})
-	r.Record(StageSelect, SpanStage{Device: 1, Trace: 1, Arm: 0, Codec: "gorilla", VT: 0.001})
-	r.Record(StageEncode, SpanStage{Device: 1, Trace: 1, Arm: 0, Codec: "gorilla", VT: 0.001, Value: 0.2})
-	r.Record(StageWireSend, SpanStage{Device: 1, Trace: 1})
-	r.Record(StageCollectorDeliver, SpanStage{Device: 1, Trace: 1})
-	r.Record(StageIngest, SpanStage{Device: 2, Trace: 1, Arm: -1, Value: 64})
-	r.Record(StageWireSend, SpanStage{Device: 2, Trace: 1, VT: 0.005})
+	r := o.Ring()
+	r.RecordStage(StageIngest, Event{Device: 1, Trace: 1, Arm: -1, Value: 128})
+	r.RecordStage(StageTrial, Event{Device: 1, Trace: 1, Arm: 0, Codec: "gorilla", VT: 0.001, Dur: 0.001})
+	r.RecordStage(StageSelect, Event{Device: 1, Trace: 1, Arm: 0, Codec: "gorilla", VT: 0.001})
+	r.RecordStage(StageEncode, Event{Kind: "decision", Device: 1, Trace: 1, Arm: 0, Codec: "gorilla", VT: 0.001, Ratio: 0.2})
+	r.RecordStage(StageWireSend, Event{Kind: "send", Device: 1, Trace: 1})
+	r.RecordStage(StageCollectorDeliver, Event{Kind: "deliver", Device: 1, Trace: 1})
+	r.RecordStage(StageIngest, Event{Device: 2, Trace: 1, Arm: -1, Value: 64})
+	r.RecordStage(StageWireSend, Event{Kind: "send", Device: 2, Trace: 1, VT: 0.005})
 	d1 := o.Fleet().Device(1)
 	d1.NoteSpooled(0)
 	d1.SetWatermark(1)
@@ -38,28 +38,29 @@ func TestHandlerSpansEndpoint(t *testing.T) {
 	defer srv.Close()
 
 	type spansPayload struct {
-		Total   uint64            `json:"total"`
-		Dropped uint64            `json:"dropped"`
-		Len     int               `json:"len"`
-		Stages  map[string]uint64 `json:"stages"`
-		Closed  int               `json:"closed"`
-		Groups  []SpanGroup       `json:"groups"`
+		Total   uint64      `json:"total"`
+		Dropped uint64      `json:"dropped"`
+		Len     int         `json:"len"`
+		Closed  int         `json:"closed"`
+		Groups  []SpanGroup `json:"groups"`
 	}
 	var p spansPayload
 	if err := json.Unmarshal(get(t, srv, "/debug/spans"), &p); err != nil {
 		t.Fatalf("spans JSON: %v", err)
 	}
-	if p.Total != 8 || p.Dropped != 0 || p.Len != 8 {
+	// One ring: the two seeded plain events count in the totals but form
+	// no group.
+	if p.Total != 10 || p.Dropped != 0 || p.Len != 10 {
 		t.Fatalf("spans totals = %+v", p)
-	}
-	if p.Stages["collector.deliver"] != 1 || p.Stages["wire.send"] != 2 {
-		t.Fatalf("spans stage counts = %v", p.Stages)
 	}
 	if len(p.Groups) != 2 || p.Closed != 1 {
 		t.Fatalf("groups = %d closed = %d, want 2/1", len(p.Groups), p.Closed)
 	}
 	if !p.Groups[0].Complete || p.Groups[1].Complete {
 		t.Fatalf("completeness wrong: %+v", p.Groups)
+	}
+	if len(p.Groups[0].Stages) != 6 || p.Groups[0].Stages[3].Kind != "decision" || p.Groups[0].Stages[3].Stage != "encode" {
+		t.Fatalf("device 1 span = %+v, want six stages with the decision as its encode", p.Groups[0].Stages)
 	}
 
 	// ?device= keeps only that device's spans.
@@ -94,23 +95,24 @@ func TestHandlerSpansEndpoint(t *testing.T) {
 		t.Fatalf("n filter = %+v", p)
 	}
 
-	// /debug/metrics gains the spans block and the stage histograms.
+	// /debug/metrics counts every stage in its histogram, and lists the
+	// stages among the ring's records.
 	var snap struct {
 		Histograms map[string]HistogramSnapshot `json:"histograms"`
-		Spans      struct {
-			Total  uint64            `json:"total"`
-			Len    int               `json:"len"`
-			Stages map[string]uint64 `json:"stages"`
-		} `json:"spans"`
+		Trace      struct {
+			Total uint64 `json:"total"`
+		} `json:"trace"`
 	}
 	if err := json.Unmarshal(get(t, srv, "/debug/metrics"), &snap); err != nil {
 		t.Fatal(err)
 	}
-	if snap.Spans.Total != 8 || snap.Spans.Stages["trial"] != 1 {
-		t.Fatalf("metrics spans block = %+v", snap.Spans)
+	if snap.Trace.Total != 10 {
+		t.Fatalf("metrics trace block = %+v", snap.Trace)
 	}
-	if h := snap.Histograms["span.stage_seconds.trial"]; h.Count != 1 {
-		t.Fatalf("stage histogram not fed: %+v", snap.Histograms["span.stage_seconds.trial"])
+	for stage, want := range map[string]int64{"trial": 1, "wire.send": 2, "collector.deliver": 1, "wire.ack": 0} {
+		if h := snap.Histograms["span.stage_seconds."+stage]; h.Count != want {
+			t.Fatalf("%s stage histogram count = %d, want %d", stage, h.Count, want)
+		}
 	}
 }
 

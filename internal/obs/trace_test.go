@@ -72,13 +72,3 @@ func TestRingConcurrent(t *testing.T) {
 		}
 	}
 }
-
-// TestSinkFunc proves the adapter passes events through unmodified.
-func TestSinkFunc(t *testing.T) {
-	var got []Event
-	var sink TraceSink = SinkFunc(func(ev Event) { got = append(got, ev) })
-	sink.Record(Event{Kind: "a", ID: 7})
-	if len(got) != 1 || got[0].Kind != "a" || got[0].ID != 7 {
-		t.Fatalf("sinkfunc got %+v", got)
-	}
-}

@@ -8,21 +8,25 @@ import (
 
 // Transport instrumentation. The uplink mirrors its delivery trace
 // (Event) into obs counters and the trace ring; the collector counts
-// deliveries, redeliveries and bad connections. As in core, a nil bundle
-// is the disabled configuration and costs one branch per call site.
+// deliveries, redeliveries and bad connections. A traced frame's records
+// double as its lifecycle stages: spool.enqueue, the send event as
+// wire.send, wire.ack, and the collector's deliver as collector.deliver.
+// As in core, a nil bundle is the disabled configuration and costs one
+// branch per call site.
 //
-// Ordering note: all uplink events are emitted by the single pump
-// goroutine (the session's ACK reader only hands it watermarks), so an
-// ack is recorded after the sends it covers, and under lockstep
-// (ResilientConfig.AckEvery 1) the ring order is deterministic for a
-// fixed fault schedule and seed. Collector events come from
-// per-connection handler goroutines; only per-device order and the totals
-// are deterministic, which is what the chaos test asserts (DESIGN.md §9).
+// Ordering note: every transport.uplink record is emitted by the single
+// pump goroutine (the session's ACK reader only hands it watermarks), so
+// an ack is recorded after the sends it covers, and under lockstep
+// (ResilientConfig.AckEvery 1) that source's order is deterministic for a
+// fixed fault schedule and seed. spool.enqueue runs on the caller of Send,
+// so it has a source of its own, transport.spool. Collector events come
+// from per-connection handler goroutines; only per-device order and the
+// totals are deterministic, which is what the chaos test asserts
+// (DESIGN.md §9).
 
 // uplinkMetrics is the ResilientUplink's cached obs handles.
 type uplinkMetrics struct {
-	sink     obs.TraceSink
-	spans    *obs.SpanRing     // nil when spans are disabled
+	ring     *obs.Ring
 	health   *obs.DeviceHealth // this device's fleet-board row
 	deviceID uint64
 
@@ -46,8 +50,7 @@ func newUplinkMetrics(o *obs.Observer, deviceID uint64) *uplinkMetrics {
 	}
 	reg := o.Registry()
 	return &uplinkMetrics{
-		sink:      o.Sink(),
-		spans:     o.Spans(),
+		ring:      o.Ring(),
 		health:    o.Fleet().Device(deviceID),
 		deviceID:  deviceID,
 		dials:     reg.Counter("transport.uplink.dials"),
@@ -67,8 +70,9 @@ func newUplinkMetrics(o *obs.Observer, deviceID uint64) *uplinkMetrics {
 // event mirrors one delivery-trace Event into counters and the ring.
 // Backoff delays land in Event.Value as seconds; they come from the
 // seeded jitter generator, not a clock, so the event stream stays
-// reproducible.
-func (m *uplinkMetrics) event(e Event) {
+// reproducible. trace is the frame's span identity on a send (0
+// elsewhere): a traced frame's send event is its wire.send stage.
+func (m *uplinkMetrics) event(e Event, trace uint64) {
 	if m == nil {
 		return
 	}
@@ -88,13 +92,16 @@ func (m *uplinkMetrics) event(e Event) {
 	case "backoff":
 		m.backoffs.Inc()
 	}
-	if m.sink != nil {
-		ev := obs.Event{Source: "transport.uplink", Kind: e.Kind, ID: e.ID, Device: m.deviceID, Err: e.Err}
-		if e.Kind == "backoff" {
-			ev.Value = e.Wait.Seconds()
-		}
-		m.sink.Record(ev)
+	ev := obs.Event{Source: "transport.uplink", Kind: e.Kind, ID: e.ID, Device: m.deviceID, Err: e.Err}
+	if e.Kind == "backoff" {
+		ev.Value = e.Wait.Seconds()
 	}
+	if trace == 0 {
+		m.ring.Record(ev)
+		return
+	}
+	ev.Trace = trace
+	m.ring.RecordStage(obs.StageWireSend, ev)
 }
 
 // spoolDepth records the backlog after an append or an ACK advance.
@@ -107,7 +114,7 @@ func (m *uplinkMetrics) spoolDepth(n int) {
 	m.health.SetSpoolDepth(int64(n))
 }
 
-// spanEnqueue closes the spool.enqueue stage for a traced frame entering
+// spanEnqueue records the spool.enqueue stage for a traced frame entering
 // the spool (untraced frames stay span-silent) and advances the fleet
 // board's spooled watermark.
 func (m *uplinkMetrics) spanEnqueue(trace, frameID uint64, depth int) {
@@ -115,33 +122,21 @@ func (m *uplinkMetrics) spanEnqueue(trace, frameID uint64, depth int) {
 		return
 	}
 	m.health.NoteSpooled(frameID)
-	if m.spans == nil || trace == 0 {
-		return
+	if trace != 0 {
+		m.ring.RecordStage(obs.StageSpoolEnqueue, obs.Event{
+			Source: "transport.spool", ID: frameID, Device: m.deviceID, Trace: trace, Value: float64(depth),
+		})
 	}
-	m.spans.Record(obs.StageSpoolEnqueue, obs.SpanStage{
-		Device: m.deviceID, Trace: trace, Arm: -1, Value: float64(depth),
-	})
-}
-
-// spanSend records the wire.send stage: the traced frame left the device
-// over the wire (retransmissions record one stage each).
-func (m *uplinkMetrics) spanSend(trace, frameID uint64) {
-	if m == nil || m.spans == nil || trace == 0 {
-		return
-	}
-	m.spans.Record(obs.StageWireSend, obs.SpanStage{
-		Device: m.deviceID, Trace: trace, Arm: -1, Value: float64(frameID),
-	})
 }
 
 // spanAck records the wire.ack stage: the collector's cumulative ACK
 // covered the traced frame and the spool released it.
 func (m *uplinkMetrics) spanAck(trace, frameID uint64) {
-	if m == nil || m.spans == nil || trace == 0 {
+	if m == nil || trace == 0 {
 		return
 	}
-	m.spans.Record(obs.StageWireAck, obs.SpanStage{
-		Device: m.deviceID, Trace: trace, Arm: -1, Value: float64(frameID),
+	m.ring.RecordStage(obs.StageWireAck, obs.Event{
+		Source: "transport.uplink", ID: frameID, Device: m.deviceID, Trace: trace,
 	})
 }
 
@@ -180,8 +175,7 @@ func (m *uplinkMetrics) rttDone(start time.Time) {
 
 // collectorMetrics is the Collector's cached obs handles.
 type collectorMetrics struct {
-	sink  obs.TraceSink
-	spans *obs.SpanRing   // nil when spans are disabled
+	ring  *obs.Ring
 	fleet *obs.FleetBoard // per-device scoreboard (nil when uninstrumented)
 
 	frames     *obs.Counter
@@ -200,8 +194,7 @@ func newCollectorMetrics(o *obs.Observer) *collectorMetrics {
 	}
 	reg := o.Registry()
 	return &collectorMetrics{
-		sink:        o.Sink(),
-		spans:       o.Spans(),
+		ring:        o.Ring(),
 		fleet:       o.Fleet(),
 		frames:      reg.Counter("transport.collector.frames"),
 		duplicates:  reg.Counter("transport.collector.duplicates"),
@@ -226,7 +219,7 @@ func (m *collectorMetrics) device(id uint64) *obs.DeviceHealth {
 // frame records one received frame: delivered to the sink, or dropped as
 // a redelivery by the per-device watermark. Event.Value carries the
 // device ID (kept for pre-Device-field consumers; Event.Device carries it
-// too). A traced delivery also closes the span's collector.deliver stage,
+// too). A traced delivery is also the span's collector.deliver stage,
 // joining the device-side stages through the propagated identity.
 func (m *collectorMetrics) frame(deviceID, frameID, trace uint64, delivered bool) {
 	if m == nil {
@@ -239,17 +232,16 @@ func (m *collectorMetrics) frame(deviceID, frameID, trace uint64, delivered bool
 		m.duplicates.Inc()
 		kind = "redeliver"
 	}
-	if m.sink != nil {
-		m.sink.Record(obs.Event{
-			Source: "transport.collector", Kind: kind,
-			ID: frameID, Device: deviceID, Value: float64(deviceID),
-		})
+	ev := obs.Event{
+		Source: "transport.collector", Kind: kind,
+		ID: frameID, Device: deviceID, Value: float64(deviceID),
 	}
-	if delivered && trace != 0 && m.spans != nil {
-		m.spans.Record(obs.StageCollectorDeliver, obs.SpanStage{
-			Device: deviceID, Trace: trace, Arm: -1, Value: float64(frameID),
-		})
+	if !delivered || trace == 0 {
+		m.ring.Record(ev)
+		return
 	}
+	ev.Trace = trace
+	m.ring.RecordStage(obs.StageCollectorDeliver, ev)
 }
 
 // badConn records a connection dropped on malformed input.

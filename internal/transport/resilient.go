@@ -373,11 +373,15 @@ func (u *ResilientUplink) Close() error {
 
 // event writes one entry of the delivery trace. Only the pump calls it,
 // so OnEvent is never entered concurrently.
-func (u *ResilientUplink) event(e Event) {
+func (u *ResilientUplink) event(e Event) { u.tracedEvent(e, 0) }
+
+// tracedEvent is event for a frame's send: trace is the frame's span
+// identity, and a traced frame's send event is its wire.send stage.
+func (u *ResilientUplink) tracedEvent(e Event, trace uint64) {
 	if u.cfg.OnEvent != nil {
 		u.cfg.OnEvent(e)
 	}
-	u.om.event(e)
+	u.om.event(e, trace)
 }
 
 // sleep waits d or until Close.
@@ -612,8 +616,7 @@ func (u *ResilientUplink) sentBurst(n int) {
 	}
 	u.framesSent.Add(int64(n))
 	for _, f := range u.burst[:n] {
-		u.event(Event{Kind: "send", ID: f.id})
-		u.om.spanSend(f.trace, f.id)
+		u.tracedEvent(Event{Kind: "send", ID: f.id}, f.trace)
 	}
 	u.sentTo.Store(u.burst[n-1].id + 1)
 	u.burst = u.burst[:copy(u.burst, u.burst[n:])]

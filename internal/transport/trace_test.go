@@ -38,13 +38,12 @@ func TestFrameTraceRoundTrip(t *testing.T) {
 
 // TestCollectorSpanKickEvictReattach drives traced frames through the
 // session fault paths — a same-device kick, an idle eviction, and a
-// reattach with retransmission — and asserts the span layer stays
+// reattach with retransmission — and asserts the stage records stay
 // exactly-once: one collector.deliver per trace identity, duplicates
 // surfacing as redeliveries on the fleet board, kicks and evictions
 // counted on the device's health row.
 func TestCollectorSpanKickEvictReattach(t *testing.T) {
 	o := obs.New(64)
-	spans := o.EnableSpans(256)
 	col := NewCollectorWith(compress.DefaultRegistry(4), nil,
 		CollectorConfig{Shards: 1, MaxIdleDevices: 1}).Instrument(o)
 	addr, err := col.Serve("127.0.0.1:0")
@@ -114,14 +113,14 @@ func TestCollectorSpanKickEvictReattach(t *testing.T) {
 		t.Fatalf("ack = %d, want 3", next)
 	}
 
-	// Span layer: exactly one deliver per distinct trace across both
+	// Stage records: exactly one deliver per distinct trace across both
 	// devices (3 for device 5, 1 for device 6) despite the kick, the
 	// eviction and two retransmissions.
-	if got := spans.StageCount(obs.StageCollectorDeliver); got != 4 {
+	if got := o.Registry().Snapshot().Histograms["span.stage_seconds.collector.deliver"].Count; got != 4 {
 		t.Fatalf("collector.deliver count = %d, want 4", got)
 	}
 	perTrace := map[[2]uint64]int{}
-	for _, s := range spans.Stages() {
+	for _, s := range o.Ring().Events() {
 		if s.Stage != "collector.deliver" {
 			continue
 		}

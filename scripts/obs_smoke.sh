@@ -8,10 +8,10 @@
 # counter (and its Prometheus rendering under ?format=prom), /debug/vars
 # the expvar staples, /debug/trace real decision events, /debug/quality
 # the regret-oracle snapshot (-quality enables it), /debug/spans the
-# segment-lifecycle spans (-spans enables them), and /debug/pprof/ must
-# serve. A second phase runs the instrumented fleet experiment
-# (adaedge-bench -exp fleet -spans) and curls /debug/spans and
-# /debug/fleet against the live fleet observer. Run via `make obs-smoke`.
+# segment-lifecycle spans the same trace ring holds, and /debug/pprof/
+# must serve. A second phase runs the fleet experiment with -debug-addr,
+# which instruments it, and curls /debug/spans and /debug/fleet against
+# the live fleet observer. Run via `make obs-smoke`.
 set -euo pipefail
 
 GO=${GO:-go}
@@ -34,7 +34,7 @@ fetch() {
 }
 
 "$GO" build -o "$tmp/adaedge" ./cmd/adaedge
-"$tmp/adaedge" -mode online -ratio 0.1 -segments 50 -quality 4 -spans \
+"$tmp/adaedge" -mode online -ratio 0.1 -segments 50 -quality 4 \
 	-debug-addr 127.0.0.1:0 -linger 60s >"$tmp/out.log" 2>&1 &
 pid=$!
 
@@ -96,7 +96,7 @@ echo "obs-smoke online phase OK (served on $addr)"
 
 # --- Fleet phase: spans + scoreboard against a live fleet run. ---------
 "$GO" build -o "$tmp/adaedge-bench" ./cmd/adaedge-bench
-"$tmp/adaedge-bench" -exp fleet -devices 10 -segments 4 -spans \
+"$tmp/adaedge-bench" -exp fleet -devices 10 -segments 4 \
 	-debug-addr 127.0.0.1:0 -linger 60s >"$tmp/fleet.log" 2>&1 &
 pid=$!
 
