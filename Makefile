@@ -8,7 +8,7 @@ VETTOOL := $(BIN)/adaedge-lint
 # Per-target fuzz time for the smoke pass (CI uses the same value).
 FUZZTIME ?= 20s
 
-.PHONY: all build vet fmt-check lint escape-gate escape-gate-update test race allocs fuzz-smoke obs-smoke fleet-smoke bench-smoke doc-drift loc ci clean
+.PHONY: all build vet fmt-check lint test race allocs fuzz-smoke obs-smoke fleet-smoke bench-smoke doc-drift loc ci clean
 
 all: build
 
@@ -24,23 +24,11 @@ fmt-check:
 	@out=$$(gofmt -l $$(git ls-files '*.go' ':!vendor')); \
 	if [ -n "$$out" ]; then echo "gofmt -l lists:"; echo "$$out"; exit 1; fi
 
-# lint builds the adaedge-lint vettool (internal/lint: codecpurity,
-# nopanicdecode, lockdiscipline, seqdeterminism, bufownership,
-# goroutinediscipline, nowallclock) and runs the whole suite over the tree
-# via its -run front-end (per-analyzer counts, exit 0/1/2), exactly as the
-# adaedge-lint CI job does.
+# lint builds the adaedge-lint vettool (internal/lint) and runs it over
+# the tree through go vet, which fails on any finding. The Test step's
+# TestCleanTree runs the same pass, so CI has no separate lint job.
 lint: $(VETTOOL)
-	$(VETTOOL) -run ./...
-
-# escape-gate is the compile-time half of the zero-alloc contract: diff
-# the -gcflags=-m escape decisions in the pinned hot-path files against
-# the committed ESCAPES.baseline (DESIGN.md §10). escape-gate-update
-# refreshes the baseline after an intentional change.
-escape-gate: $(VETTOOL)
-	$(VETTOOL) -escape
-
-escape-gate-update: $(VETTOOL)
-	$(VETTOOL) -escape -escape-update
+	$(GO) vet -vettool=$(VETTOOL) ./...
 
 $(VETTOOL): FORCE
 	@mkdir -p $(BIN)
@@ -107,7 +95,7 @@ doc-drift:
 loc:
 	@find . -name '*.go' ! -name '*_test.go' ! -path './vendor/*' ! -path '*/testdata/*' | xargs cat | wc -l
 
-ci: build vet fmt-check lint escape-gate test race allocs obs-smoke fleet-smoke bench-smoke doc-drift
+ci: build vet fmt-check test race allocs obs-smoke fleet-smoke bench-smoke doc-drift
 
 clean:
 	rm -rf $(BIN)

@@ -15,13 +15,9 @@ type Policy interface {
 	// arms i with allowed[i] == true; a nil mask permits every arm.
 	// Select returns -1 if no arm is allowed. Select consumes the policy's
 	// RNG stream and must stay on the decision goroutine (DESIGN.md §7).
-	//
-	// adaedge:decision-goroutine
 	Select(allowed []bool) int
 	// Update feeds back the observed reward for an arm. Decision
 	// goroutine only, in decision order.
-	//
-	// adaedge:decision-goroutine
 	Update(arm int, reward float64)
 	// Estimates returns a copy of the current per-arm value estimates.
 	Estimates() []float64

@@ -11,8 +11,8 @@
 // (DESIGN.md §10): FeaturesInto is an append-style API over caller
 // scratch, the predictor updates in place over preallocated matrices,
 // and the policy reuses mutex-guarded selection scratch. Nothing reads
-// the wall clock or global RNG state — the nowallclock analyzer covers
-// this package — so seeded runs stay byte-identical at any worker count.
+// the wall clock or global RNG state, so seeded runs stay byte-identical
+// at any worker count (core's contextual determinism tests pin it).
 package contextual
 
 import "math"

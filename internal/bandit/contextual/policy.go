@@ -78,8 +78,6 @@ func (p *Policy) init() {
 // len(priors) keep their previous prior. Cold arms (no prediction yet)
 // should be passed the Optimism value so they still get their forced
 // early exploration.
-//
-// adaedge:decision-goroutine
 func (p *Policy) SetPriors(priors []float64) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
@@ -98,8 +96,6 @@ func (p *Policy) Arms() int { return len(p.values) }
 // ε-probability directed-exploration branch playing the least-played
 // allowed arm. Ties break uniformly at random from the policy RNG, so
 // seeded runs reproduce exactly.
-//
-// adaedge:decision-goroutine
 func (p *Policy) Select(allowed []bool) int {
 	p.mu.Lock()
 	defer p.mu.Unlock()
@@ -144,8 +140,6 @@ func (p *Policy) leastPlayed() int {
 }
 
 // Update implements bandit.Policy.
-//
-// adaedge:decision-goroutine
 func (p *Policy) Update(arm int, reward float64) {
 	p.mu.Lock()
 	defer p.mu.Unlock()

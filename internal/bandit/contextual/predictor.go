@@ -105,8 +105,6 @@ func (p *Predictor) Reset() { p.reset() }
 // the RLS gain g = P·x / (1 + xᵀP·x) updates every head's weights by
 // its own residual, then P absorbs the rank-one term. O(dim²), no
 // allocations.
-//
-// adaedge:decision-goroutine
 func (p *Predictor) Observe(arm int, x []float64, t Targets) {
 	if arm < 0 || arm >= p.arms || len(x) != p.dim {
 		return

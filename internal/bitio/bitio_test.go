@@ -322,10 +322,10 @@ func TestReadBitsInlines(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs go build")
 	}
-	// From the module root, as adaedge-lint -escape builds: the go command
-	// caches the compiler's output with its paths relative to the directory
-	// of the first build, so the same flags from here would leave the escape
-	// gate a bitio entry it cannot match to its pinned file.
+	// From the module root: the go command caches the compiler's output with
+	// its paths relative to the directory of the first build, and a build
+	// from here would leave "./bitio.go" paths in the cache for every later
+	// -gcflags=-m build of the package.
 	cmd := exec.Command("go", "build", "-gcflags=-m", "./internal/bitio")
 	cmd.Dir = "../.."
 	out, err := cmd.CombinedOutput()

@@ -114,8 +114,6 @@ func newCtxPhase(names []string, pol interface{}) ctxPhase {
 // predictions, deadline feasibility and policy priors. The lossless
 // deadline mask is final here; the lossy mask still needs the MinRatio
 // feasibility intersection, which processLossy supplies to applyDeadline.
-//
-// adaedge:decision-goroutine
 func (c *contextualCtl) begin(values []float64) {
 	if c == nil {
 		return
@@ -131,8 +129,6 @@ func (c *contextualCtl) begin(values []float64) {
 
 // predictPhase fills one phase's per-segment prediction scratch and
 // pushes the reward priors into its contextual policy.
-//
-// adaedge:decision-goroutine
 func (c *contextualCtl) predictPhase(ph *ctxPhase, points int) {
 	ph.fallback = -1
 	for arm := range ph.names {
@@ -175,8 +171,6 @@ func (c *contextualCtl) uplinkSeconds(ratio float64, points int) float64 {
 // maskLossless intersects the lossless phase's deadline feasibility into
 // allowed and reports whether any arm survives. Called with the
 // phase-initial all-true mask; rejects are counted per masked arm.
-//
-// adaedge:decision-goroutine
 func (c *contextualCtl) maskLossless(allowed []bool) bool {
 	if c == nil || c.deadline <= 0 {
 		return true
@@ -199,8 +193,6 @@ func (c *contextualCtl) maskLossless(allowed []bool) bool {
 // degrades gracefully: the ratio-feasible arm with the lowest predicted
 // total latency is re-allowed (and recorded as the forced fallback), so
 // the engine always selects *some* arm rather than dropping the segment.
-//
-// adaedge:decision-goroutine
 func (c *contextualCtl) applyDeadline(id uint64, allowed []bool) {
 	if c == nil || c.deadline <= 0 {
 		return
@@ -239,8 +231,6 @@ func (c *contextualCtl) applyDeadline(id uint64, allowed []bool) {
 // observeLossless trains the lossless predictor on one completed trial
 // and records the prediction error of any prior prediction. reward is
 // the size reward the lossless phase optimizes.
-//
-// adaedge:decision-goroutine
 func (c *contextualCtl) observeLossless(arm, points int, ratio, reward float64) {
 	if c == nil {
 		return
@@ -249,8 +239,6 @@ func (c *contextualCtl) observeLossless(arm, points int, ratio, reward float64) 
 }
 
 // observeLossy trains the lossy predictor on the selected arm's outcome.
-//
-// adaedge:decision-goroutine
 func (c *contextualCtl) observeLossy(arm, points int, ratio, reward float64) {
 	if c == nil {
 		return
@@ -258,7 +246,6 @@ func (c *contextualCtl) observeLossy(arm, points int, ratio, reward float64) {
 	c.observe(&c.lossy, arm, points, ratio, reward)
 }
 
-// adaedge:decision-goroutine
 func (c *contextualCtl) observe(ph *ctxPhase, arm, points int, ratio, reward float64) {
 	if arm < 0 || arm >= len(ph.names) {
 		return
@@ -280,8 +267,6 @@ func (c *contextualCtl) observe(ph *ctxPhase, arm, points int, ratio, reward flo
 // the quality.contextual predict event for the selected arm, and the
 // deadline miss/violation accounting against the deterministic cost
 // model. lossy selects the phase.
-//
-// adaedge:decision-goroutine
 func (c *contextualCtl) chosen(id uint64, arm, points int, lossy bool, ratio float64) {
 	if c == nil {
 		return
@@ -377,7 +362,6 @@ func newCtxMetrics(o *obs.Observer, deviceID uint64) *ctxMetrics {
 	}
 }
 
-// adaedge:decision-goroutine
 func (m *ctxMetrics) reject() {
 	if m == nil {
 		return
@@ -386,7 +370,6 @@ func (m *ctxMetrics) reject() {
 	m.health.NoteDeadlineReject(1)
 }
 
-// adaedge:decision-goroutine
 func (m *ctxMetrics) miss() {
 	if m == nil {
 		return
@@ -394,7 +377,6 @@ func (m *ctxMetrics) miss() {
 	m.misses.Inc()
 }
 
-// adaedge:decision-goroutine
 func (m *ctxMetrics) predictionError(ratioErr, latErr float64) {
 	if m == nil {
 		return
@@ -403,7 +385,6 @@ func (m *ctxMetrics) predictionError(ratioErr, latErr float64) {
 	m.latErr.Observe(latErr)
 }
 
-// adaedge:decision-goroutine
 func (m *ctxMetrics) predictEvent(id uint64, arm int, codec string, lossy bool, predRatio, ratioErr, predReward, predLat float64) {
 	if m == nil {
 		return
@@ -415,7 +396,6 @@ func (m *ctxMetrics) predictEvent(id uint64, arm int, codec string, lossy bool, 
 	})
 }
 
-// adaedge:decision-goroutine
 func (m *ctxMetrics) fallbackEvent(id uint64, arm int, codec string, predLat, deadline float64) {
 	if m == nil {
 		return

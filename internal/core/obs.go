@@ -66,8 +66,6 @@ func newOnlineMetrics(o *obs.Observer, deviceID uint64) *onlineMetrics {
 }
 
 // trial records one codec trial's duration (decision goroutine only).
-//
-// adaedge:decision-goroutine
 func (m *onlineMetrics) trial(codec string, d time.Duration) {
 	if m == nil {
 		return
@@ -82,8 +80,6 @@ func (m *onlineMetrics) trial(codec string, d time.Duration) {
 
 // span records one lifecycle stage of the segment being decided, stamped
 // with its identity and current virtual time.
-//
-// adaedge:decision-goroutine
 func (m *onlineMetrics) span(st obs.Stage, ev obs.Event) {
 	ev.Source, ev.ID, ev.Device, ev.Trace, ev.VT = "core.online", m.id, m.deviceID, m.trace, m.vt
 	m.ring.RecordStage(st, ev)
@@ -91,8 +87,6 @@ func (m *onlineMetrics) span(st obs.Stage, ev obs.Event) {
 
 // spanBegin opens a segment's span: it resets the per-segment state and
 // records the ingest stage.
-//
-// adaedge:decision-goroutine
 func (m *onlineMetrics) spanBegin(id uint64, points int) {
 	if m == nil {
 		return
@@ -104,8 +98,6 @@ func (m *onlineMetrics) spanBegin(id uint64, points int) {
 // spanFeatures records the features stage: the contextual layer extracted
 // the segment's feature vector and predicted every arm (zero cost in the
 // virtual-time model — prediction is not a codec operation).
-//
-// adaedge:decision-goroutine
 func (m *onlineMetrics) spanFeatures() {
 	if m == nil {
 		return
@@ -115,8 +107,6 @@ func (m *onlineMetrics) spanFeatures() {
 
 // spanTrial advances the segment's virtual time by one codec trial's
 // cost-model duration and records the trial stage.
-//
-// adaedge:decision-goroutine
 func (m *onlineMetrics) spanTrial(arm int, codec string, cost float64) {
 	if m == nil {
 		return
@@ -126,8 +116,6 @@ func (m *onlineMetrics) spanTrial(arm int, codec string, cost float64) {
 }
 
 // spanSelect records the winning arm's selection.
-//
-// adaedge:decision-goroutine
 func (m *onlineMetrics) spanSelect(arm int, codec string) {
 	if m == nil {
 		return
@@ -139,8 +127,6 @@ func (m *onlineMetrics) spanSelect(arm int, codec string) {
 // decision records the per-segment outcome: counters, gauges, and the
 // one decision event per bandit pull cycle, which is also the segment's
 // encode stage — the winning encoding leaving the engine.
-//
-// adaedge:decision-goroutine
 func (m *onlineMetrics) decision(res Result, target, pressure float64) {
 	if m == nil {
 		return
@@ -160,8 +146,6 @@ func (m *onlineMetrics) decision(res Result, target, pressure float64) {
 }
 
 // violation counts a segment whose egress exceeded the link capacity.
-//
-// adaedge:decision-goroutine
 func (m *onlineMetrics) violation() {
 	if m == nil {
 		return
@@ -170,8 +154,6 @@ func (m *onlineMetrics) violation() {
 }
 
 // noFeasible records the hard failure: no codec can reach the target.
-//
-// adaedge:decision-goroutine
 func (m *onlineMetrics) noFeasible(id uint64, target, pressure float64) {
 	if m == nil {
 		return
@@ -223,8 +205,6 @@ func newOfflineMetrics(o *obs.Observer) *offlineMetrics {
 
 // ingest records one stored segment: the lossless codec chosen and the
 // achieved ratio, plus the post-store space state.
-//
-// adaedge:decision-goroutine
 func (m *offlineMetrics) ingest(id uint64, codec string, ratio, util float64, stored int) {
 	if m == nil {
 		return
@@ -241,9 +221,6 @@ func (m *offlineMetrics) ingest(id uint64, codec string, ratio, util float64, st
 // recoded records one completed recode (bandit-selected or fallback).
 // start is the recode's wall-clock begin; the elapsed time is read here,
 // after the nil check, so the disabled path adds no clock read.
-//
-// adaedge:decision-goroutine
-// adaedge:perf-timer
 func (m *offlineMetrics) recoded(id uint64, codec string, target, ratio, reward, util float64, virtual, fallback bool, start time.Time) {
 	if m == nil {
 		return
@@ -273,8 +250,6 @@ func (m *offlineMetrics) recoded(id uint64, codec string, target, ratio, reward,
 }
 
 // recodeSkip counts recodes deferred for lack of CPU budget.
-//
-// adaedge:decision-goroutine
 func (m *offlineMetrics) recodeSkip() {
 	if m == nil {
 		return

@@ -212,8 +212,6 @@ func (e *OfflineEngine) mutStats(fn func(*OfflineStats)) {
 // needed to stay inside the budget. It returns sim.ErrBudgetExceeded when
 // even maximal recoding (or a starved recoder, under RecodeBudget) cannot
 // make room — the hard failure the paper's Fig 14 baselines hit.
-//
-// adaedge:decision-goroutine
 func (e *OfflineEngine) Ingest(values []float64, label int) error {
 	if len(values) == 0 {
 		return compress.ErrEmptyInput
@@ -286,8 +284,6 @@ func (e *OfflineEngine) Ingest(values []float64, label int) error {
 }
 
 // makeRoom recodes until need bytes fit under capacity.
-//
-// adaedge:decision-goroutine
 func (e *OfflineEngine) makeRoom(need int64) error {
 	for e.storage.Used()+need > e.storage.Capacity() {
 		if !e.recodeOne() {
@@ -300,8 +296,6 @@ func (e *OfflineEngine) makeRoom(need int64) error {
 // recodeOne compresses the policy's victim more aggressively. It returns
 // false when no segment can be shrunk further or the recoder is out of
 // CPU budget.
-//
-// adaedge:decision-goroutine
 func (e *OfflineEngine) recodeOne() bool {
 	if e.cfg.RecodeBudget && e.recodeBudget <= 0 {
 		e.mutStats(func(s *OfflineStats) { s.RecodeSkips++ })
@@ -331,9 +325,6 @@ func (e *OfflineEngine) recodeOne() bool {
 // bandit instance. The wall-clock read only seeds recodeCost's fallback
 // timing and the observer's latency histogram, never a decision, and is
 // skipped when neither will look at it.
-//
-// adaedge:decision-goroutine
-// adaedge:perf-timer
 func (e *OfflineEngine) recodeEntry(victim *store.Entry) (bool, error) {
 	oldSize := victim.Enc.Size()
 	current := victim.Enc.Ratio()
@@ -484,8 +475,6 @@ func (e *OfflineEngine) appendFloors(dst, values []float64) []float64 {
 
 // scoreRecode evaluates the recoded representation against the raw
 // segment's reference answers and returns (bandit reward, accuracy loss).
-//
-// adaedge:decision-goroutine
 func (e *OfflineEngine) scoreRecode(victim *store.Entry, newEnc compress.Encoded) (reward, accLoss float64, err error) {
 	decoded, err := e.reg.DecompressInto(e.scoreDec[:0], newEnc)
 	if err != nil {
@@ -511,9 +500,6 @@ func (e *OfflineEngine) scoreRecode(victim *store.Entry, newEnc compress.Encoded
 // recodeCost returns the virtual CPU seconds one recode consumed: the
 // deterministic model when configured, wall time otherwise. Virtual
 // (same-codec) recodes skip the decode cost — the point of §IV-E.
-//
-// adaedge:decision-goroutine
-// adaedge:perf-timer
 func (e *OfflineEngine) recodeCost(start time.Time, oldCodec, newCodec string, points int, virtual bool) float64 {
 	if e.cfg.CodecCost == nil {
 		return time.Since(start).Seconds()
@@ -528,8 +514,6 @@ func (e *OfflineEngine) recodeCost(start time.Time, oldCodec, newCodec string, p
 // finishRecode commits the new representation, storage accounting, CPU
 // budget accounting, LRU repositioning and, in one trip through the stats
 // lock, the recode's statistics and the entry's accuracy loss.
-//
-// adaedge:decision-goroutine
 func (e *OfflineEngine) finishRecode(victim *store.Entry, newEnc compress.Encoded, oldSize int, accLoss float64, virtual, fallback bool, cost float64) {
 	_ = e.storage.Resize(int64(newEnc.Size() - oldSize)) // shrink never fails
 	victim.Enc = newEnc

@@ -43,10 +43,12 @@ type OnlineEngine struct {
 	// which may run on any goroutine.
 	losslessViable atomic.Bool
 	// pressureBits holds the uplink-pressure throttle in (0,1] as float64
-	// bits. The resilient uplink's spool watcher calls Degrade from its
-	// own goroutine, so the throttle must be readable at decision time
-	// without racing the decision goroutine — hence atomic rather than a
-	// field the concurrency contract would forbid touching mid-flight.
+	// bits. Degrade may run on any goroutine (a caller that wires
+	// ResilientConfig.OnPressure to it runs on whichever goroutine crossed
+	// the spool's high-water mark), so the throttle must be readable at
+	// decision time without racing the decision goroutine — hence atomic
+	// rather than a field the concurrency contract would forbid touching
+	// mid-flight.
 	pressureBits atomic.Uint64
 
 	costFn func(op, codec string, points int) float64
@@ -192,8 +194,9 @@ func (e *OnlineEngine) EffectiveTarget() float64 {
 // the effective target ratio (segments shrink so a congested or spooling
 // uplink drains instead of growing without bound), 1 restores it. Values
 // outside (0,1] restore. Unlike Retarget, Degrade is safe from any
-// goroutine — the resilient uplink calls it from its spool watcher while
-// the decision goroutine is processing.
+// goroutine while the decision goroutine is processing. Nothing calls it
+// on its own: the caller wires ResilientConfig.OnPressure to it, as
+// examples/intermittent-link does.
 func (e *OnlineEngine) Degrade(factor float64) {
 	if factor <= 0 || factor > 1 {
 		factor = 1
@@ -269,8 +272,6 @@ const ratioSlack = 1e-9
 // drops payloads in about the order it got them, as an uplink spool does,
 // frees whole slabs; one that keeps a sparse few for a long time holds
 // their slabs and should clone them.
-//
-// adaedge:decision-goroutine
 func (e *OnlineEngine) Process(values []float64, label int) (Result, compress.Encoded, error) {
 	if len(values) == 0 {
 		return Result{}, compress.Encoded{}, compress.ErrEmptyInput
@@ -332,8 +333,6 @@ type LabeledSegment struct {
 // RunOnlineSegments pushes segments through eng on the caller's goroutine
 // and returns their Results in input order; failed segments hold a zero
 // Result. The whole stream is attempted and the first error returned.
-//
-// adaedge:decision-goroutine
 func RunOnlineSegments(eng *OnlineEngine, segs []LabeledSegment) ([]Result, error) {
 	results := make([]Result, 0, len(segs))
 	var first error
@@ -351,8 +350,6 @@ func RunOnlineSegments(eng *OnlineEngine, segs []LabeledSegment) ([]Result, erro
 // segment. After repeated infeasibility the engine mostly skips the
 // attempt, re-probing periodically so it can recover if the data becomes
 // more compressible.
-//
-// adaedge:decision-goroutine
 func (e *OnlineEngine) tryLossless(target float64) bool {
 	if target >= 1 {
 		return true
@@ -376,8 +373,6 @@ func (e *OnlineEngine) tryLossless(target float64) bool {
 // the data has turned compressible, and the policy's own pick answers
 // that: one trial, whose miss costs one encode instead of the whole arm
 // list (DESIGN.md §5, "Lossless viability").
-//
-// adaedge:decision-goroutine
 func (e *OnlineEngine) processLossless(id uint64, values []float64, target float64, trials *decisionTrials) (Result, compress.Encoded, bool) {
 	allowed := e.scr.boolMask(len(e.losslessNames), true)
 	if !e.ctx.maskLossless(allowed) {
@@ -447,8 +442,6 @@ func (e *OnlineEngine) processLossless(id uint64, values []float64, target float
 }
 
 // processLossy runs the lossy-selection phase toward the target ratio.
-//
-// adaedge:decision-goroutine
 func (e *OnlineEngine) processLossy(id uint64, values []float64, target float64, trials *decisionTrials) (Result, compress.Encoded, error) {
 	allowed := e.scr.boolMask(len(e.lossyNames), false)
 	feasible := false
@@ -510,8 +503,6 @@ const payloadSlabBytes = 16 << 10
 // at its length. Payloads leave in the order they are carved (an uplink
 // spool releases them by ID), so a slab's payloads die together: a full
 // slab is replaced and left to the garbage collector, with no free list.
-//
-// adaedge:decision-goroutine
 func (e *OnlineEngine) carve(b []byte) []byte {
 	n := len(b)
 	if n > payloadSlabBytes/8 {
@@ -538,8 +529,6 @@ type losslessTrial struct {
 // runLosslessTrial compresses values with one codec into a pooled buffer.
 // Pure: no engine state is read or written, so the oracle may run it on a
 // shadow goroutine. The timer feeds Result.Duration only, never a decision.
-//
-// adaedge:perf-timer
 func runLosslessTrial(codec compress.Codec, values []float64) losslessTrial {
 	eb := getEncBuf()
 	start := time.Now()
@@ -571,8 +560,6 @@ type lossyTrial struct {
 // runLossyTrial compresses values toward ratio into a pooled buffer and
 // decodes the result into a pooled slice. Pure, like runLosslessTrial; the
 // timer feeds Result.Duration only.
-//
-// adaedge:perf-timer
 func runLossyTrial(lc compress.LossyCodec, values []float64, ratio float64) lossyTrial {
 	eb := getEncBuf()
 	start := time.Now()
@@ -595,8 +582,6 @@ func runLossyTrial(lc compress.LossyCodec, values []float64, ratio float64) loss
 }
 
 // account folds one decided segment into the stream statistics.
-//
-// adaedge:decision-goroutine
 func (e *OnlineEngine) account(res Result) {
 	e.statsMu.Lock()
 	defer e.statsMu.Unlock()

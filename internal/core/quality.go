@@ -71,8 +71,6 @@ func newDecisionTrials() *decisionTrials {
 }
 
 // noteLossless records a consumed lossless trial for the oracle.
-//
-// adaedge:decision-goroutine
 func (d *decisionTrials) noteLossless(arm int, t losslessTrial) {
 	if d != nil {
 		d.lossless[arm] = t
@@ -80,8 +78,6 @@ func (d *decisionTrials) noteLossless(arm int, t losslessTrial) {
 }
 
 // noteLossy records a consumed lossy trial for the oracle.
-//
-// adaedge:decision-goroutine
 func (d *decisionTrials) noteLossy(arm int, t lossyTrial) {
 	if d != nil {
 		d.lossy[arm] = t
@@ -93,8 +89,6 @@ func (d *decisionTrials) noteLossy(arm int, t lossyTrial) {
 // sampled ones (trials non-nil). Decision goroutine only; the regret
 // event is emitted synchronously here, right after the decision event,
 // which keeps the trace sequence deterministic.
-//
-// adaedge:decision-goroutine
 func (o *qualityOracle) observe(e *OnlineEngine, res Result, values []float64, trials *decisionTrials, target float64) {
 	if o == nil {
 		return
@@ -114,8 +108,6 @@ func (o *qualityOracle) observe(e *OnlineEngine, res Result, values []float64, t
 // candidate is feasible when its achieved ratio meets the target — the
 // same acceptance rule processLossless applies — and its reward is the
 // size reward the lossless phase optimizes.
-//
-// adaedge:decision-goroutine
 func (o *qualityOracle) observeLossless(e *OnlineEngine, res Result, values []float64, cached *decisionTrials, target float64) {
 	n := len(e.losslessNames)
 	trials := make([]losslessTrial, n)
@@ -164,8 +156,6 @@ func (o *qualityOracle) observeLossless(e *OnlineEngine, res Result, values []fl
 // segment with the oracle's private evaluator. Feasibility uses the same
 // MinRatio gate processLossy applies (MinRatio is pure, so recomputing
 // yields identical values).
-//
-// adaedge:decision-goroutine
 func (o *qualityOracle) observeLossy(e *OnlineEngine, res Result, values []float64, cached *decisionTrials, target float64) {
 	n := len(e.lossyNames)
 	trials := make([]lossyTrial, n)

@@ -47,8 +47,6 @@ func getDecBuf() *decBuf { return decBufPool.Get().(*decBuf) }
 // release returns a lossless trial's encode buffer to the pool: a loser's,
 // or the winner's once its bytes are in the payload slab. Safe on trials
 // that never had a wrapper (error trials) and on already-released copies.
-//
-// adaedge:decision-goroutine
 func (t *losslessTrial) release() {
 	if t.buf == nil {
 		return
@@ -69,8 +67,6 @@ type engineScratch struct {
 
 // boolMask returns a length-n mask with every entry set to fill, reusing
 // the scratch backing array.
-//
-// adaedge:decision-goroutine
 func (s *engineScratch) boolMask(n int, fill bool) []bool {
 	if cap(s.mask) < n {
 		s.mask = make([]bool, n)
@@ -85,15 +81,11 @@ func (s *engineScratch) boolMask(n int, fill bool) []bool {
 // parkLossy defers the release of the lossy winner's encode and decode
 // buffers to the end of the current process call — after the payload copy
 // and the oracle's observe pass, their last readers.
-//
-// adaedge:decision-goroutine
 func (s *engineScratch) parkLossy(t *lossyTrial) {
 	s.pendingEnc, s.pendingDec = t.buf, t.dec
 }
 
 // flush releases the parked buffers, if any.
-//
-// adaedge:decision-goroutine
 func (s *engineScratch) flush() {
 	if s.pendingEnc != nil {
 		encBufPool.Put(s.pendingEnc)

@@ -1,5 +1,5 @@
-// Package lint implements adaedge-lint, a go/analysis suite that turns the
-// prose invariants of DESIGN.md §7 into machine-checked rules:
+// Package lint implements adaedge-lint, a go/analysis suite that turns
+// three invariants of DESIGN.md §7 and §10 into machine-checked rules:
 //
 //   - codecpurity: codec trials are pure functions — no clocks, RNG,
 //     environment, filesystem or network access, and no writes to
@@ -7,28 +7,20 @@
 //   - nopanicdecode: decoders must return errors on malformed input, never
 //     panic, never drop error returns, and never size allocations off
 //     unvalidated attacker-controlled lengths.
-//   - lockdiscipline: fields annotated "guarded by <mu>" may only be
-//     touched while the named mutex is held.
-//   - seqdeterminism: RNG construction and bandit Select/Update decisions
-//     stay on the sequencer (internal/core) and the bandit package itself.
 //   - bufownership: the DESIGN.md §10 pooled-buffer rules — no double
 //     release, no use after release, no escape of a pooled wrapper into
 //     exported structs/channels/globals/goroutines, and no codec retaining
 //     a caller-supplied buffer.
-//   - goroutinediscipline: functions annotated adaedge:decision-goroutine
-//     are reached only from the decision goroutine's call graph.
-//   - nowallclock: no wall-clock reads or process-global rand in seeded
-//     packages outside adaedge:perf-timer sites.
 //
-// The suite compiles into cmd/adaedge-lint, a vettool run in CI via
+// Each analyzer is kept because a mutant of its invariant is caught by it
+// and by no test (DESIGN.md §7, "Enforced invariants"); its golden fixture
+// under testdata/ carries that mutant. The suite compiles into
+// cmd/adaedge-lint, a vettool run by `make lint` and by TestCleanTree:
 //
 //	go vet -vettool=$(pwd)/bin/adaedge-lint ./...
 //
-// or directly as `adaedge-lint -run ./...`, which adds per-analyzer
-// finding counts and exits 0 clean / 1 findings / 2 error.
-//
-// Every analyzer skips _test.go files: tests may legitimately seed RNGs,
-// reach into guarded state sequentially, and exercise panics.
+// Every analyzer skips _test.go files: tests may legitimately read clocks,
+// keep buffers, and exercise panics.
 package lint
 
 import (
@@ -43,11 +35,7 @@ import (
 var Analyzers = []*analysis.Analyzer{
 	CodecPurity,
 	NoPanicDecode,
-	LockDiscipline,
-	SeqDeterminism,
 	BufOwnership,
-	GoroutineDiscipline,
-	NoWallClock,
 }
 
 // pkgList is a comma-separated list of import-path prefixes usable as an

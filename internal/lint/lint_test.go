@@ -46,23 +46,6 @@ func TestNoPanicDecode(t *testing.T) {
 	linttest.Run(t, "testdata/decodepkg", "decodepkg", lint.NoPanicDecode)
 }
 
-func TestLockDiscipline(t *testing.T) {
-	linttest.Run(t, "testdata/lockpkg", "lockpkg", lint.LockDiscipline)
-}
-
-func TestSeqDeterminism(t *testing.T) {
-	linttest.Run(t, "testdata/seqpkg", "seqpkg", lint.SeqDeterminism)
-}
-
-// TestSeqDeterminismAllowed proves the allowlists work: with the fixture's
-// own path added to both allowlists, only the process-global RNG use (which
-// has no allowlist by design) is still reported.
-func TestSeqDeterminismAllowed(t *testing.T) {
-	setFlag(t, lint.SeqDeterminism, "rng-pkgs", "seqpkg,repro/internal/bandit")
-	setFlag(t, lint.SeqDeterminism, "bandit-pkgs", "seqpkg")
-	linttest.RunExpectOnly(t, "testdata/seqpkg", "seqpkg", `process-global`, lint.SeqDeterminism)
-}
-
 func TestBufOwnership(t *testing.T) {
 	setFlag(t, lint.BufOwnership, "pool-pkgs", "bufpkg")
 	setFlag(t, lint.BufOwnership, "into-pkgs", "bufpkg")
@@ -77,28 +60,4 @@ func TestBufOwnershipScoping(t *testing.T) {
 	setFlag(t, lint.BufOwnership, "pool-pkgs", "someother/pkg")
 	setFlag(t, lint.BufOwnership, "into-pkgs", "someother/pkg")
 	linttest.RunExpectClean(t, "testdata/bufpkg", "bufpkg", lint.BufOwnership)
-}
-
-func TestGoroutineDiscipline(t *testing.T) {
-	linttest.Run(t, "testdata/goroutinepkg", "goroutinepkg", lint.GoroutineDiscipline)
-}
-
-// TestGoroutineDisciplineEntryPkg proves entry packages are exempt: their
-// main goroutine IS the decision goroutine in direct mode, so the same
-// seeded fixture produces no diagnostics.
-func TestGoroutineDisciplineEntryPkg(t *testing.T) {
-	setFlag(t, lint.GoroutineDiscipline, "entry-pkgs", "goroutinepkg")
-	linttest.RunExpectClean(t, "testdata/goroutinepkg", "goroutinepkg", lint.GoroutineDiscipline)
-}
-
-func TestNoWallClock(t *testing.T) {
-	setFlag(t, lint.NoWallClock, "seeded-pkgs", "clockpkg")
-	linttest.Run(t, "testdata/clockpkg", "clockpkg", lint.NoWallClock)
-}
-
-// TestNoWallClockScoping proves the analyzer is silent outside the seeded
-// packages.
-func TestNoWallClockScoping(t *testing.T) {
-	setFlag(t, lint.NoWallClock, "seeded-pkgs", "someother/pkg")
-	linttest.RunExpectClean(t, "testdata/clockpkg", "clockpkg", lint.NoWallClock)
 }

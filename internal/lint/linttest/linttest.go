@@ -26,7 +26,6 @@ import (
 	"go/types"
 	"os"
 	"path/filepath"
-	"reflect"
 	"regexp"
 	"runtime"
 	"sort"
@@ -64,25 +63,6 @@ func RunExpectClean(t *testing.T, dir, importPath string, analyzers ...*analysis
 	_, diags := load(t, dir, importPath, analyzers)
 	for _, d := range diags {
 		t.Errorf("%s: unexpected diagnostic from out-of-scope analyzer: %s", fset.Position(d.Pos), d.Message)
-	}
-}
-
-// RunExpectOnly asserts that at least one diagnostic is reported and that
-// every one matches messageRx, ignoring want comments.
-func RunExpectOnly(t *testing.T, dir, importPath, messageRx string, analyzers ...*analysis.Analyzer) {
-	t.Helper()
-	rx, err := regexp.Compile(messageRx)
-	if err != nil {
-		t.Fatalf("linttest: bad pattern %q: %v", messageRx, err)
-	}
-	_, diags := load(t, dir, importPath, analyzers)
-	if len(diags) == 0 {
-		t.Errorf("linttest: expected diagnostics matching %q, got none", messageRx)
-	}
-	for _, d := range diags {
-		if !rx.MatchString(d.Message) {
-			t.Errorf("%s: diagnostic not matching %q: %s", fset.Position(d.Pos), messageRx, d.Message)
-		}
 	}
 }
 
@@ -134,7 +114,6 @@ func runAnalyzer(az *analysis.Analyzer, files []*ast.File, pkg *types.Package, i
 	for _, req := range az.Requires {
 		resultOf[req] = results[req]
 	}
-	facts := newFactStore()
 	pass := &analysis.Pass{
 		Analyzer:   az,
 		Fset:       fset,
@@ -146,13 +125,7 @@ func runAnalyzer(az *analysis.Analyzer, files []*ast.File, pkg *types.Package, i
 		Report: func(d analysis.Diagnostic) {
 			*diags = append(*diags, d)
 		},
-		ReadFile:          os.ReadFile,
-		ExportObjectFact:  facts.exportObject,
-		ImportObjectFact:  facts.importObject,
-		AllObjectFacts:    facts.allObjects,
-		ExportPackageFact: facts.exportPackage,
-		ImportPackageFact: facts.importPackage,
-		AllPackageFacts:   facts.allPackages,
+		ReadFile: os.ReadFile,
 	}
 	res, err := az.Run(pass)
 	if err != nil {
@@ -160,72 +133,6 @@ func runAnalyzer(az *analysis.Analyzer, files []*ast.File, pkg *types.Package, i
 	}
 	results[az] = res
 	return nil
-}
-
-// factStore is a minimal in-memory implementation of the analysis fact
-// surface, scoped to one analyzer run over one fixture package. Facts are
-// what let goroutinediscipline carry annotations across packages under the
-// real unitchecker driver; within a single-package fixture the store only
-// needs to route an exported fact back to a later ImportObjectFact on the
-// same object.
-type factStore struct {
-	objects  map[types.Object][]analysis.Fact
-	packages map[*types.Package][]analysis.Fact
-}
-
-func newFactStore() *factStore {
-	return &factStore{
-		objects:  map[types.Object][]analysis.Fact{},
-		packages: map[*types.Package][]analysis.Fact{},
-	}
-}
-
-// copyFact assigns the stored fact's value into the caller's pointer when
-// the concrete types match, mirroring the driver's gob round trip.
-func copyFact(stored []analysis.Fact, ptr analysis.Fact) bool {
-	for _, f := range stored {
-		if reflect.TypeOf(f) == reflect.TypeOf(ptr) {
-			reflect.ValueOf(ptr).Elem().Set(reflect.ValueOf(f).Elem())
-			return true
-		}
-	}
-	return false
-}
-
-func (s *factStore) exportObject(obj types.Object, fact analysis.Fact) {
-	s.objects[obj] = append(s.objects[obj], fact)
-}
-
-func (s *factStore) importObject(obj types.Object, ptr analysis.Fact) bool {
-	return copyFact(s.objects[obj], ptr)
-}
-
-func (s *factStore) allObjects() []analysis.ObjectFact {
-	var out []analysis.ObjectFact
-	for obj, facts := range s.objects {
-		for _, f := range facts {
-			out = append(out, analysis.ObjectFact{Object: obj, Fact: f})
-		}
-	}
-	return out
-}
-
-func (s *factStore) exportPackage(fact analysis.Fact) {
-	// The fixture package itself is the only exporter in this harness.
-}
-
-func (s *factStore) importPackage(pkg *types.Package, ptr analysis.Fact) bool {
-	return copyFact(s.packages[pkg], ptr)
-}
-
-func (s *factStore) allPackages() []analysis.PackageFact {
-	var out []analysis.PackageFact
-	for pkg, facts := range s.packages {
-		for _, f := range facts {
-			out = append(out, analysis.PackageFact{Package: pkg, Fact: f})
-		}
-	}
-	return out
 }
 
 func parseDir(dir string) ([]*ast.File, error) {

@@ -122,6 +122,18 @@ func (r *Retainer) CompressInto(dst []byte, values []float64) []byte {
 	return append(dst[:0], 0)
 }
 
+// Gorilla is mutant BO3 of the mutation table in DESIGN.md §7: a codec
+// that keeps dst in its receiver. No test notices: the retained slice is
+// never read, and -race stays quiet in TestCompressConcurrentCallers, where
+// every call's scratch passes through a sync.Pool. This analyzer is the
+// only check that catches it.
+type Gorilla struct{ last []byte }
+
+func (g *Gorilla) CompressInto(dst []byte, values []float64) []byte {
+	g.last = dst // want `CompressInto stores caller buffer dst in the receiver`
+	return append(dst[:0], 0)
+}
+
 // DecompressInto retains the values buffer through a package-level var.
 var lastOut []float64
 

@@ -69,4 +69,21 @@ func Unrelated(arms int) {
 	}
 }
 
+// DecodeCounted is mutant NP3 of the mutation table in DESIGN.md §7: it
+// drops the count reader's error, so a zero or oversized count is no longer
+// rejected. Nothing panics, so no decoder test or fuzz corpus notices; this
+// analyzer is the only check that catches it.
+func DecodeCounted(data []byte) (int, error) {
+	n, _ := readCount(data) // want `error result of readCount assigned to _ on decode path DecodeCounted`
+	return n, nil
+}
+
+func readCount(data []byte) (int, error) {
+	n, k := binary.Uvarint(data)
+	if k <= 0 || n == 0 || n > 1<<20 {
+		return 0, errCorrupt
+	}
+	return int(n), nil
+}
+
 func flush([]byte) error { return nil }

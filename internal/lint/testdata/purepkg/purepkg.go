@@ -6,6 +6,7 @@ package purepkg
 import (
 	"math/rand"
 	"os"
+	"strconv"
 	"sync"
 	"time"
 )
@@ -25,6 +26,18 @@ func Compress(values []float64) int {
 	cache["x"] = 1 // want `write to package-level variable cache`
 	hits++         // want `write to package-level variable hits`
 	return 0
+}
+
+// GzipLevel is mutant CP1 of the mutation table in DESIGN.md §7: a codec
+// setting read from the environment. Two devices with the same seed then
+// encode differently, and since no test sets the variable, this analyzer
+// is the only check that catches it.
+func GzipLevel() int {
+	level, err := strconv.Atoi(os.Getenv("ADAEDGE_GZIP_LEVEL")) // want `use of os\.Getenv`
+	if err != nil {
+		return 6
+	}
+	return level
 }
 
 // Scale is pure: time.Duration arithmetic never reads the clock.

@@ -257,8 +257,6 @@ func (t *Tracker) SetArmSource(fn func() map[string][]ArmStat) {
 // NoteDecision records one decision outcome (every decision, sampled or
 // not): switch/convergence counters and per-codec attribution. Decision
 // goroutine only.
-//
-// adaedge:decision-goroutine
 func (t *Tracker) NoteDecision(codec string, reward float64) {
 	if t == nil {
 		return
@@ -289,8 +287,6 @@ func (t *Tracker) NoteDecision(codec string, reward float64) {
 // provenance. Emits one "regret" trace event carrying the best arm and
 // the regret — on the calling (decision) goroutine, so the event sequence
 // stays deterministic. Decision goroutine only.
-//
-// adaedge:decision-goroutine
 func (t *Tracker) ObserveSample(id uint64, chosen ArmOutcome, candidates []ArmOutcome, reusedTrials, shadowTrials int) {
 	if t == nil || len(candidates) == 0 {
 		return

@@ -20,7 +20,7 @@ package obs
 // by the deterministic codec cost model (core.DefaultCodecCost) — so the
 // stage stream of a seeded run is byte-identical run to run. Stages
 // recorded outside the engine (spool/wire/collector) have no virtual cost
-// and record VT/Dur zero; their wall timing lives in the perf-timer
+// and record VT/Dur zero; their wall timing lives in the latency
 // histograms (transport.uplink.rtt_seconds), never in trace records.
 
 // Stage identifies one lifecycle stage of a segment span.

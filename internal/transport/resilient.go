@@ -691,11 +691,10 @@ func (u *ResilientUplink) closing() bool {
 }
 
 // backoff computes exponential redial delays with deterministic jitter.
-// The jitter stream is a splitmix64 generator over the configured seed —
-// not math/rand, whose construction is reserved to the seeded-RNG
-// packages by the seqdeterminism analyzer — so the same seed reproduces
-// the same delay sequence, which is what makes chaos-test retry traces
-// comparable across runs.
+// The jitter stream is a splitmix64 generator over the configured seed,
+// not the process-global math/rand, so the same seed reproduces the same
+// delay sequence (TestBackoffDeterministic), which is what makes
+// chaos-test retry traces comparable across runs.
 type backoff struct {
 	base, max time.Duration
 	attempt   int
