@@ -5,10 +5,10 @@
 // injected link outages and connection resets, and are retransmitted
 // until the collector's cumulative ACK covers them — at-least-once on the
 // wire, exactly-once at the cloud sink. When the blackout backlog pushes
-// the spool past its high-water mark, the pressure hook tightens the
-// engine's effective target ratio so segments get smaller instead of the
-// queue overflowing (graceful degradation), and restores it as the spool
-// drains.
+// the spool past its high-water mark, the pressure hook retargets the
+// engine to half the link, so segments get smaller instead of the queue
+// overflowing (graceful degradation), and back to the full link as the
+// spool drains.
 //
 // Run with: go run ./examples/intermittent-link
 package main
@@ -54,11 +54,14 @@ func main() {
 	plan := sim.NewFaultPlan(link, 50_000, 0.01)
 
 	// Edge side: online engine plus resilient uplink, wired together by
-	// the spool-pressure → Degrade hook.
+	// the spool-pressure → Retarget hook. A 1 M points/s sensor with a
+	// 2.4 MB/s share of the link compresses to R = B/(64×I) = 0.3.
+	const bw = sim.Bandwidth(2.4e6)
 	engine, err := core.NewOnlineEngine(core.Config{
-		TargetRatioOverride: 0.3,
-		Objective:           core.AggTarget(query.Sum),
-		Seed:                1,
+		IngestRate: 1e6,
+		Bandwidth:  bw,
+		Objective:  core.AggTarget(query.Sum),
+		Seed:       1,
 	})
 	if err != nil {
 		log.Fatal(err)
@@ -75,11 +78,11 @@ func main() {
 		OnPressure: func(over bool) {
 			pressureEvents++
 			if over {
-				engine.Degrade(0.5) // spool deep: halve the effective target
-				fmt.Printf("spool over high water → effective target %.3f\n", engine.EffectiveTarget())
+				engine.Retarget(bw / 2) // spool deep: budget half the link
+				fmt.Printf("spool over high water → target %.3f\n", engine.TargetRatio())
 			} else {
-				engine.Degrade(1) // drained: restore the configured target
-				fmt.Printf("spool drained → effective target %.3f\n", engine.EffectiveTarget())
+				engine.Retarget(bw) // drained: the whole link again
+				fmt.Printf("spool drained → target %.3f\n", engine.TargetRatio())
 			}
 		},
 		Dialer: func(a string, timeout time.Duration) (net.Conn, error) {

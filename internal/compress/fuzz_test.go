@@ -1,6 +1,8 @@
 package compress
 
 import (
+	"encoding/binary"
+	"errors"
 	"math"
 	"math/cmplx"
 	"testing"
@@ -163,6 +165,49 @@ func TestHostileBitWidthsRejected(t *testing.T) {
 	}
 	if rejected == 0 {
 		t.Error("no forged sprintz byte was rejected: the sweep never reached a block width")
+	}
+}
+
+// TestWindowedHostileCounts: every reader of the windowed layout — PAA,
+// RRD-sample, PLA and Summary decode and recode, and the direct aggregates
+// over them — rejects a point count of 0 or of maxDecodePoints+1 with
+// ErrCorrupt. The rest of each header is consistent with the forged count
+// (its window and record count agree), so the count check alone stands
+// between it and a decode of 0 or 2^24+1 points.
+func TestWindowedHostileCounts(t *testing.T) {
+	type op struct {
+		name string
+		run  func(Encoded) error
+	}
+	ops := func(c Codec) []op {
+		out := []op{
+			{"decode", func(e Encoded) error { _, err := c.DecompressInto(nil, e); return err }},
+			{"recode", func(e Encoded) error { _, err := c.(Recoder).Recode(e, 0.01); return err }},
+		}
+		if s, ok := c.(DirectSummer); ok {
+			out = append(out, op{"sum", func(e Encoded) error { _, err := s.SumEncoded(e); return err }})
+		}
+		if m, ok := c.(DirectMinMaxer); ok {
+			out = append(out, op{"minmax", func(e Encoded) error { _, _, err := m.MinMaxEncoded(e); return err }})
+		}
+		return out
+	}
+	for _, tc := range []struct {
+		c        Codec
+		recBytes int
+	}{
+		{NewPAA(), 8}, {NewRRDSample(1), 8}, {NewPLA(), plaPieceBytes}, {NewSummary(), summaryWindowBytes},
+	} {
+		for _, h := range []struct{ count, window uint64 }{{0, 4}, {maxDecodePoints + 1, maxDecodePoints}} {
+			data := binary.AppendUvarint(binary.AppendUvarint(nil, h.count), h.window)
+			data = append(data, make([]byte, int((h.count+h.window-1)/h.window)*tc.recBytes)...)
+			enc := Encoded{Codec: tc.c.Name(), Data: data, N: int(h.count)}
+			for _, o := range ops(tc.c) {
+				if err := o.run(enc); !errors.Is(err, ErrCorrupt) {
+					t.Errorf("%s %s, count %d: err = %v, want ErrCorrupt", tc.c.Name(), o.name, h.count, err)
+				}
+			}
+		}
 	}
 }
 

@@ -51,10 +51,8 @@ type ctxPhase struct {
 
 // contextualCtl is the engine-side contextual layer.
 type contextualCtl struct {
-	deadline float64 // seconds; 0 disables the gate
-	// link is the engine's live uplink capacity (&OnlineEngine.cfg.Bandwidth,
-	// which Retarget rewrites); 0 drops the uplink term.
-	link     *sim.Bandwidth
+	deadline float64       // seconds; 0 disables the gate
+	bw       sim.Bandwidth // this segment's link, set by begin; 0 drops the uplink term
 	optimism float64
 	costFn   func(op, codec string, points int) float64
 
@@ -81,7 +79,6 @@ func newContextualCtl(cfg Config, e *OnlineEngine) *contextualCtl {
 	}
 	c := &contextualCtl{
 		deadline: cfg.Deadline.Seconds(),
-		link:     &e.cfg.Bandwidth,
 		optimism: cfg.Bandit.Optimism,
 		costFn:   e.costFn,
 		feats:    make([]float64, 0, contextual.NumFeatures),
@@ -110,14 +107,16 @@ func newCtxPhase(names []string, pol interface{}) ctxPhase {
 	return ph
 }
 
-// begin starts a segment: one feature extraction, then per-phase
-// predictions, deadline feasibility and policy priors. The lossless
-// deadline mask is final here; the lossy mask still needs the MinRatio
-// feasibility intersection, which processLossy supplies to applyDeadline.
-func (c *contextualCtl) begin(values []float64) {
+// begin starts a segment on link bw: one feature extraction, then
+// per-phase predictions, deadline feasibility and policy priors. The
+// lossless deadline mask is final here; the lossy mask still needs the
+// MinRatio feasibility intersection, which processLossy supplies to
+// applyDeadline.
+func (c *contextualCtl) begin(values []float64, bw sim.Bandwidth) {
 	if c == nil {
 		return
 	}
+	c.bw = bw
 	c.feats = contextual.FeaturesInto(c.feats, values)
 	c.segRejects = 0
 	c.segFallback = false
@@ -153,12 +152,11 @@ func (c *contextualCtl) predictPhase(ph *ctxPhase, points int) {
 }
 
 // uplinkSeconds is the predicted transmission time of a segment
-// compressed to ratio: ratio × 8 bytes/point × points over the link
-// bandwidth, as the engine's last Retarget left it. Without a configured
-// link (ratio-override runs) the term is zero and the deadline constrains
-// encode latency alone.
+// compressed to ratio: ratio × 8 bytes/point × points over the segment's
+// link bandwidth. Without a configured link (ratio-override runs) the term
+// is zero and the deadline constrains encode latency alone.
 func (c *contextualCtl) uplinkSeconds(ratio float64, points int) float64 {
-	bw := float64(*c.link)
+	bw := float64(c.bw)
 	if bw <= 0 {
 		return 0
 	}

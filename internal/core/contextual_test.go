@@ -176,12 +176,12 @@ func TestRetargetReachesDeadlineGate(t *testing.T) {
 	}
 
 	eng.Retarget(sim.Net2G)
-	if got, want := eng.ctx.uplinkSeconds(0.5, 128), 0.5*8*128/float64(sim.Net2G); got != want {
-		t.Fatalf("predicted uplink term after Retarget(2G) = %v s, want %v s", got, want)
-	}
 	for _, s := range segs[30:] {
 		if _, _, err := eng.Process(s.Values, s.Label); err != nil {
 			t.Fatal(err)
+		}
+		if got, want := eng.ctx.uplinkSeconds(0.5, 128), 0.5*8*128/float64(sim.Net2G); got != want {
+			t.Fatalf("predicted uplink term after Retarget(2G) = %v s, want %v s", got, want)
 		}
 	}
 	st := eng.Stats()

@@ -23,11 +23,12 @@
 //
 // Both engines follow one contract: decisions are single-goroutine,
 // snapshots are concurrent. Process (online) and Ingest (offline) must be
-// called from one goroutine at a time; Degrade, Stats, Snapshot and the
-// estimate accessors may be called from anywhere, and the accessors return
-// deep copies. An engine is driven on the caller's goroutine and never
-// uses more than one core; more cores mean more share-nothing engines, one
-// per independent signal and per goroutine (DESIGN.md §7).
+// called from one goroutine at a time; Retarget, TargetRatio, Stats,
+// Snapshot and the estimate accessors may be called from anywhere, and the
+// accessors return deep copies. An engine is driven on the caller's
+// goroutine and never uses more than one core; more cores mean more
+// share-nothing engines, one per independent signal and per goroutine
+// (DESIGN.md §7).
 //
 // # Observability
 //

@@ -181,22 +181,3 @@ func TestRetargetIgnoresDeadLink(t *testing.T) {
 		}
 	}
 }
-
-func TestRetargetRatioValidation(t *testing.T) {
-	e, err := NewOnlineEngine(Config{
-		TargetRatioOverride: 0.5,
-		Objective:           SingleTarget(TargetRatio),
-		Seed:                4,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	e.RetargetRatio(-1) // ignored
-	if e.TargetRatio() != 0.5 {
-		t.Fatal("invalid retarget applied")
-	}
-	e.RetargetRatio(2) // clamped
-	if e.TargetRatio() != 1 {
-		t.Fatalf("ratio = %v, want clamp to 1", e.TargetRatio())
-	}
-}

@@ -25,7 +25,8 @@ type Config struct {
 	// IngestRate is the signal generation rate in points/second (default
 	// 200 000, the paper's streaming default, §V-B).
 	IngestRate float64
-	// Bandwidth is the egress link capacity (online mode).
+	// Bandwidth is the egress link capacity (online mode) at
+	// construction; OnlineEngine.Retarget follows a link that changes.
 	Bandwidth sim.Bandwidth
 	// TargetRatioOverride, when positive, fixes the online target ratio
 	// directly instead of deriving it from IngestRate and Bandwidth; the
@@ -84,12 +85,6 @@ type Config struct {
 	// the paper's relative codec costs (Gorilla's bit-serial decode is
 	// the slow outlier, §V-B2).
 	CodecCost func(op, codec string, points int) float64
-	// LosslessProbeInterval is how often (in segments) the online engine
-	// re-probes lossless viability after two consecutive all-arm misses
-	// have found it infeasible (default 50). A probe is one trial of the
-	// lossless policy's own pick: a hit makes lossless viable again, a
-	// miss costs that one encode (DESIGN.md §5, "Lossless viability").
-	LosslessProbeInterval int
 	// Obs attaches the observability substrate: counters, gauges and
 	// latency histograms in its Registry, one decision-trace event per
 	// bandit pull in its Ring. Nil (the default) disables instrumentation
@@ -148,9 +143,6 @@ func (c Config) withDefaults(online bool) Config {
 	}
 	if c.CPUScale == 0 {
 		c.CPUScale = 1
-	}
-	if c.LosslessProbeInterval == 0 {
-		c.LosslessProbeInterval = 50
 	}
 	return c
 }

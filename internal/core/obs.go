@@ -38,7 +38,6 @@ type onlineMetrics struct {
 	infeasible *obs.Counter
 
 	effTarget *obs.Gauge
-	pressure  *obs.Gauge
 
 	// compress memoizes per-codec trial-latency histograms. Only the
 	// decision goroutine touches the map, so it needs no lock.
@@ -60,7 +59,6 @@ func newOnlineMetrics(o *obs.Observer, deviceID uint64) *onlineMetrics {
 		violations: reg.Counter("core.online.bandwidth_violations"),
 		infeasible: reg.Counter("core.online.no_feasible"),
 		effTarget:  reg.Gauge("core.online.effective_target"),
-		pressure:   reg.Gauge("core.online.pressure"),
 		compress:   make(map[string]*obs.Histogram),
 	}
 }
@@ -127,7 +125,7 @@ func (m *onlineMetrics) spanSelect(arm int, codec string) {
 // decision records the per-segment outcome: counters, gauges, and the
 // one decision event per bandit pull cycle, which is also the segment's
 // encode stage — the winning encoding leaving the engine.
-func (m *onlineMetrics) decision(res Result, target, pressure float64) {
+func (m *onlineMetrics) decision(res Result, target float64) {
 	if m == nil {
 		return
 	}
@@ -138,10 +136,9 @@ func (m *onlineMetrics) decision(res Result, target, pressure float64) {
 		m.lossless.Inc()
 	}
 	m.effTarget.Set(target)
-	m.pressure.Set(pressure)
 	m.span(obs.StageEncode, obs.Event{
 		Kind: "decision", Arm: m.arm, Codec: res.Codec, Lossy: res.Lossy,
-		Ratio: res.Ratio, Reward: res.Reward, Target: target, Pressure: pressure,
+		Ratio: res.Ratio, Reward: res.Reward, Target: target,
 	})
 }
 
@@ -154,14 +151,14 @@ func (m *onlineMetrics) violation() {
 }
 
 // noFeasible records the hard failure: no codec can reach the target.
-func (m *onlineMetrics) noFeasible(id uint64, target, pressure float64) {
+func (m *onlineMetrics) noFeasible(id uint64, target float64) {
 	if m == nil {
 		return
 	}
 	m.infeasible.Inc()
 	m.ring.Record(obs.Event{
 		Source: "core.online", Kind: "no_feasible", ID: id,
-		Target: target, Pressure: pressure, Err: ErrNoFeasibleCodec.Error(),
+		Target: target, Err: ErrNoFeasibleCodec.Error(),
 	})
 }
 

@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"math"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -21,35 +20,33 @@ import (
 //
 // Concurrency contract: Process mutates bandit and accounting state and
 // must be called from a single goroutine at a time (the "decision
-// goroutine"). Degrade, Stats, LossyEstimates and LosslessEstimates are
-// safe from any goroutine while it runs. Retarget/RetargetRatio must not
-// race with in-flight processing. More cores are used by running more
-// engines, one per goroutine, never by sharing one.
+// goroutine"). Retarget, TargetRatio, Stats, LossyEstimates and
+// LosslessEstimates are safe from any goroutine while it runs. More cores
+// are used by running more engines, one per goroutine, never by sharing
+// one.
 type OnlineEngine struct {
-	cfg         Config
-	reg         *compress.Registry
-	eval        *Evaluator
-	targetRatio float64
+	cfg  Config // never written after construction
+	reg  *compress.Registry
+	eval *Evaluator
+
+	// link is the uplink the next segment is decided for. Retarget
+	// publishes a new one from any goroutine; Process loads it once per
+	// segment.
+	link atomic.Pointer[onlineLink]
+	// seen is the link the previous segment was decided for; a different
+	// pointer at the next load means Retarget ran in between.
+	seen *onlineLink
 
 	losslessNames []string
 	lossyNames    []string
 	losslessMAB   bandit.Policy
 	lossyMAB      bandit.Policy
 
-	nextID        uint64
-	losslessFails int
-	sinceProbe    int
-	// losslessViable is written by the decision goroutine and by Degrade,
-	// which may run on any goroutine.
-	losslessViable atomic.Bool
-	// pressureBits holds the uplink-pressure throttle in (0,1] as float64
-	// bits. Degrade may run on any goroutine (a caller that wires
-	// ResilientConfig.OnPressure to it runs on whichever goroutine crossed
-	// the spool's high-water mark), so the throttle must be readable at
-	// decision time without racing the decision goroutine — hence atomic
-	// rather than a field the concurrency contract would forbid touching
-	// mid-flight.
-	pressureBits atomic.Uint64
+	nextID         uint64
+	losslessFails  int
+	sinceProbe     int
+	probeInterval  int // losslessProbeInterval; tests shorten it
+	losslessViable bool
 
 	costFn func(op, codec string, points int) float64
 
@@ -121,6 +118,19 @@ func (s OnlineStats) OverallRatio() float64 {
 	return float64(s.TotalCompressedBytes) / float64(s.TotalRawBytes)
 }
 
+// onlineLink is one published uplink: its capacity (0 when only
+// TargetRatioOverride is configured) and the target ratio the engine
+// compresses toward on it. Immutable once published.
+type onlineLink struct {
+	bw     sim.Bandwidth
+	target float64
+}
+
+// losslessProbeInterval is how often, in segments, a stream found
+// lossless-infeasible re-probes with one trial of the lossless policy's
+// own pick (DESIGN.md §5, "Lossless viability").
+const losslessProbeInterval = 50
+
 // NewOnlineEngine builds the engine. The target ratio comes from
 // cfg.TargetRatioOverride if positive, else from R = B/(64×I).
 func NewOnlineEngine(cfg Config) (*OnlineEngine, error) {
@@ -143,16 +153,17 @@ func NewOnlineEngine(cfg Config) (*OnlineEngine, error) {
 		target = 1
 	}
 	e := &OnlineEngine{
-		cfg:           cfg,
-		reg:           cfg.Registry,
-		eval:          eval,
-		targetRatio:   target,
-		losslessNames: armNames(cfg.LosslessArms, cfg.Registry.Lossless()),
-		lossyNames:    armNames(cfg.LossyArms, cfg.Registry.Lossy()),
-		stats:         OnlineStats{CodecUse: make(map[string]int)},
+		cfg:            cfg,
+		reg:            cfg.Registry,
+		eval:           eval,
+		seen:           &onlineLink{bw: cfg.Bandwidth, target: target},
+		losslessNames:  armNames(cfg.LosslessArms, cfg.Registry.Lossless()),
+		lossyNames:     armNames(cfg.LossyArms, cfg.Registry.Lossy()),
+		probeInterval:  losslessProbeInterval,
+		losslessViable: true,
+		stats:          OnlineStats{CodecUse: make(map[string]int)},
 	}
-	e.losslessViable.Store(true)
-	e.pressureBits.Store(math.Float64bits(1))
+	e.link.Store(e.seen)
 	e.losslessMAB = newPolicy(cfg, len(e.losslessNames), 101, "bandit.online.lossless")
 	e.lossyMAB = newPolicy(cfg, len(e.lossyNames), 202, "bandit.online.lossy")
 	e.om = newOnlineMetrics(cfg.Obs, cfg.DeviceID)
@@ -171,77 +182,25 @@ func NewOnlineEngine(cfg Config) (*OnlineEngine, error) {
 	return e, nil
 }
 
-// TargetRatio returns the constraint-derived ratio, before any uplink
-// pressure throttle.
-func (e *OnlineEngine) TargetRatio() float64 { return e.targetRatio }
+// TargetRatio returns the target ratio of the last link published, which
+// the next segment compresses toward. Safe from any goroutine.
+func (e *OnlineEngine) TargetRatio() float64 { return e.link.Load().target }
 
-// Pressure returns the current uplink-pressure throttle in (0,1].
-func (e *OnlineEngine) Pressure() float64 {
-	return math.Float64frombits(e.pressureBits.Load())
-}
-
-// EffectiveTarget is the ratio the decision path actually compresses
-// toward: TargetRatio × Pressure, clamped to (0,1].
-func (e *OnlineEngine) EffectiveTarget() float64 {
-	t := e.targetRatio * e.Pressure()
-	if t > 1 {
-		t = 1
-	}
-	return t
-}
-
-// Degrade sets the uplink-pressure throttle: factor in (0,1) tightens
-// the effective target ratio (segments shrink so a congested or spooling
-// uplink drains instead of growing without bound), 1 restores it. Values
-// outside (0,1] restore. Unlike Retarget, Degrade is safe from any
-// goroutine while the decision goroutine is processing. Nothing calls it
-// on its own: the caller wires ResilientConfig.OnPressure to it, as
-// examples/intermittent-link does.
-func (e *OnlineEngine) Degrade(factor float64) {
-	if factor <= 0 || factor > 1 {
-		factor = 1
-	}
-	old := math.Float64frombits(e.pressureBits.Swap(math.Float64bits(factor)))
-	if factor > old {
-		// A looser target may make lossless feasible again; re-probe.
-		e.losslessViable.Store(true)
-	}
-}
-
-// Retarget recomputes the target compression ratio for a new link
-// capacity — the paper's variable-bandwidth case (§IV-A2). Lossless
-// viability is re-probed from scratch because a looser target may make
-// lossless feasible again; the bandit estimates are kept (data statistics
-// did not change, only the constraint). A dead link (bw <= 0) is ignored:
-// it has no ratio to compress to, and the caller stores rather than sends
-// while it lasts.
+// Retarget moves the engine to a new link capacity — the paper's
+// variable-bandwidth case (§IV-A2): the target becomes R = B/(64×I) for
+// the new B, and the deadline gate's uplink term and the
+// BandwidthViolations check follow the same link. Safe from any goroutine:
+// the link is published atomically and takes effect at the next segment,
+// which also re-probes lossless viability from scratch because a looser
+// target may make lossless feasible again. The bandit estimates are kept
+// (data statistics did not change, only the constraint). A dead link
+// (bw <= 0) is ignored: it has no ratio to compress to, and the caller
+// stores rather than sends while it lasts.
 func (e *OnlineEngine) Retarget(bw sim.Bandwidth) {
 	if bw <= 0 {
 		return
 	}
-	e.cfg.Bandwidth = bw
-	target := sim.TargetRatio(e.cfg.IngestRate, bw)
-	if target > 1 {
-		target = 1
-	}
-	e.targetRatio = target
-	e.losslessViable.Store(true)
-	e.losslessFails = 0
-	e.sinceProbe = 0
-}
-
-// RetargetRatio fixes the target ratio directly.
-func (e *OnlineEngine) RetargetRatio(ratio float64) {
-	if ratio > 1 {
-		ratio = 1
-	}
-	if ratio <= 0 {
-		return
-	}
-	e.targetRatio = ratio
-	e.losslessViable.Store(true)
-	e.losslessFails = 0
-	e.sinceProbe = 0
+	e.link.Store(&onlineLink{bw: bw, target: sim.TargetRatio(e.cfg.IngestRate, bw)})
 }
 
 // Stats returns a copy of the stream statistics. Safe to call while
@@ -281,14 +240,21 @@ func (e *OnlineEngine) Process(values []float64, label int) (Result, compress.En
 	defer e.scr.flush()
 	id := e.nextID
 	e.nextID++
-	// One consistent target per segment, even if a concurrent Degrade
-	// lands mid-decision.
-	target := e.EffectiveTarget()
+	// One link per segment, even if a concurrent Retarget lands
+	// mid-decision: its target, the deadline gate's uplink term and the
+	// bandwidth check all read this load.
+	link := e.link.Load()
+	if link != e.seen {
+		// Retarget ran since the last segment: re-probe lossless.
+		e.seen = link
+		e.losslessViable, e.losslessFails, e.sinceProbe = true, 0, 0
+	}
+	target := link.target
 	// Span lifecycle: the ingest stage opens the segment's span.
 	e.om.spanBegin(id, len(values))
 	// Contextual layer: features, per-arm predictions, policy priors and
 	// deadline feasibility for this segment (no-op when disabled).
-	e.ctx.begin(values)
+	e.ctx.begin(values, link.bw)
 	if e.ctx != nil {
 		e.om.spanFeatures()
 	}
@@ -305,8 +271,8 @@ func (e *OnlineEngine) Process(values []float64, label int) (Result, compress.En
 	if e.tryLossless(target) {
 		res, enc, ok := e.processLossless(id, values, target, trials)
 		if ok {
-			e.account(res)
-			e.om.decision(res, target, e.Pressure())
+			e.account(res, link.bw)
+			e.om.decision(res, target)
 			e.qo.observe(e, res, values, trials, target)
 			return res, enc, nil
 		}
@@ -317,8 +283,8 @@ func (e *OnlineEngine) Process(values []float64, label int) (Result, compress.En
 	if err != nil {
 		return Result{}, compress.Encoded{}, err
 	}
-	e.account(res)
-	e.om.decision(res, target, e.Pressure())
+	e.account(res, link.bw)
+	e.om.decision(res, target)
 	e.qo.observe(e, res, values, trials, target)
 	return res, enc, nil
 }
@@ -354,11 +320,11 @@ func (e *OnlineEngine) tryLossless(target float64) bool {
 	if target >= 1 {
 		return true
 	}
-	if e.losslessViable.Load() {
+	if e.losslessViable {
 		return true
 	}
 	e.sinceProbe++
-	if e.sinceProbe >= e.cfg.LosslessProbeInterval {
+	if e.sinceProbe >= e.probeInterval {
 		e.sinceProbe = 0
 		return true
 	}
@@ -382,7 +348,7 @@ func (e *OnlineEngine) processLossless(id uint64, values []float64, target float
 		return Result{}, compress.Encoded{}, false
 	}
 	attempts := len(e.losslessNames)
-	if target < 1 && !e.losslessViable.Load() {
+	if target < 1 && !e.losslessViable {
 		attempts = 1
 	}
 	for ; attempts > 0; attempts-- {
@@ -419,7 +385,7 @@ func (e *OnlineEngine) processLossless(id uint64, values []float64, target float
 			continue
 		}
 		e.losslessFails = 0
-		e.losslessViable.Store(true)
+		e.losslessViable = true
 		e.ctx.chosen(id, arm, len(values), false, ratio)
 		e.om.spanSelect(arm, name)
 		res := Result{
@@ -436,7 +402,7 @@ func (e *OnlineEngine) processLossless(id uint64, values []float64, target float
 	}
 	e.losslessFails++
 	if e.losslessFails >= 2 {
-		e.losslessViable.Store(false)
+		e.losslessViable = false
 	}
 	return Result{}, compress.Encoded{}, false
 }
@@ -453,7 +419,7 @@ func (e *OnlineEngine) processLossy(id uint64, values []float64, target float64,
 		}
 	}
 	if !feasible {
-		e.om.noFeasible(id, target, e.Pressure())
+		e.om.noFeasible(id, target)
 		return Result{}, compress.Encoded{}, ErrNoFeasibleCodec
 	}
 	// Deadline gate over the ratio-feasible arms; guarantees at least one
@@ -581,8 +547,9 @@ func runLossyTrial(lc compress.LossyCodec, values []float64, ratio float64) loss
 	return lossyTrial{enc: enc, decoded: decoded, dur: dur, buf: eb, dec: db}
 }
 
-// account folds one decided segment into the stream statistics.
-func (e *OnlineEngine) account(res Result) {
+// account folds one decided segment into the stream statistics; bw is
+// the link the segment was decided for.
+func (e *OnlineEngine) account(res Result, bw sim.Bandwidth) {
 	e.statsMu.Lock()
 	defer e.statsMu.Unlock()
 	e.stats.Segments++
@@ -598,7 +565,7 @@ func (e *OnlineEngine) account(res Result) {
 	e.stats.CodecUse[res.Codec]++
 	// Egress feasibility: at ingest rate I the per-second egress is
 	// I × 8 × ratio bytes.
-	if e.cfg.Bandwidth > 0 && !e.cfg.Bandwidth.Carries(e.cfg.IngestRate*8*res.Ratio) {
+	if bw > 0 && !bw.Carries(e.cfg.IngestRate*8*res.Ratio) {
 		e.stats.BandwidthViolations++
 		e.om.violation()
 	}

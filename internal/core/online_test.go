@@ -1,11 +1,13 @@
 package core
 
 import (
+	"math"
 	"testing"
 
 	"repro/internal/compress"
 	"repro/internal/datasets"
 	"repro/internal/ml"
+	"repro/internal/obs/quality"
 	"repro/internal/query"
 	"repro/internal/sim"
 )
@@ -282,62 +284,113 @@ func TestOnlineBandwidthViolationTracking(t *testing.T) {
 	}
 }
 
-// TestOnlineDegrade: the spool-pressure hook tightens the effective
-// target without touching the configured ratio, invalid factors restore
-// it, and processing keeps respecting the tightened bound.
-func TestOnlineDegrade(t *testing.T) {
+// TestOnlinePayloadsDecode decodes every payload Process returns through
+// the registry, over a CBF-then-plateau stream that yields lossy and
+// lossless winners, oracle-sampled and not, and fills more than one
+// payload slab. A lossless payload must give back the input bit for bit,
+// a lossy one must decode at the ratio its Result reports.
+func TestOnlinePayloadsDecode(t *testing.T) {
 	e, err := NewOnlineEngine(Config{
-		TargetRatioOverride: 0.4,
-		Objective:           AggTarget(query.Sum),
-		Seed:                4,
+		TargetRatioOverride: 0.2,
+		Objective:           AggTarget(query.Max),
+		Quality:             &quality.Config{SampleEvery: 3},
+		Seed:                7,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := e.EffectiveTarget(); got != 0.4 {
-		t.Fatalf("initial effective target = %v", got)
-	}
-	e.Degrade(0.5)
-	if got := e.Pressure(); got != 0.5 {
-		t.Fatalf("pressure = %v", got)
-	}
-	if got := e.EffectiveTarget(); got != 0.2 {
-		t.Fatalf("degraded effective target = %v, want 0.2", got)
-	}
-	if got := e.TargetRatio(); got != 0.4 {
-		t.Fatalf("configured ratio moved to %v", got)
-	}
-	// The stream is now held to the tightened bound.
-	results := runOnline(t, e, 30, 22)
-	for _, r := range results {
-		if r.Lossy && r.Ratio > 0.2*1.2+0.02 {
-			t.Fatalf("degraded run produced lossy segment at ratio %v", r.Ratio)
+	var carved int
+	var seen [2][2]int // [lossy][sampled] winners
+	for i, values := range shiftPool(400, 13) {
+		res, enc, err := e.Process(values, 0)
+		if err != nil {
+			t.Fatalf("segment %d: %v", i, err)
 		}
+		carved += len(enc.Data)
+		got, err := e.reg.Decompress(enc)
+		if err != nil {
+			t.Fatalf("segment %d (%s, lossy=%v): decode: %v", i, res.Codec, res.Lossy, err)
+		}
+		if len(got) != len(values) {
+			t.Fatalf("segment %d (%s): decoded %d points, want %d", i, res.Codec, len(got), len(values))
+		}
+		if enc.Ratio() != res.Ratio {
+			t.Fatalf("segment %d (%s): payload ratio %v, Result.Ratio %v", i, res.Codec, enc.Ratio(), res.Ratio)
+		}
+		if !res.Lossy {
+			for j := range values {
+				if math.Float64bits(got[j]) != math.Float64bits(values[j]) {
+					t.Fatalf("segment %d (%s): point %d decoded to %v, want %v", i, res.Codec, j, got[j], values[j])
+				}
+			}
+		}
+		lossy, sampled := 0, 0
+		if res.Lossy {
+			lossy = 1
+		}
+		if e.qo.sampled(res.SegmentID) {
+			sampled = 1
+		}
+		seen[lossy][sampled]++
 	}
-	// Out-of-range factors mean "restore".
-	for _, bad := range []float64{0, -3, 1.5} {
-		e.Degrade(0.5)
-		e.Degrade(bad)
-		if got := e.EffectiveTarget(); got != 0.4 {
-			t.Fatalf("Degrade(%v): effective target = %v, want restored 0.4", bad, got)
+	if carved <= payloadSlabBytes {
+		t.Fatalf("%d payload bytes never crossed a %d-byte slab", carved, payloadSlabBytes)
+	}
+	for lossy := range seen {
+		for sampled, n := range seen[lossy] {
+			if n == 0 {
+				t.Errorf("no winner with lossy=%v, sampled=%v", lossy == 1, sampled == 1)
+			}
 		}
 	}
 }
 
-// TestOnlineDegradeCapsAtOne: relaxing pressure can never push the
-// effective target past lossless (ratio 1).
-func TestOnlineDegradeCapsAtOne(t *testing.T) {
+// TestRetargetHalvedLink: the spool-pressure hook's move — Retarget to
+// half the link — halves the target, and the stream is held to the
+// halved bound.
+func TestRetargetHalvedLink(t *testing.T) {
+	const bw = sim.Bandwidth(3.2e6) // R = B/(64×I) = 0.4 at 1 M points/s
 	e, err := NewOnlineEngine(Config{
-		TargetRatioOverride: 0.9,
-		Objective:           AggTarget(query.Sum),
-		Seed:                4,
+		IngestRate: 1e6,
+		Bandwidth:  bw,
+		Objective:  AggTarget(query.Sum),
+		Seed:       4,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	e.Degrade(1)
-	if got := e.EffectiveTarget(); got > 1 {
-		t.Fatalf("effective target %v exceeds 1", got)
+	if got := e.TargetRatio(); got != 0.4 {
+		t.Fatalf("initial target = %v, want 0.4", got)
+	}
+	e.Retarget(bw / 2)
+	if got := e.TargetRatio(); got != 0.2 {
+		t.Fatalf("target on half the link = %v, want 0.2", got)
+	}
+	for _, r := range runOnline(t, e, 30, 22) {
+		if r.Ratio > 0.2+ratioSlack {
+			t.Fatalf("segment %d left at ratio %v over the halved target 0.2", r.SegmentID, r.Ratio)
+		}
+	}
+	if v := e.Stats().BandwidthViolations; v != 0 {
+		t.Fatalf("bandwidth violations on the halved link = %d, want 0", v)
+	}
+}
+
+// TestRetargetCapsAtOne: a link faster than the signal can never push
+// the target past lossless (ratio 1).
+func TestRetargetCapsAtOne(t *testing.T) {
+	e, err := NewOnlineEngine(Config{
+		IngestRate: 4e6,
+		Bandwidth:  sim.Net3G,
+		Objective:  AggTarget(query.Sum),
+		Seed:       4,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	e.Retarget(sim.Net5G)
+	if got := e.TargetRatio(); got != 1 {
+		t.Fatalf("target on 5G = %v, want the cap 1", got)
 	}
 }
 
@@ -386,21 +439,21 @@ func shiftPool(n int, seed int64) [][]float64 {
 // TestOnlineLosslessViabilityStateMachine walks the viability states with
 // a trial counter: viable retries every arm, two all-arm misses flip to
 // non-viable, a non-viable stream runs no lossless trial except one — the
-// policy's pick — every LosslessProbeInterval segments, a probe hit makes
+// policy's pick — every probe interval (shortened to 10 here), a probe hit makes
 // lossless viable again, and leaving it again takes two all-arm misses.
 func TestOnlineLosslessViabilityStateMachine(t *testing.T) {
 	const interval = 10
 	reg, arms, trials := countingRegistry()
 	e, err := NewOnlineEngine(Config{
-		TargetRatioOverride:   0.2,
-		Objective:             AggTarget(query.Max),
-		Registry:              reg,
-		LosslessProbeInterval: interval,
-		Seed:                  3,
+		TargetRatioOverride: 0.2,
+		Objective:           AggTarget(query.Max),
+		Registry:            reg,
+		Seed:                3,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
+	e.probeInterval = interval
 	pool := shiftPool(200, 11)
 	cbf, plateaus := pool[:100], pool[100:]
 	step := func(values []float64) (lossy bool, ran int) {
@@ -457,7 +510,7 @@ func TestOnlineLosslessViabilityStateMachine(t *testing.T) {
 
 // TestOnlineReprobeTakesUpRegimeFlip runs the edge_shift configuration
 // over four CBF/plateau cycles: each flip to plateaus must be back on
-// lossless within LosslessProbeInterval segments of the boundary, and the
+// lossless within losslessProbeInterval segments of the boundary, and the
 // lossless share must stay where the all-arm re-probe had it.
 func TestOnlineReprobeTakesUpRegimeFlip(t *testing.T) {
 	e, err := NewOnlineEngine(Config{
@@ -482,8 +535,8 @@ func TestOnlineReprobeTakesUpRegimeFlip(t *testing.T) {
 				takenUp = i - half
 			}
 		}
-		if takenUp < 0 || takenUp > e.cfg.LosslessProbeInterval {
-			t.Errorf("cycle %d: plateaus taken up losslessly %d segments after the flip, want within %d", c, takenUp, e.cfg.LosslessProbeInterval)
+		if takenUp < 0 || takenUp > losslessProbeInterval {
+			t.Errorf("cycle %d: plateaus taken up losslessly %d segments after the flip, want within %d", c, takenUp, losslessProbeInterval)
 		}
 	}
 	// 844 of the 1024 plateau segments with the all-arm re-probe (commit

@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/datasets"
 	"repro/internal/query"
+	"repro/internal/sim"
 )
 
 // Regression tests for data races between the decision goroutine and
@@ -60,6 +61,84 @@ func TestOnlineStatsPollRace(t *testing.T) {
 	wg.Wait()
 	if got := eng.Stats().Segments; got != 150 {
 		t.Fatalf("Segments = %d, want 150", got)
+	}
+}
+
+// TestRetargetWhileProcessing moves the link from a monitor goroutine,
+// flapping between 3G and 5G, while a poller reads TargetRatio and Stats
+// and the decision goroutine processes. Retarget must not write anything
+// the decision path reads mid-segment: each segment loads one published
+// link, so it is checked against the link it was decided for and none
+// violates it, and the last link published is the one in effect.
+func TestRetargetWhileProcessing(t *testing.T) {
+	const ingest = 4e6
+	eng, err := NewOnlineEngine(Config{
+		IngestRate: ingest,
+		Bandwidth:  sim.Net4G,
+		Objective:  AggTarget(query.Sum),
+		Seed:       61,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	wg.Add(2)
+	go func() {
+		defer wg.Done()
+		for i := 0; ; i++ {
+			select {
+			case <-stop:
+				eng.Retarget(sim.Net3G) // the last link published
+				return
+			default:
+			}
+			if i%2 == 0 {
+				eng.Retarget(sim.Net3G)
+			} else {
+				eng.Retarget(sim.Net5G)
+			}
+		}
+	}()
+	go func() {
+		defer wg.Done()
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			_ = eng.TargetRatio()
+			_ = eng.Stats()
+		}
+	}()
+	stream := datasets.NewCBFStream(datasets.CBFConfig{Seed: 103})
+	process := func() Result {
+		t.Helper()
+		v, label := stream.Next()
+		res, _, err := eng.Process(v, label)
+		if err != nil {
+			close(stop)
+			wg.Wait()
+			t.Fatal(err)
+		}
+		return res
+	}
+	for i := 0; i < 60; i++ {
+		process()
+	}
+	close(stop)
+	wg.Wait()
+
+	want := sim.TargetRatio(ingest, sim.Net3G)
+	if got := eng.TargetRatio(); got != want {
+		t.Fatalf("target after the last Retarget(3G) = %v, want %v", got, want)
+	}
+	if res := process(); res.Ratio > want+ratioSlack {
+		t.Fatalf("segment after the last Retarget(3G) left at ratio %v, over its target %v", res.Ratio, want)
+	}
+	if st := eng.Stats(); st.Segments != 61 || st.BandwidthViolations != 0 {
+		t.Fatalf("stats: %d segments, %d bandwidth violations; want 61 and 0", st.Segments, st.BandwidthViolations)
 	}
 }
 

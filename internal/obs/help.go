@@ -23,7 +23,6 @@ var MetricHelp = map[string]string{
 	"core.online.deadline_fallbacks":       "segments where no ratio-feasible arm met the deadline and the fastest predicted arm was forced",
 	"core.online.deadline_misses":          "chosen arm's cost-model encode+uplink latency exceeded the deadline after the fact",
 	"core.online.effective_target":         "effective target ratio at the last decision",
-	"core.online.pressure":                 "uplink-pressure throttle at the last decision",
 	"core.online.compress_seconds.<codec>": "per-codec trial latency (LatencyBuckets)",
 
 	// Offline engine.

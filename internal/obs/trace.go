@@ -43,10 +43,8 @@ type Event struct {
 	Ratio float64 `json:"ratio,omitempty"`
 	// Reward is the bandit reward observed (decision/update events).
 	Reward float64 `json:"reward,omitempty"`
-	// Target is the effective target ratio at decision time.
+	// Target is the target ratio at decision time.
 	Target float64 `json:"target,omitempty"`
-	// Pressure is the uplink-pressure throttle at decision time.
-	Pressure float64 `json:"pressure,omitempty"`
 	// Value is a kind-specific number: the post-update estimate for
 	// bandit updates, the backoff wait in seconds for backoff events,
 	// the spool depth for spool.enqueue stages.

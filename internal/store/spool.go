@@ -16,9 +16,9 @@ import (
 // fails and the caller sheds (an unbounded queue on a device with a dead
 // link is just a slow crash). Crossing the high-water mark up or down
 // fires the pressure callback, ResilientConfig.OnPressure. A caller may
-// wire it to the online engine's Degrade hook, as
-// examples/intermittent-link does, so the bandit tightens its effective
-// bandwidth target instead of letting the backlog grow unboundedly.
+// wire it to the online engine's Retarget, as examples/intermittent-link
+// does, so the engine compresses to a slower link's target instead of
+// letting the backlog grow unboundedly.
 //
 // Pending entries live by value in a ring: Append copies the caller's
 // Entry into the next free slot and an ACK zeroes the slots it releases

@@ -134,9 +134,9 @@ type ResilientConfig struct {
 	// HighWater is the spool pressure mark in (0,1) (default 0.75).
 	HighWater float64
 	// OnPressure fires when spool utilization crosses HighWater in either
-	// direction. Wire it to OnlineEngine.Degrade for graceful
-	// degradation: tighten the effective bandwidth target while the
-	// backlog is deep, restore it once the spool drains.
+	// direction. Wire it to OnlineEngine.Retarget for graceful
+	// degradation: retarget to a fraction of the link while the backlog
+	// is deep, and to the whole link once the spool drains.
 	OnPressure func(over bool)
 	// Dialer overrides the transport (fault injection, tests). Default
 	// is net.DialTimeout over TCP.

@@ -132,7 +132,7 @@ func TestResilientRedial(t *testing.T) {
 }
 
 // TestResilientSpoolPressure: an unreachable collector fills the bounded
-// spool, fires the high-water pressure callback (the Degrade hook), and
+// spool, fires the high-water pressure callback (the Retarget hook), and
 // sheds with ErrSpoolFull once full.
 func TestResilientSpoolPressure(t *testing.T) {
 	var mu sync.Mutex
