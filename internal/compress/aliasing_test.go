@@ -130,51 +130,86 @@ func TestScratchReuseIndependence(t *testing.T) {
 	}
 }
 
-// TestCompressConcurrentCallers: Compress's pooled scratch serves every
+// TestCompressConcurrentCallers: codec instances are shared by every
 // goroutine in the process. Payloads encoded on four goroutines at once
-// must equal the sequential ones byte for byte, and still equal them once
-// every goroutine is done, so that no later encode wrote through a payload
-// handed out earlier.
+// must equal the sequential ones byte for byte. In the first leg they go
+// through Compress's pooled scratch, the goroutines mixing codecs, and must
+// still equal them once every goroutine is done, so that no later encode
+// wrote through a payload handed out earlier. In the second each goroutine
+// brings its own dst through CompressInto, as the engines' scratch does,
+// and all four run one codec at a time: no sync.Pool hand-off then orders
+// their calls, so a codec that keeps dst in its receiver is a data race
+// that -race reports (mutant BO3 of DESIGN.md §7).
 func TestCompressConcurrentCallers(t *testing.T) {
 	reg := DefaultRegistry(4)
 	names := reg.Names()
 	segs, _ := datasets.CBF(24, datasets.CBFConfig{Seed: 3})
-	encode := func(k int) (Encoded, error) {
-		c, _ := reg.Lookup(names[k/len(segs)])
-		return Compress(c, segs[k%len(segs)])
+	// Looked up once: the registry's read lock would order the goroutines'
+	// calls for the race detector.
+	codecs := make([]Codec, len(names))
+	for i, name := range names {
+		codecs[i], _ = reg.Lookup(name)
 	}
 	want := make([][]byte, len(names)*len(segs))
 	for k := range want {
-		enc, err := encode(k)
+		enc, err := Compress(codecs[k/len(segs)], segs[k%len(segs)])
 		if err != nil {
 			t.Fatal(err)
 		}
 		want[k] = enc.Data
 	}
-	got := make([][][]byte, 4)
-	var wg sync.WaitGroup
-	for g := range got {
-		got[g] = make([][]byte, len(want))
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range want {
-				k := (i + 37*g) % len(want) // each goroutine in its own order
-				enc, err := encode(k)
-				if err != nil {
-					t.Error(err)
-					return
+	t.Run("pooled scratch", func(t *testing.T) {
+		got := make([][][]byte, 4)
+		var wg sync.WaitGroup
+		for g := range got {
+			got[g] = make([][]byte, len(want))
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for i := range want {
+					k := (i + 37*g) % len(want) // each goroutine in its own order
+					enc, err := Compress(codecs[k/len(segs)], segs[k%len(segs)])
+					if err != nil {
+						t.Error(err)
+						return
+					}
+					got[g][k] = enc.Data
 				}
-				got[g][k] = enc.Data
-			}
-		}()
-	}
-	wg.Wait()
-	for g := range got {
-		for k := range want {
-			if !bytes.Equal(got[g][k], want[k]) {
-				t.Fatalf("goroutine %d: %s payload of segment %d differs from the sequential one", g, names[k/len(segs)], k%len(segs))
+			}()
+		}
+		wg.Wait()
+		for g := range got {
+			for k := range want {
+				if !bytes.Equal(got[g][k], want[k]) {
+					t.Fatalf("goroutine %d: %s payload of segment %d differs from the sequential one", g, names[k/len(segs)], k%len(segs))
+				}
 			}
 		}
-	}
+	})
+	t.Run("own dst", func(t *testing.T) {
+		for ci, c := range codecs {
+			var wg sync.WaitGroup
+			for g := 0; g < 4; g++ {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					dst := make([]byte, 0, 64)
+					for i := range segs {
+						k := ci*len(segs) + (i+7*g)%len(segs)
+						enc, err := CompressInto(c, dst, segs[k%len(segs)])
+						if err != nil {
+							t.Error(err)
+							return
+						}
+						if !bytes.Equal(enc.Data, want[k]) {
+							t.Errorf("goroutine %d: %s payload of segment %d differs from the sequential one", g, names[ci], k%len(segs))
+							return
+						}
+						dst = enc.Data[:0]
+					}
+				}()
+			}
+			wg.Wait()
+		}
+	})
 }

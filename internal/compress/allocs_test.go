@@ -17,7 +17,8 @@ import (
 // codec except compress/flate's per-block Huffman tables, whose count
 // follows the data (25–26 on this signal), hence a ceiling. The lossy
 // codecs' ratio-driven entry points are pinned beside them: MinRatio and
-// CompressRatioInto at zero, CompressRatio and Recode at one, the payload.
+// CompressRatioInto and RecodeInto at zero, CompressRatio and Recode at
+// one, the payload.
 // Compress, the nil-dst form, is one on every codec.
 
 // allocSignal is shaped to exercise every kernel path: repeats (Gorilla /
@@ -56,12 +57,13 @@ func TestCodecAllocs(t *testing.T) {
 	}
 	sig := allocSignal(256)
 	// lossy pins the ratio-driven entry points: MinRatio, CompressRatio and
-	// CompressRatioInto at 0.2, and Recode 0.2 -> 0.1. CompressRatio and
-	// Recode return a fresh payload, so their floor is 1, the exact-size
-	// output; CompressRatioInto reuses its warmed-up dst, as the online
-	// trial loop does, so its floor is 0.
-	type lossy struct{ minRatio, ratio, ratioInto, recode float64 }
-	onePayload := &lossy{0, 1, 0, 1}
+	// CompressRatioInto at 0.2, and Recode and RecodeInto 0.2 -> 0.1.
+	// CompressRatio and Recode return a fresh payload, so their floor is 1,
+	// the exact-size output; CompressRatioInto and RecodeInto reuse their
+	// warmed-up dst, as the online trial loop and the offline recoder do, so
+	// their floor is 0.
+	type lossy struct{ minRatio, ratio, ratioInto, recode, recodeInto float64 }
+	onePayload := &lossy{0, 1, 0, 1, 0}
 	for _, tc := range []struct {
 		c                    Codec
 		compress, decompress float64
@@ -87,9 +89,9 @@ func TestCodecAllocs(t *testing.T) {
 		// A ceiling over what this signal measures (290 and 253), not a
 		// target: the ε binary search encodes each of its 42 candidates
 		// into a fresh append-grown buffer (CompressRatioInto only writes
-		// the winner into dst), and Recode decodes and then runs the same
-		// search.
-		{NewModelar(), 0, 0, &lossy{0, 300, 300, 300}},
+		// the winner into dst), and Recode and RecodeInto decode and then
+		// run the same search.
+		{NewModelar(), 0, 0, &lossy{0, 300, 300, 300, 300}},
 		{NewSummary(), 0, 0, onePayload},
 	} {
 		c := tc.c
@@ -151,6 +153,12 @@ func TestCodecAllocs(t *testing.T) {
 			})
 			pin("Recode", tc.lossy.recode, func() error {
 				_, err := c.(Recoder).Recode(at02, 0.1)
+				return err
+			})
+			// A recode that is kept is smaller than its input.
+			recoded := make([]byte, 0, at02.Size())
+			pin("RecodeInto", tc.lossy.recodeInto, func() error {
+				_, err := c.(Recoder).RecodeInto(recoded, at02, 0.1)
 				return err
 			})
 		})

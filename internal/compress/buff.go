@@ -293,9 +293,14 @@ func (b *BUFFLossy) MinRatio(values []float64) float64 {
 	return (float64(8*hdr) + float64(n*minWidth)) / float64(8*8*n)
 }
 
-// Recode implements Recoder: truncates additional low-order bits directly
-// from the packed representation without reconstructing floats.
+// Recode implements Recoder: RecodeInto into a fresh buffer.
 func (b *BUFFLossy) Recode(enc Encoded, ratio float64) (Encoded, error) {
+	return b.RecodeInto(nil, enc, ratio)
+}
+
+// RecodeInto implements Recoder: truncates additional low-order bits directly
+// from the packed representation without reconstructing floats.
+func (b *BUFFLossy) RecodeInto(dst []byte, enc Encoded, ratio float64) (Encoded, error) {
 	if enc.Codec != b.Name() {
 		return Encoded{}, ErrCodecMismatch
 	}
@@ -320,8 +325,9 @@ func (b *BUFFLossy) Recode(enc Encoded, ratio float64) (Encoded, error) {
 		return enc, nil
 	}
 	extra := curWidth - target
-	// The one allocation: header and repacked bits at their exact size.
-	out := make([]byte, hdr, hdr+(n*target+7)/8)
+	// Header and repacked bits at their exact size: with a nil dst, the one
+	// allocation.
+	out := growBytes(dst, hdr+(n*target+7)/8)[:hdr]
 	copy(out, enc.Data[:hdr])
 	out[hdr-1] = byte(drop + extra) // update dropped-bits field
 	var r bitio.Reader

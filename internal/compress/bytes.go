@@ -40,8 +40,8 @@ func growFloats(dst []float64, n int) []float64 {
 // growBytes returns dst[:0], reallocated to exactly size bytes of capacity
 // if it cannot hold them. The lossy encoders and BUFF compute their output
 // size up front and call this once, so CompressRatio and Recode (dst nil)
-// make one allocation, the payload, and CompressInto and CompressRatioInto
-// none in steady state.
+// make one allocation, the payload, and CompressInto, CompressRatioInto and
+// RecodeInto none in steady state.
 func growBytes(dst []byte, size int) []byte {
 	if cap(dst) < size {
 		return make([]byte, 0, size)

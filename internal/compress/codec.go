@@ -11,7 +11,8 @@
 // Compress and Decompress are the allocating forms for callers off the
 // segment-rate path, Compress at one right-sized payload on every codec. LossyCodec adds the ratio-driven encode in the
 // same pair of forms (CompressRatioInto, and CompressRatio into a fresh
-// buffer), and Recoder the recode on top.
+// buffer), and Recoder the recode on top, again in both forms (RecodeInto,
+// Recode).
 package compress
 
 import (
@@ -126,11 +127,17 @@ type LossyCodec interface {
 
 // Recoder is a lossy codec that supports direct recoding: producing a more
 // aggressively compressed Encoded from an existing one with the same codec,
-// bypassing decompression (paper §IV-E).
+// bypassing decompression (paper §IV-E). RecodeInto appends into dst[:0]
+// under CompressInto's rules, and dst must not overlap enc.Data; Recode is
+// RecodeInto(nil, …), a payload the caller owns outright. When enc already
+// meets the ratio both return enc itself, not a copy.
 type Recoder interface {
 	LossyCodec
-	// Recode further compresses enc (produced by the same codec) to the
-	// new, smaller target ratio.
+	// RecodeInto further compresses enc (produced by the same codec) to
+	// the new, smaller target ratio into dst's backing array, growing it
+	// as needed.
+	RecodeInto(dst []byte, enc Encoded, ratio float64) (Encoded, error)
+	// Recode is RecodeInto into a fresh buffer.
 	Recode(enc Encoded, ratio float64) (Encoded, error)
 }
 

@@ -215,11 +215,16 @@ func (ws *fftScratch) zeroed(n int) []complex128 {
 	return spec
 }
 
-// Recode implements Recoder: drops the weakest retained coefficients
+// Recode implements Recoder: RecodeInto into a fresh buffer.
+func (f *FFT) Recode(enc Encoded, ratio float64) (Encoded, error) {
+	return f.RecodeInto(nil, enc, ratio)
+}
+
+// RecodeInto implements Recoder: drops the weakest retained coefficients
 // directly from the encoded representation — "further compress the
 // FFT-encoded segments by removing additional high-frequency components"
 // (paper §IV-E) — without any transform.
-func (f *FFT) Recode(enc Encoded, ratio float64) (Encoded, error) {
+func (f *FFT) RecodeInto(dst []byte, enc Encoded, ratio float64) (Encoded, error) {
 	if enc.Codec != f.Name() {
 		return Encoded{}, ErrCodecMismatch
 	}
@@ -247,5 +252,5 @@ func (f *FFT) Recode(enc Encoded, ratio float64) (Encoded, error) {
 	if k >= count {
 		return enc, nil
 	}
-	return fftEncodeTopK(nil, ws, half, n, k), nil
+	return fftEncodeTopK(dst, ws, half, n, k), nil
 }

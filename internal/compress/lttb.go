@@ -186,10 +186,15 @@ func lttbPointAt(recs []byte, i, n, prev int) (idx int, val float64, err error) 
 	return idx, float64(math.Float32frombits(binary.LittleEndian.Uint32(recs[off+4:]))), nil
 }
 
-// Recode implements Recoder: the LTTB sweep is re-run over the already
+// Recode implements Recoder: RecodeInto into a fresh buffer.
+func (l *LTTB) Recode(enc Encoded, ratio float64) (Encoded, error) {
+	return l.RecodeInto(nil, enc, ratio)
+}
+
+// RecodeInto implements Recoder: the LTTB sweep is re-run over the already
 // kept (index, value) points, thinning them further without reconstructing
 // the raw series.
-func (l *LTTB) Recode(enc Encoded, ratio float64) (Encoded, error) {
+func (l *LTTB) RecodeInto(dst []byte, enc Encoded, ratio float64) (Encoded, error) {
 	if enc.Codec != l.Name() {
 		return Encoded{}, ErrCodecMismatch
 	}
@@ -216,7 +221,7 @@ func (l *LTTB) Recode(enc Encoded, ratio float64) (Encoded, error) {
 		return enc, nil
 	}
 	ws.sel = lttbSelect(ws.sel, ws.vals, k)
-	out := putCountedHeader(nil, n, len(ws.sel), lttbPointBytes)
+	out := putCountedHeader(dst, n, len(ws.sel), lttbPointBytes)
 	for _, si := range ws.sel {
 		out = lttbAppendPoint(out, binary.LittleEndian.Uint32(recs[si*lttbPointBytes:]), ws.vals[si])
 	}

@@ -214,10 +214,15 @@ func (m *Modelar) MinRatio(values []float64) float64 {
 	return (4 + 1 + 4 + 8) / float64(8*n)
 }
 
-// Recode implements Recoder: the models are evaluated (virtual
+// Recode implements Recoder: RecodeInto into a fresh buffer.
+func (m *Modelar) Recode(enc Encoded, ratio float64) (Encoded, error) {
+	return m.RecodeInto(nil, enc, ratio)
+}
+
+// RecodeInto implements Recoder: the models are evaluated (virtual
 // decompression — no raw data needed) and refit under a larger error
 // bound to meet the tighter budget.
-func (m *Modelar) Recode(enc Encoded, ratio float64) (Encoded, error) {
+func (m *Modelar) RecodeInto(dst []byte, enc Encoded, ratio float64) (Encoded, error) {
 	if enc.Codec != m.Name() {
 		return Encoded{}, ErrCodecMismatch
 	}
@@ -233,7 +238,7 @@ func (m *Modelar) Recode(enc Encoded, ratio float64) (Encoded, error) {
 	if err != nil {
 		return Encoded{}, err
 	}
-	return m.CompressRatio(values, ratio)
+	return m.CompressRatioInto(dst, values, ratio)
 }
 
 // SumEncoded implements DirectSummer: constants contribute v·l; lines

@@ -107,10 +107,15 @@ func replicate(out []float64, n, window int, recs []byte) []float64 {
 	return out
 }
 
-// Recode implements Recoder: adjacent windows are merged by weighted mean,
+// Recode implements Recoder: RecodeInto into a fresh buffer.
+func (p *PAA) Recode(enc Encoded, ratio float64) (Encoded, error) {
+	return p.RecodeInto(nil, enc, ratio)
+}
+
+// RecodeInto implements Recoder: adjacent windows are merged by weighted mean,
 // widening the window without reconstructing the raw series ("apply PAA
 // compression to data already compressed with PAA", paper §IV-E).
-func (p *PAA) Recode(enc Encoded, ratio float64) (Encoded, error) {
+func (p *PAA) RecodeInto(dst []byte, enc Encoded, ratio float64) (Encoded, error) {
 	if enc.Codec != p.Name() {
 		return Encoded{}, ErrCodecMismatch
 	}
@@ -126,7 +131,7 @@ func (p *PAA) Recode(enc Encoded, ratio float64) (Encoded, error) {
 	// multiple of the old one so the weighted mean is exact.
 	m := (targetWindow + window - 1) / window
 	count := len(recs) / 8
-	out := putWindowedHeader(nil, n, m*window, 8)
+	out := putWindowedHeader(dst, n, m*window, 8)
 	for start := 0; start < count; start += m {
 		var sum, weight float64
 		for j := start; j < min(start+m, count); j++ {

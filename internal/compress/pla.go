@@ -129,11 +129,16 @@ func (p *PLA) DecompressInto(dst []float64, enc Encoded) ([]float64, error) {
 	return out, nil
 }
 
-// Recode implements Recoder: adjacent pieces are merged analytically. The
+// Recode implements Recoder: RecodeInto into a fresh buffer.
+func (p *PLA) Recode(enc Encoded, ratio float64) (Encoded, error) {
+	return p.RecodeInto(nil, enc, ratio)
+}
+
+// RecodeInto implements Recoder: adjacent pieces are merged analytically. The
 // least-squares fit of the merged piece is computed in closed form from the
 // constituent lines' sufficient statistics — the "apply PLA compression to
 // PLA-encoded segments" path of paper §IV-E, with no raw reconstruction.
-func (p *PLA) Recode(enc Encoded, ratio float64) (Encoded, error) {
+func (p *PLA) RecodeInto(dst []byte, enc Encoded, ratio float64) (Encoded, error) {
 	if enc.Codec != p.Name() {
 		return Encoded{}, ErrCodecMismatch
 	}
@@ -147,7 +152,7 @@ func (p *PLA) Recode(enc Encoded, ratio float64) (Encoded, error) {
 	}
 	m := (targetLen + pieceLen - 1) / pieceLen
 	count := len(recs) / plaPieceBytes
-	out := putWindowedHeader(nil, n, m*pieceLen, plaPieceBytes)
+	out := putWindowedHeader(dst, n, m*pieceLen, plaPieceBytes)
 	for start := 0; start < count; start += m {
 		// Accumulate Σy and Σxy over the merged range using closed-form
 		// sums of each constituent line, with x the merged-local index.

@@ -1,8 +1,10 @@
 package compress
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"math"
 	"testing"
 )
@@ -279,5 +281,65 @@ func TestFFTForgedCountRejected(t *testing.T) {
 		if _, err := fft.SumEncoded(enc); !errors.Is(err, ErrCorrupt) {
 			t.Errorf("N=%d, %d bytes: SumEncoded err = %v, want ErrCorrupt", enc.N, len(enc.Data), err)
 		}
+	}
+}
+
+// TestRecodeIntoMatchesRecode is the differential pin for the dst form:
+// for every Recoder of ExtendedRegistry(4), on the golden inputs, RecodeInto
+// must return exactly what Recode does (bytes, N, codec and error) whether
+// dst is nil, too short, or roomy and full of garbage, must leave its input
+// untouched, and must write a new encoding into a dst with room for it.
+func TestRecodeIntoMatchesRecode(t *testing.T) {
+	reg := ExtendedRegistry(4)
+	recoders := 0
+	for _, name := range reg.Names() {
+		c, _ := reg.Lookup(name)
+		rec, ok := c.(Recoder)
+		if !ok {
+			continue
+		}
+		recoders++
+		for _, n := range goldenLengths {
+			for ds, values := range goldenSegments(n) {
+				at02, err := rec.CompressRatio(values, 0.2)
+				if err != nil {
+					continue
+				}
+				orig := bytes.Clone(at02.Data)
+				for _, to := range []float64{0.1, 0.04} {
+					want, wantErr := rec.Recode(at02, to)
+					garbage := bytes.Repeat([]byte{0xEE}, 8*n+64)
+					for _, dst := range []struct {
+						name string
+						b    []byte
+					}{
+						{"nil", nil},
+						{"short", []byte{0xAA, 0xBB, 0xCC}[:1]},
+						{"garbage", garbage[:5]},
+					} {
+						got, err := rec.RecodeInto(dst.b, at02, to)
+						where := fmt.Sprintf("%s/%s/%d to %v, %s dst", name, ds, n, to, dst.name)
+						if (err == nil) != (wantErr == nil) || (err != nil && err.Error() != wantErr.Error()) {
+							t.Fatalf("%s: error %v, Recode's %v", where, err, wantErr)
+						}
+						if err != nil {
+							continue
+						}
+						if got.Codec != want.Codec || got.N != want.N || !bytes.Equal(got.Data, want.Data) {
+							t.Fatalf("%s: %d bytes differ from Recode's %d", where, got.Size(), want.Size())
+						}
+						if !bytes.Equal(at02.Data, orig) {
+							t.Fatalf("%s: the input encoding was modified", where)
+						}
+						if dst.name == "garbage" && got.Size() < at02.Size() && &got.Data[0] != &garbage[0] {
+							t.Fatalf("%s: a new encoding did not go into dst", where)
+						}
+					}
+				}
+			}
+		}
+	}
+	if recoders != 8 {
+		t.Fatalf("%d Recoders in the extended registry, want 8", recoders)
 	}
 }

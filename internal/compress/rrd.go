@@ -86,9 +86,14 @@ func (r *RRDSample) DecompressInto(dst []float64, enc Encoded) ([]float64, error
 	return replicate(growFloats(dst, n), n, window, recs), nil
 }
 
-// Recode implements Recoder: samples among the retained samples, widening
-// the effective window without touching raw data.
+// Recode implements Recoder: RecodeInto into a fresh buffer.
 func (r *RRDSample) Recode(enc Encoded, ratio float64) (Encoded, error) {
+	return r.RecodeInto(nil, enc, ratio)
+}
+
+// RecodeInto implements Recoder: samples among the retained samples, widening
+// the effective window without touching raw data.
+func (r *RRDSample) RecodeInto(dst []byte, enc Encoded, ratio float64) (Encoded, error) {
 	if enc.Codec != r.Name() {
 		return Encoded{}, ErrCodecMismatch
 	}
@@ -104,7 +109,7 @@ func (r *RRDSample) Recode(enc Encoded, ratio float64) (Encoded, error) {
 	}
 	m := (targetWindow + window - 1) / window
 	count := len(recs) / 8
-	out := putWindowedHeader(nil, n, m*window, 8)
+	out := putWindowedHeader(dst, n, m*window, 8)
 	state := r.seed ^ 0x9e3779b97f4a7c15
 	for start := 0; start < count; start += m {
 		state = xorshift(state + uint64(start))

@@ -103,8 +103,13 @@ func (s *Summary) DecompressInto(dst []float64, enc Encoded) ([]float64, error) 
 	return out, nil
 }
 
-// Recode implements Recoder: adjacent summaries merge exactly.
+// Recode implements Recoder: RecodeInto into a fresh buffer.
 func (s *Summary) Recode(enc Encoded, ratio float64) (Encoded, error) {
+	return s.RecodeInto(nil, enc, ratio)
+}
+
+// RecodeInto implements Recoder: adjacent summaries merge exactly.
+func (s *Summary) RecodeInto(dst []byte, enc Encoded, ratio float64) (Encoded, error) {
 	if enc.Codec != s.Name() {
 		return Encoded{}, ErrCodecMismatch
 	}
@@ -117,7 +122,7 @@ func (s *Summary) Recode(enc Encoded, ratio float64) (Encoded, error) {
 		return enc, nil
 	}
 	m := (targetWindow + window - 1) / window
-	out := putWindowedHeader(nil, n, m*window, summaryWindowBytes)
+	out := putWindowedHeader(dst, n, m*window, summaryWindowBytes)
 	for step := m * summaryWindowBytes; len(recs) > 0; recs = recs[min(step, len(recs)):] {
 		lo, hi, sum := summaryMerge(recs[:min(step, len(recs))])
 		out = appendF64(out, lo)

@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"io"
+	"sort"
 
 	"repro/internal/store"
 )
@@ -32,17 +33,15 @@ func ResumeOfflineEngine(cfg Config, r io.Reader) (*OfflineEngine, error) {
 	if err != nil {
 		return nil, err
 	}
-	pool, err := store.ReadPool(r, e.cfg.Policy)
+	dump, err := store.ReadPool(r, nil)
 	if err != nil {
 		return nil, err
 	}
+	var restored []*store.Entry
 	var total int64
-	var maxID uint64
-	pool.Each(func(en *store.Entry) {
+	dump.Each(func(en *store.Entry) {
+		restored = append(restored, en)
 		total += int64(en.Enc.Size())
-		if en.ID >= maxID {
-			maxID = en.ID + 1
-		}
 	})
 	if total > e.storage.Capacity() {
 		return nil, fmt.Errorf("core: restored pool needs %d bytes, budget is %d: %w",
@@ -51,8 +50,14 @@ func ResumeOfflineEngine(cfg Config, r io.Reader) (*OfflineEngine, error) {
 	if err := e.storage.Alloc(total); err != nil {
 		return nil, err
 	}
-	e.pool = pool
-	e.nextID = maxID
+	// The segments take rows and arena bytes in id order, as ingested ones
+	// do, and join the policy in that order, as store.ReadPool's do.
+	sort.Slice(restored, func(a, b int) bool { return restored[a].ID < restored[b].ID })
+	for _, en := range restored {
+		*e.nextRow() = *en
+		e.keepRow(en.Enc.Data)
+		e.nextID = en.ID + 1
+	}
 	return e, nil
 }
 

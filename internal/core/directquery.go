@@ -2,11 +2,9 @@ package core
 
 import (
 	"math"
-	"sort"
 
 	"repro/internal/compress"
 	"repro/internal/query"
-	"repro/internal/store"
 )
 
 // QueryDirect answers an aggregation using in-situ operators on the
@@ -16,21 +14,17 @@ import (
 // Max/Avg because the direct operators are exact with respect to the
 // decompressed representation. Accesses are recorded like any query.
 func (e *OfflineEngine) QueryDirect(agg query.Agg) (float64, error) {
-	var ids []uint64
-	e.pool.Each(func(entry *store.Entry) { ids = append(ids, entry.ID) })
-	sort.Slice(ids, func(a, b int) bool { return ids[a] < ids[b] })
-	if len(ids) == 0 {
+	stored := e.stored()
+	if stored == 0 {
 		return 0, query.ErrEmpty
 	}
 
 	var sum float64
 	var count int
 	lo, hi := math.Inf(1), math.Inf(-1)
-	for _, id := range ids {
-		entry, ok := e.pool.Get(id) // records the access
-		if !ok {
-			continue
-		}
+	for i := 0; i < stored; i++ {
+		entry := e.row(i)
+		e.pool.Get(entry.ID) // records the access
 		codec, _ := e.reg.Lookup(entry.Enc.Codec)
 		count += entry.Enc.N
 		switch agg {

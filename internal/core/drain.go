@@ -1,8 +1,6 @@
 package core
 
 import (
-	"sort"
-
 	"repro/internal/sim"
 	"repro/internal/store"
 )
@@ -40,35 +38,51 @@ func (e *OfflineEngine) Drain(bw sim.Bandwidth, seconds float64) DrainReport {
 // drain is Drain with a say for the link: ship, when not nil, is handed
 // each segment before it leaves the pool, and its first error ends the
 // window with that segment and everything after it still stored, untouched.
+//
+// What leaves owns its bytes: a sender such as an uplink spool keeps a
+// payload until it is acknowledged, and the arena slice it came from is
+// overwritten by the next Ingest. The window is therefore sized first and
+// its payloads copied into one buffer.
 func (e *OfflineEngine) drain(bw sim.Bandwidth, seconds float64, ship func(*store.Entry) error) (DrainReport, error) {
 	budget := int64(float64(bw) * seconds)
 	var report DrainReport
 	var err error
 
-	// Snapshot candidates oldest-first (ascending id = ingest order).
-	var candidates []*store.Entry
-	e.pool.Each(func(en *store.Entry) { candidates = append(candidates, en) })
-	sort.Slice(candidates, func(a, b int) bool { return candidates[a].ID < candidates[b].ID })
-
-	for _, en := range candidates {
-		size := int64(en.Enc.Size())
-		if size > budget {
+	// The window is the oldest segments (ascending id = ingest order) that
+	// fit the budget.
+	n, size := 0, int64(0)
+	for stored := e.stored(); n < stored; n++ {
+		s := int64(e.row(n).Enc.Size())
+		if size+s > budget {
 			break
 		}
-		if ship != nil {
-			if err = ship(en); err != nil {
-				break
-			}
-		}
-		budget -= size
-		report.SegmentsSent++
-		report.BytesSent += size
+		size += s
+	}
+	buf := make([]byte, 0, size)
+	for i := 0; i < n; i++ {
+		en := e.row(i)
 		// Ship a copy without the engine's own sketch.
 		sent := *en
 		sent.Sketch = nil
+		off := len(buf)
+		buf = append(buf, en.Enc.Data...)
+		sent.Enc.Data = buf[off:len(buf):len(buf)]
+		if ship != nil {
+			if err = ship(&sent); err != nil {
+				break
+			}
+		}
+		report.SegmentsSent++
+		report.BytesSent += int64(sent.Enc.Size())
 		report.Sent = append(report.Sent, sent)
 		e.pool.Remove(en.ID)
-		e.storage.Free(size)
+		e.storage.Free(int64(sent.Enc.Size()))
+	}
+	// Forget the drained rows, and every chunk they empty.
+	e.head += report.SegmentsSent
+	for len(e.rows) > 0 && e.head >= entryChunk {
+		e.rows[0] = nil
+		e.rows, e.head = e.rows[1:], e.head-entryChunk
 	}
 	report.SegmentsLeft = e.pool.Len()
 	report.BytesLeft = e.pool.TotalBytes()

@@ -1,11 +1,6 @@
 package core
 
-import (
-	"sort"
-
-	"repro/internal/query"
-	"repro/internal/store"
-)
+import "repro/internal/query"
 
 // QueryFiltered runs an aggregation over the values that satisfy pred,
 // and reports each segment's qualified-entry ratio to the segment
@@ -14,14 +9,8 @@ import (
 // store.Informativeness it weights future recoding victims.
 func (e *OfflineEngine) QueryFiltered(agg query.Agg, pred func(float64) bool) (float64, error) {
 	var qualified []float64
-	var ids []uint64
-	e.pool.Each(func(entry *store.Entry) { ids = append(ids, entry.ID) })
-	sort.Slice(ids, func(a, b int) bool { return ids[a] < ids[b] })
-	for _, id := range ids {
-		entry, ok := e.pool.Peek(id)
-		if !ok {
-			continue
-		}
+	for i, stored := 0, e.stored(); i < stored; i++ {
+		entry := e.row(i)
 		values, err := e.reg.Decompress(entry.Enc)
 		if err != nil {
 			return 0, err
@@ -37,7 +26,7 @@ func (e *OfflineEngine) QueryFiltered(agg query.Agg, pred func(float64) bool) (f
 		if len(values) > 0 {
 			ratio = float64(n) / float64(len(values))
 		}
-		e.pool.RecordContribution(id, ratio)
+		e.pool.RecordContribution(entry.ID, ratio)
 	}
 	return query.Apply(agg, qualified)
 }

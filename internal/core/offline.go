@@ -65,12 +65,30 @@ type OfflineEngine struct {
 	scoreRaw  []float64 // scoreRecode's reference decode for an entry without a sketch
 	floors    []float64 // recodeEntry's feasibility floors for an entry without a sketch
 
+	// ingestBuf is the lossless winner's encode, recodeBuf a recode's: each
+	// is copied into the arena once kept (DESIGN.md §10).
+	ingestBuf []byte
+	recodeBuf []byte
+
 	// The unused tails of the chunks Ingest carves entries and sketch rows
-	// from. Nothing else points at a chunk but the pool's entries in it, so
-	// it is garbage once the last of them is removed (Drain goes oldest
-	// first, which is chunk order).
+	// from. A sketch chunk is referenced by its entries only, so it is
+	// garbage once the last of them is removed (Drain goes oldest first,
+	// which is chunk order).
 	entries  []store.Entry
 	sketches []float64
+	// rows are the entry chunks that hold stored entries, oldest first,
+	// the last of them the one entries is the tail of; the first head rows
+	// of rows[0] have been drained. Stored entries are therefore rows
+	// head, head+1, … in segment-ID order, and a chunk leaves rows when
+	// Drain has taken all of its rows.
+	rows [][]store.Entry
+	head int
+	// arena holds every stored payload, in segment-ID order: an entry's
+	// Enc.Data is arena[off:off+n:off+n]. Ingest appends at the tail, a
+	// recode overwrites its victim's bytes with fewer and Drain leaves a
+	// hole; compact reclaims the holes. Its capacity never exceeds
+	// StorageBytes.
+	arena []byte
 
 	// statsMu guards stats and every pooled entry's AccLoss so
 	// Stats/Snapshot can be polled while another goroutine ingests. Ingest
@@ -228,23 +246,20 @@ func (e *OfflineEngine) Ingest(values []float64, label int) error {
 	// Lossless selection: minimize compressed size (paper §IV-C2).
 	arm := e.losslessMAB.Select(nil)
 	name := e.losslessNames[arm]
-	// The pool keeps the payload: one allocation at its length.
-	enc, err := compress.Compress(e.lossless[arm], values)
+	enc, err := compress.CompressInto(e.lossless[arm], e.ingestBuf, values)
 	if err != nil {
 		e.losslessMAB.Update(arm, 0)
 		return err
 	}
+	e.ingestBuf = enc.Data[:0]
 	e.losslessMAB.Update(arm, 1-minf(enc.Ratio(), 1))
 	e.mutStats(func(s *OfflineStats) { s.LosslessUse[name]++ })
 
 	// The entry and its sketch are the next row of their chunks, taken
 	// only once the segment is stored: a failed Ingest leaves the row to
 	// the next one.
-	if len(e.entries) == 0 {
-		e.entries = make([]store.Entry, entryChunk)
-	}
 	end := e.clock.Seconds()
-	entry := &e.entries[0]
+	entry := e.nextRow()
 	*entry = store.Entry{
 		ID: id, Enc: enc, Lossless: true, Label: label,
 		StartSec: end - float64(len(values))/e.cfg.IngestRate,
@@ -270,8 +285,8 @@ func (e *OfflineEngine) Ingest(values []float64, label int) error {
 	if err := e.storage.Alloc(int64(enc.Size())); err != nil {
 		return err
 	}
-	e.pool.Put(entry)
-	e.entries, e.sketches = e.entries[1:], e.sketches[stride:]
+	e.keepRow(enc.Data)
+	e.sketches = e.sketches[stride:]
 	e.om.ingest(id, name, enc.Ratio(), e.storage.Utilization(), e.pool.Len())
 
 	// Threshold-triggered cascade recoding (paper Fig 4).
@@ -281,6 +296,87 @@ func (e *OfflineEngine) Ingest(values []float64, label int) error {
 		}
 	}
 	return nil
+}
+
+// nextRow returns the entry row the next stored segment takes, starting a
+// new chunk when the last one is full. Nothing is taken until keepRow.
+func (e *OfflineEngine) nextRow() *store.Entry {
+	if len(e.entries) == 0 {
+		e.entries = make([]store.Entry, entryChunk)
+		e.rows = append(e.rows, e.entries)
+	}
+	return &e.entries[0]
+}
+
+// keepRow stores the segment nextRow's entry describes: payload is copied to
+// the arena, the entry joins the pool and its row is taken.
+func (e *OfflineEngine) keepRow(payload []byte) {
+	entry := &e.entries[0]
+	entry.Enc.Data = e.stash(payload)
+	e.pool.Put(entry)
+	e.entries = e.entries[1:]
+}
+
+// stored is the number of stored entries: the rows taken, less those
+// drained.
+func (e *OfflineEngine) stored() int {
+	return len(e.rows)*entryChunk - len(e.entries) - e.head
+}
+
+// row returns the i-th stored entry in segment-ID order.
+func (e *OfflineEngine) row(i int) *store.Entry {
+	i += e.head
+	return &e.rows[i/entryChunk][i%entryChunk]
+}
+
+// stash copies payload to the arena's tail, compacting first when the tail
+// is too short, and returns the copy capped at its length, so that an
+// append to it reallocates instead of running into the next payload.
+func (e *OfflineEngine) stash(payload []byte) []byte {
+	if len(e.arena)+len(payload) > cap(e.arena) {
+		e.compact()
+	}
+	off := len(e.arena)
+	e.arena = append(e.arena, payload...)
+	return e.arena[off:len(e.arena):len(e.arena)]
+}
+
+// compact slides every stored payload down to the front of the arena, so
+// the holes recodes and Drain left become one free tail. Segment-ID order
+// is address order, because Ingest appends in ID order and a recode only
+// shrinks a payload where it lies, so each payload moves down, never over
+// one not yet moved. The live bytes are storage.Used, which already counts
+// the payload being stashed. When they would fill more than seven eighths
+// of the arena, the payloads move to a larger one instead (arenaCap): a
+// compaction then frees at least an eighth of the arena, which keeps its
+// cost amortised.
+func (e *OfflineEngine) compact() {
+	arena := e.arena[:0]
+	if live := int(e.storage.Used()); live > cap(arena)-cap(arena)/8 {
+		arena = make([]byte, 0, e.arenaCap(live))
+	}
+	for i, n := 0, e.stored(); i < n; i++ {
+		en := e.row(i)
+		off := len(arena)
+		arena = append(arena, en.Enc.Data...)
+		en.Enc.Data = arena[off:len(arena):len(arena)]
+	}
+	e.arena = arena
+}
+
+// arenaCap is the capacity the arena grows to around live bytes: twice the
+// current one, but no more than the steady state needs while live leaves
+// room in that, and never more than StorageBytes. The steady state is the
+// bytes held at the recoding threshold plus an eighth of the budget for
+// compaction to reclaim. Storage accounting holds live within
+// StorageBytes, so the payload being stashed always fits.
+func (e *OfflineEngine) arenaCap(live int) int {
+	budget := int(e.storage.Capacity())
+	size := max(2*cap(e.arena), live)
+	if steady := int(e.cfg.StorageThreshold*float64(budget)) + budget/8; live <= steady-steady/8 {
+		size = min(size, steady)
+	}
+	return min(size, budget)
 }
 
 // makeRoom recodes until need bytes fit under capacity.
@@ -333,6 +429,11 @@ func (e *OfflineEngine) recodeEntry(victim *store.Entry) (bool, error) {
 	var start time.Time
 	if e.cfg.CodecCost == nil || e.om != nil {
 		start = time.Now()
+	}
+	// Only an encoding smaller than the victim is kept, and one always fits
+	// the recode scratch.
+	if cap(e.recodeBuf) < oldSize {
+		e.recodeBuf = make([]byte, 0, oldSize)
 	}
 
 	// The recode itself works from the stored representation: decode it
@@ -393,12 +494,12 @@ func (e *OfflineEngine) recodeEntry(victim *store.Entry) (bool, error) {
 		var err error
 		if rec := e.recoders[arm]; rec != nil && victim.Enc.Codec == codecName {
 			// Virtual decompression: same-codec direct recode (§IV-E).
-			newEnc, err = rec.Recode(victim.Enc, target)
+			newEnc, err = rec.RecodeInto(e.recodeBuf, victim.Enc, target)
 			virtual = true
 		} else {
 			var v []float64
 			if v, err = decode(); err == nil {
-				newEnc, err = lc.CompressRatio(v, target)
+				newEnc, err = lc.CompressRatioInto(e.recodeBuf, v, target)
 			}
 		}
 		if err != nil {
@@ -435,12 +536,12 @@ func (e *OfflineEngine) recodeEntry(victim *store.Entry) (bool, error) {
 		}
 		var err error
 		if rec, ok := lc.(compress.Recoder); ok && victim.Enc.Codec == lc.Name() {
-			newEnc, err = rec.Recode(victim.Enc, fallbackTarget)
+			newEnc, err = rec.RecodeInto(e.recodeBuf, victim.Enc, fallbackTarget)
 			virtual = true
 		} else {
 			var v []float64
 			if v, err = decode(); err == nil {
-				newEnc, err = lc.CompressRatio(v, fallbackTarget)
+				newEnc, err = lc.CompressRatioInto(e.recodeBuf, v, fallbackTarget)
 			}
 		}
 		if err != nil {
@@ -511,12 +612,14 @@ func (e *OfflineEngine) recodeCost(start time.Time, oldCodec, newCodec string, p
 	return cost
 }
 
-// finishRecode commits the new representation, storage accounting, CPU
-// budget accounting, LRU repositioning and, in one trip through the stats
-// lock, the recode's statistics and the entry's accuracy loss.
+// finishRecode commits the new representation, written over the victim's
+// own bytes in the arena, storage accounting, CPU budget accounting, LRU
+// repositioning and, in one trip through the stats lock, the recode's
+// statistics and the entry's accuracy loss.
 func (e *OfflineEngine) finishRecode(victim *store.Entry, newEnc compress.Encoded, oldSize int, accLoss float64, virtual, fallback bool, cost float64) {
 	_ = e.storage.Resize(int64(newEnc.Size() - oldSize)) // shrink never fails
-	victim.Enc = newEnc
+	n := copy(victim.Enc.Data, newEnc.Data)
+	victim.Enc = compress.Encoded{Codec: newEnc.Codec, Data: victim.Enc.Data[:n:n], N: newEnc.N}
 	victim.Lossless = false
 	victim.Level++
 	e.pool.Touch(victim.ID)
@@ -566,14 +669,9 @@ func (e *OfflineEngine) Snapshot() Snapshot {
 // protecting them from recoding (paper §IV-F).
 func (e *OfflineEngine) Query(agg query.Agg) (float64, error) {
 	var all []float64
-	var ids []uint64
-	e.pool.Each(func(entry *store.Entry) { ids = append(ids, entry.ID) })
-	sort.Slice(ids, func(a, b int) bool { return ids[a] < ids[b] })
-	for _, id := range ids {
-		entry, ok := e.pool.Get(id) // records the access
-		if !ok {
-			continue
-		}
+	for i, stored := 0, e.stored(); i < stored; i++ {
+		entry := e.row(i)
+		e.pool.Get(entry.ID) // records the access
 		v, err := e.reg.Decompress(entry.Enc)
 		if err != nil {
 			return 0, err
@@ -595,5 +693,7 @@ func (e *OfflineEngine) QuerySegment(id uint64) ([]float64, error) {
 // Segments returns the number of stored segments.
 func (e *OfflineEngine) Segments() int { return e.pool.Len() }
 
-// EachEntry iterates the compressed pool (for experiment reporting).
+// EachEntry iterates the compressed pool (for experiment reporting). A
+// payload read through an Entry lives in the engine's arena and is valid
+// until the next Ingest, which may overwrite or move it: copy it to keep it.
 func (e *OfflineEngine) EachEntry(fn func(*store.Entry)) { e.pool.Each(fn) }

@@ -1,11 +1,6 @@
 package core
 
-import (
-	"sort"
-
-	"repro/internal/query"
-	"repro/internal/store"
-)
+import "repro/internal/query"
 
 // QueryRange aggregates over the virtual-time window [fromSec, toSec):
 // segments overlapping the window are decompressed and the points whose
@@ -15,20 +10,13 @@ func (e *OfflineEngine) QueryRange(agg query.Agg, fromSec, toSec float64) (float
 	if toSec <= fromSec {
 		return 0, query.ErrEmpty
 	}
-	var ids []uint64
-	e.pool.Each(func(entry *store.Entry) {
-		if entry.EndSec > fromSec && entry.StartSec < toSec {
-			ids = append(ids, entry.ID)
-		}
-	})
-	sort.Slice(ids, func(a, b int) bool { return ids[a] < ids[b] })
-
 	var window []float64
-	for _, id := range ids {
-		entry, ok := e.pool.Get(id) // range queries are accesses too
-		if !ok {
+	for i, stored := 0, e.stored(); i < stored; i++ {
+		entry := e.row(i)
+		if entry.EndSec <= fromSec || entry.StartSec >= toSec {
 			continue
 		}
+		e.pool.Get(entry.ID) // range queries are accesses too
 		values, err := e.reg.Decompress(entry.Enc)
 		if err != nil {
 			return 0, err

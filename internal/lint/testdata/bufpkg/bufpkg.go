@@ -123,10 +123,10 @@ func (r *Retainer) CompressInto(dst []byte, values []float64) []byte {
 }
 
 // Gorilla is mutant BO3 of the mutation table in DESIGN.md §7: a codec
-// that keeps dst in its receiver. No test notices: the retained slice is
-// never read, and -race stays quiet in TestCompressConcurrentCallers, where
-// every call's scratch passes through a sync.Pool. This analyzer is the
-// only check that catches it.
+// that keeps dst in its receiver. The retained slice is never read, so only
+// -race notices at run time, and only where callers bring their own dst
+// (TestCompressConcurrentCallers' second leg): scratch handed out through a
+// sync.Pool orders the callers for the race detector.
 type Gorilla struct{ last []byte }
 
 func (g *Gorilla) CompressInto(dst []byte, values []float64) []byte {
