@@ -2,13 +2,11 @@
 # so a green `make ci` locally means a green CI run.
 
 GO      ?= go
-BIN     := $(CURDIR)/bin
-VETTOOL := $(BIN)/adaedge-lint
 
 # Per-target fuzz time for the smoke pass (CI uses the same value).
 FUZZTIME ?= 20s
 
-.PHONY: all build vet fmt-check lint test race allocs fuzz-smoke obs-smoke fleet-smoke bench-smoke doc-drift loc ci clean
+.PHONY: all build vet fmt-check test race allocs fuzz-smoke obs-smoke fleet-smoke bench-smoke doc-drift loc ci
 
 all: build
 
@@ -19,22 +17,10 @@ vet:
 	$(GO) vet ./...
 
 # fmt-check fails, naming the files, when gofmt would reformat any tracked
-# Go file outside vendor/.
+# Go file.
 fmt-check:
-	@out=$$(gofmt -l $$(git ls-files '*.go' ':!vendor')); \
+	@out=$$(gofmt -l $$(git ls-files '*.go')); \
 	if [ -n "$$out" ]; then echo "gofmt -l lists:"; echo "$$out"; exit 1; fi
-
-# lint builds the adaedge-lint vettool (internal/lint) and runs it over
-# the tree through go vet, which fails on any finding. The Test step's
-# TestCleanTree runs the same pass, so CI has no separate lint job.
-lint: $(VETTOOL)
-	$(GO) vet -vettool=$(VETTOOL) ./...
-
-$(VETTOOL): FORCE
-	@mkdir -p $(BIN)
-	$(GO) build -o $(VETTOOL) ./cmd/adaedge-lint
-
-FORCE:
 
 # test is the plain suite, run afresh: it is how a change is verified, and
 # the race detector's slowdown hides what it checks on timing (the e2e
@@ -54,11 +40,10 @@ allocs:
 
 # fuzz-smoke mirrors the CI fuzz job: every Fuzz* target in the
 # decoder-facing packages, the persisted-format readers in internal/store,
-# the bit reader under them (differential against a bit-by-bit reference),
-# the ml model loader and the bufownership analyzer (seeded with its
-# fixture corpus) gets $(FUZZTIME) of fuzzing.
+# the bit reader under them (differential against a bit-by-bit reference)
+# and the ml model loader gets $(FUZZTIME) of fuzzing.
 fuzz-smoke:
-	@for pkg in ./internal/bitio ./internal/compress ./internal/store ./internal/transport ./internal/ml ./internal/lint; do \
+	@for pkg in ./internal/bitio ./internal/compress ./internal/store ./internal/transport ./internal/ml; do \
 		targets=$$($(GO) test -list '^Fuzz' $$pkg | grep '^Fuzz'); \
 		for t in $$targets; do \
 			echo "--- $$pkg $$t"; \
@@ -89,13 +74,10 @@ bench-smoke:
 doc-drift:
 	./scripts/doc_drift.sh
 
-# loc prints the non-test, non-vendor Go line count; CHANGES.md records it
+# loc prints the non-test Go line count; CHANGES.md records it
 # per PR (ROADMAP item 3: the simplification round must end lower than it
 # started).
 loc:
-	@find . -name '*.go' ! -name '*_test.go' ! -path './vendor/*' ! -path '*/testdata/*' | xargs cat | wc -l
+	@find . -name '*.go' ! -name '*_test.go' ! -path '*/testdata/*' | xargs cat | wc -l
 
 ci: build vet fmt-check test race allocs obs-smoke fleet-smoke bench-smoke doc-drift
-
-clean:
-	rm -rf $(BIN)

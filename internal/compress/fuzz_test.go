@@ -3,6 +3,7 @@ package compress
 import (
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"math"
 	"math/cmplx"
 	"testing"
@@ -168,6 +169,39 @@ func TestHostileBitWidthsRejected(t *testing.T) {
 	}
 }
 
+// hostileOp is one reader of a payload: decode, recode or a direct
+// aggregate.
+type hostileOp struct {
+	name string
+	run  func(Encoded) error
+}
+
+// hostileOps lists every reader c has of its own payloads. A panic comes
+// back as an error, so one forged case cannot hide the cases after it.
+func hostileOps(c Codec) []hostileOp {
+	out := []hostileOp{
+		{"decode", func(e Encoded) error { _, err := c.DecompressInto(nil, e); return err }},
+		{"recode", func(e Encoded) error { _, err := c.(Recoder).Recode(e, 0.01); return err }},
+	}
+	if s, ok := c.(DirectSummer); ok {
+		out = append(out, hostileOp{"sum", func(e Encoded) error { _, err := s.SumEncoded(e); return err }})
+	}
+	if m, ok := c.(DirectMinMaxer); ok {
+		out = append(out, hostileOp{"minmax", func(e Encoded) error { _, _, err := m.MinMaxEncoded(e); return err }})
+	}
+	for i, o := range out {
+		out[i].run = func(e Encoded) (err error) {
+			defer func() {
+				if r := recover(); r != nil {
+					err = fmt.Errorf("panic: %v", r)
+				}
+			}()
+			return o.run(e)
+		}
+	}
+	return out
+}
+
 // TestWindowedHostileCounts: every reader of the windowed layout — PAA,
 // RRD-sample, PLA and Summary decode and recode, and the direct aggregates
 // over them — rejects a point count of 0 or of maxDecodePoints+1 with
@@ -175,23 +209,6 @@ func TestHostileBitWidthsRejected(t *testing.T) {
 // (its window and record count agree), so the count check alone stands
 // between it and a decode of 0 or 2^24+1 points.
 func TestWindowedHostileCounts(t *testing.T) {
-	type op struct {
-		name string
-		run  func(Encoded) error
-	}
-	ops := func(c Codec) []op {
-		out := []op{
-			{"decode", func(e Encoded) error { _, err := c.DecompressInto(nil, e); return err }},
-			{"recode", func(e Encoded) error { _, err := c.(Recoder).Recode(e, 0.01); return err }},
-		}
-		if s, ok := c.(DirectSummer); ok {
-			out = append(out, op{"sum", func(e Encoded) error { _, err := s.SumEncoded(e); return err }})
-		}
-		if m, ok := c.(DirectMinMaxer); ok {
-			out = append(out, op{"minmax", func(e Encoded) error { _, _, err := m.MinMaxEncoded(e); return err }})
-		}
-		return out
-	}
 	for _, tc := range []struct {
 		c        Codec
 		recBytes int
@@ -202,9 +219,46 @@ func TestWindowedHostileCounts(t *testing.T) {
 			data := binary.AppendUvarint(binary.AppendUvarint(nil, h.count), h.window)
 			data = append(data, make([]byte, int((h.count+h.window-1)/h.window)*tc.recBytes)...)
 			enc := Encoded{Codec: tc.c.Name(), Data: data, N: int(h.count)}
-			for _, o := range ops(tc.c) {
+			for _, o := range hostileOps(tc.c) {
 				if err := o.run(enc); !errors.Is(err, ErrCorrupt) {
 					t.Errorf("%s %s, count %d: err = %v, want ErrCorrupt", tc.c.Name(), o.name, h.count, err)
+				}
+			}
+		}
+	}
+}
+
+// TestCountedHostileCounts: every reader of the counted layout — FFT and
+// LTTB decode and recode, and the direct aggregates over them — rejects a
+// header whose point count n or record count k is out of range, or whose k
+// records are not all there, with ErrCorrupt. Encoded.N agrees with the
+// forged n, so no metadata check stands in for the header's own.
+func TestCountedHostileCounts(t *testing.T) {
+	for _, tc := range []struct {
+		c        Codec
+		recBytes int
+	}{
+		{NewFFT(), fftCoefBytes}, {NewLTTB(), lttbPointBytes},
+	} {
+		// counted is a header of n points and k records, then one record.
+		counted := func(n, k uint64) []byte {
+			return append(binary.AppendUvarint(binary.AppendUvarint(nil, n), k), make([]byte, tc.recBytes)...)
+		}
+		for _, h := range []struct {
+			name string
+			data []byte
+		}{
+			{"count 0", counted(0, 1)},
+			{"count maxDecodePoints+1", counted(maxDecodePoints+1, 1)},
+			{"k maxDecodePoints+1", counted(4, maxDecodePoints+1)},
+			// n = k = 48 ('0'), and none of the 48 records.
+			{`payload "00"`, []byte("00")},
+		} {
+			n, _ := binary.Uvarint(h.data)
+			enc := Encoded{Codec: tc.c.Name(), Data: h.data, N: int(n)}
+			for _, o := range hostileOps(tc.c) {
+				if err := o.run(enc); !errors.Is(err, ErrCorrupt) {
+					t.Errorf("%s %s, %s: err = %v, want ErrCorrupt", tc.c.Name(), o.name, h.name, err)
 				}
 			}
 		}

@@ -17,11 +17,12 @@ func rrdHeader(count, window uint64, samples int) []byte {
 	return data
 }
 
-// TestRRDMalformedHugeCount is the regression test for the allocation bug
-// adaedge-lint's nopanicdecode analyzer surfaced: with count and window
-// both attacker-controlled, count=2^40 window=2^40 passed the
-// samples-vs-expected consistency check with a single sample, yet sized
-// the output allocation directly off count (≈8 TB for a 20-byte payload).
+// TestRRDMalformedHugeCount is the regression test for an allocation bug
+// that a static check for decode-path sizes taken from unbounded decoded
+// lengths surfaced: with count and window both attacker-controlled,
+// count=2^40 window=2^40 passed the samples-vs-expected consistency check
+// with a single sample, yet sized the output allocation directly off
+// count (≈8 TB for a 20-byte payload).
 // Both decode paths must reject oversized counts before allocating.
 func TestRRDMalformedHugeCount(t *testing.T) {
 	r := NewRRDSample(1)

@@ -64,6 +64,79 @@ func TestOnlineStatsPollRace(t *testing.T) {
 	}
 }
 
+// TestConcurrentEnginesShareNothing runs four engines with one seed over
+// one stream on four goroutines, the way experiments.Scalability uses more
+// cores. Each must decide and encode exactly as the same engine run alone:
+// engines share only the trial-buffer pools, and sync.Pool hands a buffer
+// to one owner at a time. A trial buffer parked where engines share it,
+// such as a package-level variable, fails here under -race.
+func TestConcurrentEnginesShareNothing(t *testing.T) {
+	segs := shiftPool(300, 13)
+	type decision struct {
+		codec   string
+		lossy   bool
+		reward  float64
+		payload string
+	}
+	run := func() ([]decision, error) {
+		eng, err := NewOnlineEngine(Config{
+			TargetRatioOverride: 0.2,
+			Objective:           AggTarget(query.Max),
+			Seed:                7,
+		})
+		if err != nil {
+			return nil, err
+		}
+		out := make([]decision, len(segs))
+		for i, v := range segs {
+			res, enc, err := eng.Process(v, 0)
+			if err != nil {
+				return nil, err
+			}
+			out[i] = decision{res.Codec, res.Lossy, res.Reward, string(enc.Data)}
+		}
+		return out, nil
+	}
+	want, err := run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	lossy := 0
+	for _, d := range want {
+		if d.lossy {
+			lossy++
+		}
+	}
+	if lossy == 0 || lossy == len(want) {
+		t.Fatalf("%d of %d segments lossy: the stream must reach both phases", lossy, len(want))
+	}
+
+	const engines = 4
+	got := make([][]decision, engines)
+	errs := make([]error, engines)
+	var wg sync.WaitGroup
+	for g := range engines {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			got[g], errs[g] = run()
+		}()
+	}
+	wg.Wait()
+	for g := range engines {
+		if errs[g] != nil {
+			t.Fatalf("engine %d: %v", g, errs[g])
+		}
+		for i := range want {
+			if got[g][i] != want[i] {
+				t.Fatalf("engine %d, segment %d: %s lossy=%v reward %v (%d payload bytes), want %s lossy=%v reward %v (%d bytes) as when run alone",
+					g, i, got[g][i].codec, got[g][i].lossy, got[g][i].reward, len(got[g][i].payload),
+					want[i].codec, want[i].lossy, want[i].reward, len(want[i].payload))
+			}
+		}
+	}
+}
+
 // TestRetargetWhileProcessing moves the link from a monitor goroutine,
 // flapping between 3G and 5G, while a poller reads TargetRatio and Stats
 // and the decision goroutine processes. Retarget must not write anything

@@ -29,8 +29,8 @@
 // # Clock ownership
 //
 // Codecs are pure functions (DESIGN.md §7) and must never read clocks;
-// the codecpurity analyzer additionally forbids importing this package
-// from the codec substrate. Timing therefore happens only at the
+// the root package's TestCodecPackagesPure also fails on any use of this
+// package in the codec substrate. Timing therefore happens only at the
 // instrumented call sites (core, transport), which time the pure work
 // from outside and feed durations into histograms here.
 //
