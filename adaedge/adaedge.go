@@ -117,7 +117,8 @@ const (
 // BanditConfig tunes the selection policies.
 type BanditConfig = bandit.Config
 
-// Policy orders offline recoding victims.
+// Policy orders offline recoding victims, keyed by the dense slots its
+// owner assigns (store.Policy).
 type Policy = store.Policy
 
 // Engine constructors.

@@ -354,12 +354,17 @@ func liveHeap() uint64 {
 // budget per segment over one 4 096-segment epoch, start-up included. A
 // payload is encoded into engine scratch and copied into the engine's
 // arena, and a recode overwrites its victim there, so what is left per
-// segment is mostly a stdlib flate reader's Huffman tables when a victim is
-// a gzip or zlib segment (0.3), the flate writers and the pool's growth:
-// 0.63-0.72 measured, and the budget is the top of that plus 10 %. With
-// one exact-size allocation per payload and per recode (about 2.1 a
-// segment) this read 3.7. The store.Entry and its sketch are rows of chunks the engine
-// allocates 127 segments at a time; while each was a heap object of its own
+// segment is mostly stdlib inflate's Huffman link tables when a victim is
+// a gzip or zlib segment (compress/flate.(*huffmanDecoder).init, 0.46 of
+// the 0.62 measured), then the flate writers and Dict. Many of those
+// tables are under 16 bytes, so the runtime packs them into shared tiny
+// blocks that an allocs profile does not sample (DESIGN.md §10 says how to
+// see them); a profile reads 0.30 for them. The budget, 0.8, is the top
+// of the 0.63-0.72 this read while the engine also kept a map from ID to
+// entry and one from ID to recency-list node, plus 10 %. With one
+// exact-size allocation per payload and per recode (about 2.1 a segment)
+// this read 3.7. The store.Entry and its sketch are rows of chunks the
+// engine allocates 127 segments at a time; while each was a heap object of its own
 // this read 5.8. PR 18 read 8.2 (BUFF-lossy allocated its probe encodes,
 // and a recode from a lossless codec ran six MinRatio probes of its own),
 // PR 16 19.2: append-grown payloads, FFT's transform buffers, ranking and
@@ -390,19 +395,19 @@ func TestAllocsOfflineIngest(t *testing.T) {
 // TestOfflineRetainedBytesPerSegment pins what the offline engine keeps in
 // RAM per stored segment, on the offline_recode workload's configuration:
 // its share of the payload arena, its 128-byte row of the entry chunk and
-// 64-byte row of the sketch chunk, and the pool's and recency list's slots.
-// With exact-size payloads (~112 bytes) it read 423; it read 441 while
-// each segment's accuracy loss sat in a map beside the pool rather than in
-// its entry, and 436 before that, when entry
-// and sketch were heap objects of their own (the partly used last chunk
-// pair is the difference).
-// The mode exists for devices short of storage; until PR 19 the engine also
-// kept each segment's 1 024 raw bytes to score later recodes against, and
-// this read 1 394.
-//
-// The arena ends the epoch at the bytes held at the recoding threshold
-// plus an eighth of the budget, 129 of the 140 bytes a segment: this leg
-// reads 433.
+// 64-byte row of the sketch chunk, and its slot in the recoding policy: an
+// 8-byte link in the recency list's slab under LRU. The arena ends the
+// epoch at the bytes held at the recoding threshold plus an eighth of the
+// budget, 129 of the 140 bytes a segment: this leg reads 352. It read 432
+// while a map from ID to entry, a map from ID to recency-list node and a
+// 16-byte node indexed each segment beside the engine's rows. With
+// exact-size payloads (~112 bytes) it read 423; it read 441 while each
+// segment's accuracy loss sat in a map beside the pool rather than in its
+// entry, and 436 before that, when entry and sketch were heap objects of
+// their own (the partly used last chunk pair is the difference). The mode
+// exists for devices short of storage; until PR 19 the engine also kept
+// each segment's 1 024 raw bytes to score later recodes against, and this
+// read 1 394.
 //
 // The second leg pins that compaction reclaims holes: under the
 // informativeness policy with a queried hot set, recency no longer follows
@@ -410,9 +415,10 @@ func TestAllocsOfflineIngest(t *testing.T) {
 // Payloads bump-allocated from shared chunks and left for the GC to free
 // read 500 to 750 bytes here, because one surviving payload pinned its whole
 // chunk (EXPERIMENTS.md, "Why payloads are not pooled"); an arena that
-// did not reclaim its holes would grow with every Ingest. The arena reads
-// 449, exact-size payloads 438 (457 with the accuracy-loss map). Each
-// budget is its leg's exact-size reading plus 5 %.
+// did not reclaim its holes would grow with every Ingest. This leg reads
+// 360, its scores and insertion order 16 bytes a slot; it read 449 with
+// the two maps, and with exact-size payloads 438 (457 with the
+// accuracy-loss map). Each budget is its leg's reading plus 5 %.
 func TestOfflineRetainedBytesPerSegment(t *testing.T) {
 	const epoch, hot = offlineRecodeEpoch, 200
 	segs := cbfSegments(t, 256, 11)
@@ -421,8 +427,8 @@ func TestOfflineRetainedBytesPerSegment(t *testing.T) {
 		policy store.Policy // nil is LRU, and no queries
 		budget float64
 	}{
-		{"lru", nil, 445},
-		{"informativeness, hot set queried", store.NewInformativeness(), 460},
+		{"lru", nil, 370},
+		{"informativeness, hot set queried", store.NewInformativeness(), 378},
 	} {
 		t.Run(leg.name, func(t *testing.T) {
 			before := liveHeap()
@@ -454,13 +460,14 @@ func TestOfflineRetainedBytesPerSegment(t *testing.T) {
 }
 
 // TestOfflineChunksReleasedByDrain: the engine points at the partly used
-// chunk pair only, so once Drain has removed a chunk's last entry from the
-// pool the chunk is garbage: one more fill-and-drain ends where the last
-// did. (A drained engine is the baseline, not a new one, because the pool's
-// and the loss cache's map buckets and the recency list's slab grow with
-// the first epochs and never shrink: 0.5 MB of bookkeeping, chunks or not.)
-// A directory of chunks, or anything else that outlives the stored
-// segment, would hold 192 bytes a segment here, 0.8 MB.
+// chunk pair only, so once Drain has taken a chunk's last row the chunk is
+// garbage, and the next chunk reuses its number and so its policy slots:
+// one more fill-and-drain ends where the last did. (A drained engine is the
+// baseline, not a new one, because the arena and the recency list's slot
+// slab grow with the first epoch and are kept.) It reads 0-144 bytes. A
+// directory of chunks, or anything else that outlives the stored segment,
+// would hold 192 bytes a segment here, 0.8 MB; chunk numbers, and so
+// slots, that were never reused, 60 KB an epoch.
 func TestOfflineChunksReleasedByDrain(t *testing.T) {
 	const epoch = offlineRecodeEpoch
 	segs := cbfSegments(t, 256, 11)
@@ -479,9 +486,35 @@ func TestOfflineChunksReleasedByDrain(t *testing.T) {
 	}
 	fillAndDrain() // bookkeeping to its high-water mark
 	before, after := fillAndDrain(), fillAndDrain()
-	if grown := int64(after) - int64(before); grown > 64<<10 {
-		t.Errorf("a drained epoch left %d bytes of heap behind, budget 64 KiB", grown)
+	if grown := int64(after) - int64(before); grown > 16<<10 {
+		t.Errorf("a drained epoch left %d bytes of heap behind, budget 16 KiB", grown)
+	} else {
+		t.Logf("a drained epoch left %d bytes of heap behind", grown)
 	}
 	runtime.KeepAlive(eng)
 	runtime.KeepAlive(segs)
+}
+
+// TestAllocsOfflineSnapshot pins Snapshot, which a space/accuracy time
+// series polls once a step, at 0: it sums the stored entries' losses
+// walking the rows in ID order. Gathering them from the pool into a slice
+// and sorting it by ID cost a 4 096-pointer slice and a sort a call here.
+func TestAllocsOfflineSnapshot(t *testing.T) {
+	skipAllocPinUnderRace(t)
+	const epoch = offlineRecodeEpoch
+	eng := offlineRecodeEngine(t, nil)
+	segs := cbfSegments(t, 256, 11)
+	for i := 0; i < epoch; i++ {
+		s := segs[i%len(segs)]
+		if err := eng.Ingest(s.Values, s.Label); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var snap Snapshot
+	if got := mallocsPerOp(100, func() { snap = eng.Snapshot() }); got != 0 {
+		t.Errorf("Snapshot allocates %.2f/call, want 0", got)
+	}
+	if snap.Segments != epoch || snap.MeanAccuracyLoss == 0 {
+		t.Errorf("snapshot %+v: want %d segments and recodes that lost accuracy", snap, epoch)
+	}
 }

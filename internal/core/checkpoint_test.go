@@ -2,9 +2,11 @@ package core
 
 import (
 	"bytes"
+	"errors"
 	"testing"
 
 	"repro/internal/query"
+	"repro/internal/sim"
 	"repro/internal/store"
 )
 
@@ -109,8 +111,8 @@ func TestRestoreRejectsShrunkBudget(t *testing.T) {
 		StorageBytes: 1 << 10,
 		Objective:    SingleTarget(TargetRatio),
 		Seed:         3,
-	}, &buf); err == nil {
-		t.Fatal("resume over budget should fail")
+	}, &buf); !errors.Is(err, sim.ErrBudgetExceeded) {
+		t.Fatalf("resume over budget: err = %v, want ErrBudgetExceeded", err)
 	}
 }
 
@@ -176,8 +178,7 @@ func TestRestoredPoolRecodesUnderPressure(t *testing.T) {
 		case !old && en.Level > 0:
 			recodedNew++
 		}
-		// Through the registry: QuerySegment would re-enter the pool lock
-		// EachEntry holds.
+		// Through the registry: QuerySegment would record an access.
 		if _, err := restored.reg.Decompress(en.Enc); err != nil {
 			t.Errorf("entry %d no longer decodes: %v", en.ID, err)
 		}

@@ -24,7 +24,7 @@ func (e *OfflineEngine) QueryDirect(agg query.Agg) (float64, error) {
 	lo, hi := math.Inf(1), math.Inf(-1)
 	for i := 0; i < stored; i++ {
 		entry := e.row(i)
-		e.pool.Get(entry.ID) // records the access
+		e.policy.Get(e.slot(i)) // records the access
 		codec, _ := e.reg.Lookup(entry.Enc.Codec)
 		count += entry.Enc.N
 		switch agg {

@@ -68,7 +68,7 @@ func TestQueryDirectRecordsAccesses(t *testing.T) {
 	if _, err := e.QueryDirect(query.Max); err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := e.pool.Victim(); !ok {
+	if _, ok := victim(e); !ok {
 		t.Fatal("no victim after direct query")
 	}
 }

@@ -13,7 +13,7 @@ import (
 //
 // The link carries bw bytes/second for `seconds` of virtual time. Segments
 // are transmitted oldest-first (preserving history order) until the byte
-// budget runs out; transmitted segments leave the pool and their storage
+// budget runs out; transmitted segments leave the engine and their storage
 // is freed, making room for continued ingestion.
 
 // DrainReport summarizes one offload window.
@@ -36,7 +36,7 @@ func (e *OfflineEngine) Drain(bw sim.Bandwidth, seconds float64) DrainReport {
 }
 
 // drain is Drain with a say for the link: ship, when not nil, is handed
-// each segment before it leaves the pool, and its first error ends the
+// each segment before it leaves the engine, and its first error ends the
 // window with that segment and everything after it still stored, untouched.
 //
 // What leaves owns its bytes: a sender such as an uplink spool keeps a
@@ -75,16 +75,18 @@ func (e *OfflineEngine) drain(bw sim.Bandwidth, seconds float64, ship func(*stor
 		report.SegmentsSent++
 		report.BytesSent += int64(sent.Enc.Size())
 		report.Sent = append(report.Sent, sent)
-		e.pool.Remove(en.ID)
+		e.policy.Remove(e.slot(i))
 		e.storage.Free(int64(sent.Enc.Size()))
 	}
 	// Forget the drained rows, and every chunk they empty.
+	e.statsMu.Lock()
 	e.head += report.SegmentsSent
 	for len(e.rows) > 0 && e.head >= entryChunk {
-		e.rows[0] = nil
+		e.chunks[e.rows[0]] = nil
 		e.rows, e.head = e.rows[1:], e.head-entryChunk
 	}
-	report.SegmentsLeft = e.pool.Len()
-	report.BytesLeft = e.pool.TotalBytes()
+	e.statsMu.Unlock()
+	report.SegmentsLeft = e.stored()
+	report.BytesLeft = e.storage.Used()
 	return report, err
 }

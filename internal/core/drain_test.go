@@ -41,7 +41,7 @@ func TestDrainSendsOldestFirstAndFreesSpace(t *testing.T) {
 			t.Fatal("the engine's sketch leaked into transmission")
 		}
 	}
-	if left, ok := e.pool.Peek(uint64(rep.SegmentsSent)); !ok || left.Sketch == nil {
+	if left, ok := peek(e, uint64(rep.SegmentsSent)); !ok || left.Sketch == nil {
 		t.Fatal("a segment still in the pool lost its sketch (or never had one: the check above is vacuous)")
 	}
 	if after := e.Storage().Used(); after != before-rep.BytesSent {

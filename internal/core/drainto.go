@@ -14,7 +14,7 @@ type FrameSender interface {
 }
 
 // DrainTo offloads the backlog through a framed sender — Drain plus the
-// actual network protocol of §IV-B1. A segment leaves the pool only once
+// actual network protocol of §IV-B1. A segment leaves the engine only once
 // the sender has taken it: the one it rejects and everything after it stay
 // stored as they were, sketch, cached loss and recoding order included, and
 // the returned report covers only what was actually shipped.

@@ -63,9 +63,9 @@ func TestDrainToRestoresOnSendFailure(t *testing.T) {
 	if rep.SegmentsSent+e.Segments() != before {
 		t.Fatalf("segments lost: sent %d + stored %d != %d", rep.SegmentsSent, e.Segments(), before)
 	}
-	// Storage accounting matches the pool.
-	if e.Storage().Used() != e.pool.TotalBytes() {
-		t.Fatalf("storage %d != pool bytes %d", e.Storage().Used(), e.pool.TotalBytes())
+	// Storage accounting matches the stored payloads.
+	if e.Storage().Used() != storedBytes(e) {
+		t.Fatalf("storage %d != stored bytes %d", e.Storage().Used(), storedBytes(e))
 	}
 	// The restored segments remain decodable.
 	e.EachEntry(func(en *store.Entry) {

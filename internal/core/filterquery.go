@@ -1,6 +1,9 @@
 package core
 
-import "repro/internal/query"
+import (
+	"repro/internal/query"
+	"repro/internal/store"
+)
 
 // QueryFiltered runs an aggregation over the values that satisfy pred,
 // and reports each segment's qualified-entry ratio to the segment
@@ -26,7 +29,7 @@ func (e *OfflineEngine) QueryFiltered(agg query.Agg, pred func(float64) bool) (f
 		if len(values) > 0 {
 			ratio = float64(n) / float64(len(values))
 		}
-		e.pool.RecordContribution(entry.ID, ratio)
+		store.RecordContribution(e.policy, e.slot(i), ratio)
 	}
 	return query.Apply(agg, qualified)
 }

@@ -77,7 +77,7 @@ func TestQueryFilteredDrivesInformativenessPolicy(t *testing.T) {
 			least = in
 		}
 	}
-	victim, ok := e.pool.Victim()
+	victim, ok := victim(e)
 	if !ok {
 		t.Fatal("no victim")
 	}

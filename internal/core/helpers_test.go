@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/datasets"
 	"repro/internal/obs"
+	"repro/internal/store"
 )
 
 func cbfSegments(t testing.TB, n int, seed int64) []LabeledSegment {
@@ -72,4 +73,31 @@ func runSeededTwice(t *testing.T, cfg Config, n int) seededRun {
 		}
 	}
 	return a
+}
+
+// victim returns the offline engine's next recoding victim, without
+// recording an access.
+func victim(e *OfflineEngine) (*store.Entry, bool) {
+	slot, ok := e.policy.Victim()
+	if !ok {
+		return nil, false
+	}
+	return e.at(slot), true
+}
+
+// peek returns stored segment id, without recording an access.
+func peek(e *OfflineEngine, id uint64) (*store.Entry, bool) {
+	i, ok := e.find(id)
+	if !ok {
+		return nil, false
+	}
+	return e.row(i), true
+}
+
+// storedBytes sums the stored payloads, which the storage accounting must
+// equal.
+func storedBytes(e *OfflineEngine) int64 {
+	var total int64
+	e.EachEntry(func(en *store.Entry) { total += int64(en.Enc.Size()) })
+	return total
 }

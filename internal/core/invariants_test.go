@@ -33,8 +33,8 @@ func TestOfflineEngineInvariantsUnderRandomOps(t *testing.T) {
 
 		check := func(step int, op string) {
 			t.Helper()
-			if got, want := e.Storage().Used(), e.pool.TotalBytes(); got != want {
-				t.Fatalf("seed %d step %d (%s): storage %d != pool bytes %d", seed, step, op, got, want)
+			if got, want := e.Storage().Used(), storedBytes(e); got != want {
+				t.Fatalf("seed %d step %d (%s): storage %d != stored bytes %d", seed, step, op, got, want)
 			}
 			if e.Storage().Used() > e.Storage().Capacity() {
 				t.Fatalf("seed %d step %d (%s): over capacity", seed, step, op)

@@ -2,6 +2,8 @@ package core
 
 import (
 	"fmt"
+	"maps"
+	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -20,10 +22,10 @@ import (
 // recoded to roughly half their size, with a per-ratio-range bandit pool
 // choosing the lossy codec that best preserves the workload target.
 //
-// Concurrency contract: Ingest (and Query/QuerySegment, which reorder the
-// recoding policy) must run on a single goroutine at a time. Stats,
-// Snapshot, Clock and Storage are safe to poll concurrently with ingestion
-// (see DESIGN.md §7).
+// Concurrency contract: Ingest, Drain and every other method that reads or
+// reorders the stored segments (Query*, EachEntry, SaveTo) must run on a
+// single goroutine at a time. Stats, Snapshot, Segments, Clock and Storage
+// are safe to poll concurrently with ingestion (see DESIGN.md §7).
 type OfflineEngine struct {
 	cfg  Config
 	reg  *compress.Registry
@@ -44,7 +46,7 @@ type OfflineEngine struct {
 	lossyPool   *bandit.Pool
 
 	storage *sim.Storage
-	pool    *store.Pool
+	policy  store.Policy // keyed by slot; see chunks
 	clock   *sim.Clock
 
 	nextID       uint64
@@ -76,12 +78,17 @@ type OfflineEngine struct {
 	// which is chunk order).
 	entries  []store.Entry
 	sketches []float64
-	// rows are the entry chunks that hold stored entries, oldest first,
-	// the last of them the one entries is the tail of; the first head rows
-	// of rows[0] have been drained. Stored entries are therefore rows
-	// head, head+1, … in segment-ID order, and a chunk leaves rows when
-	// Drain has taken all of its rows.
-	rows [][]store.Entry
+	// chunks are the entry chunks by number, nil once drained; a new chunk
+	// takes the lowest free number. Policy slot s is the entry
+	// chunks[s/entryChunk][s%entryChunk], so slots are dense and reused.
+	chunks [][]store.Entry
+	// rows are the numbers of the chunks that hold stored entries, oldest
+	// first, the last of them the one entries is the tail of; the first
+	// head rows of rows[0] have been drained. Stored entries are therefore
+	// rows head, head+1, … in segment-ID order: the engine's one index of
+	// its segments, which a lookup by ID binary-searches (IDs have gaps).
+	// chunks, rows, head and len(entries) change under statsMu.
+	rows []int32
 	head int
 	// arena holds every stored payload, in segment-ID order: an entry's
 	// Enc.Data is arena[off:off+n:off+n]. Ingest appends at the tail, a
@@ -90,9 +97,10 @@ type OfflineEngine struct {
 	// StorageBytes.
 	arena []byte
 
-	// statsMu guards stats and every pooled entry's AccLoss so
-	// Stats/Snapshot can be polled while another goroutine ingests. Ingest
-	// itself stays single-goroutine; see the type comment.
+	// statsMu guards stats, every stored entry's AccLoss and the row
+	// bookkeeping above so Stats/Snapshot/Segments can be polled while
+	// another goroutine ingests. Ingest itself stays single-goroutine; see
+	// the type comment.
 	statsMu sync.Mutex
 	stats   OfflineStats // guarded by statsMu
 }
@@ -124,7 +132,7 @@ type Snapshot struct {
 	// MeanAccuracyLoss averages the cached per-segment workload accuracy
 	// loss over all stored segments (lossless segments contribute 0).
 	MeanAccuracyLoss float64
-	// Segments is the pool size.
+	// Segments is the number of stored segments.
 	Segments int
 }
 
@@ -154,7 +162,7 @@ func NewOfflineEngine(cfg Config) (*OfflineEngine, error) {
 		losslessNames: armNames(cfg.LosslessArms, cfg.Registry.Lossless()),
 		lossyNames:    armNames(cfg.LossyArms, cfg.Registry.Lossy()),
 		storage:       sim.NewStorage(cfg.StorageBytes, cfg.StorageThreshold),
-		pool:          store.NewPool(cfg.Policy),
+		policy:        cfg.Policy,
 		clock:         sim.NewClock(cfg.IngestRate),
 		stats: OfflineStats{
 			LosslessUse: make(map[string]int),
@@ -177,9 +185,13 @@ func NewOfflineEngine(cfg Config) (*OfflineEngine, error) {
 		rec, _ := c.(compress.Recoder)
 		e.lossy, e.recoders = append(e.lossy, lc), append(e.recoders, rec)
 	}
+	if e.policy == nil {
+		e.policy = store.NewLRU()
+	}
 	if c, ok := cfg.Registry.Lookup("rrdsample"); ok {
 		e.fallback, _ = c.(compress.LossyCodec)
 	}
+	e.armMask = make([]bool, len(e.lossyNames))
 	e.losslessMAB = newPolicy(cfg, len(e.losslessNames), 303, "bandit.offline.lossless")
 	e.om = newOfflineMetrics(cfg.Obs)
 	factory := func(arms int, bc bandit.Config) bandit.Policy {
@@ -208,14 +220,7 @@ func (e *OfflineEngine) Stats() OfflineStats {
 	e.statsMu.Lock()
 	defer e.statsMu.Unlock()
 	out := e.stats
-	out.LosslessUse = make(map[string]int, len(e.stats.LosslessUse))
-	for k, v := range e.stats.LosslessUse {
-		out.LosslessUse[k] = v
-	}
-	out.LossyUse = make(map[string]int, len(e.stats.LossyUse))
-	for k, v := range e.stats.LossyUse {
-		out.LossyUse[k] = v
-	}
+	out.LosslessUse, out.LossyUse = maps.Clone(out.LosslessUse), maps.Clone(out.LossyUse)
 	return out
 }
 
@@ -287,7 +292,7 @@ func (e *OfflineEngine) Ingest(values []float64, label int) error {
 	}
 	e.keepRow(enc.Data)
 	e.sketches = e.sketches[stride:]
-	e.om.ingest(id, name, enc.Ratio(), e.storage.Utilization(), e.pool.Len())
+	e.om.ingest(id, name, enc.Ratio(), e.storage.Utilization(), e.stored())
 
 	// Threshold-triggered cascade recoding (paper Fig 4).
 	for e.storage.OverThreshold() {
@@ -302,19 +307,28 @@ func (e *OfflineEngine) Ingest(values []float64, label int) error {
 // new chunk when the last one is full. Nothing is taken until keepRow.
 func (e *OfflineEngine) nextRow() *store.Entry {
 	if len(e.entries) == 0 {
-		e.entries = make([]store.Entry, entryChunk)
-		e.rows = append(e.rows, e.entries)
+		chunk := make([]store.Entry, entryChunk)
+		e.statsMu.Lock()
+		c := slices.IndexFunc(e.chunks, func(ch []store.Entry) bool { return ch == nil })
+		if c < 0 {
+			c = len(e.chunks)
+			e.chunks = append(e.chunks, nil)
+		}
+		e.chunks[c], e.entries = chunk, chunk
+		e.rows = append(e.rows, int32(c))
+		e.statsMu.Unlock()
 	}
 	return &e.entries[0]
 }
 
 // keepRow stores the segment nextRow's entry describes: payload is copied to
-// the arena, the entry joins the pool and its row is taken.
+// the arena, its row is taken and its slot joins the policy.
 func (e *OfflineEngine) keepRow(payload []byte) {
-	entry := &e.entries[0]
-	entry.Enc.Data = e.stash(payload)
-	e.pool.Put(entry)
+	e.entries[0].Enc.Data = e.stash(payload)
+	e.statsMu.Lock()
 	e.entries = e.entries[1:]
+	e.statsMu.Unlock()
+	e.policy.Put(e.slot(e.stored() - 1))
 }
 
 // stored is the number of stored entries: the rows taken, less those
@@ -326,7 +340,26 @@ func (e *OfflineEngine) stored() int {
 // row returns the i-th stored entry in segment-ID order.
 func (e *OfflineEngine) row(i int) *store.Entry {
 	i += e.head
-	return &e.rows[i/entryChunk][i%entryChunk]
+	return &e.chunks[e.rows[i/entryChunk]][i%entryChunk]
+}
+
+// slot returns the i-th stored entry's policy slot.
+func (e *OfflineEngine) slot(i int) int32 {
+	i += e.head
+	return e.rows[i/entryChunk]*entryChunk + int32(i%entryChunk)
+}
+
+// at returns the entry in policy slot s.
+func (e *OfflineEngine) at(s int32) *store.Entry {
+	return &e.chunks[s/entryChunk][s%entryChunk]
+}
+
+// find returns the position among the stored entries of segment id, and
+// whether it is stored.
+func (e *OfflineEngine) find(id uint64) (int, bool) {
+	n := e.stored()
+	i := sort.Search(n, func(i int) bool { return e.row(i).ID >= id })
+	return i, i < n && e.row(i).ID == id
 }
 
 // stash copies payload to the arena's tail, compacting first when the tail
@@ -398,19 +431,19 @@ func (e *OfflineEngine) recodeOne() bool {
 		e.om.recodeSkip()
 		return false
 	}
-	tried := 0
-	for tried <= e.pool.Len() {
-		victim, ok := e.pool.Victim()
+	for tried := 0; tried <= e.stored(); tried++ {
+		slot, ok := e.policy.Victim()
 		if !ok {
 			return false
 		}
-		tried++
-		shrunk, err := e.recodeEntry(victim)
+		shrunk, err := e.recodeEntry(e.at(slot))
 		if err != nil || !shrunk {
 			// Demote the unshrinkable victim and try the next one.
-			e.pool.Skip(victim.ID)
+			store.Skip(e.policy, slot)
 			continue
 		}
+		// The recoded segment moves to the back of the list (§IV-F).
+		e.policy.Put(slot)
 		return true
 	}
 	return false
@@ -423,8 +456,7 @@ func (e *OfflineEngine) recodeOne() bool {
 // skipped when neither will look at it.
 func (e *OfflineEngine) recodeEntry(victim *store.Entry) (bool, error) {
 	oldSize := victim.Enc.Size()
-	current := victim.Enc.Ratio()
-	target := current / 2 // paper: "the size is reduced to half"
+	target := victim.Enc.Ratio() / 2 // paper: "the size is reduced to half"
 
 	var start time.Time
 	if e.cfg.CodecCost == nil || e.om != nil {
@@ -440,28 +472,17 @@ func (e *OfflineEngine) recodeEntry(victim *store.Entry) (bool, error) {
 	// at most once, and only when a full recompression (or an entry
 	// without a sketch) asks for the values.
 	var values []float64
-	decode := func() ([]float64, error) {
-		if values != nil {
-			return values, nil
+	decode := func() (v []float64, err error) {
+		if values == nil {
+			if v, err = e.reg.DecompressInto(e.recodeDec[:0], victim.Enc); err != nil {
+				return nil, err
+			}
+			e.recodeDec, values = v, v
 		}
-		v, err := e.reg.DecompressInto(e.recodeDec[:0], victim.Enc)
-		if err != nil {
-			return nil, err
-		}
-		e.recodeDec = v
-		values = v
-		return v, nil
+		return values, nil
 	}
 
 	mab := e.lossyPool.For(target)
-	if cap(e.armMask) < len(e.lossyNames) {
-		e.armMask = make([]bool, len(e.lossyNames))
-	}
-	allowed := e.armMask[:len(e.lossyNames)]
-	for i := range allowed {
-		allowed[i] = false
-	}
-	anyAllowed := false
 	// Feasibility floors: the ones Ingest took off the raw, or, for an
 	// entry without a sketch (ratio-only objective, restored pool), the
 	// stored representation's own.
@@ -476,89 +497,70 @@ func (e *OfflineEngine) recodeEntry(victim *store.Entry) (bool, error) {
 		e.floors = e.appendFloors(e.floors[:0], v)
 		floors = e.floors
 	}
-	for i := range e.lossy {
-		if floors[i] <= target {
-			allowed[i] = true
-			anyAllowed = true
-		}
+	allowed, anyAllowed := e.armMask, false
+	for i := range allowed {
+		allowed[i] = floors[i] <= target
+		anyAllowed = anyAllowed || allowed[i]
 	}
 
-	var newEnc compress.Encoded
-	var codecName string
-	virtual := false
+	// The recode goes to the bandit's arm among those whose floor reaches
+	// the target, or else, as a last resort, to RRD-sample at whatever
+	// ratio it can still reach (paper Fig 12: "BUFF-lossy fails and falls
+	// back to RRD-sample"). Only an arm's outcome is fed back to its bandit.
+	arm, tgt := -1, target
+	var name string
+	var lc compress.LossyCodec
+	var rec compress.Recoder
 	switch {
 	case anyAllowed:
-		arm := mab.Select(allowed)
-		codecName = e.lossyNames[arm]
-		lc := e.lossy[arm]
-		var err error
-		if rec := e.recoders[arm]; rec != nil && victim.Enc.Codec == codecName {
-			// Virtual decompression: same-codec direct recode (§IV-E).
-			newEnc, err = rec.RecodeInto(e.recodeBuf, victim.Enc, target)
-			virtual = true
-		} else {
-			var v []float64
-			if v, err = decode(); err == nil {
-				newEnc, err = lc.CompressRatioInto(e.recodeBuf, v, target)
-			}
-		}
-		if err != nil {
-			mab.Update(arm, 0)
-			return false, err
-		}
-		if newEnc.Size() >= oldSize {
-			// The codec could not actually shrink the segment; tell the
-			// bandit and give up on this victim for now.
-			mab.Update(arm, 0)
-			return false, nil
-		}
-		reward, accLoss, err := e.scoreRecode(victim, newEnc)
-		if err != nil {
-			mab.Update(arm, 0)
-			return false, err
-		}
-		mab.Update(arm, reward)
-		cost := e.recodeCost(start, victim.Enc.Codec, codecName, victim.Enc.N, virtual)
-		e.finishRecode(victim, newEnc, oldSize, accLoss, virtual, false, cost)
-		e.om.recoded(victim.ID, codecName, target, newEnc.Ratio(), reward, e.storage.Utilization(), virtual, false, start)
-		return true, nil
-
+		arm = mab.Select(allowed)
+		name, lc, rec = e.lossyNames[arm], e.lossy[arm], e.recoders[arm]
+	case e.fallback == nil:
+		return false, ErrNoFeasibleCodec
 	default:
-		// Last resort: RRD-sample at whatever ratio it can still reach
-		// (paper Fig 12: "BUFF-lossy fails and falls back to RRD-sample").
-		lc := e.fallback
-		if lc == nil {
-			return false, ErrNoFeasibleCodec
-		}
-		fallbackTarget := target
-		if mr := floors[len(e.lossy)]; mr > fallbackTarget {
-			fallbackTarget = mr
-		}
-		var err error
-		if rec, ok := lc.(compress.Recoder); ok && victim.Enc.Codec == lc.Name() {
-			newEnc, err = rec.RecodeInto(e.recodeBuf, victim.Enc, fallbackTarget)
-			virtual = true
-		} else {
-			var v []float64
-			if v, err = decode(); err == nil {
-				newEnc, err = lc.CompressRatioInto(e.recodeBuf, v, fallbackTarget)
-			}
-		}
-		if err != nil {
-			return false, err
-		}
-		if newEnc.Size() >= oldSize {
-			return false, nil
-		}
-		_, accLoss, err := e.scoreRecode(victim, newEnc)
-		if err != nil {
-			return false, err
-		}
-		cost := e.recodeCost(start, victim.Enc.Codec, lc.Name(), victim.Enc.N, virtual)
-		e.finishRecode(victim, newEnc, oldSize, accLoss, virtual, true, cost)
-		e.om.recoded(victim.ID, lc.Name(), fallbackTarget, newEnc.Ratio(), 0, e.storage.Utilization(), virtual, true, start)
-		return true, nil
+		lc, tgt = e.fallback, max(target, floors[len(e.lossy)])
+		name = lc.Name()
+		rec, _ = lc.(compress.Recoder)
 	}
+	fail := func(err error) (bool, error) {
+		if arm >= 0 {
+			mab.Update(arm, 0)
+		}
+		return false, err
+	}
+	var newEnc compress.Encoded
+	var err error
+	virtual := rec != nil && victim.Enc.Codec == name
+	if virtual {
+		// Virtual decompression: same-codec direct recode (§IV-E).
+		newEnc, err = rec.RecodeInto(e.recodeBuf, victim.Enc, tgt)
+	} else {
+		var v []float64
+		if v, err = decode(); err == nil {
+			newEnc, err = lc.CompressRatioInto(e.recodeBuf, v, tgt)
+		}
+	}
+	if err != nil {
+		return fail(err)
+	}
+	if newEnc.Size() >= oldSize {
+		// The codec could not actually shrink the segment; give up on
+		// this victim for now.
+		return fail(nil)
+	}
+	reward, accLoss, err := e.scoreRecode(victim, newEnc)
+	if err != nil {
+		return fail(err)
+	}
+	if arm >= 0 {
+		mab.Update(arm, reward)
+	} else {
+		reward = 0
+	}
+	cost := e.recodeCost(start, victim.Enc.Codec, name, victim.Enc.N, virtual)
+	e.finishRecode(victim, newEnc, oldSize, accLoss, virtual, arm < 0, cost)
+	e.om.recoded(victim.ID, name, tgt, newEnc.Ratio(), reward, e.storage.Utilization(), virtual, arm < 0, start)
+	return true, nil
 }
 
 // appendFloors appends the smallest ratio each lossy arm can reach on
@@ -613,16 +615,15 @@ func (e *OfflineEngine) recodeCost(start time.Time, oldCodec, newCodec string, p
 }
 
 // finishRecode commits the new representation, written over the victim's
-// own bytes in the arena, storage accounting, CPU budget accounting, LRU
-// repositioning and, in one trip through the stats lock, the recode's
-// statistics and the entry's accuracy loss.
+// own bytes in the arena, storage accounting, CPU budget accounting and,
+// in one trip through the stats lock, the recode's statistics and the
+// entry's accuracy loss.
 func (e *OfflineEngine) finishRecode(victim *store.Entry, newEnc compress.Encoded, oldSize int, accLoss float64, virtual, fallback bool, cost float64) {
 	_ = e.storage.Resize(int64(newEnc.Size() - oldSize)) // shrink never fails
 	n := copy(victim.Enc.Data, newEnc.Data)
 	victim.Enc = compress.Encoded{Codec: newEnc.Codec, Data: victim.Enc.Data[:n:n], N: newEnc.N}
 	victim.Lossless = false
 	victim.Level++
-	e.pool.Touch(victim.ID)
 	e.statsMu.Lock()
 	victim.AccLoss = accLoss
 	e.stats.Recodes++
@@ -642,16 +643,13 @@ func (e *OfflineEngine) finishRecode(victim *store.Entry, newEnc compress.Encode
 // Snapshot captures the current space/accuracy state. Losses are summed
 // in segment-id order so the result is bit-for-bit reproducible.
 func (e *OfflineEngine) Snapshot() Snapshot {
-	var entries []*store.Entry
-	e.pool.Each(func(entry *store.Entry) { entries = append(entries, entry) })
-	sort.Slice(entries, func(a, b int) bool { return entries[a].ID < entries[b].ID })
 	var sum float64
 	e.statsMu.Lock()
-	for _, entry := range entries {
-		sum += entry.AccLoss
+	n := e.stored()
+	for i := 0; i < n; i++ {
+		sum += e.row(i).AccLoss
 	}
 	e.statsMu.Unlock()
-	n := len(entries)
 	mean := 0.0
 	if n > 0 {
 		mean = sum / float64(n)
@@ -671,7 +669,7 @@ func (e *OfflineEngine) Query(agg query.Agg) (float64, error) {
 	var all []float64
 	for i, stored := 0, e.stored(); i < stored; i++ {
 		entry := e.row(i)
-		e.pool.Get(entry.ID) // records the access
+		e.policy.Get(e.slot(i)) // records the access
 		v, err := e.reg.Decompress(entry.Enc)
 		if err != nil {
 			return 0, err
@@ -683,17 +681,28 @@ func (e *OfflineEngine) Query(agg query.Agg) (float64, error) {
 
 // QuerySegment decompresses one segment by id, recording the access.
 func (e *OfflineEngine) QuerySegment(id uint64) ([]float64, error) {
-	entry, ok := e.pool.Get(id)
+	i, ok := e.find(id)
 	if !ok {
 		return nil, fmt.Errorf("core: unknown segment %d", id)
 	}
-	return e.reg.Decompress(entry.Enc)
+	e.policy.Get(e.slot(i))
+	return e.reg.Decompress(e.row(i).Enc)
 }
 
-// Segments returns the number of stored segments.
-func (e *OfflineEngine) Segments() int { return e.pool.Len() }
+// Segments returns the number of stored segments. Safe to call while
+// another goroutine ingests.
+func (e *OfflineEngine) Segments() int {
+	e.statsMu.Lock()
+	defer e.statsMu.Unlock()
+	return e.stored()
+}
 
-// EachEntry iterates the compressed pool (for experiment reporting). A
-// payload read through an Entry lives in the engine's arena and is valid
-// until the next Ingest, which may overwrite or move it: copy it to keep it.
-func (e *OfflineEngine) EachEntry(fn func(*store.Entry)) { e.pool.Each(fn) }
+// EachEntry calls fn for every stored segment in ID order (for experiment
+// reporting); fn must not store or drain segments. A payload read through
+// an Entry lives in the engine's arena and is valid until the next Ingest,
+// which may overwrite or move it: copy it to keep it.
+func (e *OfflineEngine) EachEntry(fn func(*store.Entry)) {
+	for i, n := 0, e.stored(); i < n; i++ {
+		fn(e.row(i))
+	}
+}

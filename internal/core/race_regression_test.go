@@ -375,10 +375,14 @@ func TestOfflineSnapshotMutateWhileRunning(t *testing.T) {
 }
 
 // TestOfflineStatsPollRace ingests on the test goroutine (the engine's
-// decision goroutine) while monitors poll Stats and Snapshot, the exact
-// interleaving that raced on the shared LosslessUse/LossyUse maps and the
-// accuracy losses.
+// decision goroutine) while monitors poll Stats, Snapshot and Segments, the
+// exact interleaving that raced on the shared LosslessUse/LossyUse maps and
+// the accuracy losses. Snapshot and Segments walk the engine's rows, so
+// the run crosses more than three entry chunks, each of which Ingest
+// appends, and drains once midway, which frees the oldest chunk for the
+// next to reuse. CI runs it 50 times under -race.
 func TestOfflineStatsPollRace(t *testing.T) {
+	const segments, drainAt = 4*entryChunk + 20, 2 * entryChunk
 	eng, err := NewOfflineEngine(Config{
 		StorageBytes: 20 << 10,
 		Objective:    AggTarget(query.Sum),
@@ -406,12 +410,19 @@ func TestOfflineStatsPollRace(t *testing.T) {
 				for name := range st.LossyUse {
 					_ = name
 				}
-				_ = eng.Snapshot()
+				if snap, n := eng.Snapshot(), eng.Segments(); snap.Segments > segments || n > segments {
+					t.Errorf("%d segments stored (snapshot %d), only %d ingested", n, snap.Segments, segments)
+					return
+				}
 			}
 		}()
 	}
 	stream := datasets.NewCBFStream(datasets.CBFConfig{Seed: 100})
-	for i := 0; i < 100; i++ {
+	drained := 0
+	for i := 0; i < segments; i++ {
+		if i == drainAt {
+			drained = eng.Drain(sim.Net5G, 3600).SegmentsSent
+		}
 		v, label := stream.Next()
 		if err := eng.Ingest(v, label); err != nil {
 			close(stop)
@@ -421,7 +432,10 @@ func TestOfflineStatsPollRace(t *testing.T) {
 	}
 	close(stop)
 	wg.Wait()
-	if got := eng.Stats().SegmentsIngested; got != 100 {
-		t.Fatalf("SegmentsIngested = %d, want 100", got)
+	if got := eng.Stats().SegmentsIngested; got != segments {
+		t.Fatalf("SegmentsIngested = %d, want %d", got, segments)
+	}
+	if drained != drainAt || eng.Segments() != segments-drainAt || eng.Snapshot().Segments != segments-drainAt {
+		t.Fatalf("drained %d of %d, %d stored (snapshot %d), want %d", drained, drainAt, eng.Segments(), eng.Snapshot().Segments, segments-drainAt)
 	}
 }

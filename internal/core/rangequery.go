@@ -16,7 +16,7 @@ func (e *OfflineEngine) QueryRange(agg query.Agg, fromSec, toSec float64) (float
 		if entry.EndSec <= fromSec || entry.StartSec >= toSec {
 			continue
 		}
-		e.pool.Get(entry.ID) // range queries are accesses too
+		e.policy.Get(e.slot(i)) // range queries are accesses too
 		values, err := e.reg.Decompress(entry.Enc)
 		if err != nil {
 			return 0, err

@@ -88,7 +88,7 @@ func TestQueryRangeProtectsSegments(t *testing.T) {
 	if _, err := e.QueryRange(query.Max, 0, 1); err != nil {
 		t.Fatal(err)
 	}
-	victim, ok := e.pool.Victim()
+	victim, ok := victim(e)
 	if !ok {
 		t.Fatal("no victim")
 	}
@@ -101,7 +101,7 @@ func TestEntryTimestampsMonotone(t *testing.T) {
 	e := rangeEngine(t, 6)
 	var prevEnd float64
 	for id := uint64(0); id < 6; id++ {
-		en, ok := e.pool.Peek(id)
+		en, ok := peek(e, id)
 		if !ok {
 			t.Fatalf("segment %d missing", id)
 		}

@@ -11,9 +11,12 @@ package store
 // Scores decay multiplicatively on every recode rotation so stale history
 // does not protect a segment forever.
 type Informativeness struct {
-	scores map[uint64]float64
-	seq    map[uint64]uint64 // insertion order, tie-break
+	// scores and seq are indexed by slot; seq is the insertion order, the
+	// tie-break, and 0 for a slot not tracked.
+	scores []float64
+	seq    []uint64
 	next   uint64
+	n      int
 	// Decay is applied to a victim's score when it is re-Put (recoded);
 	// defaults to 0.5.
 	Decay float64
@@ -21,121 +24,127 @@ type Informativeness struct {
 
 // NewInformativeness returns an empty policy.
 func NewInformativeness() *Informativeness {
-	return &Informativeness{
-		scores: make(map[uint64]float64),
-		seq:    make(map[uint64]uint64),
-		Decay:  0.5,
-	}
+	return &Informativeness{Decay: 0.5}
+}
+
+// tracked reports whether slot is registered.
+func (p *Informativeness) tracked(slot int32) bool {
+	return slot >= 0 && int(slot) < len(p.seq) && p.seq[slot] != 0
 }
 
 // Put implements Policy: registers a segment, or decays an existing one's
 // score (a re-Put happens after recoding).
-func (p *Informativeness) Put(id uint64) {
-	if _, ok := p.seq[id]; ok {
-		p.scores[id] *= p.Decay
+func (p *Informativeness) Put(slot int32) {
+	if p.tracked(slot) {
+		p.scores[slot] *= p.Decay
 		return
 	}
-	p.seq[id] = p.next
+	for len(p.seq) <= int(slot) {
+		p.seq, p.scores = append(p.seq, 0), append(p.scores, 0)
+	}
 	p.next++
-	p.scores[id] = 0
+	p.seq[slot], p.scores[slot] = p.next, 0
+	p.n++
 }
 
 // Get implements Policy: each query access adds one unit of
 // informativeness.
-func (p *Informativeness) Get(id uint64) {
-	if _, ok := p.seq[id]; ok {
-		p.scores[id]++
+func (p *Informativeness) Get(slot int32) {
+	if p.tracked(slot) {
+		p.scores[slot]++
 	}
 }
 
 // RecordContribution credits a fractional contribution, e.g. the ratio of
 // entries in the segment that qualified for a filtered query.
-func (p *Informativeness) RecordContribution(id uint64, ratio float64) {
-	if _, ok := p.seq[id]; !ok {
+func (p *Informativeness) RecordContribution(slot int32, ratio float64) {
+	if !p.tracked(slot) {
 		return
 	}
-	if ratio < 0 {
-		ratio = 0
-	}
-	if ratio > 1 {
-		ratio = 1
-	}
-	p.scores[id] += ratio
+	p.scores[slot] += min(max(ratio, 0), 1)
 }
 
 // Victim implements Policy: the lowest-score segment, oldest on ties.
-func (p *Informativeness) Victim() (uint64, bool) {
-	var best uint64
-	bestScore := -1.0
-	var bestSeq uint64
-	found := false
-	for id, score := range p.scores {
-		seq := p.seq[id]
-		if !found || score < bestScore || (score == bestScore && seq < bestSeq) {
-			best, bestScore, bestSeq = id, score, seq
-			found = true
+func (p *Informativeness) Victim() (int32, bool) {
+	best := int32(-1)
+	for slot, seq := range p.seq {
+		if seq == 0 {
+			continue
+		}
+		if best < 0 || p.scores[slot] < p.scores[best] || (p.scores[slot] == p.scores[best] && seq < p.seq[best]) {
+			best = int32(slot)
 		}
 	}
-	return best, found
+	if best < 0 {
+		return 0, false
+	}
+	return best, true
 }
 
 // Remove implements Policy.
-func (p *Informativeness) Remove(id uint64) {
-	delete(p.scores, id)
-	delete(p.seq, id)
+func (p *Informativeness) Remove(slot int32) {
+	if p.tracked(slot) {
+		p.seq[slot] = 0
+		p.n--
+	}
 }
 
 // Len implements Policy.
-func (p *Informativeness) Len() int { return len(p.seq) }
+func (p *Informativeness) Len() int { return p.n }
 
 // Skip implements Skipper: an unshrinkable victim is credited a unit of
 // score so the selector moves on to the next-least-informative segment
 // instead of spinning on one that is already at its floor.
-func (p *Informativeness) Skip(id uint64) {
-	if _, ok := p.seq[id]; ok {
-		p.scores[id]++
-	}
-}
+func (p *Informativeness) Skip(slot int32) { p.Get(slot) }
 
 // Skipper is implemented by policies that need a distinct signal for
 // "this victim cannot be compressed further" (as opposed to "this victim
 // was just recoded", which is Put).
 type Skipper interface {
-	Skip(id uint64)
+	Skip(slot int32)
 }
 
-// Skip demotes an unshrinkable victim: policies with a Skip method use
-// it; others rotate the victim to the back via Put.
-func (p *Pool) Skip(id uint64) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if _, ok := p.entries[id]; !ok {
+// Skip demotes an unshrinkable victim: a policy with a Skip method uses
+// it; another rotates the victim to the back via Put.
+func Skip(p Policy, slot int32) {
+	if s, ok := p.(Skipper); ok {
+		s.Skip(slot)
 		return
 	}
-	if s, ok := p.policy.(Skipper); ok {
-		s.Skip(id)
-		return
-	}
-	p.policy.Put(id)
+	p.Put(slot)
 }
 
 // ContributionRecorder is implemented by policies that can use
 // finer-grained informativeness signals than a plain access count.
 type ContributionRecorder interface {
-	RecordContribution(id uint64, ratio float64)
+	RecordContribution(slot int32, ratio float64)
+}
+
+// RecordContribution forwards a qualified-entry ratio to p if it supports
+// contributions; otherwise it degrades to a plain access.
+func RecordContribution(p Policy, slot int32, ratio float64) {
+	if cr, ok := p.(ContributionRecorder); ok {
+		cr.RecordContribution(slot, ratio)
+		return
+	}
+	p.Get(slot)
+}
+
+// Skip demotes an unshrinkable victim (see the package function Skip).
+func (p *Pool) Skip(id uint64) {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	if slot, ok := p.slots[id]; ok {
+		Skip(p.policy, slot)
+	}
 }
 
 // RecordContribution forwards a qualified-entry ratio to the pool's policy
-// if it supports contributions; otherwise it degrades to a plain access.
+// (see the package function RecordContribution).
 func (p *Pool) RecordContribution(id uint64, ratio float64) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	if _, ok := p.entries[id]; !ok {
-		return
+	if slot, ok := p.slots[id]; ok {
+		RecordContribution(p.policy, slot, ratio)
 	}
-	if cr, ok := p.policy.(ContributionRecorder); ok {
-		cr.RecordContribution(id, ratio)
-		return
-	}
-	p.policy.Get(id)
 }

@@ -8,13 +8,13 @@ import (
 
 // Model-based testing: the LRU policy must behave identically to a naive
 // reference implementation (a slice kept in recency order) under arbitrary
-// operation sequences.
+// operation sequences over a handful of slots.
 
 type lruModel struct {
-	order []uint64 // front = least recently used
+	order []int32 // front = least recently used
 }
 
-func (m *lruModel) find(id uint64) int {
+func (m *lruModel) find(id int32) int {
 	for i, v := range m.order {
 		if v == id {
 			return i
@@ -23,27 +23,27 @@ func (m *lruModel) find(id uint64) int {
 	return -1
 }
 
-func (m *lruModel) put(id uint64) {
+func (m *lruModel) put(id int32) {
 	if i := m.find(id); i >= 0 {
 		m.order = append(m.order[:i], m.order[i+1:]...)
 	}
 	m.order = append(m.order, id)
 }
 
-func (m *lruModel) get(id uint64) {
+func (m *lruModel) get(id int32) {
 	if i := m.find(id); i >= 0 {
 		m.order = append(m.order[:i], m.order[i+1:]...)
 		m.order = append(m.order, id)
 	}
 }
 
-func (m *lruModel) remove(id uint64) {
+func (m *lruModel) remove(id int32) {
 	if i := m.find(id); i >= 0 {
 		m.order = append(m.order[:i], m.order[i+1:]...)
 	}
 }
 
-func (m *lruModel) victim() (uint64, bool) {
+func (m *lruModel) victim() (int32, bool) {
 	if len(m.order) == 0 {
 		return 0, false
 	}
@@ -56,7 +56,7 @@ func TestLRUMatchesReferenceModel(t *testing.T) {
 		real := NewLRU()
 		model := &lruModel{}
 		for step := 0; step < 300; step++ {
-			id := uint64(rng.Intn(12))
+			id := int32(rng.Intn(12))
 			switch rng.Intn(4) {
 			case 0:
 				real.Put(id)
@@ -90,9 +90,9 @@ func TestInformativenessVictimIsAlwaysMinScore(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		p := NewInformativeness()
-		score := map[uint64]float64{}
+		score := map[int32]float64{}
 		for step := 0; step < 200; step++ {
-			id := uint64(rng.Intn(8))
+			id := int32(rng.Intn(8))
 			switch rng.Intn(5) {
 			case 0:
 				if _, ok := score[id]; !ok {

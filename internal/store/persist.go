@@ -37,200 +37,201 @@ var ErrBadFormat = errors.New("store: bad persistence format")
 // WriteTo serializes every pool entry (sorted by id) to w and returns the
 // byte count. An entry's Sketch is engine working state and is not persisted.
 func (p *Pool) WriteTo(w io.Writer) (int64, error) {
-	bw := bufio.NewWriter(w)
-	var written int64
-	count := func(n int, err error) error {
-		written += int64(n)
-		return err
-	}
-	if err := count(bw.Write(persistMagic[:])); err != nil {
-		return written, err
-	}
-
 	var entries []*Entry
 	p.Each(func(e *Entry) { entries = append(entries, e) })
-	sortEntriesByID(entries)
+	sort.Slice(entries, func(a, b int) bool { return entries[a].ID < entries[b].ID })
+	return WriteDump(w, len(entries), func(i int) *Entry { return entries[i] })
+}
 
-	var tmp [binary.MaxVarintLen64]byte
-	writeUvarint := func(v uint64) error {
-		n := binary.PutUvarint(tmp[:], v)
-		return count(bw.Write(tmp[:n]))
-	}
-	if err := writeUvarint(uint64(len(entries))); err != nil {
-		return written, err
-	}
-	for _, e := range entries {
-		if err := writeUvarint(e.ID); err != nil {
-			return written, err
-		}
-		if err := writeUvarint(zigzag64(int64(e.Label))); err != nil {
-			return written, err
-		}
+// WriteDump writes n entries to w in the pool dump format and returns the
+// byte count; at(i) is the i-th, and the ids must increase with i, as
+// ReadDump requires.
+func WriteDump(w io.Writer, n int, at func(int) *Entry) (int64, error) {
+	d := newDumpWriter(w, persistMagic)
+	d.uvarint(uint64(n))
+	for i := 0; i < n; i++ {
+		e := at(i)
 		flags := byte(0)
 		if e.Lossless {
-			flags |= 1
+			flags = 1
 		}
-		if err := count(bw.Write([]byte{flags})); err != nil {
-			return written, err
-		}
-		if err := writeUvarint(uint64(e.Level)); err != nil {
-			return written, err
-		}
-		if err := writeUvarint(uint64(len(e.Enc.Codec))); err != nil {
-			return written, err
-		}
-		if err := count(bw.Write([]byte(e.Enc.Codec))); err != nil {
-			return written, err
-		}
-		if err := writeUvarint(uint64(e.Enc.N)); err != nil {
-			return written, err
-		}
-		if err := writeUvarint(uint64(len(e.Enc.Data))); err != nil {
-			return written, err
-		}
-		if err := count(bw.Write(e.Enc.Data)); err != nil {
-			return written, err
-		}
+		d.uvarint(e.ID)
+		d.uvarint(zigzag64(int64(e.Label)))
+		d.write([]byte{flags})
+		d.uvarint(uint64(e.Level))
+		d.uvarint(uint64(len(e.Enc.Codec)))
+		d.write([]byte(e.Enc.Codec))
+		d.uvarint(uint64(e.Enc.N))
+		d.uvarint(uint64(len(e.Enc.Data)))
+		d.write(e.Enc.Data)
 	}
-	if err := bw.Flush(); err != nil {
-		return written, err
-	}
-	return written, nil
+	return d.flush()
+}
+
+// dumpWriter writes a persisted format through a bufio.Writer, whose first
+// error sticks: every later write is a no-op, and flush reports the error
+// with the bytes written before it.
+type dumpWriter struct {
+	bw      *bufio.Writer
+	written int64
+	tmp     [binary.MaxVarintLen64]byte
+}
+
+func newDumpWriter(w io.Writer, magic [4]byte) *dumpWriter {
+	d := &dumpWriter{bw: bufio.NewWriter(w)}
+	d.write(magic[:])
+	return d
+}
+
+func (d *dumpWriter) write(b []byte) {
+	n, _ := d.bw.Write(b)
+	d.written += int64(n)
+}
+
+func (d *dumpWriter) uvarint(v uint64) { d.write(d.tmp[:binary.PutUvarint(d.tmp[:], v)]) }
+
+func (d *dumpWriter) flush() (int64, error) {
+	err := d.bw.Flush()
+	return d.written, err
 }
 
 // ReadPool deserializes a pool dump into a fresh Pool with the given
-// policy (nil = LRU). Entries re-enter the policy in id order. Only what
-// WriteTo writes is accepted (minimal varints, strictly increasing ids, no
-// unknown flag bits), so a dump that reads back re-serializes to the same
-// bytes; anything else is ErrBadFormat.
+// policy (nil = LRU). Entries re-enter the policy in id order.
 func ReadPool(r io.Reader, policy Policy) (*Pool, error) {
-	br := bufio.NewReader(r)
-	var magic [4]byte
-	if _, err := io.ReadFull(br, magic[:]); err != nil {
-		return nil, badFormat(err)
-	}
-	if magic != persistMagic {
-		return nil, ErrBadFormat
-	}
-	count, err := readUvarint(br)
-	if err != nil {
-		return nil, err
-	}
-	const maxSegments = 1 << 26 // sanity bound against corrupt counts
-	if count > maxSegments {
-		return nil, ErrBadFormat
-	}
 	pool := NewPool(policy)
-	var prevID uint64
-	for i := uint64(0); i < count; i++ {
-		e := &Entry{}
-		if e.ID, err = readUvarint(br); err != nil {
-			return nil, err
-		}
-		if i > 0 && e.ID <= prevID {
-			return nil, fmt.Errorf("%w: id %d after %d", ErrBadFormat, e.ID, prevID)
-		}
-		prevID = e.ID
-		labelZZ, err := readUvarint(br)
-		if err != nil {
-			return nil, err
-		}
-		e.Label = int(unzigzag64(labelZZ))
-		flags, err := br.ReadByte()
-		if err != nil {
-			return nil, badFormat(err)
-		}
-		if flags > 1 {
-			return nil, fmt.Errorf("%w: flags %#x", ErrBadFormat, flags)
-		}
-		e.Lossless = flags == 1
-		level, err := readUvarint(br)
-		if err != nil {
-			return nil, err
-		}
-		if level > math.MaxInt32 {
-			return nil, fmt.Errorf("%w: level %d", ErrBadFormat, level)
-		}
-		e.Level = int32(level)
-		codec, err := readString(br)
-		if err != nil {
-			return nil, err
-		}
-		n, err := readUvarint(br)
-		if err != nil {
-			return nil, err
-		}
-		dataLen, err := readUvarint(br)
-		if err != nil {
-			return nil, err
-		}
-		const maxSegmentBytes = 1 << 30
-		// No encoder writes a segment of no points, and N divides in every
-		// ratio computed from the entry.
-		if n == 0 || dataLen > maxSegmentBytes {
-			return nil, ErrBadFormat
-		}
-		data, err := readData(br, int(dataLen))
-		if err != nil {
-			return nil, err
-		}
-		e.Enc = compress.Encoded{Codec: codec, Data: data, N: int(n)}
-		pool.Put(e)
+	if err := ReadDump(r, func(e *Entry) error { pool.Put(e); return nil }); err != nil {
+		return nil, err
 	}
 	return pool, nil
 }
 
-// readData reads an n-byte payload, growing the buffer only as bytes
-// arrive: 64 KiB first, then never more than what has already been read,
-// so a forged length costs at most about twice the bytes actually present
-// (the rule transport.Reader.readPayload follows). A payload of at most
-// 64 KiB, which is every segment an honest dump holds, is one exact-size
+// ReadDump deserializes a pool dump, handing each entry to put in id
+// order; an error from put ends the read and is returned. Only what
+// WriteDump writes is accepted (minimal varints, strictly increasing ids,
+// no unknown flag bits), so a dump that reads back re-serializes to the
+// same bytes; anything else is ErrBadFormat.
+func ReadDump(r io.Reader, put func(*Entry) error) error {
+	const maxSegments = 1 << 26 // sanity bound against corrupt counts
+	const maxSegmentBytes = 1 << 30
+	d, count, err := newDumpReader(r, persistMagic, maxSegments)
+	if err != nil {
+		return err
+	}
+	var prevID uint64
+	for i := uint64(0); i < count; i++ {
+		id, label, flags, level := d.uvarint(), d.uvarint(), d.byte(), d.uvarint()
+		codec, n, size := d.string(), d.uvarint(), d.uvarint()
+		switch {
+		case d.err != nil:
+			return d.err
+		// No encoder writes a segment of no points, and N divides in every
+		// ratio computed from the entry.
+		case i > 0 && id <= prevID, flags > 1, level > math.MaxInt32, n == 0, size > maxSegmentBytes:
+			return fmt.Errorf("%w: segment %d: id %d after %d, flags %#x, level %d, %d points in %d bytes",
+				ErrBadFormat, i, id, prevID, flags, level, n, size)
+		}
+		prevID = id
+		data := d.data(int(size))
+		if d.err != nil {
+			return d.err
+		}
+		if err := put(&Entry{
+			ID: id, Label: int(unzigzag64(label)), Lossless: flags == 1, Level: int32(level),
+			Enc: compress.Encoded{Codec: codec, Data: data, N: int(n)},
+		}); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// dumpReader reads a persisted format through a bufio.Reader. Its first
+// failure sticks as an ErrBadFormat error and makes every later read a
+// no-op that returns zero, so a parser reads a record and checks err once.
+type dumpReader struct {
+	br  *bufio.Reader
+	err error
+}
+
+// newDumpReader checks r's magic and reads its record count, which must
+// not exceed limit.
+func newDumpReader(r io.Reader, magic [4]byte, limit uint64) (*dumpReader, uint64, error) {
+	d := &dumpReader{br: bufio.NewReader(r)}
+	var got [4]byte
+	d.read(got[:])
+	count := d.uvarint()
+	switch {
+	case d.err != nil:
+		return nil, 0, d.err
+	case got != magic || count > limit:
+		return nil, 0, ErrBadFormat
+	}
+	return d, count, nil
+}
+
+func (d *dumpReader) fail(err error) {
+	if d.err == nil {
+		d.err = fmt.Errorf("%w: %v", ErrBadFormat, err)
+	}
+}
+
+func (d *dumpReader) read(p []byte) {
+	if d.err != nil {
+		return
+	}
+	if _, err := io.ReadFull(d.br, p); err != nil {
+		d.fail(err)
+	}
+}
+
+func (d *dumpReader) byte() byte {
+	var b [1]byte
+	d.read(b[:])
+	return b[0]
+}
+
+// uvarint reads one minimally encoded uvarint (bitio.ReadUvarint).
+func (d *dumpReader) uvarint() uint64 {
+	if d.err != nil {
+		return 0
+	}
+	v, err := bitio.ReadUvarint(d.br)
+	if err != nil {
+		d.fail(err)
+	}
+	return v
+}
+
+// string reads a length-prefixed name of at most 256 bytes.
+func (d *dumpReader) string() string {
+	const maxName = 256
+	l := d.uvarint()
+	if l > maxName {
+		d.fail(fmt.Errorf("name of %d bytes", l))
+		return ""
+	}
+	buf := make([]byte, l)
+	d.read(buf)
+	return string(buf)
+}
+
+// data reads an n-byte payload, growing the buffer only as bytes arrive:
+// 64 KiB first, then never more than what has already been read, so a
+// forged length costs at most about twice the bytes actually present (the
+// rule transport.Reader.readPayload follows). A payload of at most 64 KiB,
+// which is every segment an honest dump holds, is one exact-size
 // allocation.
-func readData(br *bufio.Reader, n int) ([]byte, error) {
+func (d *dumpReader) data(n int) []byte {
 	const firstStep = 64 << 10
 	data := make([]byte, 0, min(n, firstStep))
-	for len(data) < n {
+	for d.err == nil && len(data) < n {
 		have := len(data)
 		step := min(n-have, max(have, firstStep))
 		data = slices.Grow(data, step)[:have+step]
-		if _, err := io.ReadFull(br, data[have:]); err != nil {
-			return nil, badFormat(err)
-		}
+		d.read(data[have:])
 	}
-	return data, nil
+	return data
 }
-
-func readString(br *bufio.Reader) (string, error) {
-	l, err := readUvarint(br)
-	if err != nil {
-		return "", err
-	}
-	const maxName = 256
-	if l > maxName {
-		return "", ErrBadFormat
-	}
-	buf := make([]byte, l)
-	if _, err := io.ReadFull(br, buf); err != nil {
-		return "", badFormat(err)
-	}
-	return string(buf), nil
-}
-
-// readUvarint reads one minimally encoded uvarint (bitio.ReadUvarint);
-// every failure is ErrBadFormat.
-func readUvarint(br *bufio.Reader) (uint64, error) {
-	v, err := bitio.ReadUvarint(br)
-	if err != nil {
-		return 0, badFormat(err)
-	}
-	return v, nil
-}
-
-func badFormat(err error) error { return fmt.Errorf("%w: %v", ErrBadFormat, err) }
 
 func zigzag64(v int64) uint64   { return uint64((v << 1) ^ (v >> 63)) }
 func unzigzag64(u uint64) int64 { return int64(u>>1) ^ -int64(u&1) }
-
-func sortEntriesByID(entries []*Entry) {
-	sort.Slice(entries, func(a, b int) bool { return entries[a].ID < entries[b].ID })
-}

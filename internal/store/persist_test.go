@@ -222,3 +222,45 @@ func FuzzReadPool(f *testing.F) {
 		}
 	})
 }
+
+// limitWriter accepts limit bytes, then fails.
+type limitWriter struct{ limit int }
+
+var errWriterFull = errors.New("writer full")
+
+func (w *limitWriter) Write(p []byte) (int, error) {
+	if len(p) > w.limit {
+		n := w.limit
+		w.limit = 0
+		return n, errWriterFull
+	}
+	w.limit -= len(p)
+	return len(p), nil
+}
+
+// TestDumpWriteErrorsSurface: the dump writers check no write and rely on
+// the buffered writer's first error sticking, so a destination that fails
+// anywhere, mid-stream or at the final flush, must still fail the dump.
+func TestDumpWriteErrorsSurface(t *testing.T) {
+	p := populatedPool(t, 60)
+	var full bytes.Buffer
+	size, err := p.WriteTo(&full)
+	if err != nil || size != int64(full.Len()) || size < 8<<10 {
+		t.Fatalf("dump of %d bytes (%d written), err %v: want more than the 4 KiB buffer", size, full.Len(), err)
+	}
+	wm := NewWatermarks()
+	wm.Store(7, 3)
+	for _, limit := range []int{0, 3, 4095, 4096, 5000, int(size) / 2, int(size) - 1} {
+		if n, err := p.WriteTo(&limitWriter{limit}); !errors.Is(err, errWriterFull) || n > size {
+			t.Errorf("pool dump into %d bytes: %d written, err %v", limit, n, err)
+		}
+		if limit < 10 {
+			if _, err := wm.WriteTo(&limitWriter{limit}); !errors.Is(err, errWriterFull) {
+				t.Errorf("watermarks into %d bytes: err %v", limit, err)
+			}
+		}
+	}
+	if n, err := p.WriteTo(&limitWriter{int(size)}); err != nil || n != size {
+		t.Errorf("dump into exactly its size: %d written, err %v", n, err)
+	}
+}

@@ -43,60 +43,65 @@ type Entry struct {
 	Sketch []float64
 }
 
-// Policy orders segments for compression and recoding. Implementations
-// must be safe for use by a single goroutine; Store serializes access.
+// Policy orders segments for compression and recoding. It keys on slots:
+// small non-negative integers that its owner assigns, one to each segment
+// it registers, and may reuse once that segment is Removed. A policy can
+// therefore keep its state in slices indexed by slot, with no map. The
+// offline engine's slot is a row's position in its entry chunks; a Pool
+// assigns its own. Implementations must be safe for use by a single
+// goroutine; their owner serializes access.
 type Policy interface {
 	// Put registers a (new or re-registered) segment as most recently
 	// used.
-	Put(id uint64)
+	Put(slot int32)
 	// Get records an access to the segment (queries touch segments,
 	// making them unlikely recoding victims under LRU).
-	Get(id uint64)
+	Get(slot int32)
 	// Victim returns the next segment to compress more aggressively,
 	// without removing it.
-	Victim() (uint64, bool)
+	Victim() (int32, bool)
 	// Remove forgets the segment.
-	Remove(id uint64)
+	Remove(slot int32)
 	// Len returns the number of tracked segments.
 	Len() int
 }
 
-// order is the recency list behind LRU and RoundRobin: segment ids from
-// the next recoding victim (front) to the most recently registered (back).
-// Nodes live in one slab and link by slab index — nodes[0] is the sentinel
-// of the circular list — so registering a segment allocates nothing beyond
-// the amortised growth of the slab and the index map.
+// order is the recency list behind LRU and RoundRobin: slots from the next
+// recoding victim (front) to the most recently registered (back). Slot s
+// links through links[s+1] and links[0] is the sentinel of the circular
+// list, so registering a segment allocates nothing beyond the amortised
+// growth of the slab. An untracked slot's prev is -1.
 type order struct {
-	nodes []orderNode
-	free  int32 // head of the freed-slot chain through next; 0 = empty
-	index map[uint64]int32
+	links []link
+	n     int
 }
 
-type orderNode struct {
-	id         uint64
-	prev, next int32
+type link struct{ prev, next int32 }
+
+func newOrder() order { return order{links: make([]link, 1)} }
+
+// node returns slot's index in links and whether slot is tracked.
+func (o *order) node(slot int32) (int32, bool) {
+	i := slot + 1
+	return i, slot >= 0 && int(i) < len(o.links) && o.links[i].prev >= 0
 }
 
-func newOrder() order {
-	return order{nodes: make([]orderNode, 1), index: make(map[uint64]int32)}
-}
-
-// unlink detaches slot i from the list, leaving the slot itself alone.
+// unlink detaches node i from the list.
 func (o *order) unlink(i int32) {
-	n := o.nodes[i]
-	o.nodes[n.prev].next, o.nodes[n.next].prev = n.next, n.prev
+	l := o.links[i]
+	o.links[l.prev].next, o.links[l.next].prev = l.next, l.prev
 }
 
-// linkBack attaches slot i before the sentinel, the most-recent end.
+// linkBack attaches node i before the sentinel, the most-recent end.
 func (o *order) linkBack(i int32) {
-	last := o.nodes[0].prev
-	o.nodes[i].prev, o.nodes[i].next = last, 0
-	o.nodes[last].next, o.nodes[0].prev = i, i
+	last := o.links[0].prev
+	o.links[i] = link{prev: last, next: 0}
+	o.links[last].next, o.links[0].prev = i, i
 }
 
-// touch moves id to the back and reports whether it was tracked.
-func (o *order) touch(id uint64) bool {
-	i, ok := o.index[id]
+// touch moves slot to the back and reports whether it was tracked.
+func (o *order) touch(slot int32) bool {
+	i, ok := o.node(slot)
 	if ok {
 		o.unlink(i)
 		o.linkBack(i)
@@ -104,43 +109,38 @@ func (o *order) touch(id uint64) bool {
 	return ok
 }
 
-// Put implements Policy: a new id joins at the back, a tracked one moves
+// Put implements Policy: a new slot joins at the back, a tracked one moves
 // there.
-func (o *order) Put(id uint64) {
-	if o.touch(id) {
+func (o *order) Put(slot int32) {
+	if o.touch(slot) {
 		return
 	}
-	i := o.free
-	if i != 0 {
-		o.free = o.nodes[i].next
-	} else {
-		i = int32(len(o.nodes))
-		o.nodes = append(o.nodes, orderNode{})
+	for len(o.links) <= int(slot)+1 {
+		o.links = append(o.links, link{prev: -1})
 	}
-	o.nodes[i].id = id
-	o.index[id] = i
-	o.linkBack(i)
+	o.n++
+	o.linkBack(slot + 1)
 }
 
 // Victim implements Policy: the front of the list.
-func (o *order) Victim() (uint64, bool) {
-	if i := o.nodes[0].next; i != 0 {
-		return o.nodes[i].id, true
+func (o *order) Victim() (int32, bool) {
+	if i := o.links[0].next; i != 0 {
+		return i - 1, true
 	}
 	return 0, false
 }
 
 // Remove implements Policy.
-func (o *order) Remove(id uint64) {
-	if i, ok := o.index[id]; ok {
+func (o *order) Remove(slot int32) {
+	if i, ok := o.node(slot); ok {
 		o.unlink(i)
-		delete(o.index, id)
-		o.nodes[i].next, o.free = o.free, i
+		o.links[i].prev = -1
+		o.n--
 	}
 }
 
 // Len implements Policy.
-func (o *order) Len() int { return len(o.index) }
+func (o *order) Len() int { return o.n }
 
 // LRU is the paper's default policy: least-recently-used segments are
 // recoded first, so hot segments keep their fidelity.
@@ -150,7 +150,7 @@ type LRU struct{ order }
 func NewLRU() *LRU { return &LRU{newOrder()} }
 
 // Get implements Policy: an access makes the segment most recently used.
-func (l *LRU) Get(id uint64) { l.touch(id) }
+func (l *LRU) Get(slot int32) { l.touch(slot) }
 
 // RoundRobin recodes strictly oldest-first regardless of access pattern,
 // matching RRDTool/TVStore behaviour; kept for the LRU ablation. A (re-)Put
@@ -163,13 +163,17 @@ type RoundRobin struct{ order }
 func NewRoundRobin() *RoundRobin { return &RoundRobin{newOrder()} }
 
 // Get implements Policy: accesses do not affect ordering.
-func (*RoundRobin) Get(uint64) {}
+func (*RoundRobin) Get(int32) {}
 
-// Pool is the compressed buffer pool: entries indexed by segment id with a
-// compression-ordering policy.
+// Pool is a compressed buffer pool for callers that key segments by ID:
+// entries indexed by segment id with a compression-ordering policy. The
+// pool assigns each entry a policy slot, reusing those Remove frees. The
+// offline engine does not use it: its rows are its index (DESIGN.md §10).
 type Pool struct {
 	mu      sync.Mutex
-	entries map[uint64]*Entry
+	slots   map[uint64]int32 // by segment id
+	entries []*Entry         // by slot; nil when free
+	free    []int32          // slots Remove freed
 	policy  Policy
 }
 
@@ -178,34 +182,48 @@ func NewPool(policy Policy) *Pool {
 	if policy == nil {
 		policy = NewLRU()
 	}
-	return &Pool{entries: make(map[uint64]*Entry), policy: policy}
+	return &Pool{slots: make(map[uint64]int32), policy: policy}
 }
 
 // Put inserts or replaces an entry and marks it most recently used.
 func (p *Pool) Put(e *Entry) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	p.entries[e.ID] = e
-	p.policy.Put(e.ID)
+	slot, ok := p.slots[e.ID]
+	if !ok {
+		if n := len(p.free); n > 0 {
+			slot, p.free = p.free[n-1], p.free[:n-1]
+		} else {
+			slot = int32(len(p.entries))
+			p.entries = append(p.entries, nil)
+		}
+		p.slots[e.ID] = slot
+	}
+	p.entries[slot] = e
+	p.policy.Put(slot)
 }
 
 // Get returns the entry and records the access (the query path).
 func (p *Pool) Get(id uint64) (*Entry, bool) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	e, ok := p.entries[id]
-	if ok {
-		p.policy.Get(id)
+	slot, ok := p.slots[id]
+	if !ok {
+		return nil, false
 	}
-	return e, ok
+	p.policy.Get(slot)
+	return p.entries[slot], true
 }
 
 // Peek returns the entry without touching the policy (the recoding path).
 func (p *Pool) Peek(id uint64) (*Entry, bool) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	e, ok := p.entries[id]
-	return e, ok
+	slot, ok := p.slots[id]
+	if !ok {
+		return nil, false
+	}
+	return p.entries[slot], true
 }
 
 // Victim returns the next recoding victim per the policy.
@@ -213,15 +231,15 @@ func (p *Pool) Victim() (*Entry, bool) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	for {
-		id, ok := p.policy.Victim()
+		slot, ok := p.policy.Victim()
 		if !ok {
 			return nil, false
 		}
-		if e, ok := p.entries[id]; ok {
-			return e, true
+		if int(slot) < len(p.entries) && p.entries[slot] != nil {
+			return p.entries[slot], true
 		}
 		// Stale policy entry; drop and retry.
-		p.policy.Remove(id)
+		p.policy.Remove(slot)
 	}
 }
 
@@ -230,8 +248,8 @@ func (p *Pool) Victim() (*Entry, bool) {
 func (p *Pool) Touch(id uint64) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	if _, ok := p.entries[id]; ok {
-		p.policy.Put(id)
+	if slot, ok := p.slots[id]; ok {
+		p.policy.Put(slot)
 	}
 }
 
@@ -239,25 +257,25 @@ func (p *Pool) Touch(id uint64) {
 func (p *Pool) Remove(id uint64) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	delete(p.entries, id)
-	p.policy.Remove(id)
+	if slot, ok := p.slots[id]; ok {
+		delete(p.slots, id)
+		p.entries[slot] = nil
+		p.free = append(p.free, slot)
+		p.policy.Remove(slot)
+	}
 }
 
 // Len returns the number of entries.
 func (p *Pool) Len() int {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	return len(p.entries)
+	return len(p.slots)
 }
 
 // TotalBytes sums the compressed sizes of all entries.
 func (p *Pool) TotalBytes() int64 {
-	p.mu.Lock()
-	defer p.mu.Unlock()
 	var total int64
-	for _, e := range p.entries {
-		total += int64(e.Enc.Size())
-	}
+	p.Each(func(e *Entry) { total += int64(e.Enc.Size()) })
 	return total
 }
 
@@ -267,6 +285,8 @@ func (p *Pool) Each(fn func(*Entry)) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	for _, e := range p.entries {
-		fn(e)
+		if e != nil {
+			fn(e)
+		}
 	}
 }

@@ -128,15 +128,41 @@ func TestPoolRemove(t *testing.T) {
 }
 
 func TestPoolVictimSkipsStalePolicyEntries(t *testing.T) {
-	// Remove through the policy only, leaving the pool map authoritative.
+	// Forget the entry in the pool only, leaving its slot in the policy.
 	lru := NewLRU()
 	p := NewPool(lru)
 	p.Put(entry(1, 80))
 	p.Put(entry(2, 80))
-	delete(p.entries, 1) // simulate stale policy entry
+	p.entries[p.slots[1]] = nil // simulate stale policy entry
+	delete(p.slots, 1)
 	v, ok := p.Victim()
 	if !ok || v.ID != 2 {
 		t.Fatalf("stale entry not skipped: %+v ok=%v", v, ok)
+	}
+}
+
+// TestPoolReusesSlots: a removed entry's policy slot goes to the next new
+// id, so the pool's slot space stays as dense as its contents, and the
+// reused slot joins the recency list afresh, at the back.
+func TestPoolReusesSlots(t *testing.T) {
+	p := NewPool(nil)
+	for id := uint64(1); id <= 3; id++ {
+		p.Put(entry(id<<40, 8))
+	}
+	p.Remove(1 << 40)
+	p.Put(entry(4<<40, 8))
+	if len(p.entries) != 3 {
+		t.Fatalf("%d slots for 3 entries", len(p.entries))
+	}
+	for _, want := range []uint64{2 << 40, 3 << 40, 4 << 40} {
+		v, ok := p.Victim()
+		if !ok || v.ID != want {
+			t.Fatalf("victim %+v, want id %d", v, want)
+		}
+		p.Remove(want)
+	}
+	if _, ok := p.Victim(); ok || p.Len() != 0 {
+		t.Fatal("emptied pool still has a victim")
 	}
 }
 
@@ -152,9 +178,9 @@ func TestPoolEach(t *testing.T) {
 }
 
 // TestAllocsPoolPut pins the pool's bookkeeping per ingested segment: the
-// order list links nodes inside one slab, so Put + Victim + Touch allocate
-// nothing of their own — what remains is the amortised growth of the slab
-// and of the two id maps, well under one allocation per segment
+// order list links slots inside one slab, so Put + Victim + Touch allocate
+// nothing of their own — what remains is the amortised growth of the slab,
+// the pool's entry slice and its id map, well under one allocation per segment
 // (container/list cost an Element and a boxed id per Put on top of it).
 // Counted from MemStats because testing.AllocsPerRun truncates to whole
 // allocations, which would hide exactly that difference.

@@ -1,8 +1,6 @@
 package store
 
 import (
-	"bufio"
-	"encoding/binary"
 	"fmt"
 	"io"
 	"sort"
@@ -75,35 +73,13 @@ func (w *Watermarks) WriteTo(dst io.Writer) (int64, error) {
 	}
 	w.mu.Unlock()
 
-	bw := bufio.NewWriter(dst)
-	var written int64
-	count := func(n int, err error) error {
-		written += int64(n)
-		return err
-	}
-	if err := count(bw.Write(watermarkMagic[:])); err != nil {
-		return written, err
-	}
-	var tmp [binary.MaxVarintLen64]byte
-	writeUvarint := func(v uint64) error {
-		n := binary.PutUvarint(tmp[:], v)
-		return count(bw.Write(tmp[:n]))
-	}
-	if err := writeUvarint(uint64(len(entries))); err != nil {
-		return written, err
-	}
+	d := newDumpWriter(dst, watermarkMagic)
+	d.uvarint(uint64(len(entries)))
 	for _, e := range entries {
-		if err := writeUvarint(e[0]); err != nil {
-			return written, err
-		}
-		if err := writeUvarint(e[1]); err != nil {
-			return written, err
-		}
+		d.uvarint(e[0])
+		d.uvarint(e[1])
 	}
-	if err := bw.Flush(); err != nil {
-		return written, err
-	}
-	return written, nil
+	return d.flush()
 }
 
 // ReadWatermarks deserializes a table written by WriteTo. Truncated or
@@ -112,32 +88,17 @@ func (w *Watermarks) WriteTo(dst io.Writer) (int64, error) {
 // of order or repeated, a zero watermark Store would drop), which makes a
 // table that reads back re-serialize to the same bytes.
 func ReadWatermarks(src io.Reader) (*Watermarks, error) {
-	br := bufio.NewReader(src)
-	var magic [4]byte
-	if _, err := io.ReadFull(br, magic[:]); err != nil {
-		return nil, badFormat(err)
-	}
-	if magic != watermarkMagic {
-		return nil, ErrBadFormat
-	}
-	count, err := readUvarint(br)
+	const maxDevices = 1 << 30 // sanity bound against corrupt counts
+	d, count, err := newDumpReader(src, watermarkMagic, maxDevices)
 	if err != nil {
 		return nil, err
-	}
-	const maxDevices = 1 << 30 // sanity bound against corrupt counts
-	if count > maxDevices {
-		return nil, ErrBadFormat
 	}
 	w := NewWatermarks()
 	var prevID uint64
 	for i := uint64(0); i < count; i++ {
-		id, err := readUvarint(br)
-		if err != nil {
-			return nil, err
-		}
-		next, err := readUvarint(br)
-		if err != nil {
-			return nil, err
+		id, next := d.uvarint(), d.uvarint()
+		if d.err != nil {
+			return nil, d.err
 		}
 		if (i > 0 && id <= prevID) || next == 0 {
 			return nil, fmt.Errorf("%w: device %d watermark %d after device %d", ErrBadFormat, id, next, prevID)
