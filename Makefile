@@ -30,7 +30,7 @@ test:
 
 race:
 	$(GO) test -race ./...
-	$(GO) test -race -count=50 -run '^(TestChaosExactlyOnceDeterministic|TestSessionTraceSingleWriterOrdered)$$' ./internal/transport
+	$(GO) test -race -count=50 -run '^(TestChaosExactlyOnceDeterministic|TestSessionTraceSingleWriterOrdered|TestPooledConnStateOwnership)$$' ./internal/transport
 	$(GO) test -race -count=50 -run '^TestOfflineStatsPollRace$$' ./internal/core
 
 # allocs runs the allocation and retained-heap pins without the race

@@ -27,8 +27,8 @@
 // ResilientUplink (resilient.go) layers fault tolerance on top: frames
 // are journaled into a bounded Spool before any network I/O, a single
 // pump goroutine sends them (pipelined and written per burst; frame→ACK
-// lockstep with ResilientConfig.AckEvery 1) and applies the ACKs a
-// per-session reader hands it, and on any error the uplink redials with
+// lockstep with ResilientConfig.AckEvery 1) and applies the ACKs its
+// reader goroutine hands it, and on any error the uplink redials with
 // seeded exponential-backoff jitter, sends the first unacknowledged frame
 // again and goes on from the watermark its ACK carries. There is one
 // session protocol (wire.go). Collector (server.go) is the receiving

@@ -29,9 +29,10 @@ import (
 // collector owes a lone frame; after that the pump streams spooled frames
 // without waiting, flushing when it has caught up with the spool or the
 // write buffer is full. Throughput pays one round trip per session, not
-// per frame. A per-session reader goroutine reads the collector's
-// coalesced cumulative ACKs and hands the pump the highest watermark; the
-// pump alone applies ACKs and writes the delivery trace. With
+// per frame. A reader goroutine reads each session's coalesced cumulative
+// ACKs in turn and hands the pump the highest watermark; the pump alone
+// applies ACKs and writes the delivery trace. A redial resets the
+// session's reader, writer and stream state in place (DESIGN.md §8). With
 // ResilientConfig.AckEvery 1 every frame goes out like a session's first:
 // flushed alone, then the pump waits for the ACK that covers it. That
 // lockstep makes the whole network interaction a deterministic function
@@ -62,20 +63,34 @@ type ResilientUplink struct {
 	// observed empty after an ACK advance; guarded by mu. WaitDrain
 	// blocks on it instead of polling.
 	drainWait chan struct{}
-	// br and w frame the current conn and out is what w writes to; replaced
-	// on redial. Only the pump touches them, but they are replaced under mu
-	// alongside conn.
+
+	// A session's connection state lives as long as the uplink and every
+	// connect resets it in place, so a redial allocates none of it: br
+	// reads the collector's ACKs, out is the connection as w sees it, and
+	// w frames onto out through its own buffer. The pump owns them, except
+	// br, which the reader holds while a session runs.
 	br  *bufio.Reader
 	w   *Writer
-	out *deadlineWriter
+	out deadlineWriter
+	// timer is the backoff sleep's, reset by every sleep. Pump only.
+	timer *time.Timer
 	// burst lists the session's frames that are in w's buffer and not yet
 	// known to be on the socket, oldest first. Pump only.
 	burst []frameRef
-	// The session's hand-offs between the pump and its ackLoop. sentTo is
-	// one past the highest frame ID on the socket, and sent wakes a parked
-	// ackLoop when it grows; readTo is the highest watermark ackLoop has
-	// read, and acked wakes the pump to apply it. Both are reset by the
-	// pump before each session's ackLoop starts.
+	// The hand-offs between the pump and the reader, one goroutine for the
+	// uplink's life that reads one session's ACKs at a time. The pump starts
+	// a session's reading by sending its connection on read and ends it
+	// with stop and by dropping the connection; the reader answers every
+	// session with one value on readEnd, its read error, or nil when
+	// stopped. reading is true from the send until the pump has that
+	// value (pump only). sentTo is one past the highest frame ID on the
+	// socket, and sent wakes a parked reader when it grows; readTo is the
+	// highest watermark the reader has read, and acked wakes the pump to
+	// apply it. The pump resets both before each session's reading starts.
+	read           chan net.Conn
+	readEnd        chan error
+	stop           chan struct{}
+	reading        bool
 	sentTo, readTo atomic.Uint64
 	sent, acked    chan struct{}
 }
@@ -236,20 +251,27 @@ func DialResilient(cfg ResilientConfig) (*ResilientUplink, error) {
 		return nil, errors.New("transport: resilient uplink needs an address")
 	}
 	u := &ResilientUplink{
-		cfg:   cfg,
-		boff:  newBackoff(cfg.BackoffBase, cfg.BackoffMax, cfg.Seed),
-		work:  make(chan struct{}, 1),
-		sent:  make(chan struct{}, 1),
-		acked: make(chan struct{}, 1),
-		done:  make(chan struct{}),
-		om:    newUplinkMetrics(cfg.Obs, cfg.DeviceID),
+		cfg:     cfg,
+		boff:    newBackoff(cfg.BackoffBase, cfg.BackoffMax, cfg.Seed),
+		work:    make(chan struct{}, 1),
+		done:    make(chan struct{}),
+		om:      newUplinkMetrics(cfg.Obs, cfg.DeviceID),
+		br:      bufio.NewReader(nil),
+		read:    make(chan net.Conn),
+		readEnd: make(chan error, 1),
+		stop:    make(chan struct{}, 1),
+		sent:    make(chan struct{}, 1),
+		acked:   make(chan struct{}, 1),
 	}
+	u.out.timeout = cfg.WriteTimeout
+	u.w = NewWriter(&u.out)
 	if u.om != nil {
 		u.ackVisit = func(e *store.Entry) { u.om.spanAck(e.Trace, e.ID) }
 	}
 	u.spool = store.NewSpool(cfg.SpoolSegments, cfg.SpoolBytes, cfg.HighWater, cfg.OnPressure)
-	u.wg.Add(1)
+	u.wg.Add(2)
 	go u.run()
+	go u.readLoop()
 	return u, nil
 }
 
@@ -384,21 +406,36 @@ func (u *ResilientUplink) tracedEvent(e Event, trace uint64) {
 	u.om.event(e, trace)
 }
 
-// sleep waits d or until Close.
+// failEvent traces a failure. The error's text is built only when the trace
+// has a reader: formatting a dropped connection's error would be most of
+// what a redial allocates in the product.
+func (u *ResilientUplink) failEvent(kind string, id uint64, err error) {
+	if u.cfg.OnEvent != nil || u.om != nil {
+		u.event(Event{Kind: kind, ID: id, Err: err.Error()})
+	}
+}
+
+// sleep waits d or until Close, on the one backoff timer. A sleep that
+// Close cuts short leaves the timer running, which is harmless: every later
+// sleep returns at once on done.
 func (u *ResilientUplink) sleep(d time.Duration) {
-	t := time.NewTimer(d)
-	defer t.Stop()
+	if u.timer == nil {
+		u.timer = time.NewTimer(d)
+	} else {
+		u.timer.Reset(d) // expired and received
+	}
 	select {
-	case <-t.C:
+	case <-u.timer.C:
 	case <-u.done:
 	}
 }
 
 // run is the pump: it owns every network write, applies every ACK and
-// writes the whole delivery trace (a per-session ackLoop goroutine only
-// reads ACKs).
+// writes the whole delivery trace (the reader goroutine only reads ACKs).
+// It returns between sessions, so the reader is idle when read closes.
 func (u *ResilientUplink) run() {
 	defer u.wg.Done()
+	defer close(u.read)
 	defer u.dropConn()
 	for {
 		head, ok := u.spool.Head()
@@ -426,7 +463,7 @@ func (u *ResilientUplink) run() {
 func (u *ResilientUplink) dropConn() {
 	u.mu.Lock()
 	conn := u.conn
-	u.conn, u.br, u.w, u.out = nil, nil, nil, nil
+	u.conn = nil
 	u.mu.Unlock()
 	if conn != nil {
 		_ = conn.Close()
@@ -434,20 +471,27 @@ func (u *ResilientUplink) dropConn() {
 }
 
 // connect dials, sends the session hello, and installs the connection.
-// On failure it records the event and backs off; it reports whether a
-// connection is installed.
+// The first dial and every redial reset the same reader, writer and
+// stream state in place. On failure it records the event and backs off;
+// it reports whether a connection is installed.
 func (u *ResilientUplink) connect() bool {
 	attempt := uint64(u.dials.Add(1))
 	conn, err := u.cfg.Dialer(u.cfg.Addr, u.cfg.DialTimeout)
 	if err == nil {
-		_ = conn.SetWriteDeadline(time.Now().Add(u.cfg.WriteTimeout))
-		if err = writeHello(conn, u.cfg.DeviceID, uint64(u.cfg.AckEvery)); err != nil {
+		u.out.conn = conn
+		u.w.reset(&u.out)
+		// The hello is a socket write of its own, ahead of the session's
+		// first frame, as it would be written straight to conn.
+		if err = u.w.hello(u.cfg.DeviceID, uint64(u.cfg.AckEvery)); err == nil {
+			err = u.w.Flush()
+		}
+		if err != nil {
 			_ = conn.Close()
 		}
 	}
 	if err != nil {
 		u.dialFailures.Add(1)
-		u.event(Event{Kind: "dial-fail", ID: attempt, Err: err.Error()})
+		u.failEvent("dial-fail", attempt, err)
 		wait := u.boff.next()
 		u.event(Event{Kind: "backoff", Wait: wait})
 		u.sleep(wait)
@@ -460,10 +504,8 @@ func (u *ResilientUplink) connect() bool {
 		return false
 	}
 	u.conn = conn
-	u.br = bufio.NewReader(conn)
-	u.out = &deadlineWriter{conn: conn, timeout: u.cfg.WriteTimeout}
-	u.w = NewWriter(u.out)
 	u.mu.Unlock()
+	u.br.Reset(conn)
 	u.event(Event{Kind: "dial", ID: attempt})
 	return true
 }
@@ -478,72 +520,38 @@ func (u *ResilientUplink) connect() bool {
 // the Writer's buffer, which spills to the socket when it fills and is
 // flushed whenever the cursor catches the spool, always before the pump
 // parks, so nothing waits on a timer. With AckEvery 1 every frame goes out
-// like the first. The pump applies what ackLoop reads between frames and
-// while it waits. Either side's error tears the session down, and the pump
-// backs off and redials; it returns nil only when the uplink is closing.
+// like the first. The pump applies what the reader reads between frames
+// and while it waits. Either side's error tears the session down, and the
+// pump backs off and redials; it returns nil only when the uplink is
+// closing.
 func (u *ResilientUplink) session(head store.Entry) error {
 	u.mu.Lock()
-	conn, br := u.conn, u.br
+	conn := u.conn
 	u.mu.Unlock()
 	u.burst = u.burst[:0]
 	u.sentTo.Store(0)
 	u.readTo.Store(0)
-	ackErr := make(chan error, 1)
-	stop := make(chan struct{})
-	var wg sync.WaitGroup
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		u.ackLoop(conn, br, stop, ackErr)
-	}()
-	// end stops ackLoop, whose error from then on (the dropped connection's,
-	// typically) is neither counted nor traced, and applies the last
-	// watermark it read.
-	end := func(err error) error {
-		close(stop)
-		u.dropConn() // unblocks the reader's readAck
-		wg.Wait()
-		u.applyAck()
-		return err
-	}
-	// A failure is counted and traced unless Close broke the connection.
-	sendFail := func(err error) error {
-		if u.closing() {
-			return end(nil)
-		}
-		u.sendFailures.Add(1)
-		u.event(Event{Kind: "send-fail", ID: u.burst[0].id, Err: err.Error()})
-		return end(err)
-	}
-	ackFail := func(err error) error {
-		if u.closing() {
-			return end(nil)
-		}
-		u.applyAck()
-		oldest, _ := u.spool.Head()
-		u.ackFailures.Add(1)
-		u.event(Event{Kind: "ack-fail", ID: oldest.ID, Err: err.Error()})
-		return end(err)
-	}
+	u.read <- conn
+	u.reading = true
 
 	e, lone := head, true
 	for {
 		if err := u.sendBuffered(e); err != nil {
-			return sendFail(err)
+			return u.sendFail(err)
 		}
 		if lone {
 			rtt := u.om.rttStart()
 			if err := u.flushBurst(); err != nil {
-				return sendFail(err)
+				return u.sendFail(err)
 			}
 			for u.spool.Acked() <= e.ID {
 				select {
 				case <-u.acked:
 					u.applyAck()
-				case err := <-ackErr:
-					return ackFail(err)
+				case err := <-u.readEnd:
+					return u.ackFail(err)
 				case <-u.done:
-					return end(nil)
+					return u.end(nil)
 				}
 			}
 			u.om.rttDone(rtt)
@@ -558,28 +566,75 @@ func (u *ResilientUplink) session(head store.Entry) error {
 			// the buffer on the wire, then park until new work, an ACK, the
 			// reader's error, or Close.
 			if err := u.flushBurst(); err != nil {
-				return sendFail(err)
+				return u.sendFail(err)
 			}
 			select {
 			case <-u.work:
 			case <-u.acked:
 				u.applyAck()
-			case err := <-ackErr:
-				return ackFail(err)
+			case err := <-u.readEnd:
+				return u.ackFail(err)
 			case <-u.done:
-				return end(nil)
+				return u.end(nil)
 			}
 		}
 		select {
 		case <-u.acked:
 			u.applyAck()
-		case err := <-ackErr:
-			return ackFail(err)
+		case err := <-u.readEnd:
+			return u.ackFail(err)
 		case <-u.done:
-			return end(nil)
+			return u.end(nil)
 		default:
 		}
 	}
+}
+
+// end closes the session and returns err. It stops the reader, whose error
+// from then on (the dropped connection's, typically) is neither counted
+// nor traced, waits for it to let go of the connection, and applies the
+// last watermark it read.
+func (u *ResilientUplink) end(err error) error {
+	u.dropConn() // unblocks the reader's readAck
+	if u.reading {
+		select {
+		case u.stop <- struct{}{}:
+		default:
+		}
+		<-u.readEnd
+		u.reading = false
+		select { // a reader that ended on its own left the stop unread
+		case <-u.stop:
+		default:
+		}
+	}
+	u.applyAck()
+	return err
+}
+
+// sendFail ends the session on a failed socket write, counted and traced
+// unless Close broke the connection.
+func (u *ResilientUplink) sendFail(err error) error {
+	if u.closing() {
+		return u.end(nil)
+	}
+	u.sendFailures.Add(1)
+	u.failEvent("send-fail", u.burst[0].id, err)
+	return u.end(err)
+}
+
+// ackFail ends the session on the reader's error, counted and traced
+// unless Close broke the connection.
+func (u *ResilientUplink) ackFail(err error) error {
+	u.reading = false
+	if u.closing() {
+		return u.end(nil)
+	}
+	u.applyAck()
+	oldest, _ := u.spool.Head()
+	u.ackFailures.Add(1)
+	u.failEvent("ack-fail", oldest.ID, err)
+	return u.end(err)
 }
 
 // sendBuffered frames e into the Writer's buffer. If the buffer spilled on
@@ -626,29 +681,39 @@ func (u *ResilientUplink) sentBurst(n int) {
 	}
 }
 
-// ackLoop is the session's read half, and reading ACKs is all it does. It
+// readLoop is the uplink's read half, one goroutine for the uplink's
+// life: it reads each session's ACKs in turn and answers every session on
+// readEnd. It returns when the pump, on its way out, closes read.
+func (u *ResilientUplink) readLoop() {
+	defer u.wg.Done()
+	for conn := range u.read {
+		u.readEnd <- u.ackLoop(conn)
+	}
+}
+
+// ackLoop reads one session's ACKs, and reading ACKs is all it does. It
 // reads while the last watermark it read leaves a frame on the socket
 // uncovered and parks otherwise (an idle session expects no ACK, so no read
 // deadline may fire). Each watermark goes to readTo, and acked wakes the
 // pump to apply it; the send never blocks, because a wake-up still pending
-// covers the newer, cumulative watermark too. Its one error goes to ackErr
-// and ends the loop; the pump decides whether it counts.
-func (u *ResilientUplink) ackLoop(conn net.Conn, br *bufio.Reader, stop <-chan struct{}, ackErr chan<- error) {
+// covers the newer, cumulative watermark too. It returns its one read
+// error, or nil when the pump stops it; the pump decides whether the error
+// counts.
+func (u *ResilientUplink) ackLoop(conn net.Conn) error {
 	var read uint64
 	for {
 		if read >= u.sentTo.Load() {
 			select {
 			case <-u.sent:
 				continue // frames in flight again; resume reading
-			case <-stop:
-				return
+			case <-u.stop:
+				return nil
 			}
 		}
 		_ = conn.SetReadDeadline(time.Now().Add(u.cfg.AckTimeout))
-		next, err := readAck(br)
+		next, err := readAck(u.br)
 		if err != nil {
-			ackErr <- err
-			return
+			return err
 		}
 		read = next
 		u.readTo.Store(next)

@@ -1,10 +1,12 @@
 package transport
 
 import (
+	"bufio"
 	"bytes"
 	"errors"
 	"net"
 	"runtime"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -426,5 +428,204 @@ func TestAllocsSessionSteadyState(t *testing.T) {
 	}
 	if rest := mallocs - acked; rest > frames/50 {
 		t.Errorf("%d mallocs beyond writeAck's for %d frames, want <= %d", rest, frames, frames/50)
+	}
+}
+
+// TestAllocsPerRedial forces redials on loopback and pins what one costs the
+// product: every malloc in the process per redial, less what a bare
+// net.Dial + Accept + Close costs the standard library, measured in the same
+// test. Each redial is a whole session: the test closes the device's
+// connection, the next Send fails on it, the pump backs off and redials, and
+// the new session opens with the hello and a lone frame, takes its ACK, and
+// streams a frame in a second codec, which the collector decodes and
+// delivers.
+//
+// The session's own state — the uplink's reader, writer, stream state,
+// backoff timer and reader hand-offs, the collector's pooled reader, frame
+// Reader and ACK writer, the codec names — is reset in place, so none of it
+// is in the count. What is left above the bare loop reads 10: two ACKs
+// (writeAck's malloc, kept on purpose), the collector's handler goroutine,
+// WaitDrain's timer and channel (4), and three errors the standard library
+// builds for the closed connection (the failed write's deadline and write,
+// the pump's second Close). A redial that reallocates its state reads 45.
+func TestAllocsPerRedial(t *testing.T) {
+	if raceBuild() {
+		t.Skip("sync.Pool drops Puts under the race detector")
+	}
+	const redials = 200
+	var delivered atomic.Int64
+	col := NewCollector(compress.DefaultRegistry(4), func(f Frame, values []float64) {
+		if len(values) == f.Enc.N {
+			delivered.Add(1)
+		}
+	})
+	addr, err := col.Serve("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer col.Close()
+	conns := make(chan net.Conn, 1)
+	up, err := DialResilient(ResilientConfig{
+		Addr: addr.String(), DeviceID: 3, SpoolSegments: 16,
+		BackoffBase: time.Microsecond, BackoffMax: time.Microsecond,
+		Dialer: func(a string, timeout time.Duration) (net.Conn, error) {
+			conn, err := net.DialTimeout("tcp", a, timeout)
+			if err == nil {
+				conns <- conn
+			}
+			return conn, err
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer up.Close()
+	var pair []Frame
+	all, _ := sampleFrames(t, 17)
+	for _, f := range all {
+		if f.Enc.Codec == "gorilla" || f.Enc.Codec == "chimp" {
+			pair = append(pair, f)
+		}
+	}
+	var id uint64
+	redial := func() {
+		for _, f := range pair {
+			f.ID = id
+			id++
+			if err := up.Send(f); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := up.WaitDrain(10 * time.Second); err != nil {
+			t.Fatal(err)
+		}
+		_ = (<-conns).Close()
+	}
+
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	lnAddr := ln.Addr().String()
+	bare := func() {
+		c, err := net.DialTimeout("tcp", lnAddr, 10*time.Second)
+		if err != nil {
+			t.Fatal(err)
+		}
+		s, err := ln.Accept()
+		if err != nil {
+			t.Fatal(err)
+		}
+		_ = c.Close()
+		_ = s.Close()
+	}
+
+	perRun := func(f func()) float64 {
+		for i := 0; i < 20; i++ { // dials, codec names, pools, buffers
+			f()
+		}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for i := 0; i < redials; i++ {
+			f()
+		}
+		runtime.ReadMemStats(&after)
+		return float64(after.Mallocs-before.Mallocs) / redials
+	}
+	session, base := perRun(redial), perRun(bare)
+	if got, want := delivered.Load(), int64(2*(20+redials)); got != want {
+		t.Fatalf("%d of %d frames delivered and decoded", got, want)
+	}
+	if dials := up.Stats().Dials; dials < 20+redials {
+		t.Fatalf("%d dials for %d sessions", dials, 20+redials)
+	}
+	t.Logf("%.2f mallocs per redial, %.2f per bare dial+accept+close: %.2f the product's", session, base, session-base)
+	if extra := session - base; extra > 12 {
+		t.Errorf("a redial allocates %.2f beyond a bare dial+accept+close, want <= 12", extra)
+	}
+}
+
+// TestRedialAfterWriteTimeoutMidRead: a session can end on a failed write
+// while its reader is blocked in a read, and then the reader ends on its
+// own — on the connection the pump closed — without taking the stop the
+// pump sent it. The next session's reader must not find that stop. The
+// first collector ACKs the lone frame and then stops reading, so the burst
+// behind it fills the socket buffers, the pump's write times out with the
+// reader waiting for an ACK, and the redial goes to a real collector.
+func TestRedialAfterWriteTimeoutMidRead(t *testing.T) {
+	const frames = 768 // 24 MiB: more than loopback's socket buffers hold
+	stall, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer stall.Close()
+	release := make(chan struct{})
+	defer close(release)
+	go func() {
+		conn, err := stall.Accept()
+		if err != nil {
+			return
+		}
+		defer conn.Close()
+		br := bufio.NewReader(conn)
+		if _, err := readHello(br); err != nil {
+			return
+		}
+		if f, err := NewReader(br).Recv(); err == nil {
+			_ = writeAck(conn, f.ID+1)
+		}
+		<-release
+	}()
+	col := NewCollector(nil, nil)
+	addr, err := col.Serve("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer col.Close()
+
+	var events []Event
+	dials := 0
+	up, err := DialResilient(ResilientConfig{
+		Addr: addr.String(), DeviceID: 8, SpoolSegments: frames, WriteTimeout: 300 * time.Millisecond,
+		BackoffBase: time.Millisecond, BackoffMax: time.Millisecond,
+		Dialer: func(a string, timeout time.Duration) (net.Conn, error) {
+			if dials++; dials == 1 {
+				a = stall.Addr().String()
+			}
+			return net.DialTimeout("tcp", a, timeout)
+		},
+		OnEvent: func(e Event) {
+			if e.Kind != "send" {
+				events = append(events, e)
+			}
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	data := make([]byte, 32<<10)
+	for id := uint64(0); id < frames; id++ {
+		if err := up.Send(Frame{ID: id, Enc: compress.Encoded{Codec: "paa", Data: data, N: 4096}}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := up.WaitDrain(20 * time.Second); err != nil {
+		t.Fatal(err)
+	}
+	if err := up.Close(); err != nil {
+		t.Fatal(err)
+	}
+	var kinds []string
+	for _, e := range events {
+		if e.Kind != "ack" {
+			kinds = append(kinds, e.Kind)
+		}
+	}
+	if got, want := strings.Join(kinds, " "), "dial send-fail backoff dial"; got != want {
+		t.Fatalf("trace %q, want %q", got, want)
+	}
+	if col.Frames() != frames-1 {
+		t.Fatalf("second collector got %d frames, want %d", col.Frames(), frames-1)
 	}
 }

@@ -282,13 +282,41 @@ func (c *Collector) Serve(addr string) (net.Addr, error) {
 	return ln.Addr(), nil
 }
 
+// connState is a connection's read and ACK state: br reads the
+// connection, r frames what br reads, and bw buffers the ACKs. It comes
+// from connStatePool and goes back when the connection's handler returns,
+// so a redial allocates none of it. A handler owns its state until then: a
+// kicked session that is still draining keeps its own, and the session
+// that took over streams on another. The payload buffer the sink's frames
+// alias travels with it, which is why the sink may not keep them.
+type connState struct {
+	br *bufio.Reader
+	r  Reader
+	bw *bufio.Writer
+}
+
+var connStatePool = sync.Pool{New: func() any {
+	s := &connState{br: bufio.NewReader(nil), bw: bufio.NewWriter(nil)}
+	s.r.r = s.br
+	return s
+}}
+
 func (c *Collector) handle(conn net.Conn) {
 	defer func() { _ = conn.Close() }()
-	br := bufio.NewReader(conn)
-	if _, err := br.Peek(1); err != nil {
+	s := connStatePool.Get().(*connState)
+	s.br.Reset(conn)
+	s.bw.Reset(conn)
+	s.r.reset()
+	defer func() {
+		// Let go of conn: the pool may keep s long after it closes.
+		s.br.Reset(nil)
+		s.bw.Reset(nil)
+		connStatePool.Put(s)
+	}()
+	if _, err := s.br.Peek(1); err != nil {
 		return // closed before its first byte: nothing was malformed
 	}
-	c.handleReliable(conn, br)
+	c.handleReliable(conn, s)
 }
 
 // attach takes single-writer ownership of deviceID for conn: it creates
@@ -421,8 +449,8 @@ func (c *Collector) detach(deviceID uint64, dev *deviceState, gen uint64) {
 
 // handleReliable is the hello/ACK path: per-device dedup with serialized,
 // ID-ordered sink calls and coalesced cumulative ACKs.
-func (c *Collector) handleReliable(conn net.Conn, br *bufio.Reader) {
-	h, err := readHello(br)
+func (c *Collector) handleReliable(conn net.Conn, s *connState) {
+	h, err := readHello(s.br)
 	if err != nil {
 		c.noteBadConn()
 		return
@@ -433,12 +461,10 @@ func (c *Collector) handleReliable(conn net.Conn, br *bufio.Reader) {
 	}
 	dev, gen := c.attach(h.deviceID, conn)
 	defer c.detach(h.deviceID, dev, gen)
-	r := NewReader(br)
-	bw := bufio.NewWriter(conn)
 	var pending uint64 // frames received since the last ACK
 	var ackBroken bool // an ACK write failed: deliver what still arrives, acknowledge nothing
 	for {
-		frame, err := r.Recv()
+		frame, err := s.r.Recv()
 		if errors.Is(err, io.EOF) {
 			return
 		}
@@ -514,13 +540,13 @@ func (c *Collector) handleReliable(conn net.Conn, br *bufio.Reader) {
 		// idle, so the tail of a burst is never left waiting and the lone
 		// frame that opens a session is answered with the watermark it
 		// resumes from (wire.go: the device sends nothing until it is).
-		if ackBroken || pending < ackEvery && br.Buffered() > 0 {
+		if ackBroken || pending < ackEvery && s.br.Buffered() > 0 {
 			continue
 		}
 		_ = conn.SetWriteDeadline(time.Now().Add(ackWriteTimeout))
-		err = writeAck(bw, ackNext)
+		err = writeAck(s.bw, ackNext)
 		if err == nil {
-			err = bw.Flush()
+			err = s.bw.Flush()
 		}
 		if err != nil {
 			// The device is gone (a reset, typically: it closed on a write

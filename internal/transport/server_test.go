@@ -3,15 +3,18 @@ package transport
 import (
 	"bufio"
 	"bytes"
+	"fmt"
 	"io"
 	"math"
 	"net"
 	"runtime/debug"
+	"slices"
 	"sync"
 	"testing"
 	"time"
 
 	"repro/internal/compress"
+	"repro/internal/datasets"
 	"repro/internal/obs"
 	"repro/internal/store"
 )
@@ -621,6 +624,39 @@ func TestAllocsFrameRecv(t *testing.T) {
 	}
 }
 
+// TestReaderResetRemapsSlots: a reset Reader reads the next stream afresh —
+// its codec slots are the new stream's, though that stream gives the same
+// names the other slots — and a name it has read before, on any stream,
+// costs no allocation. This is the collector's pooled Reader from
+// one session to the next.
+func TestReaderResetRemapsSlots(t *testing.T) {
+	streams := [2][]Frame{steadyFrames(4), steadyFrames(4)} // bufflossy in slot 0, gorilla in 1
+	for i := range streams[1] {
+		f := &streams[1][i]
+		f.Enc.Codec = map[string]string{"bufflossy": "gorilla", "gorilla": "bufflossy"}[f.Enc.Codec]
+	}
+	var in bytes.Buffer
+	for i := 0; i < 200; i++ {
+		in.Write(writeFrames(t, streams[i%2]...))
+	}
+	r := NewReader(&in)
+	i := 0
+	stream := func() {
+		r.reset()
+		for _, want := range streams[i%2] {
+			if got, err := r.Recv(); err != nil || !sameFrame(got, want) {
+				t.Fatalf("stream %d: frame %+v, %v, want %+v", i, got, err, want)
+			}
+		}
+		i++
+	}
+	stream()
+	stream()
+	if avg := testing.AllocsPerRun(100, stream); avg != 0 {
+		t.Fatalf("a stream of names the Reader has read before allocates %.2f, want 0", avg)
+	}
+}
+
 // TestCollectorDeliversWhatItHoldsAfterAckFails: a device that resets its
 // connection right after a burst leaves whole frames in the collector's
 // buffers and nobody to acknowledge them to. The failed ACK write must not
@@ -672,5 +708,134 @@ func TestCollectorDeliversWhatItHoldsAfterAckFails(t *testing.T) {
 	}
 	if bad := col.BadConns(); bad != 0 {
 		t.Fatalf("%d bad connections, want 0: a reset is not malformed input", bad)
+	}
+}
+
+// TestPooledConnStateOwnership: the collector's per-connection state (read
+// buffer, frame Reader with its payload buffer and codec slots, ACK writer)
+// comes from a pool, and a handler owns its state until it returns. One
+// device runs eight sessions back to back. Every other one is kicked while
+// its handler still has most of a burst to drain — the sink holds the
+// device's lock a little while per frame, so the kicked handler waits on
+// it with a frame in its own buffers while the takeover session streams on
+// pooled state. The others end cleanly, and the next session, likely on
+// the state they put back, maps the two codecs to the opposite dictionary
+// slots. Every delivery must carry its own codec name and decode to its own
+// values, in ID order, and every frame of a clean session must arrive.
+func TestPooledConnStateOwnership(t *testing.T) {
+	const sessions, burst = 8, 48
+	reg := compress.DefaultRegistry(4)
+	rows, _ := datasets.CBF(burst, datasets.CBFConfig{Seed: 3})
+	codecs := [2]compress.Codec{}
+	for i, name := range []string{"gorilla", "chimp"} {
+		c, ok := reg.Lookup(name)
+		if !ok {
+			t.Fatalf("no %s codec", name)
+		}
+		codecs[i] = c
+	}
+	// Frame id is row id%burst in codec sent[id]; even sessions give slot 0
+	// to gorilla, odd ones to chimp.
+	frames := make([]Frame, sessions*burst)
+	for id := range frames {
+		s, i := id/burst, id%burst
+		enc, err := compress.Compress(codecs[(s+i)%2], rows[i])
+		if err != nil {
+			t.Fatal(err)
+		}
+		frames[id] = Frame{ID: uint64(id), Label: i % 3, Enc: enc}
+	}
+
+	var mu sync.Mutex
+	delivered := make([]bool, len(frames))
+	var last uint64
+	var bad []string
+	opened := make(chan uint64, sessions) // the first frame of each session
+	col := NewCollector(reg, func(f Frame, values []float64) {
+		if f.ID%burst == 0 {
+			opened <- f.ID
+		}
+		time.Sleep(50 * time.Microsecond)
+		mu.Lock()
+		defer mu.Unlock()
+		switch {
+		case f.ID >= uint64(len(frames)):
+			bad = append(bad, fmt.Sprintf("unknown frame %d", f.ID))
+		case f.Enc.Codec != frames[f.ID].Enc.Codec:
+			bad = append(bad, fmt.Sprintf("frame %d codec %q, sent %q", f.ID, f.Enc.Codec, frames[f.ID].Enc.Codec))
+		case !slices.Equal(values, rows[f.ID%burst]):
+			bad = append(bad, fmt.Sprintf("frame %d (%s) decoded to other values", f.ID, f.Enc.Codec))
+		case last != 0 && f.ID <= last:
+			bad = append(bad, fmt.Sprintf("frame %d delivered after %d", f.ID, last))
+		default:
+			delivered[f.ID] = true
+			last = f.ID
+		}
+	})
+	addr, err := col.Serve("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer col.Close()
+
+	kicked := 0
+	for s := 0; s < sessions; s++ {
+		conn, err := net.DialTimeout("tcp", addr.String(), 5*time.Second)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer conn.Close()
+		w := NewWriter(conn)
+		if err := w.hello(77, 0); err != nil {
+			t.Fatal(err)
+		}
+		for _, f := range frames[s*burst : (s+1)*burst] {
+			if err := w.Send(f); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := w.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		if s%2 == 1 && s < sessions-1 {
+			// The next session takes over while this one drains. It dials
+			// once this one is attached: handlers attach in the order they
+			// run, not the order their connections were made.
+			for id := uint64(0); id != uint64(s*burst); {
+				select {
+				case id = <-opened:
+				case <-time.After(5 * time.Second):
+					t.Fatalf("session %d never delivered its first frame", s)
+				}
+			}
+			kicked++
+			continue
+		}
+		br := bufio.NewReader(conn)
+		for want := uint64((s + 1) * burst); ; {
+			_ = conn.SetReadDeadline(time.Now().Add(5 * time.Second))
+			next, err := readAck(br)
+			if err != nil {
+				t.Fatalf("session %d: reading ack: %v", s, err)
+			}
+			if next == want {
+				break
+			}
+		}
+		_ = conn.Close()
+	}
+
+	mu.Lock()
+	defer mu.Unlock()
+	if len(bad) > 0 {
+		t.Fatalf("%d bad deliveries, first: %s", len(bad), bad[0])
+	}
+	for id, ok := range delivered {
+		if s := id / burst; !ok && (s%2 == 0 || s == sessions-1) {
+			t.Fatalf("frame %d of clean session %d never delivered", id, s)
+		}
+	}
+	if col.Kicked() < kicked {
+		t.Fatalf("%d sessions kicked, want at least %d", col.Kicked(), kicked)
 	}
 }

@@ -165,11 +165,30 @@ func (t *Writer) Send(f Frame) error {
 // Flush pushes buffered frames downstream.
 func (t *Writer) Flush() error { return t.w.Flush() }
 
+// reset starts a new stream onto w in place: buffered bytes and a sticky
+// write error are dropped, and the next frame is a first frame.
+func (t *Writer) reset(w io.Writer) {
+	t.w.Reset(w)
+	t.st = streamState{}
+}
+
+// hello buffers a session hello ahead of the stream's frames. It is built
+// in the buffer's free space, so nothing escapes through the io.Writer.
+func (t *Writer) hello(deviceID, ackEvery uint64) error {
+	_, err := t.w.Write(appendHello(t.w.AvailableBuffer(), deviceID, ackEvery))
+	return err
+}
+
 // Reader parses frames from an io.Reader.
 type Reader struct {
 	r   *bufio.Reader
 	st  streamState
 	buf []byte // payload buffer, reused by every Recv
+	// seen holds the codec names read inline so far, on this stream or one
+	// before a reset, so a name read again costs no allocation. It keeps at
+	// most maxCodecSlots of them, so hostile input cannot grow it.
+	seen  [maxCodecSlots]string
+	nseen int
 }
 
 // NewReader wraps r.
@@ -204,13 +223,13 @@ func (t *Reader) Recv() (Frame, error) {
 		if err != nil || nameLen == 0 || nameLen > 255 {
 			return Frame{}, ErrBadFrame
 		}
-		// Peek, not ReadFull into a fresh slice: the name is copied once,
-		// into the string the dictionary keeps.
+		// Peek, not ReadFull into a fresh slice: a name is copied at most
+		// once, into the string the Reader keeps.
 		name, err := t.r.Peek(int(nameLen))
 		if err != nil {
 			return Frame{}, badFrame(err)
 		}
-		f.Enc.Codec = string(name)
+		f.Enc.Codec = t.intern(name)
 		if _, err := t.r.Discard(len(name)); err != nil {
 			return Frame{}, badFrame(err)
 		}
@@ -258,6 +277,27 @@ func (t *Reader) Recv() (Frame, error) {
 	st.started, st.nextID, st.n = true, f.ID+1, f.Enc.N
 	return f, nil
 }
+
+// intern returns name as a string: one already in seen when the Reader has
+// read the name before, else a copy, which seen keeps while it has room.
+func (t *Reader) intern(name []byte) string {
+	for _, s := range t.seen[:t.nseen] {
+		if s == string(name) {
+			return s
+		}
+	}
+	s := string(name)
+	if t.nseen < len(t.seen) {
+		t.seen[t.nseen] = s
+		t.nseen++
+	}
+	return s
+}
+
+// reset starts a new stream in place: the next frame must be a first
+// frame, and the codec slots are empty. The payload buffer and the names in
+// seen stay for the next stream.
+func (t *Reader) reset() { t.st = streamState{} }
 
 // readPayload reads the next n bytes into the Reader's buffer, or into a
 // one-off buffer when n is past maxKeptPayload, growing it as the bytes

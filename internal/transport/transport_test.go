@@ -19,6 +19,13 @@ import (
 	"repro/internal/datasets"
 )
 
+// writeHello writes the session hello for deviceID straight to w, as a
+// device's first write on a connection.
+func writeHello(w io.Writer, deviceID, ackEvery uint64) error {
+	_, err := w.Write(appendHello(nil, deviceID, ackEvery))
+	return err
+}
+
 func sampleFrames(t *testing.T, n int) ([]Frame, [][]float64) {
 	t.Helper()
 	reg := compress.DefaultRegistry(4)

@@ -65,31 +65,33 @@ type hello struct {
 	ackEvery uint64 // requested ACK interval (0 = collector default)
 }
 
-// writeHello emits the session hello for deviceID, requesting an ACK at
+// appendHello appends the session hello for deviceID, requesting an ACK at
 // least every ackEvery frames.
-func writeHello(w io.Writer, deviceID, ackEvery uint64) error {
-	var buf [4 + 3*binary.MaxVarintLen64]byte
-	n := copy(buf[:], helloMagic[:])
-	n += binary.PutUvarint(buf[n:], helloVersion)
-	n += binary.PutUvarint(buf[n:], deviceID)
-	n += binary.PutUvarint(buf[n:], ackEvery)
-	_, err := w.Write(buf[:n])
-	return err
+func appendHello(b []byte, deviceID, ackEvery uint64) []byte {
+	b = append(b, helloMagic[:]...)
+	b = binary.AppendUvarint(b, helloVersion)
+	b = binary.AppendUvarint(b, deviceID)
+	return binary.AppendUvarint(b, ackEvery)
 }
 
 // readHello parses a session hello whose magic has already been peeked
 // (not consumed) by the caller. A failed read is reported as the
 // underlying error (torn hello), distinct from a cleanly-read but
 // unsupported version. Varints must be minimal, so a hello that parses is
-// byte for byte the one writeHello writes for it.
+// byte for byte the one appendHello writes for it.
 func readHello(r *bufio.Reader) (hello, error) {
 	var h hello
-	var magic [4]byte
-	if _, err := io.ReadFull(r, magic[:]); err != nil {
+	// Peek, not ReadFull into a local array, which would escape through the
+	// io.Reader: one malloc per session.
+	magic, err := r.Peek(len(helloMagic))
+	if err != nil {
 		return h, badFrame(err)
 	}
-	if magic != helloMagic {
+	if [4]byte(magic) != helloMagic {
 		return h, ErrBadFrame
+	}
+	if _, err := r.Discard(len(helloMagic)); err != nil {
+		return h, badFrame(err)
 	}
 	version, err := bitio.ReadUvarint(r)
 	if err != nil {
