@@ -63,11 +63,13 @@ obs-smoke:
 fleet-smoke:
 	./scripts/fleet_smoke.sh
 
-# bench-smoke runs every root-package ablation benchmark once. Nothing
-# else executes them, so this pass is what notices one that stopped
-# compiling, errors, or b.Fatals because what it measures went missing.
+# bench-smoke runs every root-package ablation benchmark and the per-codec
+# kernel benchmark once. Nothing else executes them, so this pass is what
+# notices one that stopped compiling, errors, or b.Fatals because what it
+# measures went missing.
 bench-smoke:
 	$(GO) test -run '^$$' -bench Ablation -benchtime 1x .
+	$(GO) test -run '^$$' -bench Codecs -benchtime 1x ./internal/compress
 
 # doc-drift cross-checks README.md against the CLI flag surface in both
 # directions: every defined flag must be documented, every documented

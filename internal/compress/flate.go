@@ -1,7 +1,6 @@
 package compress
 
 import (
-	"bytes"
 	"compress/gzip"
 	"compress/zlib"
 	"fmt"
@@ -9,20 +8,18 @@ import (
 	"sync"
 )
 
-// Flate-based codecs pool their writer and reader state: DEFLATE setup
-// (Huffman tables, window buffers) dominates the cost of (de)compressing
-// the ~1 KiB segments AdaEdge works with, and pooling amortizes it the way
-// a long-lived C zlib stream would.
+// Flate-based codecs encode through the standard library's writers, pooled:
+// DEFLATE setup (hash chains, window buffers) dominates the cost of
+// compressing the ~1 KiB segments AdaEdge works with, and pooling amortizes
+// it the way a long-lived C zlib stream would. They decode through the
+// in-house inflate (inflate.go), which allocates nothing once warm.
 
 // flateCore is the shared implementation behind Gzip and Zlib, which
-// differ only in the stdlib constructors they wrap.
+// differ only in the stdlib writer they wrap and the framing they parse.
 type flateCore struct {
 	name      string
 	newWriter func(io.Writer) (flateWriter, error)
-	newReader func(io.Reader) (io.ReadCloser, error)
-	reset     func(io.ReadCloser, io.Reader) error
 	encs      sync.Pool // *flateEnc
-	decs      sync.Pool // *flateDec
 }
 
 // flateWriter is what gzip.Writer and zlib.Writer share.
@@ -76,44 +73,20 @@ func (f *flateCore) compress(dst []byte, values []float64) (Encoded, error) {
 	return Encoded{Codec: f.name, Data: out, N: len(values)}, nil
 }
 
-// flateDec is one pooled decoder: the stream state and the bytes.Reader
-// it pulls the payload through.
-type flateDec struct {
-	r   io.ReadCloser
-	src bytes.Reader
-}
-
-// decompress caps the inflated size at the bytes of maxDecodePoints
-// points: a few hundred KB of deflated zeros would otherwise expand to
-// gigabytes before any length check runs.
-func (f *flateCore) decompress(dst []float64, enc Encoded) ([]float64, error) {
+// decompress inflates enc through unwrap, which parses its framing (gunzip
+// or unzlib), capped at the bytes of maxDecodePoints points: a few hundred
+// KB of deflated zeros would otherwise expand to gigabytes before any
+// length check runs.
+func (f *flateCore) decompress(dst []float64, enc Encoded, unwrap func(out, src []byte, limit int) ([]byte, error)) ([]float64, error) {
 	if enc.Codec != f.name {
 		return nil, ErrCodecMismatch
 	}
-	d, _ := f.decs.Get().(*flateDec)
-	if d == nil {
-		d = new(flateDec)
-	}
-	d.src.Reset(enc.Data)
-	var err error
-	if d.r == nil {
-		d.r, err = f.newReader(&d.src)
-	} else {
-		err = f.reset(d.r, &d.src)
-	}
 	raw := byteScratch.Get().(*[]byte)
-	if err == nil {
-		*raw, err = readBounded((*raw)[:0], d.r, 8*maxDecodePoints)
-	}
-	if err == nil {
-		err = d.r.Close()
-	}
-	d.src.Reset(nil) // a pooled decoder must not pin the caller's bytes
 	var out []float64
-	if err != nil {
+	var err error
+	if *raw, err = unwrap(*raw, enc.Data, 8*maxDecodePoints); err != nil {
 		err = fmt.Errorf("%w: %v", ErrCorrupt, err)
 	} else {
-		f.decs.Put(d)
 		out, err = decodeFloats(dst, *raw)
 	}
 	if err != nil && cap(*raw) > maxPooledScratch {
@@ -129,35 +102,6 @@ func (f *flateCore) decompress(dst []float64, enc Encoded) ([]float64, error) {
 // back to byteScratch: 131 072 points, a thousand ordinary segments.
 const maxPooledScratch = 1 << 20
 
-// readBounded appends r's content to buf and fails once it exceeds limit
-// bytes. A full buf moves to the smallest of the capacities (limit+1)>>2k
-// that at least doubles it, never to a multiple of whatever capacity the
-// pooled scratch happened to arrive with: the buffers a rejected payload
-// leaves behind then sum to under 4/3 of limit+1 from any start, where
-// append's own growth steps overshot the limit by up to 2.4x on the last.
-func readBounded(buf []byte, r io.Reader, limit int) ([]byte, error) {
-	for {
-		if len(buf) == cap(buf) {
-			next := limit + 1
-			for next>>2 >= max(2*cap(buf), 512) {
-				next >>= 2
-			}
-			buf = append(make([]byte, 0, next), buf...)
-		}
-		n, err := r.Read(buf[len(buf):min(cap(buf), limit+1)])
-		buf = buf[:len(buf)+n]
-		if len(buf) > limit {
-			return buf, fmt.Errorf("inflates past %d bytes", limit)
-		}
-		if err == io.EOF {
-			return buf, nil
-		}
-		if err != nil {
-			return buf, err
-		}
-	}
-}
-
 // Gzip is the general-purpose byte compressor, operating on the IEEE-754
 // byte representation of the segment. It is typically the slowest codec
 // but achieves good ratios on low-entropy data (paper Fig 2: Gzip fails
@@ -169,8 +113,6 @@ func NewGzip() *Gzip {
 	return &Gzip{flateCore{
 		name:      "gzip",
 		newWriter: func(w io.Writer) (flateWriter, error) { return gzip.NewWriter(w), nil },
-		newReader: func(r io.Reader) (io.ReadCloser, error) { return gzip.NewReader(r) },
-		reset:     func(rc io.ReadCloser, r io.Reader) error { return rc.(*gzip.Reader).Reset(r) },
 	}}
 }
 
@@ -184,7 +126,7 @@ func (g *Gzip) CompressInto(dst []byte, values []float64) (Encoded, error) {
 
 // DecompressInto implements Codec.
 func (g *Gzip) DecompressInto(dst []float64, enc Encoded) ([]float64, error) {
-	return g.core.decompress(dst, enc)
+	return g.core.decompress(dst, enc, gunzip)
 }
 
 // Zlib is the DEFLATE byte compressor with a configurable level, covering
@@ -197,8 +139,6 @@ func NewZlib(level int) *Zlib {
 	return &Zlib{flateCore{
 		name:      fmt.Sprintf("zlib-%d", level),
 		newWriter: func(w io.Writer) (flateWriter, error) { return zlib.NewWriterLevel(w, level) },
-		newReader: zlib.NewReader,
-		reset:     func(rc io.ReadCloser, r io.Reader) error { return rc.(zlib.Resetter).Reset(r, nil) },
 	}}
 }
 
@@ -212,5 +152,5 @@ func (z *Zlib) CompressInto(dst []byte, values []float64) (Encoded, error) {
 
 // DecompressInto implements Codec.
 func (z *Zlib) DecompressInto(dst []float64, enc Encoded) ([]float64, error) {
-	return z.core.decompress(dst, enc)
+	return z.core.decompress(dst, enc, unzlib)
 }

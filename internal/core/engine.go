@@ -79,11 +79,12 @@ type Config struct {
 	// larger = slower simulated device).
 	CPUScale float64
 	// CodecCost returns the virtual CPU seconds one operation ("decode"
-	// or "encode") takes on a segment of n points under the RecodeBudget
-	// model. Nil selects wall-clock measurement, which is realistic but
-	// noisy; DefaultCodecCost gives a deterministic model calibrated to
-	// the paper's relative codec costs (Gorilla's bit-serial decode is
-	// the slow outlier, §V-B2).
+	// or "encode") takes on a segment of n points: the offline recoder
+	// charges it to the RecodeBudget model and the online engine to its
+	// deadline gate. Nil selects DefaultCodecCost, a deterministic model
+	// calibrated to the paper's relative codec costs (Gorilla's bit-serial
+	// decode is the slow outlier, §V-B2), so no decision depends on how
+	// fast this implementation's codecs run.
 	CodecCost func(op, codec string, points int) float64
 	// Obs attaches the observability substrate: counters, gauges and
 	// latency histograms in its Registry, one decision-trace event per
@@ -143,6 +144,9 @@ func (c Config) withDefaults(online bool) Config {
 	}
 	if c.CPUScale == 0 {
 		c.CPUScale = 1
+	}
+	if c.CodecCost == nil {
+		c.CodecCost = DefaultCodecCost
 	}
 	return c
 }

@@ -451,15 +451,14 @@ func (e *OfflineEngine) recodeOne() bool {
 
 // recodeEntry halves the victim's size, preferring the virtual
 // decompression path, and feeds the reward back to the ratio range's
-// bandit instance. The wall-clock read only seeds recodeCost's fallback
-// timing and the observer's latency histogram, never a decision, and is
-// skipped when neither will look at it.
+// bandit instance. The wall-clock read only feeds the observer's latency
+// histogram, never a decision, and is skipped without an observer.
 func (e *OfflineEngine) recodeEntry(victim *store.Entry) (bool, error) {
 	oldSize := victim.Enc.Size()
 	target := victim.Enc.Ratio() / 2 // paper: "the size is reduced to half"
 
 	var start time.Time
-	if e.cfg.CodecCost == nil || e.om != nil {
+	if e.om != nil {
 		start = time.Now()
 	}
 	// Only an encoding smaller than the victim is kept, and one always fits
@@ -557,7 +556,7 @@ func (e *OfflineEngine) recodeEntry(victim *store.Entry) (bool, error) {
 	} else {
 		reward = 0
 	}
-	cost := e.recodeCost(start, victim.Enc.Codec, name, victim.Enc.N, virtual)
+	cost := e.recodeCost(victim.Enc.Codec, name, victim.Enc.N, virtual)
 	e.finishRecode(victim, newEnc, oldSize, accLoss, virtual, arm < 0, cost)
 	e.om.recoded(victim.ID, name, tgt, newEnc.Ratio(), reward, e.storage.Utilization(), virtual, arm < 0, start)
 	return true, nil
@@ -600,13 +599,10 @@ func (e *OfflineEngine) scoreRecode(victim *store.Entry, newEnc compress.Encoded
 	return reward, accLoss, nil
 }
 
-// recodeCost returns the virtual CPU seconds one recode consumed: the
-// deterministic model when configured, wall time otherwise. Virtual
-// (same-codec) recodes skip the decode cost — the point of §IV-E.
-func (e *OfflineEngine) recodeCost(start time.Time, oldCodec, newCodec string, points int, virtual bool) float64 {
-	if e.cfg.CodecCost == nil {
-		return time.Since(start).Seconds()
-	}
+// recodeCost returns the virtual CPU seconds one recode consumed under the
+// codec cost model. Virtual (same-codec) recodes skip the decode cost —
+// the point of §IV-E.
+func (e *OfflineEngine) recodeCost(oldCodec, newCodec string, points int, virtual bool) float64 {
 	cost := e.cfg.CodecCost("encode", newCodec, points)
 	if !virtual {
 		cost += e.cfg.CodecCost("decode", oldCodec, points)

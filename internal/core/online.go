@@ -168,9 +168,6 @@ func NewOnlineEngine(cfg Config) (*OnlineEngine, error) {
 	e.lossyMAB = newPolicy(cfg, len(e.lossyNames), 202, "bandit.online.lossy")
 	e.om = newOnlineMetrics(cfg.Obs, cfg.DeviceID)
 	e.costFn = cfg.CodecCost
-	if e.costFn == nil {
-		e.costFn = DefaultCodecCost
-	}
 	e.ctx = newContextualCtl(cfg, e)
 	e.qo, err = newQualityOracle(cfg)
 	if err != nil {

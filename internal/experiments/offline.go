@@ -43,9 +43,6 @@ type OfflineConfig struct {
 	RecodeBudget bool
 	// CPUScale slows the simulated CPU under RecodeBudget.
 	CPUScale float64
-	// DeterministicCost selects core.DefaultCodecCost instead of wall
-	// time for the RecodeBudget model (reproducible Fig 14).
-	DeterministicCost bool
 	// Seed drives the stream.
 	Seed int64
 }
@@ -108,9 +105,6 @@ func OfflineComparison(w io.Writer, cfg OfflineConfig, pairs []baseline.FixedPai
 		RecodeBudget: cfg.RecodeBudget,
 		CPUScale:     cfg.CPUScale,
 		Seed:         cfg.Seed,
-	}
-	if cfg.DeterministicCost {
-		base.CodecCost = core.DefaultCodecCost
 	}
 
 	var runs []OfflineRun
@@ -201,7 +195,6 @@ func Fig14HighFrequency(w io.Writer, cfg OfflineConfig) []OfflineRun {
 	cfg = cfg.withDefaults()
 	cfg.IngestRate = 1_000_000
 	cfg.RecodeBudget = true
-	cfg.DeterministicCost = true
 	if cfg.CPUScale == 0 || cfg.CPUScale == 1 {
 		// Slow the simulated CPU so decode cost matters at this rate;
 		// calibrated so cheap-decode pairs keep up and Gorilla pairs

@@ -384,18 +384,11 @@ func TestAllocsSessionSteadyState(t *testing.T) {
 	}
 	defer up.Close()
 
-	// One frame per codec the wire workloads of cmd/adaedge-e2e cycle through
-	// (the stdlib flate decoder behind gzip and zlib allocates per stream).
-	var pool []Frame
-	all, _ := sampleFrames(t, 17)
-	for _, f := range all {
-		switch f.Enc.Codec {
-		case "gorilla", "chimp", "sprintz", "buff", "paa", "pla", "fft", "lttb":
-			pool = append(pool, f)
-		}
-	}
-	if len(pool) != 8 {
-		t.Fatalf("%d of the 8 wire codecs in the registry", len(pool))
+	// One frame per codec in the registry, gzip and zlib included: their
+	// decoder allocates nothing either.
+	pool, _ := sampleFrames(t, 17)
+	if n := len(compress.DefaultRegistry(4).Names()); n != len(pool) {
+		t.Fatalf("%d frames for the registry's %d codecs", len(pool), n)
 	}
 	var id uint64
 	burst := func() {
