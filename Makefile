@@ -1,5 +1,7 @@
-# Local developer entry points, kept in lockstep with .github/workflows/ci.yml
-# so a green `make ci` locally means a green CI run.
+# Local developer entry points, kept in lockstep with .github/workflows/ci.yml:
+# each CI job runs the make target of its name. `make ci` runs all of them
+# but three: fuzz-smoke, for its time (run it on its own), and staticcheck
+# and govulncheck, which CI installs with `go install` from the network.
 
 GO      ?= go
 
@@ -78,7 +80,7 @@ doc-drift:
 	./scripts/doc_drift.sh
 
 # loc prints the non-test Go line count; CHANGES.md records it
-# per PR (ROADMAP item 3: the simplification round must end lower than it
+# per PR (ROADMAP item 8: the simplification round must end lower than it
 # started).
 loc:
 	@find . -name '*.go' ! -name '*_test.go' ! -path '*/testdata/*' | xargs cat | wc -l

@@ -145,12 +145,10 @@ var (
 	Weighted = core.Weighted
 )
 
-// Registry constructors.
+// Registry constructor.
 var (
 	// DefaultRegistry is the paper's 17-codec candidate set.
 	DefaultRegistry = compress.DefaultRegistry
-	// ExtendedRegistry adds the ModelarDB- and SummaryStore-style codecs.
-	ExtendedRegistry = compress.ExtendedRegistry
 )
 
 // Recoding policies.

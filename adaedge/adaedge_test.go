@@ -64,9 +64,6 @@ func TestPublicRegistry(t *testing.T) {
 	if len(reg.Names()) != 17 {
 		t.Fatalf("codecs = %d", len(reg.Names()))
 	}
-	if len(adaedge.ExtendedRegistry(4).Names()) != 19 {
-		t.Fatal("extended registry size")
-	}
 }
 
 // The README's quickstart, verbatim.

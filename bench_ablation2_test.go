@@ -1,6 +1,6 @@
-// Additional ablation and micro-benchmarks covering the extension
-// components: direct (in-situ) aggregation, the informativeness policy,
-// UCB-vs-ε-greedy selection, and the cited-system codecs.
+// Additional ablation benchmarks covering the extension components: direct
+// (in-situ) aggregation, the informativeness policy and UCB-vs-ε-greedy
+// selection.
 package repro
 
 import (
@@ -14,25 +14,25 @@ import (
 	"repro/internal/store"
 )
 
-// Direct vs decompress-then-aggregate: the in-situ operators should win by
-// a wide margin on summary-style representations.
+// Direct vs decompress-then-aggregate: the in-situ sum over PAA's window
+// means should win by a wide margin.
 func BenchmarkDirectVsDecompressedAggregation(b *testing.B) {
 	X, _ := datasets.CBF(1, datasets.CBFConfig{Seed: 70})
-	s := compress.NewSummary()
-	enc, err := s.CompressRatio(X[0], 0.2)
+	paa := compress.NewPAA()
+	enc, err := paa.CompressRatio(X[0], 0.2)
 	if err != nil {
 		b.Fatal(err)
 	}
 	b.Run("direct-sum", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, err := s.SumEncoded(enc); err != nil {
+			if _, err := paa.SumEncoded(enc); err != nil {
 				b.Fatal(err)
 			}
 		}
 	})
 	b.Run("decompress-sum", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			vals, err := compress.Decompress(s, enc)
+			vals, err := compress.Decompress(paa, enc)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -169,8 +169,3 @@ func BenchmarkAblationGradientBandit(b *testing.B) {
 	b.ReportMetric(greedy, "eps-greedy-mean-reward")
 	b.ReportMetric(grad, "gradient-mean-reward")
 }
-
-// Cited-system codecs end to end.
-func BenchmarkCodecModelar(b *testing.B) { benchCodec(b, compress.NewModelar()) }
-func BenchmarkCodecSummary(b *testing.B) { benchCodec(b, compress.NewSummary()) }
-func BenchmarkCodecElf(b *testing.B)     { benchCodec(b, compress.NewElf(4)) }

@@ -364,80 +364,3 @@ func BenchmarkAblationLRUPolicy(b *testing.B) {
 	b.ReportMetric(lru, "lru-hot-recodes")
 	b.ReportMetric(rr, "roundrobin-hot-recodes")
 }
-
-// --- Codec micro-benches ----------------------------------------------------
-
-func benchCodec(b *testing.B, c compress.Codec) {
-	X, _ := datasets.CBF(1, datasets.CBFConfig{Seed: 11})
-	seg := X[0]
-	b.Run("compress", func(b *testing.B) {
-		b.SetBytes(int64(8 * len(seg)))
-		for i := 0; i < b.N; i++ {
-			if _, err := compress.Compress(c, seg); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	enc, err := compress.Compress(c, seg)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.Run("decompress", func(b *testing.B) {
-		b.SetBytes(int64(8 * len(seg)))
-		for i := 0; i < b.N; i++ {
-			if _, err := compress.Decompress(c, enc); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-}
-
-func BenchmarkCodecGorilla(b *testing.B) { benchCodec(b, compress.NewGorilla()) }
-func BenchmarkCodecChimp(b *testing.B)   { benchCodec(b, compress.NewChimp()) }
-func BenchmarkCodecSprintz(b *testing.B) { benchCodec(b, compress.NewSprintz(4)) }
-func BenchmarkCodecBUFF(b *testing.B)    { benchCodec(b, compress.NewBUFF(4)) }
-func BenchmarkCodecSnappy(b *testing.B)  { benchCodec(b, compress.NewSnappy()) }
-func BenchmarkCodecGzip(b *testing.B)    { benchCodec(b, compress.NewGzip()) }
-func BenchmarkCodecZlib9(b *testing.B)   { benchCodec(b, compress.NewZlib(9)) }
-func BenchmarkCodecDict(b *testing.B)    { benchCodec(b, compress.NewDict()) }
-
-// benchLossy measures a lossy codec at the paper's headline ratio 0.1.
-func benchLossy(b *testing.B, c compress.LossyCodec) {
-	X, _ := datasets.CBF(1, datasets.CBFConfig{Seed: 11})
-	seg := X[0]
-	b.Run("compress@0.1", func(b *testing.B) {
-		b.SetBytes(int64(8 * len(seg)))
-		for i := 0; i < b.N; i++ {
-			if _, err := c.CompressRatio(seg, 0.1); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	enc, err := c.CompressRatio(seg, 0.1)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.Run("decompress", func(b *testing.B) {
-		b.SetBytes(int64(8 * len(seg)))
-		for i := 0; i < b.N; i++ {
-			if _, err := compress.Decompress(c, enc); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	if rec, ok := c.(compress.Recoder); ok {
-		b.Run("recode@0.05", func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				if _, err := rec.Recode(enc, 0.05); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
-func BenchmarkCodecPAA(b *testing.B)       { benchLossy(b, compress.NewPAA()) }
-func BenchmarkCodecPLA(b *testing.B)       { benchLossy(b, compress.NewPLA()) }
-func BenchmarkCodecFFT(b *testing.B)       { benchLossy(b, compress.NewFFT()) }
-func BenchmarkCodecLTTB(b *testing.B)      { benchLossy(b, compress.NewLTTB()) }
-func BenchmarkCodecRRDSample(b *testing.B) { benchLossy(b, compress.NewRRDSample(1)) }

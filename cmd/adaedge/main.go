@@ -18,7 +18,6 @@ import (
 	"strings"
 	"time"
 
-	"repro/internal/compress"
 	"repro/internal/core"
 	"repro/internal/datasets"
 	"repro/internal/ml"
@@ -43,7 +42,6 @@ func main() {
 	banditName := flag.String("bandit", "", "selection policy: egreedy|ucb|gradient|contextual (empty = egreedy)")
 	deadline := flag.Duration("deadline", 0, "per-segment latency deadline (predicted encode+uplink); 0 disables the gate")
 	qualityEvery := flag.Int("quality", 0, "online decision-quality oracle: score every Nth decision (0 disables); snapshot at /debug/quality")
-	extended := flag.Bool("extended", false, "add the modelar and summary codecs to the candidate set")
 	debugAddr := flag.String("debug-addr", "", "serve /debug/{metrics,vars,trace,spans,fleet,pprof} on this address (e.g. 127.0.0.1:0); empty disables")
 	linger := flag.Duration("linger", 0, "keep the process (and -debug-addr endpoints) alive this long after the run")
 	flag.Parse()
@@ -87,9 +85,6 @@ func main() {
 	default:
 		fmt.Fprintf(os.Stderr, "unknown policy %q\n", *policy)
 		os.Exit(2)
-	}
-	if *extended {
-		cfg.Registry = compress.ExtendedRegistry(4)
 	}
 	if bw, err := parseNetwork(*network); err == nil {
 		cfg.Bandwidth = bw

@@ -34,7 +34,7 @@ func aliasSegments() (a, b []float64) {
 
 func TestScratchReuseIndependence(t *testing.T) {
 	sigA, sigB := aliasSegments()
-	reg := ExtendedRegistry(4)
+	reg := DefaultRegistry(4)
 	for _, name := range reg.SortedNames() {
 		c, _ := reg.Lookup(name)
 		t.Run(name, func(t *testing.T) {

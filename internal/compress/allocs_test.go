@@ -88,13 +88,6 @@ func TestCodecAllocs(t *testing.T) {
 		{NewFFT(), 0, 0, onePayload},
 		{NewLTTB(), 0, 0, onePayload},
 		{NewRRDSample(1), 0, 0, onePayload},
-		// A ceiling over what this signal measures (290 and 253), not a
-		// target: the ε binary search encodes each of its 42 candidates
-		// into a fresh append-grown buffer (CompressRatioInto only writes
-		// the winner into dst), and Recode and RecodeInto decode and then
-		// run the same search.
-		{NewModelar(), 0, 0, &lossy{0, 300, 300, 300, 300}},
-		{NewSummary(), 0, 0, onePayload},
 	} {
 		c := tc.c
 		t.Run(c.Name(), func(t *testing.T) {
@@ -123,8 +116,8 @@ func TestCodecAllocs(t *testing.T) {
 				encBuf, enc = e.Data, e
 				return err
 			})
-			// Every codec, Modelar included: one allocation, the payload at
-			// its length, whatever the codec's own growth pattern.
+			// Every codec: one allocation, the payload at its length,
+			// whatever the codec's own growth pattern.
 			pin("Compress", 1, func() error {
 				_, err := Compress(c, sig)
 				return err

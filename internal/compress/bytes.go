@@ -86,7 +86,7 @@ func readCount(data []byte) (count uint64, consumed int, err error) {
 	return count, consumed, nil
 }
 
-// windowedHeader parses the layout PAA, RRD-sample, PLA and Summary share:
+// windowedHeader parses the layout PAA, RRD-sample and PLA share:
 // uvarint n | uvarint window | ceil(n/window) records of recBytes each.
 // It returns the record bytes, validated to hold exactly that many.
 func windowedHeader(data []byte, recBytes int) (n, window int, recs []byte, err error) {

@@ -269,19 +269,6 @@ func DefaultRegistry(precision int) *Registry {
 	return r
 }
 
-// ExtendedRegistry is DefaultRegistry plus the codecs modelled on the
-// related-work systems (paper §II): ModelarDB-style multi-model
-// compression and SummaryStore-style aggregate summaries. They are kept
-// out of the paper's candidate set so the figure experiments match the
-// paper, but are available for the doubled-decision-space experiments
-// (Fig 15 style) and for users who want them.
-func ExtendedRegistry(precision int) *Registry {
-	r := DefaultRegistry(precision)
-	r.Register(NewModelar())
-	r.Register(NewSummary())
-	return r
-}
-
 // SortedNames returns all codec names sorted lexicographically; useful for
 // deterministic test output.
 func (r *Registry) SortedNames() []string {

@@ -46,24 +46,25 @@ func ExampleRecoder() {
 	// shrank: true, same point count: true
 }
 
-// In-situ aggregation on the encoded form: the summary codec answers
-// sum/min/max exactly without reconstructing any values.
+// In-situ aggregation on the encoded form: PAA answers the sum exactly from
+// its window means, and min and max as those of the means, without
+// reconstructing any values.
 func ExampleDirectSummer() {
-	s := compress.NewSummary()
+	paa := compress.NewPAA()
 	values := []float64{1, 2, 3, 4, 5, 6, 7, 8}
-	enc, err := s.CompressRatio(values, 0.5)
+	enc, err := paa.CompressRatio(values, 0.5)
 	if err != nil {
 		panic(err)
 	}
-	sum, err := s.SumEncoded(enc)
+	sum, err := paa.SumEncoded(enc)
 	if err != nil {
 		panic(err)
 	}
-	lo, hi, err := s.MinMaxEncoded(enc)
+	lo, hi, err := paa.MinMaxEncoded(enc)
 	if err != nil {
 		panic(err)
 	}
 	fmt.Printf("sum=%v min=%v max=%v\n", sum, lo, hi)
 	// Output:
-	// sum=36 min=1 max=8
+	// sum=36 min=2 max=7.5
 }

@@ -6,6 +6,10 @@ import (
 	"fmt"
 	"math"
 	"math/cmplx"
+	"os"
+	"path/filepath"
+	"strconv"
+	"strings"
 	"testing"
 )
 
@@ -95,15 +99,13 @@ func FuzzPLADecode(f *testing.F)       { fuzzCodec(f, func() Codec { return NewP
 func FuzzFFTDecode(f *testing.F)       { fuzzCodec(f, func() Codec { return NewFFT() }) }
 func FuzzLTTBDecode(f *testing.F)      { fuzzCodec(f, func() Codec { return NewLTTB() }) }
 func FuzzRRDDecode(f *testing.F)       { fuzzCodec(f, func() Codec { return NewRRDSample(1) }) }
-func FuzzModelarDecode(f *testing.F)   { fuzzCodec(f, func() Codec { return NewModelar() }) }
-func FuzzSummaryDecode(f *testing.F)   { fuzzCodec(f, func() Codec { return NewSummary() }) }
 func FuzzBUFFLossyDecode(f *testing.F) { fuzzCodec(f, func() Codec { return NewBUFFLossy(4) }) }
 
 // Hostile-header regression cases caught during hardening: forged counts
 // must be rejected before any allocation.
 func TestHostileHeadersRejected(t *testing.T) {
 	hugeCount := []byte{0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0x01}
-	reg := ExtendedRegistry(4)
+	reg := DefaultRegistry(4)
 	for _, name := range reg.Names() {
 		c, _ := reg.Lookup(name)
 		if _, err := Decompress(c, Encoded{Codec: name, Data: hugeCount, N: 128}); err == nil {
@@ -203,7 +205,7 @@ func hostileOps(c Codec) []hostileOp {
 }
 
 // TestWindowedHostileCounts: every reader of the windowed layout — PAA,
-// RRD-sample, PLA and Summary decode and recode, and the direct aggregates
+// RRD-sample and PLA decode and recode, and the direct aggregates
 // over them — rejects a point count of 0 or of maxDecodePoints+1 with
 // ErrCorrupt. The rest of each header is consistent with the forged count
 // (its window and record count agree), so the count check alone stands
@@ -213,7 +215,7 @@ func TestWindowedHostileCounts(t *testing.T) {
 		c        Codec
 		recBytes int
 	}{
-		{NewPAA(), 8}, {NewRRDSample(1), 8}, {NewPLA(), plaPieceBytes}, {NewSummary(), summaryWindowBytes},
+		{NewPAA(), 8}, {NewRRDSample(1), 8}, {NewPLA(), plaPieceBytes},
 	} {
 		for _, h := range []struct{ count, window uint64 }{{0, 4}, {maxDecodePoints + 1, maxDecodePoints}} {
 			data := binary.AppendUvarint(binary.AppendUvarint(nil, h.count), h.window)
@@ -296,32 +298,106 @@ func fuzzDecodable(data []byte) bool {
 	return err == nil && n <= 1<<16
 }
 
-// fuzzEach seeds f with every valid encoding of every codec in the extended
-// registry that pick accepts, at each N selector, and returns those codecs
-// in name order (the fuzz function's first argument indexes them).
-func fuzzEach(f *testing.F, pick func(Codec) bool) []Codec {
-	reg := ExtendedRegistry(4)
+// fuzzCodecs returns the codecs of DefaultRegistry(4) that pick accepts, in
+// name order: the first argument of FuzzRecode and FuzzDirectQuery indexes
+// them, so a seed file pins a codec only as long as this list keeps it at
+// the same index (TestFuzzSeedsSelectTheirCodec).
+func fuzzCodecs(pick func(Codec) bool) []Codec {
+	reg := DefaultRegistry(4)
 	var codecs []Codec
 	for _, name := range reg.SortedNames() {
-		c, _ := reg.Lookup(name)
-		if !pick(c) {
-			continue
+		if c, _ := reg.Lookup(name); pick(c) {
+			codecs = append(codecs, c)
 		}
-		for _, seed := range fuzzSeeds(f, c) {
-			for nsel := range len(fuzzNs) + 1 {
-				f.Add(uint8(len(codecs)), seed, uint8(nsel), uint8(31))
-			}
-		}
-		codecs = append(codecs, c)
 	}
 	return codecs
+}
+
+// isRecoder picks FuzzRecode's codecs.
+func isRecoder(c Codec) bool { _, ok := c.(Recoder); return ok }
+
+// isDirect picks FuzzDirectQuery's codecs.
+func isDirect(c Codec) bool {
+	_, sum := c.(DirectSummer)
+	_, mm := c.(DirectMinMaxer)
+	return sum || mm
+}
+
+// fuzzEach seeds f with every valid encoding of each of fuzzCodecs(pick), at
+// each N selector, then again with each encoding cut short by its last byte
+// (a payload truncated in storage or in flight, whose header still promises
+// the full count), and returns those codecs.
+func fuzzEach(f *testing.F, pick func(Codec) bool) []Codec {
+	codecs := fuzzCodecs(pick)
+	for _, cut := range []int{0, 1} {
+		for i, c := range codecs {
+			for _, seed := range fuzzSeeds(f, c) {
+				if len(seed) < cut {
+					continue
+				}
+				for nsel := range len(fuzzNs) + 1 {
+					f.Add(uint8(i), seed[:len(seed)-cut], uint8(nsel), uint8(31))
+				}
+			}
+		}
+	}
+	return codecs
+}
+
+// TestFuzzSeedsSelectTheirCodec: every checked-in seed of FuzzRecode and
+// FuzzDirectQuery is named after the codec it was added to pin, and its
+// first argument must still select that codec. A codec added to or removed
+// from the registry shifts the indexes after it, and a seed that lands on
+// another codec still passes while no longer reaching its path.
+func TestFuzzSeedsSelectTheirCodec(t *testing.T) {
+	for target, pick := range map[string]func(Codec) bool{"FuzzRecode": isRecoder, "FuzzDirectQuery": isDirect} {
+		codecs := fuzzCodecs(pick)
+		dir := filepath.Join("testdata", "fuzz", target)
+		files, err := os.ReadDir(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(files) == 0 {
+			t.Fatalf("%s: no seeds", dir)
+		}
+		for _, file := range files {
+			data, err := os.ReadFile(filepath.Join(dir, file.Name()))
+			if err != nil {
+				t.Fatal(err)
+			}
+			which, err := fuzzSeedFirstByte(data)
+			if err != nil {
+				t.Fatalf("%s/%s: %v", target, file.Name(), err)
+			}
+			if c := codecs[int(which)%len(codecs)]; !strings.HasPrefix(file.Name(), c.Name()+"-") {
+				t.Errorf("%s/%s: first argument %#x selects %s", target, file.Name(), which, c.Name())
+			}
+		}
+	}
+}
+
+// fuzzSeedFirstByte parses the first argument of a "go test fuzz v1" file
+// whose first argument is a byte, written as byte('c') with c a Go
+// character literal.
+func fuzzSeedFirstByte(data []byte) (uint8, error) {
+	lines := strings.Split(string(data), "\n")
+	if len(lines) < 2 || lines[0] != "go test fuzz v1" {
+		return 0, errors.New("not a go test fuzz v1 file")
+	}
+	lit, prefixed := strings.CutPrefix(lines[1], "byte('")
+	lit, suffixed := strings.CutSuffix(lit, "')")
+	v, _, tail, err := strconv.UnquoteChar(lit, '\'')
+	if !prefixed || !suffixed || err != nil || tail != "" || v > 0xff {
+		return 0, fmt.Errorf("first argument %q is not a byte", lines[1])
+	}
+	return uint8(v), nil
 }
 
 // FuzzRecode: no Recoder may panic on arbitrary bytes or metadata; what it
 // returns is no larger than what it was given, and decodes (or is rejected)
 // without a panic.
 func FuzzRecode(f *testing.F) {
-	codecs := fuzzEach(f, func(c Codec) bool { _, ok := c.(Recoder); return ok })
+	codecs := fuzzEach(f, isRecoder)
 	f.Fuzz(func(t *testing.T, which uint8, data []byte, nsel, rsel uint8) {
 		c := codecs[int(which)%len(codecs)]
 		enc := fuzzEncoded(c, data, nsel)
@@ -341,11 +417,7 @@ func FuzzRecode(f *testing.F) {
 // metadata, and when both it and the decoder accept them it agrees with
 // aggregating the decode (DirectSummer's and DirectMinMaxer's contract).
 func FuzzDirectQuery(f *testing.F) {
-	codecs := fuzzEach(f, func(c Codec) bool {
-		_, sum := c.(DirectSummer)
-		_, mm := c.(DirectMinMaxer)
-		return sum || mm
-	})
+	codecs := fuzzEach(f, isDirect)
 	f.Fuzz(func(t *testing.T, which uint8, data []byte, nsel, _ uint8) {
 		c := codecs[int(which)%len(codecs)]
 		enc := fuzzEncoded(c, data, nsel)
@@ -392,12 +464,7 @@ func FuzzDirectQuery(f *testing.F) {
 			t.Errorf("%s: direct sum %v, decoded sum %v", c.Name(), sum, wsum)
 		}
 		agree := math.Abs(lo-wlo) <= tol && math.Abs(hi-whi) <= tol
-		switch c.Name() {
-		case "summary":
-			// Its extrema are the original data's (summary.go), of which
-			// the payload holds nothing else to check them against.
-			agree = true
-		case "dict":
+		if c.Name() == "dict" {
 			// The dictionary's extrema: a forged entry no code uses can
 			// only widen them.
 			agree = lo <= wlo && hi >= whi

@@ -55,13 +55,12 @@ func goldenDigest(c Codec, enc Encoded, err error) string {
 }
 
 // goldenLines computes "codec/mode/dataset/len digest" for every codec of
-// ExtendedRegistry(4) — a superset of DefaultRegistry(4) built from the
-// same constructors — through encode (the "into" lines) and, for lossy
+// DefaultRegistry(4) through encode (the "into" lines) and, for lossy
 // codecs, ratio (CompressRatio or CompressRatioInto) at 0.2 and 0.05,
 // MinRatio (exact, as %b) and, for Recoders whose 0.2 encoding succeeded,
 // Recode of it to 0.1 and 0.04.
 func goldenLines(encode func(c Codec, values []float64) (Encoded, error), ratio func(lc LossyCodec, values []float64, r float64) (Encoded, error)) []string {
-	reg := ExtendedRegistry(4)
+	reg := DefaultRegistry(4)
 	var lines []string
 	for _, name := range reg.Names() {
 		c, _ := reg.Lookup(name)

@@ -285,12 +285,12 @@ func TestFFTForgedCountRejected(t *testing.T) {
 }
 
 // TestRecodeIntoMatchesRecode is the differential pin for the dst form:
-// for every Recoder of ExtendedRegistry(4), on the golden inputs, RecodeInto
+// for every Recoder of DefaultRegistry(4), on the golden inputs, RecodeInto
 // must return exactly what Recode does (bytes, N, codec and error) whether
 // dst is nil, too short, or roomy and full of garbage, must leave its input
 // untouched, and must write a new encoding into a dst with room for it.
 func TestRecodeIntoMatchesRecode(t *testing.T) {
-	reg := ExtendedRegistry(4)
+	reg := DefaultRegistry(4)
 	recoders := 0
 	for _, name := range reg.Names() {
 		c, _ := reg.Lookup(name)
@@ -339,7 +339,7 @@ func TestRecodeIntoMatchesRecode(t *testing.T) {
 			}
 		}
 	}
-	if recoders != 8 {
-		t.Fatalf("%d Recoders in the extended registry, want 8", recoders)
+	if recoders != 6 {
+		t.Fatalf("%d Recoders in the default registry, want 6", recoders)
 	}
 }

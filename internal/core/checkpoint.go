@@ -34,8 +34,13 @@ func ResumeOfflineEngine(cfg Config, r io.Reader) (*OfflineEngine, error) {
 		return nil, err
 	}
 	// The segments take rows and arena bytes in id order, as ingested ones
-	// do, and join the policy in that order.
+	// do, and join the policy in that order. A segment whose codec the
+	// registry lacks could never be queried or recoded, so it fails the
+	// resume rather than the first query.
 	if err := store.ReadDump(r, func(en *store.Entry) error {
+		if _, ok := e.reg.Lookup(en.Enc.Codec); !ok {
+			return fmt.Errorf("core: restored segment %d uses codec %q, which the registry lacks", en.ID, en.Enc.Codec)
+		}
 		if err := e.storage.Alloc(int64(en.Enc.Size())); err != nil {
 			return fmt.Errorf("core: restored segments exceed the budget of %d bytes: %w", e.storage.Capacity(), err)
 		}

@@ -3,6 +3,7 @@ package core
 import (
 	"bytes"
 	"errors"
+	"strings"
 	"testing"
 
 	"repro/internal/query"
@@ -113,6 +114,36 @@ func TestRestoreRejectsShrunkBudget(t *testing.T) {
 		Seed:         3,
 	}, &buf); !errors.Is(err, sim.ErrBudgetExceeded) {
 		t.Fatalf("resume over budget: err = %v, want ErrBudgetExceeded", err)
+	}
+}
+
+// TestRestoreRejectsUnknownCodec: a dump that names a codec the resuming
+// engine's registry lacks (one written under a larger registry) fails the
+// resume with an error that names the codec, not the first query.
+func TestRestoreRejectsUnknownCodec(t *testing.T) {
+	cfg := Config{
+		StorageBytes: 1 << 20,
+		Objective:    SingleTarget(TargetRatio),
+		Seed:         5,
+	}
+	e, err := NewOfflineEngine(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ingestCBF(t, e, 20, 126)
+	var buf bytes.Buffer
+	if _, err := store.WriteDump(&buf, e.stored(), func(i int) *store.Entry {
+		en := *e.row(i)
+		if i == 10 {
+			en.Enc.Codec = "summary"
+		}
+		return &en
+	}); err != nil {
+		t.Fatal(err)
+	}
+	restored, err := ResumeOfflineEngine(cfg, &buf)
+	if err == nil || !strings.Contains(err.Error(), `"summary"`) {
+		t.Fatalf("resume of a dump naming codec summary: engine %v, err = %v, want an error naming the codec", restored != nil, err)
 	}
 }
 

@@ -491,7 +491,9 @@ type losslessTrial struct {
 
 // runLosslessTrial compresses values with one codec into a pooled buffer.
 // Pure: no engine state is read or written, so the oracle may run it on a
-// shadow goroutine. The timer feeds Result.Duration only, never a decision.
+// shadow goroutine. The timer feeds Result.Duration and the trial-time
+// histogram, never a decision: a lossless reward is the ratio alone. The
+// lossy trial's timer is the exception (runLossyTrial).
 func runLosslessTrial(codec compress.Codec, values []float64) losslessTrial {
 	eb := getEncBuf()
 	start := time.Now()
@@ -521,8 +523,11 @@ type lossyTrial struct {
 }
 
 // runLossyTrial compresses values toward ratio into a pooled buffer and
-// decodes the result into a pooled slice. Pure, like runLosslessTrial; the
-// timer feeds Result.Duration only.
+// decodes the result into a pooled slice. Pure, like runLosslessTrial. The
+// timer feeds Result.Duration and, under a TargetThroughput term, the
+// reward: C_thr divides by this wall time (Evaluator.metric), so a run with
+// a speed term decides by timing and is not reproducible from its seed.
+// ROADMAP item 12 moves that reward onto the cost model.
 func runLossyTrial(lc compress.LossyCodec, values []float64, ratio float64) lossyTrial {
 	eb := getEncBuf()
 	start := time.Now()

@@ -15,7 +15,10 @@ import (
 // Determinism: the oracle's candidate set and rewards are pure functions
 // of (segment values, effective target, arm lists) — the same inputs the
 // decision path uses — so a seeded run produces identical regret events
-// on every run. The trials the decision path already ran are reused
+// on every run. The exception is a TargetThroughput term, whose reward
+// divides by the trial's wall time (Evaluator.metric): under a speed
+// target the rewards, and so the regret events, vary from run to run
+// (ROADMAP item 12). The trials the decision path already ran are reused
 // purely as a compute saving: a missing trial is shadow-computed with the
 // same pure function and yields the same bytes. Sampling (every Nth
 // decision) is keyed on the segment ID, never on timing.
