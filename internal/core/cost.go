@@ -1,6 +1,12 @@
 package core
 
-// Deterministic codec cost model for the offline RecodeBudget simulation.
+import (
+	"math"
+	"time"
+)
+
+// Deterministic codec cost model: the offline RecodeBudget simulation, the
+// deadline gate and the speed reward's T_c all read it.
 // The paper's Fig 14 finding is that Gorilla-based pairs exceed the
 // storage budget at high ingest rates because "Gorilla decompression was
 // more time-consuming than other baselines, delaying the recoding
@@ -63,4 +69,10 @@ func DefaultCodecCost(op, codec string, points int) float64 {
 		ns = 50
 	}
 	return ns * float64(points) / 1e9
+}
+
+// costDuration converts cost-model seconds to the Observation.Duration a
+// speed term divides by, rounded to the nanosecond.
+func costDuration(seconds float64) time.Duration {
+	return time.Duration(math.Round(seconds * float64(time.Second)))
 }

@@ -227,8 +227,6 @@ type Result struct {
 	// AccuracyLoss is the workload accuracy loss for this segment (0 for
 	// lossless).
 	AccuracyLoss float64
-	// Duration is the compression wall time.
-	Duration time.Duration
 }
 
 // ErrNoFeasibleCodec is returned when no candidate can satisfy the

@@ -24,7 +24,7 @@ func cbfSegments(t testing.TB, n int, seed int64) []LabeledSegment {
 // depend on scheduling, map iteration order or the wall clock.
 type seededRun struct {
 	Events  []obs.Event // the trace: core events and stages, bandit and oracle events
-	Results []Result    // Duration (wall time) zeroed
+	Results []Result
 	Stats   OnlineStats
 }
 
@@ -44,9 +44,6 @@ func runSeeded(t *testing.T, cfg Config, n int) seededRun {
 	}
 	if d := o.Ring().Dropped(); d != 0 {
 		t.Fatalf("trace ring dropped %d events — raise the test ring capacity", d)
-	}
-	for i := range results {
-		results[i].Duration = 0
 	}
 	return seededRun{Events: o.Ring().Events(), Results: results, Stats: eng.Stats()}
 }

@@ -10,8 +10,9 @@ import (
 // metrics bundle built once at construction, so the hot path never does a
 // registry lookup. A nil bundle is the disabled configuration: every
 // method starts with a nil-receiver check, so disabled observability
-// costs one predictable branch per call site and performs no clock reads
-// beyond the ones the engines already make for Result.Duration.
+// costs one predictable branch per call site and performs no clock read:
+// the engines read the wall clock only for the latency histograms, through
+// clockIf, and decide by the cost model alone.
 //
 // Trace records — decisions and the engine-side lifecycle stages alike —
 // are emitted on the decision goroutine only, in decision order, and carry
@@ -63,11 +64,23 @@ func newOnlineMetrics(o *obs.Observer, deviceID uint64) *onlineMetrics {
 	}
 }
 
-// trial records one codec trial's duration (decision goroutine only).
-func (m *onlineMetrics) trial(codec string, d time.Duration) {
+// clockIf returns the wall clock when on and the zero time otherwise, so
+// an engine without an observer reads no clock for its histograms.
+func clockIf(on bool) time.Time {
+	if !on {
+		return time.Time{}
+	}
+	return time.Now()
+}
+
+// trial records the wall time of one codec trial begun at start — the
+// encode, and a lossy trial's decode too (decision goroutine only). The
+// clock is read after the nil check.
+func (m *onlineMetrics) trial(codec string, start time.Time) {
 	if m == nil {
 		return
 	}
+	d := time.Since(start)
 	h, ok := m.compress[codec]
 	if !ok {
 		h = m.reg.Histogram("core.online.compress_seconds."+codec, obs.LatencyBuckets)

@@ -5,7 +5,9 @@ import (
 	"testing"
 
 	"repro/internal/datasets"
+	"repro/internal/ml"
 	"repro/internal/obs"
+	"repro/internal/obs/quality"
 	"repro/internal/query"
 )
 
@@ -85,6 +87,59 @@ func TestOfflineTraceDeterministic(t *testing.T) {
 	if !reflect.DeepEqual(a, b) {
 		t.Fatal("same-seed offline runs produced different traces")
 	}
+}
+
+// TestOfflineThroughputRewardsRecodes pins the offline speed term to the
+// cost model: a recode's Observation carries its cost-model T_c, so under a
+// throughput objective the recode bandit is taught something. With no T_c
+// every recode's reward reads 0.
+func TestOfflineThroughputRewardsRecodes(t *testing.T) {
+	o := obs.New(1 << 16)
+	eng, err := NewOfflineEngine(Config{
+		StorageBytes: 30 << 10,
+		Objective:    SingleTarget(TargetThroughput),
+		Seed:         7,
+		Obs:          o,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ingestCBF(t, eng, 120, 92)
+	recodes, rewarded := 0, 0
+	for _, ev := range o.Ring().Events() {
+		if ev.Source == "core.offline" && ev.Kind == "recode" {
+			recodes++
+			if ev.Reward > 0 {
+				rewarded++
+			}
+		}
+	}
+	if recodes == 0 {
+		t.Fatal("no recode events — budget never tightened, test is vacuous")
+	}
+	if rewarded == 0 {
+		t.Fatalf("all %d recodes rewarded 0 under a throughput objective", recodes)
+	}
+}
+
+// TestSpeedObjectiveDeterministic runs Fig 11's objective (throughput
+// 0.524 + random forest 0.476) twice: the speed term's T_c comes from the
+// cost model, so two seeded runs decide, trace and count alike.
+func TestSpeedObjectiveDeterministic(t *testing.T) {
+	X, y := datasets.CBF(240, datasets.CBFConfig{Seed: 1})
+	forest, err := ml.FitForest(X, y, ml.ForestConfig{Trees: 15, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	runSeededTwice(t, Config{
+		TargetRatioOverride: 0.1,
+		Objective: Weighted(
+			Term{Kind: TargetThroughput, Weight: 0.524},
+			Term{Kind: TargetMLAccuracy, Weight: 0.476, Model: forest},
+		),
+		Seed:    42,
+		Quality: &quality.Config{SampleEvery: 4},
+	}, 120)
 }
 
 // TestObsDoesNotPerturbDecisions proves instrumentation is an observer,

@@ -6,7 +6,6 @@ import (
 	"slices"
 	"sort"
 	"sync"
-	"time"
 
 	"repro/internal/bandit"
 	"repro/internal/compress"
@@ -457,10 +456,7 @@ func (e *OfflineEngine) recodeEntry(victim *store.Entry) (bool, error) {
 	oldSize := victim.Enc.Size()
 	target := victim.Enc.Ratio() / 2 // paper: "the size is reduced to half"
 
-	var start time.Time
-	if e.om != nil {
-		start = time.Now()
-	}
+	start := clockIf(e.om != nil)
 	// Only an encoding smaller than the victim is kept, and one always fits
 	// the recode scratch.
 	if cap(e.recodeBuf) < oldSize {
@@ -547,7 +543,8 @@ func (e *OfflineEngine) recodeEntry(victim *store.Entry) (bool, error) {
 		// this victim for now.
 		return fail(nil)
 	}
-	reward, accLoss, err := e.scoreRecode(victim, newEnc)
+	cost := e.recodeCost(victim.Enc.Codec, name, victim.Enc.N, virtual)
+	reward, accLoss, err := e.scoreRecode(victim, newEnc, cost)
 	if err != nil {
 		return fail(err)
 	}
@@ -556,7 +553,6 @@ func (e *OfflineEngine) recodeEntry(victim *store.Entry) (bool, error) {
 	} else {
 		reward = 0
 	}
-	cost := e.recodeCost(victim.Enc.Codec, name, victim.Enc.N, virtual)
 	e.finishRecode(victim, newEnc, oldSize, accLoss, virtual, arm < 0, cost)
 	e.om.recoded(victim.ID, name, tgt, newEnc.Ratio(), reward, e.storage.Utilization(), virtual, arm < 0, start)
 	return true, nil
@@ -577,13 +573,14 @@ func (e *OfflineEngine) appendFloors(dst, values []float64) []float64 {
 
 // scoreRecode evaluates the recoded representation against the raw
 // segment's reference answers and returns (bandit reward, accuracy loss).
-func (e *OfflineEngine) scoreRecode(victim *store.Entry, newEnc compress.Encoded) (reward, accLoss float64, err error) {
+// cost is the recode's cost-model seconds, a speed term's T_c.
+func (e *OfflineEngine) scoreRecode(victim *store.Entry, newEnc compress.Encoded, cost float64) (reward, accLoss float64, err error) {
 	decoded, err := e.reg.DecompressInto(e.scoreDec[:0], newEnc)
 	if err != nil {
 		return 0, 0, err
 	}
 	e.scoreDec = decoded
-	obs := Observation{Decoded: decoded, CompressedBytes: newEnc.Size()}
+	obs := Observation{Decoded: decoded, CompressedBytes: newEnc.Size(), Duration: costDuration(cost)}
 	if victim.Sketch != nil {
 		reward, accLoss = e.eval.ScoreAgainst(victim.Sketch[:e.eval.answers], victim.Enc.N, obs)
 		return reward, accLoss, nil

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"repro/internal/bandit"
 	"repro/internal/compress"
@@ -358,9 +357,10 @@ func (e *OnlineEngine) processLossless(id uint64, values []float64, target float
 		// The cost-model duration advances the span's virtual time.
 		cost := e.costFn("encode", name, len(values))
 		codec, _ := e.reg.Lookup(name)
+		start := clockIf(e.om != nil)
 		t := runLosslessTrial(codec, values)
+		e.om.trial(name, start)
 		trials.noteLossless(arm, t)
-		e.om.trial(name, t.dur)
 		e.om.spanTrial(arm, name, cost)
 		// Trials that lose are recycled on the spot — unless the oracle
 		// sampled this decision, in which case it reads the noted trials
@@ -387,7 +387,7 @@ func (e *OnlineEngine) processLossless(id uint64, values []float64, target float
 		e.om.spanSelect(arm, name)
 		res := Result{
 			SegmentID: id, Codec: name, Lossy: false, Ratio: ratio,
-			Reward: 1 - minf(ratio, 1), Duration: t.dur,
+			Reward: 1 - minf(ratio, 1),
 		}
 		// The winner's bytes move into the payload slab, and its trial
 		// buffer goes the way of a loser's.
@@ -424,12 +424,15 @@ func (e *OnlineEngine) processLossy(id uint64, values []float64, target float64,
 	e.ctx.applyDeadline(id, allowed)
 	arm := e.lossyMAB.Select(allowed)
 	name := e.lossyNames[arm]
+	// The cost-model encode time advances the span's virtual time and is
+	// the speed reward's T_c.
 	cost := e.costFn("encode", name, len(values))
 
 	codec, _ := e.reg.Lookup(name)
+	start := clockIf(e.om != nil)
 	t := runLossyTrial(codec.(compress.LossyCodec), values, target)
+	e.om.trial(name, start)
 	trials.noteLossy(arm, t)
-	e.om.trial(name, t.dur)
 	e.om.spanTrial(arm, name, cost)
 	if t.err != nil {
 		e.lossyMAB.Update(arm, 0)
@@ -443,7 +446,7 @@ func (e *OnlineEngine) processLossy(id uint64, values []float64, target float64,
 	// observation, and on sampled decisions both the oracle's observe
 	// pass; Process releases them at the very end.
 	e.scr.parkLossy(&t)
-	obs := Observation{Raw: values, Decoded: t.decoded, CompressedBytes: t.enc.Size(), Duration: t.dur}
+	obs := Observation{Raw: values, Decoded: t.decoded, CompressedBytes: t.enc.Size(), Duration: costDuration(cost)}
 	reward, accLoss := e.eval.Score(obs)
 	e.lossyMAB.Update(arm, reward)
 	e.ctx.observeLossy(arm, len(values), t.enc.Ratio(), reward)
@@ -452,7 +455,7 @@ func (e *OnlineEngine) processLossy(id uint64, values []float64, target float64,
 	enc := compress.Encoded{Codec: t.enc.Codec, Data: e.carve(t.enc.Data), N: t.enc.N}
 	return Result{
 		SegmentID: id, Codec: name, Lossy: true, Ratio: t.enc.Ratio(),
-		Reward: reward, AccuracyLoss: accLoss, Duration: t.dur,
+		Reward: reward, AccuracyLoss: accLoss,
 	}, enc, nil
 }
 
@@ -485,27 +488,22 @@ func (e *OnlineEngine) carve(b []byte) []byte {
 type losslessTrial struct {
 	enc compress.Encoded
 	err error
-	dur time.Duration
 	buf *encBuf
 }
 
 // runLosslessTrial compresses values with one codec into a pooled buffer.
 // Pure: no engine state is read or written, so the oracle may run it on a
-// shadow goroutine. The timer feeds Result.Duration and the trial-time
-// histogram, never a decision: a lossless reward is the ratio alone. The
-// lossy trial's timer is the exception (runLossyTrial).
+// shadow goroutine.
 func runLosslessTrial(codec compress.Codec, values []float64) losslessTrial {
 	eb := getEncBuf()
-	start := time.Now()
 	enc, err := codec.CompressInto(eb.b, values)
-	dur := time.Since(start)
 	if err != nil {
 		// The buffer's capacity survives a failed attempt; hand it
 		// straight back.
 		encBufPool.Put(eb)
-		return losslessTrial{err: err, dur: dur}
+		return losslessTrial{err: err}
 	}
-	return losslessTrial{enc: enc, err: nil, dur: dur, buf: eb}
+	return losslessTrial{enc: enc, buf: eb}
 }
 
 // lossyTrial is the outcome of one pure lossy codec attempt at a target
@@ -517,25 +515,18 @@ type lossyTrial struct {
 	err     error
 	decoded []float64
 	decErr  error
-	dur     time.Duration
 	buf     *encBuf
 	dec     *decBuf
 }
 
 // runLossyTrial compresses values toward ratio into a pooled buffer and
-// decodes the result into a pooled slice. Pure, like runLosslessTrial. The
-// timer feeds Result.Duration and, under a TargetThroughput term, the
-// reward: C_thr divides by this wall time (Evaluator.metric), so a run with
-// a speed term decides by timing and is not reproducible from its seed.
-// ROADMAP item 12 moves that reward onto the cost model.
+// decodes the result into a pooled slice. Pure, like runLosslessTrial.
 func runLossyTrial(lc compress.LossyCodec, values []float64, ratio float64) lossyTrial {
 	eb := getEncBuf()
-	start := time.Now()
 	enc, err := lc.CompressRatioInto(eb.b, values, ratio)
-	dur := time.Since(start)
 	if err != nil {
 		encBufPool.Put(eb)
-		return lossyTrial{err: err, dur: dur}
+		return lossyTrial{err: err}
 	}
 	eb.b = enc.Data
 	db := getDecBuf()
@@ -543,10 +534,10 @@ func runLossyTrial(lc compress.LossyCodec, values []float64, ratio float64) loss
 	if decErr != nil {
 		encBufPool.Put(eb)
 		decBufPool.Put(db)
-		return lossyTrial{decErr: decErr, dur: dur}
+		return lossyTrial{decErr: decErr}
 	}
 	db.v = decoded
-	return lossyTrial{enc: enc, decoded: decoded, dur: dur, buf: eb, dec: db}
+	return lossyTrial{enc: enc, decoded: decoded, buf: eb, dec: db}
 }
 
 // account folds one decided segment into the stream statistics; bw is

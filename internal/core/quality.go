@@ -15,10 +15,8 @@ import (
 // Determinism: the oracle's candidate set and rewards are pure functions
 // of (segment values, effective target, arm lists) — the same inputs the
 // decision path uses — so a seeded run produces identical regret events
-// on every run. The exception is a TargetThroughput term, whose reward
-// divides by the trial's wall time (Evaluator.metric): under a speed
-// target the rewards, and so the regret events, vary from run to run
-// (ROADMAP item 12). The trials the decision path already ran are reused
+// on every run; a speed term's T_c is the cost model's, like the decision
+// path's. The trials the decision path already ran are reused
 // purely as a compute saving: a missing trial is shadow-computed with the
 // same pure function and yields the same bytes. Sampling (every Nth
 // decision) is keyed on the segment ID, never on timing.
@@ -198,10 +196,12 @@ func (o *qualityOracle) observeLossy(e *OnlineEngine, res Result, values []float
 		if !have[arm] || t.err != nil || t.decErr != nil {
 			continue
 		}
+		name := e.lossyNames[arm]
 		reward, _ := o.eval.ScoreAgainst(ref, len(values), Observation{
-			Decoded: t.decoded, CompressedBytes: t.enc.Size(), Duration: t.dur,
+			Decoded: t.decoded, CompressedBytes: t.enc.Size(),
+			Duration: costDuration(e.costFn("encode", name, len(values))),
 		})
-		out := quality.ArmOutcome{Arm: arm, Codec: e.lossyNames[arm], Reward: reward}
+		out := quality.ArmOutcome{Arm: arm, Codec: name, Reward: reward}
 		candidates = append(candidates, out)
 		if out.Codec == res.Codec {
 			chosen = out

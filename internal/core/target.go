@@ -134,7 +134,9 @@ type Observation struct {
 	Decoded []float64
 	// CompressedBytes is the encoded size.
 	CompressedBytes int
-	// Duration is the wall time the compression took.
+	// Duration is the compression's T_c. The engines fill it from the
+	// codec cost model (Config.CodecCost), never the wall clock, so a speed
+	// term decides the same way on every run.
 	Duration time.Duration
 }
 

@@ -39,24 +39,27 @@ func seriesNaN(n int) []float64 {
 	return out
 }
 
-// evalFixedLossy measures one fixed lossy codec at one target ratio.
-func evalFixedLossy(codec compress.LossyCodec, eval *core.Evaluator, stream []datasetsSeg, ratio float64, higher bool) float64 {
+// evalFixed scores one method, encode, over the stream: the mean objective
+// value (higher) or accuracy loss, or NaN when the method fails on any
+// segment. A speed term's T_c is the cost model's encode time for the
+// codec that produced each encoding, the clock the engine decides by, so
+// every method is timed alike and the same on every run.
+func evalFixed(eval *core.Evaluator, reg *compress.Registry, stream []datasetsSeg, higher bool, encode func([]float64) (compress.Encoded, error)) float64 {
 	var sum float64
 	for _, seg := range stream {
-		if codec.MinRatio(seg.values) > ratio {
-			return math.NaN()
-		}
-		start := time.Now()
-		enc, err := codec.CompressRatio(seg.values, ratio)
-		dur := time.Since(start)
+		enc, err := encode(seg.values)
 		if err != nil {
 			return math.NaN()
 		}
-		dec, err := compress.Decompress(codec, enc)
+		dec, err := reg.Decompress(enc)
 		if err != nil {
 			return math.NaN()
 		}
-		obs := core.Observation{Raw: seg.values, Decoded: dec, CompressedBytes: enc.Size(), Duration: dur}
+		tc := core.DefaultCodecCost("encode", enc.Codec, len(seg.values))
+		obs := core.Observation{
+			Raw: seg.values, Decoded: dec, CompressedBytes: enc.Size(),
+			Duration: time.Duration(math.Round(tc * float64(time.Second))),
+		}
 		if higher {
 			sum += eval.Reward(obs)
 		} else {
@@ -111,50 +114,29 @@ func OnlineSweep(obj core.Objective, ratios []float64, segments int, seed int64,
 	tv := baseline.NewTVStore()
 
 	for ri, ratio := range ratios {
-		// AdaEdge MAB.
+		// AdaEdge MAB, scored like every other method.
 		eng, err := core.NewOnlineEngine(core.Config{
 			TargetRatioOverride: ratio,
 			Objective:           obj,
 			Seed:                seed + int64(ri),
 		})
 		if err == nil {
-			ok := true
-			var valueSum float64
-			for _, seg := range stream {
-				r, enc, perr := eng.Process(seg.values, seg.label)
-				if perr != nil {
-					ok = false
-					break
-				}
-				if higher {
-					// Score every method on the same objective value:
-					// lossless segments decode to the raw values.
-					dec := seg.values
-					if r.Lossy {
-						if dec, perr = reg.Decompress(enc); perr != nil {
-							ok = false
-							break
-						}
-					}
-					valueSum += eval.Reward(core.Observation{
-						Raw: seg.values, Decoded: dec,
-						CompressedBytes: enc.Size(), Duration: r.Duration,
-					})
-				}
-			}
-			if ok {
-				if higher {
-					res.Series["mab"][ri] = valueSum / float64(segments)
-				} else {
-					res.Series["mab"][ri] = eng.Stats().MeanAccuracyLoss()
-				}
-			}
+			res.Series["mab"][ri] = evalFixed(eval, reg, stream, higher, func(v []float64) (compress.Encoded, error) {
+				_, enc, err := eng.Process(v, 0)
+				return enc, err
+			})
 		}
 
 		// Fixed lossy codecs.
 		for _, name := range []string{"bufflossy", "paa", "pla", "fft", "lttb", "rrdsample"} {
 			c, _ := reg.Lookup(name)
-			res.Series[name][ri] = evalFixedLossy(c.(compress.LossyCodec), eval, stream, ratio, higher)
+			lc := c.(compress.LossyCodec)
+			res.Series[name][ri] = evalFixed(eval, reg, stream, higher, func(v []float64) (compress.Encoded, error) {
+				if lc.MinRatio(v) > ratio {
+					return compress.Encoded{}, compress.ErrRatioInfeasible
+				}
+				return lc.CompressRatio(v, ratio)
+			})
 		}
 
 		// Lossless representatives: zero loss inside their workable range;
@@ -162,28 +144,13 @@ func OnlineSweep(obj core.Objective, ratios []float64, segments int, seed int64,
 		// accuracy terms are perfect, throughput and size are not).
 		for _, name := range []string{"sprintz", "gzip"} {
 			c, _ := reg.Lookup(name)
-			feasible := true
-			var sum float64
-			for _, seg := range stream {
-				start := time.Now()
-				enc, err := compress.Compress(c, seg.values)
-				dur := time.Since(start)
-				if err != nil || enc.Ratio() > ratio {
-					feasible = false
-					break
+			res.Series[name][ri] = evalFixed(eval, reg, stream, higher, func(v []float64) (compress.Encoded, error) {
+				enc, err := compress.Compress(c, v)
+				if err == nil && enc.Ratio() > ratio {
+					err = compress.ErrRatioInfeasible
 				}
-				sum += eval.Reward(core.Observation{
-					Raw: seg.values, Decoded: seg.values,
-					CompressedBytes: enc.Size(), Duration: dur,
-				})
-			}
-			if feasible {
-				if higher {
-					res.Series[name][ri] = sum / float64(segments)
-				} else {
-					res.Series[name][ri] = 0
-				}
-			}
+				return enc, err
+			})
 		}
 
 		// CodecDB: lossless-only learned selection.
@@ -205,33 +172,9 @@ func OnlineSweep(obj core.Objective, ratios []float64, segments int, seed int64,
 		}
 
 		// TVStore: fixed PLA at the target ratio.
-		{
-			var sum float64
-			ok := true
-			for _, seg := range stream {
-				start := time.Now()
-				enc, err := tv.Process(seg.values, ratio)
-				dur := time.Since(start)
-				if err != nil {
-					ok = false
-					break
-				}
-				dec, err := reg.Decompress(enc)
-				if err != nil {
-					ok = false
-					break
-				}
-				obs := core.Observation{Raw: seg.values, Decoded: dec, CompressedBytes: enc.Size(), Duration: dur}
-				if higher {
-					sum += eval.Reward(obs)
-				} else {
-					sum += eval.AccuracyLoss(obs)
-				}
-			}
-			if ok {
-				res.Series["tvstore_pla"][ri] = sum / float64(segments)
-			}
-		}
+		res.Series["tvstore_pla"][ri] = evalFixed(eval, reg, stream, higher, func(v []float64) (compress.Encoded, error) {
+			return tv.Process(v, ratio)
+		})
 	}
 	return res
 }

@@ -39,17 +39,22 @@ const (
 )
 
 // TestSeededQualityGolden pins the engines' seeded decisions at the
-// regret-oracle level: four online cells with the quality oracle sampling
+// regret-oracle level: five online cells with the quality oracle sampling
 // every fourth decision, and one offline cell under a 140 B/segment budget
-// that forces recoding (the paper's Fig 12–13 regime). The literals are the
-// quality blocks of BENCH_baseline.json as committed at e23822e, the
-// continuous-benchmark document this test replaced, copied verbatim. A
-// failure means a decision, reward or ratio moved, not that a literal needs
-// refreshing.
+// that forces recoding (the paper's Fig 12–13 regime). The literals of all
+// cells but online_speed_ml are the quality blocks of BENCH_baseline.json
+// as committed at e23822e, the continuous-benchmark document this test
+// replaced, copied verbatim; online_speed_ml's were recorded when its speed
+// term moved onto the cost model. A failure means a decision, reward or
+// ratio moved, not that a literal needs refreshing.
 func TestSeededQualityGolden(t *testing.T) {
 	rforest := trainCBFModel("rforest")
 	kmeans := trainCBFModel("kmeans")
 	ratio := core.SingleTarget(core.TargetRatio)
+	speedML := core.Weighted(
+		core.Term{Kind: core.TargetThroughput, Weight: 0.524},
+		core.Term{Kind: core.TargetMLAccuracy, Weight: 0.476, Model: rforest},
+	)
 	for _, tc := range []struct {
 		name string
 		run  func(*testing.T) seededQuality
@@ -82,6 +87,14 @@ func TestSeededQualityGolden(t *testing.T) {
 			OverallRatio: 0.128662109375, LossySegments: 120,
 			FinalRegret: 0.0361328125, RegretSamples: 30, ArmSwitches: 8, OptimalRate: 0.9333333333333333,
 			DeadlineMisses: 1,
+		}},
+		// Fig 11's objective: the speed term's T_c is the cost model's, so
+		// the cell is as seeded as the others.
+		{"online_speed_ml", func(t *testing.T) seededQuality {
+			return onlineQuality(runOnlineCell(t, speedML, 0.1, "", 0))
+		}, seededQuality{
+			OverallRatio: 0.08868001302083334, MeanAccuracyLoss: 0.058333333333333334, LossySegments: 120,
+			FinalRegret: 0.5808, RegretSamples: 30, ArmSwitches: 12, OptimalRate: 0.8666666666666667,
 		}},
 		{"offline_ml_kmeans", func(t *testing.T) seededQuality {
 			return offlineQualityCell(t, core.MLTarget(kmeans))

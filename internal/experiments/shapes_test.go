@@ -158,4 +158,14 @@ func TestFig11SpeedTargetShiftsWinners(t *testing.T) {
 	if mean("paa") <= mean("fft") {
 		t.Fatalf("speed-weighted target: paa %v should beat fft %v", mean("paa"), mean("fft"))
 	}
+	// The speed term reads the cost model, not the wall clock, so a second
+	// sweep reproduces every cell, failures (NaN) included.
+	again := Fig11ComplexSpeedML(io.Discard, 30)
+	for name, series := range res.Series {
+		for i, v := range series {
+			if w := again.Series[name][i]; v != w && !(math.IsNaN(v) && math.IsNaN(w)) {
+				t.Fatalf("%s at ratio %.2f: %v then %v", name, res.Ratios[i], v, w)
+			}
+		}
+	}
 }
