@@ -153,36 +153,39 @@ func TestUCBAllowedMask(t *testing.T) {
 }
 
 func TestUpdateIgnoresInvalidArm(t *testing.T) {
-	p := NewEpsilonGreedy(2, Config{Seed: 1})
-	p.Update(-1, 5)
-	p.Update(99, 5)
-	for _, c := range p.Counts() {
-		if c != 0 {
-			t.Fatal("invalid update mutated counts")
+	for _, tc := range policyTable() {
+		p := tc.make(2)
+		before := p.Estimates()
+		p.Update(-1, 5)
+		p.Update(99, 5)
+		for _, c := range p.Counts() {
+			if c != 0 {
+				t.Fatalf("%s: invalid update mutated counts", tc.name)
+			}
 		}
-	}
-	u := NewUCB1(2, Config{Seed: 1})
-	u.Update(-1, 5)
-	u.Update(99, 5)
-	for _, c := range u.Counts() {
-		if c != 0 {
-			t.Fatal("invalid update mutated UCB counts")
+		if got := p.Estimates(); got[0] != before[0] || got[1] != before[1] {
+			t.Fatalf("%s: invalid update moved estimates %v -> %v", tc.name, before, got)
 		}
 	}
 }
 
-func TestReset(t *testing.T) {
-	p := NewEpsilonGreedy(3, Config{Epsilon: 0.2, Optimism: 2, Seed: 4})
-	playBernoulli(t, p, []float64{0.5, 0.5, 0.5}, 100, 4)
-	p.Reset()
-	for i, v := range p.Estimates() {
-		if v != 2 {
-			t.Fatalf("estimate[%d] = %v after reset, want optimism 2", i, v)
+// TestAllocsPolicyCycle pins every policy's steady-state Select+Update
+// (and a contextual policy's SetPriors) at zero allocations: the
+// decision goroutine runs one cycle per segment.
+func TestAllocsPolicyCycle(t *testing.T) {
+	priors := []float64{0.1, 0.2, 0.3, 0.4, 0.5, 0.6}
+	allowed := []bool{true, true, false, true, true, true}
+	for _, tc := range policyTable() {
+		p := tc.make(6)
+		cycle := func() {
+			if cp, ok := p.(*Contextual); ok {
+				cp.SetPriors(priors)
+			}
+			p.Update(p.Select(allowed), 0.5)
 		}
-	}
-	for _, c := range p.Counts() {
-		if c != 0 {
-			t.Fatal("counts not cleared")
+		cycle()
+		if allocs := testing.AllocsPerRun(100, cycle); allocs != 0 {
+			t.Errorf("%s: Select+Update allocate %v times per cycle", tc.name, allocs)
 		}
 	}
 }
@@ -222,10 +225,6 @@ func TestPoolBucketing(t *testing.T) {
 	}
 	if pool.Instances() != 2 {
 		t.Fatalf("instances = %d, want 2", pool.Instances())
-	}
-	pool.Reset()
-	if pool.Instances() != 0 {
-		t.Fatal("reset did not clear instances")
 	}
 }
 

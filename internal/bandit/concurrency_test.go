@@ -16,6 +16,10 @@ const (
 	concRounds     = 500
 )
 
+// policyTable is the five policy configurations every table test runs:
+// the concurrency tests below, TestUpdateIgnoresInvalidArm,
+// TestAllocsPolicyCycle and TestPolicySequenceGolden, whose literals
+// assume these exact configs.
 func policyTable() []struct {
 	name string
 	make func(arms int) Policy
@@ -35,6 +39,9 @@ func policyTable() []struct {
 		}},
 		{"gradient", func(arms int) Policy {
 			return NewGradient(arms, Config{Step: 0.1, Seed: 4})
+		}},
+		{"contextual", func(arms int) Policy {
+			return NewContextual(arms, Config{Epsilon: 0.1, Optimism: 1, Seed: 5})
 		}},
 	}
 }

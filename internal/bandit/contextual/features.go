@@ -1,7 +1,8 @@
-// Package contextual adds a predictive layer to codec selection: cheap
-// per-segment features feed an online ridge-regression predictor of each
-// codec's compression ratio, encode latency and reward, and a bandit
-// policy that warm-starts from those predictions instead of exploring
+// Package contextual holds the predictive layer's features and
+// predictor: cheap per-segment features feed an online ridge-regression
+// predictor of each codec's compression ratio, encode latency and
+// reward. Its reward predictions become the per-segment priors of
+// bandit.Contextual, which warm-starts from them instead of exploring
 // cold (ROADMAP item 4: Oikawa et al.'s online sequential ratio
 // estimation, Huang & Zhou's deadline-constrained ratio selection; see
 // DESIGN.md §11).
@@ -9,10 +10,9 @@
 // Everything here runs in the evaluator hot path on the decision
 // goroutine, so the package follows the repo's zero-allocation contract
 // (DESIGN.md §10): FeaturesInto is an append-style API over caller
-// scratch, the predictor updates in place over preallocated matrices,
-// and the policy reuses mutex-guarded selection scratch. Nothing reads
-// the wall clock or global RNG state, so seeded runs stay byte-identical
-// at any worker count (core's contextual determinism tests pin it).
+// scratch and the predictor updates in place over preallocated
+// matrices. Nothing reads the wall clock or global RNG state, so seeded
+// runs stay byte-identical (core's contextual determinism tests pin it).
 package contextual
 
 import "math"

@@ -1,5 +1,8 @@
 package contextual
 
+// These tests drive bandit.Contextual, the policy that consumes this
+// package's predictions as per-segment priors.
+
 import (
 	"reflect"
 	"testing"
@@ -9,7 +12,7 @@ import (
 )
 
 func TestPolicyPriorsSteerColdSelection(t *testing.T) {
-	p := New(4, bandit.Config{Seed: 3})
+	p := bandit.NewContextual(4, bandit.Config{Seed: 3})
 	p.SetPriors([]float64{0.1, 0.9, 0.2, 0.3})
 	// No plays yet: the blended score is exactly the prior, so arm 1
 	// wins the cold greedy selection (Epsilon 0 removes the explore
@@ -28,7 +31,7 @@ func TestPolicyPriorsSteerColdSelection(t *testing.T) {
 }
 
 func TestPolicyWithoutPriorsUsesOptimism(t *testing.T) {
-	p := New(3, bandit.Config{Optimism: 1, Seed: 5})
+	p := bandit.NewContextual(3, bandit.Config{Optimism: 1, Seed: 5})
 	seen := map[int]bool{}
 	// With a uniform optimistic prior every arm ties at 1; reward 0
 	// pushes a played arm's blend below the others, so the first three
@@ -44,7 +47,7 @@ func TestPolicyWithoutPriorsUsesOptimism(t *testing.T) {
 }
 
 func TestPolicyRespectsAllowedMask(t *testing.T) {
-	p := New(4, bandit.Config{Epsilon: 0.5, Seed: 9})
+	p := bandit.NewContextual(4, bandit.Config{Epsilon: 0.5, Seed: 9})
 	p.SetPriors([]float64{0.9, 0.8, 0.7, 0.6})
 	allowed := []bool{false, true, false, true}
 	for i := 0; i < 50; i++ {
@@ -61,7 +64,7 @@ func TestPolicyRespectsAllowedMask(t *testing.T) {
 
 func TestPolicyDeterministicSequence(t *testing.T) {
 	run := func() []int {
-		p := New(5, bandit.Config{Epsilon: 0.2, Optimism: 1, Seed: 17})
+		p := bandit.NewContextual(5, bandit.Config{Epsilon: 0.2, Optimism: 1, Seed: 17})
 		var picks []int
 		for i := 0; i < 40; i++ {
 			p.SetPriors([]float64{0.2, 0.4, 0.6, 0.8, 0.5})
@@ -76,22 +79,8 @@ func TestPolicyDeterministicSequence(t *testing.T) {
 	}
 }
 
-func TestPolicyResetRestoresInitialState(t *testing.T) {
-	p := New(3, bandit.Config{Optimism: 1, Seed: 21})
-	first := p.Select(nil)
-	p.Update(first, 0.4)
-	p.SetPriors([]float64{0, 0, 0})
-	p.Reset()
-	if got := p.Select(nil); got != first {
-		t.Fatalf("post-Reset first selection %d, want %d", got, first)
-	}
-	if c := p.Counts(); c[first] != 0 {
-		t.Fatal("Reset kept counts")
-	}
-}
-
 func TestPolicyAccessors(t *testing.T) {
-	p := New(2, bandit.Config{Seed: 2})
+	p := bandit.NewContextual(2, bandit.Config{Seed: 2})
 	p.Update(0, 0.5)
 	p.Update(0, 0.7)
 	p.Update(1, 0.2)
@@ -106,14 +95,11 @@ func TestPolicyAccessors(t *testing.T) {
 	if c := p.Counts(); c[0] != 2 || c[1] != 1 {
 		t.Fatalf("counts = %v", c)
 	}
-	if p.Arms() != 2 {
-		t.Fatalf("arms = %d", p.Arms())
-	}
 }
 
 func TestPolicyEmitsTraceEvents(t *testing.T) {
 	ring := obs.NewRing(16)
-	p := New(2, bandit.Config{Seed: 4, Trace: ring, Name: "bandit.test.ctx"})
+	p := bandit.NewContextual(2, bandit.Config{Seed: 4, Trace: ring, Name: "bandit.test.ctx"})
 	arm := p.Select(nil)
 	p.Update(arm, 0.5)
 	evs := ring.Events()
@@ -125,22 +111,5 @@ func TestPolicyEmitsTraceEvents(t *testing.T) {
 	}
 	if evs[1].Kind != "update" || evs[1].Reward != 0.5 {
 		t.Fatalf("update event = %+v", evs[1])
-	}
-}
-
-func TestPolicySelectZeroAlloc(t *testing.T) {
-	p := New(6, bandit.Config{Epsilon: 0.1, Optimism: 1, Seed: 31})
-	priors := []float64{0.1, 0.2, 0.3, 0.4, 0.5, 0.6}
-	allowed := []bool{true, true, false, true, true, true}
-	// Warm the scratch.
-	p.SetPriors(priors)
-	p.Update(p.Select(allowed), 0.5)
-	allocs := testing.AllocsPerRun(100, func() {
-		p.SetPriors(priors)
-		arm := p.Select(allowed)
-		p.Update(arm, 0.5)
-	})
-	if allocs != 0 {
-		t.Fatalf("SetPriors+Select+Update allocate %v times per cycle", allocs)
 	}
 }

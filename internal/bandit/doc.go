@@ -1,7 +1,11 @@
 // Package bandit implements the multi-armed bandit policies AdaEdge uses
 // for compression selection (paper §III-C): ε-greedy, optimistic
-// ε-greedy, UCB1 and a gradient (softmax-preference) policy, with either
-// sample-average or constant-step-size (nonstationary) value updates.
+// ε-greedy, UCB1, a gradient (softmax-preference) policy and Contextual,
+// ε-greedy over a blend of empirical values and per-segment reward
+// priors, with either sample-average or constant-step-size
+// (nonstationary) value updates. Every policy embeds one arm ledger
+// (estimates, counts, rewards, RNG, mutex, trace events) and adds only
+// its selection rule; Gradient also keeps its preference update.
 // Each arm corresponds to one compression candidate and the reward is the
 // configured optimization target.
 //

@@ -59,31 +59,6 @@ func TestGradientBaselineTracksMeanReward(t *testing.T) {
 	}
 }
 
-func TestGradientResetAndCounts(t *testing.T) {
-	p := NewGradient(3, Config{Seed: 15})
-	for i := 0; i < 30; i++ {
-		p.Update(p.Select(nil), 1)
-	}
-	total := 0
-	for _, c := range p.Counts() {
-		total += c
-	}
-	if total != 30 {
-		t.Fatalf("counts sum = %d", total)
-	}
-	p.Reset()
-	for _, v := range p.Estimates() {
-		if v != 0 {
-			t.Fatal("preferences not reset")
-		}
-	}
-	for _, c := range p.Counts() {
-		if c != 0 {
-			t.Fatal("counts not reset")
-		}
-	}
-}
-
 func TestGradientInvalidUpdateIgnored(t *testing.T) {
 	p := NewGradient(2, Config{Seed: 16})
 	p.Update(-1, 1)

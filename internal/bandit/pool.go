@@ -77,10 +77,3 @@ func (p *Pool) Instances() int {
 
 // Buckets returns the number of ratio ranges the pool distinguishes.
 func (p *Pool) Buckets() int { return len(p.bounds) + 1 }
-
-// Reset clears all materialized instances.
-func (p *Pool) Reset() {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	p.pols = make(map[int]Policy)
-}

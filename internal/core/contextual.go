@@ -1,6 +1,7 @@
 package core
 
 import (
+	"repro/internal/bandit"
 	"repro/internal/bandit/contextual"
 	"repro/internal/obs"
 	"repro/internal/sim"
@@ -37,7 +38,7 @@ type ctxPhase struct {
 	// pol is non-nil only when this phase's policy is the contextual
 	// one; deadline gating works under any policy, priors need the
 	// contextual policy.
-	pol *contextual.Policy
+	pol *bandit.Contextual
 
 	// Per-segment scratch, rewritten by begin() on the decision
 	// goroutine.
@@ -101,7 +102,7 @@ func newCtxPhase(names []string, pol interface{}) ctxPhase {
 		feasible: make([]bool, n),
 		fallback: -1,
 	}
-	if cp, ok := pol.(*contextual.Policy); ok {
+	if cp, ok := pol.(*bandit.Contextual); ok {
 		ph.pol = cp
 	}
 	return ph

@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"repro/internal/bandit"
-	"repro/internal/bandit/contextual"
 	"repro/internal/compress"
 	"repro/internal/obs"
 	"repro/internal/obs/quality"
@@ -193,7 +192,7 @@ func buildPolicy(cfg Config, arms int, bc bandit.Config) bandit.Policy {
 		// this behaves like the optimistic ε-greedy baseline; the online
 		// engine's contextual layer installs predictions before each
 		// Select.
-		return contextual.New(arms, bc)
+		return bandit.NewContextual(arms, bc)
 	}
 	return bandit.NewEpsilonGreedy(arms, bc)
 }

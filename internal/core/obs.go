@@ -164,14 +164,16 @@ func (m *onlineMetrics) violation() {
 }
 
 // noFeasible records the hard failure: no codec can reach the target.
+// The record carries the segment's device and trace, so it closes the
+// failed segment's span group.
 func (m *onlineMetrics) noFeasible(id uint64, target float64) {
 	if m == nil {
 		return
 	}
 	m.infeasible.Inc()
 	m.ring.Record(obs.Event{
-		Source: "core.online", Kind: "no_feasible", ID: id,
-		Target: target, Err: ErrNoFeasibleCodec.Error(),
+		Source: "core.online", Kind: "no_feasible", ID: id, Device: m.deviceID,
+		Trace: m.trace, Target: target, Err: ErrNoFeasibleCodec.Error(),
 	})
 }
 

@@ -1,9 +1,11 @@
 package core
 
 import (
+	"errors"
 	"reflect"
 	"testing"
 
+	"repro/internal/compress"
 	"repro/internal/datasets"
 	"repro/internal/obs"
 	"repro/internal/query"
@@ -140,6 +142,44 @@ func TestOnlineSpanLifecycle(t *testing.T) {
 		if g.VT <= 0 {
 			t.Fatalf("group %d total VT = %g, want > 0 (trials advance virtual time)", i, g.VT)
 		}
+	}
+}
+
+// TestOnlineNoFeasibleInSpan checks that a segment failing with
+// ErrNoFeasibleCodec keeps its failure inside its span: Groups puts the
+// no_feasible record in the failed segment's group, after its trials.
+func TestOnlineNoFeasibleInSpan(t *testing.T) {
+	// A registry with only BUFF-lossy cannot reach ratio 0.01 on CBF.
+	reg := compress.NewRegistry()
+	reg.Register(compress.NewBUFF(4))
+	reg.Register(compress.NewBUFFLossy(4))
+	o := obs.New(0)
+	eng, err := NewOnlineEngine(Config{
+		TargetRatioOverride: 0.01,
+		Objective:           SingleTarget(TargetRatio),
+		Registry:            reg,
+		Seed:                8,
+		Obs:                 o,
+		DeviceID:            5,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	series, label := datasets.NewCBFStream(datasets.CBFConfig{Seed: 26}).Next()
+	if _, _, err := eng.Process(series, label); !errors.Is(err, ErrNoFeasibleCodec) {
+		t.Fatalf("Process err = %v, want ErrNoFeasibleCodec", err)
+	}
+	groups := o.Ring().Groups()
+	if len(groups) != 1 {
+		t.Fatalf("span groups = %d, want the failed segment's one", len(groups))
+	}
+	g := groups[0]
+	first, last := g.Stages[0], g.Stages[len(g.Stages)-1]
+	if g.Device != 5 || first.Stage != "ingest" {
+		t.Fatalf("group device %d, first stage %q: want device 5 opened by ingest", g.Device, first.Stage)
+	}
+	if last.Kind != "no_feasible" || last.ID != first.ID || last.Err == "" {
+		t.Fatalf("span ends with %+v, want the segment's no_feasible record", last)
 	}
 }
 
