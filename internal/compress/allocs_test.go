@@ -207,3 +207,43 @@ func TestCompressRetainedBytes(t *testing.T) {
 		})
 	}
 }
+
+// TestAllocsFlateFreshRegistry: gzip's and zlib's encoders are pooled
+// process-wide, so a registry built after a warm one encodes its first
+// segment with the writer the warm one put back, allocating nothing. With a
+// pool per codec instance each new registry (one per engine built without
+// a Registry) started cold and built stdlib writers of ~600 KB each for
+// its first flate encodes: 19 and 21 mallocs here. A pooled writer is
+// parked on the P that put it back, so a goroutine moved to another P
+// between the warm-up and the measured call misses it; each try therefore
+// takes a fresh registry, and one clean try of three passes.
+func TestAllocsFlateFreshRegistry(t *testing.T) {
+	if raceBuild() {
+		t.Skip("under the race detector sync.Pool drops a quarter of its Puts")
+	}
+	sig := allocSignal(128)
+	dst := make([]byte, 0, 1<<12)
+	for _, name := range []string{"gzip", "zlib-6"} {
+		t.Run(name, func(t *testing.T) {
+			warm, _ := DefaultRegistry(4).Lookup(name)
+			var got uint64
+			for try := 0; try < 3; try++ {
+				if _, err := warm.CompressInto(dst, sig); err != nil {
+					t.Fatal(err)
+				}
+				fresh, _ := DefaultRegistry(4).Lookup(name)
+				var before, after runtime.MemStats
+				runtime.ReadMemStats(&before)
+				_, err := fresh.CompressInto(dst, sig)
+				runtime.ReadMemStats(&after)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if got = after.Mallocs - before.Mallocs; got == 0 {
+					return
+				}
+			}
+			t.Errorf("a fresh registry's first %s encode allocates %d times, want 0: its encoder pool starts cold", name, got)
+		})
+	}
+}

@@ -19,8 +19,15 @@ import (
 type flateCore struct {
 	name      string
 	newWriter func(io.Writer) (flateWriter, error)
-	encs      sync.Pool // *flateEnc
+	encs      *sync.Pool // *flateEnc: flateEncs[0] for gzip, [level] for zlib
 }
+
+// flateEncs pools encoders process-wide, one pool per codec name, like
+// every other codec scratch: a registry built later (each engine built
+// without one builds its own) reuses the writers, ~600 KB each, that
+// earlier ones put back (TestAllocsFlateFreshRegistry). Index 0 is gzip,
+// index level is zlib-level.
+var flateEncs [10]sync.Pool
 
 // flateWriter is what gzip.Writer and zlib.Writer share.
 type flateWriter interface {
@@ -113,6 +120,7 @@ func NewGzip() *Gzip {
 	return &Gzip{flateCore{
 		name:      "gzip",
 		newWriter: func(w io.Writer) (flateWriter, error) { return gzip.NewWriter(w), nil },
+		encs:      &flateEncs[0],
 	}}
 }
 
@@ -139,6 +147,7 @@ func NewZlib(level int) *Zlib {
 	return &Zlib{flateCore{
 		name:      fmt.Sprintf("zlib-%d", level),
 		newWriter: func(w io.Writer) (flateWriter, error) { return zlib.NewWriterLevel(w, level) },
+		encs:      &flateEncs[level],
 	}}
 }
 

@@ -2,9 +2,11 @@ package core
 
 import (
 	"bytes"
+	"reflect"
 	"runtime"
 	"runtime/debug"
 	"testing"
+	"unsafe"
 
 	"repro/internal/compress"
 	"repro/internal/datasets"
@@ -396,20 +398,23 @@ func TestAllocsOfflineIngest(t *testing.T) {
 
 // TestOfflineRetainedBytesPerSegment pins what the offline engine keeps in
 // RAM per stored segment, on the offline_recode workload's configuration:
-// its share of the payload arena, its 128-byte row of the entry chunk and
-// 64-byte row of the sketch chunk, and its slot in the recoding policy: an
-// 8-byte link in the recency list's slab under LRU. The arena ends the
-// epoch at the bytes held at the recoding threshold plus an eighth of the
-// budget, 129 of the 140 bytes a segment: this leg reads 352. It read 432
-// while a map from ID to entry, a map from ID to recency-list node and a
-// 16-byte node indexed each segment beside the engine's rows. With
-// exact-size payloads (~112 bytes) it read 423; it read 441 while each
-// segment's accuracy loss sat in a map beside the pool rather than in its
-// entry, and 436 before that, when entry and sketch were heap objects of
-// their own (the partly used last chunk pair is the difference). The mode
-// exists for devices short of storage; until PR 19 the engine also kept
-// each segment's 1 024 raw bytes to score later recodes against, and this
-// read 1 394.
+// its share of the payload arena, its 64-byte pointer-free row, its 8-byte
+// answer row (the k-means objective has one answer; the floors are
+// interned in a table of three vectors) and its slot in the recoding
+// policy: an 8-byte link in the recency list's slab under LRU. The arena
+// ends the epoch at the bytes held at the recoding threshold plus an eighth
+// of the budget, 129 of the 140 bytes a segment: this leg reads 228. It
+// read 352 while each segment had a 128-byte store.Entry of a pointerful
+// chunk and a 64-byte sketch row of eight floats, seven of them floors that
+// mostly repeat; 432 while a map from ID to entry, a map from ID to
+// recency-list node and a 16-byte node indexed each segment beside the
+// engine's rows. With exact-size payloads (~112 bytes) it read 423; it
+// read 441 while each segment's accuracy loss sat in a map beside the pool
+// rather than in its entry, and 436 before that, when entry and sketch
+// were heap objects of their own (the partly used last chunk pair is the
+// difference). The mode exists for devices short of storage; while the
+// engine also kept each segment's 1 024 raw bytes to score later recodes
+// against, this read 1 394.
 //
 // The second leg pins that compaction reclaims holes: under the
 // informativeness policy with a queried hot set, recency no longer follows
@@ -418,9 +423,10 @@ func TestAllocsOfflineIngest(t *testing.T) {
 // read 500 to 750 bytes here, because one surviving payload pinned its whole
 // chunk (EXPERIMENTS.md, "Why payloads are not pooled"); an arena that
 // did not reclaim its holes would grow with every Ingest. This leg reads
-// 360, its scores and insertion order 16 bytes a slot; it read 449 with
-// the two maps, and with exact-size payloads 438 (457 with the
-// accuracy-loss map). Each budget is its leg's reading plus 5 %.
+// 236, its scores and insertion order 16 bytes a slot; it read 360 with
+// 128-byte entries and 64-byte sketch rows, 449 with the two maps, and
+// with exact-size payloads 438 (457 with the accuracy-loss map). Each
+// budget is its leg's reading plus 5 %.
 func TestOfflineRetainedBytesPerSegment(t *testing.T) {
 	const epoch, hot = offlineRecodeEpoch, 200
 	segs := cbfSegments(t, 256, 11)
@@ -429,8 +435,8 @@ func TestOfflineRetainedBytesPerSegment(t *testing.T) {
 		policy store.Policy // nil is LRU, and no queries
 		budget float64
 	}{
-		{"lru", nil, 370},
-		{"informativeness, hot set queried", store.NewInformativeness(), 378},
+		{"lru", nil, 240},
+		{"informativeness, hot set queried", store.NewInformativeness(), 248},
 	} {
 		t.Run(leg.name, func(t *testing.T) {
 			before := liveHeap()
@@ -459,6 +465,29 @@ func TestOfflineRetainedBytesPerSegment(t *testing.T) {
 		})
 	}
 	runtime.KeepAlive(segs)
+}
+
+// TestRetainedBytesOfflineRow: a stored segment's row is at most 64 bytes
+// and holds no pointer, so rowChunk of them fit the 16 384-byte size class
+// and the chunks are noscan memory the collector never marks. A string, a
+// slice or any other pointer field (the payload's slice, the codec's name,
+// the sketch's slice, as store.Entry has them) would make every chunk scan
+// memory and, with the allocation header Go puts on a pointerful object
+// above 512 bytes, cost a row of each chunk.
+func TestRetainedBytesOfflineRow(t *testing.T) {
+	if got := unsafe.Sizeof(row{}); got > 64 || got*rowChunk > 16384 {
+		t.Errorf("row is %d bytes, %d a chunk: want at most 64, and a chunk within 16 384", got, got*rowChunk)
+	}
+	rt := reflect.TypeOf(row{})
+	for i := 0; i < rt.NumField(); i++ {
+		switch f := rt.Field(i); f.Type.Kind() {
+		case reflect.Bool, reflect.Int, reflect.Int8, reflect.Int16, reflect.Int32, reflect.Int64,
+			reflect.Uint, reflect.Uint8, reflect.Uint16, reflect.Uint32, reflect.Uint64,
+			reflect.Float32, reflect.Float64:
+		default:
+			t.Errorf("row.%s is a %s: a row must hold no pointer", f.Name, f.Type)
+		}
+	}
 }
 
 // TestOfflineChunksReleasedByDrain: the engine points at the partly used

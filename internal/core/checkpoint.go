@@ -21,13 +21,23 @@ import (
 // SaveTo writes the engine's stored segments to w and returns the byte
 // count.
 func (e *OfflineEngine) SaveTo(w io.Writer) (int64, error) {
-	return store.WriteDump(w, e.stored(), e.row)
+	var en store.Entry
+	return store.WriteDump(w, e.stored(), func(i int) *store.Entry {
+		en = e.entry(e.slot(i), nil)
+		return &en
+	})
 }
 
 // ResumeOfflineEngine builds an engine from cfg and a pool dump produced
 // by SaveTo. The restored segments count against the configured storage
 // budget immediately; if they exceed it (e.g. the budget was lowered),
 // an error is returned rather than silently over-committing.
+//
+// The dump keeps no timestamps, so the virtual clock is replayed over the
+// restored segments in ID order, each advancing it by its points as Ingest
+// does. Time spent on IDs the dump lacks, drained segments and those a
+// failed Ingest burned, is not in it: a restored segment spans what it
+// spanned at ingest, less that time before it.
 func ResumeOfflineEngine(cfg Config, r io.Reader) (*OfflineEngine, error) {
 	e, err := NewOfflineEngine(cfg)
 	if err != nil {
@@ -44,7 +54,12 @@ func ResumeOfflineEngine(cfg Config, r io.Reader) (*OfflineEngine, error) {
 		if err := e.storage.Alloc(int64(en.Enc.Size())); err != nil {
 			return fmt.Errorf("core: restored segments exceed the budget of %d bytes: %w", e.storage.Capacity(), err)
 		}
-		*e.nextRow() = *en
+		e.clock.Advance(en.Enc.N)
+		*e.nextRow() = row{
+			id: en.ID, endSec: e.clock.Seconds(), label: en.Label, n: en.Enc.N,
+			size: uint32(en.Enc.Size()), level: en.Level, floors: -1,
+			codec: e.codecIndex(en.Enc.Codec), lossless: en.Lossless,
+		}
 		e.keepRow(en.Enc.Data)
 		e.nextID = en.ID + 1
 		return nil

@@ -133,7 +133,7 @@ func TestRestoreRejectsUnknownCodec(t *testing.T) {
 	ingestCBF(t, e, 20, 126)
 	var buf bytes.Buffer
 	if _, err := store.WriteDump(&buf, e.stored(), func(i int) *store.Entry {
-		en := *e.row(i)
+		en := e.entry(e.slot(i), nil)
 		if i == 10 {
 			en.Enc.Codec = "summary"
 		}
@@ -216,5 +216,64 @@ func TestRestoredPoolRecodesUnderPressure(t *testing.T) {
 	})
 	if recodedOld == 0 || recodedNew == 0 {
 		t.Fatalf("recoded %d restored and %d new entries, want some of both", recodedOld, recodedNew)
+	}
+}
+
+// TestRestoreReplaysVirtualTime: the dump keeps no timestamps, so the
+// resumed engine replays its clock over the restored segments in ID order.
+// Each restored segment spans what it spanned before, and a time-range
+// query reads what it read before; a drained segment's time is not in the
+// dump, so after a drain the restored spans start where the first segment
+// left in the dump begins. Without the replay every restored segment
+// spanned [0, 0) and the clock read 0, so QueryRange skipped them all.
+func TestRestoreReplaysVirtualTime(t *testing.T) {
+	cfg := Config{
+		StorageBytes: 4 << 20,
+		IngestRate:   128,
+		Objective:    SingleTarget(TargetRatio),
+		Seed:         1,
+	}
+	e := rangeEngine(t, 10) // segment s spans [s, s+1) seconds and holds s
+	resume := func() *OfflineEngine {
+		t.Helper()
+		var buf bytes.Buffer
+		if _, err := e.SaveTo(&buf); err != nil {
+			t.Fatal(err)
+		}
+		restored, err := ResumeOfflineEngine(cfg, &buf)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return restored
+	}
+
+	restored := resume()
+	if got, want := restored.Clock().Seconds(), e.Clock().Seconds(); got != want {
+		t.Errorf("restored clock reads %v s, want %v", got, want)
+	}
+	if got, err := restored.QueryRange(query.Sum, 0, 1e9); err != nil || got != 45*128 {
+		t.Errorf("QueryRange(Sum) over everything restored = %v, %v; want %v", got, err, 45*128)
+	}
+	if got, err := restored.QueryRange(query.Max, 3, 6); err != nil || got != 5 {
+		t.Errorf("QueryRange(Max, 3, 6) restored = %v, %v; want 5", got, err)
+	}
+
+	// Drain segments 0-2: segment 3 now spans [0, 1) after the resume.
+	var window int64
+	for i := 0; i < 3; i++ {
+		window += int64(e.nth(i).size)
+	}
+	if rep := e.Drain(sim.Bandwidth(window), 1); rep.SegmentsSent != 3 {
+		t.Fatalf("drained %d segments, want 3", rep.SegmentsSent)
+	}
+	restored = resume()
+	if got := restored.Clock().Seconds(); got != 7 {
+		t.Errorf("clock after resuming 7 of 10 segments reads %v s, want 7", got)
+	}
+	if first, ok := peek(restored, 3); !ok || first.StartSec != 0 || first.EndSec != 1 {
+		t.Errorf("restored segment 3 (stored %v) spans %+v, want [0, 1)", ok, first)
+	}
+	if got, err := restored.QueryRange(query.Sum, 0, 1e9); err != nil || got != (45-3)*128 {
+		t.Errorf("QueryRange(Sum) after a drain = %v, %v; want %v", got, err, (45-3)*128)
 	}
 }

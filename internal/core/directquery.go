@@ -23,14 +23,14 @@ func (e *OfflineEngine) QueryDirect(agg query.Agg) (float64, error) {
 	var count int
 	lo, hi := math.Inf(1), math.Inf(-1)
 	for i := 0; i < stored; i++ {
-		entry := e.row(i)
+		enc := e.enc(e.nth(i))
 		e.policy.Get(e.slot(i)) // records the access
-		codec, _ := e.reg.Lookup(entry.Enc.Codec)
-		count += entry.Enc.N
+		codec, _ := e.reg.Lookup(enc.Codec)
+		count += enc.N
 		switch agg {
 		case query.Sum, query.Avg:
 			if ds, ok := codec.(compress.DirectSummer); ok {
-				s, err := ds.SumEncoded(entry.Enc)
+				s, err := ds.SumEncoded(enc)
 				if err != nil {
 					return 0, err
 				}
@@ -39,7 +39,7 @@ func (e *OfflineEngine) QueryDirect(agg query.Agg) (float64, error) {
 			}
 		case query.Min, query.Max:
 			if mm, ok := codec.(compress.DirectMinMaxer); ok {
-				l, h, err := mm.MinMaxEncoded(entry.Enc)
+				l, h, err := mm.MinMaxEncoded(enc)
 				if err != nil {
 					return 0, err
 				}
@@ -49,7 +49,7 @@ func (e *OfflineEngine) QueryDirect(agg query.Agg) (float64, error) {
 			}
 		}
 		// Fallback: decompress this segment.
-		values, err := e.reg.Decompress(entry.Enc)
+		values, err := e.reg.Decompress(enc)
 		if err != nil {
 			return 0, err
 		}

@@ -16,8 +16,9 @@
 // to roughly half size when usage crosses the threshold θ, with a
 // per-ratio-range bandit pool choosing the lossy codec. It keeps no raw
 // data: what later recodes need of a segment (the objective's answers on
-// it, each arm's smallest reachable ratio) is taken once at ingest into a
-// few-dozen-byte sketch on the entry (DESIGN.md §5).
+// it, each arm's smallest reachable ratio) is taken once at ingest: the
+// answers beside the segment's 64-byte row, the floors interned in a table
+// of distinct vectors (DESIGN.md §5, §10).
 //
 // # Concurrency
 //

@@ -52,7 +52,7 @@ func (e *OfflineEngine) drain(bw sim.Bandwidth, seconds float64, ship func(*stor
 	// fit the budget.
 	n, size := 0, int64(0)
 	for stored := e.stored(); n < stored; n++ {
-		s := int64(e.row(n).Enc.Size())
+		s := int64(e.nth(n).size)
 		if size+s > budget {
 			break
 		}
@@ -60,12 +60,10 @@ func (e *OfflineEngine) drain(bw sim.Bandwidth, seconds float64, ship func(*stor
 	}
 	buf := make([]byte, 0, size)
 	for i := 0; i < n; i++ {
-		en := e.row(i)
 		// Ship a copy without the engine's own sketch.
-		sent := *en
-		sent.Sketch = nil
+		sent := e.entry(e.slot(i), nil)
 		off := len(buf)
-		buf = append(buf, en.Enc.Data...)
+		buf = append(buf, sent.Enc.Data...)
 		sent.Enc.Data = buf[off:len(buf):len(buf)]
 		if ship != nil {
 			if err = ship(&sent); err != nil {
@@ -81,9 +79,9 @@ func (e *OfflineEngine) drain(bw sim.Bandwidth, seconds float64, ship func(*stor
 	// Forget the drained rows, and every chunk they empty.
 	e.statsMu.Lock()
 	e.head += report.SegmentsSent
-	for len(e.rows) > 0 && e.head >= entryChunk {
-		e.chunks[e.rows[0]] = nil
-		e.rows, e.head = e.rows[1:], e.head-entryChunk
+	for len(e.rows) > 0 && e.head >= rowChunk {
+		e.chunks[e.rows[0]] = chunk{}
+		e.rows, e.head = e.rows[1:], e.head-rowChunk
 	}
 	e.statsMu.Unlock()
 	report.SegmentsLeft = e.stored()

@@ -13,8 +13,7 @@ import (
 func (e *OfflineEngine) QueryFiltered(agg query.Agg, pred func(float64) bool) (float64, error) {
 	var qualified []float64
 	for i, stored := 0, e.stored(); i < stored; i++ {
-		entry := e.row(i)
-		values, err := e.reg.Decompress(entry.Enc)
+		values, err := e.reg.Decompress(e.enc(e.nth(i)))
 		if err != nil {
 			return 0, err
 		}

@@ -72,23 +72,26 @@ func runSeededTwice(t *testing.T, cfg Config, n int) seededRun {
 	return a
 }
 
-// victim returns the offline engine's next recoding victim, without
-// recording an access.
+// victim returns a copy of the offline engine's next recoding victim,
+// sketch included, without recording an access.
 func victim(e *OfflineEngine) (*store.Entry, bool) {
 	slot, ok := e.policy.Victim()
 	if !ok {
 		return nil, false
 	}
-	return e.at(slot), true
+	en := e.entry(slot, new([]float64))
+	return &en, true
 }
 
-// peek returns stored segment id, without recording an access.
+// peek returns a copy of stored segment id, sketch included, without
+// recording an access.
 func peek(e *OfflineEngine, id uint64) (*store.Entry, bool) {
 	i, ok := e.find(id)
 	if !ok {
 		return nil, false
 	}
-	return e.row(i), true
+	en := e.entry(e.slot(i), new([]float64))
+	return &en, true
 }
 
 // storedBytes sums the stored payloads, which the storage accounting must

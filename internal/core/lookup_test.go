@@ -41,7 +41,7 @@ func (p *idKeyedPolicy) attach(e *OfflineEngine) {
 	p.pending = nil
 }
 
-func (p *idKeyedPolicy) id(slot int32) uint64 { return p.eng.at(slot).ID }
+func (p *idKeyedPolicy) id(slot int32) uint64 { return p.eng.at(slot).id }
 
 func (p *idKeyedPolicy) Put(slot int32) {
 	p.inner.Put(slot)
@@ -195,12 +195,12 @@ func TestOfflineLookupAcrossIDGaps(t *testing.T) {
 			// chunk the next ingests start.
 			stored := checkLookups(t, e, pol, 0)
 			var window int64
-			for i := 0; i < entryChunk+3; i++ {
-				window += int64(e.row(i).Enc.Size())
+			for i := 0; i < rowChunk+3; i++ {
+				window += int64(e.nth(i).size)
 			}
 			rep := e.Drain(sim.Bandwidth(window), 1)
-			if rep.SegmentsSent != entryChunk+3 {
-				t.Fatalf("drained %d segments, want %d", rep.SegmentsSent, entryChunk+3)
+			if rep.SegmentsSent != rowChunk+3 {
+				t.Fatalf("drained %d segments, want %d", rep.SegmentsSent, rowChunk+3)
 			}
 			for i, en := range rep.Sent {
 				if en.ID != stored[i] {
@@ -210,7 +210,8 @@ func TestOfflineLookupAcrossIDGaps(t *testing.T) {
 			if rep.BytesLeft != storedBytes(e) || rep.SegmentsLeft != e.Segments() {
 				t.Fatalf("Drain left %d segments, %d bytes; %d stored, %d bytes", rep.SegmentsLeft, rep.BytesLeft, e.Segments(), storedBytes(e))
 			}
-			ingestCBF(t, e, 150, 53)
+			// A chunk's worth of segments outgrows the last chunk's tail.
+			ingestCBF(t, e, rowChunk, 53)
 			if !slices.Contains(e.rows, 0) {
 				t.Fatalf("chunks %v: the drained chunk's number was not reused", e.rows)
 			}

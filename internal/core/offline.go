@@ -1,8 +1,10 @@
 package core
 
 import (
+	"encoding/binary"
 	"fmt"
 	"maps"
+	"math"
 	"slices"
 	"sort"
 	"sync"
@@ -71,32 +73,40 @@ type OfflineEngine struct {
 	ingestBuf []byte
 	recodeBuf []byte
 
-	// The unused tails of the chunks Ingest carves entries and sketch rows
-	// from. A sketch chunk is referenced by its entries only, so it is
-	// garbage once the last of them is removed (Drain goes oldest first,
-	// which is chunk order).
-	entries  []store.Entry
-	sketches []float64
-	// chunks are the entry chunks by number, nil once drained; a new chunk
-	// takes the lowest free number. Policy slot s is the entry
-	// chunks[s/entryChunk][s%entryChunk], so slots are dense and reused.
-	chunks [][]store.Entry
-	// rows are the numbers of the chunks that hold stored entries, oldest
-	// first, the last of them the one entries is the tail of; the first
-	// head rows of rows[0] have been drained. Stored entries are therefore
+	// tail is the unused end of the newest chunk's rows: nextRow hands out
+	// its first.
+	tail []row
+	// chunks are the row chunks by number, rows nil once drained; a new
+	// chunk takes the lowest free number. Policy slot s is the row
+	// chunks[s/rowChunk].rows[s%rowChunk], so slots are dense and reused.
+	chunks []chunk
+	// rows are the numbers of the chunks that hold stored segments, oldest
+	// first, the last of them the one tail is the end of; the first head
+	// rows of rows[0] have been drained. Stored segments are therefore
 	// rows head, head+1, … in segment-ID order: the engine's one index of
 	// its segments, which a lookup by ID binary-searches (IDs have gaps).
-	// chunks, rows, head and len(entries) change under statsMu.
+	// chunks, rows, head and len(tail) change under statsMu.
 	rows []int32
 	head int
-	// arena holds every stored payload, in segment-ID order: an entry's
-	// Enc.Data is arena[off:off+n:off+n]. Ingest appends at the tail, a
-	// recode overwrites its victim's bytes with fewer and Drain leaves a
-	// hole; compact reclaims the holes. Its capacity never exceeds
-	// StorageBytes.
+	// arena holds every stored payload, in segment-ID order: a row's
+	// payload is arena[off:off+size]. Ingest appends at the tail, a recode
+	// overwrites its victim's bytes with fewer and Drain leaves a hole;
+	// compact reclaims the holes. Its capacity never exceeds StorageBytes.
 	arena []byte
+	// names is the table row.codec indexes: every codec name a stored
+	// payload has had, in order of first use.
+	names []string
+	// floorTab holds each distinct floor vector (appendFloors) once,
+	// floorLen values apart; row.floors indexes it and floorIdx finds a
+	// vector by its bits (floorKey is the lookup's scratch). For CBF at 128
+	// points only BUFF-lossy's floor varies, so it holds one vector per
+	// BUFF width.
+	floorTab []float64
+	floorLen int
+	floorIdx map[string]int32
+	floorKey []byte
 
-	// statsMu guards stats, every stored entry's AccLoss and the row
+	// statsMu guards stats, every stored row's accLoss and the row
 	// bookkeeping above so Stats/Snapshot/Segments can be polled while
 	// another goroutine ingests. Ingest itself stays single-goroutine; see
 	// the type comment.
@@ -135,11 +145,39 @@ type Snapshot struct {
 	Segments int
 }
 
-// entryChunk is how many entries, and sketch rows, Ingest allocates at a
-// time: 127 × 128-byte entries plus the 8-byte header Go's allocator puts on
-// a pointerful object above 512 bytes fill the 16 384 size class; one entry
-// more lands in the 18 432 class and wastes 2 KiB a chunk.
-const entryChunk = 127
+// row is one stored segment as the engine keeps it: 64 bytes and no
+// pointer, so its chunks are noscan memory the collector never marks
+// (TestRetainedBytesOfflineRow). The payload is arena[off:off+size], the
+// codec names[codec], and StartSec is derived (startSec). The objective's
+// answers sit in the chunk's answer rows; the lossy floors are the vector
+// floorTab interns at index floors, -1 when the segment has no sketch (a
+// ratio-only objective, a restored dump). A store.Entry is built from a
+// row only where one leaves the engine (entry).
+type row struct {
+	id       uint64
+	endSec   float64
+	accLoss  float64
+	label    int
+	off      int
+	n        int // points, Encoded.N
+	size     uint32
+	level    int32
+	floors   int32
+	codec    uint16
+	lossless bool
+}
+
+// chunk is rowChunk rows and, when the objective has accuracy terms, their
+// answers: answers per row, in row order.
+type chunk struct {
+	rows    []row
+	answers []float64
+}
+
+// rowChunk is how many rows Ingest allocates at a time: 256 × 64 bytes of
+// pointer-free memory, which carries no allocation header, fill the 16 384
+// size class exactly.
+const rowChunk = 256
 
 // NewOfflineEngine builds the engine.
 func NewOfflineEngine(cfg Config) (*OfflineEngine, error) {
@@ -189,6 +227,10 @@ func NewOfflineEngine(cfg Config) (*OfflineEngine, error) {
 	}
 	if c, ok := cfg.Registry.Lookup("rrdsample"); ok {
 		e.fallback, _ = c.(compress.LossyCodec)
+	}
+	e.floorLen = len(e.lossy)
+	if e.fallback != nil {
+		e.floorLen++
 	}
 	e.armMask = make([]bool, len(e.lossyNames))
 	e.losslessMAB = newPolicy(cfg, len(e.losslessNames), 303, "bandit.offline.lossless")
@@ -259,27 +301,22 @@ func (e *OfflineEngine) Ingest(values []float64, label int) error {
 	e.losslessMAB.Update(arm, 1-minf(enc.Ratio(), 1))
 	e.mutStats(func(s *OfflineStats) { s.LosslessUse[name]++ })
 
-	// The entry and its sketch are the next row of their chunks, taken
-	// only once the segment is stored: a failed Ingest leaves the row to
-	// the next one.
-	end := e.clock.Seconds()
-	entry := e.nextRow()
-	*entry = store.Entry{
-		ID: id, Enc: enc, Lossless: true, Label: label,
-		StartSec: end - float64(len(values))/e.cfg.IngestRate,
-		EndSec:   end,
+	// The segment's row, and its answers, are the next of their chunk, taken
+	// only once it is stored: a failed Ingest leaves the row to the next one.
+	if enc.Size() > math.MaxUint32 {
+		return fmt.Errorf("core: a %d-byte payload does not fit a row", enc.Size())
 	}
-	stride := 0
+	r := e.nextRow()
+	*r = row{
+		id: id, endSec: e.clock.Seconds(), label: label, n: enc.N,
+		size: uint32(enc.Size()), floors: -1, codec: e.codecIndex(enc.Codec), lossless: true,
+	}
 	if e.eval.NeedsAccuracy() {
 		// The raw is in hand only here: keep what every later recode of
-		// this segment will ask of it, not the segment (DESIGN.md §5). The
-		// row's capacity stops at its stride, so appending past it would
-		// reallocate rather than run into the next segment's row.
-		stride = e.eval.answers + len(e.lossy) + 1
-		if len(e.sketches) < stride {
-			e.sketches = make([]float64, entryChunk*stride)
-		}
-		entry.Sketch = e.appendFloors(e.eval.Reference(e.sketches[:0:stride], values), values)
+		// this segment will ask of it, not the segment (DESIGN.md §5).
+		e.eval.Reference(e.answersAt(e.slot(e.stored()))[:0], values)
+		e.floors = e.appendFloors(e.floors[:0], values)
+		r.floors = e.internFloors(e.floors)
 	}
 
 	// Make room, then store.
@@ -290,7 +327,6 @@ func (e *OfflineEngine) Ingest(values []float64, label int) error {
 		return err
 	}
 	e.keepRow(enc.Data)
-	e.sketches = e.sketches[stride:]
 	e.om.ingest(id, name, enc.Ratio(), e.storage.Utilization(), e.stored())
 
 	// Threshold-triggered cascade recoding (paper Fig 4).
@@ -302,75 +338,156 @@ func (e *OfflineEngine) Ingest(values []float64, label int) error {
 	return nil
 }
 
-// nextRow returns the entry row the next stored segment takes, starting a
-// new chunk when the last one is full. Nothing is taken until keepRow.
-func (e *OfflineEngine) nextRow() *store.Entry {
-	if len(e.entries) == 0 {
-		chunk := make([]store.Entry, entryChunk)
+// nextRow returns the row the next stored segment takes, starting a new
+// chunk when the last one is full. Nothing is taken until keepRow.
+func (e *OfflineEngine) nextRow() *row {
+	if len(e.tail) == 0 {
+		ch := chunk{rows: make([]row, rowChunk)}
+		if a := e.eval.answers; a > 0 {
+			ch.answers = make([]float64, rowChunk*a)
+		}
 		e.statsMu.Lock()
-		c := slices.IndexFunc(e.chunks, func(ch []store.Entry) bool { return ch == nil })
+		c := slices.IndexFunc(e.chunks, func(ch chunk) bool { return ch.rows == nil })
 		if c < 0 {
 			c = len(e.chunks)
-			e.chunks = append(e.chunks, nil)
+			e.chunks = append(e.chunks, chunk{})
 		}
-		e.chunks[c], e.entries = chunk, chunk
+		e.chunks[c], e.tail = ch, ch.rows
 		e.rows = append(e.rows, int32(c))
 		e.statsMu.Unlock()
 	}
-	return &e.entries[0]
+	return &e.tail[0]
 }
 
-// keepRow stores the segment nextRow's entry describes: payload is copied to
-// the arena, its row is taken and its slot joins the policy.
+// keepRow stores the segment nextRow's row describes: payload is copied to
+// the arena, the row is taken and its slot joins the policy.
 func (e *OfflineEngine) keepRow(payload []byte) {
-	e.entries[0].Enc.Data = e.stash(payload)
+	e.tail[0].off = e.stash(payload)
 	e.statsMu.Lock()
-	e.entries = e.entries[1:]
+	e.tail = e.tail[1:]
 	e.statsMu.Unlock()
 	e.policy.Put(e.slot(e.stored() - 1))
 }
 
-// stored is the number of stored entries: the rows taken, less those
+// stored is the number of stored segments: the rows taken, less those
 // drained.
 func (e *OfflineEngine) stored() int {
-	return len(e.rows)*entryChunk - len(e.entries) - e.head
+	return len(e.rows)*rowChunk - len(e.tail) - e.head
 }
 
-// row returns the i-th stored entry in segment-ID order.
-func (e *OfflineEngine) row(i int) *store.Entry {
-	i += e.head
-	return &e.chunks[e.rows[i/entryChunk]][i%entryChunk]
+// nth returns the i-th stored row in segment-ID order.
+func (e *OfflineEngine) nth(i int) *row {
+	return e.at(e.slot(i))
 }
 
-// slot returns the i-th stored entry's policy slot.
+// slot returns the i-th stored row's policy slot; i == stored() is the
+// slot the next row takes.
 func (e *OfflineEngine) slot(i int) int32 {
 	i += e.head
-	return e.rows[i/entryChunk]*entryChunk + int32(i%entryChunk)
+	return e.rows[i/rowChunk]*rowChunk + int32(i%rowChunk)
 }
 
-// at returns the entry in policy slot s.
-func (e *OfflineEngine) at(s int32) *store.Entry {
-	return &e.chunks[s/entryChunk][s%entryChunk]
+// at returns the row in policy slot s.
+func (e *OfflineEngine) at(s int32) *row {
+	return &e.chunks[s/rowChunk].rows[s%rowChunk]
 }
 
-// find returns the position among the stored entries of segment id, and
+// answersAt returns the answer row of slot s, the objective's Reference on
+// the raw segment when the row has floors; its capacity stops at its
+// length, so appending past it would reallocate rather than run into the
+// next row's.
+func (e *OfflineEngine) answersAt(s int32) []float64 {
+	a := e.eval.answers
+	off := int(s%rowChunk) * a
+	return e.chunks[s/rowChunk].answers[off : off+a : off+a]
+}
+
+// floorsOf returns the floor vector row r names; r must have one.
+func (e *OfflineEngine) floorsOf(r *row) []float64 {
+	off := int(r.floors) * e.floorLen
+	return e.floorTab[off : off+e.floorLen : off+e.floorLen]
+}
+
+// internFloors returns the index of floors in floorTab, appending it when
+// no vector there has the same bits: interning is exact, so a recode reads
+// the very floats Ingest took.
+func (e *OfflineEngine) internFloors(floors []float64) int32 {
+	e.floorKey = e.floorKey[:0]
+	for _, f := range floors {
+		e.floorKey = binary.LittleEndian.AppendUint64(e.floorKey, math.Float64bits(f))
+	}
+	if i, ok := e.floorIdx[string(e.floorKey)]; ok {
+		return i
+	}
+	if e.floorIdx == nil {
+		e.floorIdx = make(map[string]int32)
+	}
+	i := int32(len(e.floorTab) / e.floorLen)
+	e.floorIdx[string(e.floorKey)] = i
+	e.floorTab = append(e.floorTab, floors...)
+	return i
+}
+
+// codecIndex returns name's index in the name table, adding it on first
+// use. The table holds the few codec names the registry's arms return.
+func (e *OfflineEngine) codecIndex(name string) uint16 {
+	i := slices.Index(e.names, name)
+	if i < 0 {
+		i = len(e.names)
+		e.names = append(e.names, name)
+	}
+	return uint16(i)
+}
+
+// enc returns r's payload as the codecs take it, a view of the arena that
+// the next Ingest may overwrite or move.
+func (e *OfflineEngine) enc(r *row) compress.Encoded {
+	end := r.off + int(r.size)
+	return compress.Encoded{Codec: e.names[r.codec], Data: e.arena[r.off:end:end], N: r.n}
+}
+
+// startSec is where r's span begins on the virtual clock: its end less its
+// points at the ingest rate, the expression Ingest stamped it with.
+func (e *OfflineEngine) startSec(r *row) float64 {
+	return r.endSec - float64(r.n)/e.cfg.IngestRate
+}
+
+// entry builds the store.Entry callers outside the engine see of the row
+// in slot s, with every field the row implies; Trace is 0, since offline
+// segments are untraced. When sketches is not nil and the row has a
+// sketch, its answers and floors are appended there, and Sketch is that
+// copy capped at its length.
+func (e *OfflineEngine) entry(s int32, sketches *[]float64) store.Entry {
+	r := e.at(s)
+	en := store.Entry{
+		ID: r.id, Enc: e.enc(r), Lossless: r.lossless, Level: r.level, Label: r.label,
+		StartSec: e.startSec(r), EndSec: r.endSec, AccLoss: r.accLoss,
+	}
+	if sketches != nil && r.floors >= 0 {
+		from := len(*sketches)
+		*sketches = append(append(*sketches, e.answersAt(s)...), e.floorsOf(r)...)
+		en.Sketch = (*sketches)[from:len(*sketches):len(*sketches)]
+	}
+	return en
+}
+
+// find returns the position among the stored rows of segment id, and
 // whether it is stored.
 func (e *OfflineEngine) find(id uint64) (int, bool) {
 	n := e.stored()
-	i := sort.Search(n, func(i int) bool { return e.row(i).ID >= id })
-	return i, i < n && e.row(i).ID == id
+	i := sort.Search(n, func(i int) bool { return e.nth(i).id >= id })
+	return i, i < n && e.nth(i).id == id
 }
 
 // stash copies payload to the arena's tail, compacting first when the tail
-// is too short, and returns the copy capped at its length, so that an
-// append to it reallocates instead of running into the next payload.
-func (e *OfflineEngine) stash(payload []byte) []byte {
+// is too short, and returns the copy's offset.
+func (e *OfflineEngine) stash(payload []byte) int {
 	if len(e.arena)+len(payload) > cap(e.arena) {
 		e.compact()
 	}
 	off := len(e.arena)
 	e.arena = append(e.arena, payload...)
-	return e.arena[off:len(e.arena):len(e.arena)]
+	return off
 }
 
 // compact slides every stored payload down to the front of the arena, so
@@ -388,10 +505,10 @@ func (e *OfflineEngine) compact() {
 		arena = make([]byte, 0, e.arenaCap(live))
 	}
 	for i, n := 0, e.stored(); i < n; i++ {
-		en := e.row(i)
+		r := e.nth(i)
 		off := len(arena)
-		arena = append(arena, en.Enc.Data...)
-		en.Enc.Data = arena[off:len(arena):len(arena)]
+		arena = append(arena, e.arena[r.off:r.off+int(r.size)]...)
+		r.off = off
 	}
 	e.arena = arena
 }
@@ -435,7 +552,7 @@ func (e *OfflineEngine) recodeOne() bool {
 		if !ok {
 			return false
 		}
-		shrunk, err := e.recodeEntry(e.at(slot))
+		shrunk, err := e.recodeEntry(slot)
 		if err != nil || !shrunk {
 			// Demote the unshrinkable victim and try the next one.
 			store.Skip(e.policy, slot)
@@ -448,13 +565,15 @@ func (e *OfflineEngine) recodeOne() bool {
 	return false
 }
 
-// recodeEntry halves the victim's size, preferring the virtual
-// decompression path, and feeds the reward back to the ratio range's
-// bandit instance. The wall-clock read only feeds the observer's latency
-// histogram, never a decision, and is skipped without an observer.
-func (e *OfflineEngine) recodeEntry(victim *store.Entry) (bool, error) {
-	oldSize := victim.Enc.Size()
-	target := victim.Enc.Ratio() / 2 // paper: "the size is reduced to half"
+// recodeEntry halves the size of the victim in slot s, preferring the
+// virtual decompression path, and feeds the reward back to the ratio
+// range's bandit instance. The wall-clock read only feeds the observer's
+// latency histogram, never a decision, and is skipped without an observer.
+func (e *OfflineEngine) recodeEntry(s int32) (bool, error) {
+	victim := e.at(s)
+	old := e.enc(victim)
+	oldSize := old.Size()
+	target := old.Ratio() / 2 // paper: "the size is reduced to half"
 
 	start := clockIf(e.om != nil)
 	// Only an encoding smaller than the victim is kept, and one always fits
@@ -469,7 +588,7 @@ func (e *OfflineEngine) recodeEntry(victim *store.Entry) (bool, error) {
 	var values []float64
 	decode := func() (v []float64, err error) {
 		if values == nil {
-			if v, err = e.reg.DecompressInto(e.recodeDec[:0], victim.Enc); err != nil {
+			if v, err = e.reg.DecompressInto(e.recodeDec[:0], old); err != nil {
 				return nil, err
 			}
 			e.recodeDec, values = v, v
@@ -478,12 +597,12 @@ func (e *OfflineEngine) recodeEntry(victim *store.Entry) (bool, error) {
 	}
 
 	mab := e.lossyPool.For(target)
-	// Feasibility floors: the ones Ingest took off the raw, or, for an
-	// entry without a sketch (ratio-only objective, restored pool), the
+	// Feasibility floors: the ones Ingest took off the raw, or, for a
+	// segment without a sketch (ratio-only objective, restored pool), the
 	// stored representation's own.
-	floors := victim.Sketch
-	if floors != nil {
-		floors = floors[e.eval.answers:]
+	var floors, answers []float64
+	if victim.floors >= 0 {
+		floors, answers = e.floorsOf(victim), e.answersAt(s)
 	} else {
 		v, err := decode()
 		if err != nil {
@@ -525,10 +644,10 @@ func (e *OfflineEngine) recodeEntry(victim *store.Entry) (bool, error) {
 	}
 	var newEnc compress.Encoded
 	var err error
-	virtual := rec != nil && victim.Enc.Codec == name
+	virtual := rec != nil && old.Codec == name
 	if virtual {
 		// Virtual decompression: same-codec direct recode (§IV-E).
-		newEnc, err = rec.RecodeInto(e.recodeBuf, victim.Enc, tgt)
+		newEnc, err = rec.RecodeInto(e.recodeBuf, old, tgt)
 	} else {
 		var v []float64
 		if v, err = decode(); err == nil {
@@ -543,8 +662,8 @@ func (e *OfflineEngine) recodeEntry(victim *store.Entry) (bool, error) {
 		// this victim for now.
 		return fail(nil)
 	}
-	cost := e.recodeCost(victim.Enc.Codec, name, victim.Enc.N, virtual)
-	reward, accLoss, err := e.scoreRecode(victim, newEnc, cost)
+	cost := e.recodeCost(old.Codec, name, old.N, virtual)
+	reward, accLoss, err := e.scoreRecode(old, answers, newEnc, cost)
 	if err != nil {
 		return fail(err)
 	}
@@ -554,13 +673,14 @@ func (e *OfflineEngine) recodeEntry(victim *store.Entry) (bool, error) {
 		reward = 0
 	}
 	e.finishRecode(victim, newEnc, oldSize, accLoss, virtual, arm < 0, cost)
-	e.om.recoded(victim.ID, name, tgt, newEnc.Ratio(), reward, e.storage.Utilization(), virtual, arm < 0, start)
+	e.om.recoded(victim.id, name, tgt, newEnc.Ratio(), reward, e.storage.Utilization(), virtual, arm < 0, start)
 	return true, nil
 }
 
 // appendFloors appends the smallest ratio each lossy arm can reach on
-// values, in arm order, then the fallback's when the registry has one: the
-// second half of an entry's sketch, after the evaluator's Reference.
+// values, in arm order, then the fallback's when the registry has one: a
+// floor vector, the second half of a segment's sketch after the
+// evaluator's Reference.
 func (e *OfflineEngine) appendFloors(dst, values []float64) []float64 {
 	for _, lc := range e.lossy {
 		dst = append(dst, lc.MinRatio(values))
@@ -571,23 +691,24 @@ func (e *OfflineEngine) appendFloors(dst, values []float64) []float64 {
 	return dst
 }
 
-// scoreRecode evaluates the recoded representation against the raw
-// segment's reference answers and returns (bandit reward, accuracy loss).
-// cost is the recode's cost-model seconds, a speed term's T_c.
-func (e *OfflineEngine) scoreRecode(victim *store.Entry, newEnc compress.Encoded, cost float64) (reward, accLoss float64, err error) {
+// scoreRecode evaluates the recoded representation of old against the raw
+// segment's reference answers, nil for a segment without a sketch, and
+// returns (bandit reward, accuracy loss). cost is the recode's cost-model
+// seconds, a speed term's T_c.
+func (e *OfflineEngine) scoreRecode(old compress.Encoded, answers []float64, newEnc compress.Encoded, cost float64) (reward, accLoss float64, err error) {
 	decoded, err := e.reg.DecompressInto(e.scoreDec[:0], newEnc)
 	if err != nil {
 		return 0, 0, err
 	}
 	e.scoreDec = decoded
 	obs := Observation{Decoded: decoded, CompressedBytes: newEnc.Size(), Duration: costDuration(cost)}
-	if victim.Sketch != nil {
-		reward, accLoss = e.eval.ScoreAgainst(victim.Sketch[:e.eval.answers], victim.Enc.N, obs)
+	if answers != nil {
+		reward, accLoss = e.eval.ScoreAgainst(answers, old.N, obs)
 		return reward, accLoss, nil
 	}
 	// Without a sketch, score against the previous representation (best
 	// available reference).
-	obs.Raw, err = e.reg.DecompressInto(e.scoreRaw[:0], victim.Enc)
+	obs.Raw, err = e.reg.DecompressInto(e.scoreRaw[:0], old)
 	if err != nil {
 		return 0, 0, err
 	}
@@ -610,15 +731,15 @@ func (e *OfflineEngine) recodeCost(oldCodec, newCodec string, points int, virtua
 // finishRecode commits the new representation, written over the victim's
 // own bytes in the arena, storage accounting, CPU budget accounting and,
 // in one trip through the stats lock, the recode's statistics and the
-// entry's accuracy loss.
-func (e *OfflineEngine) finishRecode(victim *store.Entry, newEnc compress.Encoded, oldSize int, accLoss float64, virtual, fallback bool, cost float64) {
+// segment's accuracy loss.
+func (e *OfflineEngine) finishRecode(victim *row, newEnc compress.Encoded, oldSize int, accLoss float64, virtual, fallback bool, cost float64) {
 	_ = e.storage.Resize(int64(newEnc.Size() - oldSize)) // shrink never fails
-	n := copy(victim.Enc.Data, newEnc.Data)
-	victim.Enc = compress.Encoded{Codec: newEnc.Codec, Data: victim.Enc.Data[:n:n], N: newEnc.N}
-	victim.Lossless = false
-	victim.Level++
+	victim.size = uint32(copy(e.arena[victim.off:victim.off+oldSize], newEnc.Data))
+	victim.codec, victim.n = e.codecIndex(newEnc.Codec), newEnc.N
+	victim.lossless = false
+	victim.level++
 	e.statsMu.Lock()
-	victim.AccLoss = accLoss
+	victim.accLoss = accLoss
 	e.stats.Recodes++
 	if virtual {
 		e.stats.VirtualRecodes++
@@ -640,7 +761,7 @@ func (e *OfflineEngine) Snapshot() Snapshot {
 	e.statsMu.Lock()
 	n := e.stored()
 	for i := 0; i < n; i++ {
-		sum += e.row(i).AccLoss
+		sum += e.nth(i).accLoss
 	}
 	e.statsMu.Unlock()
 	mean := 0.0
@@ -661,9 +782,8 @@ func (e *OfflineEngine) Snapshot() Snapshot {
 func (e *OfflineEngine) Query(agg query.Agg) (float64, error) {
 	var all []float64
 	for i, stored := 0, e.stored(); i < stored; i++ {
-		entry := e.row(i)
 		e.policy.Get(e.slot(i)) // records the access
-		v, err := e.reg.Decompress(entry.Enc)
+		v, err := e.reg.Decompress(e.enc(e.nth(i)))
 		if err != nil {
 			return 0, err
 		}
@@ -679,7 +799,7 @@ func (e *OfflineEngine) QuerySegment(id uint64) ([]float64, error) {
 		return nil, fmt.Errorf("core: unknown segment %d", id)
 	}
 	e.policy.Get(e.slot(i))
-	return e.reg.Decompress(e.row(i).Enc)
+	return e.reg.Decompress(e.enc(e.nth(i)))
 }
 
 // Segments returns the number of stored segments. Safe to call while
@@ -691,11 +811,20 @@ func (e *OfflineEngine) Segments() int {
 }
 
 // EachEntry calls fn for every stored segment in ID order (for experiment
-// reporting); fn must not store or drain segments. A payload read through
-// an Entry lives in the engine's arena and is valid until the next Ingest,
-// which may overwrite or move it: copy it to keep it.
+// reporting); fn must not store or drain segments. Each Entry, Sketch
+// included, is a copy of its own that fn may keep or change without
+// touching the engine; its payload, though, lives in the engine's arena
+// and is valid until the next Ingest, which may overwrite or move it: copy
+// it to keep it.
 func (e *OfflineEngine) EachEntry(fn func(*store.Entry)) {
-	for i, n := 0, e.stored(); i < n; i++ {
-		fn(e.row(i))
+	n := e.stored()
+	entries := make([]store.Entry, n)
+	var sketches []float64
+	if e.eval.NeedsAccuracy() {
+		sketches = make([]float64, 0, n*(e.eval.answers+e.floorLen))
+	}
+	for i := range entries {
+		entries[i] = e.entry(e.slot(i), &sketches)
+		fn(&entries[i])
 	}
 }

@@ -4,9 +4,11 @@ import (
 	"fmt"
 	"hash/fnv"
 	"math"
+	"slices"
 	"sort"
 	"testing"
 
+	"repro/internal/compress"
 	"repro/internal/query"
 	"repro/internal/store"
 )
@@ -82,5 +84,52 @@ func TestOfflineSeededTraceGolden(t *testing.T) {
 				t.Errorf("%s seed %d: digest %s, want %s (%+v)", tc.name, seed, got, want, e.Stats())
 			}
 		}
+	}
+}
+
+// TestEachEntryHandsOutCopies: an Entry from EachEntry is the caller's, so
+// changing any of its fields, or its Sketch, leaves the engine as it was:
+// the same trace digest, and the same sketches on the next walk. When
+// EachEntry handed out the engine's own rows, a caller that kept or
+// changed one changed the stored segment.
+func TestEachEntryHandsOutCopies(t *testing.T) {
+	e, err := NewOfflineEngine(Config{
+		StorageBytes: 600 * 140,
+		Objective:    MLTarget(kmeansModel(t)),
+		CodecCost:    DefaultCodecCost,
+		Seed:         5,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ingestCBF(t, e, 600, 17)
+	want := offlineTraceDigest(e)
+	sketches := func() (out []uint64) {
+		e.EachEntry(func(en *store.Entry) {
+			for _, v := range en.Sketch {
+				out = append(out, math.Float64bits(v))
+			}
+		})
+		return out
+	}
+	wantSketches := sketches()
+	if len(wantSketches) == 0 || e.Stats().Recodes == 0 {
+		t.Fatalf("%d sketch values and %d recodes: nothing to protect, the test is vacuous", len(wantSketches), e.Stats().Recodes)
+	}
+	e.EachEntry(func(en *store.Entry) {
+		en.ID += 1 << 20
+		en.Enc = compress.Encoded{Codec: "tampered", N: 1}
+		en.Lossless, en.Level, en.Label = !en.Lossless, en.Level+7, en.Label+1
+		en.StartSec, en.EndSec, en.AccLoss = -1, -1, math.NaN()
+		for i := range en.Sketch {
+			en.Sketch[i] = math.Inf(1)
+		}
+		en.Sketch = append(en.Sketch, 1)
+	})
+	if got := offlineTraceDigest(e); got != want {
+		t.Errorf("digest %s after changing EachEntry's entries, want %s", got, want)
+	}
+	if got := sketches(); !slices.Equal(got, wantSketches) {
+		t.Error("changing EachEntry's sketches changed the engine's")
 	}
 }

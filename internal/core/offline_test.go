@@ -2,6 +2,9 @@ package core
 
 import (
 	"errors"
+	"fmt"
+	"math"
+	"slices"
 	"testing"
 
 	"repro/internal/compress"
@@ -421,5 +424,51 @@ func TestOfflineStatsConsistency(t *testing.T) {
 	}
 	if lossy != st.Recodes {
 		t.Fatalf("lossy selections %d != recodes %d", lossy, st.Recodes)
+	}
+}
+
+// TestOfflineFloorTableBounded: rows name their floor vectors in a table
+// that holds each distinct vector once, so variable-length ingest grows it
+// by the distinct (length, floors) vectors, not by the segments; and the
+// interning is exact, each row reading back the very floats Ingest took
+// off its raw.
+func TestOfflineFloorTableBounded(t *testing.T) {
+	e, err := NewOfflineEngine(Config{
+		StorageBytes: 1200 * 140,
+		Objective:    MLTarget(kmeansModel(t)),
+		CodecCost:    DefaultCodecCost,
+		Seed:         3,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	lengths := []int{128, 96, 128, 64, 200}
+	raws := map[uint64][]float64{}
+	distinct := map[string]bool{}
+	for i, s := range cbfSegments(t, 1200, 23) {
+		values := make([]float64, lengths[i%len(lengths)])
+		for j := range values {
+			values[j] = s.Values[j%len(s.Values)]
+		}
+		raws[e.nextID] = values
+		distinct[fmt.Sprint(e.appendFloors(nil, values))] = true
+		if err := e.Ingest(values, s.Label); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if e.Stats().Recodes == 0 {
+		t.Fatal("no recodes: the floors were never read")
+	}
+	if got := len(e.floorTab) / e.floorLen; got != len(distinct) || got > len(raws)/10 {
+		t.Errorf("the floor table holds %d vectors for %d distinct over %d segments", got, len(distinct), len(raws))
+	} else {
+		t.Logf("%d floor vectors for %d segments", got, len(raws))
+	}
+	for i := 0; i < e.stored(); i++ {
+		r := e.nth(i)
+		want := e.appendFloors(nil, raws[r.id])
+		if got := e.floorsOf(r); !slices.EqualFunc(got, want, func(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }) {
+			t.Fatalf("segment %d reads floors %v, took %v", r.id, got, want)
+		}
 	}
 }

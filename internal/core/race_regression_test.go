@@ -382,7 +382,7 @@ func TestOfflineSnapshotMutateWhileRunning(t *testing.T) {
 // appends, and drains once midway, which frees the oldest chunk for the
 // next to reuse. CI runs it 50 times under -race.
 func TestOfflineStatsPollRace(t *testing.T) {
-	const segments, drainAt = 4*entryChunk + 20, 2 * entryChunk
+	const segments, drainAt = 4*rowChunk + 20, 2 * rowChunk
 	eng, err := NewOfflineEngine(Config{
 		StorageBytes: 20 << 10,
 		Objective:    AggTarget(query.Sum),

@@ -12,21 +12,22 @@ func (e *OfflineEngine) QueryRange(agg query.Agg, fromSec, toSec float64) (float
 	}
 	var window []float64
 	for i, stored := 0, e.stored(); i < stored; i++ {
-		entry := e.row(i)
-		if entry.EndSec <= fromSec || entry.StartSec >= toSec {
+		r := e.nth(i)
+		start, end := e.startSec(r), r.endSec
+		if end <= fromSec || start >= toSec {
 			continue
 		}
 		e.policy.Get(e.slot(i)) // range queries are accesses too
-		values, err := e.reg.Decompress(entry.Enc)
+		values, err := e.reg.Decompress(e.enc(r))
 		if err != nil {
 			return 0, err
 		}
 		if len(values) == 0 {
 			continue
 		}
-		step := (entry.EndSec - entry.StartSec) / float64(len(values))
+		step := (end - start) / float64(len(values))
 		for i, v := range values {
-			ts := entry.StartSec + float64(i)*step
+			ts := start + float64(i)*step
 			if ts >= fromSec && ts < toSec {
 				window = append(window, v)
 			}

@@ -125,8 +125,9 @@ func ReadDump(r io.Reader, put func(*Entry) error) error {
 		case d.err != nil:
 			return d.err
 		// No encoder writes a segment of no points, and N divides in every
-		// ratio computed from the entry.
-		case i > 0 && id <= prevID, flags > 1, level > math.MaxInt32, n == 0, size > maxSegmentBytes:
+		// ratio computed from the entry; past MaxInt it would read back
+		// negative, and a resumed engine's clock would run backwards.
+		case i > 0 && id <= prevID, flags > 1, level > math.MaxInt32, n == 0, n > math.MaxInt, size > maxSegmentBytes:
 			return fmt.Errorf("%w: segment %d: id %d after %d, flags %#x, level %d, %d points in %d bytes",
 				ErrBadFormat, i, id, prevID, flags, level, n, size)
 		}

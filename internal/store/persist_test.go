@@ -128,6 +128,8 @@ func TestPersistRejectsGarbage(t *testing.T) {
 		// A level of 1<<31, past what Entry.Level holds: accepting it would
 		// re-serialize as another number.
 		[]byte("AEP1\x01\x00\x00\x00\x80\x80\x80\x80\x08\x03paa\x01\x01\x01"),
+		// N = 1<<63, which Entry.N would hold as a negative count.
+		[]byte("AEP1\x01\x00\x00\x00\x00\x03paa\x80\x80\x80\x80\x80\x80\x80\x80\x80\x01\x01\x01"),
 	}
 	for i, data := range cases {
 		if _, err := ReadPool(bytes.NewReader(data), nil); !errors.Is(err, ErrBadFormat) {

@@ -6,10 +6,12 @@ import (
 	"repro/internal/compress"
 )
 
-// Entry is a compressed segment resident in the pool. It is 128 bytes,
-// which the size-class arithmetic of the offline engine's entry chunks
-// assumes (TestEntryIs128Bytes): a field added here must take a word from
-// another.
+// Entry is a compressed segment resident in the pool, and the form in
+// which the offline engine hands a stored segment out (EachEntry, Drain,
+// SaveTo); the engine itself keeps a smaller pointer-free row per segment
+// and builds an Entry from it. It is 128 bytes, a size class of its own,
+// so a Pool's entries waste nothing (TestEntryIs128Bytes): a field added
+// here must take a word from another.
 type Entry struct {
 	// ID is the segment id.
 	ID uint64
@@ -29,17 +31,20 @@ type Entry struct {
 	// StartSec and EndSec bound the segment's span on the device's
 	// virtual clock, enabling time-range queries.
 	StartSec, EndSec float64
-	// AccLoss is the offline engine's workload accuracy loss of Enc, set
-	// when it recodes the segment (0 while lossless). Engine state like
-	// Sketch: not persisted.
+	// AccLoss is the offline engine's workload accuracy loss of Enc, which
+	// it caches per segment when it recodes it (0 while lossless). Engine
+	// state like Sketch: not persisted.
 	AccLoss float64
 	// Sketch is what the offline engine took off the raw segment at ingest
 	// so that it need not keep the segment: the objective's reference
 	// answers (core.Evaluator.Reference) followed by each lossy arm's
 	// feasibility floor, a few dozen bytes where the raw is 8 per point.
-	// Nil when the objective has no accuracy term and on entries restored
-	// from a dump. It is engine working state, opaque to the pool: never
-	// counted against the storage budget, persisted or shipped.
+	// The engine keeps the answers per segment and each distinct floor
+	// vector once, and joins them into a copy of the caller's own when it
+	// hands out an Entry. Nil when the objective has no accuracy term and
+	// on entries restored from a dump. It is engine working state, opaque
+	// to the pool: never counted against the storage budget, persisted or
+	// shipped.
 	Sketch []float64
 }
 
@@ -47,7 +52,7 @@ type Entry struct {
 // small non-negative integers that its owner assigns, one to each segment
 // it registers, and may reuse once that segment is Removed. A policy can
 // therefore keep its state in slices indexed by slot, with no map. The
-// offline engine's slot is a row's position in its entry chunks; a Pool
+// offline engine's slot is a row's position in its row chunks; a Pool
 // assigns its own. Implementations must be safe for use by a single
 // goroutine; their owner serializes access.
 type Policy interface {

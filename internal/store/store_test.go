@@ -12,9 +12,9 @@ func entry(id uint64, size int) *Entry {
 	return &Entry{ID: id, Enc: compress.Encoded{Codec: "x", Data: make([]byte, size), N: size / 8}}
 }
 
-// TestEntryIs128Bytes: the offline engine allocates entries 127 to a chunk
-// so a chunk fills the 16 384-byte size class (core.entryChunk); at any
-// other size that arithmetic is wrong.
+// TestEntryIs128Bytes: an Entry fills the 128-byte size class, so a Pool,
+// which allocates one per Put, and the offline engine's EachEntry and
+// Drain, which hand out one per segment, waste nothing on rounding.
 func TestEntryIs128Bytes(t *testing.T) {
 	if got := unsafe.Sizeof(Entry{}); got != 128 {
 		t.Fatalf("store.Entry is %d bytes, want 128", got)
