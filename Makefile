@@ -43,8 +43,10 @@ allocs:
 
 # fuzz-smoke mirrors the CI fuzz job: every Fuzz* target in the
 # decoder-facing packages, the persisted-format readers in internal/store,
-# the bit reader under them (differential against a bit-by-bit reference)
-# and the ml model loader gets $(FUZZTIME) of fuzzing.
+# the bit reader under them (differential against a bit-by-bit reference),
+# the in-house gzip/zlib framing (FuzzFlateFramingDifferential, against
+# the standard library's writers) and the ml model loader gets
+# $(FUZZTIME) of fuzzing.
 fuzz-smoke:
 	@for pkg in ./internal/bitio ./internal/compress ./internal/store ./internal/transport ./internal/ml; do \
 		targets=$$($(GO) test -list '^Fuzz' $$pkg | grep '^Fuzz'); \

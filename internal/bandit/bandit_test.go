@@ -190,6 +190,22 @@ func TestAllocsPolicyCycle(t *testing.T) {
 	}
 }
 
+// TestAllocsPolicyInit pins what building a policy allocates: the policy,
+// its seeded RNG (two objects), and the ledger's per-arm arrays in one
+// float64 block and one int block, plus the arrays a policy keeps of its
+// own (Gradient's probabilities, Contextual's priors and scores). An
+// offline engine builds a policy per ratio range; one allocation per
+// ledger array made that five, not two.
+func TestAllocsPolicyInit(t *testing.T) {
+	own := map[string]float64{"gradient": 1, "contextual": 2}
+	for _, tc := range policyTable() {
+		want := 5 + own[tc.name]
+		if got := testing.AllocsPerRun(20, func() { tc.make(6) }); got != want {
+			t.Errorf("%s: building the policy allocates %v times, want %v", tc.name, got, want)
+		}
+	}
+}
+
 func TestDeterministicWithSameSeed(t *testing.T) {
 	run := func() []int {
 		p := NewEpsilonGreedy(4, Config{Epsilon: 0.3, Seed: 99})

@@ -38,11 +38,14 @@ func (l *ledger) init(arms int, cfg Config, initial float64) {
 	}
 	l.cfg = cfg
 	l.rng = rand.New(rand.NewSource(seed))
-	l.values = make([]float64, arms)
-	l.counts = make([]int, arms)
-	l.rewards = make([]float64, arms)
-	l.cand = make([]int, 0, arms)
-	l.ties = make([]int, 0, arms)
+	// Every per-arm array is a capped window of one float64 block and one
+	// int block, two allocations a ledger rather than five: an engine
+	// builds several ledgers, the offline engine a pool of them. The caps
+	// keep the scratch appends inside their own windows.
+	f := make([]float64, 2*arms)
+	l.values, l.rewards = f[:arms:arms], f[arms:]
+	n := make([]int, 3*arms)
+	l.counts, l.cand, l.ties = n[:arms:arms], n[arms:arms:2*arms], n[2*arms:2*arms]
 	for i := range l.values {
 		l.values[i] = initial
 	}

@@ -208,30 +208,41 @@ func TestCompressRetainedBytes(t *testing.T) {
 	}
 }
 
-// TestAllocsFlateFreshRegistry: gzip's and zlib's encoders are pooled
-// process-wide, so a registry built after a warm one encodes its first
-// segment with the writer the warm one put back, allocating nothing. With a
-// pool per codec instance each new registry (one per engine built without
-// a Registry) started cold and built stdlib writers of ~600 KB each for
-// its first flate encodes: 19 and 21 mallocs here. A pooled writer is
-// parked on the P that put it back, so a goroutine moved to another P
-// between the warm-up and the measured call misses it; each try therefore
-// takes a fresh registry, and one clean try of three passes.
+// TestAllocsFlateFreshRegistry: DEFLATE writers are pooled process-wide,
+// one pool per level, so a registry built after a warm one encodes its
+// first segment with the writer the warm one put back, allocating nothing;
+// and since gzip runs level 6 inside its own framing, a writer a zlib-6
+// encode put back serves a gzip one. With a pool per codec instance each
+// new registry (one per engine built without a Registry) started cold and
+// built stdlib writers of about 1 MB each for its first flate encodes: 19
+// and 21 mallocs here. A pooled writer is parked on the P that put it
+// back, so a goroutine moved to another P between the warm-up and the
+// measured call misses it; each try therefore takes a fresh registry, and
+// one clean try of three passes.
 func TestAllocsFlateFreshRegistry(t *testing.T) {
 	if raceBuild() {
 		t.Skip("under the race detector sync.Pool drops a quarter of its Puts")
 	}
 	sig := allocSignal(128)
 	dst := make([]byte, 0, 1<<12)
-	for _, name := range []string{"gzip", "zlib-6"} {
+	for _, pair := range [][2]string{{"gzip", "gzip"}, {"zlib-6", "zlib-6"}, {"zlib-6", "gzip"}} {
+		warmName, freshName := pair[0], pair[1]
+		name := freshName
+		if warmName != freshName {
+			name += " after " + warmName
+		}
 		t.Run(name, func(t *testing.T) {
-			warm, _ := DefaultRegistry(4).Lookup(name)
 			var got uint64
 			for try := 0; try < 3; try++ {
+				// Empty every pool first, so no writer an earlier subtest
+				// put back can stand in for the one warm puts back.
+				runtime.GC()
+				runtime.GC()
+				warm, _ := DefaultRegistry(4).Lookup(warmName)
 				if _, err := warm.CompressInto(dst, sig); err != nil {
 					t.Fatal(err)
 				}
-				fresh, _ := DefaultRegistry(4).Lookup(name)
+				fresh, _ := DefaultRegistry(4).Lookup(freshName)
 				var before, after runtime.MemStats
 				runtime.ReadMemStats(&before)
 				_, err := fresh.CompressInto(dst, sig)
@@ -243,7 +254,89 @@ func TestAllocsFlateFreshRegistry(t *testing.T) {
 					return
 				}
 			}
-			t.Errorf("a fresh registry's first %s encode allocates %d times, want 0: its encoder pool starts cold", name, got)
+			t.Errorf("a fresh registry's first %s encode after a %s one allocates %d times, want 0: its encoder pool starts cold", freshName, warmName, got)
+		})
+	}
+}
+
+// freshScratchSink keeps TestAllocsFreshScratch's reference workspaces on
+// the heap, where the pools' are.
+var freshScratchSink any
+
+// TestAllocsFreshScratch: once two collections have emptied the pools, one
+// Dict, LTTB or FFT encode of a 128-point segment allocates its workspace
+// and nothing else: the workspace (counted by building one and sizing it
+// for the segment, as reserve does) and what a pool allocates to register
+// again after a collection. Each array of the workspace is born at segment
+// size, so refilling a pool after a collection is one allocation per
+// array. Born small, they grew through doublings: Dict's 64-entry index up
+// to the segment's 128 values and its two arrays from nothing, LTTB's
+// selection and FFT's ranking from nothing, and FFT's spectrum twice when
+// a Recode sized it first. The runtime allocates now and then on another
+// goroutine, so one clean try of three passes.
+func TestAllocsFreshScratch(t *testing.T) {
+	if raceBuild() {
+		t.Skip("under the race detector sync.Pool drops a quarter of its Puts")
+	}
+	sig := allocSignal(128)
+	n := len(sig)
+	dst := make([]byte, 0, 1<<12)
+	for _, tc := range []struct {
+		name    string
+		encode  func() error
+		scratch func() any
+	}{
+		{"dict", func() error {
+			_, err := NewDict().CompressInto(dst, sig)
+			return err
+		}, func() any {
+			ws := new(dictScratch)
+			ws.reserve(n)
+			return ws
+		}},
+		{"lttb", func() error {
+			_, err := NewLTTB().CompressRatioInto(dst, sig, 0.5)
+			return err
+		}, func() any {
+			ws := new(lttbScratch)
+			ws.reserve(n)
+			return ws
+		}},
+		{"fft", func() error {
+			_, err := NewFFT().CompressRatioInto(dst, sig, 0.2)
+			return err
+		}, func() any {
+			ws := new(fftScratch)
+			ws.reserve(n, n/2+1)
+			return ws
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			freshScratchSink = tc.scratch()
+			runtime.ReadMemStats(&after)
+			// And the pool's re-registration with the runtime after a
+			// collection: its per-P array and its entry in the runtime's
+			// list of pools.
+			want := after.Mallocs - before.Mallocs + 2
+			freshScratchSink = nil
+			var got uint64
+			for try := 0; try < 3; try++ {
+				runtime.GC()
+				runtime.GC() // the first cycle only moves pooled scratch to the victim cache
+				runtime.ReadMemStats(&before)
+				err := tc.encode()
+				runtime.ReadMemStats(&after)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if got = after.Mallocs - before.Mallocs; got <= want {
+					t.Logf("%d allocations, at most %d allowed", got, want)
+					return
+				}
+			}
+			t.Errorf("the first %s encode after two collections allocates %d times, want at most %d: its workspace and the pool's registration", tc.name, got, want)
 		})
 	}
 }

@@ -33,6 +33,7 @@ func (*Dict) CompressInto(dst []byte, values []float64) (Encoded, error) {
 	}
 	ws := dictScratches.Get().(*dictScratch)
 	defer dictScratches.Put(ws)
+	ws.reserve(len(values))
 	clear(ws.index)
 	dict, codes := ws.dict[:0], ws.codes[:0]
 	for _, v := range values {
@@ -65,9 +66,20 @@ type dictScratch struct {
 	codes []uint32
 }
 
-var dictScratches = sync.Pool{New: func() any {
-	return &dictScratch{index: make(map[float64]uint32, 64)}
-}}
+var dictScratches = sync.Pool{New: func() any { return new(dictScratch) }}
+
+// reserve sizes a workspace born empty for an n-point segment, each part
+// in one allocation: a segment has at most n distinct values, so neither
+// the index nor the arrays grow while it is encoded. A workspace a GC took
+// from the pool is rebuilt that way, not by doubling from a small map.
+func (ws *dictScratch) reserve(n int) {
+	if ws.index == nil {
+		ws.index = make(map[float64]uint32, n)
+	}
+	if cap(ws.codes) < n {
+		ws.dict, ws.codes = make([]float64, 0, n), make([]uint32, 0, n)
+	}
+}
 
 // DecompressInto implements Codec. Codes index the dictionary where it
 // lies in enc.Data; nothing is staged.

@@ -58,6 +58,7 @@ func (f *FFT) CompressRatioInto(dst []byte, values []float64, ratio float64) (En
 	}
 	ws := fftScratches.Get().(*fftScratch)
 	defer fftScratches.Put(ws)
+	ws.reserve(n, half)
 	ws.spec = dsp.FFTRealInto(ws.spec, values)
 	return fftEncodeTopK(dst, ws, ws.spec[:half], n, k), nil
 }
@@ -71,6 +72,21 @@ type fftScratch struct {
 }
 
 var fftScratches = sync.Pool{New: func() any { return new(fftScratch) }}
+
+// reserve sizes the workspace for an n-point segment whose ranking keeps up
+// to keep bins, each array in one allocation: the spectrum at the full n
+// every entry point uses, so a Recode (which ranks half of it) followed by
+// an encode or a decode does not grow it twice, and a workspace born empty
+// (or taken from the pool by a GC) does not grow the ranking through
+// doublings.
+func (ws *fftScratch) reserve(n, keep int) {
+	if cap(ws.spec) < n {
+		ws.spec = make([]complex128, n)
+	}
+	if cap(ws.keep) < keep {
+		ws.keep = make([]fftRank, 0, keep)
+	}
+}
 
 // fftRank is one half-spectrum bin with its ranking weight.
 type fftRank struct {
@@ -235,7 +251,10 @@ func (f *FFT) RecodeInto(dst []byte, enc Encoded, ratio float64) (Encoded, error
 	ws := fftScratches.Get().(*fftScratch)
 	defer fftScratches.Put(ws)
 	// The encoder only writes half-spectrum bins; one above n/2 (which
-	// DecompressInto would mirror) is rejected rather than indexed.
+	// DecompressInto would mirror) is rejected rather than indexed. The
+	// ranking keeps fewer bins than the payload holds, and a forged n
+	// costs the spectrum a decode of it already allocates.
+	ws.reserve(n, min(count, n/2+1))
 	half := ws.zeroed(n/2 + 1)
 	for i := 0; i < count; i++ {
 		c, err := fftCoefAt(recs, i, len(half))

@@ -1,44 +1,48 @@
 package compress
 
 import (
-	"compress/gzip"
-	"compress/zlib"
+	"compress/flate"
+	"encoding/binary"
 	"fmt"
-	"io"
+	"hash/adler32"
+	"hash/crc32"
 	"sync"
 )
 
-// Flate-based codecs encode through the standard library's writers, pooled:
-// DEFLATE setup (hash chains, window buffers) dominates the cost of
-// compressing the ~1 KiB segments AdaEdge works with, and pooling amortizes
-// it the way a long-lived C zlib stream would. They decode through the
-// in-house inflate (inflate.go), which allocates nothing once warm.
+// Flate-based codecs encode through compress/flate's raw DEFLATE writer,
+// pooled, and frame its output here: gzip (RFC 1952) and zlib (RFC 1950)
+// differ only in a header and a checksum trailer around the same DEFLATE
+// body, which is how inflate.go parses them on the way back. DEFLATE setup
+// (hash chains, window buffers) dominates the cost of compressing the
+// ~1 KiB segments AdaEdge works with, and pooling amortizes it the way a
+// long-lived C zlib stream would. They decode through the in-house inflate
+// (inflate.go), which allocates nothing once warm. compress/gzip and
+// compress/zlib, whose writers frame the same bytes, are the test
+// references (FuzzFlateFramingDifferential).
 
-// flateCore is the shared implementation behind Gzip and Zlib, which
-// differ only in the stdlib writer they wrap and the framing they parse.
+// flateCore is the shared implementation behind Gzip and Zlib: a DEFLATE
+// level and the framing around it.
 type flateCore struct {
-	name      string
-	newWriter func(io.Writer) (flateWriter, error)
-	encs      *sync.Pool // *flateEnc: flateEncs[0] for gzip, [level] for zlib
+	name  string
+	level int
+	gzip  bool // RFC 1952 framing; RFC 1950 (zlib) otherwise
 }
 
-// flateEncs pools encoders process-wide, one pool per codec name, like
-// every other codec scratch: a registry built later (each engine built
-// without one builds its own) reuses the writers, ~600 KB each, that
-// earlier ones put back (TestAllocsFlateFreshRegistry). Index 0 is gzip,
-// index level is zlib-level.
+// flateEncs pools raw DEFLATE writers process-wide, one pool per level
+// (index level, 1..9), like every other codec scratch. gzip runs level 6,
+// so it shares zlib-6's pool, and a registry built later (each
+// compress.DefaultRegistry call builds one) reuses the writers, about 1 MB
+// each, that earlier ones put back (TestAllocsFlateFreshRegistry).
 var flateEncs [10]sync.Pool
 
-// flateWriter is what gzip.Writer and zlib.Writer share.
-type flateWriter interface {
-	io.WriteCloser
-	Reset(io.Writer)
-}
+// gzipLevel is the DEFLATE level gzip encodes at: compress/gzip's default,
+// which compress/flate runs as level 6.
+const gzipLevel = 6
 
 // flateEnc is one pooled encoder: the stream state plus the sink it
 // writes through, so a call allocates neither.
 type flateEnc struct {
-	w   flateWriter
+	w   *flate.Writer
 	out appendWriter
 }
 
@@ -54,39 +58,79 @@ func (f *flateCore) compress(dst []byte, values []float64) (Encoded, error) {
 	if len(values) == 0 {
 		return Encoded{}, ErrEmptyInput
 	}
-	e, _ := f.encs.Get().(*flateEnc)
+	pool := &flateEncs[f.level]
+	e, _ := pool.Get().(*flateEnc)
 	if e == nil {
 		e = new(flateEnc)
 		var err error
-		if e.w, err = f.newWriter(&e.out); err != nil {
+		if e.w, err = flate.NewWriter(&e.out, f.level); err != nil {
 			return Encoded{}, err
 		}
 	}
-	e.out.b = dst[:0]
-	e.w.Reset(&e.out)
 	raw := byteScratch.Get().(*[]byte)
 	*raw = appendFloats((*raw)[:0], values)
+	e.out.b = f.appendHeader(dst[:0])
+	e.w.Reset(&e.out)
 	_, err := e.w.Write(*raw)
-	byteScratch.Put(raw)
 	if err == nil {
 		err = e.w.Close()
 	}
-	out := e.out.b
+	out := f.appendTrailer(e.out.b, *raw)
 	e.out.b = nil // the encoding leaves with the caller
+	byteScratch.Put(raw)
 	if err != nil {
 		return Encoded{}, err
 	}
-	f.encs.Put(e)
+	pool.Put(e)
 	return Encoded{Codec: f.name, Data: out, N: len(values)}, nil
 }
 
-// decompress inflates enc through unwrap, which parses its framing (gunzip
-// or unzlib), capped at the bytes of maxDecodePoints points: a few hundred
-// KB of deflated zeros would otherwise expand to gigabytes before any
-// length check runs.
-func (f *flateCore) decompress(dst []float64, enc Encoded, unwrap func(out, src []byte, limit int) ([]byte, error)) ([]float64, error) {
+// appendHeader appends the framing's header, the bytes compress/gzip's and
+// compress/zlib's writers emit with no optional field set. gzip's is ID1
+// ID2 CM, no flags, no MTIME, XFL 0 (neither level 1 nor 9) and OS 255
+// (unknown). zlib's is CMF (deflate, 32 KiB window) then FLG: the level's
+// FLEVEL, no dictionary and the check bits that make CMF·256+FLG a
+// multiple of 31.
+func (f *flateCore) appendHeader(dst []byte) []byte {
+	if f.gzip {
+		return append(dst, 0x1f, 0x8b, 8, 0, 0, 0, 0, 0, 0, 255)
+	}
+	var flevel byte
+	switch {
+	case f.level >= 7:
+		flevel = 3
+	case f.level == 6:
+		flevel = 2
+	case f.level >= 2:
+		flevel = 1
+	}
+	cmf, flg := byte(0x78), flevel<<6
+	flg += byte(31 - (uint16(cmf)<<8|uint16(flg))%31)
+	return append(dst, cmf, flg)
+}
+
+// appendTrailer appends the framing's checksum trailer over raw, the
+// uncompressed bytes: gzip's CRC-32 and ISIZE, little-endian; zlib's
+// Adler-32, big-endian.
+func (f *flateCore) appendTrailer(dst, raw []byte) []byte {
+	if f.gzip {
+		dst = binary.LittleEndian.AppendUint32(dst, crc32.ChecksumIEEE(raw))
+		return binary.LittleEndian.AppendUint32(dst, uint32(len(raw)))
+	}
+	return binary.BigEndian.AppendUint32(dst, adler32.Checksum(raw))
+}
+
+// decompress inflates enc through the framing's parser (gunzip or unzlib),
+// capped at the bytes of maxDecodePoints points: a few hundred KB of
+// deflated zeros would otherwise expand to gigabytes before any length
+// check runs.
+func (f *flateCore) decompress(dst []float64, enc Encoded) ([]float64, error) {
 	if enc.Codec != f.name {
 		return nil, ErrCodecMismatch
+	}
+	unwrap := unzlib
+	if f.gzip {
+		unwrap = gunzip
 	}
 	raw := byteScratch.Get().(*[]byte)
 	var out []float64
@@ -117,11 +161,7 @@ type Gzip struct{ core flateCore }
 
 // NewGzip returns the Gzip codec at the default compression level.
 func NewGzip() *Gzip {
-	return &Gzip{flateCore{
-		name:      "gzip",
-		newWriter: func(w io.Writer) (flateWriter, error) { return gzip.NewWriter(w), nil },
-		encs:      &flateEncs[0],
-	}}
+	return &Gzip{flateCore{name: "gzip", level: gzipLevel, gzip: true}}
 }
 
 // Name implements Codec.
@@ -134,7 +174,7 @@ func (g *Gzip) CompressInto(dst []byte, values []float64) (Encoded, error) {
 
 // DecompressInto implements Codec.
 func (g *Gzip) DecompressInto(dst []float64, enc Encoded) ([]float64, error) {
-	return g.core.decompress(dst, enc, gunzip)
+	return g.core.decompress(dst, enc)
 }
 
 // Zlib is the DEFLATE byte compressor with a configurable level, covering
@@ -144,11 +184,7 @@ type Zlib struct{ core flateCore }
 // NewZlib returns a Zlib codec at the given level (1..9).
 func NewZlib(level int) *Zlib {
 	level = min(max(level, 1), 9)
-	return &Zlib{flateCore{
-		name:      fmt.Sprintf("zlib-%d", level),
-		newWriter: func(w io.Writer) (flateWriter, error) { return zlib.NewWriterLevel(w, level) },
-		encs:      &flateEncs[level],
-	}}
+	return &Zlib{flateCore{name: fmt.Sprintf("zlib-%d", level), level: level}}
 }
 
 // Name implements Codec.
@@ -161,5 +197,5 @@ func (z *Zlib) CompressInto(dst []byte, values []float64) (Encoded, error) {
 
 // DecompressInto implements Codec.
 func (z *Zlib) DecompressInto(dst []float64, enc Encoded) ([]float64, error) {
-	return z.core.decompress(dst, enc, unzlib)
+	return z.core.decompress(dst, enc)
 }

@@ -14,8 +14,8 @@ import (
 // warm, allocates nothing: back-references index the output itself, so there
 // is no window ring, and the Huffman tables are fixed-size arrays rebuilt in
 // place for each block, where compress/flate's streaming reader allocates
-// link tables for every dynamic block. Encoding stays on the standard
-// library's writers.
+// link tables for every dynamic block. Encoding runs compress/flate's
+// writer inside the framing flate.go writes.
 //
 // What it accepts, compress/zlib's and compress/gzip's readers accept too,
 // with identical bytes (FuzzInflateDifferential). It accepts everything

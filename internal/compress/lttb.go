@@ -57,6 +57,7 @@ func (l *LTTB) CompressRatioInto(dst []byte, values []float64, ratio float64) (E
 	}
 	ws := lttbScratches.Get().(*lttbScratch)
 	defer lttbScratches.Put(ws)
+	ws.reserve(n)
 	ws.sel = lttbSelect(ws.sel, values, k)
 	out := putCountedHeader(dst, n, len(ws.sel), lttbPointBytes)
 	for _, i := range ws.sel {
@@ -73,6 +74,16 @@ type lttbScratch struct {
 }
 
 var lttbScratches = sync.Pool{New: func() any { return new(lttbScratch) }}
+
+// reserve sizes the selection for up to n indices in one allocation, so a
+// workspace born empty (or taken from the pool by a GC) does not grow
+// through doublings: n is the segment's length for an encode and the
+// payload's point count for a Recode, which never selects more.
+func (ws *lttbScratch) reserve(n int) {
+	if cap(ws.sel) < n {
+		ws.sel = make([]int, 0, n)
+	}
+}
 
 func lttbAppendPoint(out []byte, idx uint32, v float64) []byte {
 	out = binary.LittleEndian.AppendUint32(out, idx)
@@ -204,6 +215,7 @@ func (l *LTTB) RecodeInto(dst []byte, enc Encoded, ratio float64) (Encoded, erro
 	}
 	ws := lttbScratches.Get().(*lttbScratch)
 	defer lttbScratches.Put(ws)
+	ws.reserve(count)
 	ws.vals = growFloats(ws.vals, count)
 	for i, prev := 0, -1; i < count; i++ {
 		idx, v, err := lttbPointAt(recs, i, n, prev)

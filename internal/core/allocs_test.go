@@ -324,22 +324,29 @@ const offlineRecodeEpoch = 4096
 // selects LRU).
 func offlineRecodeEngine(t *testing.T, policy store.Policy) *OfflineEngine {
 	t.Helper()
+	eng, err := NewOfflineEngine(offlineRecodeConfig(t, policy))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return eng
+}
+
+// offlineRecodeConfig is offlineRecodeEngine's configuration, its model
+// fitted.
+func offlineRecodeConfig(t *testing.T, policy store.Policy) Config {
+	t.Helper()
 	X, _ := datasets.CBF(240, datasets.CBFConfig{Seed: 1})
 	model, err := ml.FitKMeans(X, ml.KMeansConfig{K: 3, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	eng, err := NewOfflineEngine(Config{
+	return Config{
 		StorageBytes: offlineRecodeEpoch * 140,
 		Objective:    MLTarget(model),
 		CodecCost:    DefaultCodecCost,
 		Policy:       policy,
 		Seed:         1,
-	})
-	if err != nil {
-		t.Fatal(err)
 	}
-	return eng
 }
 
 // liveHeap is the heap in use after a collection.
@@ -357,11 +364,13 @@ func liveHeap() uint64 {
 // payload is encoded into engine scratch and copied into the engine's
 // arena, a recode overwrites its victim there, and a gzip or zlib victim
 // decodes through the in-house inflate, which allocates nothing. What is
-// left, about 0.12 a segment by a -memprofilerate=1 profile, is mostly
-// start-up: the flate writers the encode pools build (0.04), the engine's
-// rows, 127 segments a chunk (0.01), Dict's encoder, the bandit instances
-// and the recency list's slab. The budget, 0.22, is the top of the
-// 0.12-0.20 this read in 60 runs, plus 10 %. While gzip and zlib victims
+// left, 0.08-0.11 a segment, is mostly the DEFLATE writers and other
+// pooled workspaces rebuilt after each collection, and the engine's rows,
+// 256 segments a chunk (TestAllocsOfflineEpochAfterGC itemizes it). The
+// budget, 0.22, is the top of the 0.12-0.20 this read in 60 runs, plus
+// 10 %, while gzip and zlib-6 pooled writers of their own, the bandit
+// ledgers took five allocations each and Dict, LTTB and FFT scratch grew
+// through doublings. While gzip and zlib victims
 // decoded through compress/flate, whose Huffman link tables allocate per
 // dynamic block (0.46 a segment), this read 0.62, under a budget of 0.8;
 // while the engine also kept a map from ID to entry and one from ID to
@@ -395,6 +404,58 @@ func TestAllocsOfflineIngest(t *testing.T) {
 		t.Errorf("only %d recodes over %d segments: the budget no longer forces the cascade this pin is about", eng.Stats().Recodes, epoch)
 	}
 }
+
+// TestAllocsOfflineEpochAfterGC pins an offline_recode epoch as the
+// workload meets it: two collections have just emptied every sync.Pool,
+// then a fresh engine built without a Registry takes 4 096 CBF segments,
+// construction included. What it allocates should be what it stores: its
+// row and answer chunks, the arena's four steps up to its steady state and
+// the recency list's three; plus one rebuild per pooled workspace the
+// collections emptied (a DEFLATE writer per level, Dict, LTTB and FFT
+// scratch, each born at segment size) and the bandit ledgers, an instance
+// at a time. It reads 0.072-0.091 a segment over 52 runs; the budget is
+// the top of that plus 15 %. The same epoch read 0.093-0.125 while the
+// engine built its own 17-codec registry, gzip and zlib-6 kept writers of
+// about 1 MB each in pools of their own, a ledger took five allocations,
+// Dict's index and the LTTB and FFT workspaces grew through doublings
+// after every collection, and the arena and the recency list doubled from
+// one payload and one slot.
+func TestAllocsOfflineEpochAfterGC(t *testing.T) {
+	skipAllocPinUnderRace(t)
+	const epoch = offlineRecodeEpoch
+	cfg := offlineRecodeConfig(t, nil)
+	segs := cbfSegments(t, epoch, 11)
+	var stats OfflineStats
+	runtime.GC()
+	runtime.GC() // the first cycle only moves pooled scratch to the victim cache
+	// No collection mid-epoch: how many the epoch meets depends on the
+	// heap the test binary happens to have, and each would empty the pools
+	// again.
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	got := mallocsPerOp(1, func() {
+		eng, err := NewOfflineEngine(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, s := range segs {
+			if err := eng.Ingest(s.Values, s.Label); err != nil {
+				t.Fatal(err)
+			}
+		}
+		stats = eng.Stats()
+	}) / epoch
+	if got > offlineEpochAllocBudget {
+		t.Errorf("a fresh offline epoch after two collections allocates %.4f/segment, budget %.4f", got, offlineEpochAllocBudget)
+	} else {
+		t.Logf("%.4f allocations per segment", got)
+	}
+	if stats.Recodes < epoch {
+		t.Errorf("only %d recodes over %d segments: the budget no longer forces the cascade this pin is about", stats.Recodes, epoch)
+	}
+}
+
+// offlineEpochAllocBudget is TestAllocsOfflineEpochAfterGC's budget.
+const offlineEpochAllocBudget = 0.105
 
 // TestOfflineRetainedBytesPerSegment pins what the offline engine keeps in
 // RAM per stored segment, on the offline_recode workload's configuration:

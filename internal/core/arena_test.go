@@ -225,3 +225,32 @@ func TestArenaProperty(t *testing.T) {
 		t.Logf("seed %d: %d compactions, %d recodes, %d queries, %d drains, %d resumes, %d segments stored", seed, compactions, recodes, queries, drains, resumes, len(shadow))
 	}
 }
+
+// TestArenaGrowthSteps: over an offline_recode epoch the arena takes its
+// first capacity from the steady state halved until it fits arenaFirst,
+// then doubles onto the steady state itself: five allocations, the last
+// of them the arena the epoch ends with. Doubling from the first payload's
+// size took a dozen, and doubling from a power of two ended with a short
+// last step that cost a whole extra arena.
+func TestArenaGrowthSteps(t *testing.T) {
+	e := offlineRecodeEngine(t, nil)
+	budget := int(e.storage.Capacity())
+	steady := int(e.cfg.StorageThreshold*float64(budget)) + budget/8
+	var caps []int
+	for i, s := range cbfSegments(t, offlineRecodeEpoch, 11) {
+		if err := e.Ingest(s.Values, s.Label); err != nil {
+			t.Fatalf("segment %d: %v", i, err)
+		}
+		if c := cap(e.arena); len(caps) == 0 || c != caps[len(caps)-1] {
+			caps = append(caps, c)
+		}
+	}
+	if len(caps) != 5 || caps[0] > arenaFirst || caps[len(caps)-1] != steady {
+		t.Fatalf("the arena took capacities %v: want five, the first within %d and the last the steady state %d", caps, arenaFirst, steady)
+	}
+	for i := 1; i < len(caps); i++ {
+		if caps[i] != 2*caps[i-1] {
+			t.Fatalf("the arena took capacities %v: want each twice the last", caps)
+		}
+	}
+}

@@ -329,6 +329,9 @@ func absf(v float64) float64 {
 // nil-receiver-safe, all emission on the decision goroutine.
 type ctxMetrics struct {
 	ring *obs.Ring
+	// device stamps the records that belong to a segment's span (Device
+	// and Trace), so Groups files them with the segment's stages.
+	device uint64
 	// health is this device's fleet-board row: deadline rejects and
 	// fallbacks surface per device on /debug/fleet (nil rows no-op).
 	health *obs.DeviceHealth
@@ -352,6 +355,7 @@ func newCtxMetrics(o *obs.Observer, deviceID uint64) *ctxMetrics {
 	reg := o.Registry()
 	return &ctxMetrics{
 		ring:      o.Ring(),
+		device:    deviceID,
 		health:    o.Fleet().Device(deviceID),
 		rejects:   reg.Counter("core.online.deadline_rejects"),
 		fallbacks: reg.Counter("core.online.deadline_fallbacks"),
@@ -402,7 +406,8 @@ func (m *ctxMetrics) fallbackEvent(id uint64, arm int, codec string, predLat, de
 	m.fallbacks.Inc()
 	m.health.NoteDeadlineFallback()
 	m.ring.Record(obs.Event{
-		Source: "core.online", Kind: "deadline_fallback", ID: id, Arm: arm,
-		Codec: codec, Lossy: true, Value: predLat, Target: deadline,
+		Source: "core.online", Kind: "deadline_fallback", ID: id, Device: m.device,
+		Trace: obs.TraceOfSegment(id), Arm: arm, Codec: codec, Lossy: true,
+		Value: predLat, Target: deadline,
 	})
 }

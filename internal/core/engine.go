@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"sync"
 	"time"
 
 	"repro/internal/bandit"
@@ -59,7 +60,11 @@ type Config struct {
 	// too much across ratio ranges for a single instance; this switch
 	// exists for the ablation that verifies it.
 	SingleLossyMAB bool
-	// Registry is the codec candidate set (nil selects the default 16).
+	// Registry is the codec candidate set. Nil selects the paper's 17-codec
+	// catalog (compress.DefaultRegistry) at Precision: one shared catalog
+	// per precision, built by the first engine that asks for it and used
+	// by every engine built without a Registry. The engines never hand it
+	// out, so nothing can register into it.
 	Registry *compress.Registry
 	// LossyArms optionally restricts the lossy bandit's arms to the named
 	// codecs (they must exist in the Registry). Used by fixed-pair
@@ -139,7 +144,7 @@ func (c Config) withDefaults(online bool) Config {
 		c.Bandit.Seed = c.Seed + 1
 	}
 	if c.Registry == nil {
-		c.Registry = compress.DefaultRegistry(c.Precision)
+		c.Registry = defaultCatalog(c.Precision)
 	}
 	if c.CPUScale == 0 {
 		c.CPUScale = 1
@@ -148,6 +153,22 @@ func (c Config) withDefaults(online bool) Config {
 		c.CodecCost = DefaultCodecCost
 	}
 	return c
+}
+
+// defaultCatalogs holds the catalog Config.Registry's nil selects, by
+// precision. A catalog is stateless codecs behind a read-mostly lock, so
+// any number of engines on any goroutines can share one; building one per
+// engine cost a map and 17 codecs each time an offline epoch began.
+var defaultCatalogs sync.Map // int → *compress.Registry
+
+// defaultCatalog returns the shared catalog at precision, building it on
+// first use.
+func defaultCatalog(precision int) *compress.Registry {
+	if r, ok := defaultCatalogs.Load(precision); ok {
+		return r.(*compress.Registry)
+	}
+	r, _ := defaultCatalogs.LoadOrStore(precision, compress.DefaultRegistry(precision))
+	return r.(*compress.Registry)
 }
 
 // armNames resolves the candidate arm list: the override when set, else

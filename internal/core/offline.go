@@ -223,7 +223,10 @@ func NewOfflineEngine(cfg Config) (*OfflineEngine, error) {
 		e.lossy, e.recoders = append(e.lossy, lc), append(e.recoders, rec)
 	}
 	if e.policy == nil {
-		e.policy = store.NewLRU()
+		// A budget holds at least about as many segments as fit it raw,
+		// so the recency list starts with room for that many, but no more
+		// than arenaFirst bytes of its 8-byte links hold.
+		e.policy = store.NewLRUFor(int(min(cfg.StorageBytes/int64(8*cfg.SegmentLength), arenaFirst/8)))
 	}
 	if c, ok := cfg.Registry.Lookup("rrdsample"); ok {
 		e.fallback, _ = c.(compress.LossyCodec)
@@ -517,16 +520,33 @@ func (e *OfflineEngine) compact() {
 // current one, but no more than the steady state needs while live leaves
 // room in that, and never more than StorageBytes. The steady state is the
 // bytes held at the recoding threshold plus an eighth of the budget for
-// compaction to reclaim. Storage accounting holds live within
-// StorageBytes, so the payload being stashed always fits.
+// compaction to reclaim. The first arena is the steady state halved,
+// rounding up, until it fits arenaFirst, so that doubling lands on the
+// steady state itself rather than a short last step past a power of two,
+// and a budget far beyond what is ever stored costs at most arenaFirst
+// until it fills. Storage accounting holds live within StorageBytes, so
+// the payload being stashed always fits.
 func (e *OfflineEngine) arenaCap(live int) int {
 	budget := int(e.storage.Capacity())
+	steady := int(e.cfg.StorageThreshold*float64(budget)) + budget/8
 	size := max(2*cap(e.arena), live)
-	if steady := int(e.cfg.StorageThreshold*float64(budget)) + budget/8; live <= steady-steady/8 {
+	if cap(e.arena) == 0 {
+		first := steady
+		for first > arenaFirst {
+			first = (first + 1) / 2
+		}
+		size = max(size, first)
+	}
+	if live <= steady-steady/8 {
 		size = min(size, steady)
 	}
 	return min(size, budget)
 }
+
+// arenaFirst bounds the arena's first allocation: an epoch's arena then
+// reaches its steady state in five steps, where doubling from the first
+// payload's size takes a dozen.
+const arenaFirst = 64 << 10
 
 // makeRoom recodes until need bytes fit under capacity.
 func (e *OfflineEngine) makeRoom(need int64) error {

@@ -2,6 +2,8 @@ package core
 
 import (
 	"math"
+	"slices"
+	"sync"
 	"testing"
 
 	"repro/internal/compress"
@@ -38,6 +40,61 @@ func runOnline(t *testing.T, e *OnlineEngine, segments int, seed int64) []Result
 		out = append(out, res)
 	}
 	return out
+}
+
+// TestDefaultCatalogShared: engines built without a Registry, online or
+// offline, share one catalog per precision, the paper's 17 codecs, where
+// each used to build its own; compress.DefaultRegistry still hands every
+// caller a registry of its own, which it may register into. The engines at
+// precision 7, which no other test uses, are built and run on goroutines
+// of their own, so the first build of that catalog races under -race.
+func TestDefaultCatalogShared(t *testing.T) {
+	ratio := SingleTarget(TargetRatio)
+	on, err := NewOnlineEngine(Config{TargetRatioOverride: 0.5, Objective: ratio, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	off, err := NewOfflineEngine(Config{StorageBytes: 1 << 16, Objective: ratio, Seed: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if on.reg != off.reg {
+		t.Error("two engines built without a Registry at one precision hold different catalogs")
+	}
+	segs := cbfSegments(t, 20, 3)
+	regs := make([]*compress.Registry, 4)
+	var wg sync.WaitGroup
+	for i := range regs {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			eng, err := NewOfflineEngine(Config{StorageBytes: 1 << 12, Precision: 7, Objective: ratio, Seed: int64(i)})
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			for _, s := range segs {
+				if err := eng.Ingest(s.Values, s.Label); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+			regs[i] = eng.reg
+		}()
+	}
+	wg.Wait()
+	for i, r := range regs {
+		if r != defaultCatalog(7) || r == off.reg {
+			t.Errorf("engine %d at precision 7 does not hold the shared precision-7 catalog", i)
+		}
+	}
+	fresh := compress.DefaultRegistry(4)
+	if got, want := on.reg.SortedNames(), fresh.SortedNames(); !slices.Equal(got, want) {
+		t.Errorf("the shared catalog holds %v, DefaultRegistry %v", got, want)
+	}
+	if fresh == on.reg || fresh == compress.DefaultRegistry(4) {
+		t.Error("DefaultRegistry returned a registry it had returned before")
+	}
 }
 
 func TestOnlineNeedsBandwidthOrOverride(t *testing.T) {

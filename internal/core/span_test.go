@@ -4,6 +4,7 @@ import (
 	"errors"
 	"reflect"
 	"testing"
+	"time"
 
 	"repro/internal/compress"
 	"repro/internal/datasets"
@@ -181,6 +182,54 @@ func TestOnlineNoFeasibleInSpan(t *testing.T) {
 	if last.Kind != "no_feasible" || last.ID != first.ID || last.Err == "" {
 		t.Fatalf("span ends with %+v, want the segment's no_feasible record", last)
 	}
+}
+
+// TestOnlineDeadlineFallbackInSpan: a segment every arm of which misses
+// the deadline is forced onto the fastest one, and the deadline_fallback
+// record saying so carries the segment's Device and Trace, so Groups files
+// it in the segment's span. Without them the record fell outside every
+// span.
+func TestOnlineDeadlineFallbackInSpan(t *testing.T) {
+	o := obs.New(0)
+	cfg := ctxConfig(200 * time.Nanosecond)
+	cfg.Quality = nil
+	cfg.Obs, cfg.DeviceID = o, 5
+	eng, err := NewOnlineEngine(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The gate judges arms by predictions, so the first fallback comes
+	// once the predictors have seen a few segments.
+	stream := datasets.NewCBFStream(datasets.CBFConfig{Seed: 26})
+	var res Result
+	for i := 0; eng.Stats().DeadlineFallbacks == 0; i++ {
+		if i == 60 {
+			t.Fatal("60 segments under an unmeetable deadline and no fallback")
+		}
+		series, label := stream.Next()
+		if res, _, err = eng.Process(series, label); err != nil {
+			t.Fatal(err)
+		}
+	}
+	trace := obs.TraceOfSegment(res.SegmentID)
+	for _, g := range o.Ring().Groups() {
+		if g.Trace != trace {
+			continue
+		}
+		if g.Device != 5 || g.Stages[0].Stage != "ingest" {
+			t.Fatalf("group device %d, first stage %q: want device 5 opened by ingest", g.Device, g.Stages[0].Stage)
+		}
+		for _, ev := range g.Stages {
+			if ev.Kind == "deadline_fallback" {
+				if ev.ID != res.SegmentID || ev.Codec != res.Codec {
+					t.Fatalf("fallback record %+v: want segment %d forced onto %s", ev, res.SegmentID, res.Codec)
+				}
+				return
+			}
+		}
+		t.Fatalf("segment %d's span holds no deadline_fallback record: %+v", res.SegmentID, g.Stages)
+	}
+	t.Fatalf("no span group for segment %d", res.SegmentID)
 }
 
 // TestAllocsOnlineSpanEmission pins stage emission at zero extra

@@ -75,7 +75,8 @@ type Policy interface {
 // recoding victim (front) to the most recently registered (back). Slot s
 // links through links[s+1] and links[0] is the sentinel of the circular
 // list, so registering a segment allocates nothing beyond the amortised
-// growth of the slab. An untracked slot's prev is -1.
+// growth of the slab, which doubles from the room its owner asked for. An
+// untracked slot's prev is -1.
 type order struct {
 	links []link
 	n     int
@@ -83,7 +84,8 @@ type order struct {
 
 type link struct{ prev, next int32 }
 
-func newOrder() order { return order{links: make([]link, 1)} }
+// newOrder returns an empty list with room for slots segments.
+func newOrder(slots int) order { return order{links: make([]link, 1, 1+max(slots, 0))} }
 
 // node returns slot's index in links and whether slot is tracked.
 func (o *order) node(slot int32) (int32, bool) {
@@ -121,6 +123,12 @@ func (o *order) Put(slot int32) {
 		return
 	}
 	for len(o.links) <= int(slot)+1 {
+		if len(o.links) == cap(o.links) {
+			// Double. append grows a slab this size by about a quarter
+			// and rounds up to a size class, which takes more steps to
+			// reach a budget's worth of slots and ends further past it.
+			o.links = append(make([]link, 0, 2*len(o.links)), o.links...)
+		}
 		o.links = append(o.links, link{prev: -1})
 	}
 	o.n++
@@ -152,7 +160,12 @@ func (o *order) Len() int { return o.n }
 type LRU struct{ order }
 
 // NewLRU returns an empty LRU policy.
-func NewLRU() *LRU { return &LRU{newOrder()} }
+func NewLRU() *LRU { return NewLRUFor(0) }
+
+// NewLRUFor returns an empty LRU policy with room for slots segments
+// before its recency list grows: an owner that knows about how many it
+// will hold saves the doublings up to that.
+func NewLRUFor(slots int) *LRU { return &LRU{newOrder(slots)} }
 
 // Get implements Policy: an access makes the segment most recently used.
 func (l *LRU) Get(slot int32) { l.touch(slot) }
@@ -165,7 +178,7 @@ func (l *LRU) Get(slot int32) { l.touch(slot) }
 type RoundRobin struct{ order }
 
 // NewRoundRobin returns an empty round-robin policy.
-func NewRoundRobin() *RoundRobin { return &RoundRobin{newOrder()} }
+func NewRoundRobin() *RoundRobin { return &RoundRobin{newOrder(0)} }
 
 // Get implements Policy: accesses do not affect ordering.
 func (*RoundRobin) Get(int32) {}

@@ -206,3 +206,19 @@ func TestAllocsPoolPut(t *testing.T) {
 		}
 	}
 }
+
+// TestAllocsLRUFor: an LRU built with room for n slots grows its recency
+// list by doubling, so registering about 8n slots takes three steps past
+// the first list. append's own growth, a quarter at a time past 256
+// elements, took six and ended further past the slots in use.
+func TestAllocsLRUFor(t *testing.T) {
+	got := testing.AllocsPerRun(5, func() {
+		l := NewLRUFor(560)
+		for s := int32(0); s < 4096; s++ {
+			l.Put(s)
+		}
+	})
+	if got != 4 { // the first list and three doublings; the policy stays on the stack
+		t.Errorf("registering 4 096 slots in an LRU built for 560 allocates %v times, want 4", got)
+	}
+}
