@@ -64,9 +64,11 @@ func f64At(b []byte) float64 {
 // putUvarint appends v as a varint.
 func putUvarint(dst []byte, v uint64) []byte { return binary.AppendUvarint(dst, v) }
 
-// byteScratch recycles the raw IEEE-754 staging buffer of the byte
-// compressors (Gzip, Zlib, Snappy), which work on bytes, not floats. The
-// buffer never leaves the call that took it.
+// byteScratch recycles byte staging buffers: the raw IEEE-754 bytes of the
+// byte compressors (Gzip, Zlib, Snappy), which work on bytes, not floats,
+// and the encoding CompressInto's nil-dst form copies out. A codec hands
+// that one back aliased or grown, and the growth is kept, so a buffer
+// settles at the largest use seen. None leaves the call that took it.
 var byteScratch = sync.Pool{New: func() any { return new([]byte) }}
 
 // maxDecodePoints bounds per-segment decode allocations against corrupt or

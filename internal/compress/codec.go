@@ -89,8 +89,8 @@ func CompressInto(c Codec, dst []byte, values []float64) (Encoded, error) {
 	if cap(dst) > 0 {
 		return c.CompressInto(dst, values)
 	}
-	buf := encScratch.Get().(*[]byte)
-	defer encScratch.Put(buf)
+	buf := byteScratch.Get().(*[]byte)
+	defer byteScratch.Put(buf)
 	enc, err := c.CompressInto(*buf, values)
 	if err != nil {
 		return Encoded{}, err
@@ -101,11 +101,6 @@ func CompressInto(c Codec, dst []byte, values []float64) (Encoded, error) {
 	enc.Data = append([]byte(nil), enc.Data...)
 	return enc, nil
 }
-
-// encScratch recycles the staging buffer of CompressInto's nil-dst form.
-// A codec hands back a payload aliasing the buffer or a growth of it, and
-// the growth is kept, so the buffer settles at the largest encoding seen.
-var encScratch = sync.Pool{New: func() any { return new([]byte) }}
 
 // LossyCodec is a codec tunable to a desired compression ratio. Given a
 // target ratio r, CompressRatioInto produces output of approximately r × 8N

@@ -149,8 +149,9 @@ func (f *flateCore) decompress(dst []float64, enc Encoded) ([]float64, error) {
 	return out, err
 }
 
-// maxPooledScratch is the largest inflate buffer a failed decode hands
-// back to byteScratch: 131 072 points, a thousand ordinary segments.
+// maxPooledScratch is the largest buffer a failed decode or CompressInto's
+// staging hands back to byteScratch: 131 072 points, a thousand ordinary
+// segments.
 const maxPooledScratch = 1 << 20
 
 // Gzip is the general-purpose byte compressor, operating on the IEEE-754

@@ -454,6 +454,45 @@ func TestAllocsOfflineEpochAfterGC(t *testing.T) {
 	}
 }
 
+// TestAllocsOfflineQuery: Query folds each segment into a running sum,
+// count, min and max, in place where the codec has an in-situ operator and
+// through one decode buffer reused across segments otherwise, so a store
+// four times larger costs it no more allocations than a small constant
+// more. Collecting every point and decoding each segment into a slice of
+// its own cost 240 allocations on 50 segments and 868 on 200.
+func TestAllocsOfflineQuery(t *testing.T) {
+	skipAllocPinUnderRace(t)
+	allocs := func(segments int) float64 {
+		e, err := NewOfflineEngine(Config{
+			StorageBytes: int64(segments) * 300,
+			Objective:    AggTarget(query.Sum),
+			Seed:         1,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		ingestCBF(t, e, segments, 95)
+		if e.Stats().Recodes == 0 {
+			t.Fatalf("setup: %d segments were not recoded", segments)
+		}
+		var total float64
+		for _, agg := range []query.Agg{query.Sum, query.Avg, query.Min, query.Max} {
+			total += testing.AllocsPerRun(10, func() {
+				if _, err := e.Query(agg); err != nil {
+					t.Fatal(err)
+				}
+			})
+		}
+		return total
+	}
+	small, large := allocs(50), allocs(200)
+	if large > small+4 {
+		t.Errorf("four aggregates allocate %v times on 50 segments and %v on 200, want at most 4 more", small, large)
+	} else {
+		t.Logf("%v allocations on 50 segments, %v on 200", small, large)
+	}
+}
+
 // offlineEpochAllocBudget is TestAllocsOfflineEpochAfterGC's budget.
 const offlineEpochAllocBudget = 0.105
 

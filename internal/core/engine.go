@@ -17,9 +17,6 @@ import (
 // Config parameterizes both engines. Zero values select the paper's
 // defaults.
 type Config struct {
-	// SegmentLength is the fixed number of points per segment (default
-	// 128, the CBF series length).
-	SegmentLength int
 	// Precision is the dataset decimal precision (default 4, CBF).
 	Precision int
 	// IngestRate is the signal generation rate in points/second (default
@@ -118,9 +115,6 @@ type Config struct {
 }
 
 func (c Config) withDefaults(online bool) Config {
-	if c.SegmentLength == 0 {
-		c.SegmentLength = 128
-	}
 	if c.Precision == 0 {
 		c.Precision = 4
 	}

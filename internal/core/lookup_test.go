@@ -14,21 +14,39 @@ import (
 )
 
 // idKeyedPolicy is a recoding policy that forwards every call, keyed by the
-// engine's slots, to inner, and mirrors it into ref: a store.Pool keyed by
-// segment ID over a fresh policy of the same kind, which is how the engine
+// engine's slots, to inner, and mirrors it into ref: a fresh policy of the
+// same kind keyed by segment ID through a map, which is how the engine
 // indexed its segments before its rows were the only index. Every victim
 // inner names must be the segment ref names.
 type idKeyedPolicy struct {
 	t       *testing.T
 	eng     *OfflineEngine // nil until attach
 	inner   store.Policy
-	ref     *store.Pool
+	ref     idModel
 	pending []int32 // slots Put before attach, in order
 	victims int     // victims compared
 }
 
+// idModel is the reference: policy over slots it gives out by segment ID,
+// a fresh one to each ID it has not seen.
+type idModel struct {
+	policy store.Policy
+	slots  map[uint64]int32
+	ids    []uint64 // by slot
+}
+
+// slot returns id's slot, giving it the next one if it has none.
+func (m *idModel) slot(id uint64) int32 {
+	s, ok := m.slots[id]
+	if !ok {
+		s = int32(len(m.ids))
+		m.slots[id], m.ids = s, append(m.ids, id)
+	}
+	return s
+}
+
 func newIDKeyedPolicy(t *testing.T, newPolicy func() store.Policy) *idKeyedPolicy {
-	return &idKeyedPolicy{t: t, inner: newPolicy(), ref: store.NewPool(newPolicy())}
+	return &idKeyedPolicy{t: t, inner: newPolicy(), ref: idModel{policy: newPolicy(), slots: map[uint64]int32{}}}
 }
 
 // attach binds the policy to the engine that owns its slots and registers
@@ -36,12 +54,15 @@ func newIDKeyedPolicy(t *testing.T, newPolicy func() store.Policy) *idKeyedPolic
 func (p *idKeyedPolicy) attach(e *OfflineEngine) {
 	p.eng = e
 	for _, slot := range p.pending {
-		p.ref.Put(&store.Entry{ID: p.id(slot)})
+		p.ref.policy.Put(p.ref.slot(p.id(slot)))
 	}
 	p.pending = nil
 }
 
 func (p *idKeyedPolicy) id(slot int32) uint64 { return p.eng.at(slot).id }
+
+// refSlot is the reference's slot of the segment in the engine's slot.
+func (p *idKeyedPolicy) refSlot(slot int32) int32 { return p.ref.slot(p.id(slot)) }
 
 func (p *idKeyedPolicy) Put(slot int32) {
 	p.inner.Put(slot)
@@ -49,26 +70,28 @@ func (p *idKeyedPolicy) Put(slot int32) {
 		p.pending = append(p.pending, slot)
 		return
 	}
-	p.ref.Put(&store.Entry{ID: p.id(slot)})
+	p.ref.policy.Put(p.refSlot(slot))
 }
 
 func (p *idKeyedPolicy) Get(slot int32) {
 	p.inner.Get(slot)
-	p.ref.Get(p.id(slot))
+	p.ref.policy.Get(p.refSlot(slot))
 }
 
 func (p *idKeyedPolicy) Victim() (int32, bool) {
 	slot, ok := p.inner.Victim()
-	want, wantOK := p.ref.Victim()
-	if ok != wantOK || ok && p.id(slot) != want.ID {
-		p.t.Fatalf("victim: slot %d (ok %v), the ID-keyed pool names %+v (ok %v)", slot, ok, want, wantOK)
+	want, wantOK := p.ref.policy.Victim()
+	if ok != wantOK || ok && p.id(slot) != p.ref.ids[want] {
+		p.t.Fatalf("victim: slot %d (ok %v), the ID-keyed model names slot %d (ok %v)", slot, ok, want, wantOK)
 	}
 	p.victims++
 	return slot, ok
 }
 
 func (p *idKeyedPolicy) Remove(slot int32) {
-	p.ref.Remove(p.id(slot))
+	id := p.id(slot)
+	p.ref.policy.Remove(p.ref.slot(id))
+	delete(p.ref.slots, id)
 	p.inner.Remove(slot)
 }
 
@@ -76,12 +99,12 @@ func (p *idKeyedPolicy) Len() int { return p.inner.Len() }
 
 func (p *idKeyedPolicy) Skip(slot int32) {
 	store.Skip(p.inner, slot)
-	p.ref.Skip(p.id(slot))
+	store.Skip(p.ref.policy, p.refSlot(slot))
 }
 
 func (p *idKeyedPolicy) RecordContribution(slot int32, ratio float64) {
 	store.RecordContribution(p.inner, slot, ratio)
-	p.ref.RecordContribution(p.id(slot), ratio)
+	store.RecordContribution(p.ref.policy, p.refSlot(slot), ratio)
 }
 
 // checkLookups asserts that every ID below end resolves exactly when it is
@@ -91,9 +114,9 @@ func checkLookups(t *testing.T, e *OfflineEngine, pol *idKeyedPolicy, end uint64
 	t.Helper()
 	var ids []uint64
 	e.EachEntry(func(en *store.Entry) { ids = append(ids, en.ID) })
-	if !slices.IsSorted(ids) || len(ids) != e.Segments() || pol.ref.Len() != len(ids) || pol.inner.Len() != len(ids) {
-		t.Fatalf("%d stored IDs (sorted %v), engine %d, policy %d, ID-keyed pool %d",
-			len(ids), slices.IsSorted(ids), e.Segments(), pol.inner.Len(), pol.ref.Len())
+	if !slices.IsSorted(ids) || len(ids) != e.Segments() || len(pol.ref.slots) != len(ids) || pol.ref.policy.Len() != len(ids) || pol.inner.Len() != len(ids) {
+		t.Fatalf("%d stored IDs (sorted %v), engine %d, policy %d, ID-keyed model %d in %d slots",
+			len(ids), slices.IsSorted(ids), e.Segments(), pol.inner.Len(), pol.ref.policy.Len(), len(pol.ref.slots))
 	}
 	for id := uint64(0); id < end; id++ {
 		got, err := e.QuerySegment(id)
@@ -121,7 +144,7 @@ func checkLookups(t *testing.T, e *OfflineEngine, pol *idKeyedPolicy, end uint64
 // only through them. Across both kinds of gap and a chunk reused after
 // Drain, QuerySegment, QueryFiltered's contributions, QueryRange, Drain and
 // SaveTo must see exactly the stored segments, and every recoding victim
-// must be the one a pool keyed by segment ID picks.
+// must be the one a policy keyed by segment ID picks.
 func TestOfflineLookupAcrossIDGaps(t *testing.T) {
 	for _, kind := range []struct {
 		name      string

@@ -11,7 +11,6 @@ import (
 
 	"repro/internal/bandit"
 	"repro/internal/compress"
-	"repro/internal/query"
 	"repro/internal/sim"
 	"repro/internal/store"
 )
@@ -226,7 +225,7 @@ func NewOfflineEngine(cfg Config) (*OfflineEngine, error) {
 		// A budget holds at least about as many segments as fit it raw,
 		// so the recency list starts with room for that many, but no more
 		// than arenaFirst bytes of its 8-byte links hold.
-		e.policy = store.NewLRUFor(int(min(cfg.StorageBytes/int64(8*cfg.SegmentLength), arenaFirst/8)))
+		e.policy = store.NewLRUFor(int(min(cfg.StorageBytes/(8*hintPoints), arenaFirst/8)))
 	}
 	if c, ok := cfg.Registry.Lookup("rrdsample"); ok {
 		e.fallback, _ = c.(compress.LossyCodec)
@@ -548,6 +547,9 @@ func (e *OfflineEngine) arenaCap(live int) int {
 // payload's size takes a dozen.
 const arenaFirst = 64 << 10
 
+// hintPoints sizes the recency list for segments of a CBF series' length.
+const hintPoints = 128
+
 // makeRoom recodes until need bytes fit under capacity.
 func (e *OfflineEngine) makeRoom(need int64) error {
 	for e.storage.Used()+need > e.storage.Capacity() {
@@ -794,22 +796,6 @@ func (e *OfflineEngine) Snapshot() Snapshot {
 		MeanAccuracyLoss: mean,
 		Segments:         n,
 	}
-}
-
-// Query runs an aggregation over every stored segment (decompressing as
-// needed); query access moves segments to the MRU end of the policy list,
-// protecting them from recoding (paper §IV-F).
-func (e *OfflineEngine) Query(agg query.Agg) (float64, error) {
-	var all []float64
-	for i, stored := 0, e.stored(); i < stored; i++ {
-		e.policy.Get(e.slot(i)) // records the access
-		v, err := e.reg.Decompress(e.enc(e.nth(i)))
-		if err != nil {
-			return 0, err
-		}
-		all = append(all, v...)
-	}
-	return query.Apply(agg, all)
 }
 
 // QuerySegment decompresses one segment by id, recording the access.

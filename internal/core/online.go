@@ -267,7 +267,7 @@ func (e *OnlineEngine) Process(values []float64, label int) (Result, compress.En
 	if e.tryLossless(target) {
 		res, enc, ok := e.processLossless(id, values, target, trials)
 		if ok {
-			e.account(res, link.bw)
+			e.account(res, link.bw, len(values))
 			e.om.decision(res, target)
 			e.qo.observe(e, res, values, trials, target)
 			return res, enc, nil
@@ -279,7 +279,7 @@ func (e *OnlineEngine) Process(values []float64, label int) (Result, compress.En
 	if err != nil {
 		return Result{}, compress.Encoded{}, err
 	}
-	e.account(res, link.bw)
+	e.account(res, link.bw, len(values))
 	e.om.decision(res, target)
 	e.qo.observe(e, res, values, trials, target)
 	return res, enc, nil
@@ -540,9 +540,9 @@ func runLossyTrial(lc compress.LossyCodec, values []float64, ratio float64) loss
 	return lossyTrial{enc: enc, decoded: decoded, buf: eb, dec: db}
 }
 
-// account folds one decided segment into the stream statistics; bw is
-// the link the segment was decided for.
-func (e *OnlineEngine) account(res Result, bw sim.Bandwidth) {
+// account folds one decided segment of points values into the stream
+// statistics; bw is the link the segment was decided for.
+func (e *OnlineEngine) account(res Result, bw sim.Bandwidth, points int) {
 	e.statsMu.Lock()
 	defer e.statsMu.Unlock()
 	e.stats.Segments++
@@ -551,7 +551,7 @@ func (e *OnlineEngine) account(res Result, bw sim.Bandwidth) {
 	} else {
 		e.stats.LosslessSegments++
 	}
-	raw := int64(8 * e.cfg.SegmentLength)
+	raw := int64(8 * points)
 	e.stats.TotalRawBytes += raw
 	e.stats.TotalCompressedBytes += int64(float64(raw) * res.Ratio)
 	e.stats.AccuracyLossSum += res.AccuracyLoss

@@ -275,6 +275,36 @@ func TestOnlineStatsAccounting(t *testing.T) {
 	}
 }
 
+// TestOnlineStatsRawBytesFollowSegment: a segment's raw bytes are 8 per
+// point it holds, whatever its length. They were booked at a fixed 128
+// points, so ten 64-point segments read 10 240 raw bytes where 5 120 came
+// in, and their compressed bytes twice what the payloads hold.
+func TestOnlineStatsRawBytesFollowSegment(t *testing.T) {
+	e, err := NewOnlineEngine(Config{
+		TargetRatioOverride: 0.5,
+		Objective:           SingleTarget(TargetRatio),
+		Seed:                7,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var out int64
+	for _, s := range cbfSegments(t, 10, 25) {
+		_, enc, err := e.Process(s.Values[:64], s.Label)
+		if err != nil {
+			t.Fatal(err)
+		}
+		out += int64(enc.Size())
+	}
+	st := e.Stats()
+	if st.TotalRawBytes != 10*64*8 {
+		t.Fatalf("ten 64-point segments booked %d raw bytes, want %d", st.TotalRawBytes, 10*64*8)
+	}
+	if st.TotalCompressedBytes > out || st.TotalCompressedBytes < out-10 { // truncated once a segment
+		t.Fatalf("booked %d compressed bytes, payloads hold %d", st.TotalCompressedBytes, out)
+	}
+}
+
 func TestOnlineNoFeasibleCodec(t *testing.T) {
 	// A registry with only BUFF-lossy cannot reach ratio 0.01 on CBF.
 	reg := compress.NewRegistry()

@@ -129,22 +129,3 @@ func RecordContribution(p Policy, slot int32, ratio float64) {
 	}
 	p.Get(slot)
 }
-
-// Skip demotes an unshrinkable victim (see the package function Skip).
-func (p *Pool) Skip(id uint64) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if slot, ok := p.slots[id]; ok {
-		Skip(p.policy, slot)
-	}
-}
-
-// RecordContribution forwards a qualified-entry ratio to the pool's policy
-// (see the package function RecordContribution).
-func (p *Pool) RecordContribution(id uint64, ratio float64) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if slot, ok := p.slots[id]; ok {
-		RecordContribution(p.policy, slot, ratio)
-	}
-}

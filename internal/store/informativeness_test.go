@@ -87,23 +87,26 @@ func TestInformativenessEmpty(t *testing.T) {
 func TestPoolRecordContributionFallsBackToGet(t *testing.T) {
 	// With an LRU policy (no ContributionRecorder), RecordContribution
 	// must degrade to a protective access.
-	p := NewPool(NewLRU())
-	p.Put(entry(1, 8))
-	p.Put(entry(2, 8))
-	p.RecordContribution(1, 0.9)
-	if v, _ := p.Victim(); v.ID != 2 {
-		t.Fatalf("victim = %d, want 2 (1 was touched)", v.ID)
+	p := NewLRU()
+	p.Put(1)
+	p.Put(2)
+	RecordContribution(p, 1, 0.9)
+	if v, _ := p.Victim(); v != 2 {
+		t.Fatalf("victim = %d, want 2 (1 was touched)", v)
 	}
-	p.RecordContribution(99, 0.5) // unknown id: no-op
+	RecordContribution(p, 99, 0.5) // unknown slot: no-op
+	if v, _ := p.Victim(); v != 2 || p.Len() != 2 {
+		t.Fatalf("victim %d of %d after an unknown slot, want 2 of 2", v, p.Len())
+	}
 }
 
 func TestPoolRecordContributionWithInformativeness(t *testing.T) {
-	p := NewPool(NewInformativeness())
-	p.Put(entry(1, 8))
-	p.Put(entry(2, 8))
-	p.RecordContribution(1, 0.05)
-	p.RecordContribution(2, 0.95)
-	if v, _ := p.Victim(); v.ID != 1 {
-		t.Fatalf("victim = %d, want the low-contribution segment", v.ID)
+	p := NewInformativeness()
+	p.Put(1)
+	p.Put(2)
+	RecordContribution(p, 1, 0.05)
+	RecordContribution(p, 2, 0.95)
+	if v, _ := p.Victim(); v != 1 {
+		t.Fatalf("victim = %d, want the low-contribution segment", v)
 	}
 }

@@ -8,17 +8,17 @@ import (
 	"io"
 	"math"
 	"slices"
-	"sort"
 
 	"repro/internal/bitio"
 	"repro/internal/compress"
 )
 
-// Persistence for the compressed pool. Each segment in the framework is
+// Persistence for the stored segments. Each segment in the framework is
 // associated with metadata describing its compression configuration
 // (paper §IV-C), and the offline mode's whole purpose is to hold data for
-// later offloading — so the pool must be serializable: spilling to local
-// disk, shipping over a restored link, or surviving a device restart.
+// later offloading — so what the engine stores must be serializable:
+// spilling to local disk, shipping over a restored link, or surviving a
+// device restart (core.OfflineEngine.SaveTo and ResumeOfflineEngine).
 //
 // Format (little-endian, varint-framed):
 //
@@ -33,15 +33,6 @@ var persistMagic = [4]byte{'A', 'E', 'P', '1'}
 
 // ErrBadFormat is returned when the input is not a valid pool dump.
 var ErrBadFormat = errors.New("store: bad persistence format")
-
-// WriteTo serializes every pool entry (sorted by id) to w and returns the
-// byte count. An entry's Sketch is engine working state and is not persisted.
-func (p *Pool) WriteTo(w io.Writer) (int64, error) {
-	var entries []*Entry
-	p.Each(func(e *Entry) { entries = append(entries, e) })
-	sort.Slice(entries, func(a, b int) bool { return entries[a].ID < entries[b].ID })
-	return WriteDump(w, len(entries), func(i int) *Entry { return entries[i] })
-}
 
 // WriteDump writes n entries to w in the pool dump format and returns the
 // byte count; at(i) is the i-th, and the ids must increase with i, as
@@ -93,16 +84,6 @@ func (d *dumpWriter) uvarint(v uint64) { d.write(d.tmp[:binary.PutUvarint(d.tmp[
 func (d *dumpWriter) flush() (int64, error) {
 	err := d.bw.Flush()
 	return d.written, err
-}
-
-// ReadPool deserializes a pool dump into a fresh Pool with the given
-// policy (nil = LRU). Entries re-enter the policy in id order.
-func ReadPool(r io.Reader, policy Policy) (*Pool, error) {
-	pool := NewPool(policy)
-	if err := ReadDump(r, func(e *Entry) error { pool.Put(e); return nil }); err != nil {
-		return nil, err
-	}
-	return pool, nil
 }
 
 // ReadDump deserializes a pool dump, handing each entry to put in id

@@ -13,100 +13,107 @@ import (
 	"repro/internal/datasets"
 )
 
-func populatedPool(t testing.TB, n int) *Pool {
+// populatedEntries is n CBF segments in id order, each encoded by the next
+// lossless codec in turn.
+func populatedEntries(t testing.TB, n int) []*Entry {
 	t.Helper()
 	reg := compress.DefaultRegistry(4)
 	X, y := datasets.CBF(n, datasets.CBFConfig{Seed: 9})
-	p := NewPool(nil)
 	names := reg.Lossless()
+	entries := make([]*Entry, len(X))
 	for i, row := range X {
 		codec, _ := reg.Lookup(names[i%len(names)])
 		enc, err := compress.Compress(codec, row)
 		if err != nil {
 			t.Fatal(err)
 		}
-		p.Put(&Entry{
+		entries[i] = &Entry{
 			ID: uint64(i), Enc: enc, Lossless: true, Level: int32(i % 3),
 			Label:  y[i],
 			Sketch: row[:4], // must NOT be persisted
-		})
+		}
 	}
-	return p
+	return entries
+}
+
+// writeEntries dumps entries, whose ids increase, through WriteDump.
+func writeEntries(w io.Writer, entries []*Entry) (int64, error) {
+	return WriteDump(w, len(entries), func(i int) *Entry { return entries[i] })
+}
+
+// readEntries reads a dump back through ReadDump, in the order it hands
+// the entries over.
+func readEntries(r io.Reader) ([]*Entry, error) {
+	var entries []*Entry
+	err := ReadDump(r, func(e *Entry) error { entries = append(entries, e); return nil })
+	return entries, err
 }
 
 func TestPersistRoundTrip(t *testing.T) {
-	p := populatedPool(t, 12)
+	orig := populatedEntries(t, 12)
 	var buf bytes.Buffer
-	n, err := p.WriteTo(&buf)
+	n, err := writeEntries(&buf, orig)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if n != int64(buf.Len()) {
 		t.Fatalf("reported %d bytes, wrote %d", n, buf.Len())
 	}
-	got, err := ReadPool(&buf, nil)
+	got, err := readEntries(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.Len() != p.Len() {
-		t.Fatalf("restored %d entries, want %d", got.Len(), p.Len())
+	if len(got) != len(orig) {
+		t.Fatalf("restored %d entries, want %d", len(got), len(orig))
 	}
-	reg := compress.DefaultRegistry(4)
-	p.Each(func(orig *Entry) {
-		restored, ok := got.Peek(orig.ID)
-		if !ok {
-			t.Fatalf("entry %d missing", orig.ID)
-		}
-		if restored.Label != orig.Label || restored.Level != orig.Level || restored.Lossless != orig.Lossless {
-			t.Fatalf("entry %d metadata mismatch: %+v vs %+v", orig.ID, restored, orig)
+	for i, restored := range got {
+		o := orig[i]
+		if restored.ID != o.ID || restored.Label != o.Label || restored.Level != o.Level || restored.Lossless != o.Lossless {
+			t.Fatalf("entry %d metadata mismatch: %+v vs %+v", o.ID, restored, o)
 		}
 		if restored.Sketch != nil {
 			t.Fatal("Sketch must not be persisted")
 		}
-		origVals, err := reg.Decompress(orig.Enc)
-		if err != nil {
-			t.Fatal(err)
+		if restored.Enc.Codec != o.Enc.Codec || restored.Enc.N != o.Enc.N || !bytes.Equal(restored.Enc.Data, o.Enc.Data) {
+			t.Fatalf("entry %d payload differs", o.ID)
 		}
-		gotVals, err := reg.Decompress(restored.Enc)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i := range origVals {
-			if origVals[i] != gotVals[i] {
-				t.Fatalf("entry %d value %d differs", orig.ID, i)
-			}
-		}
-	})
+	}
 }
 
+// TestPersistRestoredPolicyOrder: ReadDump hands the entries over in id
+// order, so a policy they are registered with in that order makes the
+// lowest id the first victim.
 func TestPersistRestoredPolicyOrder(t *testing.T) {
-	p := populatedPool(t, 5)
 	var buf bytes.Buffer
-	if _, err := p.WriteTo(&buf); err != nil {
+	if _, err := writeEntries(&buf, populatedEntries(t, 5)); err != nil {
 		t.Fatal(err)
 	}
-	got, err := ReadPool(&buf, NewLRU())
+	got, err := readEntries(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Entries re-enter in id order: the LRU victim is the lowest id.
-	v, ok := got.Victim()
-	if !ok || v.ID != 0 {
-		t.Fatalf("victim = %+v, want id 0", v)
+	lru := NewLRU()
+	for i, e := range got {
+		if e.ID != uint64(i) {
+			t.Fatalf("entry %d handed over as the %d-th", e.ID, i)
+		}
+		lru.Put(int32(e.ID))
+	}
+	if v, ok := lru.Victim(); !ok || v != 0 {
+		t.Fatalf("victim = %d, want id 0", v)
 	}
 }
 
 func TestPersistEmptyPool(t *testing.T) {
-	p := NewPool(nil)
 	var buf bytes.Buffer
-	if _, err := p.WriteTo(&buf); err != nil {
+	if _, err := writeEntries(&buf, nil); err != nil {
 		t.Fatal(err)
 	}
-	got, err := ReadPool(&buf, nil)
+	got, err := readEntries(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.Len() != 0 {
+	if len(got) != 0 {
 		t.Fatal("phantom entries")
 	}
 }
@@ -120,7 +127,7 @@ func TestPersistRejectsGarbage(t *testing.T) {
 		// One well-formed segment (id 0, label 0, lossy, level 0, 2 data
 		// bytes) whose point count N is 0.
 		[]byte("AEP1\x01\x00\x00\x00\x00\x03paa\x00\x02\x01\x01"),
-		// What WriteTo never writes: an overlong count, an unknown flag
+		// What WriteDump never writes: an overlong count, an unknown flag
 		// bit, and two segments under one id.
 		[]byte("AEP1\x80\x00"),
 		[]byte("AEP1\x01\x00\x00\x02\x00\x03paa\x01\x01\x01"),
@@ -132,42 +139,41 @@ func TestPersistRejectsGarbage(t *testing.T) {
 		[]byte("AEP1\x01\x00\x00\x00\x00\x03paa\x80\x80\x80\x80\x80\x80\x80\x80\x80\x01\x01\x01"),
 	}
 	for i, data := range cases {
-		if _, err := ReadPool(bytes.NewReader(data), nil); !errors.Is(err, ErrBadFormat) {
+		if _, err := readEntries(bytes.NewReader(data)); !errors.Is(err, ErrBadFormat) {
 			t.Errorf("case %d: want ErrBadFormat, got %v", i, err)
 		}
 	}
 }
 
 func TestPersistTruncatedPayload(t *testing.T) {
-	p := populatedPool(t, 4)
 	var buf bytes.Buffer
-	if _, err := p.WriteTo(&buf); err != nil {
+	if _, err := writeEntries(&buf, populatedEntries(t, 4)); err != nil {
 		t.Fatal(err)
 	}
 	data := buf.Bytes()
 	for _, cut := range []int{5, len(data) / 2, len(data) - 1} {
-		if _, err := ReadPool(bytes.NewReader(data[:cut]), nil); err == nil {
+		if _, err := readEntries(bytes.NewReader(data[:cut])); err == nil {
 			t.Errorf("truncation at %d accepted", cut)
 		}
 	}
 }
 
-// forgedPoolDump is 30 bytes of AEP1: one paa segment of N 128 whose
-// length field claims 1 GiB, followed by ten bytes of data. It is also
-// testdata/fuzz/FuzzReadPool/forged_1gib_length.
-func forgedPoolDump() []byte {
+// forgedDump is 30 bytes of AEP1: one paa segment of N 128 whose length
+// field claims 1 GiB, followed by ten bytes of data. It is also
+// testdata/fuzz/FuzzReadDump/forged_1gib_length.
+func forgedDump() []byte {
 	dump := binary.AppendUvarint([]byte("AEP1\x01\x00\x00\x00\x00\x03paa\x80\x01"), 1<<30)
 	return append(dump, make([]byte, 10)...)
 }
 
-// TestReadPoolForgedLengthBounded is the regression for ReadPool trusting
-// a dump's length field: the forged dump used to allocate the whole 1 GiB
-// it claims before reading the ten bytes that follow.
+// TestReadPoolForgedLengthBounded is the regression for the pool dump
+// reader trusting a dump's length field: the forged dump used to allocate
+// the whole 1 GiB it claims before reading the ten bytes that follow.
 func TestReadPoolForgedLengthBounded(t *testing.T) {
-	dump := forgedPoolDump()
+	dump := forgedDump()
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
-	_, err := ReadPool(bytes.NewReader(dump), nil)
+	_, err := readEntries(bytes.NewReader(dump))
 	runtime.ReadMemStats(&after)
 	if !errors.Is(err, ErrBadFormat) {
 		t.Fatalf("forged %d-byte dump: err = %v, want ErrBadFormat", len(dump), err)
@@ -188,27 +194,23 @@ func readConsumed[T any](data []byte, read func(io.Reader) (T, error)) (T, []byt
 	return v, data[:len(data)-src.Len()-br.Buffered()], err
 }
 
-// FuzzReadPool feeds hostile dumps to ReadPool: it must not panic, must
-// fail only with ErrBadFormat, and a dump it accepts must re-serialize to
-// exactly the bytes it consumed.
-func FuzzReadPool(f *testing.F) {
-	for _, p := range []*Pool{NewPool(nil), populatedPool(f, 4)} {
+// FuzzReadDump feeds hostile dumps to ReadDump: it must not panic, must
+// fail only with ErrBadFormat, and a dump it accepts must re-serialize
+// through WriteDump to exactly the bytes it consumed.
+func FuzzReadDump(f *testing.F) {
+	lossy := []*Entry{
+		{ID: 300, Label: -2, Level: 7, Enc: compress.Encoded{Codec: "paa", N: 128, Data: []byte{1, 2, 3}}},
+		{ID: 1 << 40, Lossless: true, Enc: compress.Encoded{Codec: "gorilla", N: 1, Data: nil}},
+	}
+	for _, entries := range [][]*Entry{nil, populatedEntries(f, 4), lossy} {
 		var buf bytes.Buffer
-		if _, err := p.WriteTo(&buf); err != nil {
+		if _, err := writeEntries(&buf, entries); err != nil {
 			f.Fatal(err)
 		}
 		f.Add(buf.Bytes())
 	}
-	lossy := NewPool(nil)
-	lossy.Put(&Entry{ID: 300, Label: -2, Level: 7, Enc: compress.Encoded{Codec: "paa", N: 128, Data: []byte{1, 2, 3}}})
-	lossy.Put(&Entry{ID: 1 << 40, Lossless: true, Enc: compress.Encoded{Codec: "gorilla", N: 1, Data: nil}})
-	var buf bytes.Buffer
-	if _, err := lossy.WriteTo(&buf); err != nil {
-		f.Fatal(err)
-	}
-	f.Add(buf.Bytes())
 	f.Fuzz(func(t *testing.T, data []byte) {
-		p, consumed, err := readConsumed(data, func(r io.Reader) (*Pool, error) { return ReadPool(r, nil) })
+		entries, consumed, err := readConsumed(data, readEntries)
 		if err != nil {
 			if !errors.Is(err, ErrBadFormat) {
 				t.Fatalf("error %v is not ErrBadFormat", err)
@@ -216,7 +218,7 @@ func FuzzReadPool(f *testing.F) {
 			return
 		}
 		var out bytes.Buffer
-		if _, err := p.WriteTo(&out); err != nil {
+		if _, err := writeEntries(&out, entries); err != nil {
 			t.Fatal(err)
 		}
 		if !bytes.Equal(out.Bytes(), consumed) {
@@ -244,16 +246,16 @@ func (w *limitWriter) Write(p []byte) (int, error) {
 // the buffered writer's first error sticking, so a destination that fails
 // anywhere, mid-stream or at the final flush, must still fail the dump.
 func TestDumpWriteErrorsSurface(t *testing.T) {
-	p := populatedPool(t, 60)
+	entries := populatedEntries(t, 60)
 	var full bytes.Buffer
-	size, err := p.WriteTo(&full)
+	size, err := writeEntries(&full, entries)
 	if err != nil || size != int64(full.Len()) || size < 8<<10 {
 		t.Fatalf("dump of %d bytes (%d written), err %v: want more than the 4 KiB buffer", size, full.Len(), err)
 	}
 	wm := NewWatermarks()
 	wm.Store(7, 3)
 	for _, limit := range []int{0, 3, 4095, 4096, 5000, int(size) / 2, int(size) - 1} {
-		if n, err := p.WriteTo(&limitWriter{limit}); !errors.Is(err, errWriterFull) || n > size {
+		if n, err := writeEntries(&limitWriter{limit}, entries); !errors.Is(err, errWriterFull) || n > size {
 			t.Errorf("pool dump into %d bytes: %d written, err %v", limit, n, err)
 		}
 		if limit < 10 {
@@ -262,7 +264,7 @@ func TestDumpWriteErrorsSurface(t *testing.T) {
 			}
 		}
 	}
-	if n, err := p.WriteTo(&limitWriter{int(size)}); err != nil || n != size {
+	if n, err := writeEntries(&limitWriter{int(size)}, entries); err != nil || n != size {
 		t.Errorf("dump into exactly its size: %d written, err %v", n, err)
 	}
 }

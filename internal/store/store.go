@@ -184,14 +184,13 @@ func NewRoundRobin() *RoundRobin { return &RoundRobin{newOrder(0)} }
 func (*RoundRobin) Get(int32) {}
 
 // Pool is a compressed buffer pool for callers that key segments by ID:
-// entries indexed by segment id with a compression-ordering policy. The
-// pool assigns each entry a policy slot, reusing those Remove frees. The
-// offline engine does not use it: its rows are its index (DESIGN.md §10).
+// entries indexed by segment id with a compression-ordering policy, each
+// given the next policy slot. The offline engine does not use it: its rows
+// are its index (DESIGN.md §10).
 type Pool struct {
 	mu      sync.Mutex
 	slots   map[uint64]int32 // by segment id
-	entries []*Entry         // by slot; nil when free
-	free    []int32          // slots Remove freed
+	entries []*Entry         // by slot
 	policy  Policy
 }
 
@@ -209,56 +208,23 @@ func (p *Pool) Put(e *Entry) {
 	defer p.mu.Unlock()
 	slot, ok := p.slots[e.ID]
 	if !ok {
-		if n := len(p.free); n > 0 {
-			slot, p.free = p.free[n-1], p.free[:n-1]
-		} else {
-			slot = int32(len(p.entries))
-			p.entries = append(p.entries, nil)
-		}
+		slot = int32(len(p.entries))
+		p.entries = append(p.entries, nil)
 		p.slots[e.ID] = slot
 	}
 	p.entries[slot] = e
 	p.policy.Put(slot)
 }
 
-// Get returns the entry and records the access (the query path).
-func (p *Pool) Get(id uint64) (*Entry, bool) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	slot, ok := p.slots[id]
-	if !ok {
-		return nil, false
-	}
-	p.policy.Get(slot)
-	return p.entries[slot], true
-}
-
-// Peek returns the entry without touching the policy (the recoding path).
-func (p *Pool) Peek(id uint64) (*Entry, bool) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	slot, ok := p.slots[id]
-	if !ok {
-		return nil, false
-	}
-	return p.entries[slot], true
-}
-
 // Victim returns the next recoding victim per the policy.
 func (p *Pool) Victim() (*Entry, bool) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	for {
-		slot, ok := p.policy.Victim()
-		if !ok {
-			return nil, false
-		}
-		if int(slot) < len(p.entries) && p.entries[slot] != nil {
-			return p.entries[slot], true
-		}
-		// Stale policy entry; drop and retry.
-		p.policy.Remove(slot)
+	slot, ok := p.policy.Victim()
+	if !ok {
+		return nil, false
 	}
+	return p.entries[slot], true
 }
 
 // Touch re-registers the entry as most recently used (after recoding, the
@@ -268,43 +234,5 @@ func (p *Pool) Touch(id uint64) {
 	defer p.mu.Unlock()
 	if slot, ok := p.slots[id]; ok {
 		p.policy.Put(slot)
-	}
-}
-
-// Remove deletes the entry.
-func (p *Pool) Remove(id uint64) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if slot, ok := p.slots[id]; ok {
-		delete(p.slots, id)
-		p.entries[slot] = nil
-		p.free = append(p.free, slot)
-		p.policy.Remove(slot)
-	}
-}
-
-// Len returns the number of entries.
-func (p *Pool) Len() int {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return len(p.slots)
-}
-
-// TotalBytes sums the compressed sizes of all entries.
-func (p *Pool) TotalBytes() int64 {
-	var total int64
-	p.Each(func(e *Entry) { total += int64(e.Enc.Size()) })
-	return total
-}
-
-// Each calls fn for every entry in unspecified order; fn must not mutate
-// the pool.
-func (p *Pool) Each(fn func(*Entry)) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	for _, e := range p.entries {
-		if e != nil {
-			fn(e)
-		}
 	}
 }

@@ -82,98 +82,23 @@ func TestPoolPutGetVictim(t *testing.T) {
 	p := NewPool(nil)
 	p.Put(entry(1, 80))
 	p.Put(entry(2, 160))
-	if p.Len() != 2 {
-		t.Fatalf("len = %d", p.Len())
-	}
-	if got := p.TotalBytes(); got != 240 {
-		t.Fatalf("total bytes = %d", got)
-	}
 	v, ok := p.Victim()
 	if !ok || v.ID != 1 {
 		t.Fatalf("victim = %+v", v)
 	}
-	// Get(1) protects it: the next victim is 2.
-	if _, ok := p.Get(1); !ok {
-		t.Fatal("get failed")
-	}
-	v, _ = p.Victim()
-	if v.ID != 2 {
-		t.Fatalf("victim after access = %d, want 2", v.ID)
-	}
-	// Peek must not affect ordering.
-	p.Peek(2)
+	// Touch moves 1 behind 2.
+	p.Touch(1)
 	if v, _ := p.Victim(); v.ID != 2 {
-		t.Fatal("peek reordered the policy")
+		t.Fatalf("victim after touch = %d, want 2", v.ID)
 	}
-	// Touch moves 2 behind 1.
-	p.Touch(2)
-	if v, _ := p.Victim(); v.ID != 1 {
-		t.Fatalf("victim after touch = %d, want 1", v.ID)
-	}
-}
-
-func TestPoolRemove(t *testing.T) {
-	p := NewPool(nil)
-	p.Put(entry(1, 80))
-	p.Remove(1)
-	if p.Len() != 0 {
-		t.Fatal("remove failed")
-	}
-	if _, ok := p.Victim(); ok {
-		t.Fatal("empty pool should have no victim")
-	}
-	if _, ok := p.Get(1); ok {
-		t.Fatal("get of removed entry succeeded")
-	}
-}
-
-func TestPoolVictimSkipsStalePolicyEntries(t *testing.T) {
-	// Forget the entry in the pool only, leaving its slot in the policy.
-	lru := NewLRU()
-	p := NewPool(lru)
-	p.Put(entry(1, 80))
-	p.Put(entry(2, 80))
-	p.entries[p.slots[1]] = nil // simulate stale policy entry
-	delete(p.slots, 1)
-	v, ok := p.Victim()
-	if !ok || v.ID != 2 {
-		t.Fatalf("stale entry not skipped: %+v ok=%v", v, ok)
-	}
-}
-
-// TestPoolReusesSlots: a removed entry's policy slot goes to the next new
-// id, so the pool's slot space stays as dense as its contents, and the
-// reused slot joins the recency list afresh, at the back.
-func TestPoolReusesSlots(t *testing.T) {
-	p := NewPool(nil)
-	for id := uint64(1); id <= 3; id++ {
-		p.Put(entry(id<<40, 8))
-	}
-	p.Remove(1 << 40)
-	p.Put(entry(4<<40, 8))
-	if len(p.entries) != 3 {
-		t.Fatalf("%d slots for 3 entries", len(p.entries))
-	}
-	for _, want := range []uint64{2 << 40, 3 << 40, 4 << 40} {
-		v, ok := p.Victim()
-		if !ok || v.ID != want {
-			t.Fatalf("victim %+v, want id %d", v, want)
-		}
-		p.Remove(want)
-	}
-	if _, ok := p.Victim(); ok || p.Len() != 0 {
-		t.Fatal("emptied pool still has a victim")
-	}
-}
-
-func TestPoolEach(t *testing.T) {
-	p := NewPool(nil)
-	p.Put(entry(1, 8))
+	// A re-Put replaces the entry and moves it to the back.
 	p.Put(entry(2, 8))
-	seen := map[uint64]bool{}
-	p.Each(func(e *Entry) { seen[e.ID] = true })
-	if !seen[1] || !seen[2] {
-		t.Fatalf("each missed entries: %v", seen)
+	if v, _ := p.Victim(); v.ID != 1 {
+		t.Fatalf("victim after re-put = %d, want 1", v.ID)
+	}
+	p.Touch(99) // unknown id: no-op
+	if v, _ := p.Victim(); v.ID != 1 {
+		t.Fatal("touching an unknown id reordered the policy")
 	}
 }
 
@@ -201,8 +126,8 @@ func TestAllocsPoolPut(t *testing.T) {
 		if got := float64(after.Mallocs-before.Mallocs) / float64(len(entries)); got >= 1 {
 			t.Errorf("%s: Put+Victim+Touch allocates %.2f/op amortised, want under 1", name, got)
 		}
-		if p.Len() != len(entries) {
-			t.Errorf("%s: pool holds %d of %d entries", name, p.Len(), len(entries))
+		if len(p.slots) != len(entries) {
+			t.Errorf("%s: pool holds %d of %d entries", name, len(p.slots), len(entries))
 		}
 	}
 }

@@ -188,8 +188,9 @@ type deviceState struct {
 // NewCollector builds a receiver with default configuration. sink is
 // invoked for every frame with the decompressed values (nil when decode
 // fails or the codec is unknown — the frame itself still carries the
-// payload). The values slice and the frame's Enc.Data are reused after the
-// sink returns; copy to retain.
+// payload). The values live exactly as long as the frame's Enc.Data: both
+// are the connection's buffers, reused for its next frame once the sink
+// returns, so copy to retain.
 func NewCollector(reg *compress.Registry, sink func(Frame, []float64)) *Collector {
 	return NewCollectorWith(reg, sink, CollectorConfig{})
 }
@@ -288,11 +289,13 @@ func (c *Collector) Serve(addr string) (net.Addr, error) {
 // so a redial allocates none of it. A handler owns its state until then: a
 // kicked session that is still draining keeps its own, and the session
 // that took over streams on another. The payload buffer the sink's frames
-// alias travels with it, which is why the sink may not keep them.
+// alias and dec, the decode buffer its values alias, travel with it, which
+// is why the sink may not keep them.
 type connState struct {
-	br *bufio.Reader
-	r  Reader
-	bw *bufio.Writer
+	br  *bufio.Reader
+	r   Reader
+	bw  *bufio.Writer
+	dec []float64
 }
 
 var connStatePool = sync.Pool{New: func() any {
@@ -505,7 +508,7 @@ func (c *Collector) handleReliable(conn net.Conn, s *connState) {
 			// would make the herd redial even more expensive. The decode
 			// shares dev.mu with the sink call, which already serializes
 			// this device's deliveries.
-			bp := c.decode(frame)
+			values := c.decode(s, frame)
 			// The spool resends in ID order, so IDs at the watermark (or
 			// above it, if the device shed segments) advance it; anything
 			// below is a redelivery.
@@ -518,12 +521,7 @@ func (c *Collector) handleReliable(conn net.Conn, s *connState) {
 			// ID-ordered even if a zombie connection lingers. Counters and
 			// the trace event stay inside the critical section too, so the
 			// per-device event order in the ring matches delivery order.
-			if bp == nil {
-				c.sink(frame, nil)
-			} else {
-				c.sink(frame, *bp)
-				decodeBufPool.Put(bp)
-			}
+			c.sink(frame, values)
 		} else {
 			c.duplicates.Add(1)
 			dev.health.NoteRedelivery()
@@ -564,29 +562,20 @@ func (c *Collector) handleReliable(conn net.Conn, s *connState) {
 	}
 }
 
-// decodeBufPool recycles decode buffers across frames and connections:
-// the collector's per-frame hot path must not allocate per decode
-// (DESIGN.md §10). Buffers grow to the largest segment seen and are
-// handed to the sink, so sink values are only valid during the call.
-var decodeBufPool = sync.Pool{
-	New: func() any { b := make([]float64, 0, 256); return &b },
-}
-
-// decode decompresses a frame into a pooled buffer, which the caller Puts
-// back into decodeBufPool once the sink is done with the values. It
-// returns nil when there is no registry or the frame does not decode.
-func (c *Collector) decode(frame Frame) *[]float64 {
+// decode decompresses a frame into the connection's decode buffer, which
+// grows to the largest segment the connection has carried, so the
+// collector's per-frame path does not allocate per decode (DESIGN.md §10).
+// It returns nil when there is no registry or the frame does not decode.
+func (c *Collector) decode(s *connState, frame Frame) []float64 {
 	if c.reg == nil {
 		return nil
 	}
-	bp := decodeBufPool.Get().(*[]float64)
-	out, err := c.reg.DecompressInto((*bp)[:0], frame.Enc)
+	out, err := c.reg.DecompressInto(s.dec[:0], frame.Enc)
 	if err != nil {
-		decodeBufPool.Put(bp)
 		return nil
 	}
-	*bp = out
-	return bp
+	s.dec = out
+	return out
 }
 
 func (c *Collector) noteBadConn() {
