@@ -36,8 +36,10 @@ race:
 	$(GO) test -race -count=50 -run '^TestOfflineStatsPollRace$$' ./internal/core
 
 # allocs runs the allocation and retained-heap pins without the race
-# detector: every one of them skips under -race (sync.Pool drops Puts
-# there), so `make race` alone never runs them.
+# detector: most of them skip under -race (sync.Pool drops Puts there), so
+# `make race` alone does not run them. The pins on paths that touch no
+# sync.Pool (core's online evaluator and lossless loops, the lossless leg of
+# TestAllocsOnlineAfterGC, the collector's decode) run under both.
 allocs:
 	$(GO) test -count=1 -run 'Allocs|RetainedBytes|ChunksReleased' ./...
 

@@ -20,19 +20,17 @@ import (
 // codec hot paths allocation-free (internal/compress TestAllocs*), the
 // remaining per-segment garbage came from the decision loop itself:
 // trial encode buffers, lossy decode slices, arm masks and the bandit's
-// candidate lists. All of those now recycle through the trial pools and
-// engine/policy scratch, and the winner's bytes are copied into the
-// engine's payload slab, so the segment loop is allocation-free but for one
-// slab per few dozen segments.
+// candidate lists. The engine now owns one trial encode buffer, one decode
+// slice and one arm mask, the policies keep their own scratch, and the
+// winner's bytes are copied into the engine's payload slab, so the segment
+// loop is allocation-free but for one slab per few dozen segments.
 //
-// The budget is not zero: the slabs, and sync.Pool contents a GC reclaims
-// mid-measurement and that are refilled. Anything persistently above it
-// means a buffer stopped recycling — exactly the regression this test
-// exists to catch.
+// The budget is not zero: the slabs. Anything persistently above it means
+// a buffer stopped being reused — exactly the regression this test exists
+// to catch. No sync.Pool is on this path, so it runs under -race too.
 const onlineLoopAllocBudget = 0.1
 
 func TestAllocsOnlineEvaluatorLoop(t *testing.T) {
-	skipAllocPinUnderRace(t)
 	eng, err := NewOnlineEngine(Config{
 		// Target 1 keeps every segment in the lossless phase, the loop the
 		// zero-alloc pass optimizes; the four bit-kernel arms encode
@@ -70,7 +68,8 @@ func TestAllocsOnlineEvaluatorLoop(t *testing.T) {
 		step++
 	}
 
-	// Warm-up: size the pools, converge the bandit, populate stats keys.
+	// Warm-up: size the trial buffers, converge the bandit, populate stats
+	// keys.
 	for i := 0; i < 400; i++ {
 		run()
 	}
@@ -81,18 +80,10 @@ func TestAllocsOnlineEvaluatorLoop(t *testing.T) {
 }
 
 // TestOnlinePayloadsNeverAlias pins what Process promises about the bytes
-// it returns from its shared payload slab: the engine never writes them
-// again, and an append to one cannot run into the payload carved after it.
+// it returns from its shared payload slab, a lossless winner's and a lossy
+// one's: the engine never writes them again, and an append to one cannot
+// run into the payload carved after it.
 func TestOnlinePayloadsNeverAlias(t *testing.T) {
-	eng, err := NewOnlineEngine(Config{
-		TargetRatioOverride: 1,
-		Objective:           SingleTarget(TargetRatio),
-		LosslessArms:        []string{"gorilla", "chimp", "sprintz", "buff"},
-		Seed:                11,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
 	segs := make([][]float64, 8)
 	for s := range segs {
 		segs[s] = make([]float64, 128)
@@ -100,38 +91,62 @@ func TestOnlinePayloadsNeverAlias(t *testing.T) {
 			segs[s][j] = float64((j*(s+2))%31)/8 - 1.25
 		}
 	}
-	process := func(i int) compress.Encoded {
-		t.Helper()
-		_, enc, err := eng.Process(segs[i%len(segs)], i%2)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return enc
-	}
+	for _, leg := range []struct {
+		name   string
+		target float64
+		arms   []string
+	}{
+		{"lossless", 1, []string{"gorilla", "chimp", "sprintz", "buff"}},
+		// Gorilla alone cannot reach 0.10 on these segments.
+		{"lossy", 0.10, []string{"gorilla"}},
+	} {
+		t.Run(leg.name, func(t *testing.T) {
+			eng, err := NewOnlineEngine(Config{
+				TargetRatioOverride: leg.target,
+				Objective:           SingleTarget(TargetRatio),
+				LosslessArms:        leg.arms,
+				Seed:                11,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			process := func(i int) compress.Encoded {
+				t.Helper()
+				res, enc, err := eng.Process(segs[i%len(segs)], i%2)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if res.Lossy != (leg.target < 1) {
+					t.Fatalf("segment %d: lossy %v, this leg is about the other phase", i, res.Lossy)
+				}
+				return enc
+			}
 
-	kept := process(0)
-	want := append([]byte(nil), kept.Data...)
-	for i := 1; i <= 20000; i++ {
-		process(i)
-	}
-	if !bytes.Equal(kept.Data, want) {
-		t.Fatal("a kept payload changed while 20 000 later segments were carved")
-	}
+			kept := process(0)
+			want := append([]byte(nil), kept.Data...)
+			for i := 1; i <= 20000; i++ {
+				process(i)
+			}
+			if !bytes.Equal(kept.Data, want) {
+				t.Fatal("a kept payload changed while 20 000 later segments were carved")
+			}
 
-	// Every pair shares a slab but the one that straddles a slab change.
-	prev := process(0)
-	for i := 1; i <= 256; i++ {
-		next := process(i)
-		clone := append([]byte(nil), next.Data...)
-		junk := make([]byte, len(next.Data))
-		for j := range junk {
-			junk[j] = ^next.Data[j]
-		}
-		_ = append(prev.Data, junk...)
-		if !bytes.Equal(next.Data, clone) {
-			t.Fatalf("appending to payload %d overwrote payload %d", i-1, i)
-		}
-		prev = next
+			// Every pair shares a slab but the one that straddles a slab change.
+			prev := process(0)
+			for i := 1; i <= 256; i++ {
+				next := process(i)
+				clone := append([]byte(nil), next.Data...)
+				junk := make([]byte, len(next.Data))
+				for j := range junk {
+					junk[j] = ^next.Data[j]
+				}
+				_ = append(prev.Data, junk...)
+				if !bytes.Equal(next.Data, clone) {
+					t.Fatalf("appending to payload %d overwrote payload %d", i-1, i)
+				}
+				prev = next
+			}
+		})
 	}
 }
 
@@ -201,9 +216,9 @@ func TestOnlinePayloadSlabRetention(t *testing.T) {
 	}
 }
 
-// skipAllocPinUnderRace skips a pin whose budget counts on pooled scratch:
-// under the race detector sync.Pool drops a quarter of its Puts, so the
-// scratch is rebuilt mid-measurement.
+// skipAllocPinUnderRace skips a pin whose budget counts on the codec
+// packages' pooled scratch: under the race detector sync.Pool drops a
+// quarter of its Puts, so the scratch is rebuilt mid-measurement.
 func skipAllocPinUnderRace(t *testing.T) {
 	t.Helper()
 	if bi, ok := debug.ReadBuildInfo(); ok {
@@ -230,12 +245,28 @@ func mallocsPerOp(n int, fn func()) float64 {
 // TestAllocsOnlineLossyLoop pins the lossy regime as the edge_ml workload
 // runs it (random-forest accuracy objective, ratio 0.10), with the caller
 // keeping every encoding, as an uplink spool does. BUFF-lossy, 99 % of the
-// picks, runs its MinRatio probe and its sizing encode in pooled scratch
-// and encodes into a pooled trial buffer, and the payload is a copy into
-// the engine's slab: what is left is one slab per ~180 segments,
-// exploration onto other arms and pool refills after a GC.
+// picks, runs its MinRatio probe and its sizing encode in the codec
+// package's pooled scratch and encodes and decodes into the engine's trial
+// buffers, and the payload is a copy into the engine's slab: what is left
+// is one slab per ~180 segments, exploration onto other arms and codec pool
+// refills after a GC.
 func TestAllocsOnlineLossyLoop(t *testing.T) {
 	skipAllocPinUnderRace(t)
+	run := lossyLoop(t)
+	for i := 0; i < 512; i++ {
+		run()
+	}
+	if got := mallocsPerOp(2048, func() { run() }); got > 0.1 {
+		t.Errorf("online lossy loop allocates %.3f/segment steady-state, budget 0.1", got)
+	} else {
+		t.Logf("%.3f allocations per segment", got)
+	}
+}
+
+// lossyLoop builds the edge_ml engine TestAllocsOnlineLossyLoop pins and
+// returns a step that processes the next CBF segment.
+func lossyLoop(t *testing.T) func() Result {
+	t.Helper()
 	X, y := datasets.CBF(240, datasets.CBFConfig{Seed: 1})
 	forest, err := ml.FitForest(X, y, ml.ForestConfig{Trees: 15, Seed: 1})
 	if err != nil {
@@ -251,20 +282,14 @@ func TestAllocsOnlineLossyLoop(t *testing.T) {
 	}
 	segs := cbfSegments(t, 256, 11)
 	step := 0
-	run := func() {
+	return func() Result {
 		s := segs[step%len(segs)]
-		if _, _, err := eng.Process(s.Values, s.Label); err != nil {
+		res, _, err := eng.Process(s.Values, s.Label)
+		if err != nil {
 			t.Fatal(err)
 		}
 		step++
-	}
-	for i := 0; i < 512; i++ {
-		run()
-	}
-	if got := mallocsPerOp(2048, run); got > 0.1 {
-		t.Errorf("online lossy loop allocates %.3f/segment steady-state, budget 0.1", got)
-	} else {
-		t.Logf("%.3f allocations per segment", got)
+		return res
 	}
 }
 
@@ -272,11 +297,36 @@ func TestAllocsOnlineLossyLoop(t *testing.T) {
 // plateau half runs it (max-query objective, ratio 0.20, contextual policy;
 // the four bit-kernel arms, whose encoders allocate nothing of their own),
 // with the caller keeping the last 1 024 encodings, as an uplink spool
-// does. The winner's bytes are copied into the engine's payload slab and
-// its trial buffer goes back to the pool, so what is left is a slab every
-// hundred-odd segments.
+// does. Every trial encodes into the engine's one trial buffer and the
+// winner's bytes are copied into the engine's payload slab, so what is left
+// is a slab every hundred-odd segments. No sync.Pool is on this path, so it
+// runs under -race too.
 func TestAllocsOnlineLosslessLoop(t *testing.T) {
-	skipAllocPinUnderRace(t)
+	run := losslessLoop(t)
+	for i := 0; i < 1024; i++ {
+		run()
+	}
+	lossy := 0
+	got := mallocsPerOp(2048, func() {
+		if run().Lossy {
+			lossy++
+		}
+	})
+	if got > 0.1 {
+		t.Errorf("online lossless loop allocates %.3f/segment steady-state, budget 0.1", got)
+	} else {
+		t.Logf("%.3f allocations per segment", got)
+	}
+	if lossy > 0 {
+		t.Errorf("%d of 2048 plateau segments went lossy: this pin is about the lossless hand-off", lossy)
+	}
+}
+
+// losslessLoop builds the edge_shift engine TestAllocsOnlineLosslessLoop
+// pins and returns a step that processes the next plateau segment and keeps
+// its encoding in a 1 024-slot spool.
+func losslessLoop(t *testing.T) func() Result {
+	t.Helper()
 	eng, err := NewOnlineEngine(Config{
 		TargetRatioOverride: 0.20,
 		Objective:           AggTarget(query.Max),
@@ -289,29 +339,57 @@ func TestAllocsOnlineLosslessLoop(t *testing.T) {
 	}
 	plateaus := shiftPool(512, 11)[256:]
 	spool := make([]compress.Encoded, 1024)
-	step, lossy := 0, 0
-	run := func() {
+	step := 0
+	return func() Result {
 		res, enc, err := eng.Process(plateaus[step%len(plateaus)], 0)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if res.Lossy {
-			lossy++
-		}
 		spool[step%len(spool)] = enc
 		step++
+		return res
 	}
-	for i := 0; i < 1024; i++ {
-		run()
-	}
-	lossy = 0
-	if got := mallocsPerOp(2048, run); got > 0.1 {
-		t.Errorf("online lossless loop allocates %.3f/segment steady-state, budget 0.1", got)
-	} else {
-		t.Logf("%.3f allocations per segment", got)
-	}
-	if lossy > 0 {
-		t.Errorf("%d of 2048 plateau segments went lossy: this pin is about the lossless hand-off", lossy)
+}
+
+// TestAllocsOnlineAfterGC pins one Process as it meets a collection: two
+// GCs empty every sync.Pool, then one segment is decided. The engine keeps
+// its trial buffers in fields of its own, so a collection takes none of
+// them: the lossless leg reads about 0.12 a segment (a payload slab now and
+// then) and the lossy leg about 4, the codec packages' pooled scratch
+// rebuilt. While the trial buffers rode in two process-wide sync.Pools, the
+// legs read about 6.5 and 12.
+func TestAllocsOnlineAfterGC(t *testing.T) {
+	for _, leg := range []struct {
+		name   string
+		loop   func(*testing.T) func() Result
+		warm   int
+		budget float64
+		pooled bool // the codecs on this leg draw on sync.Pool scratch
+	}{
+		{"lossless", losslessLoop, 1024, 0.5, false},
+		{"lossy", lossyLoop, 512, 6, true},
+	} {
+		t.Run(leg.name, func(t *testing.T) {
+			if leg.pooled {
+				skipAllocPinUnderRace(t)
+			}
+			run := leg.loop(t)
+			for i := 0; i < leg.warm; i++ {
+				run()
+			}
+			const tries = 64
+			var total float64
+			for i := 0; i < tries; i++ {
+				runtime.GC()
+				runtime.GC() // the first cycle only moves pooled scratch to the victim cache
+				total += mallocsPerOp(1, func() { run() })
+			}
+			if got := total / tries; got > leg.budget {
+				t.Errorf("one Process after two collections allocates %.2f, budget %v", got, leg.budget)
+			} else {
+				t.Logf("%.2f allocations per Process after two collections", got)
+			}
+		})
 	}
 }
 

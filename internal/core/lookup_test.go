@@ -95,8 +95,6 @@ func (p *idKeyedPolicy) Remove(slot int32) {
 	p.inner.Remove(slot)
 }
 
-func (p *idKeyedPolicy) Len() int { return p.inner.Len() }
-
 func (p *idKeyedPolicy) Skip(slot int32) {
 	store.Skip(p.inner, slot)
 	store.Skip(p.ref.policy, p.refSlot(slot))
@@ -114,9 +112,9 @@ func checkLookups(t *testing.T, e *OfflineEngine, pol *idKeyedPolicy, end uint64
 	t.Helper()
 	var ids []uint64
 	e.EachEntry(func(en *store.Entry) { ids = append(ids, en.ID) })
-	if !slices.IsSorted(ids) || len(ids) != e.Segments() || len(pol.ref.slots) != len(ids) || pol.ref.policy.Len() != len(ids) || pol.inner.Len() != len(ids) {
-		t.Fatalf("%d stored IDs (sorted %v), engine %d, policy %d, ID-keyed model %d in %d slots",
-			len(ids), slices.IsSorted(ids), e.Segments(), pol.inner.Len(), pol.ref.policy.Len(), len(pol.ref.slots))
+	if !slices.IsSorted(ids) || len(ids) != e.Segments() || len(pol.ref.slots) != len(ids) {
+		t.Fatalf("%d stored IDs (sorted %v), engine %d, ID-keyed model %d slots",
+			len(ids), slices.IsSorted(ids), e.Segments(), len(pol.ref.slots))
 	}
 	for id := uint64(0); id < end; id++ {
 		got, err := e.QuerySegment(id)
@@ -135,6 +133,29 @@ func checkLookups(t *testing.T, e *OfflineEngine, pol *idKeyedPolicy, end uint64
 		}
 	}
 	return ids
+}
+
+// checkPolicyHolds drains both of pol's policies through Victim and Remove
+// and asserts that each tracked exactly the segments e stores. It ends
+// their use.
+func checkPolicyHolds(t *testing.T, e *OfflineEngine, pol *idKeyedPolicy) {
+	t.Helper()
+	var stored []uint64
+	e.EachEntry(func(en *store.Entry) { stored = append(stored, en.ID) })
+	drain := func(p store.Policy, id func(int32) uint64) []uint64 {
+		var ids []uint64
+		for slot, ok := p.Victim(); ok && len(ids) <= len(stored); slot, ok = p.Victim() {
+			ids = append(ids, id(slot))
+			p.Remove(slot)
+		}
+		slices.Sort(ids)
+		return ids
+	}
+	inner := drain(pol.inner, pol.id)
+	ref := drain(pol.ref.policy, func(slot int32) uint64 { return pol.ref.ids[slot] })
+	if !slices.Equal(inner, stored) || !slices.Equal(ref, stored) {
+		t.Fatalf("%d stored segments; the policy tracks %d, the ID-keyed model %d", len(stored), len(inner), len(ref))
+	}
 }
 
 // TestOfflineLookupAcrossIDGaps: segment IDs are not dense. A failed Ingest
@@ -280,6 +301,8 @@ func TestOfflineLookupAcrossIDGaps(t *testing.T) {
 			if pol.victims < 300 || pol2.victims < 100 {
 				t.Fatalf("compared %d and %d victims: the budget no longer forces the cascade", pol.victims, pol2.victims)
 			}
+			checkPolicyHolds(t, e, pol)
+			checkPolicyHolds(t, r, pol2)
 		})
 	}
 }

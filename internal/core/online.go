@@ -62,9 +62,15 @@ type OnlineEngine struct {
 	// internal/core/contextual.go).
 	ctx *contextualCtl
 
-	// scr holds decision-goroutine-only scratch (arm masks, the lossy
-	// winner's parked trial buffers) reused across segments.
-	scr engineScratch
+	// Decision-goroutine-only trial scratch, reused across segments like
+	// the offline engine's: armMask backs the selection mask, trialEnc every
+	// trial's encode and trialDec the lossy trial's decode. One trial is
+	// live at a time: a lossless loser is done with before the next arm
+	// runs, and the winner is carved into the slab before Process returns.
+	// So every trial appends into the same buffers, and none escapes.
+	armMask  []bool
+	trialEnc []byte
+	trialDec []float64
 	// slab is the payload slab Process carves its returned encodings from
 	// (see carve); decision goroutine only.
 	slab []byte
@@ -162,6 +168,7 @@ func NewOnlineEngine(cfg Config) (*OnlineEngine, error) {
 		losslessViable: true,
 		stats:          OnlineStats{CodecUse: make(map[string]int)},
 	}
+	e.armMask = make([]bool, max(len(e.losslessNames), len(e.lossyNames)))
 	e.link.Store(e.seen)
 	e.losslessMAB = newPolicy(cfg, len(e.losslessNames), 101, "bandit.online.lossless")
 	e.lossyMAB = newPolicy(cfg, len(e.lossyNames), 202, "bandit.online.lossy")
@@ -231,9 +238,6 @@ func (e *OnlineEngine) Process(values []float64, label int) (Result, compress.En
 	if len(values) == 0 {
 		return Result{}, compress.Encoded{}, compress.ErrEmptyInput
 	}
-	// The lossy winner's parked trial buffers are safe to recycle only
-	// after the oracle's observe pass; flush on every exit.
-	defer e.scr.flush()
 	id := e.nextID
 	e.nextID++
 	// One link per segment, even if a concurrent Retarget lands
@@ -336,7 +340,7 @@ func (e *OnlineEngine) tryLossless(target float64) bool {
 // that: one trial, whose miss costs one encode instead of the whole arm
 // list (DESIGN.md §5, "Lossless viability").
 func (e *OnlineEngine) processLossless(id uint64, values []float64, target float64, trials *decisionTrials) (Result, compress.Encoded, bool) {
-	allowed := e.scr.boolMask(len(e.losslessNames), true)
+	allowed := e.mask(len(e.losslessNames), true)
 	if !e.ctx.maskLossless(allowed) {
 		// Every lossless arm misses the predicted deadline; the lossy
 		// phase is the degradation path, so skip without recording a
@@ -358,27 +362,21 @@ func (e *OnlineEngine) processLossless(id uint64, values []float64, target float
 		cost := e.costFn("encode", name, len(values))
 		codec, _ := e.reg.Lookup(name)
 		start := clockIf(e.om != nil)
-		t := runLosslessTrial(codec, values)
+		t := runLosslessTrial(e.trialEnc, codec, values)
 		e.om.trial(name, start)
 		trials.noteLossless(arm, t)
 		e.om.spanTrial(arm, name, cost)
-		// Trials that lose are recycled on the spot — unless the oracle
-		// sampled this decision, in which case it reads the noted trials
-		// after this loop and the buffers must outlive it.
-		recycle := trials == nil
 		if t.err != nil {
 			e.losslessMAB.Update(arm, 0)
 			continue
 		}
+		e.trialEnc = t.enc.Data
 		ratio := t.enc.Ratio()
 		// Lossless selection optimizes compressed size regardless of the
 		// workload target: task accuracy is unaffected (paper §IV-C1).
 		e.losslessMAB.Update(arm, 1-minf(ratio, 1))
 		e.ctx.observeLossless(arm, len(values), ratio, 1-minf(ratio, 1))
 		if target < 1 && ratio > target+ratioSlack {
-			if recycle {
-				t.release()
-			}
 			continue
 		}
 		e.losslessFails = 0
@@ -389,12 +387,9 @@ func (e *OnlineEngine) processLossless(id uint64, values []float64, target float
 			SegmentID: id, Codec: name, Lossy: false, Ratio: ratio,
 			Reward: 1 - minf(ratio, 1),
 		}
-		// The winner's bytes move into the payload slab, and its trial
-		// buffer goes the way of a loser's.
+		// The winner's bytes move into the payload slab; the next trial
+		// overwrites the trial buffer.
 		enc := compress.Encoded{Codec: t.enc.Codec, Data: e.carve(t.enc.Data), N: t.enc.N}
-		if recycle {
-			t.release()
-		}
 		return res, enc, true
 	}
 	e.losslessFails++
@@ -406,7 +401,7 @@ func (e *OnlineEngine) processLossless(id uint64, values []float64, target float
 
 // processLossy runs the lossy-selection phase toward the target ratio.
 func (e *OnlineEngine) processLossy(id uint64, values []float64, target float64, trials *decisionTrials) (Result, compress.Encoded, error) {
-	allowed := e.scr.boolMask(len(e.lossyNames), false)
+	allowed := e.mask(len(e.lossyNames), false)
 	feasible := false
 	for i, name := range e.lossyNames {
 		c, _ := e.reg.Lookup(name)
@@ -430,7 +425,7 @@ func (e *OnlineEngine) processLossy(id uint64, values []float64, target float64,
 
 	codec, _ := e.reg.Lookup(name)
 	start := clockIf(e.om != nil)
-	t := runLossyTrial(codec.(compress.LossyCodec), values, target)
+	t := runLossyTrial(e.trialEnc, e.trialDec, codec.(compress.LossyCodec), values, target)
 	e.om.trial(name, start)
 	trials.noteLossy(arm, t)
 	e.om.spanTrial(arm, name, cost)
@@ -444,8 +439,8 @@ func (e *OnlineEngine) processLossy(id uint64, values []float64, target float64,
 	}
 	// The encoding feeds the payload copy below, the decode slice the
 	// observation, and on sampled decisions both the oracle's observe
-	// pass; Process releases them at the very end.
-	e.scr.parkLossy(&t)
+	// pass, which reads them before Process returns.
+	e.trialEnc, e.trialDec = t.enc.Data, t.decoded
 	obs := Observation{Raw: values, Decoded: t.decoded, CompressedBytes: t.enc.Size(), Duration: costDuration(cost)}
 	reward, accLoss := e.eval.Score(obs)
 	e.lossyMAB.Update(arm, reward)
@@ -467,7 +462,7 @@ const payloadSlabBytes = 16 << 10
 
 // carve copies b into the payload slab's tail and returns the copy, capped
 // at its length. Payloads leave in the order they are carved (an uplink
-// spool releases them by ID), so a slab's payloads die together: a full
+// spool drops them by ID), so a slab's payloads die together: a full
 // slab is replaced and left to the garbage collector, with no free list.
 func (e *OnlineEngine) carve(b []byte) []byte {
 	n := len(b)
@@ -482,62 +477,47 @@ func (e *OnlineEngine) carve(b []byte) []byte {
 	return e.slab[off : off+n : off+n]
 }
 
-// losslessTrial is the outcome of one pure lossless codec attempt. buf is
-// the pool wrapper its encode buffer rides in (nil for error trials); see
-// scratch.go for the release discipline.
+// losslessTrial is the outcome of one pure lossless codec attempt.
 type losslessTrial struct {
 	enc compress.Encoded
 	err error
-	buf *encBuf
 }
 
-// runLosslessTrial compresses values with one codec into a pooled buffer.
-// Pure: no engine state is read or written, so the oracle may run it on a
-// shadow goroutine.
-func runLosslessTrial(codec compress.Codec, values []float64) losslessTrial {
-	eb := getEncBuf()
-	enc, err := codec.CompressInto(eb.b, values)
-	if err != nil {
-		// The buffer's capacity survives a failed attempt; hand it
-		// straight back.
-		encBufPool.Put(eb)
-		return losslessTrial{err: err}
-	}
-	return losslessTrial{enc: enc, buf: eb}
+// runLosslessTrial compresses values with one codec into dst's backing
+// array. Pure: no engine state is read or written, so the oracle may run it
+// on a shadow goroutine with a nil dst.
+func runLosslessTrial(dst []byte, codec compress.Codec, values []float64) losslessTrial {
+	enc, err := codec.CompressInto(dst, values)
+	return losslessTrial{enc: enc, err: err}
 }
 
 // lossyTrial is the outcome of one pure lossy codec attempt at a target
-// ratio, including the decode needed for reward evaluation. buf and dec
-// are the pool wrappers of the encoding and the decoded slice (nil when
-// either step failed).
+// ratio, including the decode needed for reward evaluation.
 type lossyTrial struct {
 	enc     compress.Encoded
 	err     error
 	decoded []float64
 	decErr  error
-	buf     *encBuf
-	dec     *decBuf
 }
 
-// runLossyTrial compresses values toward ratio into a pooled buffer and
-// decodes the result into a pooled slice. Pure, like runLosslessTrial.
-func runLossyTrial(lc compress.LossyCodec, values []float64, ratio float64) lossyTrial {
-	eb := getEncBuf()
-	enc, err := lc.CompressRatioInto(eb.b, values, ratio)
+// runLossyTrial compresses values toward ratio into encDst's backing array
+// and decodes the result into decDst's. Pure, like runLosslessTrial.
+func runLossyTrial(encDst []byte, decDst []float64, lc compress.LossyCodec, values []float64, ratio float64) lossyTrial {
+	enc, err := lc.CompressRatioInto(encDst, values, ratio)
 	if err != nil {
-		encBufPool.Put(eb)
 		return lossyTrial{err: err}
 	}
-	eb.b = enc.Data
-	db := getDecBuf()
-	decoded, decErr := lc.DecompressInto(db.v, enc)
-	if decErr != nil {
-		encBufPool.Put(eb)
-		decBufPool.Put(db)
-		return lossyTrial{decErr: decErr}
+	decoded, decErr := lc.DecompressInto(decDst, enc)
+	return lossyTrial{enc: enc, decoded: decoded, decErr: decErr}
+}
+
+// mask returns the arm mask's first n entries, each set to fill.
+func (e *OnlineEngine) mask(n int, fill bool) []bool {
+	m := e.armMask[:n]
+	for i := range m {
+		m[i] = fill
 	}
-	db.v = decoded
-	return lossyTrial{enc: enc, decoded: decoded, buf: eb, dec: db}
+	return m
 }
 
 // account folds one decided segment of points values into the stream

@@ -59,22 +59,35 @@ func (o *qualityOracle) sampled(id uint64) bool {
 // consumed, keyed by arm, so the oracle reuses them instead of
 // recomputing. Allocated only for sampled decisions; the nil value (the
 // common case) makes the note methods no-ops.
+//
+// Of a lossless trial it keeps what the oracle reads, the ratio or the
+// error, never the bytes: the decision path's next trial overwrites them.
+// The lossy trial is the decision's last, so its buffers hold until
+// Process returns, after the oracle's observe pass.
 type decisionTrials struct {
-	lossless map[int]losslessTrial
+	lossless map[int]losslessOutcome
 	lossy    map[int]lossyTrial
 }
 
+// losslessOutcome is what the oracle reads of a lossless trial.
+type losslessOutcome struct {
+	ratio float64
+	err   error
+}
+
+func (t losslessTrial) outcome() losslessOutcome { return losslessOutcome{t.enc.Ratio(), t.err} }
+
 func newDecisionTrials() *decisionTrials {
 	return &decisionTrials{
-		lossless: make(map[int]losslessTrial),
+		lossless: make(map[int]losslessOutcome),
 		lossy:    make(map[int]lossyTrial),
 	}
 }
 
-// noteLossless records a consumed lossless trial for the oracle.
+// noteLossless records a consumed lossless trial's outcome for the oracle.
 func (d *decisionTrials) noteLossless(arm int, t losslessTrial) {
 	if d != nil {
-		d.lossless[arm] = t
+		d.lossless[arm] = t.outcome()
 	}
 }
 
@@ -111,7 +124,7 @@ func (o *qualityOracle) observe(e *OnlineEngine, res Result, values []float64, t
 // size reward the lossless phase optimizes.
 func (o *qualityOracle) observeLossless(e *OnlineEngine, res Result, values []float64, cached *decisionTrials, target float64) {
 	n := len(e.losslessNames)
-	trials := make([]losslessTrial, n)
+	trials := make([]losslessOutcome, n)
 	have := make([]bool, n)
 	reused, shadow := 0, 0
 	var tasks []func()
@@ -128,7 +141,7 @@ func (o *qualityOracle) observeLossless(e *OnlineEngine, res Result, values []fl
 		if !ok {
 			continue
 		}
-		tasks = append(tasks, func() { trials[arm] = runLosslessTrial(codec, values) })
+		tasks = append(tasks, func() { trials[arm] = runLosslessTrial(nil, codec, values).outcome() })
 		have[arm] = true
 		shadow++
 	}
@@ -140,7 +153,7 @@ func (o *qualityOracle) observeLossless(e *OnlineEngine, res Result, values []fl
 		if !have[arm] || trials[arm].err != nil {
 			continue
 		}
-		ratio := trials[arm].enc.Ratio()
+		ratio := trials[arm].ratio
 		if target < 1 && ratio > target+ratioSlack {
 			continue
 		}
@@ -180,7 +193,7 @@ func (o *qualityOracle) observeLossy(e *OnlineEngine, res Result, values []float
 			reused++
 			continue
 		}
-		tasks = append(tasks, func() { trials[arm] = runLossyTrial(lc, values, target) })
+		tasks = append(tasks, func() { trials[arm] = runLossyTrial(nil, nil, lc, values, target) })
 		have[arm] = true
 		shadow++
 	}

@@ -67,9 +67,10 @@ func TestOnlineStatsPollRace(t *testing.T) {
 // TestConcurrentEnginesShareNothing runs four engines with one seed over
 // one stream on four goroutines, the way experiments.Scalability uses more
 // cores. Each must decide and encode exactly as the same engine run alone:
-// engines share only the trial-buffer pools, and sync.Pool hands a buffer
-// to one owner at a time. A trial buffer parked where engines share it,
-// such as a package-level variable, fails here under -race.
+// each engine owns its trial buffers and payload slab, and what engines
+// share, the default codec catalog, keeps no state between calls. A trial
+// buffer kept where engines share it, such as a package-level variable,
+// fails here under -race.
 func TestConcurrentEnginesShareNothing(t *testing.T) {
 	segs := shiftPool(300, 13)
 	type decision struct {

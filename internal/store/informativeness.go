@@ -16,7 +16,6 @@ type Informativeness struct {
 	scores []float64
 	seq    []uint64
 	next   uint64
-	n      int
 	// Decay is applied to a victim's score when it is re-Put (recoded);
 	// defaults to 0.5.
 	Decay float64
@@ -44,7 +43,6 @@ func (p *Informativeness) Put(slot int32) {
 	}
 	p.next++
 	p.seq[slot], p.scores[slot] = p.next, 0
-	p.n++
 }
 
 // Get implements Policy: each query access adds one unit of
@@ -85,12 +83,8 @@ func (p *Informativeness) Victim() (int32, bool) {
 func (p *Informativeness) Remove(slot int32) {
 	if p.tracked(slot) {
 		p.seq[slot] = 0
-		p.n--
 	}
 }
-
-// Len implements Policy.
-func (p *Informativeness) Len() int { return p.n }
 
 // Skip implements Skipper: an unshrinkable victim is credited a unit of
 // score so the selector moves on to the next-least-informative segment

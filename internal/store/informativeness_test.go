@@ -1,6 +1,9 @@
 package store
 
-import "testing"
+import (
+	"slices"
+	"testing"
+)
 
 func TestInformativenessVictimIsLeastInformative(t *testing.T) {
 	p := NewInformativeness()
@@ -35,8 +38,8 @@ func TestInformativenessQualifiedRatio(t *testing.T) {
 	p.RecordContribution(1, -5)
 	p.RecordContribution(1, 7)
 	p.RecordContribution(99, 1)
-	if p.Len() != 2 {
-		t.Fatal("unknown id registered")
+	if got := drain(p, 3); !slices.Equal(got, []int32{2, 1}) {
+		t.Fatalf("victims %v, want [2 1]: an unknown id was registered", got)
 	}
 }
 
@@ -79,8 +82,8 @@ func TestInformativenessEmpty(t *testing.T) {
 	}
 	p.Get(1)    // unknown: no-op
 	p.Remove(1) // unknown: no-op
-	if p.Len() != 0 {
-		t.Fatal("len changed")
+	if got := drain(p, 1); len(got) != 0 {
+		t.Fatalf("victims %v: an unknown id was registered", got)
 	}
 }
 
@@ -95,8 +98,8 @@ func TestPoolRecordContributionFallsBackToGet(t *testing.T) {
 		t.Fatalf("victim = %d, want 2 (1 was touched)", v)
 	}
 	RecordContribution(p, 99, 0.5) // unknown slot: no-op
-	if v, _ := p.Victim(); v != 2 || p.Len() != 2 {
-		t.Fatalf("victim %d of %d after an unknown slot, want 2 of 2", v, p.Len())
+	if got := drain(p, 3); !slices.Equal(got, []int32{2, 1}) {
+		t.Fatalf("victims %v after an unknown slot, want [2 1]", got)
 	}
 }
 

@@ -2,6 +2,7 @@ package store
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -74,11 +75,9 @@ func TestLRUMatchesReferenceModel(t *testing.T) {
 					return false
 				}
 			}
-			if real.Len() != len(model.order) {
-				return false
-			}
 		}
-		return true
+		// The list holds exactly the model's slots, in the model's order.
+		return slices.Equal(drain(real, len(model.order)), model.order)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
 		t.Fatal(err)

@@ -67,8 +67,6 @@ type Policy interface {
 	Victim() (int32, bool)
 	// Remove forgets the segment.
 	Remove(slot int32)
-	// Len returns the number of tracked segments.
-	Len() int
 }
 
 // order is the recency list behind LRU and RoundRobin: slots from the next
@@ -77,10 +75,7 @@ type Policy interface {
 // list, so registering a segment allocates nothing beyond the amortised
 // growth of the slab, which doubles from the room its owner asked for. An
 // untracked slot's prev is -1.
-type order struct {
-	links []link
-	n     int
-}
+type order struct{ links []link }
 
 type link struct{ prev, next int32 }
 
@@ -131,7 +126,6 @@ func (o *order) Put(slot int32) {
 		}
 		o.links = append(o.links, link{prev: -1})
 	}
-	o.n++
 	o.linkBack(slot + 1)
 }
 
@@ -148,12 +142,8 @@ func (o *order) Remove(slot int32) {
 	if i, ok := o.node(slot); ok {
 		o.unlink(i)
 		o.links[i].prev = -1
-		o.n--
 	}
 }
-
-// Len implements Policy.
-func (o *order) Len() int { return o.n }
 
 // LRU is the paper's default policy: least-recently-used segments are
 // recoded first, so hot segments keep their fidelity.
