@@ -137,7 +137,7 @@ func TestScratchReuseIndependence(t *testing.T) {
 // still equal them once every goroutine is done, so that no later encode
 // wrote through a payload handed out earlier. In the second each goroutine
 // brings its own dst through CompressInto, as the engines' scratch does,
-// and all four run one codec at a time: no sync.Pool hand-off then orders
+// and all four run one codec at a time: no free list's mutex then orders
 // their calls, so a codec that keeps dst in its receiver is a data race
 // that -race reports (mutant BO3 of DESIGN.md §7).
 func TestCompressConcurrentCallers(t *testing.T) {

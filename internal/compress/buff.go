@@ -227,7 +227,7 @@ func buffWidthForRatio(n int, headerBytes int, ratio float64) int {
 // shortens edge_ml's Process below the frozen benchmark's share floor
 // (cmd/adaedge-e2e/e2e_test.go:82; CHANGES.md PR 19 findings).
 func (b buffCore) probeFull(values []float64) (full Encoded, scratch *[]byte, err error) {
-	scratch = byteScratch.Get().(*[]byte)
+	scratch = byteScratch.Get()
 	if full, err = b.encodeInto(*scratch, values, 0); err == nil {
 		*scratch = full.Data
 	}

@@ -29,10 +29,11 @@ type flateCore struct {
 }
 
 // flateEncs pools raw DEFLATE writers process-wide, one pool per level
-// (index level, 1..9), like every other codec scratch. gzip runs level 6,
-// so it shares zlib-6's pool, and a registry built later (each
-// compress.DefaultRegistry call builds one) reuses the writers, about 1 MB
-// each, that earlier ones put back (TestAllocsFlateFreshRegistry).
+// (index level, 1..9); gzip runs level 6, so it shares zlib-6's pool
+// (TestAllocsFlateFreshRegistry). They alone of the package's scratch stay
+// in sync.Pool, not on a free list: a writer is about 1 MB, and a free list
+// would hold three levels' worth, 3 MB, on an idle device for good, where a
+// pool lets them go within two collections.
 var flateEncs [10]sync.Pool
 
 // gzipLevel is the DEFLATE level gzip encodes at: compress/gzip's default,
@@ -67,7 +68,7 @@ func (f *flateCore) compress(dst []byte, values []float64) (Encoded, error) {
 			return Encoded{}, err
 		}
 	}
-	raw := byteScratch.Get().(*[]byte)
+	raw := byteScratch.Get()
 	*raw = appendFloats((*raw)[:0], values)
 	e.out.b = f.appendHeader(dst[:0])
 	e.w.Reset(&e.out)
@@ -132,7 +133,7 @@ func (f *flateCore) decompress(dst []float64, enc Encoded) ([]float64, error) {
 	if f.gzip {
 		unwrap = gunzip
 	}
-	raw := byteScratch.Get().(*[]byte)
+	raw := byteScratch.Get()
 	var out []float64
 	var err error
 	if *raw, err = unwrap(*raw, enc.Data, 8*maxDecodePoints); err != nil {
@@ -140,19 +141,9 @@ func (f *flateCore) decompress(dst []float64, enc Encoded) ([]float64, error) {
 	} else {
 		out, err = decodeFloats(dst, *raw)
 	}
-	if err != nil && cap(*raw) > maxPooledScratch {
-		// What a hostile payload inflated to is not a working set: let the
-		// collector have it now, not two cycles after the pool lets go.
-		*raw = nil
-	}
 	byteScratch.Put(raw)
 	return out, err
 }
-
-// maxPooledScratch is the largest buffer a failed decode or CompressInto's
-// staging hands back to byteScratch: 131 072 points, a thousand ordinary
-// segments.
-const maxPooledScratch = 1 << 20
 
 // Gzip is the general-purpose byte compressor, operating on the IEEE-754
 // byte representation of the segment. It is typically the slowest codec

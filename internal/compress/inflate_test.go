@@ -139,9 +139,6 @@ func FuzzInflateDifferential(f *testing.F) {
 // TestInflateAllocs pins the decoder at zero allocations on every seed,
 // stored, fixed and dynamic blocks, once its output buffer is warm.
 func TestInflateAllocs(t *testing.T) {
-	if raceBuild() {
-		t.Skip("under the race detector sync.Pool drops a quarter of its Puts, so the pooled inflater is rebuilt mid-measurement")
-	}
 	for name, seed := range inflateSeeds(t) {
 		unwrap := unzlib
 		if strings.HasPrefix(name, "gzip") {

@@ -39,7 +39,7 @@ func (*Snappy) CompressInto(dst []byte, values []float64) (Encoded, error) {
 	if len(values) == 0 {
 		return Encoded{}, ErrEmptyInput
 	}
-	raw := byteScratch.Get().(*[]byte)
+	raw := byteScratch.Get()
 	*raw = appendFloats((*raw)[:0], values)
 	out := snappyEncode(dst, *raw)
 	byteScratch.Put(raw)
@@ -51,7 +51,7 @@ func (s *Snappy) DecompressInto(dst []float64, enc Encoded) ([]float64, error) {
 	if enc.Codec != s.Name() {
 		return nil, ErrCodecMismatch
 	}
-	raw := byteScratch.Get().(*[]byte)
+	raw := byteScratch.Get()
 	defer byteScratch.Put(raw)
 	b, err := snappyDecode((*raw)[:0], enc.Data)
 	if err != nil {

@@ -191,35 +191,42 @@ func NewOfflineEngine(cfg Config) (*OfflineEngine, error) {
 	if err != nil {
 		return nil, err
 	}
+	losslessNames := armNames(cfg.LosslessArms, cfg.Registry.Lossless())
+	lossyNames := armNames(cfg.LossyArms, cfg.Registry.Lossy())
 	e := &OfflineEngine{
 		cfg:           cfg,
 		reg:           cfg.Registry,
 		eval:          eval,
-		losslessNames: armNames(cfg.LosslessArms, cfg.Registry.Lossless()),
-		lossyNames:    armNames(cfg.LossyArms, cfg.Registry.Lossy()),
-		storage:       sim.NewStorage(cfg.StorageBytes, cfg.StorageThreshold),
-		policy:        cfg.Policy,
-		clock:         sim.NewClock(cfg.IngestRate),
+		losslessNames: losslessNames,
+		lossyNames:    lossyNames,
+		lossless:      make([]compress.Codec, len(losslessNames)),
+		lossy:         make([]compress.LossyCodec, len(lossyNames)),
+		recoders:      make([]compress.Recoder, len(lossyNames)),
+		// Every name a payload can carry: the arms' and the fallback's.
+		names:   make([]string, 0, len(losslessNames)+len(lossyNames)+1),
+		storage: sim.NewStorage(cfg.StorageBytes, cfg.StorageThreshold),
+		policy:  cfg.Policy,
+		clock:   sim.NewClock(cfg.IngestRate),
 		stats: OfflineStats{
 			LosslessUse: make(map[string]int),
 			LossyUse:    make(map[string]int),
 		},
 	}
-	for _, name := range e.losslessNames {
+	for i, name := range losslessNames {
 		c, ok := cfg.Registry.Lookup(name)
 		if !ok {
 			return nil, fmt.Errorf("core: lossless arm %q is not in the registry", name)
 		}
-		e.lossless = append(e.lossless, c)
+		e.lossless[i] = c
 	}
-	for _, name := range e.lossyNames {
+	for i, name := range lossyNames {
 		c, _ := cfg.Registry.Lookup(name)
 		lc, ok := c.(compress.LossyCodec)
 		if !ok {
 			return nil, fmt.Errorf("core: lossy arm %q is not a lossy codec in the registry", name)
 		}
-		rec, _ := c.(compress.Recoder)
-		e.lossy, e.recoders = append(e.lossy, lc), append(e.recoders, rec)
+		e.lossy[i] = lc
+		e.recoders[i], _ = c.(compress.Recoder)
 	}
 	if e.policy == nil {
 		// A budget holds at least about as many segments as fit it raw,

@@ -238,7 +238,6 @@ func TestOnlineDeadlineFallbackInSpan(t *testing.T) {
 // (RecordStage writes into the preallocated ring under a mutex; no
 // per-stage garbage).
 func TestAllocsOnlineSpanEmission(t *testing.T) {
-	skipAllocPinUnderRace(t)
 	o := obs.New(0)
 	eng, err := NewOnlineEngine(Config{
 		TargetRatioOverride: 1,
