@@ -46,30 +46,53 @@ var clockFuncs = map[string]bool{
 // one that needs the time takes a timestamp.
 func TestCodecPackagesPure(t *testing.T) {
 	for _, dir := range purePkgs {
-		fset := token.NewFileSet()
-		var files []*ast.File
-		entries, err := os.ReadDir(dir)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, e := range entries {
-			name := e.Name()
-			if e.IsDir() || !strings.HasSuffix(name, ".go") || strings.HasSuffix(name, "_test.go") {
-				continue
-			}
-			f, err := parser.ParseFile(fset, filepath.Join(dir, name), nil, 0)
-			if err != nil {
-				t.Fatal(err)
-			}
-			files = append(files, f)
-		}
-		if len(files) == 0 {
-			t.Fatalf("%s has no Go files", dir)
-		}
+		fset, files := parseNonTest(t, dir)
 		for _, msg := range impurities(fset, "repro/"+dir, files) {
 			t.Error(msg)
 		}
 	}
+}
+
+// TestCoreStartsNoGoroutine holds internal/core's non-test files to
+// DESIGN.md §7 rule 1: an engine never starts a goroutine. Every decision,
+// trial and trace emission runs on the caller's goroutine, and more cores
+// are used by running more engines, one per goroutine.
+func TestCoreStartsNoGoroutine(t *testing.T) {
+	fset, files := parseNonTest(t, "internal/core")
+	for _, f := range files {
+		ast.Inspect(f, func(n ast.Node) bool {
+			if g, ok := n.(*ast.GoStmt); ok {
+				t.Errorf("%s: go statement", fset.Position(g.Pos()))
+			}
+			return true
+		})
+	}
+}
+
+// parseNonTest parses the non-test Go files of dir.
+func parseNonTest(t *testing.T, dir string) (*token.FileSet, []*ast.File) {
+	t.Helper()
+	fset := token.NewFileSet()
+	var files []*ast.File
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range entries {
+		name := e.Name()
+		if e.IsDir() || !strings.HasSuffix(name, ".go") || strings.HasSuffix(name, "_test.go") {
+			continue
+		}
+		f, err := parser.ParseFile(fset, filepath.Join(dir, name), nil, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		files = append(files, f)
+	}
+	if len(files) == 0 {
+		t.Fatalf("%s has no Go files", dir)
+	}
+	return fset, files
 }
 
 // TestCodecPurityRules runs the rule over one inline source per rule and

@@ -145,11 +145,11 @@ var (
 // Registry holds the codec candidate set C the bandit selects from.
 //
 // Concurrency contract: lookups are read-mostly and guarded by an RWMutex,
-// so any number of goroutines (engines sharing a registry, the oracle's
-// shadow trials, transport receivers) may Lookup/Names/Decompress
-// concurrently, including alongside a late Register. Codec instances
-// themselves must be stateless across calls — every implementation in this
-// package is — since one instance serves all of them.
+// so any number of goroutines (engines sharing a registry, transport
+// receivers) may Lookup/Names/Decompress concurrently, including alongside
+// a late Register. Codec instances themselves must be stateless across
+// calls — every implementation in this package is — since one instance
+// serves all of them.
 type Registry struct {
 	mu     sync.RWMutex
 	codecs map[string]Codec // guarded by mu

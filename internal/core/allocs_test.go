@@ -11,6 +11,7 @@ import (
 	"repro/internal/compress"
 	"repro/internal/datasets"
 	"repro/internal/ml"
+	"repro/internal/obs/quality"
 	"repro/internal/query"
 	"repro/internal/sim"
 	"repro/internal/store"
@@ -390,6 +391,63 @@ func TestAllocsOnlineAfterGC(t *testing.T) {
 	}
 }
 
+// TestAllocsOracleSample pins a decision the regret oracle samples. With
+// SampleEvery 1 every Process reruns every candidate trial on the decision
+// goroutine, into one encode buffer, one decode slice and one candidate
+// slice the oracle owns, so after warm-up a sampled decision allocates no
+// more than an unsampled one: 0.01 on the lossy leg and 0.03-0.06 on the
+// lossless leg (a payload slab now and then). While the oracle borrowed the
+// decision's trials through a per-decision map and ran the rest on
+// goroutines of their own with nil buffers, the legs read 28.0 and 80.3. The
+// lossless leg's arms include gzip and zlib, whose DEFLATE writers are
+// pooled, so it skips under -race; the lossy leg runs there too.
+func TestAllocsOracleSample(t *testing.T) {
+	for _, leg := range []struct {
+		name   string
+		ratio  float64
+		pooled bool
+	}{
+		{"lossy", 0.1, false},
+		{"lossless", 1, true},
+	} {
+		t.Run(leg.name, func(t *testing.T) {
+			if leg.pooled {
+				skipAllocPinUnderRace(t)
+			}
+			eng, err := NewOnlineEngine(Config{
+				TargetRatioOverride: leg.ratio,
+				Objective:           AggTarget(query.Max),
+				Seed:                1,
+				Quality:             &quality.Config{SampleEvery: 1},
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			segs := cbfSegments(t, 256, 11)
+			step := 0
+			run := func() {
+				s := segs[step%len(segs)]
+				step++
+				res, _, err := eng.Process(s.Values, s.Label)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if res.Lossy != (leg.ratio < 1) {
+					t.Fatalf("segment %d decided lossy=%v on the %s leg", res.SegmentID, res.Lossy, leg.name)
+				}
+			}
+			for i := 0; i < 512; i++ {
+				run()
+			}
+			if got := mallocsPerOp(512, run); got > 0.5 {
+				t.Errorf("a sampled Process allocates %.2f, budget 0.5", got)
+			} else {
+				t.Logf("%.2f allocations per sampled Process", got)
+			}
+		})
+	}
+}
+
 // offlineRecodeEpoch is the offline_recode workload's epoch: that many
 // segments at 140 bytes of budget each.
 const offlineRecodeEpoch = 4096
@@ -692,7 +750,7 @@ func TestOfflineChunksReleasedByDrain(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		if rep := eng.Drain(sim.Net5G, 3600); rep.SegmentsSent != epoch || rep.SegmentsLeft != 0 {
+		if rep := drain(t, eng, sim.Net5G, 3600); rep.SegmentsSent != epoch || rep.SegmentsLeft != 0 {
 			t.Fatalf("drained %d segments of %d, %d left", rep.SegmentsSent, epoch, rep.SegmentsLeft)
 		}
 		return liveHeap()

@@ -32,12 +32,13 @@ func ingestCountingCompactions(t *testing.T, e *OfflineEngine, segs []LabeledSeg
 	}
 }
 
-// TestDrainedPayloadsOwnTheirBytes: a payload that leaves through Drain or
-// DrainTo must not alias the arena. An uplink spool keeps a frame's payload
-// until its ACK, and by then later Ingests have recoded victims in place and
-// compacted the arena under it. Half an epoch leaves, through a capturing
-// sender and through Drain; ingestion then runs on through two compactions,
-// and every payload that left must still hold the bytes it was stored with.
+// TestDrainedPayloadsOwnTheirBytes: a payload that leaves through Drain,
+// with a sender or without, must not alias the arena. An uplink spool
+// keeps a frame's payload until its ACK, and by then later Ingests have
+// recoded victims in place and compacted the arena under it. Half an epoch
+// leaves, a quarter through a capturing sender and a quarter without one;
+// ingestion then runs on through two compactions, and every payload that
+// left must still hold the bytes it was stored with.
 func TestDrainedPayloadsOwnTheirBytes(t *testing.T) {
 	const epoch = 1024
 	segs := cbfSegments(t, 256, 11)
@@ -60,19 +61,19 @@ func TestDrainedPayloadsOwnTheirBytes(t *testing.T) {
 	e.EachEntry(func(en *store.Entry) { stored[en.ID] = bytes.Clone(en.Enc.Data) })
 
 	quarter := sim.Bandwidth(e.Storage().Used() / 4)
-	sender := &captureSender{failAt: -1}
-	if _, err := e.DrainTo(sender, quarter, 1); err != nil {
+	var shipped []store.Entry
+	if _, err := e.Drain(quarter, 1, capture(&shipped, -1, nil)); err != nil {
 		t.Fatal(err)
 	}
-	rep := e.Drain(quarter, 1)
-	if len(sender.frames) == 0 || rep.SegmentsSent == 0 {
-		t.Fatalf("drained %d frames and %d segments", len(sender.frames), rep.SegmentsSent)
+	rep := drain(t, e, quarter, 1)
+	if len(shipped) == 0 || rep.SegmentsSent == 0 {
+		t.Fatalf("drained %d shipped and %d sent segments", len(shipped), rep.SegmentsSent)
 	}
 	ingestCountingCompactions(t, e, segs, 2, 4*epoch)
 
-	for _, f := range sender.frames {
-		if !bytes.Equal(f.Enc.Data, stored[f.ID]) {
-			t.Fatalf("DrainTo's frame %d was overwritten after it was shipped", f.ID)
+	for _, en := range shipped {
+		if !bytes.Equal(en.Enc.Data, stored[en.ID]) {
+			t.Fatalf("shipped segment %d was overwritten after it left", en.ID)
 		}
 	}
 	for _, en := range rep.Sent {
@@ -150,7 +151,7 @@ func TestArenaProperty(t *testing.T) {
 				}
 				queries++
 			case r < 99:
-				rep := e.Drain(sim.Bandwidth(rng.Int63n(e.Storage().Used()/4+1)), 1)
+				rep := drain(t, e, sim.Bandwidth(rng.Int63n(e.Storage().Used()/4+1)), 1)
 				for _, en := range rep.Sent {
 					s, ok := shadow[en.ID]
 					if !ok || !bytes.Equal(en.Enc.Data, s.data) || en.Level != s.level {

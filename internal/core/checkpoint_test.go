@@ -263,7 +263,7 @@ func TestRestoreReplaysVirtualTime(t *testing.T) {
 	for i := 0; i < 3; i++ {
 		window += int64(e.nth(i).size)
 	}
-	if rep := e.Drain(sim.Bandwidth(window), 1); rep.SegmentsSent != 3 {
+	if rep := drain(t, e, sim.Bandwidth(window), 1); rep.SegmentsSent != 3 {
 		t.Fatalf("drained %d segments, want 3", rep.SegmentsSent)
 	}
 	restored = resume()

@@ -29,21 +29,18 @@ type DrainReport struct {
 	Sent []store.Entry
 }
 
-// Drain transmits as many segments as the window allows.
-func (e *OfflineEngine) Drain(bw sim.Bandwidth, seconds float64) DrainReport {
-	report, _ := e.drain(bw, seconds, nil)
-	return report
-}
-
-// drain is Drain with a say for the link: ship, when not nil, is handed
-// each segment before it leaves the engine, and its first error ends the
-// window with that segment and everything after it still stored, untouched.
+// Drain transmits as many segments as the window allows. ship, when not
+// nil, is the link's say — the network protocol of §IV-B1, such as a
+// transport uplink's Send: it is handed each segment before the segment
+// leaves the engine, and its first error ends the window. The segment it
+// refuses and everything after it stay stored as they were, sketch, cached
+// loss and recoding order included, and the report covers only what left.
 //
 // What leaves owns its bytes: a sender such as an uplink spool keeps a
 // payload until it is acknowledged, and the arena slice it came from is
 // overwritten by the next Ingest. The window is therefore sized first and
 // its payloads copied into one buffer.
-func (e *OfflineEngine) drain(bw sim.Bandwidth, seconds float64, ship func(*store.Entry) error) (DrainReport, error) {
+func (e *OfflineEngine) Drain(bw sim.Bandwidth, seconds float64, ship func(*store.Entry) error) (DrainReport, error) {
 	budget := int64(float64(bw) * seconds)
 	var report DrainReport
 	var err error

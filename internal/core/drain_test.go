@@ -1,11 +1,13 @@
 package core
 
 import (
+	"errors"
 	"testing"
 
 	"repro/internal/datasets"
 	"repro/internal/query"
 	"repro/internal/sim"
+	"repro/internal/store"
 )
 
 func drainEngine(t *testing.T, segments int) *OfflineEngine {
@@ -22,10 +24,33 @@ func drainEngine(t *testing.T, segments int) *OfflineEngine {
 	return e
 }
 
+// drain is Drain with no link to refuse a segment, which cannot fail.
+func drain(t *testing.T, e *OfflineEngine, bw sim.Bandwidth, seconds float64) DrainReport {
+	t.Helper()
+	rep, err := e.Drain(bw, seconds, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return rep
+}
+
+// capture returns a ship func for Drain that appends each segment it is
+// handed to *sent, and refuses with failErr once *sent holds failAt of
+// them (never when failAt < 0).
+func capture(sent *[]store.Entry, failAt int, failErr error) func(*store.Entry) error {
+	return func(en *store.Entry) error {
+		if failAt >= 0 && len(*sent) >= failAt {
+			return failErr
+		}
+		*sent = append(*sent, *en)
+		return nil
+	}
+}
+
 func TestDrainSendsOldestFirstAndFreesSpace(t *testing.T) {
 	e := drainEngine(t, 50)
 	before := e.Storage().Used()
-	rep := e.Drain(sim.Net4G, 0.001) // 12.5 KB window
+	rep := drain(t, e, sim.Net4G, 0.001) // 12.5 KB window
 	if rep.SegmentsSent == 0 {
 		t.Fatal("nothing sent")
 	}
@@ -54,7 +79,7 @@ func TestDrainSendsOldestFirstAndFreesSpace(t *testing.T) {
 
 func TestDrainRespectsByteBudget(t *testing.T) {
 	e := drainEngine(t, 30)
-	rep := e.Drain(sim.Bandwidth(1000), 1) // 1000-byte window
+	rep := drain(t, e, sim.Bandwidth(1000), 1) // 1000-byte window
 	if rep.BytesSent > 1000 {
 		t.Fatalf("sent %d bytes over a 1000-byte window", rep.BytesSent)
 	}
@@ -62,7 +87,7 @@ func TestDrainRespectsByteBudget(t *testing.T) {
 
 func TestDrainEverything(t *testing.T) {
 	e := drainEngine(t, 20)
-	rep := e.Drain(sim.Net5G, 10) // effectively unlimited
+	rep := drain(t, e, sim.Net5G, 10) // effectively unlimited
 	if rep.SegmentsLeft != 0 || e.Segments() != 0 {
 		t.Fatalf("drain left %d segments", rep.SegmentsLeft)
 	}
@@ -94,7 +119,7 @@ func TestDrainThenContinueIngesting(t *testing.T) {
 	}
 	ingestCBF(t, e, 80, 61)
 	recodesBefore := e.Stats().Recodes
-	e.Drain(sim.Net5G, 10)
+	drain(t, e, sim.Net5G, 10)
 	// Freed space: further ingestion should proceed without recoding.
 	ingestCBF(t, e, 40, 62)
 	if e.Stats().Recodes != recodesBefore {
@@ -179,5 +204,97 @@ func TestRetargetIgnoresDeadLink(t *testing.T) {
 		if res.Ratio > want+ratioSlack {
 			t.Fatalf("Process after Retarget(%v): ratio %v over the kept target %v", bw, res.Ratio, want)
 		}
+	}
+}
+
+func TestDrainToShipsFrames(t *testing.T) {
+	e := drainEngine(t, 20)
+	var shipped []store.Entry
+	rep, err := e.Drain(sim.Net5G, 10, capture(&shipped, -1, nil))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.SegmentsSent != 20 || len(shipped) != 20 {
+		t.Fatalf("sent %d, captured %d", rep.SegmentsSent, len(shipped))
+	}
+	for i, f := range shipped {
+		if f.ID != uint64(i) {
+			t.Fatalf("frame %d has id %d", i, f.ID)
+		}
+		if f.Enc.Codec == "" || f.Enc.N == 0 {
+			t.Fatalf("frame %d missing metadata", i)
+		}
+	}
+	if e.Segments() != 0 {
+		t.Fatalf("backlog = %d after full drain", e.Segments())
+	}
+}
+
+func TestDrainToRestoresOnSendFailure(t *testing.T) {
+	e := drainEngine(t, 20)
+	before := e.Segments()
+	wantErr := errors.New("link dropped")
+	var shipped []store.Entry
+	rep, err := e.Drain(sim.Net5G, 10, capture(&shipped, 5, wantErr))
+	if !errors.Is(err, wantErr) {
+		t.Fatalf("err = %v", err)
+	}
+	if rep.SegmentsSent != 5 {
+		t.Fatalf("sent = %d, want 5", rep.SegmentsSent)
+	}
+	// Nothing lost: shipped + restored == original.
+	if rep.SegmentsSent+e.Segments() != before {
+		t.Fatalf("segments lost: sent %d + stored %d != %d", rep.SegmentsSent, e.Segments(), before)
+	}
+	// Storage accounting matches the stored payloads.
+	if e.Storage().Used() != storedBytes(e) {
+		t.Fatalf("storage %d != stored bytes %d", e.Storage().Used(), storedBytes(e))
+	}
+	// The restored segments remain decodable.
+	e.EachEntry(func(en *store.Entry) {
+		if _, err := e.reg.Decompress(en.Enc); err != nil {
+			t.Fatalf("restored segment %d broken: %v", en.ID, err)
+		}
+	})
+}
+
+// TestDrainToFailureKeepsSketchAndLoss: a refused segment stays as it was
+// stored. Until PR 22 a drain through a sender drained first and re-stored the stripped copies
+// from report.Sent on failure, so the device reported no accuracy loss
+// (0.30 → 0 here) and every later recode of those segments scored against a
+// lossy reference.
+func TestDrainToFailureKeepsSketchAndLoss(t *testing.T) {
+	const segments = 60
+	e, err := NewOfflineEngine(Config{
+		StorageBytes: segments * 140, // tight: most segments get recoded
+		Objective:    AggTarget(query.Max),
+		Seed:         1,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ingestCBF(t, e, segments, 60)
+	sketches := func() (n int) {
+		e.EachEntry(func(en *store.Entry) {
+			if en.Sketch != nil {
+				n++
+			}
+		})
+		return n
+	}
+	wantLoss, wantSketches := e.Snapshot().MeanAccuracyLoss, sketches()
+	if wantLoss == 0 || wantSketches != segments {
+		t.Fatalf("loss %g and %d sketches before the drain: nothing to lose, the test is vacuous", wantLoss, wantSketches)
+	}
+	wantErr := errors.New("link dropped")
+	var shipped []store.Entry
+	if _, err := e.Drain(sim.Net5G, 10, capture(&shipped, 0, wantErr)); !errors.Is(err, wantErr) {
+		t.Fatalf("err = %v", err)
+	}
+	if got := e.Snapshot().MeanAccuracyLoss; got != wantLoss {
+		t.Errorf("mean accuracy loss %g after a failed Drain, %g before", got, wantLoss)
+	}
+	if got := sketches(); got != wantSketches {
+		t.Errorf("%d of %d sketches left after a failed Drain", got, wantSketches)
 	}
 }

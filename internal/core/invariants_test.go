@@ -68,7 +68,7 @@ func TestOfflineEngineInvariantsUnderRandomOps(t *testing.T) {
 					check(step, "agg")
 				}
 			case 9: // partial drain
-				rep := e.Drain(sim.Bandwidth(4096), 1) // 4 KiB window
+				rep := drain(t, e, sim.Bandwidth(4096), 1) // 4 KiB window
 				drained += rep.SegmentsSent
 				check(step, "drain")
 			}

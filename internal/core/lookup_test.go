@@ -242,7 +242,7 @@ func TestOfflineLookupAcrossIDGaps(t *testing.T) {
 			for i := 0; i < rowChunk+3; i++ {
 				window += int64(e.nth(i).size)
 			}
-			rep := e.Drain(sim.Bandwidth(window), 1)
+			rep := drain(t, e, sim.Bandwidth(window), 1)
 			if rep.SegmentsSent != rowChunk+3 {
 				t.Fatalf("drained %d segments, want %d", rep.SegmentsSent, rowChunk+3)
 			}

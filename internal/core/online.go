@@ -258,34 +258,27 @@ func (e *OnlineEngine) Process(values []float64, label int) (Result, compress.En
 	if e.ctx != nil {
 		e.om.spanFeatures()
 	}
-	// On oracle-sampled decisions, capture the trials this decision
-	// consumes so the counterfactual evaluation reuses instead of
-	// recomputing them. Nil (the common case) keeps every note a no-op.
-	var trials *decisionTrials
-	if e.qo.sampled(id) {
-		trials = newDecisionTrials()
-	}
 
 	// Phase 1: lossless, preferred whenever it can meet R (paper: "We
 	// choose the best lossless compression by default").
 	if e.tryLossless(target) {
-		res, enc, ok := e.processLossless(id, values, target, trials)
+		res, enc, ok := e.processLossless(id, values, target)
 		if ok {
 			e.account(res, link.bw, len(values))
 			e.om.decision(res, target)
-			e.qo.observe(e, res, values, trials, target)
+			e.qo.observe(e, res, values, target)
 			return res, enc, nil
 		}
 	}
 
 	// Phase 2: lossy selection toward the target ratio.
-	res, enc, err := e.processLossy(id, values, target, trials)
+	res, enc, err := e.processLossy(id, values, target)
 	if err != nil {
 		return Result{}, compress.Encoded{}, err
 	}
 	e.account(res, link.bw, len(values))
 	e.om.decision(res, target)
-	e.qo.observe(e, res, values, trials, target)
+	e.qo.observe(e, res, values, target)
 	return res, enc, nil
 }
 
@@ -339,7 +332,7 @@ func (e *OnlineEngine) tryLossless(target float64) bool {
 // the data has turned compressible, and the policy's own pick answers
 // that: one trial, whose miss costs one encode instead of the whole arm
 // list (DESIGN.md §5, "Lossless viability").
-func (e *OnlineEngine) processLossless(id uint64, values []float64, target float64, trials *decisionTrials) (Result, compress.Encoded, bool) {
+func (e *OnlineEngine) processLossless(id uint64, values []float64, target float64) (Result, compress.Encoded, bool) {
 	allowed := e.mask(len(e.losslessNames), true)
 	if !e.ctx.maskLossless(allowed) {
 		// Every lossless arm misses the predicted deadline; the lossy
@@ -364,7 +357,6 @@ func (e *OnlineEngine) processLossless(id uint64, values []float64, target float
 		start := clockIf(e.om != nil)
 		t := runLosslessTrial(e.trialEnc, codec, values)
 		e.om.trial(name, start)
-		trials.noteLossless(arm, t)
 		e.om.spanTrial(arm, name, cost)
 		if t.err != nil {
 			e.losslessMAB.Update(arm, 0)
@@ -400,7 +392,7 @@ func (e *OnlineEngine) processLossless(id uint64, values []float64, target float
 }
 
 // processLossy runs the lossy-selection phase toward the target ratio.
-func (e *OnlineEngine) processLossy(id uint64, values []float64, target float64, trials *decisionTrials) (Result, compress.Encoded, error) {
+func (e *OnlineEngine) processLossy(id uint64, values []float64, target float64) (Result, compress.Encoded, error) {
 	allowed := e.mask(len(e.lossyNames), false)
 	feasible := false
 	for i, name := range e.lossyNames {
@@ -427,7 +419,6 @@ func (e *OnlineEngine) processLossy(id uint64, values []float64, target float64,
 	start := clockIf(e.om != nil)
 	t := runLossyTrial(e.trialEnc, e.trialDec, codec.(compress.LossyCodec), values, target)
 	e.om.trial(name, start)
-	trials.noteLossy(arm, t)
 	e.om.spanTrial(arm, name, cost)
 	if t.err != nil {
 		e.lossyMAB.Update(arm, 0)
@@ -438,8 +429,7 @@ func (e *OnlineEngine) processLossy(id uint64, values []float64, target float64,
 		return Result{}, compress.Encoded{}, t.decErr
 	}
 	// The encoding feeds the payload copy below, the decode slice the
-	// observation, and on sampled decisions both the oracle's observe
-	// pass, which reads them before Process returns.
+	// observation.
 	e.trialEnc, e.trialDec = t.enc.Data, t.decoded
 	obs := Observation{Raw: values, Decoded: t.decoded, CompressedBytes: t.enc.Size(), Duration: costDuration(cost)}
 	reward, accLoss := e.eval.Score(obs)
@@ -484,8 +474,8 @@ type losslessTrial struct {
 }
 
 // runLosslessTrial compresses values with one codec into dst's backing
-// array. Pure: no engine state is read or written, so the oracle may run it
-// on a shadow goroutine with a nil dst.
+// array. Pure: no engine state is read or written, so the regret oracle
+// reruns it into buffers of its own and gets the decision path's bytes.
 func runLosslessTrial(dst []byte, codec compress.Codec, values []float64) losslessTrial {
 	enc, err := codec.CompressInto(dst, values)
 	return losslessTrial{enc: enc, err: err}

@@ -415,7 +415,7 @@ func TestOnlinePayloadsDecode(t *testing.T) {
 		if res.Lossy {
 			lossy = 1
 		}
-		if e.qo.sampled(res.SegmentID) {
+		if e.Quality().Sampled(res.SegmentID) {
 			sampled = 1
 		}
 		seen[lossy][sampled]++

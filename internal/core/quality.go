@@ -1,8 +1,6 @@
 package core
 
 import (
-	"sync"
-
 	"repro/internal/bandit"
 	"repro/internal/compress"
 	"repro/internal/obs/quality"
@@ -16,15 +14,16 @@ import (
 // of (segment values, effective target, arm lists) — the same inputs the
 // decision path uses — so a seeded run produces identical regret events
 // on every run; a speed term's T_c is the cost model's, like the decision
-// path's. The trials the decision path already ran are reused
-// purely as a compute saving: a missing trial is shadow-computed with the
-// same pure function and yields the same bytes. Sampling (every Nth
-// decision) is keyed on the segment ID, never on timing.
+// path's. The oracle reruns every candidate trial itself, on the decision
+// goroutine after the decision, with the same pure function the decision
+// path ran, so a trial the decision already ran yields the same bytes
+// again. Sampling (every Nth decision) is keyed on the segment ID, never
+// on timing.
 //
 // Non-perturbation: the oracle observes but never participates. It holds
 // its own Evaluator (the engine's is stateful — the running
-// max-throughput normalizer — and must not see oracle trials), and it
-// never calls Select/Update on a policy.
+// max-throughput normalizer — and must not see oracle trials) and its own
+// trial buffers, and it never calls Select/Update on a policy.
 // TestQualityDoesNotPerturbDecisions pins this down.
 
 // qualityOracle is the engine-side half of the regret oracle; the
@@ -32,6 +31,13 @@ import (
 type qualityOracle struct {
 	tracker *quality.Tracker
 	eval    *Evaluator
+
+	// Decision-goroutine-only scratch, reused across sampled decisions:
+	// every candidate trial encodes into enc and decodes into dec, and is
+	// scored into cands before the next one runs.
+	enc   []byte
+	dec   []float64
+	cands []quality.ArmOutcome
 }
 
 // newQualityOracle builds the oracle when cfg.Quality is set (nil
@@ -50,134 +56,70 @@ func newQualityOracle(cfg Config) (*qualityOracle, error) {
 	}, nil
 }
 
-// sampled reports whether decision id gets the full candidate evaluation.
-func (o *qualityOracle) sampled(id uint64) bool {
-	return o != nil && o.tracker.Sampled(id)
-}
-
-// decisionTrials captures the codec trials one sampled decision actually
-// consumed, keyed by arm, so the oracle reuses them instead of
-// recomputing. Allocated only for sampled decisions; the nil value (the
-// common case) makes the note methods no-ops.
-//
-// Of a lossless trial it keeps what the oracle reads, the ratio or the
-// error, never the bytes: the decision path's next trial overwrites them.
-// The lossy trial is the decision's last, so its buffers hold until
-// Process returns, after the oracle's observe pass.
-type decisionTrials struct {
-	lossless map[int]losslessOutcome
-	lossy    map[int]lossyTrial
-}
-
-// losslessOutcome is what the oracle reads of a lossless trial.
-type losslessOutcome struct {
-	ratio float64
-	err   error
-}
-
-func (t losslessTrial) outcome() losslessOutcome { return losslessOutcome{t.enc.Ratio(), t.err} }
-
-func newDecisionTrials() *decisionTrials {
-	return &decisionTrials{
-		lossless: make(map[int]losslessOutcome),
-		lossy:    make(map[int]lossyTrial),
-	}
-}
-
-// noteLossless records a consumed lossless trial's outcome for the oracle.
-func (d *decisionTrials) noteLossless(arm int, t losslessTrial) {
-	if d != nil {
-		d.lossless[arm] = t.outcome()
-	}
-}
-
-// noteLossy records a consumed lossy trial for the oracle.
-func (d *decisionTrials) noteLossy(arm int, t lossyTrial) {
-	if d != nil {
-		d.lossy[arm] = t
-	}
-}
-
 // observe feeds one successful decision to the tracker: attribution and
 // switch counters for every decision, the full oracle evaluation for
-// sampled ones (trials non-nil). Decision goroutine only; the regret
-// event is emitted synchronously here, right after the decision event,
-// which keeps the trace sequence deterministic.
-func (o *qualityOracle) observe(e *OnlineEngine, res Result, values []float64, trials *decisionTrials, target float64) {
+// sampled ones. Decision goroutine only; the regret event is emitted
+// synchronously here, right after the decision event, which keeps the
+// trace sequence deterministic.
+func (o *qualityOracle) observe(e *OnlineEngine, res Result, values []float64, target float64) {
 	if o == nil {
 		return
 	}
 	o.tracker.NoteDecision(res.Codec, res.Reward)
-	if trials == nil {
+	if !o.tracker.Sampled(res.SegmentID) {
 		return
 	}
+	o.cands = o.cands[:0]
 	if res.Lossy {
-		o.observeLossy(e, res, values, trials, target)
+		o.scoreLossy(e, values, target)
 	} else {
-		o.observeLossless(e, res, values, trials, target)
+		o.scoreLossless(e, values, target)
 	}
+	chosen := quality.ArmOutcome{Arm: -1, Codec: res.Codec, Reward: res.Reward}
+	for _, c := range o.cands {
+		if c.Codec == res.Codec {
+			chosen = c
+		}
+	}
+	o.tracker.ObserveSample(res.SegmentID, chosen, o.cands)
 }
 
-// observeLossless scores every lossless arm on the sampled segment. A
+// scoreLossless scores every lossless arm on the sampled segment. A
 // candidate is feasible when its achieved ratio meets the target — the
 // same acceptance rule processLossless applies — and its reward is the
 // size reward the lossless phase optimizes.
-func (o *qualityOracle) observeLossless(e *OnlineEngine, res Result, values []float64, cached *decisionTrials, target float64) {
-	n := len(e.losslessNames)
-	trials := make([]losslessOutcome, n)
-	have := make([]bool, n)
-	reused, shadow := 0, 0
-	var tasks []func()
-	for arm := 0; arm < n; arm++ {
+func (o *qualityOracle) scoreLossless(e *OnlineEngine, values []float64, target float64) {
+	for arm, name := range e.losslessNames {
 		if !e.ctx.losslessCandidate(arm) {
 			continue // deadline-masked on the decision path this segment
 		}
-		if t, ok := cached.lossless[arm]; ok {
-			trials[arm], have[arm] = t, true
-			reused++
-			continue
-		}
-		codec, ok := e.reg.Lookup(e.losslessNames[arm])
+		codec, ok := e.reg.Lookup(name)
 		if !ok {
 			continue
 		}
-		tasks = append(tasks, func() { trials[arm] = runLosslessTrial(nil, codec, values).outcome() })
-		have[arm] = true
-		shadow++
-	}
-	runShadow(tasks)
-
-	candidates := make([]quality.ArmOutcome, 0, n)
-	chosen := quality.ArmOutcome{Arm: -1, Codec: res.Codec, Reward: res.Reward}
-	for arm := 0; arm < n; arm++ {
-		if !have[arm] || trials[arm].err != nil {
+		t := runLosslessTrial(o.enc, codec, values)
+		if t.err != nil {
 			continue
 		}
-		ratio := trials[arm].ratio
+		o.enc = t.enc.Data
+		ratio := t.enc.Ratio()
 		if target < 1 && ratio > target+ratioSlack {
 			continue
 		}
-		out := quality.ArmOutcome{Arm: arm, Codec: e.losslessNames[arm], Reward: 1 - minf(ratio, 1)}
-		candidates = append(candidates, out)
-		if out.Codec == res.Codec {
-			chosen = out
-		}
+		o.cands = append(o.cands, quality.ArmOutcome{Arm: arm, Codec: name, Reward: 1 - minf(ratio, 1)})
 	}
-	o.tracker.ObserveSample(res.SegmentID, chosen, candidates, reused, shadow)
 }
 
-// observeLossy scores every target-feasible lossy arm on the sampled
+// scoreLossy scores every target-feasible lossy arm on the sampled
 // segment with the oracle's private evaluator. Feasibility uses the same
 // MinRatio gate processLossy applies (MinRatio is pure, so recomputing
 // yields identical values).
-func (o *qualityOracle) observeLossy(e *OnlineEngine, res Result, values []float64, cached *decisionTrials, target float64) {
-	n := len(e.lossyNames)
-	trials := make([]lossyTrial, n)
-	have := make([]bool, n)
-	reused, shadow := 0, 0
-	var tasks []func()
-	for arm := 0; arm < n; arm++ {
-		c, ok := e.reg.Lookup(e.lossyNames[arm])
+func (o *qualityOracle) scoreLossy(e *OnlineEngine, values []float64, target float64) {
+	// Every arm is scored against the same raw: take its answers once.
+	var scratch [4]float64
+	ref := o.eval.Reference(scratch[:0], values)
+	for arm, name := range e.lossyNames {
+		c, ok := e.reg.Lookup(name)
 		if !ok {
 			continue
 		}
@@ -188,60 +130,17 @@ func (o *qualityOracle) observeLossy(e *OnlineEngine, res Result, values []float
 		if !e.ctx.lossyCandidate(arm) {
 			continue // deadline-masked (or outside the forced fallback)
 		}
-		if t, ok := cached.lossy[arm]; ok {
-			trials[arm], have[arm] = t, true
-			reused++
+		t := runLossyTrial(o.enc, o.dec, lc, values, target)
+		if t.err != nil || t.decErr != nil {
 			continue
 		}
-		tasks = append(tasks, func() { trials[arm] = runLossyTrial(nil, nil, lc, values, target) })
-		have[arm] = true
-		shadow++
-	}
-	runShadow(tasks)
-
-	candidates := make([]quality.ArmOutcome, 0, n)
-	chosen := quality.ArmOutcome{Arm: -1, Codec: res.Codec, Reward: res.Reward}
-	// Every arm is scored against the same raw: take its answers once.
-	var scratch [4]float64
-	ref := o.eval.Reference(scratch[:0], values)
-	for arm := 0; arm < n; arm++ {
-		t := trials[arm]
-		if !have[arm] || t.err != nil || t.decErr != nil {
-			continue
-		}
-		name := e.lossyNames[arm]
+		o.enc, o.dec = t.enc.Data, t.decoded
 		reward, _ := o.eval.ScoreAgainst(ref, len(values), Observation{
 			Decoded: t.decoded, CompressedBytes: t.enc.Size(),
 			Duration: costDuration(e.costFn("encode", name, len(values))),
 		})
-		out := quality.ArmOutcome{Arm: arm, Codec: name, Reward: reward}
-		candidates = append(candidates, out)
-		if out.Codec == res.Codec {
-			chosen = out
-		}
+		o.cands = append(o.cands, quality.ArmOutcome{Arm: arm, Codec: name, Reward: reward})
 	}
-	o.tracker.ObserveSample(res.SegmentID, chosen, candidates, reused, shadow)
-}
-
-// runShadow executes the oracle's missing trials on shadow goroutines —
-// never inline in the decision code path — and waits for them. Each task
-// writes its own pre-assigned slot, so the WaitGroup is the only
-// synchronization. Trials are pure (no events, no RNG, no engine state),
-// so where they run cannot affect determinism; the wait only costs time
-// on sampled decisions.
-func runShadow(tasks []func()) {
-	if len(tasks) == 0 {
-		return
-	}
-	var wg sync.WaitGroup
-	wg.Add(len(tasks))
-	for _, task := range tasks {
-		go func() {
-			defer wg.Done()
-			task()
-		}()
-	}
-	wg.Wait()
 }
 
 // Quality exposes the engine's decision-quality tracker (nil when

@@ -12,9 +12,9 @@ import (
 // TestQualityTraceDeterministic extends the §9 determinism invariant to
 // the regret oracle: with quality observability enabled, a seeded run
 // still reproduces the identical event stream. The oracle's candidate set
-// and rewards are pure functions of the decision inputs, and its shadow
-// goroutines only fill pre-assigned slots, so where and when a missing
-// trial is computed cannot change the emitted regret.
+// and rewards are pure functions of the decision inputs, and it reruns
+// every candidate trial on the decision goroutine, so its regret events
+// land in decision order.
 func TestQualityTraceDeterministic(t *testing.T) {
 	const segments = 80
 	run := runSeededTwice(t, Config{

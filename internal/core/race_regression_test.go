@@ -422,7 +422,7 @@ func TestOfflineStatsPollRace(t *testing.T) {
 	drained := 0
 	for i := 0; i < segments; i++ {
 		if i == drainAt {
-			drained = eng.Drain(sim.Net5G, 3600).SegmentsSent
+			drained = drain(t, eng, sim.Net5G, 3600).SegmentsSent
 		}
 		v, label := stream.Next()
 		if err := eng.Ingest(v, label); err != nil {

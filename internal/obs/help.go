@@ -40,8 +40,6 @@ var MetricHelp = map[string]string{
 	"quality.online.samples":            "decisions given the full oracle evaluation",
 	"quality.online.arm_switches":       "decisions whose codec differed from the previous one",
 	"quality.online.optimal_hits":       "samples where the chosen arm was oracle-best",
-	"quality.online.shadow_trials":      "oracle candidate trials recomputed off the decision goroutine",
-	"quality.online.reused_trials":      "oracle candidate trials reused from the decision path's own work",
 	"quality.online.regret_cum":         "cumulative regret (Σ best − chosen) over all samples",
 	"quality.online.regret_window":      "mean regret over the last `Window` samples",
 	"quality.online.regret_last":        "regret of the most recent sample",

@@ -5,9 +5,8 @@
 // The obs layer (PR 4) records what was chosen; this package records what
 // it cost to not choose the best arm. Per sampled decision the core
 // engine hands the Tracker the chosen arm's oracle reward plus the full
-// candidate set (one outcome per phase-feasible arm, computed from the
-// trials the decision itself ran, or from shadow trials off the decision
-// goroutine). The Tracker derives:
+// candidate set (one outcome per phase-feasible arm, each trial rerun by
+// the engine's oracle on the decision goroutine). The Tracker derives:
 //
 //   - instantaneous, cumulative and windowed regret (best − chosen),
 //   - per-codec reward-gap histograms (how far each codec trails the
@@ -39,9 +38,9 @@ import (
 type Config struct {
 	// SampleEvery runs the full oracle evaluation on every Nth decision
 	// (decision 0, N, 2N, …). 1 scores every decision; 0 selects the
-	// default of 4. Sampling bounds the shadow-trial cost in sequential
-	// mode while keeping the regret estimate unbiased for stationary
-	// streams.
+	// default of 4. Sampling bounds the cost of rerunning every
+	// candidate trial while keeping the regret estimate unbiased for
+	// stationary streams.
 	SampleEvery int
 	// Window is the number of recent samples in the windowed-regret gauge
 	// (default 64): cumulative regret says how much a run lost overall,
@@ -124,11 +123,6 @@ type Snapshot struct {
 	ArmSwitches int    `json:"arm_switches"`
 	SinceSwitch int    `json:"since_switch"`
 	HeldCodec   string `json:"held_codec,omitempty"`
-	// ShadowTrials and ReusedTrials split the oracle's candidate-trial
-	// provenance: recomputed off the decision goroutine vs. consumed from
-	// decision-path work that already existed.
-	ShadowTrials int `json:"shadow_trials"`
-	ReusedTrials int `json:"reused_trials"`
 	// Codecs is the per-codec attribution ledger.
 	Codecs map[string]CodecStats `json:"codecs"`
 	// Arms mirrors the engine's bandit state per phase (SetArmSource);
@@ -155,8 +149,6 @@ type Tracker struct {
 	samples   *obs.Counter
 	switches  *obs.Counter
 	optimal   *obs.Counter
-	shadow    *obs.Counter
-	reused    *obs.Counter
 
 	regretCum    *obs.Gauge
 	regretWindow *obs.Gauge
@@ -173,22 +165,20 @@ type Tracker struct {
 
 // state is the snapshot-facing aggregate, mutated only under mu.
 type state struct {
-	decisions    int
-	samples      int
-	cumRegret    float64
-	lastRegret   float64
-	window       []float64
-	windowNext   int
-	windowFull   bool
-	optimalHits  int
-	armSwitches  int
-	sinceSwitch  int
-	heldCodec    string
-	started      bool
-	shadowTrials int
-	reusedTrials int
-	codecs       map[string]*CodecStats
-	armSource    func() map[string][]ArmStat
+	decisions   int
+	samples     int
+	cumRegret   float64
+	lastRegret  float64
+	window      []float64
+	windowNext  int
+	windowFull  bool
+	optimalHits int
+	armSwitches int
+	sinceSwitch int
+	heldCodec   string
+	started     bool
+	codecs      map[string]*CodecStats
+	armSource   func() map[string][]ArmStat
 }
 
 // NewTracker builds a Tracker against an observer and publishes its JSON
@@ -212,8 +202,6 @@ func NewTracker(o *obs.Observer, cfg Config) *Tracker {
 		t.samples = reg.Counter("quality.online.samples")
 		t.switches = reg.Counter("quality.online.arm_switches")
 		t.optimal = reg.Counter("quality.online.optimal_hits")
-		t.shadow = reg.Counter("quality.online.shadow_trials")
-		t.reused = reg.Counter("quality.online.reused_trials")
 		t.regretCum = reg.Gauge("quality.online.regret_cum")
 		t.regretWindow = reg.Gauge("quality.online.regret_window")
 		t.regretLast = reg.Gauge("quality.online.regret_last")
@@ -283,11 +271,10 @@ func (t *Tracker) NoteDecision(codec string, reward float64) {
 
 // ObserveSample records one oracle-scored decision: chosen is the chosen
 // arm's oracle outcome, candidates every phase-feasible arm's (including
-// the chosen one). reusedTrials/shadowTrials report the candidate-trial
-// provenance. Emits one "regret" trace event carrying the best arm and
+// the chosen one). Emits one "regret" trace event carrying the best arm and
 // the regret — on the calling (decision) goroutine, so the event sequence
 // stays deterministic. Decision goroutine only.
-func (t *Tracker) ObserveSample(id uint64, chosen ArmOutcome, candidates []ArmOutcome, reusedTrials, shadowTrials int) {
+func (t *Tracker) ObserveSample(id uint64, chosen ArmOutcome, candidates []ArmOutcome) {
 	if t == nil || len(candidates) == 0 {
 		return
 	}
@@ -305,8 +292,6 @@ func (t *Tracker) ObserveSample(id uint64, chosen ArmOutcome, candidates []ArmOu
 	}
 
 	t.samples.Inc()
-	t.shadow.Add(int64(shadowTrials))
-	t.reused.Add(int64(reusedTrials))
 	h, ok := t.gap[chosen.Codec]
 	if !ok && t.reg != nil {
 		h = t.reg.Histogram("quality.online.reward_gap."+chosen.Codec, GapBuckets)
@@ -329,8 +314,6 @@ func (t *Tracker) ObserveSample(id uint64, chosen ArmOutcome, candidates []ArmOu
 		st.optimalHits++
 		t.optimal.Inc()
 	}
-	st.shadowTrials += shadowTrials
-	st.reusedTrials += reusedTrials
 	t.codecStatsLocked(best.Codec).Best++
 	cs := t.codecStatsLocked(chosen.Codec)
 	cs.GapSum += regret
@@ -395,8 +378,6 @@ func (t *Tracker) Snapshot() Snapshot {
 		ArmSwitches:      st.armSwitches,
 		SinceSwitch:      st.sinceSwitch,
 		HeldCodec:        st.heldCodec,
-		ShadowTrials:     st.shadowTrials,
-		ReusedTrials:     st.reusedTrials,
 		Codecs:           make(map[string]CodecStats, len(st.codecs)),
 	}
 	for name, cs := range st.codecs {
