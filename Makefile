@@ -36,11 +36,11 @@ race:
 	$(GO) test -race -count=50 -run '^TestOfflineStatsPollRace$$' ./internal/core
 
 # allocs runs the allocation and retained-heap pins without the race
-# detector: the pins that encode through a pooled DEFLATE writer and the
-# collector's session pins (its connection state is pooled) skip under
-# -race (sync.Pool drops Puts there), so `make race` alone does not run
-# them. Every other pin draws only on free lists, which drop nothing, and
-# runs under both.
+# detector: the collector's session pins (its connection state sits in a
+# sync.Pool) skip under -race (sync.Pool drops Puts there), so `make race`
+# alone does not run them. Every other pin runs under both: the codecs'
+# scratch sits on free lists, which drop nothing, and a DEFLATE writer a
+# dropped Put leaves behind stays reachable through its pool's last.
 allocs:
 	$(GO) test -count=1 -run 'Allocs|RetainedBytes|ChunksReleased' ./...
 

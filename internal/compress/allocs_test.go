@@ -37,11 +37,7 @@ func allocSignal(n int) []float64 {
 	return sig
 }
 
-// raceBuild reports whether the binary was built with -race, under which
-// sync.Pool drops a quarter of its Puts: a pin that encodes through a
-// pooled DEFLATE writer, the one codec scratch still in a sync.Pool,
-// skips then. Every other workspace sits on a free list, which drops
-// nothing.
+// raceBuild reports whether the binary was built with -race.
 func raceBuild() bool {
 	bi, ok := debug.ReadBuildInfo()
 	if !ok {
@@ -92,12 +88,6 @@ func TestCodecAllocs(t *testing.T) {
 	} {
 		c := tc.c
 		t.Run(c.Name(), func(t *testing.T) {
-			switch c.(type) {
-			case *Gzip, *Zlib:
-				if raceBuild() {
-					t.Skip("under the race detector sync.Pool drops a quarter of its Puts, so DEFLATE writers are rebuilt mid-measurement")
-				}
-			}
 			// Warm-up sizes the buffers.
 			enc, err := c.CompressInto(nil, sig)
 			if err != nil {
@@ -219,14 +209,10 @@ func TestCompressRetainedBytes(t *testing.T) {
 // encode put back serves a gzip one. With a pool per codec instance each
 // new registry (one per engine built without a Registry) started cold and
 // built stdlib writers of about 1 MB each for its first flate encodes: 19
-// and 21 mallocs here. A pooled writer is parked on the P that put it
-// back, so a goroutine moved to another P between the warm-up and the
-// measured call misses it; each try therefore takes a fresh registry, and
-// one clean try of three passes.
+// and 21 mallocs here. Any P takes a level's idle writer (flateEncs), so
+// the measured call finds the one the warm-up put back even when the
+// goroutine has changed P in between.
 func TestAllocsFlateFreshRegistry(t *testing.T) {
-	if raceBuild() {
-		t.Skip("under the race detector sync.Pool drops a quarter of its Puts")
-	}
 	sig := allocSignal(128)
 	dst := make([]byte, 0, 1<<12)
 	for _, pair := range [][2]string{{"gzip", "gzip"}, {"zlib-6", "zlib-6"}, {"zlib-6", "gzip"}} {
@@ -236,29 +222,25 @@ func TestAllocsFlateFreshRegistry(t *testing.T) {
 			name += " after " + warmName
 		}
 		t.Run(name, func(t *testing.T) {
-			var got uint64
-			for try := 0; try < 3; try++ {
-				// Empty every pool first, so no writer an earlier subtest
-				// put back can stand in for the one warm puts back.
-				runtime.GC()
-				runtime.GC()
-				warm, _ := DefaultRegistry(4).Lookup(warmName)
-				if _, err := warm.CompressInto(dst, sig); err != nil {
-					t.Fatal(err)
-				}
-				fresh, _ := DefaultRegistry(4).Lookup(freshName)
-				var before, after runtime.MemStats
-				runtime.ReadMemStats(&before)
-				_, err := fresh.CompressInto(dst, sig)
-				runtime.ReadMemStats(&after)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if got = after.Mallocs - before.Mallocs; got == 0 {
-					return
-				}
+			// Empty every pool first, so no writer an earlier subtest put
+			// back can stand in for the one warm puts back.
+			runtime.GC()
+			runtime.GC()
+			warm, _ := DefaultRegistry(4).Lookup(warmName)
+			if _, err := warm.CompressInto(dst, sig); err != nil {
+				t.Fatal(err)
 			}
-			t.Errorf("a fresh registry's first %s encode after a %s one allocates %d times, want 0: its encoder pool starts cold", freshName, warmName, got)
+			fresh, _ := DefaultRegistry(4).Lookup(freshName)
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			_, err := fresh.CompressInto(dst, sig)
+			runtime.ReadMemStats(&after)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := after.Mallocs - before.Mallocs; got != 0 {
+				t.Errorf("a fresh registry's first %s encode after a %s one allocates %d times, want 0: its encoder pool starts cold", freshName, warmName, got)
+			}
 		})
 	}
 }

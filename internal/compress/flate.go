@@ -7,6 +7,8 @@ import (
 	"hash/adler32"
 	"hash/crc32"
 	"sync"
+	"sync/atomic"
+	"weak"
 )
 
 // Flate-based codecs encode through compress/flate's raw DEFLATE writer,
@@ -30,11 +32,55 @@ type flateCore struct {
 
 // flateEncs pools raw DEFLATE writers process-wide, one pool per level
 // (index level, 1..9); gzip runs level 6, so it shares zlib-6's pool
-// (TestAllocsFlateFreshRegistry). They alone of the package's scratch stay
-// in sync.Pool, not on a free list: a writer is about 1 MB, and a free list
-// would hold three levels' worth, 3 MB, on an idle device for good, where a
-// pool lets them go within two collections.
-var flateEncs [10]sync.Pool
+// (TestAllocsFlateFreshRegistry). A writer is about 1 MB, so they alone of
+// the package's scratch are not on a free list, which would hold three
+// levels' worth, 3 MB, on an idle device for good. Each pool keeps two
+// references to its idle writer, and neither holds it past two
+// collections:
+//   - the sync.Pool, whose victim cache keeps the writer alive through one
+//     collection, so the product's own GC pacing does not rebuild it;
+//   - last, a weak pointer to the writer put back last, which any P can
+//     take: sync.Pool parks a writer in the private slot of the P that put
+//     it back, where no other P reaches it, and without last a goroutine
+//     moved to another P would build a writer of its own, one per level
+//     per P (TestFlatePoolAnyP).
+//
+// One writer may be named by several Ps' slots and last at once, so its
+// busy flag, not the reference, is what hands it out
+// (TestFlatePoolHandsOutOnce).
+var flateEncs [10]flatePool
+
+// flatePool is one level's idle DEFLATE writers.
+type flatePool struct {
+	pool sync.Pool
+	mu   sync.Mutex // guards last
+	last weak.Pointer[flateEnc]
+}
+
+// get returns an idle writer, now busy, or nil when there is none: this
+// P's pooled one first, then the one put back last. A reference whose busy
+// flag is already set is dropped, since its user will put it back.
+func (p *flatePool) get() *flateEnc {
+	if e, _ := p.pool.Get().(*flateEnc); e != nil && e.busy.CompareAndSwap(false, true) {
+		return e
+	}
+	p.mu.Lock()
+	e := p.last.Value()
+	p.mu.Unlock()
+	if e != nil && e.busy.CompareAndSwap(false, true) {
+		return e
+	}
+	return nil
+}
+
+// put hands e, which get returned or newFlateEnc built, back to p.
+func (p *flatePool) put(e *flateEnc) {
+	e.busy.Store(false)
+	p.mu.Lock()
+	p.last = e.self
+	p.mu.Unlock()
+	p.pool.Put(e)
+}
 
 // gzipLevel is the DEFLATE level gzip encodes at: compress/gzip's default,
 // which compress/flate runs as level 6.
@@ -43,8 +89,22 @@ const gzipLevel = 6
 // flateEnc is one pooled encoder: the stream state plus the sink it
 // writes through, so a call allocates neither.
 type flateEnc struct {
-	w   *flate.Writer
-	out appendWriter
+	busy atomic.Bool // set while a caller owns the writer
+	self weak.Pointer[flateEnc]
+	w    *flate.Writer
+	out  appendWriter
+}
+
+// newFlateEnc builds a busy encoder at level.
+func newFlateEnc(level int) (*flateEnc, error) {
+	e := new(flateEnc)
+	var err error
+	if e.w, err = flate.NewWriter(&e.out, level); err != nil {
+		return nil, err
+	}
+	e.self = weak.Make(e)
+	e.busy.Store(true)
+	return e, nil
 }
 
 // appendWriter is the io.Writer face of an append-style dst.
@@ -60,11 +120,10 @@ func (f *flateCore) compress(dst []byte, values []float64) (Encoded, error) {
 		return Encoded{}, ErrEmptyInput
 	}
 	pool := &flateEncs[f.level]
-	e, _ := pool.Get().(*flateEnc)
+	e := pool.get()
 	if e == nil {
-		e = new(flateEnc)
 		var err error
-		if e.w, err = flate.NewWriter(&e.out, f.level); err != nil {
+		if e, err = newFlateEnc(f.level); err != nil {
 			return Encoded{}, err
 		}
 	}
@@ -82,7 +141,7 @@ func (f *flateCore) compress(dst []byte, values []float64) (Encoded, error) {
 	if err != nil {
 		return Encoded{}, err
 	}
-	pool.Put(e)
+	pool.put(e)
 	return Encoded{Codec: f.name, Data: out, N: len(values)}, nil
 }
 

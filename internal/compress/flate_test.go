@@ -5,6 +5,7 @@ import (
 	"compress/gzip"
 	"compress/zlib"
 	"io"
+	"runtime"
 	"testing"
 )
 
@@ -74,4 +75,45 @@ func FuzzFlateFramingDifferential(f *testing.F) {
 			}
 		}
 	})
+}
+
+// TestFlatePoolAnyP: the writer put back last serves a caller whatever P
+// it runs on. Emptying this P's pool slot stands in for a caller on
+// another P, whose slot never held the writer; on one P the test cannot
+// migrate in between. A plain sync.Pool returns nothing here, and the
+// caller builds a second writer of about 1 MB.
+func TestFlatePoolAnyP(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	var p flatePool
+	e, err := newFlateEnc(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p.put(e)
+	for p.pool.Get() != nil {
+	}
+	if got := p.get(); got != e {
+		t.Fatalf("get with this P's slot empty returned %p, want the idle writer %p", got, e)
+	}
+}
+
+// TestFlatePoolHandsOutOnce: a writer that sits in a pool slot and is
+// named by last too goes to one caller only until it is put back, then to
+// the next.
+func TestFlatePoolHandsOutOnce(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	var p flatePool
+	e, err := newFlateEnc(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for round := 0; round < 3; round++ {
+		p.put(e)
+		if got := p.get(); got != e {
+			t.Fatalf("round %d: get returned %p, want the idle writer %p", round, got, e)
+		}
+		if got := p.get(); got != nil {
+			t.Fatalf("round %d: a second get returned %p while the writer is busy, want nil", round, got)
+		}
+	}
 }

@@ -24,8 +24,8 @@ func listOf[T any](name string, l *freelist.List[T]) scratchList {
 	}}
 }
 
-// scratchLists are the package's workspace lists; the DEFLATE writers stay
-// in sync.Pool (flateEncs).
+// scratchLists are the package's workspace lists; the DEFLATE writers are
+// pooled apart (flateEncs).
 func scratchLists() []scratchList {
 	return []scratchList{
 		listOf("byteScratch", byteScratch),
