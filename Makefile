@@ -8,7 +8,7 @@ GO      ?= go
 # Per-target fuzz time for the smoke pass (CI uses the same value).
 FUZZTIME ?= 20s
 
-.PHONY: all build vet fmt-check test race allocs fuzz-smoke obs-smoke fleet-smoke bench-smoke doc-drift loc ci
+.PHONY: all build vet fmt-check test race allocs fuzz-smoke obs-smoke fleet-smoke bench-smoke examples-smoke doc-drift loc ci
 
 all: build
 
@@ -78,6 +78,16 @@ bench-smoke:
 	$(GO) test -run '^$$' -bench . -benchtime 1x .
 	$(GO) test -run '^$$' -bench Codecs -benchtime 1x ./internal/compress
 
+# examples-smoke runs every program under examples/ and fails on a
+# non-zero exit. The build compiles them, but only this runs them, and
+# some are the only product callers of the engine methods they drive
+# (turbine-offline: Drain, QueryRange, QueryFiltered).
+examples-smoke:
+	@for d in examples/*/; do \
+		echo "--- $$d"; \
+		$(GO) run ./$$d > /dev/null || exit 1; \
+	done
+
 # doc-drift cross-checks README.md against the CLI flag surface in both
 # directions: every defined flag must be documented, every documented
 # flag must still exist.
@@ -90,4 +100,4 @@ doc-drift:
 loc:
 	@find . -name '*.go' ! -name '*_test.go' ! -path '*/testdata/*' | xargs cat | wc -l
 
-ci: build vet fmt-check test race allocs obs-smoke fleet-smoke bench-smoke doc-drift
+ci: build vet fmt-check test race allocs obs-smoke fleet-smoke bench-smoke examples-smoke doc-drift

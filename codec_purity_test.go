@@ -46,7 +46,8 @@ var clockFuncs = map[string]bool{
 // one that needs the time takes a timestamp.
 func TestCodecPackagesPure(t *testing.T) {
 	for _, dir := range purePkgs {
-		fset, files := parseNonTest(t, dir)
+		fset := token.NewFileSet()
+		files := parseNonTest(t, fset, dir)
 		for _, msg := range impurities(fset, "repro/"+dir, files) {
 			t.Error(msg)
 		}
@@ -58,7 +59,8 @@ func TestCodecPackagesPure(t *testing.T) {
 // trial and trace emission runs on the caller's goroutine, and more cores
 // are used by running more engines, one per goroutine.
 func TestCoreStartsNoGoroutine(t *testing.T) {
-	fset, files := parseNonTest(t, "internal/core")
+	fset := token.NewFileSet()
+	files := parseNonTest(t, fset, "internal/core")
 	for _, f := range files {
 		ast.Inspect(f, func(n ast.Node) bool {
 			if g, ok := n.(*ast.GoStmt); ok {
@@ -69,10 +71,9 @@ func TestCoreStartsNoGoroutine(t *testing.T) {
 	}
 }
 
-// parseNonTest parses the non-test Go files of dir.
-func parseNonTest(t *testing.T, dir string) (*token.FileSet, []*ast.File) {
+// parseNonTest parses the non-test Go files of dir into fset.
+func parseNonTest(t *testing.T, fset *token.FileSet, dir string) []*ast.File {
 	t.Helper()
-	fset := token.NewFileSet()
 	var files []*ast.File
 	entries, err := os.ReadDir(dir)
 	if err != nil {
@@ -92,7 +93,7 @@ func parseNonTest(t *testing.T, dir string) (*token.FileSet, []*ast.File) {
 	if len(files) == 0 {
 		t.Fatalf("%s has no Go files", dir)
 	}
-	return fset, files
+	return files
 }
 
 // TestCodecPurityRules runs the rule over one inline source per rule and

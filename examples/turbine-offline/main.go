@@ -4,6 +4,13 @@
 // segments to progressively more aggressive compression while preserving
 // the clustering workload that drives condition monitoring.
 //
+// Recoding order follows the informativeness policy (paper §IV-B2): a
+// periodic alarm query over the vibration peaks reports each segment's
+// qualified-entry ratio, and the segments that contribute least are
+// recoded first. At the end a dashboard reads the latest window, and when
+// the uplink returns for a second the oldest segments are offloaded
+// (Drain), freeing their flash.
+//
 // Run with: go run ./examples/turbine-offline
 package main
 
@@ -15,7 +22,14 @@ import (
 	"repro/internal/datasets"
 	"repro/internal/ml"
 	"repro/internal/query"
+	"repro/internal/sim"
+	"repro/internal/store"
 )
+
+// peak is the alarm predicate: a vibration reading above 2, inside a CBF
+// event (cylinder, bell and funnel all rise to about 6) rather than in the
+// unit noise around 0.
+func peak(v float64) bool { return v > 2 }
 
 func main() {
 	// The condition-monitoring model: KMeans over vibration signatures,
@@ -32,6 +46,7 @@ func main() {
 		StorageThreshold: 0.8, // recode when 80% full (paper default θ)
 		IngestRate:       200_000,
 		Objective:        core.MLTarget(km),
+		Policy:           store.NewInformativeness(),
 		Seed:             4,
 	})
 	if err != nil {
@@ -43,6 +58,12 @@ func main() {
 		series, label := stream.Next()
 		if err := engine.Ingest(series, label); err != nil {
 			log.Fatalf("segment %d: %v", i, err)
+		}
+		if (i+1)%40 == 0 {
+			// The alarm query: its qualified-entry ratios steer recoding.
+			if _, err := engine.QueryFiltered(query.Avg, peak); err != nil {
+				log.Fatal(err)
+			}
 		}
 		if (i+1)%80 == 0 {
 			s := engine.Snapshot()
@@ -71,4 +92,24 @@ func main() {
 		log.Fatal(err)
 	}
 	fmt.Printf("\naggregates over all stored (mostly recoded) data: max=%.3f avg=%.3f\n", maxV, avgV)
+	peakAvg, err := engine.QueryFiltered(query.Avg, peak)
+	if err != nil {
+		log.Fatal(err)
+	}
+	fmt.Printf("filtered query, mean of the peaks above 2: %.3f\n", peakAvg)
+	now := engine.Snapshot().Seconds
+	recentMax, err := engine.QueryRange(query.Max, 0.75*now, now)
+	if err != nil {
+		log.Fatal(err)
+	}
+	fmt.Printf("range query, max over the last quarter (t=%.2fs to %.2fs): %.3f\n", 0.75*now, now, recentMax)
+
+	// The uplink returns for one second at 2G speed: offload the oldest
+	// segments and free their flash for the next offline stretch.
+	rep, err := engine.Drain(sim.Net2G, 1, nil)
+	if err != nil {
+		log.Fatal(err)
+	}
+	fmt.Printf("\ndrain over %v for 1s: sent %d segments (%d bytes), %d segments (%d bytes) stay stored\n",
+		sim.Net2G, rep.SegmentsSent, rep.BytesSent, rep.SegmentsLeft, rep.BytesLeft)
 }

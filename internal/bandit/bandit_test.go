@@ -225,10 +225,17 @@ func TestDeterministicWithSameSeed(t *testing.T) {
 	}
 }
 
+// instances returns the number of policies a pool has materialized.
+func instances(p *Pool) int {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	return len(p.pols)
+}
+
 func TestPoolBucketing(t *testing.T) {
 	pool := NewPool(3, Config{Seed: 1}, nil, nil)
-	if pool.Buckets() != 5 {
-		t.Fatalf("default pool buckets = %d, want 5", pool.Buckets())
+	if n := len(pool.bounds) + 1; n != 5 {
+		t.Fatalf("default pool buckets = %d, want 5", n)
 	}
 	hi := pool.For(0.9)
 	hi2 := pool.For(0.7)
@@ -239,8 +246,8 @@ func TestPoolBucketing(t *testing.T) {
 	if lo == hi {
 		t.Fatal("ratios in different ranges must get distinct instances")
 	}
-	if pool.Instances() != 2 {
-		t.Fatalf("instances = %d, want 2", pool.Instances())
+	if n := instances(pool); n != 2 {
+		t.Fatalf("instances = %d, want 2", n)
 	}
 }
 

@@ -184,8 +184,8 @@ func TestPoolConcurrentFor(t *testing.T) {
 	}
 	wg.Wait()
 
-	if got, max := pool.Instances(), pool.Buckets(); got > max {
-		t.Fatalf("Instances() = %d exceeds Buckets() = %d: duplicate materialization", got, max)
+	if got, max := instances(pool), len(pool.bounds)+1; got > max {
+		t.Fatalf("%d instances exceed %d buckets: duplicate materialization", got, max)
 	}
 	total := 0
 	seen := make(map[Policy]bool)

@@ -25,16 +25,6 @@ const NumFeatures = 6
 // work to one subtract, one multiply and one clamp.
 const featureBuckets = 16
 
-// FeatureNames labels the vector slots, index-aligned with FeaturesInto.
-var FeatureNames = [NumFeatures]string{
-	"bias",
-	"entropy",
-	"delta_variance",
-	"repetition",
-	"mean_abs_delta",
-	"bucket_occupancy",
-}
-
 // FeaturesInto computes the segment feature vector into dst[:0] and
 // returns the filled slice (append API: pass the previous return value
 // back in and the call is allocation-free after the first). All features

@@ -25,7 +25,7 @@ func TestFeaturesShapeAndBounds(t *testing.T) {
 		}
 		for i, f := range scratch {
 			if math.IsNaN(f) || f < 0 || f > 1 {
-				t.Fatalf("feature %s = %v out of [0,1] (n=%d)", FeatureNames[i], f, n)
+				t.Fatalf("feature %d = %v out of [0,1] (n=%d)", i, f, n)
 			}
 		}
 	}

@@ -84,12 +84,6 @@ func (p *Predictor) reset() {
 	}
 }
 
-// Arms returns the arm count.
-func (p *Predictor) Arms() int { return p.arms }
-
-// Dim returns the feature dimension.
-func (p *Predictor) Dim() int { return p.dim }
-
 // Observations returns how many samples arm has absorbed.
 func (p *Predictor) Observations(arm int) int {
 	if arm < 0 || arm >= p.arms {
@@ -97,9 +91,6 @@ func (p *Predictor) Observations(arm int) int {
 	}
 	return p.n[arm]
 }
-
-// Reset restores the initial (prior-only) state.
-func (p *Predictor) Reset() { p.reset() }
 
 // Observe folds one (features, outcomes) sample into arm's model:
 // the RLS gain g = P·x / (1 + xᵀP·x) updates every head's weights by

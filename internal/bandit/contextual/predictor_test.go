@@ -125,9 +125,9 @@ func TestPredictorColdAndClamps(t *testing.T) {
 	if p.Observations(99) != 0 {
 		t.Fatal("out-of-range arm recorded an observation")
 	}
-	p.Reset()
+	p.reset()
 	if p.Observations(1) != 0 {
-		t.Fatal("Reset kept observations")
+		t.Fatal("reset kept observations")
 	}
 }
 

@@ -39,7 +39,7 @@ func ExamplePool() {
 	high := pool.For(0.6)  // range (0.5, 1]
 	low := pool.For(0.03)  // bottom range
 	same := pool.For(0.55) // shares the (0.5, 1] instance
-	fmt.Println(high == same, high == low, pool.Instances())
+	fmt.Println(high == same, high == low)
 	// Output:
-	// true false 2
+	// true false
 }

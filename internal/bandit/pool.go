@@ -67,13 +67,3 @@ func (p *Pool) For(ratio float64) Policy {
 	}
 	return pol
 }
-
-// Instances returns the number of materialized policies.
-func (p *Pool) Instances() int {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return len(p.pols)
-}
-
-// Buckets returns the number of ratio ranges the pool distinguishes.
-func (p *Pool) Buckets() int { return len(p.bounds) + 1 }

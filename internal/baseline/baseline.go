@@ -116,9 +116,9 @@ func (c *CodecDB) Process(values []float64, targetRatio float64) (compress.Encod
 }
 
 // TVStore mimics TVStore's time-varying compression restricted to its PLA
-// representation: any target ratio is served by PLA, and older data is
-// recoded with PLA-on-PLA as pressure mounts. It is the "KVStore PLA" line
-// of the paper's online figures.
+// representation: every segment is compressed with PLA at the target
+// ratio. It is the "KVStore PLA" line of the paper's online figures
+// (experiments/online.go).
 type TVStore struct {
 	pla *compress.PLA
 }
@@ -135,11 +135,6 @@ func (t *TVStore) Process(values []float64, targetRatio float64) (compress.Encod
 		return compress.Encoded{}, compress.ErrRatioInfeasible
 	}
 	return t.pla.CompressRatio(values, targetRatio)
-}
-
-// Recode tightens an existing PLA representation.
-func (t *TVStore) Recode(enc compress.Encoded, targetRatio float64) (compress.Encoded, error) {
-	return t.pla.Recode(enc, targetRatio)
 }
 
 // FixedPairConfig names a lossless_lossy baseline pair (paper §V-B2, e.g.
@@ -162,18 +157,4 @@ func NewFixedPairEngine(pair FixedPairConfig, cfg core.Config) (*core.OfflineEng
 	cfg.LosslessArms = []string{pair.Lossless}
 	cfg.LossyArms = []string{pair.Lossy}
 	return core.NewOfflineEngine(cfg)
-}
-
-// StandardPairs returns the pair set the paper's Figs 12–14 sweep:
-// {lossless} × {lossy} for the headline codecs.
-func StandardPairs() []FixedPairConfig {
-	lossless := []string{"gzip", "snappy", "gorilla", "sprintz", "buff"}
-	lossy := []string{"bufflossy", "paa", "pla", "fft", "rrdsample"}
-	var out []FixedPairConfig
-	for _, ll := range lossless {
-		for _, ly := range lossy {
-			out = append(out, FixedPairConfig{Lossless: ll, Lossy: ly})
-		}
-	}
-	return out
 }

@@ -19,11 +19,6 @@ type Writer struct {
 	bits uint8 // number of valid bits in the partial last byte [0,8)
 }
 
-// NewWriter returns a Writer with capacity pre-allocated for sizeHint bytes.
-func NewWriter(sizeHint int) *Writer {
-	return &Writer{buf: make([]byte, 0, sizeHint)}
-}
-
 // WriteBit appends one bit.
 func (w *Writer) WriteBit(bit bool) {
 	if w.bits == 0 {
@@ -60,35 +55,12 @@ func (w *Writer) WriteBits(v uint64, n uint) {
 	}
 }
 
-// WriteByte appends a full byte (implements io.ByteWriter semantics).
-func (w *Writer) WriteByte(b byte) error {
-	w.WriteBits(uint64(b), 8)
-	return nil
-}
-
 // WriteUint64 appends all 64 bits of v.
 func (w *Writer) WriteUint64(v uint64) { w.WriteBits(v, 64) }
-
-// Len returns the current length in whole bytes (any partial byte counts).
-func (w *Writer) Len() int { return len(w.buf) }
-
-// BitLen returns the exact number of bits written.
-func (w *Writer) BitLen() int {
-	if w.bits == 0 {
-		return 8 * len(w.buf)
-	}
-	return 8*(len(w.buf)-1) + int(w.bits)
-}
 
 // Bytes returns the accumulated buffer. The final partial byte, if any, is
 // zero-padded. The returned slice aliases the writer's buffer.
 func (w *Writer) Bytes() []byte { return w.buf }
-
-// Reset clears the writer for reuse.
-func (w *Writer) Reset() {
-	w.buf = w.buf[:0]
-	w.bits = 0
-}
 
 // ResetBuf makes the writer continue appending to buf, keeping buf's
 // existing (byte-aligned) content as a prefix. It is the zero-allocation
@@ -169,9 +141,6 @@ func (r *Reader) ReadBits(n uint) (v uint64, err error) {
 
 // ReadUint64 consumes 64 bits.
 func (r *Reader) ReadUint64() (uint64, error) { return r.ReadBits(64) }
-
-// Remaining returns the number of unread bits.
-func (r *Reader) Remaining() int { return int(r.end - r.off) }
 
 // ZigZag encodes a signed integer so that small magnitudes (positive or
 // negative) map to small unsigned values, as used by Sprintz delta coding.

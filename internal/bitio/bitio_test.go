@@ -14,13 +14,13 @@ import (
 )
 
 func TestWriteReadBit(t *testing.T) {
-	w := NewWriter(4)
+	var w Writer
 	pattern := []bool{true, false, true, true, false, false, true, false, true}
 	for _, b := range pattern {
 		w.WriteBit(b)
 	}
-	if got := w.BitLen(); got != len(pattern) {
-		t.Fatalf("BitLen = %d, want %d", got, len(pattern))
+	if got := len(w.Bytes()); got != 2 {
+		t.Fatalf("%d bits took %d bytes, want 2", len(pattern), got)
 	}
 	r := NewReader(w.Bytes())
 	for i, want := range pattern {
@@ -36,7 +36,7 @@ func TestWriteReadBit(t *testing.T) {
 
 func TestWriteReadBitsWidths(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
-	w := NewWriter(1024)
+	var w Writer
 	type field struct {
 		v uint64
 		n uint
@@ -64,7 +64,7 @@ func TestWriteReadBitsWidths(t *testing.T) {
 }
 
 func TestWriteBitsMasksHighBits(t *testing.T) {
-	w := NewWriter(2)
+	var w Writer
 	w.WriteBits(0xFFFF, 4) // only the low 4 bits should be written
 	r := NewReader(w.Bytes())
 	got, err := r.ReadBits(4)
@@ -77,7 +77,7 @@ func TestWriteBitsMasksHighBits(t *testing.T) {
 }
 
 func TestWriteUint64RoundTrip(t *testing.T) {
-	w := NewWriter(8)
+	var w Writer
 	w.WriteBit(true) // misalign on purpose
 	w.WriteUint64(0xDEADBEEFCAFEBABE)
 	r := NewReader(w.Bytes())
@@ -106,27 +106,17 @@ func TestReaderShortRead(t *testing.T) {
 	}
 }
 
+// remaining is the number of bits r has not consumed.
+func remaining(r *Reader) int { return int(r.end - r.off) }
+
 func TestReaderRemaining(t *testing.T) {
 	r := NewReader([]byte{0, 0})
-	if got := r.Remaining(); got != 16 {
-		t.Fatalf("Remaining = %d, want 16", got)
+	if got := remaining(r); got != 16 {
+		t.Fatalf("remaining = %d, want 16", got)
 	}
 	r.ReadBits(5)
-	if got := r.Remaining(); got != 11 {
-		t.Fatalf("Remaining = %d, want 11", got)
-	}
-}
-
-func TestWriterReset(t *testing.T) {
-	w := NewWriter(8)
-	w.WriteBits(0xFF, 8)
-	w.Reset()
-	if w.BitLen() != 0 || w.Len() != 0 {
-		t.Fatalf("writer not empty after Reset: bits=%d bytes=%d", w.BitLen(), w.Len())
-	}
-	w.WriteBits(0x3, 2)
-	if got := w.Bytes()[0]; got != 0xC0 {
-		t.Fatalf("first byte = %#x, want 0xC0", got)
+	if got := remaining(r); got != 11 {
+		t.Fatalf("remaining = %d, want 11", got)
 	}
 }
 
@@ -141,8 +131,8 @@ func TestWriterResetBuf(t *testing.T) {
 	if out[0] != 0xAA || out[1] != 0xBB {
 		t.Fatalf("header prefix clobbered: % x", out[:2])
 	}
-	if w.BitLen() != 16+3 {
-		t.Fatalf("BitLen = %d, want 19", w.BitLen())
+	if len(out) != 3 {
+		t.Fatalf("header plus 3 bits is %d bytes, want 3", len(out))
 	}
 	r := NewReader(out[2:])
 	if got, _ := r.ReadBits(3); got != 0x5 {
@@ -169,8 +159,8 @@ func TestReaderReset(t *testing.T) {
 		t.Fatalf("want ErrShortRead, got %v", err)
 	}
 	r.Reset([]byte{0x80, 0x01})
-	if got := r.Remaining(); got != 16 {
-		t.Fatalf("Remaining after Reset = %d, want 16", got)
+	if got := remaining(r); got != 16 {
+		t.Fatalf("remaining after Reset = %d, want 16", got)
 	}
 	b, err := r.ReadBit()
 	if err != nil || !b {
@@ -181,16 +171,6 @@ func TestReaderReset(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Fatalf("Reset allocates %v per run", allocs)
-	}
-}
-
-func TestWriteByte(t *testing.T) {
-	w := NewWriter(4)
-	if err := w.WriteByte(0x5A); err != nil {
-		t.Fatal(err)
-	}
-	if w.Bytes()[0] != 0x5A {
-		t.Fatalf("got %#x", w.Bytes()[0])
 	}
 }
 
@@ -222,7 +202,7 @@ func TestQuickZigZag(t *testing.T) {
 
 func TestQuickBitsRoundTrip(t *testing.T) {
 	f := func(vals []uint16) bool {
-		w := NewWriter(len(vals) * 2)
+		var w Writer
 		for _, v := range vals {
 			w.WriteBits(uint64(v), 16)
 		}
@@ -308,8 +288,8 @@ func FuzzReaderDifferential(f *testing.F) {
 			if gv != wv || gerr != werr {
 				t.Fatalf("op %d (%d): %#x, %v; want %#x, %v", i, op%66, gv, gerr, wv, werr)
 			}
-			if got.Remaining() != want.remaining() {
-				t.Fatalf("op %d (%d): %d bits remain, want %d", i, op%66, got.Remaining(), want.remaining())
+			if remaining(got) != want.remaining() {
+				t.Fatalf("op %d (%d): %d bits remain, want %d", i, op%66, remaining(got), want.remaining())
 			}
 		}
 	})

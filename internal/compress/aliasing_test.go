@@ -35,7 +35,7 @@ func aliasSegments() (a, b []float64) {
 func TestScratchReuseIndependence(t *testing.T) {
 	sigA, sigB := aliasSegments()
 	reg := DefaultRegistry(4)
-	for _, name := range reg.SortedNames() {
+	for _, name := range reg.Names() {
 		c, _ := reg.Lookup(name)
 		t.Run(name, func(t *testing.T) {
 			// Reference round trips with fresh buffers.

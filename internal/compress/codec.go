@@ -18,7 +18,6 @@ package compress
 import (
 	"errors"
 	"fmt"
-	"sort"
 	"sync"
 )
 
@@ -253,12 +252,4 @@ func DefaultRegistry(precision int) *Registry {
 	r.Register(NewLTTB())
 	r.Register(NewRRDSample(1))
 	return r
-}
-
-// SortedNames returns all codec names sorted lexicographically; useful for
-// deterministic test output.
-func (r *Registry) SortedNames() []string {
-	out := r.Names()
-	sort.Strings(out)
-	return out
 }

@@ -8,6 +8,7 @@ import (
 	"math/cmplx"
 	"os"
 	"path/filepath"
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
@@ -305,7 +306,9 @@ func fuzzDecodable(data []byte) bool {
 func fuzzCodecs(pick func(Codec) bool) []Codec {
 	reg := DefaultRegistry(4)
 	var codecs []Codec
-	for _, name := range reg.SortedNames() {
+	names := reg.Names()
+	slices.Sort(names)
+	for _, name := range names {
 		if c, _ := reg.Lookup(name); pick(c) {
 			codecs = append(codecs, c)
 		}

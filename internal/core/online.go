@@ -19,10 +19,9 @@ import (
 //
 // Concurrency contract: Process mutates bandit and accounting state and
 // must be called from a single goroutine at a time (the "decision
-// goroutine"). Retarget, TargetRatio, Stats, LossyEstimates and
-// LosslessEstimates are safe from any goroutine while it runs. More cores
-// are used by running more engines, one per goroutine, never by sharing
-// one.
+// goroutine"). Retarget, TargetRatio, Stats and LossyEstimates are safe
+// from any goroutine while it runs. More cores are used by running more
+// engines, one per goroutine, never by sharing one.
 type OnlineEngine struct {
 	cfg  Config // never written after construction
 	reg  *compress.Registry
@@ -552,16 +551,6 @@ func (e *OnlineEngine) LossyEstimates() map[string]float64 {
 	est := e.lossyMAB.Estimates()
 	out := make(map[string]float64, len(est))
 	for i, name := range e.lossyNames {
-		out[name] = est[i]
-	}
-	return out
-}
-
-// LosslessEstimates exposes the lossless bandit's estimates.
-func (e *OnlineEngine) LosslessEstimates() map[string]float64 {
-	est := e.losslessMAB.Estimates()
-	out := make(map[string]float64, len(est))
-	for i, name := range e.losslessNames {
 		out[name] = est[i]
 	}
 	return out

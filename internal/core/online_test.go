@@ -89,7 +89,7 @@ func TestDefaultCatalogShared(t *testing.T) {
 		}
 	}
 	fresh := compress.DefaultRegistry(4)
-	if got, want := on.reg.SortedNames(), fresh.SortedNames(); !slices.Equal(got, want) {
+	if got, want := on.reg.Names(), fresh.Names(); !slices.Equal(got, want) {
 		t.Errorf("the shared catalog holds %v, DefaultRegistry %v", got, want)
 	}
 	if fresh == on.reg || fresh == compress.DefaultRegistry(4) {
@@ -345,9 +345,6 @@ func TestOnlineEstimatesExposed(t *testing.T) {
 	runOnline(t, e, 40, 27)
 	if got := e.LossyEstimates(); len(got) != 6 {
 		t.Fatalf("lossy estimates = %v", got)
-	}
-	if got := e.LosslessEstimates(); len(got) != 11 {
-		t.Fatalf("lossless estimates = %v", got)
 	}
 }
 

@@ -46,7 +46,6 @@ func TestOnlineStatsPollRace(t *testing.T) {
 					_ = name
 				}
 				_ = eng.LossyEstimates()
-				_ = eng.LosslessEstimates()
 			}
 		}()
 	}
@@ -283,10 +282,6 @@ func TestOnlineSnapshotMutateWhileRunning(t *testing.T) {
 				for name, est := range eng.LossyEstimates() {
 					_ = est
 					delete(eng.LossyEstimates(), name)
-				}
-				le := eng.LosslessEstimates()
-				for name := range le {
-					le[name] = -99
 				}
 			}
 		}()

@@ -8,33 +8,6 @@ import (
 	"math/cmplx"
 )
 
-// FFT computes the discrete Fourier transform of x. The input slice is not
-// modified. Works for any length, using radix-2 when len(x) is a power of
-// two and Bluestein's algorithm otherwise.
-func FFT(x []complex128) []complex128 {
-	n := len(x)
-	if n == 0 {
-		return nil
-	}
-	out := make([]complex128, n)
-	copy(out, x)
-	if isPow2(n) {
-		radix2(out, false)
-		return out
-	}
-	return bluestein(out, false)
-}
-
-// IFFT computes the inverse DFT, including the 1/n scaling.
-func IFFT(x []complex128) []complex128 {
-	if len(x) == 0 {
-		return nil
-	}
-	out := make([]complex128, len(x))
-	copy(out, x)
-	return ifftInPlace(out)
-}
-
 // ifftInPlace inverts a, overwriting it; the result is a itself when
 // len(a) is a power of two and a fresh slice otherwise.
 func ifftInPlace(a []complex128) []complex128 {
@@ -50,13 +23,12 @@ func ifftInPlace(a []complex128) []complex128 {
 	return a
 }
 
-// FFTReal transforms a real-valued signal.
-func FFTReal(x []float64) []complex128 { return FFTRealInto(nil, x) }
-
-// FFTRealInto is FFTReal writing the spectrum into dst's backing array,
-// reallocated if it cannot hold len(x) bins. It allocates nothing when
-// len(x) is a power of two and dst has the capacity; other lengths return
-// Bluestein's fresh slice.
+// FFTRealInto computes the discrete Fourier transform of the real signal
+// x into dst's backing array, reallocated if it cannot hold len(x) bins.
+// Works for any length, using radix-2 when len(x) is a power of two and
+// Bluestein's algorithm otherwise. It allocates nothing when len(x) is a
+// power of two and dst has the capacity; other lengths return Bluestein's
+// fresh slice.
 func FFTRealInto(dst []complex128, x []float64) []complex128 {
 	if len(x) == 0 {
 		return dst[:0]
@@ -75,17 +47,11 @@ func FFTRealInto(dst []complex128, x []float64) []complex128 {
 	return bluestein(dst, false)
 }
 
-// IFFTReal inverts a spectrum and returns the real parts, discarding any
-// numerically negligible imaginary residue.
-func IFFTReal(spec []complex128) []float64 {
-	c := make([]complex128, len(spec))
-	copy(c, spec)
-	return IFFTRealInto(nil, c)
-}
-
-// IFFTRealInto is IFFTReal appending to dst[:0] and using spec as its
-// workspace: spec is overwritten. It allocates nothing when len(spec) is a
-// power of two and dst has the capacity.
+// IFFTRealInto inverts a spectrum, including the 1/n scaling, and appends
+// the real parts to dst[:0], discarding any numerically negligible
+// imaginary residue. spec is its workspace and is overwritten. It
+// allocates nothing when len(spec) is a power of two and dst has the
+// capacity.
 func IFFTRealInto(dst []float64, spec []complex128) []float64 {
 	dst = dst[:0]
 	if len(spec) == 0 {

@@ -23,14 +23,14 @@ func almostEqual(a, b []float64, tol float64) bool {
 
 func TestFFTKnownValues(t *testing.T) {
 	// DFT of [1,0,0,0] is [1,1,1,1].
-	got := FFTReal([]float64{1, 0, 0, 0})
+	got := FFTRealInto(nil, []float64{1, 0, 0, 0})
 	for i, c := range got {
 		if cmplx.Abs(c-complex(1, 0)) > fftTol {
 			t.Errorf("coef %d = %v, want 1", i, c)
 		}
 	}
 	// DFT of constant signal concentrates at DC.
-	got = FFTReal([]float64{2, 2, 2, 2})
+	got = FFTRealInto(nil, []float64{2, 2, 2, 2})
 	if cmplx.Abs(got[0]-complex(8, 0)) > fftTol {
 		t.Errorf("DC = %v, want 8", got[0])
 	}
@@ -47,7 +47,7 @@ func TestFFTSingleSinusoid(t *testing.T) {
 	for i := range x {
 		x[i] = math.Sin(2 * math.Pi * 5 * float64(i) / n)
 	}
-	spec := FFTReal(x)
+	spec := FFTRealInto(nil, x)
 	// Energy should sit at bins 5 and n-5 with magnitude n/2.
 	if got := cmplx.Abs(spec[5]); math.Abs(got-n/2) > 1e-8 {
 		t.Errorf("bin 5 magnitude = %g, want %g", got, float64(n)/2)
@@ -69,7 +69,7 @@ func TestFFTRoundTripPow2(t *testing.T) {
 		for i := range x {
 			x[i] = rng.NormFloat64()
 		}
-		got := IFFTReal(FFTReal(x))
+		got := IFFTRealInto(nil, FFTRealInto(nil, x))
 		if !almostEqual(x, got, 1e-8) {
 			t.Errorf("n=%d: round trip mismatch", n)
 		}
@@ -83,7 +83,7 @@ func TestFFTRoundTripArbitraryN(t *testing.T) {
 		for i := range x {
 			x[i] = rng.NormFloat64() * 10
 		}
-		got := IFFTReal(FFTReal(x))
+		got := IFFTRealInto(nil, FFTRealInto(nil, x))
 		if !almostEqual(x, got, 1e-7) {
 			t.Errorf("n=%d (Bluestein): round trip mismatch", n)
 		}
@@ -93,11 +93,11 @@ func TestFFTRoundTripArbitraryN(t *testing.T) {
 func TestFFTMatchesNaiveDFT(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	for _, n := range []int{6, 16, 31} {
-		x := make([]complex128, n)
+		x := make([]float64, n)
 		for i := range x {
-			x[i] = complex(rng.NormFloat64(), rng.NormFloat64())
+			x[i] = rng.NormFloat64()
 		}
-		fast := FFT(x)
+		fast := FFTRealInto(nil, x)
 		slow := naiveDFT(x)
 		for k := range fast {
 			if cmplx.Abs(fast[k]-slow[k]) > 1e-8 {
@@ -107,14 +107,14 @@ func TestFFTMatchesNaiveDFT(t *testing.T) {
 	}
 }
 
-func naiveDFT(x []complex128) []complex128 {
+func naiveDFT(x []float64) []complex128 {
 	n := len(x)
 	out := make([]complex128, n)
 	for k := 0; k < n; k++ {
 		var sum complex128
 		for t := 0; t < n; t++ {
 			ang := -2 * math.Pi * float64(k) * float64(t) / float64(n)
-			sum += x[t] * cmplx.Exp(complex(0, ang))
+			sum += complex(x[t], 0) * cmplx.Exp(complex(0, ang))
 		}
 		out[k] = sum
 	}
@@ -124,15 +124,15 @@ func naiveDFT(x []complex128) []complex128 {
 func TestFFTLinearity(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
 	n := 37
-	a := make([]complex128, n)
-	b := make([]complex128, n)
-	ab := make([]complex128, n)
+	a := make([]float64, n)
+	b := make([]float64, n)
+	ab := make([]float64, n)
 	for i := range a {
-		a[i] = complex(rng.NormFloat64(), 0)
-		b[i] = complex(rng.NormFloat64(), 0)
+		a[i] = rng.NormFloat64()
+		b[i] = rng.NormFloat64()
 		ab[i] = 2*a[i] + 3*b[i]
 	}
-	fa, fb, fab := FFT(a), FFT(b), FFT(ab)
+	fa, fb, fab := FFTRealInto(nil, a), FFTRealInto(nil, b), FFTRealInto(nil, ab)
 	for k := range fab {
 		want := 2*fa[k] + 3*fb[k]
 		if cmplx.Abs(fab[k]-want) > 1e-8 {
@@ -142,11 +142,11 @@ func TestFFTLinearity(t *testing.T) {
 }
 
 func TestFFTEmpty(t *testing.T) {
-	if got := FFT(nil); got != nil {
-		t.Errorf("FFT(nil) = %v, want nil", got)
+	if got := FFTRealInto(nil, nil); got != nil {
+		t.Errorf("FFTRealInto(nil, nil) = %v, want nil", got)
 	}
-	if got := IFFT(nil); got != nil {
-		t.Errorf("IFFT(nil) = %v, want nil", got)
+	if got := IFFTRealInto(nil, nil); got != nil {
+		t.Errorf("IFFTRealInto(nil, nil) = %v, want nil", got)
 	}
 }
 
@@ -159,7 +159,7 @@ func TestParsevalEnergy(t *testing.T) {
 		x[i] = rng.NormFloat64()
 		timeEnergy += x[i] * x[i]
 	}
-	spec := FFTReal(x)
+	spec := FFTRealInto(nil, x)
 	var freqEnergy float64
 	for _, c := range spec {
 		freqEnergy += real(c)*real(c) + imag(c)*imag(c)
@@ -170,29 +170,27 @@ func TestParsevalEnergy(t *testing.T) {
 	}
 }
 
-// TestFFTRealIntoMatchesFFT pins the into-form to the allocating transform
-// bit for bit, over a dirty workspace, at a radix-2 and a Bluestein length,
-// and its zero-allocation promise at the radix-2 one.
+// TestFFTRealIntoMatchesFFT pins the transform into a dirty workspace to
+// the one into a fresh slice bit for bit, at a radix-2 and a Bluestein
+// length, and its zero-allocation promise at the radix-2 one.
 func TestFFTRealIntoMatchesFFT(t *testing.T) {
 	rng := rand.New(rand.NewSource(6))
 	for _, n := range []int{1, 100, 128} {
 		x := make([]float64, n)
-		c := make([]complex128, n)
 		for i := range x {
 			x[i] = rng.NormFloat64()
-			c[i] = complex(x[i], 0)
 		}
 		ws := make([]complex128, 128)
 		for i := range ws {
 			ws[i] = complex(math.NaN(), 7)
 		}
-		want, got := FFT(c), FFTRealInto(ws, x)
+		want, got := FFTRealInto(nil, x), FFTRealInto(ws, x)
 		if len(got) != n {
 			t.Fatalf("n=%d: %d bins", n, len(got))
 		}
 		for i := range want {
 			if want[i] != got[i] {
-				t.Fatalf("n=%d bin %d: FFTRealInto %v, FFT %v", n, i, got[i], want[i])
+				t.Fatalf("n=%d bin %d: into a dirty workspace %v, into a fresh one %v", n, i, got[i], want[i])
 			}
 		}
 		if isPow2(n) {
@@ -200,8 +198,5 @@ func TestFFTRealIntoMatchesFFT(t *testing.T) {
 				t.Errorf("n=%d: FFTRealInto allocates %v/op into a large enough workspace, want 0", n, allocs)
 			}
 		}
-	}
-	if got := FFTRealInto(nil, nil); got != nil {
-		t.Errorf("FFTRealInto(nil, nil) = %v, want nil", got)
 	}
 }

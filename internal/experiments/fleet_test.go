@@ -101,10 +101,11 @@ func TestRunFleetSpansComplete(t *testing.T) {
 	// The fleet health board filled from the same run: every device row
 	// reports its full delivery and a drained spool.
 	fb := o.Fleet()
-	if fb.Len() != 10 {
-		t.Fatalf("fleet board rows = %d, want 10", fb.Len())
+	rows := fb.Snapshot()
+	if len(rows) != 10 {
+		t.Fatalf("fleet board rows = %d, want 10", len(rows))
 	}
-	for _, d := range fb.Snapshot() {
+	for _, d := range rows {
 		if d.Delivered != 4 {
 			t.Fatalf("device %d Delivered = %d, want 4", d.Device, d.Delivered)
 		}

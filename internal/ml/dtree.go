@@ -267,23 +267,3 @@ func (t *DecisionTree) Predict(x []float64) int {
 		}
 	}
 }
-
-// Depth returns the maximum depth of the tree (root = 0).
-func (t *DecisionTree) Depth() int {
-	var walk func(i, d int) int
-	walk = func(i, d int) int {
-		n := t.Nodes[i]
-		if n.Feature < 0 {
-			return d
-		}
-		l, r := walk(n.Left, d+1), walk(n.Right, d+1)
-		if l > r {
-			return l
-		}
-		return r
-	}
-	if len(t.Nodes) == 0 {
-		return 0
-	}
-	return walk(0, 0)
-}

@@ -141,19 +141,3 @@ func (m *KMeans) Predict(x []float64) int {
 	}
 	return best
 }
-
-// Inertia returns the total within-cluster squared distance of X under the
-// fitted centroids, the standard clustering quality measure.
-func (m *KMeans) Inertia(X [][]float64) float64 {
-	var total float64
-	for _, row := range X {
-		best := math.Inf(1)
-		for _, cen := range m.Centroids {
-			if d := euclideanSq(row, cen); d < best {
-				best = d
-			}
-		}
-		total += best
-	}
-	return total
-}

@@ -56,21 +56,6 @@ func MatchAccuracy(m Classifier, raw, lossy [][]float64) float64 {
 	return float64(match) / float64(len(raw))
 }
 
-// LabelAccuracy is plain classification accuracy against true labels; used
-// by tests to sanity-check that the models actually learn.
-func LabelAccuracy(m Classifier, X [][]float64, y []int) float64 {
-	if len(X) == 0 {
-		return 0
-	}
-	ok := 0
-	for i := range X {
-		if m.Predict(X[i]) == y[i] {
-			ok++
-		}
-	}
-	return float64(ok) / float64(len(X))
-}
-
 // euclidean returns the squared Euclidean distance between vectors of equal
 // length (extra dimensions in the longer vector are ignored).
 func euclideanSq(a, b []float64) float64 {

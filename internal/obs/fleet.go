@@ -41,14 +41,6 @@ type DeviceHealth struct {
 	lastDeliveryNanos atomic.Int64 // wall clock; 0 = never delivered
 }
 
-// Device returns the entry's device ID (0 on nil).
-func (h *DeviceHealth) Device() uint64 {
-	if h == nil {
-		return 0
-	}
-	return h.device
-}
-
 // SetSpoolDepth records the device-side spool depth (pending frames).
 func (h *DeviceHealth) SetSpoolDepth(depth int64) {
 	if h != nil {
@@ -213,16 +205,6 @@ func (b *FleetBoard) Device(id uint64) *DeviceHealth {
 		b.devices[id] = h
 	}
 	return h
-}
-
-// Len returns the number of tracked devices (0 on nil).
-func (b *FleetBoard) Len() int {
-	if b == nil {
-		return 0
-	}
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return len(b.devices)
 }
 
 // Snapshot returns one row per tracked device, sorted by device ID.

@@ -11,32 +11,6 @@ import (
 	"strconv"
 )
 
-// NewHandler builds the opt-in debug mux over a registry and a trace
-// ring (either may be nil — the corresponding endpoints then serve empty
-// snapshots). Endpoints:
-//
-//	/debug/metrics   JSON Snapshot of every counter, gauge and histogram,
-//	                 plus trace-ring totals; ?format=prom switches to the
-//	                 Prometheus text exposition format
-//	/debug/vars      expvar-style flat JSON: one key per counter/gauge,
-//	                 plus cmdline and memstats
-//	/debug/trace     JSON array of buffered trace events, oldest first;
-//	                 ?n=K returns only the newest K, ?source=S filters by
-//	                 event source, ?device=D by emitting device
-//	/debug/spans     the same ring's stage records grouped into
-//	                 segment-lifecycle spans (SpanGroup JSON), oldest first;
-//	                 ?device=D / ?stage=S filter, ?n=K keeps the newest K,
-//	                 ?slowest=K the K largest virtual times
-//	/debug/fleet     per-device health scoreboard (DeviceHealthSnapshot
-//	                 rows sorted by device; ?device=D selects one)
-//	/debug/pprof/    the standard net/http/pprof profiling index
-//
-// The mux is not registered on http.DefaultServeMux: exposure is the
-// caller's explicit choice (both CLIs gate it behind -debug-addr).
-func NewHandler(reg *Registry, ring *Ring) http.Handler {
-	return newHandler(reg, ring, nil, nil)
-}
-
 // debugFilter is the query-parameter set shared by /debug/trace and
 // /debug/spans, parsed once per request by parseDebugFilter so both
 // endpoints agree on spelling and bounds.
@@ -74,10 +48,31 @@ func parseDebugFilter(q url.Values) debugFilter {
 	return f
 }
 
-// newHandler is NewHandler plus the Observer-backed resolvers: fleetFn
-// yields the fleet board per request, and pageFn is the published-page
-// resolver (Observer.page).
-func newHandler(reg *Registry, ring *Ring, fleetFn func() *FleetBoard, pageFn func(string) func() any) http.Handler {
+// Handler returns the opt-in debug mux over this Observer's registry and
+// trace ring (on a nil Observer the endpoints serve empty snapshots).
+// Endpoints:
+//
+//	/debug/metrics   JSON Snapshot of every counter, gauge and histogram,
+//	                 plus trace-ring totals; ?format=prom switches to the
+//	                 Prometheus text exposition format
+//	/debug/vars      expvar-style flat JSON: one key per counter/gauge,
+//	                 plus cmdline and memstats
+//	/debug/trace     JSON array of buffered trace events, oldest first;
+//	                 ?n=K returns only the newest K, ?source=S filters by
+//	                 event source, ?device=D by emitting device
+//	/debug/spans     the same ring's stage records grouped into
+//	                 segment-lifecycle spans (SpanGroup JSON), oldest first;
+//	                 ?device=D / ?stage=S filter, ?n=K keeps the newest K,
+//	                 ?slowest=K the K largest virtual times
+//	/debug/fleet     per-device health scoreboard (DeviceHealthSnapshot
+//	                 rows sorted by device; ?device=D selects one)
+//	/debug/pprof/    the standard net/http/pprof profiling index
+//	/debug/<page>    any page registered via Publish
+//
+// The mux is not registered on http.DefaultServeMux: exposure is the
+// caller's explicit choice (both CLIs gate it behind -debug-addr).
+func (o *Observer) Handler() http.Handler {
+	reg, ring := o.Registry(), o.Ring()
 	mux := http.NewServeMux()
 	mux.HandleFunc("/debug/metrics", func(w http.ResponseWriter, r *http.Request) {
 		if r.URL.Query().Get("format") == "prom" {
@@ -180,11 +175,7 @@ func newHandler(reg *Registry, ring *Ring, fleetFn func() *FleetBoard, pageFn fu
 	})
 	mux.HandleFunc("/debug/fleet", func(w http.ResponseWriter, r *http.Request) {
 		f := parseDebugFilter(r.URL.Query())
-		var board *FleetBoard
-		if fleetFn != nil {
-			board = fleetFn()
-		}
-		devices := board.Snapshot()
+		devices := o.Fleet().Snapshot()
 		if f.hasDevice {
 			kept := devices[:0]
 			for _, d := range devices {
@@ -203,17 +194,15 @@ func newHandler(reg *Registry, ring *Ring, fleetFn func() *FleetBoard, pageFn fu
 		}
 		writeJSON(w, payload{Count: len(devices), Devices: devices})
 	})
-	if pageFn != nil {
-		// Published pages (Observer.Publish) resolve per request; the
-		// longer explicit patterns above win over this fallback.
-		mux.HandleFunc("/debug/", func(w http.ResponseWriter, r *http.Request) {
-			if fn := pageFn(r.URL.Path); fn != nil {
-				writeJSON(w, fn())
-				return
-			}
-			http.NotFound(w, r)
-		})
-	}
+	// Published pages resolve per request; the longer explicit patterns
+	// above win over this fallback.
+	mux.HandleFunc("/debug/", func(w http.ResponseWriter, r *http.Request) {
+		if fn := o.page(r.URL.Path); fn != nil {
+			writeJSON(w, fn())
+			return
+		}
+		http.NotFound(w, r)
+	})
 	mux.HandleFunc("/debug/pprof/", pprof.Index)
 	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
 	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)

@@ -11,7 +11,9 @@ import (
 
 func seededObserver() *Observer {
 	o := New(16)
-	o.Registry().Counter("core.online.segments").Add(3)
+	for range 3 {
+		o.Registry().Counter("core.online.segments").Inc()
+	}
 	o.Registry().Gauge("core.online.effective_target").Set(0.25)
 	o.Registry().Histogram("core.online.compress_seconds.gzip", LatencyBuckets).Observe(0.001)
 	o.Ring().Record(Event{Source: "core.online", Kind: "decision", ID: 0, Codec: "gzip"})

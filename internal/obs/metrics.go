@@ -20,13 +20,6 @@ func (c *Counter) Inc() {
 	}
 }
 
-// Add adds n (negative n is ignored: counters only go up).
-func (c *Counter) Add(n int64) {
-	if c != nil && n > 0 {
-		c.v.Add(n)
-	}
-}
-
 // Value returns the current count (0 on nil).
 func (c *Counter) Value() int64 {
 	if c == nil {
@@ -92,14 +85,6 @@ func (h *Histogram) Observe(v float64) {
 			return
 		}
 	}
-}
-
-// Count returns the number of observations (0 on nil).
-func (h *Histogram) Count() int64 {
-	if h == nil {
-		return 0
-	}
-	return h.count.Load()
 }
 
 // Sum returns the sum of observed values (0 on nil).

@@ -147,12 +147,6 @@ func (o *Observer) page(path string) func() any {
 	return o.pages[path]
 }
 
-// Handler returns the debug HTTP mux over this Observer (see NewHandler),
-// including /debug/fleet and any pages registered via Publish.
-func (o *Observer) Handler() http.Handler {
-	return newHandler(o.Registry(), o.Ring(), o.Fleet, o.page)
-}
-
 // Serve starts the debug endpoint on addr (":0" picks an ephemeral port)
 // and returns the bound address plus a stop function that closes the
 // listener. The server goroutine exits when stop is called.

@@ -14,7 +14,9 @@ import (
 // _bucket/_sum/_count triplet ending at +Inf, and names are sanitized.
 func TestWriteProm(t *testing.T) {
 	reg := NewRegistry()
-	reg.Counter("core.online.segments").Add(5)
+	for range 5 {
+		reg.Counter("core.online.segments").Inc()
+	}
 	reg.Gauge("core.online.effective_target").Set(0.25)
 	h := reg.Histogram("bandit.offline.lossy[2].gap", []float64{1, 2})
 	h.Observe(0.5)
@@ -127,8 +129,8 @@ func TestHelpFor(t *testing.T) {
 // undocumented metrics emit TYPE only.
 func TestWritePromHelp(t *testing.T) {
 	reg := NewRegistry()
-	reg.Counter("core.online.segments").Add(1)
-	reg.Counter("made.up.metric").Add(1)
+	reg.Counter("core.online.segments").Inc()
+	reg.Counter("made.up.metric").Inc()
 	reg.Histogram("core.online.compress_seconds.gzip", LatencyBuckets).Observe(0.001)
 
 	var b strings.Builder

@@ -211,15 +211,6 @@ func NewTracker(o *obs.Observer, cfg Config) *Tracker {
 	return t
 }
 
-// SampleEvery returns the configured sampling period (0 on nil: never
-// sampled).
-func (t *Tracker) SampleEvery() int {
-	if t == nil {
-		return 0
-	}
-	return t.cfg.SampleEvery
-}
-
 // Sampled reports whether decision seq gets the full oracle evaluation.
 // Pure function of (seq, SampleEvery), so it is identical at any worker
 // count.

@@ -89,8 +89,8 @@ func TestTrackerSampled(t *testing.T) {
 			t.Fatalf("Sampled(%d) = %v, want %v", seq, got, want)
 		}
 	}
-	if tr.SampleEvery() != 3 {
-		t.Fatalf("SampleEvery = %d", tr.SampleEvery())
+	if got := tr.Snapshot().SampleEvery; got != 3 {
+		t.Fatalf("Snapshot().SampleEvery = %d", got)
 	}
 }
 

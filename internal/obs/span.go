@@ -65,13 +65,6 @@ var stageNames = [numStages]string{
 	"collector.deliver",
 }
 
-// StageNames lists every stage name in causal order (a fresh copy).
-func StageNames() []string {
-	out := make([]string, numStages)
-	copy(out, stageNames[:])
-	return out
-}
-
 // TraceOfSegment is the canonical segment→trace mapping: segment ID + 1,
 // so a trace identity is never zero (zero means "no trace" on the wire —
 // an untraced frame leaves the tag's traced bit clear and carries no trace

@@ -93,13 +93,6 @@ func (p *FaultPlan) ResetAt(times ...float64) {
 	p.mu.Unlock()
 }
 
-// Now returns the plan's virtual time.
-func (p *FaultPlan) Now() float64 {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.vt
-}
-
 // Dials returns total and failed dial attempts.
 func (p *FaultPlan) Dials() (total, failed int) {
 	p.mu.Lock()

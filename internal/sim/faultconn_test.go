@@ -99,7 +99,9 @@ func TestFaultPlanDeterministic(t *testing.T) {
 				break
 			}
 		}
-		return total, plan.Now()
+		plan.mu.Lock()
+		defer plan.mu.Unlock()
+		return total, plan.vt
 	}
 	n1, vt1 := run()
 	n2, vt2 := run()

@@ -57,7 +57,6 @@ type Storage struct {
 	capacity  int64
 	used      int64
 	threshold float64
-	peak      int64
 }
 
 // NewStorage builds a budget of capacity bytes with recoding threshold θ
@@ -77,9 +76,6 @@ func (s *Storage) Alloc(n int64) error {
 		return ErrBudgetExceeded
 	}
 	s.used += n
-	if s.used > s.peak {
-		s.peak = s.used
-	}
 	return nil
 }
 
@@ -108,13 +104,6 @@ func (s *Storage) Used() int64 {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.used
-}
-
-// Peak returns the high-water mark.
-func (s *Storage) Peak() int64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.peak
 }
 
 // Capacity returns the configured capacity.
@@ -172,13 +161,3 @@ func (c *Clock) Seconds() float64 {
 	defer c.mu.Unlock()
 	return float64(c.points) / c.rate
 }
-
-// Points returns the ingested point count.
-func (c *Clock) Points() int64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.points
-}
-
-// Rate returns the configured signal rate.
-func (c *Clock) Rate() float64 { return c.rate }

@@ -67,9 +67,6 @@ func TestStorageAllocFree(t *testing.T) {
 	if s.Used() != 0 {
 		t.Fatalf("used = %d after free", s.Used())
 	}
-	if s.Peak() != 900 {
-		t.Fatalf("peak = %d, want 900", s.Peak())
-	}
 }
 
 func TestStorageFreeClampsAtZero(t *testing.T) {
@@ -148,12 +145,6 @@ func TestClock(t *testing.T) {
 	c.Advance(1500)
 	if got := c.Seconds(); got != 2 {
 		t.Fatalf("seconds = %v, want 2", got)
-	}
-	if c.Points() != 2000 {
-		t.Fatalf("points = %d", c.Points())
-	}
-	if c.Rate() != 1000 {
-		t.Fatalf("rate = %v", c.Rate())
 	}
 }
 

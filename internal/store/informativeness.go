@@ -16,14 +16,15 @@ type Informativeness struct {
 	scores []float64
 	seq    []uint64
 	next   uint64
-	// Decay is applied to a victim's score when it is re-Put (recoded);
-	// defaults to 0.5.
-	Decay float64
 }
+
+// informativenessDecay is applied to a victim's score when it is re-Put
+// (recoded).
+const informativenessDecay = 0.5
 
 // NewInformativeness returns an empty policy.
 func NewInformativeness() *Informativeness {
-	return &Informativeness{Decay: 0.5}
+	return &Informativeness{}
 }
 
 // tracked reports whether slot is registered.
@@ -35,7 +36,7 @@ func (p *Informativeness) tracked(slot int32) bool {
 // score (a re-Put happens after recoding).
 func (p *Informativeness) Put(slot int32) {
 	if p.tracked(slot) {
-		p.scores[slot] *= p.Decay
+		p.scores[slot] *= informativenessDecay
 		return
 	}
 	for len(p.seq) <= int(slot) {

@@ -70,6 +70,13 @@ func TestInformativenessDecayOnRePut(t *testing.T) {
 	p.Put(1) // 4 -> 2
 	p.Put(1) // 2 -> 1
 	p.Put(1) // 1 -> 0.5
+	want := 8.0
+	for range 4 {
+		want *= informativenessDecay
+	}
+	if p.scores[1] != want {
+		t.Fatalf("score after four re-Puts = %v, want %v", p.scores[1], want)
+	}
 	if v, _ := p.Victim(); v != 1 {
 		t.Fatalf("victim = %d, want 1 after decay", v)
 	}

@@ -99,7 +99,7 @@ func TestInformativenessVictimIsAlwaysMinScore(t *testing.T) {
 					score[id] = 0
 				} else {
 					p.Put(id)
-					score[id] *= p.Decay
+					score[id] *= informativenessDecay
 				}
 			case 1:
 				if _, ok := score[id]; ok {

@@ -232,31 +232,9 @@ func (s *Spool) Len() int {
 	return s.count
 }
 
-// Bytes returns the pending payload bytes.
-func (s *Spool) Bytes() int64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.bytes
-}
-
 // Dropped returns how many Append calls were rejected by the bound.
 func (s *Spool) Dropped() int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.dropped
-}
-
-// Utilization returns the tighter of the segment and byte utilizations
-// in [0,1+].
-func (s *Spool) Utilization() float64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.utilizationLocked()
-}
-
-// OverHighWater reports whether the spool is past the pressure mark.
-func (s *Spool) OverHighWater() bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.over
 }

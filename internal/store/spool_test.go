@@ -32,6 +32,20 @@ func TestSpoolSegmentBound(t *testing.T) {
 	}
 }
 
+// pendingBytes and overHighWater read the spool's payload byte count and
+// high-water state, which it keeps for its bound and its pressure callback.
+func pendingBytes(s *Spool) int64 {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.bytes
+}
+
+func overHighWater(s *Spool) bool {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.over
+}
+
 func TestSpoolByteBound(t *testing.T) {
 	s := NewSpool(0, 25, 0.9, nil)
 	if err := s.Append(spoolEntry(0, 20)); err != nil {
@@ -43,8 +57,8 @@ func TestSpoolByteBound(t *testing.T) {
 	if err := s.Append(spoolEntry(1, 5)); err != nil {
 		t.Fatalf("append within byte budget: %v", err)
 	}
-	if s.Bytes() != 25 {
-		t.Fatalf("bytes = %d, want 25", s.Bytes())
+	if pendingBytes(s) != 25 {
+		t.Fatalf("bytes = %d, want 25", pendingBytes(s))
 	}
 }
 
@@ -53,8 +67,8 @@ func TestSpoolDefaultBound(t *testing.T) {
 	if err := s.Append(spoolEntry(0, 1)); err != nil {
 		t.Fatalf("default-bounded spool rejected first entry: %v", err)
 	}
-	if u := s.Utilization(); u <= 0 || u > 1 {
-		t.Fatalf("utilization = %v", u)
+	if s.maxSegments != 4096 || s.maxBytes != 0 {
+		t.Fatalf("default bound %d segments, %d bytes; want 4096 segments", s.maxSegments, s.maxBytes)
 	}
 }
 
@@ -68,8 +82,8 @@ func TestSpoolAckBelow(t *testing.T) {
 	if n := s.AckBelow(3); n != 3 {
 		t.Fatalf("AckBelow released %d, want 3", n)
 	}
-	if s.Acked() != 3 || s.Len() != 2 || s.Bytes() != 16 {
-		t.Fatalf("acked=%d len=%d bytes=%d", s.Acked(), s.Len(), s.Bytes())
+	if s.Acked() != 3 || s.Len() != 2 || pendingBytes(s) != 16 {
+		t.Fatalf("acked=%d len=%d bytes=%d", s.Acked(), s.Len(), pendingBytes(s))
 	}
 	head, ok := s.Head()
 	if !ok || head.ID != 3 {
@@ -89,8 +103,8 @@ func TestSpoolAckBelow(t *testing.T) {
 	if _, ok := s.Head(); ok {
 		t.Fatal("spool should be empty")
 	}
-	if s.Acked() != 100 || s.Bytes() != 0 {
-		t.Fatalf("acked=%d bytes=%d", s.Acked(), s.Bytes())
+	if s.Acked() != 100 || pendingBytes(s) != 0 {
+		t.Fatalf("acked=%d bytes=%d", s.Acked(), pendingBytes(s))
 	}
 }
 
@@ -111,8 +125,8 @@ func TestSpoolPressureCallback(t *testing.T) {
 	if len(events) != 1 || !events[0] {
 		t.Fatalf("want one over=true event, got %v", events)
 	}
-	if !s.OverHighWater() {
-		t.Fatal("OverHighWater should report true")
+	if !overHighWater(s) {
+		t.Fatal("spool should be over the high-water mark")
 	}
 	// Staying over the mark must not re-fire.
 	if err := s.Append(spoolEntry(3, 8)); err != nil {
@@ -126,8 +140,8 @@ func TestSpoolPressureCallback(t *testing.T) {
 	if len(events) != 2 || events[1] {
 		t.Fatalf("want over=false after drain, got %v", events)
 	}
-	if s.OverHighWater() {
-		t.Fatal("OverHighWater should report false after drain")
+	if overHighWater(s) {
+		t.Fatal("spool should be under the high-water mark after drain")
 	}
 }
 
@@ -156,8 +170,8 @@ func TestSpoolSlidingWindow(t *testing.T) {
 		if n := s.AckBelow(acked); n != int(batch) {
 			t.Fatalf("round %d: released %d, want %d", round, n, batch)
 		}
-		if want := int(next - acked); s.Len() != want || s.Bytes() != int64(8*want) {
-			t.Fatalf("round %d: len=%d bytes=%d, want %d entries", round, s.Len(), s.Bytes(), want)
+		if want := int(next - acked); s.Len() != want || pendingBytes(s) != int64(8*want) {
+			t.Fatalf("round %d: len=%d bytes=%d, want %d entries", round, s.Len(), pendingBytes(s), want)
 		}
 		head, ok := s.Head()
 		if ok != (acked < next) || (ok && head.ID != acked) {
@@ -349,10 +363,10 @@ func TestSpoolMatchesReferenceModel(t *testing.T) {
 					if ok != (len(model.pending) > 0) || (ok && !sameEntry(head, model.pending[0])) {
 						t.Fatalf("seed %d step %d: Head = %+v, %v with %d pending in the model", seed, step, head, ok, len(model.pending))
 					}
-					if s.Len() != len(model.pending) || s.Bytes() != model.bytes() || s.Acked() != model.acked ||
-						s.Dropped() != model.dropped || s.OverHighWater() != model.over {
+					if s.Len() != len(model.pending) || pendingBytes(s) != model.bytes() || s.Acked() != model.acked ||
+						s.Dropped() != model.dropped || overHighWater(s) != model.over {
 						t.Fatalf("seed %d step %d: len %d bytes %d acked %d dropped %d over %v; model %d %d %d %d %v", seed, step,
-							s.Len(), s.Bytes(), s.Acked(), s.Dropped(), s.OverHighWater(),
+							s.Len(), pendingBytes(s), s.Acked(), s.Dropped(), overHighWater(s),
 							len(model.pending), model.bytes(), model.acked, model.dropped, model.over)
 					}
 					if bound.maxSegments > 0 && len(s.ring) > bound.maxSegments {

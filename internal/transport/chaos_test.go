@@ -96,7 +96,7 @@ func chaosRun(t *testing.T, seed int64, frames []Frame) chaosOutcome {
 	if err := up.WaitDrain(30 * time.Second); err != nil {
 		buf := make([]byte, 1<<20)
 		n := runtime.Stack(buf, true)
-		t.Fatalf("drain: %v (pending %d, vt %.3f)\n%s", err, up.Pending(), plan.Now(), buf[:n])
+		t.Fatalf("drain: %v (pending %d)\n%s", err, up.Pending(), buf[:n])
 	}
 	if err := up.Close(); err != nil {
 		t.Fatal(err)

@@ -307,10 +307,6 @@ func (u *ResilientUplink) Send(f Frame) error {
 // Pending returns the number of spooled, unacknowledged frames.
 func (u *ResilientUplink) Pending() int { return u.spool.Len() }
 
-// Acked returns the collector's cumulative watermark: every frame ID
-// below it is confirmed delivered.
-func (u *ResilientUplink) Acked() uint64 { return u.spool.Acked() }
-
 // Stats returns a snapshot of delivery progress.
 func (u *ResilientUplink) Stats() UplinkStats {
 	return UplinkStats{

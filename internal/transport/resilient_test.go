@@ -57,10 +57,10 @@ func TestResilientDelivery(t *testing.T) {
 	if err := up.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if got := up.Acked(); got != uint64(len(frames)) {
+	if got := up.Stats().Acked; got != uint64(len(frames)) {
 		t.Fatalf("uplink watermark = %d, want %d", got, len(frames))
 	}
-	if next, ok := col.Acked(7); !ok || next != uint64(len(frames)) {
+	if next, ok := deviceAcked(col, 7); !ok || next != uint64(len(frames)) {
 		t.Fatalf("collector watermark = %d ok=%v", next, ok)
 	}
 	mu.Lock()
@@ -272,8 +272,8 @@ func TestSessionTraceSingleWriterOrdered(t *testing.T) {
 			t.Fatalf("no send event for frame %d", id)
 		}
 	}
-	if acks == 0 || up.Acked() != frames {
-		t.Fatalf("%d ack events, watermark %d, want the last to be %d", acks, up.Acked(), frames)
+	if acks == 0 || up.Stats().Acked != frames {
+		t.Fatalf("%d ack events, watermark %d, want the last to be %d", acks, up.Stats().Acked, frames)
 	}
 }
 
@@ -375,7 +375,7 @@ func TestAllocsSessionSteadyState(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer col.Close()
-	acks := o.Registry().Histogram("transport.collector.ack_batch", nil)
+	acks := func() int64 { return o.Registry().Snapshot().Histograms["transport.collector.ack_batch"].Count }
 	up, err := DialResilient(ResilientConfig{
 		Addr: addr.String(), DeviceID: 9, SpoolSegments: frames,
 	})
@@ -406,11 +406,11 @@ func TestAllocsSessionSteadyState(t *testing.T) {
 	}
 	burst() // dial, codec dictionary, ring, read buffer, decode pool
 	var before, after runtime.MemStats
+	acks0 := acks()
 	runtime.ReadMemStats(&before)
-	acks0 := acks.Count()
 	burst()
 	runtime.ReadMemStats(&after)
-	mallocs, acked := int64(after.Mallocs-before.Mallocs), acks.Count()-acks0
+	mallocs, acked := int64(after.Mallocs-before.Mallocs), acks()-acks0
 	if got := delivered.Load(); got != 2*frames {
 		t.Fatalf("%d of %d frames delivered and decoded", got, 2*frames)
 	}

@@ -174,7 +174,7 @@ func TestResumeFromFirstAck(t *testing.T) {
 			if dupes != tc.dupes {
 				t.Fatalf("%d frames crossed twice, want %d", dupes, tc.dupes)
 			}
-			if got := up.Acked(); got != frames {
+			if got := up.Stats().Acked; got != frames {
 				t.Fatalf("uplink watermark = %d, want %d", got, frames)
 			}
 		})

@@ -126,7 +126,6 @@ type Collector struct {
 	// global mutex that would re-serialize the sharded hot path.
 	frames     atomic.Int64 // delivered to the sink
 	duplicates atomic.Int64 // dropped by a device watermark
-	badConns   atomic.Int64 // connections dropped on malformed input
 	kicked     atomic.Int64 // stale sessions displaced by a redial
 	evictions  atomic.Int64 // idle devices evicted to the watermark table
 	// idle counts resident devices with no live connection, across all
@@ -459,7 +458,7 @@ func (c *Collector) detach(deviceID uint64, dev *deviceState, gen uint64) {
 func (c *Collector) handleReliable(conn net.Conn, s *connState) {
 	h, err := readHello(s.br)
 	if err != nil {
-		c.noteBadConn()
+		c.om.badConn()
 		return
 	}
 	ackEvery := min(h.ackEvery, maxAckEvery)
@@ -484,7 +483,7 @@ func (c *Collector) handleReliable(conn net.Conn, s *connState) {
 			stale := dev.gen != gen
 			dev.mu.Unlock()
 			if !stale && !ackBroken {
-				c.noteBadConn()
+				c.om.badConn()
 			}
 			return
 		}
@@ -493,7 +492,7 @@ func (c *Collector) handleReliable(conn net.Conn, s *connState) {
 			// (next = ID+1 = 0), silently re-opening every past ID for
 			// redelivery. No legitimate device reaches 2^64-1 segments;
 			// reject the frame and drop the connection.
-			c.noteBadConn()
+			c.om.badConn()
 			return
 		}
 		dev.mu.Lock()
@@ -582,11 +581,6 @@ func (c *Collector) decode(s *connState, frame Frame) []float64 {
 	return out
 }
 
-func (c *Collector) noteBadConn() {
-	c.badConns.Add(1)
-	c.om.badConn()
-}
-
 // Frames returns the number of frames delivered to the sink so far
 // (duplicates excluded).
 func (c *Collector) Frames() int { return int(c.frames.Load()) }
@@ -594,9 +588,6 @@ func (c *Collector) Frames() int { return int(c.frames.Load()) }
 // Duplicates returns the number of redelivered frames dropped by the
 // per-device watermark.
 func (c *Collector) Duplicates() int { return int(c.duplicates.Load()) }
-
-// BadConns returns the number of connections dropped on malformed input.
-func (c *Collector) BadConns() int { return int(c.badConns.Load()) }
 
 // Kicked returns the number of stale sessions displaced by a newer
 // connection for the same device.
@@ -622,25 +613,6 @@ func (c *Collector) ResidentDevices() int {
 // disabled and no table was configured). Serialize it with WriteTo to
 // carry dedup state across a collector restart.
 func (c *Collector) Watermarks() *store.Watermarks { return c.wm }
-
-// Acked returns a device's cumulative watermark (all IDs below it were
-// delivered) and whether the device is known — resident or evicted.
-func (c *Collector) Acked(deviceID uint64) (uint64, bool) {
-	sh := c.shard(deviceID)
-	sh.mu.Lock()
-	dev, ok := sh.devices[deviceID]
-	sh.mu.Unlock()
-	if ok {
-		dev.mu.Lock()
-		next := dev.next
-		dev.mu.Unlock()
-		return next, true
-	}
-	if c.wm != nil {
-		return c.wm.Load(deviceID)
-	}
-	return 0, false
-}
 
 // Close stops accepting, closes live connections, and waits for handlers.
 func (c *Collector) Close() error {

@@ -62,13 +62,39 @@ func (s *sessionClient) ack(t *testing.T) uint64 {
 	return next
 }
 
+// deviceAcked returns a device's cumulative watermark at the collector
+// (all IDs below it were delivered) and whether the device is known,
+// resident or evicted.
+func deviceAcked(c *Collector, deviceID uint64) (uint64, bool) {
+	sh := c.shard(deviceID)
+	sh.mu.Lock()
+	dev, ok := sh.devices[deviceID]
+	sh.mu.Unlock()
+	if ok {
+		dev.mu.Lock()
+		defer dev.mu.Unlock()
+		return dev.next, true
+	}
+	if c.wm != nil {
+		return c.wm.Load(deviceID)
+	}
+	return 0, false
+}
+
+// badConns reads the transport.collector.bad_conns counter of the
+// observer a collector was instrumented with.
+func badConns(o *obs.Observer) int64 {
+	return o.Registry().Counter("transport.collector.bad_conns").Value()
+}
+
 // TestCollectorWatermarkOverflowRejected is the regression for the
 // watermark wrap bug: a frame with ID MaxUint64 used to set
 // next = ID+1 = 0, silently re-opening every past ID for redelivery.
 // The collector must reject the frame as a bad connection and keep the
 // watermark (and dedup) intact.
 func TestCollectorWatermarkOverflowRejected(t *testing.T) {
-	col := NewCollector(compress.DefaultRegistry(4), nil)
+	o := obs.New(0)
+	col := NewCollector(compress.DefaultRegistry(4), nil).Instrument(o)
 	addr, err := col.Serve("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -101,10 +127,10 @@ func TestCollectorWatermarkOverflowRejected(t *testing.T) {
 	if f, d := col.Frames(), col.Duplicates(); f != 1 || d != 1 {
 		t.Fatalf("frames=%d duplicates=%d, want 1 and 1 (exactly-once broken)", f, d)
 	}
-	if col.BadConns() == 0 {
+	if badConns(o) == 0 {
 		t.Fatal("overflow frame was not counted as a bad connection")
 	}
-	if next, ok := col.Acked(42); !ok || next != 1 {
+	if next, ok := deviceAcked(col, 42); !ok || next != 1 {
 		t.Fatalf("device watermark = %d ok=%v, want 1 true", next, ok)
 	}
 }
@@ -215,7 +241,7 @@ func TestCollectorIdleEviction(t *testing.T) {
 		// the next device connects so the idle accounting is sequential.
 		deadline := time.Now().Add(5 * time.Second)
 		for {
-			if next, ok := col.Acked(id); ok && next == 1 && col.ResidentDevices() <= 2+int(id) {
+			if next, ok := deviceAcked(col, id); ok && next == 1 && col.ResidentDevices() <= 2+int(id) {
 				break
 			}
 			if time.Now().After(deadline) {
@@ -430,7 +456,7 @@ func TestResilientPipelinedDelivery(t *testing.T) {
 	if err := up.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if got := up.Acked(); got != frames {
+	if got := up.Stats().Acked; got != frames {
 		t.Fatalf("uplink watermark = %d, want %d", got, frames)
 	}
 	mu.Lock()
@@ -662,11 +688,12 @@ func TestReaderResetRemapsSlots(t *testing.T) {
 func TestCollectorDeliversWhatItHoldsAfterAckFails(t *testing.T) {
 	const frames = 41
 	gate := make(chan struct{})
+	o := obs.New(0)
 	col := NewCollector(compress.DefaultRegistry(4), func(f Frame, _ []float64) {
 		if f.ID == 1 {
 			<-gate // hold the session on the burst's first frame until the device is gone
 		}
-	})
+	}).Instrument(o)
 	addr, err := col.Serve("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -700,10 +727,10 @@ func TestCollectorDeliversWhatItHoldsAfterAckFails(t *testing.T) {
 	_ = conn.Close()
 	close(gate)
 	waitFrames(t, col, frames)
-	if next, ok := col.Acked(31); !ok || next != frames {
+	if next, ok := deviceAcked(col, 31); !ok || next != frames {
 		t.Fatalf("watermark = %d (known %v), want %d", next, ok, frames)
 	}
-	if bad := col.BadConns(); bad != 0 {
+	if bad := badConns(o); bad != 0 {
 		t.Fatalf("%d bad connections, want 0: a reset is not malformed input", bad)
 	}
 }

@@ -17,6 +17,7 @@ import (
 
 	"repro/internal/compress"
 	"repro/internal/datasets"
+	"repro/internal/obs"
 )
 
 // writeHello writes the session hello for deviceID straight to w, as a
@@ -646,7 +647,8 @@ func TestCollectorEndToEnd(t *testing.T) {
 // connection without affecting the next one; a connection that closes
 // before its first byte is not counted at all.
 func TestCollectorSurvivesGarbageConnection(t *testing.T) {
-	col := NewCollector(compress.DefaultRegistry(4), nil)
+	o := obs.New(0)
+	col := NewCollector(compress.DefaultRegistry(4), nil).Instrument(o)
 	addr, err := col.Serve("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -663,9 +665,9 @@ func TestCollectorSurvivesGarbageConnection(t *testing.T) {
 		}
 		_ = conn.Close()
 		deadline := time.Now().Add(5 * time.Second)
-		for col.BadConns() < i {
+		for badConns(o) < int64(i) {
 			if time.Now().After(deadline) {
-				t.Fatalf("bad connections = %d after %d garbage streams", col.BadConns(), i)
+				t.Fatalf("bad connections = %d after %d garbage streams", badConns(o), i)
 			}
 			time.Sleep(time.Millisecond)
 		}
@@ -679,7 +681,7 @@ func TestCollectorSurvivesGarbageConnection(t *testing.T) {
 			t.Fatalf("ack after garbage connections = %d, want %d", next, i+1)
 		}
 	}
-	if got := col.BadConns(); got != 2 {
+	if got := badConns(o); got != 2 {
 		t.Fatalf("bad connections = %d, want 2 (the empty one is not malformed)", got)
 	}
 	if col.Frames() != 2 {
