@@ -1,7 +1,6 @@
 // Package contextual holds the predictive layer's features and
 // predictor: cheap per-segment features feed an online ridge-regression
-// predictor of each codec's compression ratio, encode latency and
-// reward. Its reward predictions become the per-segment priors of
+// predictor of each codec's compression ratio and reward. Its reward predictions become the per-segment priors of
 // bandit.Contextual, which warm-starts from them instead of exploring
 // cold (ROADMAP item 4: Oikawa et al.'s online sequential ratio
 // estimation, Huang & Zhou's deadline-constrained ratio selection; see

@@ -2,9 +2,9 @@ package contextual
 
 // Online ridge regression per arm (recursive least squares with a
 // Sherman–Morrison rank-one inverse update). Each arm keeps one shared
-// d×d inverse design matrix P = (λI + Σ x xᵀ)⁻¹ and three weight
-// vectors — one per predicted target (ratio, encode latency, reward) —
-// so a single O(d²) update per observation trains all three heads.
+// d×d inverse design matrix P = (λI + Σ x xᵀ)⁻¹ and two weight
+// vectors — one per predicted target (ratio, reward) — so a single
+// O(d²) update per observation trains both heads.
 //
 // Determinism: Observe and Predict are pure arithmetic over the stored
 // state; there is no RNG, no clock, and no map iteration. Feeding the
@@ -17,20 +17,18 @@ package contextual
 // already happens in decision order; adding a lock would only shadow
 // the policy mutex discipline the rest of the bandit layer uses.
 
-// Targets bundles the three predicted per-arm quantities.
+// Targets bundles the predicted per-arm quantities. An arm's encode
+// latency is not among them: the engine reads it from its deterministic
+// cost model, which needs no learning.
 type Targets struct {
 	// Ratio is the achieved compression ratio (compressed/raw).
 	Ratio float64
-	// Latency is the encode cost in (virtual) seconds. Decisions must
-	// stay wall-clock-free, so the engine trains this head from the
-	// deterministic cost model, never from measured durations.
-	Latency float64
 	// Reward is the bandit reward in [0,1] the arm earned.
 	Reward float64
 }
 
 // numHeads is the number of regression targets sharing each arm's P.
-const numHeads = 3
+const numHeads = 2
 
 // Predictor is the per-arm RLS state.
 type Predictor struct {
@@ -115,7 +113,7 @@ func (p *Predictor) Observe(arm int, x []float64, t Targets) {
 		denom += x[i] * s
 	}
 
-	ys := [numHeads]float64{t.Ratio, t.Latency, t.Reward}
+	ys := [numHeads]float64{t.Ratio, t.Reward}
 	for h := 0; h < numHeads; h++ {
 		w := p.w[(arm*numHeads+h)*d : (arm*numHeads+h+1)*d]
 		pred := 0.0
@@ -139,8 +137,8 @@ func (p *Predictor) Observe(arm int, x []float64, t Targets) {
 	p.n[arm]++
 }
 
-// Predict evaluates arm's three heads at x, clamped to their physical
-// ranges (ratio ≥ 0, latency ≥ 0, reward in [0,1]). An arm with zero
+// Predict evaluates arm's two heads at x, clamped to their physical
+// ranges (ratio ≥ 0, reward in [0,1]). An arm with zero
 // observations predicts the zero vector — callers treat those arms as
 // "no prediction" (cold) rather than trusting the prior. Allocation-free.
 func (p *Predictor) Predict(arm int, x []float64) Targets {
@@ -157,12 +155,9 @@ func (p *Predictor) Predict(arm int, x []float64) Targets {
 		}
 		out[h] = s
 	}
-	t := Targets{Ratio: out[0], Latency: out[1], Reward: out[2]}
+	t := Targets{Ratio: out[0], Reward: out[1]}
 	if t.Ratio < 0 {
 		t.Ratio = 0
-	}
-	if t.Latency < 0 {
-		t.Latency = 0
 	}
 	if t.Reward < 0 {
 		t.Reward = 0

@@ -9,9 +9,8 @@ import (
 // synthetic linear ground truth over the feature space.
 func truth(x []float64) Targets {
 	return Targets{
-		Ratio:   0.1 + 0.4*x[1] + 0.2*x[2] - 0.15*x[3],
-		Latency: 1e-5 * (1 + 3*x[1]),
-		Reward:  0.9 - 0.5*x[1],
+		Ratio:  0.1 + 0.4*x[1] + 0.2*x[2] - 0.15*x[3],
+		Reward: 0.9 - 0.5*x[1],
 	}
 }
 
@@ -41,24 +40,19 @@ func TestPredictorConvergence(t *testing.T) {
 	if p.Observations(0) != 400 {
 		t.Fatalf("observations = %d, want 400", p.Observations(0))
 	}
-	var ratioErr, latErr, rewErr float64
+	var ratioErr, rewErr float64
 	const probes = 200
 	for i := 0; i < probes; i++ {
 		x = randomFeatures(rng, x)
 		want := truth(x)
 		got := p.Predict(0, x)
 		ratioErr += math.Abs(got.Ratio - want.Ratio)
-		latErr += math.Abs(got.Latency - want.Latency)
 		rewErr += math.Abs(got.Reward - want.Reward)
 	}
 	ratioErr /= probes
-	latErr /= probes
 	rewErr /= probes
 	if ratioErr > 0.02 {
 		t.Fatalf("mean ratio error %v after 400 samples, want <= 0.02", ratioErr)
-	}
-	if latErr > 1e-6 {
-		t.Fatalf("mean latency error %v, want <= 1e-6", latErr)
 	}
 	if rewErr > 0.02 {
 		t.Fatalf("mean reward error %v, want <= 0.02", rewErr)
@@ -114,10 +108,10 @@ func TestPredictorColdAndClamps(t *testing.T) {
 	}
 	// Strongly negative targets must clamp to the physical ranges.
 	for i := 0; i < 20; i++ {
-		p.Observe(1, x, Targets{Ratio: -5, Latency: -1, Reward: 7})
+		p.Observe(1, x, Targets{Ratio: -5, Reward: 7})
 	}
 	got := p.Predict(1, x)
-	if got.Ratio != 0 || got.Latency != 0 || got.Reward != 1 {
+	if got.Ratio != 0 || got.Reward != 1 {
 		t.Fatalf("clamping failed: %+v", got)
 	}
 	// Out-of-range arms are ignored, not panics.
@@ -134,7 +128,7 @@ func TestPredictorColdAndClamps(t *testing.T) {
 func TestPredictorObserveZeroAlloc(t *testing.T) {
 	p := NewPredictor(3, NumFeatures, 1)
 	x := FeaturesInto(nil, []float64{1, 5, 2, 8, 3, 9})
-	y := Targets{Ratio: 0.3, Latency: 1e-5, Reward: 0.7}
+	y := Targets{Ratio: 0.3, Reward: 0.7}
 	allocs := testing.AllocsPerRun(100, func() {
 		p.Observe(1, x, y)
 		_ = p.Predict(1, x)

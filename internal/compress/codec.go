@@ -18,7 +18,7 @@ package compress
 import (
 	"errors"
 	"fmt"
-	"sync"
+	"slices"
 )
 
 // Encoded is a compressed representation of one segment. It is
@@ -141,54 +141,40 @@ var (
 	ErrEmptyInput      = errors.New("compress: empty input")
 )
 
-// Registry holds the codec candidate set C the bandit selects from.
-//
-// Concurrency contract: lookups are read-mostly and guarded by an RWMutex,
-// so any number of goroutines (engines sharing a registry, transport
-// receivers) may Lookup/Names/Decompress concurrently, including alongside
-// a late Register. Codec instances themselves must be stateless across
-// calls — every implementation in this package is — since one instance
-// serves all of them.
+// Registry holds the codec candidate set C the bandit selects from. It is
+// built once, by NewRegistry, and never changes after: any number of
+// goroutines (engines sharing a registry, transport receivers) may read it
+// at once without a lock. Codec instances themselves must be stateless
+// across calls — every implementation in this package is — since one
+// instance serves all of them.
 type Registry struct {
-	mu     sync.RWMutex
-	codecs map[string]Codec // guarded by mu
-	order  []string         // guarded by mu
+	codecs map[string]Codec
+	order  []string
 }
 
-// NewRegistry returns an empty registry.
-func NewRegistry() *Registry {
-	return &Registry{codecs: make(map[string]Codec)}
-}
-
-// Register adds a codec. Registering the same name twice panics: the
-// candidate set is assembled once at startup and a duplicate indicates a
-// programming error.
-func (r *Registry) Register(c Codec) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if _, dup := r.codecs[c.Name()]; dup {
-		panic(fmt.Sprintf("compress: duplicate codec %q", c.Name()))
+// NewRegistry returns the registry of codecs, in that order. A name given
+// twice panics: the candidate set is assembled once at startup and a
+// duplicate indicates a programming error.
+func NewRegistry(codecs ...Codec) *Registry {
+	r := &Registry{codecs: make(map[string]Codec, len(codecs)), order: make([]string, 0, len(codecs))}
+	for _, c := range codecs {
+		if _, dup := r.codecs[c.Name()]; dup {
+			panic(fmt.Sprintf("compress: duplicate codec %q", c.Name()))
+		}
+		r.codecs[c.Name()] = c
+		r.order = append(r.order, c.Name())
 	}
-	r.codecs[c.Name()] = c
-	r.order = append(r.order, c.Name())
+	return r
 }
 
 // Lookup returns the codec registered under name.
 func (r *Registry) Lookup(name string) (Codec, bool) {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
 	c, ok := r.codecs[name]
 	return c, ok
 }
 
 // Names returns registered codec names in registration order.
-func (r *Registry) Names() []string {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	out := make([]string, len(r.order))
-	copy(out, r.order)
-	return out
-}
+func (r *Registry) Names() []string { return slices.Clone(r.order) }
 
 // Lossless returns the names of all lossless codecs in registration order.
 func (r *Registry) Lossless() []string { return r.namesWhere(false) }
@@ -199,8 +185,6 @@ func (r *Registry) Lossy() []string { return r.namesWhere(true) }
 // namesWhere returns, in registration order and one allocation, the names
 // of the codecs that are lossy codecs or, with lossy false, are not.
 func (r *Registry) namesWhere(lossy bool) []string {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
 	out := make([]string, 0, len(r.order))
 	for _, n := range r.order {
 		if _, ok := r.codecs[n].(LossyCodec); ok == lossy {
@@ -216,7 +200,7 @@ func (r *Registry) Decompress(enc Encoded) ([]float64, error) {
 }
 
 // DecompressInto dispatches to the codec recorded in enc, decoding into
-// dst's backing array. The codec runs outside the registry lock.
+// dst's backing array.
 func (r *Registry) DecompressInto(dst []float64, enc Encoded) ([]float64, error) {
 	c, ok := r.Lookup(enc.Codec)
 	if !ok {
@@ -231,25 +215,11 @@ func (r *Registry) DecompressInto(dst []float64, enc Encoded) ([]float64, error)
 // precision is the dataset's decimal precision (paper: 4 for CBF, 5 for
 // UCR, 6 for UCI).
 func DefaultRegistry(precision int) *Registry {
-	r := NewRegistry()
-	// Lossless.
-	r.Register(NewGzip())
-	r.Register(NewSnappy())
-	r.Register(NewZlib(1))
-	r.Register(NewZlib(6))
-	r.Register(NewZlib(9))
-	r.Register(NewDict())
-	r.Register(NewGorilla())
-	r.Register(NewChimp())
-	r.Register(NewSprintz(precision))
-	r.Register(NewBUFF(precision))
-	r.Register(NewElf(precision))
-	// Lossy.
-	r.Register(NewBUFFLossy(precision))
-	r.Register(NewPAA())
-	r.Register(NewPLA())
-	r.Register(NewFFT())
-	r.Register(NewLTTB())
-	r.Register(NewRRDSample(1))
-	return r
+	return NewRegistry(
+		// Lossless.
+		NewGzip(), NewSnappy(), NewZlib(1), NewZlib(6), NewZlib(9), NewDict(),
+		NewGorilla(), NewChimp(), NewSprintz(precision), NewBUFF(precision), NewElf(precision),
+		// Lossy.
+		NewBUFFLossy(precision), NewPAA(), NewPLA(), NewFFT(), NewLTTB(), NewRRDSample(1),
+	)
 }

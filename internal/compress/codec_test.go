@@ -377,12 +377,10 @@ func TestRegistry(t *testing.T) {
 func TestRegistryDuplicatePanics(t *testing.T) {
 	defer func() {
 		if recover() == nil {
-			t.Fatal("expected panic on duplicate registration")
+			t.Fatal("expected panic on a duplicate codec name")
 		}
 	}()
-	r := NewRegistry()
-	r.Register(NewGzip())
-	r.Register(NewGzip())
+	NewRegistry(NewGzip(), NewGzip())
 }
 
 func TestQuickLosslessRoundTrip(t *testing.T) {

@@ -10,23 +10,24 @@ import (
 // Contextual selection and deadline gating (DESIGN.md §11). The engine
 // owns one contextualCtl whenever Config selects the "contextual" policy
 // or sets a Deadline: per segment it extracts the feature vector once on
-// the decision goroutine, predicts every arm's ratio/latency/reward with
-// the online ridge predictor, installs reward priors into the contextual
-// policies (warm start), and masks arms whose predicted encode+uplink
-// latency misses the deadline — degrading to the fastest predicted
-// ratio-feasible arm when nothing fits.
+// the decision goroutine, predicts every arm's ratio and reward with the
+// online ridge predictor, installs reward priors into the contextual
+// policies (warm start), and masks arms whose encode+uplink latency misses
+// the deadline — degrading to the fastest ratio-feasible arm when nothing
+// fits. The latency is the cost model's encode seconds plus the predicted
+// ratio's uplink seconds: only the channel term needs a prediction.
 //
 // Determinism: features are pure functions of the segment, the predictor
-// is trained exclusively on deterministic quantities (achieved ratios,
-// the virtual-seconds cost model, evaluator rewards) and never on
-// measured durations, and every ctl method runs on the decision
-// goroutine in decision order. A seeded run therefore reproduces the
-// identical gate decisions, priors and trace events every time — the
+// is trained exclusively on deterministic quantities (achieved ratios and
+// evaluator rewards) and never on measured durations, the encode term is
+// the virtual-seconds cost model, and every ctl method runs on the
+// decision goroutine in decision order. A seeded run therefore reproduces
+// the identical gate decisions, priors and trace events every time — the
 // same contract the plain policies honour.
 
 // ctxMinObservations is how many samples an arm's predictor needs before
 // the deadline gate may reject the arm. A cold arm is never rejected:
-// "predicted infeasible" requires a prediction, and letting cold arms
+// "predicted infeasible" requires a predicted ratio, and letting cold arms
 // through preserves the forced early exploration the warm start relies
 // on.
 const ctxMinObservations = 1
@@ -44,7 +45,7 @@ type ctxPhase struct {
 	// goroutine.
 	priors   []float64 // predicted reward (Optimism for cold arms)
 	ratios   []float64 // predicted compression ratio
-	lats     []float64 // predicted encode+uplink seconds
+	lats     []float64 // cost-model encode + predicted uplink seconds
 	have     []bool    // arm has >= ctxMinObservations samples
 	feasible []bool    // arm passes the deadline gate this segment
 	fallback int       // forced arm when nothing is feasible; -1 otherwise
@@ -144,7 +145,7 @@ func (c *contextualCtl) predictPhase(ph *ctxPhase, points int) {
 		ph.have[arm] = true
 		ph.priors[arm] = t.Reward
 		ph.ratios[arm] = t.Ratio
-		ph.lats[arm] = t.Latency + c.uplinkSeconds(t.Ratio, points)
+		ph.lats[arm] = c.costFn("encode", ph.names[arm], points) + c.uplinkSeconds(t.Ratio, points)
 		ph.feasible[arm] = c.deadline <= 0 || ph.lats[arm] <= c.deadline
 	}
 	if ph.pol != nil {
@@ -228,7 +229,7 @@ func (c *contextualCtl) applyDeadline(id uint64, allowed []bool) {
 }
 
 // observeLossless trains the lossless predictor on one completed trial
-// and records the prediction error of any prior prediction. reward is
+// and records the ratio error of any prior prediction. reward is
 // the size reward the lossless phase optimizes.
 func (c *contextualCtl) observeLossless(arm, points int, ratio, reward float64) {
 	if c == nil {
@@ -249,17 +250,11 @@ func (c *contextualCtl) observe(ph *ctxPhase, arm, points int, ratio, reward flo
 	if arm < 0 || arm >= len(ph.names) {
 		return
 	}
-	encCost := c.costFn("encode", ph.names[arm], points)
 	if ph.have[arm] {
 		// Error of the prediction made before this observation.
-		c.m.predictionError(absf(ph.ratios[arm]-ratio),
-			absf(ph.lats[arm]-(encCost+c.uplinkSeconds(ratio, points))))
+		c.m.ratioError(absf(ph.ratios[arm] - ratio))
 	}
-	ph.pred.Observe(arm, c.feats, contextual.Targets{
-		Ratio:   ratio,
-		Latency: encCost,
-		Reward:  reward,
-	})
+	ph.pred.Observe(arm, c.feats, contextual.Targets{Ratio: ratio, Reward: reward})
 }
 
 // chosen finalizes a segment's contextual bookkeeping after the decision:
@@ -341,7 +336,6 @@ type ctxMetrics struct {
 	misses    *obs.Counter
 
 	ratioErr *obs.Histogram
-	latErr   *obs.Histogram
 }
 
 // ctxRatioErrBuckets bucket absolute ratio prediction errors (a ratio is
@@ -361,7 +355,6 @@ func newCtxMetrics(o *obs.Observer, deviceID uint64) *ctxMetrics {
 		fallbacks: reg.Counter("core.online.deadline_fallbacks"),
 		misses:    reg.Counter("core.online.deadline_misses"),
 		ratioErr:  reg.Histogram("quality.contextual.ratio_error", ctxRatioErrBuckets),
-		latErr:    reg.Histogram("quality.contextual.latency_error_seconds", obs.LatencyBuckets),
 	}
 }
 
@@ -380,12 +373,11 @@ func (m *ctxMetrics) miss() {
 	m.misses.Inc()
 }
 
-func (m *ctxMetrics) predictionError(ratioErr, latErr float64) {
+func (m *ctxMetrics) ratioError(ratioErr float64) {
 	if m == nil {
 		return
 	}
 	m.ratioErr.Observe(ratioErr)
-	m.latErr.Observe(latErr)
 }
 
 func (m *ctxMetrics) predictEvent(id uint64, arm int, codec string, lossy bool, predRatio, ratioErr, predReward, predLat float64) {

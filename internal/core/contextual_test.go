@@ -1,6 +1,7 @@
 package core
 
 import (
+	"strings"
 	"testing"
 	"time"
 
@@ -189,6 +190,72 @@ func TestRetargetReachesDeadlineGate(t *testing.T) {
 		t.Fatal("after Retarget(2G) the gate rejected nothing: it still predicts the 5G upload")
 	}
 	if st.DeadlineViolations != 0 {
+		t.Fatalf("deadline violations = %d, want 0", st.DeadlineViolations)
+	}
+}
+
+// TestDeadlineGateReadsCostModel pins the gate's arithmetic: a warm arm's
+// latency is exactly Config.CodecCost's encode seconds plus the uplink
+// seconds of the ratio the predictor expects, on the segment's live link,
+// and the arm is feasible exactly when that meets the deadline. The cost
+// model prices the zlib family at a second a segment, so the gate must
+// reject it as soon as it is warm and keep the cheap arms. The link drops
+// from 4G to 3G halfway, so both phases have warm arms by the end.
+func TestDeadlineGateReadsCostModel(t *testing.T) {
+	cost := func(op, codec string, points int) float64 {
+		if strings.HasPrefix(codec, "zlib") {
+			return 1
+		}
+		return float64(len(codec)*points) * 1e-9
+	}
+	eng, err := NewOnlineEngine(Config{
+		IngestRate:   4e6,
+		Bandwidth:    sim.Net4G,
+		Deadline:     time.Millisecond,
+		Objective:    SingleTarget(TargetRatio),
+		BanditPolicy: "contextual",
+		CodecCost:    cost,
+		Seed:         11,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	segs := cbfSegments(t, 81, 12)
+	if _, err := RunOnlineSegments(eng, segs[:40]); err != nil {
+		t.Fatal(err)
+	}
+	eng.Retarget(sim.Net3G)
+	if _, err := RunOnlineSegments(eng, segs[40:80]); err != nil {
+		t.Fatal(err)
+	}
+	c, values := eng.ctx, segs[80].Values
+	c.begin(values, sim.Net3G)
+	var warm [2]int
+	rejected := 0
+	for i, ph := range []*ctxPhase{&c.lossless, &c.lossy} {
+		for arm, name := range ph.names {
+			if !ph.have[arm] {
+				continue
+			}
+			warm[i]++
+			ratio := ph.pred.Predict(arm, c.feats).Ratio
+			want := cost("encode", name, len(values)) + ratio*8*float64(len(values))/float64(sim.Net3G)
+			if ph.lats[arm] != want {
+				t.Errorf("%s: the gate reads %v s, want the cost model's encode plus the predicted uplink, %v s", name, ph.lats[arm], want)
+			}
+			if ph.feasible[arm] != (want <= c.deadline) {
+				t.Errorf("%s: feasible = %v at %v s against a %v s deadline", name, ph.feasible[arm], want, c.deadline)
+			}
+			if !ph.feasible[arm] {
+				rejected++
+			}
+		}
+	}
+	if warm[0] == 0 || warm[1] == 0 || rejected == 0 || rejected == warm[0]+warm[1] {
+		t.Fatalf("%d lossless and %d lossy arms warm, %d of them rejected: want both phases warm, some arms rejected and some kept",
+			warm[0], warm[1], rejected)
+	}
+	if st := eng.Stats(); st.DeadlineViolations != 0 {
 		t.Fatalf("deadline violations = %d, want 0", st.DeadlineViolations)
 	}
 }

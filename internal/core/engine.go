@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"time"
 
@@ -47,10 +48,11 @@ type Config struct {
 	// (online engine, DESIGN.md §11). Arms whose predicted total latency
 	// misses it are masked out of selection; when nothing feasible
 	// remains the engine degrades to the fastest predicted arm instead of
-	// dropping the segment. Predictions come from the deterministic codec
-	// cost model and the online ridge predictor, never from measured
-	// durations, so gating is reproducible run to run. 0 disables the
-	// gate. Works under any BanditPolicy.
+	// dropping the segment. The encode term is the deterministic codec
+	// cost model's and the uplink term is the online ridge predictor's
+	// ratio sent over the link; neither reads a measured duration, so
+	// gating is reproducible run to run. 0 disables the gate. Works under
+	// any BanditPolicy.
 	Deadline time.Duration
 	// SingleLossyMAB collapses the offline per-ratio-range bandit pool
 	// into one instance. The paper argues (§IV-C2) that rewards differ
@@ -60,8 +62,9 @@ type Config struct {
 	// Registry is the codec candidate set. Nil selects the paper's 17-codec
 	// catalog (compress.DefaultRegistry) at Precision: one shared catalog
 	// per precision, built by the first engine that asks for it and used
-	// by every engine built without a Registry. The engines never hand it
-	// out, so nothing can register into it.
+	// by every engine built without a Registry. A registry never changes
+	// once built, and an engine resolves its arms from it once, at
+	// construction.
 	Registry *compress.Registry
 	// LossyArms optionally restricts the lossy bandit's arms to the named
 	// codecs (they must exist in the Registry). Used by fixed-pair
@@ -150,9 +153,9 @@ func (c Config) withDefaults(online bool) Config {
 }
 
 // defaultCatalogs holds the catalog Config.Registry's nil selects, by
-// precision. A catalog is stateless codecs behind a read-mostly lock, so
-// any number of engines on any goroutines can share one; building one per
-// engine cost a map and 17 codecs each time an offline epoch began.
+// precision. A catalog is stateless codecs that never change once built,
+// so any number of engines on any goroutines can share one; building one
+// per engine cost a map and 17 codecs each time an offline epoch began.
 var defaultCatalogs sync.Map // int → *compress.Registry
 
 // defaultCatalog returns the shared catalog at precision, building it on
@@ -165,15 +168,52 @@ func defaultCatalog(precision int) *compress.Registry {
 	return r.(*compress.Registry)
 }
 
-// armNames resolves the candidate arm list: the override when set, else
-// every codec of the requested kind in the registry.
-func armNames(override, all []string) []string {
-	if len(override) == 0 {
-		return all
+// arms is an engine's candidate set, resolved from the registry once at
+// construction: lossless[i] is losslessNames[i], lossy[i] is lossyNames[i],
+// and recoders[i] is lossy[i] as a Recoder, nil when it is not one.
+type arms struct {
+	losslessNames []string
+	lossyNames    []string
+	lossless      []compress.Codec
+	lossy         []compress.LossyCodec
+	recoders      []compress.Recoder
+}
+
+// resolveArms resolves cfg's arm lists against cfg.Registry: each override
+// when set, else every codec of its kind in the registry. An override that
+// names a codec the registry lacks, or a lossy arm that is not a lossy
+// codec, fails the engine's construction.
+func resolveArms(cfg Config) (arms, error) {
+	a := arms{
+		losslessNames: slices.Clone(cfg.LosslessArms),
+		lossyNames:    slices.Clone(cfg.LossyArms),
 	}
-	out := make([]string, len(override))
-	copy(out, override)
-	return out
+	if len(a.losslessNames) == 0 {
+		a.losslessNames = cfg.Registry.Lossless()
+	}
+	if len(a.lossyNames) == 0 {
+		a.lossyNames = cfg.Registry.Lossy()
+	}
+	a.lossless = make([]compress.Codec, len(a.losslessNames))
+	for i, name := range a.losslessNames {
+		c, ok := cfg.Registry.Lookup(name)
+		if !ok {
+			return arms{}, fmt.Errorf("core: lossless arm %q is not in the registry", name)
+		}
+		a.lossless[i] = c
+	}
+	a.lossy = make([]compress.LossyCodec, len(a.lossyNames))
+	a.recoders = make([]compress.Recoder, len(a.lossyNames))
+	for i, name := range a.lossyNames {
+		c, _ := cfg.Registry.Lookup(name)
+		lc, ok := c.(compress.LossyCodec)
+		if !ok {
+			return arms{}, fmt.Errorf("core: lossy arm %q is not a lossy codec in the registry", name)
+		}
+		a.lossy[i] = lc
+		a.recoders[i], _ = c.(compress.Recoder)
+	}
+	return a, nil
 }
 
 // validatePolicy rejects unknown Config.BanditPolicy names up front, so

@@ -31,14 +31,7 @@ type OfflineEngine struct {
 	reg  *compress.Registry
 	eval *Evaluator
 
-	losslessNames []string
-	lossyNames    []string
-	// The arms' codecs, resolved from the registry once: lossless[i] is
-	// losslessNames[i], lossy[i] is lossyNames[i], and recoders[i] is
-	// lossy[i] as a Recoder, nil when it is not one.
-	lossless []compress.Codec
-	lossy    []compress.LossyCodec
-	recoders []compress.Recoder
+	arms
 	// fallback is the registry's "rrdsample", the last resort when no arm
 	// can reach a recode's target; nil when the registry has none.
 	fallback    compress.LossyCodec
@@ -191,19 +184,17 @@ func NewOfflineEngine(cfg Config) (*OfflineEngine, error) {
 	if err != nil {
 		return nil, err
 	}
-	losslessNames := armNames(cfg.LosslessArms, cfg.Registry.Lossless())
-	lossyNames := armNames(cfg.LossyArms, cfg.Registry.Lossy())
+	a, err := resolveArms(cfg)
+	if err != nil {
+		return nil, err
+	}
 	e := &OfflineEngine{
-		cfg:           cfg,
-		reg:           cfg.Registry,
-		eval:          eval,
-		losslessNames: losslessNames,
-		lossyNames:    lossyNames,
-		lossless:      make([]compress.Codec, len(losslessNames)),
-		lossy:         make([]compress.LossyCodec, len(lossyNames)),
-		recoders:      make([]compress.Recoder, len(lossyNames)),
+		cfg:  cfg,
+		reg:  cfg.Registry,
+		eval: eval,
+		arms: a,
 		// Every name a payload can carry: the arms' and the fallback's.
-		names:   make([]string, 0, len(losslessNames)+len(lossyNames)+1),
+		names:   make([]string, 0, len(a.losslessNames)+len(a.lossyNames)+1),
 		storage: sim.NewStorage(cfg.StorageBytes, cfg.StorageThreshold),
 		policy:  cfg.Policy,
 		clock:   sim.NewClock(cfg.IngestRate),
@@ -211,22 +202,6 @@ func NewOfflineEngine(cfg Config) (*OfflineEngine, error) {
 			LosslessUse: make(map[string]int),
 			LossyUse:    make(map[string]int),
 		},
-	}
-	for i, name := range losslessNames {
-		c, ok := cfg.Registry.Lookup(name)
-		if !ok {
-			return nil, fmt.Errorf("core: lossless arm %q is not in the registry", name)
-		}
-		e.lossless[i] = c
-	}
-	for i, name := range lossyNames {
-		c, _ := cfg.Registry.Lookup(name)
-		lc, ok := c.(compress.LossyCodec)
-		if !ok {
-			return nil, fmt.Errorf("core: lossy arm %q is not a lossy codec in the registry", name)
-		}
-		e.lossy[i] = lc
-		e.recoders[i], _ = c.(compress.Recoder)
 	}
 	if e.policy == nil {
 		// A budget holds at least about as many segments as fit it raw,

@@ -24,7 +24,6 @@ import (
 // engines, one per goroutine, never by sharing one.
 type OnlineEngine struct {
 	cfg  Config // never written after construction
-	reg  *compress.Registry
 	eval *Evaluator
 
 	// link is the uplink the next segment is decided for. Retarget
@@ -35,10 +34,9 @@ type OnlineEngine struct {
 	// pointer at the next load means Retarget ran in between.
 	seen *onlineLink
 
-	losslessNames []string
-	lossyNames    []string
-	losslessMAB   bandit.Policy
-	lossyMAB      bandit.Policy
+	arms
+	losslessMAB bandit.Policy
+	lossyMAB    bandit.Policy
 
 	nextID         uint64
 	losslessFails  int
@@ -156,13 +154,15 @@ func NewOnlineEngine(cfg Config) (*OnlineEngine, error) {
 	if target > 1 {
 		target = 1
 	}
+	a, err := resolveArms(cfg)
+	if err != nil {
+		return nil, err
+	}
 	e := &OnlineEngine{
 		cfg:            cfg,
-		reg:            cfg.Registry,
 		eval:           eval,
 		seen:           &onlineLink{bw: cfg.Bandwidth, target: target},
-		losslessNames:  armNames(cfg.LosslessArms, cfg.Registry.Lossless()),
-		lossyNames:     armNames(cfg.LossyArms, cfg.Registry.Lossy()),
+		arms:           a,
 		probeInterval:  losslessProbeInterval,
 		losslessViable: true,
 		stats:          OnlineStats{CodecUse: make(map[string]int)},
@@ -352,9 +352,8 @@ func (e *OnlineEngine) processLossless(id uint64, values []float64, target float
 		name := e.losslessNames[arm]
 		// The cost-model duration advances the span's virtual time.
 		cost := e.costFn("encode", name, len(values))
-		codec, _ := e.reg.Lookup(name)
 		start := clockIf(e.om != nil)
-		t := runLosslessTrial(e.trialEnc, codec, values)
+		t := runLosslessTrial(e.trialEnc, e.lossless[arm], values)
 		e.om.trial(name, start)
 		e.om.spanTrial(arm, name, cost)
 		if t.err != nil {
@@ -394,9 +393,8 @@ func (e *OnlineEngine) processLossless(id uint64, values []float64, target float
 func (e *OnlineEngine) processLossy(id uint64, values []float64, target float64) (Result, compress.Encoded, error) {
 	allowed := e.mask(len(e.lossyNames), false)
 	feasible := false
-	for i, name := range e.lossyNames {
-		c, _ := e.reg.Lookup(name)
-		if c.(compress.LossyCodec).MinRatio(values) <= target {
+	for i, lc := range e.lossy {
+		if lc.MinRatio(values) <= target {
 			allowed[i] = true
 			feasible = true
 		}
@@ -414,9 +412,8 @@ func (e *OnlineEngine) processLossy(id uint64, values []float64, target float64)
 	// the speed reward's T_c.
 	cost := e.costFn("encode", name, len(values))
 
-	codec, _ := e.reg.Lookup(name)
 	start := clockIf(e.om != nil)
-	t := runLossyTrial(e.trialEnc, e.trialDec, codec.(compress.LossyCodec), values, target)
+	t := runLossyTrial(e.trialEnc, e.trialDec, e.lossy[arm], values, target)
 	e.om.trial(name, start)
 	e.om.spanTrial(arm, name, cost)
 	if t.err != nil {

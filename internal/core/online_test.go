@@ -45,9 +45,10 @@ func runOnline(t *testing.T, e *OnlineEngine, segments int, seed int64) []Result
 // TestDefaultCatalogShared: engines built without a Registry, online or
 // offline, share one catalog per precision, the paper's 17 codecs, where
 // each used to build its own; compress.DefaultRegistry still hands every
-// caller a registry of its own, which it may register into. The engines at
-// precision 7, which no other test uses, are built and run on goroutines
-// of their own, so the first build of that catalog races under -race.
+// caller a registry of its own. The engines at precision 7, which no other
+// test uses, are built and run on goroutines of their own, an online engine
+// next to each offline one, so the first build of that catalog and both
+// engine kinds' reads of it race under -race.
 func TestDefaultCatalogShared(t *testing.T) {
 	ratio := SingleTarget(TargetRatio)
 	on, err := NewOnlineEngine(Config{TargetRatioOverride: 0.5, Objective: ratio, Seed: 1})
@@ -58,14 +59,14 @@ func TestDefaultCatalogShared(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if on.reg != off.reg {
+	if on.cfg.Registry != off.reg {
 		t.Error("two engines built without a Registry at one precision hold different catalogs")
 	}
 	segs := cbfSegments(t, 20, 3)
-	regs := make([]*compress.Registry, 4)
+	regs := make([]*compress.Registry, 8)
 	var wg sync.WaitGroup
-	for i := range regs {
-		wg.Add(1)
+	for i := 0; i < len(regs); i += 2 {
+		wg.Add(2)
 		go func() {
 			defer wg.Done()
 			eng, err := NewOfflineEngine(Config{StorageBytes: 1 << 12, Precision: 7, Objective: ratio, Seed: int64(i)})
@@ -81,6 +82,21 @@ func TestDefaultCatalogShared(t *testing.T) {
 			}
 			regs[i] = eng.reg
 		}()
+		go func() {
+			defer wg.Done()
+			eng, err := NewOnlineEngine(Config{TargetRatioOverride: 0.2, Precision: 7, Objective: ratio, Seed: int64(i)})
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			for _, s := range segs {
+				if _, _, err := eng.Process(s.Values, s.Label); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+			regs[i+1] = eng.cfg.Registry
+		}()
 	}
 	wg.Wait()
 	for i, r := range regs {
@@ -89,11 +105,40 @@ func TestDefaultCatalogShared(t *testing.T) {
 		}
 	}
 	fresh := compress.DefaultRegistry(4)
-	if got, want := on.reg.Names(), fresh.Names(); !slices.Equal(got, want) {
+	if got, want := off.reg.Names(), fresh.Names(); !slices.Equal(got, want) {
 		t.Errorf("the shared catalog holds %v, DefaultRegistry %v", got, want)
 	}
-	if fresh == on.reg || fresh == compress.DefaultRegistry(4) {
+	if fresh == off.reg || fresh == compress.DefaultRegistry(4) {
 		t.Error("DefaultRegistry returned a registry it had returned before")
+	}
+}
+
+// TestOnlineRejectsBadArms: both engines resolve their arms' codecs at
+// construction, so an arm override naming a codec the registry lacks, or a
+// lossy arm that is not a lossy codec, fails there with one error and not
+// as a nil codec on the first segment. The online engine used to accept
+// both and panic inside Process.
+func TestOnlineRejectsBadArms(t *testing.T) {
+	ratio := SingleTarget(TargetRatio)
+	for _, tc := range []struct {
+		name string
+		cfg  Config
+		want string
+	}{
+		{"unknown lossless", Config{LosslessArms: []string{"gzip", "nope"}}, `core: lossless arm "nope" is not in the registry`},
+		{"unknown lossy", Config{LossyArms: []string{"nope"}}, `core: lossy arm "nope" is not a lossy codec in the registry`},
+		{"lossless as lossy", Config{LossyArms: []string{"paa", "gorilla"}}, `core: lossy arm "gorilla" is not a lossy codec in the registry`},
+	} {
+		on := tc.cfg
+		on.TargetRatioOverride, on.Objective = 0.2, ratio
+		if _, err := NewOnlineEngine(on); err == nil || err.Error() != tc.want {
+			t.Errorf("%s: online engine built with error %v, want %q", tc.name, err, tc.want)
+		}
+		off := tc.cfg
+		off.StorageBytes, off.Objective = 1<<16, ratio
+		if _, err := NewOfflineEngine(off); err == nil || err.Error() != tc.want {
+			t.Errorf("%s: offline engine built with error %v, want %q", tc.name, err, tc.want)
+		}
 	}
 }
 
@@ -307,9 +352,7 @@ func TestOnlineStatsRawBytesFollowSegment(t *testing.T) {
 
 func TestOnlineNoFeasibleCodec(t *testing.T) {
 	// A registry with only BUFF-lossy cannot reach ratio 0.01 on CBF.
-	reg := compress.NewRegistry()
-	reg.Register(compress.NewBUFF(4))
-	reg.Register(compress.NewBUFFLossy(4))
+	reg := compress.NewRegistry(compress.NewBUFF(4), compress.NewBUFFLossy(4))
 	e, err := NewOnlineEngine(Config{
 		TargetRatioOverride: 0.01,
 		Objective:           SingleTarget(TargetRatio),
@@ -391,7 +434,7 @@ func TestOnlinePayloadsDecode(t *testing.T) {
 			t.Fatalf("segment %d: %v", i, err)
 		}
 		carved += len(enc.Data)
-		got, err := e.reg.Decompress(enc)
+		got, err := e.cfg.Registry.Decompress(enc)
 		if err != nil {
 			t.Fatalf("segment %d (%s, lossy=%v): decode: %v", i, res.Codec, res.Lossy, err)
 		}
@@ -497,17 +540,14 @@ func countingRegistry() (*compress.Registry, int, *int) {
 		compress.NewSnappy(), compress.NewDict(), compress.NewGorilla(),
 		compress.NewChimp(), compress.NewSprintz(4), compress.NewBUFF(4),
 	}
-	reg := compress.NewRegistry()
+	var codecs []compress.Codec
 	for _, c := range lossless {
-		reg.Register(countingCodec{c, trials})
+		codecs = append(codecs, countingCodec{c, trials})
 	}
-	for _, c := range []compress.Codec{
+	codecs = append(codecs,
 		compress.NewBUFFLossy(4), compress.NewPAA(), compress.NewPLA(),
-		compress.NewFFT(), compress.NewLTTB(), compress.NewRRDSample(1),
-	} {
-		reg.Register(c)
-	}
-	return reg, len(lossless), trials
+		compress.NewFFT(), compress.NewLTTB(), compress.NewRRDSample(1))
+	return compress.NewRegistry(codecs...), len(lossless), trials
 }
 
 // shiftPool is one CBF regime followed by one plateau regime, half each.

@@ -2,7 +2,6 @@ package core
 
 import (
 	"repro/internal/bandit"
-	"repro/internal/compress"
 	"repro/internal/obs/quality"
 )
 
@@ -93,11 +92,7 @@ func (o *qualityOracle) scoreLossless(e *OnlineEngine, values []float64, target 
 		if !e.ctx.losslessCandidate(arm) {
 			continue // deadline-masked on the decision path this segment
 		}
-		codec, ok := e.reg.Lookup(name)
-		if !ok {
-			continue
-		}
-		t := runLosslessTrial(o.enc, codec, values)
+		t := runLosslessTrial(o.enc, e.lossless[arm], values)
 		if t.err != nil {
 			continue
 		}
@@ -119,11 +114,7 @@ func (o *qualityOracle) scoreLossy(e *OnlineEngine, values []float64, target flo
 	var scratch [4]float64
 	ref := o.eval.Reference(scratch[:0], values)
 	for arm, name := range e.lossyNames {
-		c, ok := e.reg.Lookup(name)
-		if !ok {
-			continue
-		}
-		lc := c.(compress.LossyCodec)
+		lc := e.lossy[arm]
 		if lc.MinRatio(values) > target {
 			continue // the decision path could not have chosen it
 		}

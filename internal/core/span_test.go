@@ -151,9 +151,7 @@ func TestOnlineSpanLifecycle(t *testing.T) {
 // no_feasible record in the failed segment's group, after its trials.
 func TestOnlineNoFeasibleInSpan(t *testing.T) {
 	// A registry with only BUFF-lossy cannot reach ratio 0.01 on CBF.
-	reg := compress.NewRegistry()
-	reg.Register(compress.NewBUFF(4))
-	reg.Register(compress.NewBUFFLossy(4))
+	reg := compress.NewRegistry(compress.NewBUFF(4), compress.NewBUFFLossy(4))
 	o := obs.New(0)
 	eng, err := NewOnlineEngine(Config{
 		TargetRatioOverride: 0.01,

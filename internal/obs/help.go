@@ -47,8 +47,7 @@ var MetricHelp = map[string]string{
 	"quality.online.reward_gap.<codec>": "reward gap (best − chosen) when `<codec>` was the chosen arm (`GapBuckets`)",
 
 	// Contextual predictor.
-	"quality.contextual.ratio_error":           "|predicted − achieved| compression ratio (buckets 0.005…0.5)",
-	"quality.contextual.latency_error_seconds": "|predicted − cost-model| encode+uplink seconds (LatencyBuckets)",
+	"quality.contextual.ratio_error": "|predicted − achieved| compression ratio (buckets 0.005…0.5)",
 
 	// Resilient uplink.
 	"transport.uplink.dials":         "successful (re)dials",
